@@ -557,28 +557,10 @@ fn json_f64(value: f64) -> String {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal (the fields are
-/// `pub`, so a caller-constructed report may carry arbitrary names).
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl PerfReport {
-    /// Renders the report as the `BENCH_simulator.json` document. The
-    /// workspace's serde is an offline marker shim, so the (small, fixed)
-    /// schema is rendered by hand; [`validate_json`] checks it.
+    /// Renders the report as the `BENCH_simulator.json` document: one
+    /// fixed, indented template with names escaped by
+    /// [`ciflow::json::escape_into`]; [`validate_json`] checks it.
     pub fn to_json(&self) -> String {
         let g = &self.schedule_generation;
         let e = &self.engine_execution;
@@ -587,6 +569,13 @@ impl PerfReport {
         let a = &self.analytic_sweep;
         let s = &self.serving;
         let r = &self.resilience;
+        // The name fields are `pub`, so a caller-built report may carry
+        // arbitrary strings.
+        let json_escape = |raw: &str| {
+            let mut escaped = String::with_capacity(raw.len());
+            ciflow::json::escape_into(&mut escaped, raw);
+            escaped
+        };
         format!(
             r#"{{
   "schema": "ciflow.perf_report.v5",
@@ -748,7 +737,7 @@ impl PerfReport {
     }
 }
 
-/// Checks structural balance of a hand-rolled JSON document: braces and
+/// Checks structural balance of a rendered JSON document: braces and
 /// brackets count only *outside* string literals (an escaped name may
 /// legitimately contain `{`, `}` or `\"`), and every string must be
 /// closed. Shared by the perf-report and serving-gallery validators.

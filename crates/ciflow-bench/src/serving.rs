@@ -11,12 +11,14 @@
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
+use ciflow::json;
 use ciflow::serve::{
     try_fault_serve_in, try_serve_in, ArrivalProcess, CrashPlan, FaultPlan, RequestClass,
     ResilienceReport, RetryPolicy, ServeConfig,
 };
 use ciflow::sweep::try_fault_sweep_in;
 use rpu::RpuConfig;
+use std::fmt::Write as _;
 
 /// The reference serving configuration every section runs: the standard ARK
 /// mix, closed loop (8 clients, 96 requests), 4 RPUs at 64 GB/s, seed 1 —
@@ -53,18 +55,15 @@ pub fn standard_fault_plan(tick: f64) -> FaultPlan {
 /// every embedded config validates.
 pub fn render_json(session: &Session) -> String {
     let config = reference_config();
-    let mut reference = String::new();
+    let mut out = String::from("{\"schema\":\"ciflow.serving_gallery.v1\",\"reference\":");
     let mut oc_report = None;
-    for dataflow in Dataflow::all() {
+    json::write_array(&mut out, Dataflow::all(), |out, dataflow| {
         let report = try_serve_in(session, &config, dataflow).expect("reference run succeeds");
-        if !reference.is_empty() {
-            reference.push(',');
-        }
-        reference.push_str(&report.to_json());
+        report.write_json(out);
         if dataflow == Dataflow::OutputCentric {
             oc_report = Some(report);
         }
-    }
+    });
     let oc_report = oc_report.expect("the dataflow gallery includes OC");
     let tick = oc_report.makespan_seconds / oc_report.completed as f64;
 
@@ -76,6 +75,8 @@ pub fn render_json(session: &Session) -> String {
         resilience.conserves_arrivals(),
         "conservation is structural"
     );
+    out.push_str(",\"resilience\":");
+    out.push_str(&resilience.to_json());
 
     let intensities = [0.0, 0.5, 1.0, 2.0];
     let sizes = [2usize, 4];
@@ -88,53 +89,39 @@ pub fn render_json(session: &Session) -> String {
         &sizes,
     )
     .expect("fault sweep succeeds");
-    let points = sweep
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"intensity\":{},\"num_devices\":{},\"offered\":{},\"completed\":{},\
-                 \"timed_out\":{},\"shed\":{},\"degraded\":{},\"retries\":{},\
-                 \"goodput_rps\":{},\"throughput_rps\":{},\"mean_availability\":{},\
-                 \"wasted_seconds\":{},\"p99_ms\":{}}}",
-                p.intensity,
-                p.num_devices,
-                p.offered,
-                p.completed,
-                p.timed_out,
-                p.shed,
-                p.degraded,
-                p.retries,
-                p.goodput_rps,
-                p.throughput_rps,
-                p.mean_availability,
-                p.wasted_seconds,
-                p.p99_ms
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-
-    format!(
-        "{{\"schema\":\"ciflow.serving_gallery.v1\",\
-         \"reference\":[{reference}],\
-         \"resilience\":{},\
-         \"fault_sweep\":{{\"strategy\":\"{}\",\"seed\":{},\
-         \"intensities\":[{}],\"cluster_sizes\":[{}],\"points\":[{points}]}}}}",
-        resilience.to_json(),
-        sweep.strategy,
-        sweep.seed,
-        intensities
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-        sizes
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-    )
+    out.push_str(",\"fault_sweep\":{\"strategy\":");
+    json::write_str(&mut out, &sweep.strategy);
+    let _ = write!(out, ",\"seed\":{},\"intensities\":", sweep.seed);
+    json::write_array(&mut out, intensities, |out, intensity| {
+        let _ = write!(out, "{intensity}");
+    });
+    out.push_str(",\"cluster_sizes\":");
+    json::write_array(&mut out, sizes, json::write_uint);
+    out.push_str(",\"points\":");
+    json::write_array(&mut out, &sweep.points, |out, p| {
+        let _ = write!(
+            out,
+            "{{\"intensity\":{},\"num_devices\":{},\"offered\":{},\"completed\":{},\
+             \"timed_out\":{},\"shed\":{},\"degraded\":{},\"retries\":{},\
+             \"goodput_rps\":{},\"throughput_rps\":{},\"mean_availability\":{},\
+             \"wasted_seconds\":{},\"p99_ms\":{}}}",
+            p.intensity,
+            p.num_devices,
+            p.offered,
+            p.completed,
+            p.timed_out,
+            p.shed,
+            p.degraded,
+            p.retries,
+            p.goodput_rps,
+            p.throughput_rps,
+            p.mean_availability,
+            p.wasted_seconds,
+            p.p99_ms
+        );
+    });
+    out.push_str("}}");
+    out
 }
 
 /// Validates a rendered serving-gallery document: the schema tags of the

@@ -124,6 +124,7 @@ pub mod dataflow;
 pub mod error;
 pub mod functional;
 pub mod hks_shape;
+pub mod json;
 pub mod lint;
 mod parallel;
 pub mod report;

@@ -50,10 +50,12 @@
 //! `docs/LINTS.md`.
 
 use crate::benchmark::HksBenchmark;
+use crate::json;
 use crate::schedule::Schedule;
 use crate::workload::WorkloadSchedule;
 use rpu::{ChannelMap, RpuConfig, RpuEngine};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 pub use rpu::verify::{Diagnostic, Severity};
 
@@ -228,58 +230,35 @@ impl LintReport {
 
     /// Renders the report as a machine-readable JSON document
     /// (`ciflow.lint_report.v1`): counts plus one object per diagnostic
-    /// with its code, severity, tasks, optional label and message. The
-    /// `schedule_lint` binary's `--json` mode archives these from CI.
+    /// with its code, severity, tasks, optional label and message, streamed
+    /// into one buffer with [`crate::json`]. The `schedule_lint` binary's
+    /// `--json` mode archives these from CI.
     pub fn to_json(&self) -> String {
         let (errors, warnings, notes) = self.counts();
         let mut out = String::with_capacity(128 + self.diagnostics.len() * 96);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"schema\":\"ciflow.lint_report.v1\",\
              \"counts\":{{\"errors\":{errors},\"warnings\":{warnings},\"notes\":{notes}}},\
-             \"diagnostics\":["
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+             \"diagnostics\":"
+        );
+        json::write_array(&mut out, &self.diagnostics, |out, d| {
+            out.push_str("{\"code\":");
+            json::write_str(out, d.code);
+            let _ = write!(out, ",\"severity\":\"{}\",\"tasks\":", d.severity);
+            json::write_array(out, d.tasks.iter().copied(), json::write_uint);
+            out.push_str(",\"label\":");
+            match &d.label {
+                Some(label) => json::write_str(out, label),
+                None => out.push_str("null"),
             }
-            let tasks = d
-                .tasks
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            let label = match &d.label {
-                Some(label) => format!("\"{}\"", json_escape(label)),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"tasks\":[{tasks}],\
-                 \"label\":{label},\"message\":\"{}\"}}",
-                json_escape(d.code),
-                d.severity,
-                json_escape(&d.message),
-            ));
-        }
-        out.push_str("]}");
+            out.push_str(",\"message\":");
+            json::write_str(out, &d.message);
+            out.push('}');
+        });
+        out.push('}');
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl std::fmt::Display for LintReport {

@@ -32,11 +32,13 @@
 //! reduced bandwidth. See `docs/SERVING.md` for the normative fault model.
 
 use super::config::ServeConfig;
-use super::report::ServeReport;
+use super::report::{ServeReport, JSON_BYTES_PER_RECORD};
 use super::sim;
 use crate::api::{Session, StrategySpec};
 use crate::error::CiflowError;
+use crate::json;
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// One scripted device outage: `device` goes down at `at_seconds` and comes
 /// back `down_seconds` later.
@@ -575,25 +577,18 @@ impl ResilienceReport {
     }
 
     /// Renders the report as one `ciflow.resilience_report.v1` JSON
-    /// document with the serving report embedded verbatim.
+    /// document, streamed into one buffer, with the serving report embedded
+    /// verbatim by [`ServeReport::write_json`].
     pub fn to_json(&self) -> String {
-        let availability = self
-            .availability
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"device\":{},\"crashes\":{},\"down_seconds\":{},\"availability\":{}}}",
-                    d.device, d.crashes, d.down_seconds, d.availability
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
+        let records = self.serve.records.len();
+        let mut out = String::with_capacity(1024 + JSON_BYTES_PER_RECORD * records);
+        let _ = write!(
+            out,
             "{{\"schema\":\"ciflow.resilience_report.v1\",\"offered\":{},\"completed\":{},\
              \"timed_out\":{},\"shed\":{},\"degraded\":{},\"late\":{},\"retries\":{},\
              \"transient_failures\":{},\"crash_losses\":{},\"wasted_seconds\":{},\
              \"goodput_rps\":{},\"throughput_rps\":{},\"mean_availability\":{},\
-             \"availability\":[{availability}],\"serve\":{}}}",
+             \"availability\":",
             self.offered,
             self.serve.completed,
             self.timed_out,
@@ -607,8 +602,18 @@ impl ResilienceReport {
             self.goodput_rps,
             self.serve.throughput_rps,
             self.mean_availability(),
-            self.serve.to_json()
-        )
+        );
+        json::write_array(&mut out, &self.availability, |out, d| {
+            let _ = write!(
+                out,
+                "{{\"device\":{},\"crashes\":{},\"down_seconds\":{},\"availability\":{}}}",
+                d.device, d.crashes, d.down_seconds, d.availability
+            );
+        });
+        out.push_str(",\"serve\":");
+        self.serve.write_json(&mut out);
+        out.push('}');
+        out
     }
 }
 

@@ -2,7 +2,13 @@
 //! depths, and per-device / per-class usage.
 
 use super::dispatch::DispatchPolicy;
+use crate::json;
 use serde::Serialize;
+use std::fmt::Write as _;
+
+/// Upper-end length of one rendered request record (~135 bytes at fleet
+/// scale), for pre-sizing report buffers.
+pub(crate) const JSON_BYTES_PER_RECORD: usize = 144;
 
 /// One served request, in issue order. Latency is defined as
 /// `wait + service` (not `completion − arrival`), so a request that never
@@ -139,50 +145,23 @@ impl ServeReport {
     /// line, embedded by `serving_fleet --json` and by
     /// [`ResilienceReport::to_json`](super::ResilienceReport::to_json).
     pub fn to_json(&self) -> String {
-        let devices = self
-            .devices
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"device\":{},\"served\":{},\"busy_seconds\":{},\"utilization\":{}}}",
-                    d.device, d.served, d.busy_seconds, d.utilization
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let classes = self
-            .classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"name\":\"{}\",\"served\":{},\"service_ms\":{}}}",
-                    json_escape(&c.name),
-                    c.served,
-                    c.service_ms
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"id\":{},\"class\":{},\"device\":{},\"arrival_seconds\":{},\
-                     \"wait_seconds\":{},\"service_seconds\":{}}}",
-                    r.id, r.class, r.device, r.arrival_seconds, r.wait_seconds, r.service_seconds
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"schema\":\"ciflow.serve_report.v1\",\"strategy\":\"{}\",\"policy\":\"{}\",\
-             \"seed\":{},\"num_devices\":{},\"bandwidth_gbps\":{},\"completed\":{},\
-             \"makespan_seconds\":{},\"throughput_rps\":{},\
+        let mut out = String::with_capacity(512 + JSON_BYTES_PER_RECORD * self.records.len());
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Streams the [`to_json`](Self::to_json) document onto `out`. Repeated
+    /// floats — a class's service time, a zero wait — replay their cached
+    /// rendering ([`json::F64Memo`]), so the bytes do not change.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"schema\":\"ciflow.serve_report.v1\",\"strategy\":");
+        json::write_str(out, &self.strategy);
+        let _ = write!(
+            out,
+            ",\"policy\":\"{}\",\"seed\":{},\"num_devices\":{},\"bandwidth_gbps\":{},\
+             \"completed\":{},\"makespan_seconds\":{},\"throughput_rps\":{},\
              \"latency\":{{\"mean_ms\":{},\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\
-             \"max_ms\":{}}},\"queue\":{{\"max_depth\":{},\"mean_depth\":{}}},\
-             \"devices\":[{devices}],\"classes\":[{classes}],\"records\":[{records}]}}",
-            json_escape(&self.strategy),
+             \"max_ms\":{}}},\"queue\":{{\"max_depth\":{},\"mean_depth\":{}}},\"devices\":",
             self.policy,
             self.seed,
             self.num_devices,
@@ -197,13 +176,50 @@ impl ServeReport {
             self.latency.max_ms,
             self.queue.max_depth,
             self.queue.mean_depth,
-        )
+        );
+        json::write_array(out, &self.devices, |out, d| {
+            let _ = write!(
+                out,
+                "{{\"device\":{},\"served\":{},\"busy_seconds\":{},\"utilization\":{}}}",
+                d.device, d.served, d.busy_seconds, d.utilization
+            );
+        });
+        out.push_str(",\"classes\":");
+        json::write_array(out, &self.classes, |out, c| {
+            out.push_str("{\"name\":");
+            json::write_str(out, &c.name);
+            let _ = write!(
+                out,
+                ",\"served\":{},\"service_ms\":{}}}",
+                c.served, c.service_ms
+            );
+        });
+        // One memo slot per class (service time is constant per class) and
+        // one for the last wait (often exactly zero). `class % len` only
+        // bounds the index: the memo is correct for any slot.
+        let mut service = vec![json::F64Memo::default(); self.classes.len().max(1)];
+        let mut wait = json::F64Memo::default();
+        out.push_str(",\"records\":");
+        json::write_array(out, &self.records, |out, r| {
+            out.push_str("{\"id\":");
+            json::write_uint(out, r.id);
+            out.push_str(",\"class\":");
+            json::write_uint(out, r.class);
+            out.push_str(",\"device\":");
+            json::write_uint(out, r.device);
+            let _ = write!(
+                out,
+                ",\"arrival_seconds\":{},\"wait_seconds\":",
+                r.arrival_seconds
+            );
+            wait.write(out, r.wait_seconds);
+            out.push_str(",\"service_seconds\":");
+            let slot = r.class % service.len();
+            service[slot].write(out, r.service_seconds);
+            out.push('}');
+        });
+        out.push('}');
     }
-}
-
-/// Escapes a string for embedding in the hand-rolled JSON documents.
-pub(crate) fn json_escape(raw: &str) -> String {
-    raw.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl std::fmt::Display for ServeReport {

@@ -17,8 +17,10 @@
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::serve::{
-    try_fault_serve_in, try_serve_in, AdmissionPolicy, ArrivalProcess, CrashEvent, CrashPlan,
-    DegradeWindow, DispatchPolicy, FaultPlan, RequestClass, RetryPolicy, ServeConfig,
+    try_fault_serve_in, try_serve_in, AdmissionPolicy, ArrivalProcess, ClassUsage, CrashEvent,
+    CrashPlan, DegradeWindow, DeviceAvailability, DeviceUsage, DispatchPolicy, FaultPlan,
+    LatencySummary, QueueSummary, RequestClass, RequestRecord, ResilienceReport, RetryPolicy,
+    ServeConfig, ServeReport,
 };
 use ciflow::sweep::try_fault_sweep_in;
 use ciflow::CiflowError;
@@ -554,5 +556,339 @@ fn resilience_json_is_schema_tagged_and_balanced() {
             "brackets must balance"
         );
         assert_eq!(text.matches('"').count() % 2, 0, "quotes must pair");
+    }
+}
+
+/// SplitMix64: the seeded generator behind the rendering oracle.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A float from the edge cases that stress shortest round-trip
+    /// rendering, or an arbitrary finite bit pattern.
+    fn float(&mut self) -> f64 {
+        const EDGES: [f64; 12] = [
+            0.0,
+            -0.0,
+            5e-324,
+            2.2250738585072014e-308 / 3.0,
+            1e-7,
+            1e21,
+            f64::MAX,
+            -f64::MAX,
+            0.1,
+            1.0,
+            123_456.789,
+            3.0e-3,
+        ];
+        if self.below(3) == 0 {
+            let value = f64::from_bits(self.next());
+            if value.is_finite() {
+                return value;
+            }
+        }
+        EDGES[self.below(EDGES.len())]
+    }
+
+    /// A name with characters JSON must escape (no control characters:
+    /// those are the one deliberate change, pinned separately below).
+    fn name(&mut self) -> String {
+        const PIECES: [&str; 6] = ["ARK", "\"q\"", "back\\slash", "BTS2 relin", "é", ""];
+        (0..self.below(3) + 1)
+            .map(|_| PIECES[self.below(PIECES.len())])
+            .collect()
+    }
+}
+
+/// A seeded `ServeReport`: empty and populated device / class / record
+/// lists, service times interleaved across classes (mostly constant per
+/// class, sometimes not), runs of repeated waits including `0.0` next to
+/// `-0.0`, and record classes beyond the class list.
+fn random_serve_report(rng: &mut SplitMix) -> ServeReport {
+    let classes: Vec<ClassUsage> = (0..rng.below(5))
+        .map(|_| ClassUsage {
+            name: rng.name(),
+            served: rng.below(1000),
+            service_ms: rng.float(),
+        })
+        .collect();
+    let class_service: Vec<f64> = (0..classes.len().max(1)).map(|_| rng.float()).collect();
+    let mut wait = rng.float();
+    let records = (0..[0, 1, 7, 300][rng.below(4)])
+        .map(|id| {
+            let class = rng.below(classes.len() + 2);
+            if rng.below(3) == 0 {
+                wait = rng.float();
+            }
+            RequestRecord {
+                id: if rng.below(8) == 0 {
+                    rng.next() as usize
+                } else {
+                    id
+                },
+                class,
+                device: rng.below(16),
+                arrival_seconds: rng.float(),
+                wait_seconds: wait,
+                service_seconds: if rng.below(10) == 0 {
+                    rng.float()
+                } else {
+                    class_service[class % class_service.len()]
+                },
+            }
+        })
+        .collect();
+    ServeReport {
+        strategy: rng.name(),
+        policy: DispatchPolicy::all()[rng.below(3)],
+        seed: rng.next(),
+        num_devices: rng.below(9),
+        bandwidth_gbps: rng.float(),
+        completed: rng.below(100_000),
+        makespan_seconds: rng.float(),
+        throughput_rps: rng.float(),
+        latency: LatencySummary {
+            mean_ms: rng.float(),
+            p50_ms: rng.float(),
+            p95_ms: rng.float(),
+            p99_ms: rng.float(),
+            max_ms: rng.float(),
+        },
+        queue: QueueSummary {
+            max_depth: rng.below(500),
+            mean_depth: rng.float(),
+        },
+        devices: (0..rng.below(5))
+            .map(|device| DeviceUsage {
+                device,
+                served: rng.below(1000),
+                busy_seconds: rng.float(),
+                utilization: rng.float(),
+            })
+            .collect(),
+        classes,
+        records,
+    }
+}
+
+fn random_resilience_report(rng: &mut SplitMix) -> ResilienceReport {
+    ResilienceReport {
+        serve: random_serve_report(rng),
+        offered: rng.below(100_000),
+        timed_out: rng.below(100),
+        shed: rng.below(100),
+        degraded: rng.below(100),
+        late: rng.below(100),
+        retries: rng.below(1000),
+        transient_failures: rng.below(100),
+        crash_losses: rng.below(100),
+        wasted_seconds: rng.float(),
+        goodput_rps: rng.float(),
+        availability: (0..rng.below(5))
+            .map(|device| DeviceAvailability {
+                device,
+                crashes: rng.below(10),
+                down_seconds: rng.float(),
+                availability: rng.float(),
+            })
+            .collect(),
+    }
+}
+
+/// The field-by-field `format!` renderer the streamed writer replaced,
+/// kept as the byte-identity reference (its escape handles only `\` and
+/// `"`, which is all the generated names contain).
+mod reference {
+    use super::{ResilienceReport, ServeReport};
+
+    fn escape(raw: &str) -> String {
+        raw.replace('\\', "\\\\").replace('"', "\\\"")
+    }
+
+    pub fn serve_json(report: &ServeReport) -> String {
+        let devices = report
+            .devices
+            .iter()
+            .map(|d| {
+                format!(
+                    "{{\"device\":{},\"served\":{},\"busy_seconds\":{},\"utilization\":{}}}",
+                    d.device, d.served, d.busy_seconds, d.utilization
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let classes = report
+            .classes
+            .iter()
+            .map(|c| {
+                format!(
+                    "{{\"name\":\"{}\",\"served\":{},\"service_ms\":{}}}",
+                    escape(&c.name),
+                    c.served,
+                    c.service_ms
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let records = report
+            .records
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"id\":{},\"class\":{},\"device\":{},\"arrival_seconds\":{},\
+                     \"wait_seconds\":{},\"service_seconds\":{}}}",
+                    r.id, r.class, r.device, r.arrival_seconds, r.wait_seconds, r.service_seconds
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "{{\"schema\":\"ciflow.serve_report.v1\",\"strategy\":\"{}\",\"policy\":\"{}\",\
+             \"seed\":{},\"num_devices\":{},\"bandwidth_gbps\":{},\"completed\":{},\
+             \"makespan_seconds\":{},\"throughput_rps\":{},\
+             \"latency\":{{\"mean_ms\":{},\"p50_ms\":{},\"p95_ms\":{},\"p99_ms\":{},\
+             \"max_ms\":{}}},\"queue\":{{\"max_depth\":{},\"mean_depth\":{}}},\
+             \"devices\":[{devices}],\"classes\":[{classes}],\"records\":[{records}]}}",
+            escape(&report.strategy),
+            report.policy,
+            report.seed,
+            report.num_devices,
+            report.bandwidth_gbps,
+            report.completed,
+            report.makespan_seconds,
+            report.throughput_rps,
+            report.latency.mean_ms,
+            report.latency.p50_ms,
+            report.latency.p95_ms,
+            report.latency.p99_ms,
+            report.latency.max_ms,
+            report.queue.max_depth,
+            report.queue.mean_depth,
+        )
+    }
+
+    pub fn resilience_json(report: &ResilienceReport) -> String {
+        let availability = report
+            .availability
+            .iter()
+            .map(|d| {
+                format!(
+                    "{{\"device\":{},\"crashes\":{},\"down_seconds\":{},\"availability\":{}}}",
+                    d.device, d.crashes, d.down_seconds, d.availability
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "{{\"schema\":\"ciflow.resilience_report.v1\",\"offered\":{},\"completed\":{},\
+             \"timed_out\":{},\"shed\":{},\"degraded\":{},\"late\":{},\"retries\":{},\
+             \"transient_failures\":{},\"crash_losses\":{},\"wasted_seconds\":{},\
+             \"goodput_rps\":{},\"throughput_rps\":{},\"mean_availability\":{},\
+             \"availability\":[{availability}],\"serve\":{}}}",
+            report.offered,
+            report.serve.completed,
+            report.timed_out,
+            report.shed,
+            report.degraded,
+            report.late,
+            report.retries,
+            report.transient_failures,
+            report.crash_losses,
+            report.wasted_seconds,
+            report.goodput_rps,
+            report.serve.throughput_rps,
+            report.mean_availability(),
+            serve_json(&report.serve)
+        )
+    }
+}
+
+/// The streamed renderers are byte-identical to the `format!` reference on
+/// seeded reports, and on real simulator output.
+#[test]
+fn streamed_json_matches_the_format_reference_byte_for_byte() {
+    let mut rng = SplitMix(0x5EED_CAFE);
+    for case in 0..200 {
+        let report = random_resilience_report(&mut rng);
+        assert_eq!(
+            report.serve.to_json(),
+            reference::serve_json(&report.serve),
+            "serve report, case {case}"
+        );
+        assert_eq!(
+            report.to_json(),
+            reference::resilience_json(&report),
+            "resilience report, case {case}"
+        );
+        let mut embedded = String::from("[");
+        report.serve.write_json(&mut embedded);
+        assert_eq!(embedded[1..], reference::serve_json(&report.serve));
+    }
+
+    let session = Session::new();
+    let config = ServeConfig::new(
+        3,
+        light_mix(),
+        ArrivalProcess::OpenLoop {
+            rate_rps: 4e4,
+            requests: 400,
+        },
+    );
+    let plan = FaultPlan::none()
+        .with_transient_failure_rate(0.1)
+        .with_retry(RetryPolicy::capped_exponential(3, 1e-5, 1e-4));
+    let served = try_serve_in(&session, &config, "OC").unwrap();
+    assert_eq!(served.to_json(), reference::serve_json(&served));
+    let faulted = try_fault_serve_in(&session, &config, &plan, "OC").unwrap();
+    assert_eq!(faulted.to_json(), reference::resilience_json(&faulted));
+}
+
+/// A class or strategy name with control characters renders as valid JSON:
+/// no raw control bytes, every string escaped and closed.
+#[test]
+fn control_characters_in_names_are_escaped() {
+    let mut rng = SplitMix(7);
+    let mut report = random_resilience_report(&mut rng);
+    let name = "a\n\"b\\";
+    report.serve.strategy = name.to_string();
+    report.serve.classes = vec![ClassUsage {
+        name: format!("{name}\t\u{1}"),
+        served: 1,
+        service_ms: 0.5,
+    }];
+    for json in [report.serve.to_json(), report.to_json()] {
+        assert!(
+            !json.chars().any(|c| (c as u32) < 0x20),
+            "raw control character in {json}"
+        );
+        assert!(json.contains(r#""strategy":"a\n\"b\\""#));
+        assert!(json.contains(r#""name":"a\n\"b\\\t\u0001""#));
+        // Outside string literals, braces and brackets balance and every
+        // literal closes.
+        let (mut depth, mut in_string, mut escaped) = (0i64, false, false);
+        for c in json.chars() {
+            match (in_string, c) {
+                (true, _) if escaped => escaped = false,
+                (true, '\\') => escaped = true,
+                (true, '"') | (false, '"') => in_string = !in_string,
+                (false, '{' | '[') => depth += 1,
+                (false, '}' | ']') => depth -= 1,
+                _ => {}
+            }
+            assert!(depth >= 0, "unbalanced close in {json}");
+        }
+        assert!(!in_string, "unterminated string in {json}");
+        assert_eq!(depth, 0, "unbalanced structure in {json}");
     }
 }
