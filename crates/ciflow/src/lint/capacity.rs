@@ -1,11 +1,11 @@
 //! Capacity-safety pass (`C001`/`C002`).
 //!
-//! The schedule generators track residency with
-//! [`rpu::OnChipTracker`] and record the high-water mark in
-//! [`Schedule::peak_on_chip_bytes`]. This pass re-checks that mark against
-//! the *target's* data memory — which matters because a schedule built for
-//! one capacity can be cached and replayed against a smaller configuration,
-//! where its working set silently no longer fits.
+//! The schedule generators track residency while they emit tasks and record
+//! the high-water mark in [`Schedule::peak_on_chip_bytes`]. This pass
+//! re-checks that mark against the *target's* data memory — which matters
+//! because a schedule built for one capacity can be cached and replayed
+//! against a smaller configuration, where its working set silently no longer
+//! fits.
 
 use rpu::verify::Diagnostic;
 use rpu::RpuConfig;

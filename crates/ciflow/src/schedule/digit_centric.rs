@@ -9,7 +9,7 @@
 //! converges towards MP — both behaviours the paper reports. This dataflow is
 //! analogous to the one used by MAD (MICRO'23).
 
-use super::{emit_moddown_stagewise, Schedule, ScheduleBuilder, ScheduleConfig};
+use super::{emit_moddown_stagewise, Buf, Schedule, ScheduleBuilder, ScheduleConfig};
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
 use rpu::ComputeKind;
@@ -31,7 +31,7 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
     let tower = shape.tower_bytes();
 
     for t in 0..ell {
-        b.declare_dram_input(format!("in[{t}]"), tower);
+        b.declare_dram_input(Buf::In(t), tower);
     }
 
     for j in 0..dnum {
@@ -42,18 +42,18 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
         // P1: load and INTT only this digit's towers.
         let mut digit_deps = Vec::with_capacity(alpha_j);
         for t in range.clone() {
-            let dep = b.acquire(&format!("in[{t}]"), HksStage::ModUpIntt);
+            let dep = b.acquire(Buf::In(t), HksStage::ModUpIntt);
             let intt = b.compute(
                 ComputeKind::Intt,
                 shape.ntt_ops(),
                 vec![dep],
-                format!("intt d{j} in[{t}]"),
+                format_args!("intt d{j} in[{t}]"),
                 HksStage::ModUpIntt,
             );
-            b.produce(format!("intt[{t}]"), tower, intt, HksStage::ModUpIntt);
+            b.produce(Buf::Intt(t), tower, intt, HksStage::ModUpIntt);
         }
         for t in range.clone() {
-            digit_deps.push(b.acquire(&format!("intt[{t}]"), HksStage::ModUpBconv));
+            digit_deps.push(b.acquire(Buf::Intt(t), HksStage::ModUpBconv));
         }
 
         // P2 + P3: extend this digit and bring the extension back to the
@@ -62,7 +62,7 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
             ComputeKind::BasisConversion,
             shape.bconv_scale_ops(alpha_j),
             digit_deps.clone(),
-            format!("bconv scale digit {j}"),
+            format_args!("bconv scale digit {j}"),
             HksStage::ModUpBconv,
         );
         for e in 0..beta_j {
@@ -72,27 +72,22 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
                 ComputeKind::BasisConversion,
                 shape.bconv_slice_ops(alpha_j),
                 deps,
-                format!("bconv d{j} ext{e}"),
+                format_args!("bconv d{j} ext{e}"),
                 HksStage::ModUpBconv,
             );
-            b.produce(
-                format!("bconv[{j}][{e}]"),
-                tower,
-                slice,
-                HksStage::ModUpBconv,
-            );
+            b.produce(Buf::Bconv(j, e), tower, slice, HksStage::ModUpBconv);
         }
         for e in 0..beta_j {
-            let dep = b.acquire(&format!("bconv[{j}][{e}]"), HksStage::ModUpNtt);
+            let dep = b.acquire(Buf::Bconv(j, e), HksStage::ModUpNtt);
             let ntt = b.compute(
                 ComputeKind::Ntt,
                 shape.ntt_ops(),
                 vec![dep],
-                format!("ntt d{j} ext{e}"),
+                format_args!("ntt d{j} ext{e}"),
                 HksStage::ModUpNtt,
             );
-            b.release(&format!("bconv[{j}][{e}]"));
-            b.produce(format!("ext[{j}][{e}]"), tower, ntt, HksStage::ModUpNtt);
+            b.release(Buf::Bconv(j, e));
+            b.produce(Buf::Ext(j, e), tower, ntt, HksStage::ModUpNtt);
         }
 
         // P4 + P5: apply this digit's evk towers and fold the result into the
@@ -100,9 +95,9 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
         let mut ext_index = 0usize;
         for t in 0..shape.extended() {
             let d_dep = if t < ell && range.contains(&t) {
-                b.acquire(&format!("in[{t}]"), HksStage::ModUpApplyKey)
+                b.acquire(Buf::In(t), HksStage::ModUpApplyKey)
             } else {
-                let dep = b.acquire(&format!("ext[{j}][{ext_index}]"), HksStage::ModUpApplyKey);
+                let dep = b.acquire(Buf::Ext(j, ext_index), HksStage::ModUpApplyKey);
                 ext_index += 1;
                 dep
             };
@@ -112,36 +107,36 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
                 ComputeKind::PointwiseMul,
                 2 * shape.pointwise_ops(),
                 deps,
-                format!("apply evk d{j} t{t}"),
+                format_args!("apply evk d{j} t{t}"),
                 HksStage::ModUpApplyKey,
             );
             if j == 0 {
-                b.produce(format!("acc0[{t}]"), tower, mul, HksStage::ModUpApplyKey);
-                b.produce(format!("acc1[{t}]"), tower, mul, HksStage::ModUpApplyKey);
+                b.produce(Buf::Acc(0, t), tower, mul, HksStage::ModUpApplyKey);
+                b.produce(Buf::Acc(1, t), tower, mul, HksStage::ModUpApplyKey);
             } else {
-                let acc0_dep = b.acquire(&format!("acc0[{t}]"), HksStage::ModUpReduce);
-                let acc1_dep = b.acquire(&format!("acc1[{t}]"), HksStage::ModUpReduce);
+                let acc0_dep = b.acquire(Buf::Acc(0, t), HksStage::ModUpReduce);
+                let acc1_dep = b.acquire(Buf::Acc(1, t), HksStage::ModUpReduce);
                 let add = b.compute(
                     ComputeKind::PointwiseAdd,
                     2 * shape.pointwise_ops(),
                     vec![mul, acc0_dep, acc1_dep],
-                    format!("accumulate d{j} t{t}"),
+                    format_args!("accumulate d{j} t{t}"),
                     HksStage::ModUpReduce,
                 );
-                b.release(&format!("acc0[{t}]"));
-                b.release(&format!("acc1[{t}]"));
-                b.produce(format!("acc0[{t}]"), tower, add, HksStage::ModUpReduce);
-                b.produce(format!("acc1[{t}]"), tower, add, HksStage::ModUpReduce);
+                b.release(Buf::Acc(0, t));
+                b.release(Buf::Acc(1, t));
+                b.produce(Buf::Acc(0, t), tower, add, HksStage::ModUpReduce);
+                b.produce(Buf::Acc(1, t), tower, add, HksStage::ModUpReduce);
             }
         }
 
         // This digit's data is dead once its contribution is accumulated.
         for t in range {
-            b.release(&format!("intt[{t}]"));
-            b.release(&format!("in[{t}]"));
+            b.release(Buf::Intt(t));
+            b.release(Buf::In(t));
         }
         for e in 0..beta_j {
-            b.release(&format!("ext[{j}][{e}]"));
+            b.release(Buf::Ext(j, e));
         }
     }
 

@@ -8,7 +8,7 @@
 //! intermediates spill to DRAM and are reloaded by the next stage. This is
 //! the baseline dataflow used by prior accelerators such as Cheetah and HEAX.
 
-use super::{emit_moddown_stagewise, Schedule, ScheduleBuilder, ScheduleConfig};
+use super::{emit_moddown_stagewise, Buf, Schedule, ScheduleBuilder, ScheduleConfig};
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
 use rpu::ComputeKind;
@@ -24,20 +24,20 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
 
     // The key-switch input polynomial starts in DRAM, one tower per buffer.
     for t in 0..ell {
-        b.declare_dram_input(format!("in[{t}]"), tower);
+        b.declare_dram_input(Buf::In(t), tower);
     }
 
     // ModUp P1: INTT every input tower.
     for t in 0..ell {
-        let dep = b.acquire(&format!("in[{t}]"), HksStage::ModUpIntt);
+        let dep = b.acquire(Buf::In(t), HksStage::ModUpIntt);
         let intt = b.compute(
             ComputeKind::Intt,
             shape.ntt_ops(),
             vec![dep],
-            format!("intt in[{t}]"),
+            format_args!("intt in[{t}]"),
             HksStage::ModUpIntt,
         );
-        b.produce(format!("intt[{t}]"), tower, intt, HksStage::ModUpIntt);
+        b.produce(Buf::Intt(t), tower, intt, HksStage::ModUpIntt);
     }
 
     // ModUp P2: basis-convert every digit from alpha to beta towers.
@@ -46,13 +46,13 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
         let beta_j = shape.beta(j);
         let mut digit_deps = Vec::with_capacity(alpha_j);
         for t in shape.benchmark.digit_range(j) {
-            digit_deps.push(b.acquire(&format!("intt[{t}]"), HksStage::ModUpBconv));
+            digit_deps.push(b.acquire(Buf::Intt(t), HksStage::ModUpBconv));
         }
         let scale = b.compute(
             ComputeKind::BasisConversion,
             shape.bconv_scale_ops(alpha_j),
             digit_deps.clone(),
-            format!("bconv scale digit {j}"),
+            format_args!("bconv scale digit {j}"),
             HksStage::ModUpBconv,
         );
         for e in 0..beta_j {
@@ -62,35 +62,30 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
                 ComputeKind::BasisConversion,
                 shape.bconv_slice_ops(alpha_j),
                 deps,
-                format!("bconv d{j} ext{e}"),
+                format_args!("bconv d{j} ext{e}"),
                 HksStage::ModUpBconv,
             );
-            b.produce(
-                format!("bconv[{j}][{e}]"),
-                tower,
-                slice,
-                HksStage::ModUpBconv,
-            );
+            b.produce(Buf::Bconv(j, e), tower, slice, HksStage::ModUpBconv);
         }
         // The INTT outputs of this digit are dead once its BConv is done.
         for t in shape.benchmark.digit_range(j) {
-            b.release(&format!("intt[{t}]"));
+            b.release(Buf::Intt(t));
         }
     }
 
     // ModUp P3: NTT every extended tower.
     for j in 0..dnum {
         for e in 0..shape.beta(j) {
-            let dep = b.acquire(&format!("bconv[{j}][{e}]"), HksStage::ModUpNtt);
+            let dep = b.acquire(Buf::Bconv(j, e), HksStage::ModUpNtt);
             let ntt = b.compute(
                 ComputeKind::Ntt,
                 shape.ntt_ops(),
                 vec![dep],
-                format!("ntt d{j} ext{e}"),
+                format_args!("ntt d{j} ext{e}"),
                 HksStage::ModUpNtt,
             );
-            b.release(&format!("bconv[{j}][{e}]"));
-            b.produce(format!("ext[{j}][{e}]"), tower, ntt, HksStage::ModUpNtt);
+            b.release(Buf::Bconv(j, e));
+            b.produce(Buf::Ext(j, e), tower, ntt, HksStage::ModUpNtt);
         }
     }
 
@@ -103,9 +98,9 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
             // D_j tower t is the bypassed original tower when t belongs to
             // this digit, otherwise the basis-extended tower.
             let d_dep = if t < ell && range.contains(&t) {
-                b.acquire(&format!("in[{t}]"), HksStage::ModUpApplyKey)
+                b.acquire(Buf::In(t), HksStage::ModUpApplyKey)
             } else {
-                let dep = b.acquire(&format!("ext[{j}][{ext_index}]"), HksStage::ModUpApplyKey);
+                let dep = b.acquire(Buf::Ext(j, ext_index), HksStage::ModUpApplyKey);
                 ext_index += 1;
                 dep
             };
@@ -115,30 +110,25 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
                 ComputeKind::PointwiseMul,
                 2 * shape.pointwise_ops(),
                 deps,
-                format!("apply evk d{j} t{t}"),
+                format_args!("apply evk d{j} t{t}"),
                 HksStage::ModUpApplyKey,
             );
             if dnum == 1 {
                 // A single digit needs no reduction (the paper notes BTS1
                 // lacks the Reduce step); the product is the accumulator.
-                b.produce(format!("acc0[{t}]"), tower, mul, HksStage::ModUpApplyKey);
-                b.produce(format!("acc1[{t}]"), tower, mul, HksStage::ModUpApplyKey);
+                b.produce(Buf::Acc(0, t), tower, mul, HksStage::ModUpApplyKey);
+                b.produce(Buf::Acc(1, t), tower, mul, HksStage::ModUpApplyKey);
             } else {
-                b.produce(
-                    format!("part[{j}][{t}]"),
-                    two_towers,
-                    mul,
-                    HksStage::ModUpApplyKey,
-                );
+                b.produce(Buf::Part(j, t), two_towers, mul, HksStage::ModUpApplyKey);
             }
         }
         // The extended towers of this digit and the bypassed originals are
         // dead after P4.
         for e in 0..shape.beta(j) {
-            b.release(&format!("ext[{j}][{e}]"));
+            b.release(Buf::Ext(j, e));
         }
         for t in range {
-            b.release(&format!("in[{t}]"));
+            b.release(Buf::In(t));
         }
     }
 
@@ -151,20 +141,20 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
         }
         let mut deps = Vec::with_capacity(dnum);
         for j in 0..dnum {
-            deps.push(b.acquire(&format!("part[{j}][{t}]"), HksStage::ModUpReduce));
+            deps.push(b.acquire(Buf::Part(j, t), HksStage::ModUpReduce));
         }
         let add = b.compute(
             ComputeKind::PointwiseAdd,
             2 * (dnum as u64 - 1) * shape.pointwise_ops(),
             deps,
-            format!("reduce t{t}"),
+            format_args!("reduce t{t}"),
             HksStage::ModUpReduce,
         );
         for j in 0..dnum {
-            b.release(&format!("part[{j}][{t}]"));
+            b.release(Buf::Part(j, t));
         }
-        b.produce(format!("acc0[{t}]"), tower, add, HksStage::ModUpReduce);
-        b.produce(format!("acc1[{t}]"), tower, add, HksStage::ModUpReduce);
+        b.produce(Buf::Acc(0, t), tower, add, HksStage::ModUpReduce);
+        b.produce(Buf::Acc(1, t), tower, add, HksStage::ModUpReduce);
     }
 
     // ModDown P1-P4 (shared stage-wise implementation).

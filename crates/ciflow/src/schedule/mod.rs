@@ -2,11 +2,11 @@
 //! of the three dataflows.
 //!
 //! Every generator uses the same crate-internal `ScheduleBuilder`, which
-//! combines a [`TaskGraph`] under construction with an [`OnChipTracker`] of the RPU's
-//! data memory. The builder decides, buffer by buffer, whether an
-//! intermediate stays resident (free reuse) or must be spilled to DRAM and
-//! reloaded (extra memory tasks) — exactly the trade-off the paper's
-//! dataflows manage differently.
+//! combines a [`TaskGraph`] under construction with one residency map of the
+//! RPU's data memory, keyed by typed buffer names (`Buf`). The builder
+//! decides, buffer by buffer, whether an intermediate stays resident (free
+//! reuse) or must be spilled to DRAM and reloaded (extra memory tasks) —
+//! exactly the trade-off the paper's dataflows manage differently.
 
 mod digit_centric;
 mod max_parallel;
@@ -18,11 +18,11 @@ pub use output_centric::build_output_centric;
 
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
-use rpu::{
-    AllocationOutcome, ComputeKind, EvkPolicy, MemoryDirection, OnChipTracker, TaskGraph, TaskId,
-};
+use rpu::{ComputeKind, EvkPolicy, Label, MemoryDirection, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Memory-related knobs a schedule is generated against.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -195,6 +195,77 @@ pub fn build_schedule(dataflow: Dataflow, shape: &HksShape, config: &ScheduleCon
         .expect("built-in strategies are infallible")
 }
 
+/// A buffer the generators track, keyed by its role and indices. Its
+/// [`Display`](fmt::Display) form is the buffer's canonical name — the text
+/// memory-task labels carry (`load in[3]`, `spill acc0[7]`) and that channel
+/// placement and workload fusion parse back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Buf {
+    /// Input tower `t`, in the evaluation domain.
+    In(usize),
+    /// ModUp INTT output of input tower `t`.
+    Intt(usize),
+    /// ModUp BConv output of digit `j`, extended tower `e`.
+    Bconv(usize, usize),
+    /// ModUp NTT output of digit `j`, extended tower `e`.
+    Ext(usize, usize),
+    /// Accumulator of output polynomial `p`, tower `t`.
+    Acc(usize, usize),
+    /// Partial product of digit `j`, tower `t` (both polynomials).
+    Part(usize, usize),
+    /// Running accumulator of polynomial `p`, auxiliary tower `i`.
+    Pacc(usize, usize),
+    /// ModDown INTT output of polynomial `p`, auxiliary tower `i`.
+    MdIntt(usize, usize),
+    /// ModDown BConv output of polynomial `p`, tower `t`.
+    MdConv(usize, usize),
+    /// ModDown NTT output of polynomial `p`, tower `t`.
+    MdNtt(usize, usize),
+}
+
+impl fmt::Display for Buf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Buf::In(t) => write!(f, "in[{t}]"),
+            Buf::Intt(t) => write!(f, "intt[{t}]"),
+            Buf::Bconv(j, e) => write!(f, "bconv[{j}][{e}]"),
+            Buf::Ext(j, e) => write!(f, "ext[{j}][{e}]"),
+            Buf::Acc(p, t) => write!(f, "acc{p}[{t}]"),
+            Buf::Part(j, t) => write!(f, "part[{j}][{t}]"),
+            Buf::Pacc(p, i) => write!(f, "pacc{p}[{i}]"),
+            Buf::MdIntt(p, i) => write!(f, "mdintt{p}[{i}]"),
+            Buf::MdConv(p, t) => write!(f, "mdconv{p}[{t}]"),
+            Buf::MdNtt(p, t) => write!(f, "mdntt{p}[{t}]"),
+        }
+    }
+}
+
+/// A multiplicative hasher for [`Buf`] keys. The residency map only holds
+/// keys the builder makes itself, so SipHash's collision resistance buys
+/// nothing there.
+#[derive(Default)]
+struct BufHasher(u64);
+
+impl Hasher for BufHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
 /// Where a tracked buffer currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Residence {
@@ -210,9 +281,16 @@ pub(crate) struct ScheduleBuilder<'a> {
     shape: &'a HksShape,
     config: &'a ScheduleConfig,
     graph: TaskGraph,
-    tracker: OnChipTracker,
-    buffers: HashMap<String, (Residence, u64)>,
+    /// Every live buffer with its size; the resident ones are those whose
+    /// residence is [`Residence::OnChip`], and `used` is their byte sum.
+    buffers: HashMap<Buf, (Residence, u64), BuildHasherDefault<BufHasher>>,
+    used: u64,
+    peak: u64,
     spill_bytes: u64,
+    /// The nine stage names, shared by every task of their stage.
+    stages: [Label; 9],
+    /// Scratch space each task label is rendered into before it is interned.
+    label: String,
 }
 
 impl<'a> ScheduleBuilder<'a> {
@@ -221,9 +299,12 @@ impl<'a> ScheduleBuilder<'a> {
             shape,
             config,
             graph: TaskGraph::new(),
-            tracker: OnChipTracker::new(config.data_memory_bytes),
-            buffers: HashMap::new(),
+            buffers: HashMap::default(),
+            used: 0,
+            peak: 0,
             spill_bytes: 0,
+            stages: HksStage::all().map(|stage| Label::from(stage.label())),
+            label: String::new(),
         }
     }
 
@@ -233,12 +314,15 @@ impl<'a> ScheduleBuilder<'a> {
 
     /// Registers an input buffer that starts in DRAM (e.g. the key-switch
     /// input polynomial towers).
-    pub(crate) fn declare_dram_input(&mut self, name: impl Into<String>, bytes: u64) {
-        self.buffers
-            .insert(name.into(), (Residence::InDram(None), bytes));
+    pub(crate) fn declare_dram_input(&mut self, buf: Buf, bytes: u64) {
+        let previous = self.buffers.insert(buf, (Residence::InDram(None), bytes));
+        debug_assert!(
+            !matches!(previous, Some((Residence::OnChip(_), _))),
+            "{buf} re-declared in DRAM while resident"
+        );
     }
 
-    /// Returns a dependency on `name` being available on-chip, emitting a
+    /// Returns a dependency on `buf` being available on-chip, emitting a
     /// DRAM load if necessary. The buffer becomes resident if it fits;
     /// otherwise it is treated as streamed (usable by the next task but not
     /// retained).
@@ -247,29 +331,26 @@ impl<'a> ScheduleBuilder<'a> {
     ///
     /// Panics if the buffer was never declared or produced — that is a
     /// generator bug.
-    pub(crate) fn acquire(&mut self, name: &str, stage: HksStage) -> TaskId {
+    pub(crate) fn acquire(&mut self, buf: Buf, stage: HksStage) -> TaskId {
         let (residence, bytes) = *self
             .buffers
-            .get(name)
-            .unwrap_or_else(|| panic!("buffer {name} used before being declared or produced"));
+            .get(&buf)
+            .unwrap_or_else(|| panic!("buffer {buf} used before being declared or produced"));
         match residence {
             Residence::OnChip(task) => task,
             Residence::InDram(source) => {
                 let deps = source.map(|t| vec![t]).unwrap_or_default();
-                let load = self.graph.push_memory(
+                let load = self.push_memory(
                     MemoryDirection::Load,
                     bytes,
                     deps,
-                    format!("load {name}"),
-                    stage.label(),
+                    format_args!("load {buf}"),
+                    stage,
                 );
-                if self.tracker.allocate(name, bytes) == AllocationOutcome::OnChip {
-                    self.buffers
-                        .insert(name.to_string(), (Residence::OnChip(load), bytes));
-                } else {
-                    // Streamed through: remains in DRAM for any later use.
-                    self.buffers
-                        .insert(name.to_string(), (Residence::InDram(source), bytes));
+                // Streamed through when it does not fit: it then remains in
+                // DRAM for any later use.
+                if self.try_allocate(bytes) {
+                    self.buffers.insert(buf, (Residence::OnChip(load), bytes));
                 }
                 load
             }
@@ -282,88 +363,87 @@ impl<'a> ScheduleBuilder<'a> {
         kind: ComputeKind,
         ops: u64,
         deps: Vec<TaskId>,
-        label: impl Into<rpu::Label>,
+        label: fmt::Arguments<'_>,
         stage: HksStage,
     ) -> TaskId {
-        self.graph
-            .push_compute(kind, ops, deps, label, stage.label())
+        let (label, stage) = self.intern(label, stage);
+        self.graph.push_compute(kind, ops, deps, label, stage)
     }
 
     /// Registers a buffer produced by `task`. If it fits on-chip it stays
     /// resident; otherwise a spill store is emitted and the buffer lives in
     /// DRAM until re-acquired.
-    pub(crate) fn produce(
-        &mut self,
-        name: impl Into<String>,
-        bytes: u64,
-        task: TaskId,
-        stage: HksStage,
-    ) {
-        let name = name.into();
-        if self.tracker.allocate(&name, bytes) == AllocationOutcome::OnChip {
-            self.buffers.insert(name, (Residence::OnChip(task), bytes));
+    pub(crate) fn produce(&mut self, buf: Buf, bytes: u64, task: TaskId, stage: HksStage) {
+        let resident = match self.buffers.get(&buf) {
+            Some(&(Residence::OnChip(_), held)) => {
+                debug_assert_eq!(held, bytes, "{buf} re-produced at a different size");
+                true
+            }
+            _ => self.try_allocate(bytes),
+        };
+        let residence = if resident {
+            Residence::OnChip(task)
         } else {
-            let store = self.graph.push_memory(
+            let store = self.push_memory(
                 MemoryDirection::Store,
                 bytes,
                 vec![task],
-                format!("spill {name}"),
-                stage.label(),
+                format_args!("spill {buf}"),
+                stage,
             );
             self.spill_bytes += bytes;
-            self.buffers
-                .insert(name, (Residence::InDram(Some(store)), bytes));
-        }
+            Residence::InDram(Some(store))
+        };
+        self.buffers.insert(buf, (residence, bytes));
     }
 
     /// Releases a buffer whose value is no longer needed, freeing its
     /// on-chip space (no DRAM traffic).
-    pub(crate) fn release(&mut self, name: &str) {
-        if let Some((Residence::OnChip(_), _)) = self.buffers.get(name) {
-            self.tracker.release(name);
+    pub(crate) fn release(&mut self, buf: Buf) {
+        if let Some((Residence::OnChip(_), bytes)) = self.buffers.remove(&buf) {
+            self.used -= bytes;
         }
-        self.buffers.remove(name);
     }
 
     /// Evicts a *live* buffer from on-chip memory while preserving its value:
     /// if it is resident, a spill store is emitted and the buffer is marked
     /// as living in DRAM so a later [`ScheduleBuilder::acquire`] reloads it.
     /// No-op if the buffer is already in DRAM or unknown.
-    pub(crate) fn park(&mut self, name: &str, stage: HksStage) {
-        if let Some((Residence::OnChip(task), bytes)) = self.buffers.get(name).copied() {
-            let store = self.graph.push_memory(
+    pub(crate) fn park(&mut self, buf: Buf, stage: HksStage) {
+        if let Some(&(Residence::OnChip(task), bytes)) = self.buffers.get(&buf) {
+            let store = self.push_memory(
                 MemoryDirection::Store,
                 bytes,
                 vec![task],
-                format!("park {name}"),
-                stage.label(),
+                format_args!("park {buf}"),
+                stage,
             );
             self.spill_bytes += bytes;
-            self.tracker.release(name);
+            self.used -= bytes;
             self.buffers
-                .insert(name.to_string(), (Residence::InDram(Some(store)), bytes));
+                .insert(buf, (Residence::InDram(Some(store)), bytes));
         }
     }
 
-    /// True if the named buffer is currently resident on-chip.
-    pub(crate) fn is_resident(&self, name: &str) -> bool {
-        matches!(self.buffers.get(name), Some((Residence::OnChip(_), _)))
+    /// True if the buffer is currently resident on-chip.
+    pub(crate) fn is_resident(&self, buf: Buf) -> bool {
+        matches!(self.buffers.get(&buf), Some((Residence::OnChip(_), _)))
     }
 
     /// Emits the final store of an output buffer to DRAM.
     pub(crate) fn store_output(
         &mut self,
-        name: impl Into<String>,
+        name: fmt::Arguments<'_>,
         bytes: u64,
         dep: TaskId,
         stage: HksStage,
     ) -> TaskId {
-        self.graph.push_memory(
+        self.push_memory(
             MemoryDirection::Store,
             bytes,
             vec![dep],
-            format!("store {}", name.into()),
-            stage.label(),
+            format_args!("store {name}"),
+            stage,
         )
     }
 
@@ -381,12 +461,12 @@ impl<'a> ScheduleBuilder<'a> {
             EvkPolicy::OnChip => Vec::new(),
             EvkPolicy::Streamed => {
                 let bytes = self.shape.evk_tower_pair_bytes();
-                let load = self.graph.push_memory(
+                let load = self.push_memory(
                     MemoryDirection::Load,
                     bytes,
                     vec![],
-                    format!("load evk[d{digit}][t{tower}]"),
-                    stage.label(),
+                    format_args!("load evk[d{digit}][t{tower}]"),
+                    stage,
                 );
                 vec![load]
             }
@@ -397,10 +477,44 @@ impl<'a> ScheduleBuilder<'a> {
     pub(crate) fn finish(self, strategy: impl Into<String>) -> Schedule {
         Schedule {
             strategy: strategy.into(),
-            peak_on_chip_bytes: self.tracker.peak(),
+            peak_on_chip_bytes: self.peak,
             spill_bytes: self.spill_bytes,
             graph: self.graph,
         }
+    }
+
+    /// Claims `bytes` of data memory if they fit, tracking the high-water
+    /// mark.
+    fn try_allocate(&mut self, bytes: u64) -> bool {
+        if self.used + bytes > self.config.data_memory_bytes {
+            return false;
+        }
+        self.used += bytes;
+        self.peak = self.peak.max(self.used);
+        true
+    }
+
+    fn push_memory(
+        &mut self,
+        direction: MemoryDirection,
+        bytes: u64,
+        deps: Vec<TaskId>,
+        label: fmt::Arguments<'_>,
+        stage: HksStage,
+    ) -> TaskId {
+        let (label, stage) = self.intern(label, stage);
+        self.graph.push_memory(direction, bytes, deps, label, stage)
+    }
+
+    /// Renders `label` into the scratch string and interns it (one
+    /// allocation per label), next to the shared name of `stage`.
+    fn intern(&mut self, label: fmt::Arguments<'_>, stage: HksStage) -> (Label, Label) {
+        self.label.clear();
+        self.label
+            .write_fmt(label)
+            .expect("formatting into a String cannot fail");
+        let stage = Label::clone(&self.stages[stage as usize]);
+        (Label::from(self.label.as_str()), stage)
     }
 }
 
@@ -419,34 +533,29 @@ pub(crate) fn emit_moddown_stagewise(b: &mut ScheduleBuilder<'_>) {
     for poly in 0..2usize {
         // P1: INTT of the K auxiliary towers of this polynomial.
         for i in 0..k {
-            let name = format!("acc{poly}[{}]", ell + i);
-            let dep = b.acquire(&name, HksStage::ModDownIntt);
+            let name = Buf::Acc(poly, ell + i);
+            let dep = b.acquire(name, HksStage::ModDownIntt);
             let intt = b.compute(
                 ComputeKind::Intt,
                 shape.ntt_ops(),
                 vec![dep],
-                format!("moddown intt c{poly} p-tower {i}"),
+                format_args!("moddown intt c{poly} p-tower {i}"),
                 HksStage::ModDownIntt,
             );
-            b.release(&name);
-            b.produce(
-                format!("mdintt{poly}[{i}]"),
-                tower,
-                intt,
-                HksStage::ModDownIntt,
-            );
+            b.release(name);
+            b.produce(Buf::MdIntt(poly, i), tower, intt, HksStage::ModDownIntt);
         }
 
         // P2: BConv from P to the ℓ live towers.
         let mut scale_deps = Vec::with_capacity(k);
         for i in 0..k {
-            scale_deps.push(b.acquire(&format!("mdintt{poly}[{i}]"), HksStage::ModDownBconv));
+            scale_deps.push(b.acquire(Buf::MdIntt(poly, i), HksStage::ModDownBconv));
         }
         let scale = b.compute(
             ComputeKind::BasisConversion,
             shape.bconv_scale_ops(k),
             scale_deps.clone(),
-            format!("moddown bconv scale c{poly}"),
+            format_args!("moddown bconv scale c{poly}"),
             HksStage::ModDownBconv,
         );
         for t in 0..ell {
@@ -456,51 +565,41 @@ pub(crate) fn emit_moddown_stagewise(b: &mut ScheduleBuilder<'_>) {
                 ComputeKind::BasisConversion,
                 shape.bconv_slice_ops(k),
                 deps,
-                format!("moddown bconv slice c{poly} {t}"),
+                format_args!("moddown bconv slice c{poly} {t}"),
                 HksStage::ModDownBconv,
             );
-            b.produce(
-                format!("mdconv{poly}[{t}]"),
-                tower,
-                slice,
-                HksStage::ModDownBconv,
-            );
+            b.produce(Buf::MdConv(poly, t), tower, slice, HksStage::ModDownBconv);
         }
 
         // P3: NTT of the converted towers.
         for t in 0..ell {
-            let dep = b.acquire(&format!("mdconv{poly}[{t}]"), HksStage::ModDownNtt);
+            let dep = b.acquire(Buf::MdConv(poly, t), HksStage::ModDownNtt);
             let ntt = b.compute(
                 ComputeKind::Ntt,
                 shape.ntt_ops(),
                 vec![dep],
-                format!("moddown ntt c{poly} {t}"),
+                format_args!("moddown ntt c{poly} {t}"),
                 HksStage::ModDownNtt,
             );
-            b.release(&format!("mdconv{poly}[{t}]"));
-            b.produce(
-                format!("mdntt{poly}[{t}]"),
-                tower,
-                ntt,
-                HksStage::ModDownNtt,
-            );
+            b.release(Buf::MdConv(poly, t));
+            b.produce(Buf::MdNtt(poly, t), tower, ntt, HksStage::ModDownNtt);
         }
 
         // P4: subtract, scale by P^{-1}, store the final outputs.
         for t in 0..ell {
-            let acc_dep = b.acquire(&format!("acc{poly}[{t}]"), HksStage::ModDownCombine);
-            let ntt_dep = b.acquire(&format!("mdntt{poly}[{t}]"), HksStage::ModDownCombine);
+            let acc_dep = b.acquire(Buf::Acc(poly, t), HksStage::ModDownCombine);
+            let ntt_dep = b.acquire(Buf::MdNtt(poly, t), HksStage::ModDownCombine);
             let combine = b.compute(
                 ComputeKind::ScalarMul,
                 2 * shape.pointwise_ops(),
                 vec![acc_dep, ntt_dep],
-                format!("moddown combine c{poly} {t}"),
+                format_args!("moddown combine c{poly} {t}"),
                 HksStage::ModDownCombine,
             );
-            b.release(&format!("acc{poly}[{t}]"));
-            b.release(&format!("mdntt{poly}[{t}]"));
+            b.release(Buf::Acc(poly, t));
+            b.release(Buf::MdNtt(poly, t));
             b.store_output(
-                format!("out{poly}[{t}]"),
+                format_args!("out{poly}[{t}]"),
                 tower,
                 combine,
                 HksStage::ModDownCombine,
@@ -508,7 +607,7 @@ pub(crate) fn emit_moddown_stagewise(b: &mut ScheduleBuilder<'_>) {
         }
         // Release this polynomial's ModDown scratch.
         for i in 0..k {
-            b.release(&format!("mdintt{poly}[{i}]"));
+            b.release(Buf::MdIntt(poly, i));
         }
     }
 }
@@ -517,6 +616,122 @@ pub(crate) fn emit_moddown_stagewise(b: &mut ScheduleBuilder<'_>) {
 mod tests {
     use super::*;
     use crate::benchmark::HksBenchmark;
+
+    fn labels(schedule: &Schedule) -> Vec<&str> {
+        schedule.graph.tasks().iter().map(|t| &*t.label).collect()
+    }
+
+    #[test]
+    fn builder_tracks_residency_spills_and_parks_on_a_tiny_memory() {
+        let shape = HksShape::new(HksBenchmark::ARK);
+        let config = ScheduleConfig::with_data_memory(100, EvkPolicy::OnChip);
+        let mut b = ScheduleBuilder::new(&shape, &config);
+        let s = HksStage::ModUpIntt;
+
+        // An input is loaded once, then stays resident.
+        b.declare_dram_input(Buf::In(0), 40);
+        let load = b.acquire(Buf::In(0), s);
+        assert_eq!(b.acquire(Buf::In(0), s), load);
+
+        // The first product fits (80 of 100 bytes), the second spills.
+        let intt = b.compute(ComputeKind::Intt, 1, vec![load], format_args!("intt"), s);
+        b.produce(Buf::Intt(0), 40, intt, s);
+        b.produce(Buf::Intt(1), 40, intt, s);
+        assert!(b.is_resident(Buf::Intt(0)) && !b.is_resident(Buf::Intt(1)));
+
+        // Releasing the input frees room for an accumulator, which is then
+        // parked (a second park is a no-op) and reloaded.
+        b.release(Buf::In(0));
+        b.produce(Buf::Acc(0, 2), 40, intt, s);
+        b.park(Buf::Acc(0, 2), HksStage::ModUpReduce);
+        b.park(Buf::Acc(0, 2), s);
+        let reload = b.acquire(Buf::Acc(0, 2), s);
+        assert!(b.is_resident(Buf::Acc(0, 2)));
+
+        // The spilled product no longer fits (80 + 40 > 100): every use
+        // streams it through with a fresh load.
+        assert_ne!(b.acquire(Buf::Intt(1), s), b.acquire(Buf::Intt(1), s));
+        assert!(!b.is_resident(Buf::Intt(1)));
+
+        // Releases return every byte: the whole memory fits one buffer.
+        for buf in [Buf::Acc(0, 2), Buf::Intt(0), Buf::Intt(1)] {
+            b.release(buf);
+        }
+        b.produce(Buf::Part(0, 0), 100, reload, s);
+        assert!(b.is_resident(Buf::Part(0, 0)));
+        b.store_output(format_args!("out1[{}]", 0), 40, reload, s);
+
+        let schedule = b.finish("T");
+        assert_eq!(
+            labels(&schedule).join(", "),
+            "load in[0], intt, spill intt[1], park acc0[2], load acc0[2], load intt[1], \
+             load intt[1], store out1[0]"
+        );
+        let tasks = schedule.graph.tasks();
+        assert_eq!(tasks[4].dependencies, [3], "the reload waits for the park");
+        assert_eq!(tasks[5].dependencies, [2], "the reload waits for the spill");
+        assert_eq!(&*tasks[3].stage, "ModUp-P5");
+        assert_eq!(schedule.peak_on_chip_bytes, 100);
+        assert_eq!(schedule.spill_bytes, 80);
+    }
+
+    #[test]
+    fn buffer_names_keep_the_label_vocabulary() {
+        use crate::workload::tower_index;
+        use rpu::channel::split_label;
+        let bufs = [
+            Buf::In(3),
+            Buf::Intt(3),
+            Buf::Bconv(1, 2),
+            Buf::Ext(1, 2),
+            Buf::Acc(0, 7),
+            Buf::Part(2, 5),
+            Buf::Pacc(1, 4),
+            Buf::MdIntt(1, 4),
+            Buf::MdConv(0, 6),
+            Buf::MdNtt(1, 6),
+        ];
+        // Nothing fits in zero bytes: every buffer is loaded, then spilled.
+        let shape = HksShape::new(HksBenchmark::ARK);
+        let config = ScheduleConfig::with_data_memory(0, EvkPolicy::Streamed);
+        let mut b = ScheduleBuilder::new(&shape, &config);
+        let stage = HksStage::ModUpApplyKey;
+        for buf in bufs {
+            b.declare_dram_input(buf, 8);
+            let load = b.acquire(buf, stage);
+            b.produce(buf, 8, load, stage);
+        }
+        let evk = b.acquire_evk(0, 1, stage)[0];
+        b.store_output(format_args!("out1[{}]", 6), 8, evk, stage);
+        let schedule = b.finish("T");
+        let labels = labels(&schedule);
+        assert_eq!(
+            labels.join(" "),
+            "load in[3] spill in[3] load intt[3] spill intt[3] load bconv[1][2] \
+             spill bconv[1][2] load ext[1][2] spill ext[1][2] load acc0[7] spill acc0[7] \
+             load part[2][5] spill part[2][5] load pacc1[4] spill pacc1[4] load mdintt1[4] \
+             spill mdintt1[4] load mdconv0[6] spill mdconv0[6] load mdntt1[6] \
+             spill mdntt1[6] load evk[d0][t1] store out1[6]"
+        );
+
+        // What channel placement and workload fusion parse back out of them.
+        let map = schedule.channel_map(4);
+        let evk_channel = map.channel_for("load evk[d0][t1]");
+        for (pair, buf) in labels.chunks(2).zip(bufs) {
+            let name = buf.to_string();
+            for (label, verb) in pair.iter().zip(["load", "spill"]) {
+                assert_eq!(split_label(label), (Some(verb), name.as_str()));
+                assert_eq!(
+                    split_label(&format!("k2:{label}")),
+                    (Some(verb), name.as_str())
+                );
+                assert_ne!(map.channel_for(label), evk_channel, "{label}");
+                let tower = (*label == "load in[3]").then_some(3);
+                assert_eq!(tower_index(label, "load in["), tower, "{label}");
+            }
+        }
+        assert_eq!(tower_index(labels[21], "store out1["), Some(6));
+    }
 
     #[test]
     fn all_dataflows_charge_identical_compute_work() {

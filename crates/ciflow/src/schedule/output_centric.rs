@@ -20,19 +20,18 @@
 //! smaller intermediate working set and far less off-chip traffic, at an
 //! identical total operation count.
 
-use super::{Schedule, ScheduleBuilder, ScheduleConfig};
+use super::{Buf, Schedule, ScheduleBuilder, ScheduleConfig};
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
 use rpu::{ComputeKind, TaskId};
-use std::collections::HashMap;
 
 /// Tracks which input towers have been INTT'd so far and the per-digit BConv
 /// scaling tasks, so each is computed exactly once regardless of the order in
 /// which output-tower groups request them.
 struct ModUpState {
-    intt_done: HashMap<usize, ()>,
-    bypass_done: HashMap<usize, ()>,
-    digit_scale: HashMap<usize, TaskId>,
+    intt_done: Vec<bool>,
+    bypass_done: Vec<bool>,
+    digit_scale: Vec<Option<TaskId>>,
     /// True when the data memory cannot hold both the evaluation-domain
     /// inputs and all INTT outputs at once; in that case the INTT outputs get
     /// priority (the paper's "prioritize storing the INTT outputs" rule) and
@@ -45,9 +44,9 @@ impl ModUpState {
         let resident_everything =
             (2 * shape.ell() as u64 + 8) * shape.tower_bytes() <= config.data_memory_bytes;
         Self {
-            intt_done: HashMap::new(),
-            bypass_done: HashMap::new(),
-            digit_scale: HashMap::new(),
+            intt_done: vec![false; shape.ell()],
+            bypass_done: vec![false; shape.ell()],
+            digit_scale: vec![None; shape.dnum()],
             tight: !resident_everything,
         }
     }
@@ -56,34 +55,29 @@ impl ModUpState {
     /// first use and reloading it from DRAM if it was parked since. Returns a
     /// dependency for consumers.
     fn ensure_intt(&mut self, b: &mut ScheduleBuilder<'_>, shape: &HksShape, t: usize) -> TaskId {
-        if !self.intt_done.contains_key(&t) {
-            let dep = b.acquire(&format!("in[{t}]"), HksStage::ModUpIntt);
+        if !self.intt_done[t] {
+            let dep = b.acquire(Buf::In(t), HksStage::ModUpIntt);
             let intt = b.compute(
                 ComputeKind::Intt,
                 shape.ntt_ops(),
                 vec![dep],
-                format!("intt in[{t}]"),
+                format_args!("intt in[{t}]"),
                 HksStage::ModUpIntt,
             );
-            if self.bypass_done.contains_key(&t) {
+            if self.bypass_done[t] {
                 // Both uses of the original tower are finished; free it.
-                b.release(&format!("in[{t}]"));
+                b.release(Buf::In(t));
             } else if self.tight {
                 // The evaluation-domain original is only needed again for the
                 // bypass in its own group; release it so INTT outputs get the
                 // on-chip space, and accept one reload later.
-                b.release(&format!("in[{t}]"));
-                b.declare_dram_input(format!("in[{t}]"), shape.tower_bytes());
+                b.release(Buf::In(t));
+                b.declare_dram_input(Buf::In(t), shape.tower_bytes());
             }
-            b.produce(
-                format!("intt[{t}]"),
-                shape.tower_bytes(),
-                intt,
-                HksStage::ModUpIntt,
-            );
-            self.intt_done.insert(t, ());
+            b.produce(Buf::Intt(t), shape.tower_bytes(), intt, HksStage::ModUpIntt);
+            self.intt_done[t] = true;
         }
-        b.acquire(&format!("intt[{t}]"), HksStage::ModUpBconv)
+        b.acquire(Buf::Intt(t), HksStage::ModUpBconv)
     }
 
     /// Ensures the per-digit BConv scaling pass has been emitted and returns
@@ -95,17 +89,17 @@ impl ModUpState {
         digit: usize,
         intt_deps: &[TaskId],
     ) -> TaskId {
-        if let Some(&scale) = self.digit_scale.get(&digit) {
+        if let Some(scale) = self.digit_scale[digit] {
             return scale;
         }
         let scale = b.compute(
             ComputeKind::BasisConversion,
             shape.bconv_scale_ops(shape.digit_width(digit)),
             intt_deps.to_vec(),
-            format!("bconv scale digit {digit}"),
+            format_args!("bconv scale digit {digit}"),
             HksStage::ModUpBconv,
         );
-        self.digit_scale.insert(digit, scale);
+        self.digit_scale[digit] = Some(scale);
         scale
     }
 }
@@ -127,7 +121,7 @@ fn accumulate_digit(
         ComputeKind::PointwiseMul,
         2 * shape.pointwise_ops(),
         deps,
-        format!("apply evk d{j} t{t}"),
+        format_args!("apply evk d{j} t{t}"),
         HksStage::ModUpApplyKey,
     );
     match prev {
@@ -136,7 +130,7 @@ fn accumulate_digit(
             ComputeKind::PointwiseAdd,
             2 * shape.pointwise_ops(),
             vec![mul, prev],
-            format!("accumulate d{j} t{t}"),
+            format_args!("accumulate d{j} t{t}"),
             HksStage::ModUpReduce,
         ),
     }
@@ -162,14 +156,14 @@ fn slice_and_ntt(
         ComputeKind::BasisConversion,
         shape.bconv_slice_ops(shape.digit_width(j)),
         deps,
-        format!("bconv slice d{j} -> t{t}"),
+        format_args!("bconv slice d{j} -> t{t}"),
         HksStage::ModUpBconv,
     );
     b.compute(
         ComputeKind::Ntt,
         shape.ntt_ops(),
         vec![slice],
-        format!("ntt d{j} -> t{t}"),
+        format_args!("ntt d{j} -> t{t}"),
         HksStage::ModUpNtt,
     )
 }
@@ -185,7 +179,7 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
     let mut state = ModUpState::new(&shape, config);
 
     for t in 0..ell {
-        b.declare_dram_input(format!("in[{t}]"), tower);
+        b.declare_dram_input(Buf::In(t), tower);
     }
 
     // ------------------------------------------------------------------
@@ -197,8 +191,8 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
         // resident to make room for the other digits' INTT outputs.
         if state.tight {
             for t in shape.benchmark.digit_range(g) {
-                if b.is_resident(&format!("intt[{t}]")) {
-                    b.park(&format!("intt[{t}]"), HksStage::ModUpIntt);
+                if b.is_resident(Buf::Intt(t)) {
+                    b.park(Buf::Intt(t), HksStage::ModUpIntt);
                 }
             }
         }
@@ -207,7 +201,7 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
             for j in 0..dnum {
                 let d_dep = if j == g {
                     // Bypass: the original evaluation-domain tower.
-                    b.acquire(&format!("in[{t}]"), HksStage::ModUpApplyKey)
+                    b.acquire(Buf::In(t), HksStage::ModUpApplyKey)
                 } else {
                     slice_and_ntt(&mut b, &shape, &mut state, j, t)
                 };
@@ -217,12 +211,12 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
             // its INTT has already been taken; otherwise keep its DRAM copy
             // reachable (and, under memory pressure, drop the on-chip copy
             // without a store, since the DRAM copy is still valid).
-            state.bypass_done.insert(t, ());
-            if state.intt_done.contains_key(&t) {
-                b.release(&format!("in[{t}]"));
+            state.bypass_done[t] = true;
+            if state.intt_done[t] {
+                b.release(Buf::In(t));
             } else if state.tight {
-                b.release(&format!("in[{t}]"));
-                b.declare_dram_input(format!("in[{t}]"), tower);
+                b.release(Buf::In(t));
+                b.declare_dram_input(Buf::In(t), tower);
             }
             // The finished modulo-Q accumulator towers are only needed again
             // at ModDown P4. Under memory pressure they are written back to
@@ -230,11 +224,11 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
             // result") so the on-chip space stays available for the INTT
             // outputs; with ample memory they simply stay resident.
             let acc = acc.expect("at least one digit");
-            b.produce(format!("acc0[{t}]"), tower, acc, HksStage::ModUpReduce);
-            b.produce(format!("acc1[{t}]"), tower, acc, HksStage::ModUpReduce);
+            b.produce(Buf::Acc(0, t), tower, acc, HksStage::ModUpReduce);
+            b.produce(Buf::Acc(1, t), tower, acc, HksStage::ModUpReduce);
             if state.tight {
-                b.park(&format!("acc0[{t}]"), HksStage::ModUpReduce);
-                b.park(&format!("acc1[{t}]"), HksStage::ModUpReduce);
+                b.park(Buf::Acc(0, t), HksStage::ModUpReduce);
+                b.park(Buf::Acc(1, t), HksStage::ModUpReduce);
             }
         }
     }
@@ -253,8 +247,8 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
             let prev = match *acc_slot {
                 Some(task) => Some(task),
                 None if j > 0 => {
-                    let p0 = b.acquire(&format!("pacc0[{p_idx}]"), HksStage::ModUpReduce);
-                    let _p1 = b.acquire(&format!("pacc1[{p_idx}]"), HksStage::ModUpReduce);
+                    let p0 = b.acquire(Buf::Pacc(0, p_idx), HksStage::ModUpReduce);
+                    let _p1 = b.acquire(Buf::Pacc(1, p_idx), HksStage::ModUpReduce);
                     Some(p0)
                 }
                 None => None,
@@ -263,28 +257,26 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
             let acc = accumulate_digit(&mut b, &shape, j, t, slice, prev);
             *acc_slot = Some(acc);
             if j + 1 < dnum {
-                b.release(&format!("pacc0[{p_idx}]"));
-                b.release(&format!("pacc1[{p_idx}]"));
-                b.produce(format!("pacc0[{p_idx}]"), tower, acc, HksStage::ModUpReduce);
-                b.produce(format!("pacc1[{p_idx}]"), tower, acc, HksStage::ModUpReduce);
+                b.release(Buf::Pacc(0, p_idx));
+                b.release(Buf::Pacc(1, p_idx));
+                b.produce(Buf::Pacc(0, p_idx), tower, acc, HksStage::ModUpReduce);
+                b.produce(Buf::Pacc(1, p_idx), tower, acc, HksStage::ModUpReduce);
                 // Invalidate the cached task handle if the buffer was spilled;
                 // the next digit will acquire it again.
-                if !b.is_resident(&format!("pacc0[{p_idx}]"))
-                    || !b.is_resident(&format!("pacc1[{p_idx}]"))
-                {
+                if !b.is_resident(Buf::Pacc(0, p_idx)) || !b.is_resident(Buf::Pacc(1, p_idx)) {
                     *acc_slot = None;
                 }
             } else {
-                b.release(&format!("pacc0[{p_idx}]"));
-                b.release(&format!("pacc1[{p_idx}]"));
-                b.produce(format!("acc0[{t}]"), tower, acc, HksStage::ModUpReduce);
-                b.produce(format!("acc1[{t}]"), tower, acc, HksStage::ModUpReduce);
+                b.release(Buf::Pacc(0, p_idx));
+                b.release(Buf::Pacc(1, p_idx));
+                b.produce(Buf::Acc(0, t), tower, acc, HksStage::ModUpReduce);
+                b.produce(Buf::Acc(1, t), tower, acc, HksStage::ModUpReduce);
             }
         }
         // A digit's INTT outputs are dead once its Section-2 contribution has
         // been accumulated (Section 1 already consumed them).
         for t in shape.benchmark.digit_range(j) {
-            b.release(&format!("intt[{t}]"));
+            b.release(Buf::Intt(t));
         }
     }
 
@@ -299,69 +291,64 @@ pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedu
     for poly in 0..2usize {
         let mut mdintt_deps = Vec::with_capacity(k);
         for i in 0..k {
-            let name = format!("acc{poly}[{}]", ell + i);
-            let dep = b.acquire(&name, HksStage::ModDownIntt);
+            let name = Buf::Acc(poly, ell + i);
+            let dep = b.acquire(name, HksStage::ModDownIntt);
             let intt = b.compute(
                 ComputeKind::Intt,
                 shape.ntt_ops(),
                 vec![dep],
-                format!("moddown intt c{poly} p-tower {i}"),
+                format_args!("moddown intt c{poly} p-tower {i}"),
                 HksStage::ModDownIntt,
             );
-            b.release(&name);
-            b.produce(
-                format!("mdintt{poly}[{i}]"),
-                tower,
-                intt,
-                HksStage::ModDownIntt,
-            );
+            b.release(name);
+            b.produce(Buf::MdIntt(poly, i), tower, intt, HksStage::ModDownIntt);
             mdintt_deps.push(intt);
         }
         let md_scale = b.compute(
             ComputeKind::BasisConversion,
             shape.bconv_scale_ops(k),
             mdintt_deps,
-            format!("moddown bconv scale c{poly}"),
+            format_args!("moddown bconv scale c{poly}"),
             HksStage::ModDownBconv,
         );
         for t in 0..ell {
             let mut deps = Vec::with_capacity(k + 1);
             for i in 0..k {
-                deps.push(b.acquire(&format!("mdintt{poly}[{i}]"), HksStage::ModDownBconv));
+                deps.push(b.acquire(Buf::MdIntt(poly, i), HksStage::ModDownBconv));
             }
             deps.push(md_scale);
             let slice = b.compute(
                 ComputeKind::BasisConversion,
                 shape.bconv_slice_ops(k),
                 deps,
-                format!("moddown bconv slice c{poly} {t}"),
+                format_args!("moddown bconv slice c{poly} {t}"),
                 HksStage::ModDownBconv,
             );
             let ntt = b.compute(
                 ComputeKind::Ntt,
                 shape.ntt_ops(),
                 vec![slice],
-                format!("moddown ntt c{poly} {t}"),
+                format_args!("moddown ntt c{poly} {t}"),
                 HksStage::ModDownNtt,
             );
-            let acc_dep = b.acquire(&format!("acc{poly}[{t}]"), HksStage::ModDownCombine);
+            let acc_dep = b.acquire(Buf::Acc(poly, t), HksStage::ModDownCombine);
             let combine = b.compute(
                 ComputeKind::ScalarMul,
                 2 * shape.pointwise_ops(),
                 vec![ntt, acc_dep],
-                format!("moddown combine c{poly} {t}"),
+                format_args!("moddown combine c{poly} {t}"),
                 HksStage::ModDownCombine,
             );
-            b.release(&format!("acc{poly}[{t}]"));
+            b.release(Buf::Acc(poly, t));
             b.store_output(
-                format!("out{poly}[{t}]"),
+                format_args!("out{poly}[{t}]"),
                 tower,
                 combine,
                 HksStage::ModDownCombine,
             );
         }
         for i in 0..k {
-            b.release(&format!("mdintt{poly}[{i}]"));
+            b.release(Buf::MdIntt(poly, i));
         }
     }
 

@@ -397,7 +397,7 @@ impl KernelTemplate {
 
 /// Parses the tower index out of a canonical buffer label such as
 /// `store out1[12]` or `load in[3]`, given its prefix.
-fn tower_index(label: &str, prefix: &str) -> Option<usize> {
+pub(crate) fn tower_index(label: &str, prefix: &str) -> Option<usize> {
     label.strip_prefix(prefix)?.strip_suffix(']')?.parse().ok()
 }
 

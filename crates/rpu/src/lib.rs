@@ -23,8 +23,6 @@
 //!   per-point evaluation is bit-identical to the engine (`docs/ANALYTIC.md`).
 //! * [`channel::ChannelMap`] — deterministic buffer-to-channel placement for
 //!   the multi-channel memory model (label hash plus overridable pin rules).
-//! * [`memory::OnChipTracker`] — capacity bookkeeping used while generating
-//!   schedules.
 //! * [`verify`] — static verification of task graphs against the queue
 //!   semantics: structural checks plus a deadlock-freedom proof over the
 //!   augmented (dependency + in-order queue) graph, the graph-level half of
@@ -59,7 +57,6 @@ pub mod channel;
 pub mod config;
 pub mod engine;
 pub mod isa;
-pub mod memory;
 pub mod stats;
 pub mod task;
 pub mod trace;
@@ -71,7 +68,6 @@ pub use channel::ChannelMap;
 pub use config::{EvkPolicy, RpuConfig, MIB};
 pub use engine::{grant_precedes, EngineError, RpuEngine, RunResult, TraceMode};
 pub use isa::{B1kInstruction, InstructionClass, KernelCosts};
-pub use memory::{AllocationOutcome, OnChipTracker};
 pub use stats::ExecutionStats;
 pub use task::{
     AppendAction, AppendedGraph, ComputeKind, Label, MemoryDirection, Task, TaskGraph,

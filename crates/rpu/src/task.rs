@@ -466,6 +466,9 @@ impl TaskGraph {
     {
         let offset = self.tasks.len();
         let mut mapping: Vec<AppendMapping> = Vec::with_capacity(other.tasks.len());
+        // Prefixed labels are assembled here, then interned: one allocation
+        // per label.
+        let mut label = String::from(label_prefix);
         for task in &other.tasks {
             let act = action(task);
             for &dep in act.extra_deps() {
@@ -500,7 +503,9 @@ impl TaskGraph {
                         label: if label_prefix.is_empty() {
                             Arc::clone(&task.label)
                         } else {
-                            format!("{label_prefix}{}", task.label).into()
+                            label.truncate(label_prefix.len());
+                            label.push_str(&task.label);
+                            Label::from(label.as_str())
                         },
                         stage: Arc::clone(&task.stage),
                         channel: task.channel,

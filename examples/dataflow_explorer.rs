@@ -16,15 +16,29 @@ use ciflow::sweep::{baseline_runtime_ms, try_bandwidth_sweep_in};
 use rpu::EvkPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let benchmark = args
-        .get(1)
-        .and_then(|name| HksBenchmark::by_name(name))
-        .unwrap_or(HksBenchmark::ARK);
-    let evk_policy = if args.iter().any(|a| a == "streamed") {
-        EvkPolicy::Streamed
-    } else {
+    // `streamed` is a flag; any other argument names the benchmark (ARK when
+    // none is given).
+    let (flags, names): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a == "streamed");
+    let benchmark = match names.as_slice() {
+        [] => HksBenchmark::ARK,
+        [name] => HksBenchmark::by_name(name).unwrap_or_else(|| {
+            let known: Vec<&str> = HksBenchmark::all().iter().map(|b| b.name).collect();
+            eprintln!(
+                "error: unknown benchmark {name:?} (expected one of {})",
+                known.join(", ")
+            );
+            std::process::exit(2);
+        }),
+        [_, extra, ..] => {
+            eprintln!("error: unexpected argument {extra:?}: pass one benchmark name");
+            std::process::exit(2);
+        }
+    };
+    let evk_policy = if flags.is_empty() {
         EvkPolicy::OnChip
+    } else {
+        EvkPolicy::Streamed
     };
     let bandwidths = [
         8.0, 12.8, 16.0, 25.6, 32.0, 48.0, 64.0, 128.0, 256.0, 512.0, 1024.0,

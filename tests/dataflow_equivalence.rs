@@ -116,3 +116,129 @@ proptest! {
         prop_assert!(engine.execute(&oc.graph).is_ok());
     }
 }
+
+/// FNV-1a (64-bit) over an explicit byte encoding, so the digest depends on
+/// nothing but the schedules themselves (not on `std`'s hasher or layout).
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn schedule(&mut self, schedule: &ciflow::Schedule) -> usize {
+        use rpu::{ComputeKind, MemoryDirection, TaskKind};
+        self.str(&schedule.strategy);
+        self.u64(schedule.peak_on_chip_bytes);
+        self.u64(schedule.spill_bytes);
+        let tasks = schedule.graph.tasks();
+        self.u64(tasks.len() as u64);
+        for task in tasks {
+            self.u64(task.id as u64);
+            match task.kind {
+                TaskKind::Compute { kind, ops } => {
+                    let code = match kind {
+                        ComputeKind::Intt => 0u8,
+                        ComputeKind::Ntt => 1,
+                        ComputeKind::BasisConversion => 2,
+                        ComputeKind::PointwiseMul => 3,
+                        ComputeKind::PointwiseMac => 4,
+                        ComputeKind::PointwiseAdd => 5,
+                        ComputeKind::ScalarMul => 6,
+                    };
+                    self.bytes(&[0, code]);
+                    self.u64(ops);
+                }
+                TaskKind::Memory { direction, bytes } => {
+                    let code = match direction {
+                        MemoryDirection::Load => 0u8,
+                        MemoryDirection::Store => 1,
+                    };
+                    self.bytes(&[1, code]);
+                    self.u64(bytes);
+                }
+            }
+            self.u64(task.dependencies.len() as u64);
+            for &dep in &task.dependencies {
+                self.u64(dep as u64);
+            }
+            self.str(&task.label);
+            self.str(&task.stage);
+            match task.channel {
+                None => self.bytes(&[0]),
+                Some(c) => {
+                    self.bytes(&[1]);
+                    self.u64(c as u64);
+                }
+            }
+        }
+        tasks.len()
+    }
+}
+
+/// Every task the built-in generators emit — ids, kinds, costs, dependencies,
+/// labels, stages and channel hints — plus each schedule's peak and spill, is
+/// pinned by one digest: the 30-schedule design-space grid (benchmarks x
+/// dataflows x evk placement) at five data-memory sizes, and two workload
+/// pipelines per dataflow, fused and back-to-back, with evks streamed. Any change
+/// to how schedules are built must leave this constant alone unless it means
+/// to change the schedules.
+#[test]
+fn schedules_match_the_golden_digest() {
+    use ciflow::workload::{build_workload, PipelineMode, Workload};
+    use rpu::EvkPolicy;
+
+    let mut digest = Fnv1a::new();
+    let mut tasks = 0usize;
+    let policies = [EvkPolicy::OnChip, EvkPolicy::Streamed];
+    for mib in [4u64, 16, 32, 64, 512] {
+        for bench in HksBenchmark::all() {
+            let shape = HksShape::new(bench);
+            for dataflow in Dataflow::all() {
+                for evk in policies {
+                    let config = ciflow::ScheduleConfig::with_data_memory(mib * rpu::MIB, evk);
+                    tasks += digest.schedule(&build_schedule(dataflow, &shape, &config));
+                }
+            }
+        }
+    }
+    let workloads = [
+        Workload::rescaling_chain(HksBenchmark::BTS2, 6),
+        Workload::rotation_batch(HksBenchmark::ARK, 3),
+    ];
+    for workload in &workloads {
+        for dataflow in Dataflow::all() {
+            for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
+                let ws = build_workload(workload, dataflow.strategy(), &streamed(32), mode)
+                    .expect("built-in workloads build");
+                tasks += digest.schedule(&ws.schedule);
+                digest.u64(ws.boundary_forwarded_bytes.len() as u64);
+                for &bytes in &ws.boundary_forwarded_bytes {
+                    digest.u64(bytes);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (tasks, digest.0),
+        (288_109, 0x4a44_a3c1_1af6_a4cc),
+        "schedule drift: {tasks} tasks hash to {:#018x}",
+        digest.0
+    );
+}
