@@ -10,12 +10,19 @@ use crate::schedule::{Schedule, ScheduleConfig};
 use crate::workload::{build_workload, PipelineMode, Workload};
 use rpu::analytic::ParametricTimeline;
 use rpu::{
-    BoundAnalysis, ChannelMap, EvkPolicy, ExecutionStats, ExecutionTrace, RpuConfig, RpuEngine,
+    BoundAnalysis, EvkPolicy, ExecPlan, ExecutionStats, ExecutionTrace, RpuConfig, RpuEngine,
     TraceMode,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks a session cache. Every cache holds immutable derived data inserted
+/// whole, so a panic elsewhere while the lock was held cannot have left an
+/// entry half-written: a poisoned lock is recovered, not propagated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How a job names its strategy: by registry name or as an inline object.
 #[derive(Clone)]
@@ -126,7 +133,7 @@ struct TimelineKey {
 
 /// A built schedule template plus everything derived from it that timing
 /// parameters cannot change: pipeline metadata and the per-channel-count
-/// buffer placement maps.
+/// execution plans.
 struct CachedPlan {
     /// Keeps the keyed strategy alive so its address (the cache key) cannot
     /// be reused by a different strategy while this entry exists.
@@ -135,10 +142,11 @@ struct CachedPlan {
     kernels: usize,
     kernel_benchmarks: Vec<HksBenchmark>,
     forwarded_bytes: u64,
-    /// Channel maps derived from the schedule, keyed by channel count —
-    /// [`Schedule::channel_map`] scans the whole graph, so jobs sharing a
-    /// schedule must not re-derive it (see `Session::run_job`).
-    channel_maps: Mutex<HashMap<usize, ChannelMap>>,
+    /// Execution plans compiled from the schedule, keyed by channel count:
+    /// deriving the channel map scans the whole graph and placing every
+    /// memory task hashes its label, so jobs sharing a schedule compile it
+    /// once per channel count. The plans share one channel-independent half.
+    plans: Mutex<HashMap<usize, Arc<ExecPlan>>>,
     /// Parametric timelines derived from the schedule
     /// ([`Session::run_analytic`]), keyed by the non-bandwidth knobs —
     /// deriving one costs a handful of symbolic executions, so jobs sharing
@@ -147,14 +155,21 @@ struct CachedPlan {
 }
 
 impl CachedPlan {
-    fn channel_map(&self, num_channels: usize) -> ChannelMap {
-        let mut maps = self
-            .channel_maps
-            .lock()
-            .expect("channel-map cache poisoned");
-        maps.entry(num_channels)
-            .or_insert_with(|| self.schedule.channel_map(num_channels))
-            .clone()
+    /// The schedule's execution plan on `rpu`'s channel count.
+    fn exec_plan(&self, rpu: &RpuConfig) -> Arc<ExecPlan> {
+        let channels = rpu.memory_channel_count();
+        let mut plans = lock(&self.plans);
+        if let Some(plan) = plans.get(&channels) {
+            return Arc::clone(plan);
+        }
+        let graph = &self.schedule.graph;
+        let map = self.schedule.channel_map(channels);
+        let plan = Arc::new(match plans.values().next() {
+            Some(sibling) => sibling.rechannel(graph, &map, channels),
+            None => ExecPlan::new(graph, &map, channels),
+        });
+        plans.insert(channels, Arc::clone(&plan));
+        plan
     }
 
     fn timeline(
@@ -169,23 +184,17 @@ impl CachedPlan {
             lo_bits: lo_gbps.to_bits(),
             hi_bits: hi_gbps.to_bits(),
         };
-        if let Some(timeline) = self
-            .timelines
-            .lock()
-            .expect("timeline cache poisoned")
-            .get(&key)
-        {
+        if let Some(timeline) = lock(&self.timelines).get(&key) {
             return Ok(Arc::clone(timeline));
         }
-        let engine = RpuEngine::new(rpu.clone())
-            .with_channel_map(self.channel_map(rpu.memory_channel_count()));
-        let timeline = Arc::new(engine.analyze(&self.schedule.graph, lo_gbps, hi_gbps)?);
+        let timeline = Arc::new(RpuEngine::new(rpu.clone()).analyze_plan(
+            &self.schedule.graph,
+            self.exec_plan(rpu),
+            lo_gbps,
+            hi_gbps,
+        )?);
         Ok(Arc::clone(
-            self.timelines
-                .lock()
-                .expect("timeline cache poisoned")
-                .entry(key)
-                .or_insert(timeline),
+            lock(&self.timelines).entry(key).or_insert(timeline),
         ))
     }
 }
@@ -193,6 +202,18 @@ impl CachedPlan {
 /// The session-level schedule cache, shared (via `Arc`) by clones of a
 /// session and by every job of a batch.
 type ScheduleCache = Arc<Mutex<HashMap<ScheduleKey, Arc<CachedPlan>>>>;
+
+/// The session's most recent bound analysis, keyed by the plan it analyzed
+/// (by identity; the slot keeps the plan alive, so the address cannot be
+/// reused) and the bits of the two rates an analysis reads besides the plan:
+/// `modops_per_second()` and the configured bandwidth, which it reports
+/// verbatim. One slot is enough for the `verify_job`-then-`bounds_job`
+/// pattern and retains at most one analysis.
+struct BoundSlot {
+    plan: Arc<ExecPlan>,
+    rates: (u64, u64),
+    analysis: Arc<BoundAnalysis>,
+}
 
 /// A multi-kernel workload attached to a [`Job`]: the pipeline description
 /// plus the mode its kernels are stitched under.
@@ -537,6 +558,7 @@ pub struct Session {
     jobs: Vec<Job>,
     trace: TraceMode,
     cache: Option<ScheduleCache>,
+    bound_slot: Arc<Mutex<Option<BoundSlot>>>,
     cache_lint: bool,
 }
 
@@ -549,10 +571,7 @@ impl std::fmt::Debug for Session {
             .field("trace", &self.trace)
             .field(
                 "cached_schedules",
-                &self
-                    .cache
-                    .as_ref()
-                    .map(|c| c.lock().map(|m| m.len()).unwrap_or(0)),
+                &self.cache.as_ref().map(|c| lock(c).len()),
             )
             .finish()
     }
@@ -573,6 +592,7 @@ impl Session {
             jobs: Vec::new(),
             trace: TraceMode::StatsOnly,
             cache: Some(Arc::new(Mutex::new(HashMap::new()))),
+            bound_slot: Arc::new(Mutex::new(None)),
             cache_lint: true,
         }
     }
@@ -748,20 +768,55 @@ impl Session {
             return Ok(plan);
         };
         let key = ScheduleKey::new(&strategy, &config, Self::work_key(job));
-        if let Some(plan) = cache.lock().expect("schedule cache poisoned").get(&key) {
+        if let Some(plan) = lock(cache).get(&key) {
             return Ok(Arc::clone(plan));
         }
         let plan = Arc::new(self.build_plan(job, &strategy, &config)?);
         self.debug_lint_plan(job, &plan);
         // First insert wins, so concurrent cold builders converge on one
         // shared plan (and one shared `Arc<Schedule>` identity).
-        Ok(Arc::clone(
-            cache
-                .lock()
-                .expect("schedule cache poisoned")
-                .entry(key)
-                .or_insert(plan),
-        ))
+        Ok(Arc::clone(lock(cache).entry(key).or_insert(plan)))
+    }
+
+    /// The configuration a job runs on, validated once at the entry of every
+    /// single-job path.
+    fn job_rpu<'a>(&'a self, job: &'a Job) -> Result<&'a RpuConfig, CiflowError> {
+        let rpu = job.rpu.as_ref().unwrap_or(&self.rpu);
+        rpu.validate()
+            .map_err(|message| CiflowError::InvalidConfig { message })?;
+        Ok(rpu)
+    }
+
+    /// The bound analysis of `plan`'s schedule on `rpu`, from the session's
+    /// analysis slot when the last analysis was of the same plan at the same
+    /// rates (`verify_job`'s performance pass followed by `bounds_job`).
+    fn bound_analysis(
+        &self,
+        cached: &CachedPlan,
+        plan: &Arc<ExecPlan>,
+        rpu: &RpuConfig,
+    ) -> Arc<BoundAnalysis> {
+        let rates = (
+            rpu.modops_per_second().to_bits(),
+            rpu.dram_bandwidth_gbps.to_bits(),
+        );
+        if let Some(slot) = lock(&self.bound_slot).as_ref() {
+            if Arc::ptr_eq(&slot.plan, plan) && slot.rates == rates {
+                return Arc::clone(&slot.analysis);
+            }
+        }
+        let engine = RpuEngine::new(rpu.clone());
+        let analysis = Arc::new(rpu::bound::analyze_plan(
+            &engine,
+            &cached.schedule.graph,
+            plan,
+        ));
+        *lock(&self.bound_slot) = Some(BoundSlot {
+            plan: Arc::clone(plan),
+            rates,
+            analysis: Arc::clone(&analysis),
+        });
+        analysis
     }
 
     /// Actually builds a job's schedule template (cache miss path).
@@ -793,7 +848,7 @@ impl Session {
             kernels,
             kernel_benchmarks,
             forwarded_bytes,
-            channel_maps: Mutex::new(HashMap::new()),
+            plans: Mutex::new(HashMap::new()),
             timelines: Mutex::new(HashMap::new()),
         })
     }
@@ -806,8 +861,13 @@ impl Session {
     fn debug_lint_plan(&self, job: &Job, plan: &CachedPlan) {
         if cfg!(debug_assertions) && self.cache_lint {
             let rpu = job.rpu.as_ref().unwrap_or(&self.rpu);
-            let map = plan.channel_map(rpu.memory_channel_count());
-            let report = crate::lint::lint_with(&plan.schedule, &plan.kernel_benchmarks, rpu, &map);
+            let exec = plan.exec_plan(rpu);
+            let report = crate::lint::lint_with(
+                &plan.schedule,
+                &plan.kernel_benchmarks,
+                rpu,
+                exec.channel_map(),
+            );
             debug_assert!(
                 !report.has_errors(),
                 "strategy {} built a schedule that fails `ciflow::lint` (disable with \
@@ -818,25 +878,30 @@ impl Session {
     }
 
     /// Statically verifies one job's schedule — structural, deadlock,
-    /// buffer-hazard, capacity and placement passes — against the
-    /// configuration it would execute on, *without running it*. Builds (or
-    /// fetches from the schedule cache) exactly the plan and channel map
-    /// [`Session::run_job`] would use.
+    /// buffer-hazard, capacity, placement and performance passes — against
+    /// the configuration it would execute on, *without running it*. Builds
+    /// (or fetches from the schedule cache) exactly the execution plan
+    /// [`Session::run_job`] would run; the performance pass's bound
+    /// analysis is kept for a following [`Session::bounds_job`].
     ///
     /// # Errors
     ///
-    /// Propagates strategy-resolution or schedule-construction failures; a
-    /// schedule that merely *lints badly* is an `Ok` report with errors in
-    /// it, so callers can gate on [`LintReport::has_errors`](crate::lint::LintReport::has_errors).
+    /// Returns [`CiflowError::InvalidConfig`] for a non-finite or
+    /// non-positive bandwidth or MODOPS multiplier, and propagates
+    /// strategy-resolution or schedule-construction failures; a schedule
+    /// that merely *lints badly* is an `Ok` report with errors in it, so
+    /// callers can gate on [`LintReport::has_errors`](crate::lint::LintReport::has_errors).
     pub fn verify_job(&self, job: &Job) -> Result<crate::lint::LintReport, CiflowError> {
-        let plan = self.plan_for(job)?;
-        let rpu = job.rpu.as_ref().unwrap_or(&self.rpu);
-        let map = plan.channel_map(rpu.memory_channel_count());
-        Ok(crate::lint::lint_with(
-            &plan.schedule,
-            &plan.kernel_benchmarks,
+        let rpu = self.job_rpu(job)?;
+        let cached = self.plan_for(job)?;
+        let plan = cached.exec_plan(rpu);
+        Ok(crate::lint::lint_plan(
+            &cached.schedule,
+            &cached.kernel_benchmarks,
             rpu,
-            &map,
+            &plan,
+            || self.bound_analysis(&cached, &plan, rpu),
+            &crate::lint::LintConfig::default(),
         ))
     }
 
@@ -870,13 +935,16 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates strategy-resolution or schedule-construction failures.
+    /// Returns [`CiflowError::InvalidConfig`] for an invalid configuration
+    /// (as [`Session::verify_job`]), and propagates strategy-resolution or
+    /// schedule-construction failures.
     pub fn bounds_job(&self, job: &Job) -> Result<BoundAnalysis, CiflowError> {
-        let plan = self.plan_for(job)?;
-        let rpu = job.rpu.as_ref().unwrap_or(&self.rpu);
-        let engine = RpuEngine::new(rpu.clone())
-            .with_channel_map(plan.channel_map(rpu.memory_channel_count()));
-        Ok(engine.bounds(&plan.schedule.graph))
+        let rpu = self.job_rpu(job)?;
+        let cached = self.plan_for(job)?;
+        let plan = cached.exec_plan(rpu);
+        Ok(BoundAnalysis::clone(
+            &self.bound_analysis(&cached, &plan, rpu),
+        ))
     }
 
     /// Statically bounds every queued job (in submission order) without
@@ -905,8 +973,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns the job's [`CiflowError`] on strategy-resolution, schedule
-    /// construction, or execution failure.
+    /// Returns [`CiflowError::InvalidConfig`] for an invalid configuration
+    /// (as [`Session::verify_job`]), and the job's [`CiflowError`] on
+    /// strategy-resolution, schedule construction, or execution failure.
     pub fn run_job(&self, job: &Job) -> Result<JobOutput, CiflowError> {
         self.run_job_with(job, self.trace)
     }
@@ -920,21 +989,22 @@ impl Session {
         job: &Job,
         trace_mode: TraceMode,
     ) -> Result<JobOutput, CiflowError> {
-        let rpu = job.rpu.clone().unwrap_or_else(|| self.rpu.clone());
+        let rpu = self.job_rpu(job)?.clone();
         let plan = self.plan_for(job)?;
         // Channel-aware placement: the schedule's label-encoded channel
-        // hints become the engine's buffer-to-channel map (a no-op for the
-        // default single-channel configuration). The map is derived once per
-        // (plan, channel count) and cached with the plan — jobs sharing a
-        // schedule no longer re-scan the graph per job.
-        let engine = RpuEngine::new(rpu.clone())
-            .with_channel_map(plan.channel_map(rpu.memory_channel_count()));
+        // hints become the plan's buffer-to-channel map (a no-op for the
+        // default single-channel configuration). The plan is compiled once
+        // per (schedule, channel count) and cached with the schedule — jobs
+        // sharing a schedule never re-place or re-link its tasks.
+        let exec = plan.exec_plan(&rpu);
+        let engine = RpuEngine::new(rpu.clone());
+        let graph = &plan.schedule.graph;
         let (stats, trace) = match trace_mode {
             TraceMode::Full => {
-                let result = engine.execute(&plan.schedule.graph)?;
+                let result = engine.execute_plan(graph, &exec)?;
                 (result.stats, Some(result.trace))
             }
-            TraceMode::StatsOnly => (engine.execute_stats(&plan.schedule.graph)?, None),
+            TraceMode::StatsOnly => (engine.execute_stats_plan(graph, &exec)?, None),
         };
         Ok(JobOutput {
             benchmark: job.effective_benchmark(),
@@ -961,9 +1031,9 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`CiflowError::InvalidConfig`] for an invalid range
-    /// (non-finite, non-positive, or `lo > hi`), and otherwise propagates
-    /// the same strategy-resolution, schedule-construction and engine errors
-    /// as [`Session::run_job`].
+    /// (non-finite, non-positive, or `lo > hi`) or configuration, and
+    /// otherwise propagates the same strategy-resolution,
+    /// schedule-construction and engine errors as [`Session::run_job`].
     pub fn run_analytic(
         &self,
         job: &Job,
@@ -978,7 +1048,7 @@ impl Session {
                 ),
             });
         }
-        let rpu = job.rpu.clone().unwrap_or_else(|| self.rpu.clone());
+        let rpu = self.job_rpu(job)?.clone();
         let plan = self.plan_for(job)?;
         let timeline = plan.timeline(&rpu, lo_gbps, hi_gbps)?;
         Ok(AnalyticOutput {
@@ -1236,6 +1306,29 @@ mod tests {
         assert!(outputs[1].runtime_ms_per_kernel() < outputs[0].runtime_ms());
         assert!(outcome.results[1].label.contains("[fused]"));
         assert!(outcome.results[2].label.contains("[back-to-back]"));
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_is_recovered() {
+        // A thread that panics while holding a cache lock poisons it. The
+        // entries are immutable and inserted whole, so later jobs recover
+        // the lock instead of panicking on it.
+        let session = Session::new();
+        let job = Job::new(HksBenchmark::ARK, Dataflow::OutputCentric);
+        let expected = session.run_job(&job).unwrap();
+        let cache = Arc::clone(session.cache.as_ref().unwrap());
+        let slot = Arc::clone(&session.bound_slot);
+        let poisoner = std::thread::spawn(move || {
+            let _schedules = cache.lock().unwrap();
+            let _bounds = slot.lock().unwrap();
+            panic!("poisoning the session caches");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(session.cache.as_ref().unwrap().is_poisoned());
+        let output = session.run_job(&job).unwrap();
+        assert_eq!(output.stats, expected.stats);
+        assert!(Arc::ptr_eq(&output.schedule, &expected.schedule));
+        assert!(session.bounds_job(&job).is_ok());
     }
 
     #[test]

@@ -53,9 +53,10 @@ use crate::benchmark::HksBenchmark;
 use crate::json;
 use crate::schedule::Schedule;
 use crate::workload::WorkloadSchedule;
-use rpu::{ChannelMap, RpuConfig, RpuEngine};
+use rpu::{BoundAnalysis, ChannelMap, ExecPlan, RpuConfig, RpuEngine};
 use serde::Serialize;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 pub use rpu::verify::{Diagnostic, Severity};
 
@@ -321,14 +322,33 @@ pub fn lint_with_config(
     config: &LintConfig,
 ) -> LintReport {
     let engine = RpuEngine::new(rpu.clone()).with_channel_map(channel_map.clone());
-    let mut diagnostics = rpu::verify::lint_graph(&schedule.graph, &engine);
+    let plan = engine.plan(&schedule.graph);
+    let bounds = || Arc::new(rpu::bound::analyze_plan(&engine, &schedule.graph, &plan));
+    lint_plan(schedule, kernel_benchmarks, rpu, &plan, bounds, config)
+}
+
+/// Every pass over one compiled plan of `schedule` (its channel map and
+/// channel count are the plan's): the deadlock, placement and performance
+/// passes share the plan's placement instead of each re-deriving it, and
+/// `bounds` supplies the plan's bound analysis when the performance pass
+/// needs it.
+pub(crate) fn lint_plan(
+    schedule: &Schedule,
+    kernel_benchmarks: &[HksBenchmark],
+    rpu: &RpuConfig,
+    plan: &ExecPlan,
+    bounds: impl FnOnce() -> Arc<BoundAnalysis>,
+    config: &LintConfig,
+) -> LintReport {
+    let mut diagnostics = rpu::verify::lint_structural(&schedule.graph);
+    diagnostics.extend(rpu::verify::lint_deadlock(&schedule.graph, plan));
     diagnostics.extend(buffer::lint(&schedule.graph));
     diagnostics.extend(capacity::lint(schedule, rpu, config));
-    diagnostics.extend(placement::lint(schedule, &engine, config));
+    diagnostics.extend(placement::lint(schedule, plan, config));
     if kernel_benchmarks.len() > 1 {
         diagnostics.extend(pipeline::lint(&schedule.graph, kernel_benchmarks));
     }
-    diagnostics.extend(perf::lint(&schedule.graph, &engine, config));
+    diagnostics.extend(perf::lint(&schedule.graph, bounds, config));
     LintReport { diagnostics }
 }
 

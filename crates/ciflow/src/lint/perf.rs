@@ -47,15 +47,23 @@
 //! structural pass's job (`S...` codes); this pass skips them rather than
 //! bounding a graph the engine would reject.
 
-use rpu::bound::{self, CriticalEdge, RooflineKnee};
+use rpu::bound::{BoundAnalysis, CriticalEdge, RooflineKnee};
 use rpu::verify::Diagnostic;
-use rpu::{MemoryDirection, RpuEngine, TaskGraph, TaskKind};
+use rpu::{MemoryDirection, TaskGraph, TaskKind};
+use std::sync::Arc;
 
 use super::{codes, LintConfig};
 
-/// Runs the performance pass for `graph` under `engine`'s configuration and
-/// placement. Thresholds come from [`LintConfig`].
-pub fn lint(graph: &TaskGraph, engine: &RpuEngine, config: &LintConfig) -> Vec<Diagnostic> {
+/// Runs the performance pass for `graph` over its bound analysis
+/// ([`rpu::bound::analyze_plan`] at the target configuration and
+/// placement). `bounds` is called only when the graph is analyzable, so a
+/// caller holding a cached analysis passes it in and everyone else computes
+/// it on demand. Thresholds come from [`LintConfig`].
+pub fn lint(
+    graph: &TaskGraph,
+    bounds: impl FnOnce() -> Arc<BoundAnalysis>,
+    config: &LintConfig,
+) -> Vec<Diagnostic> {
     let tasks = graph.tasks();
     let well_formed = tasks
         .iter()
@@ -65,7 +73,7 @@ pub fn lint(graph: &TaskGraph, engine: &RpuEngine, config: &LintConfig) -> Vec<D
         return Vec::new();
     }
 
-    let b = bound::analyze(engine, graph);
+    let b = bounds();
     let mut diagnostics = Vec::new();
 
     // The largest bound no placement change can move: the true dependency
@@ -80,8 +88,7 @@ pub fn lint(graph: &TaskGraph, engine: &RpuEngine, config: &LintConfig) -> Vec<D
     // R001: queue order dominates every unavoidable bound, with
     // memory-channel queue edges on the binding path to blame.
     if unavoidable > 0.0 && b.queue_bound_seconds > config.queue_path_ratio * unavoidable {
-        let channels = engine.config().memory_channel_count();
-        let mut per_channel = vec![0usize; channels];
+        let mut per_channel = vec![0usize; b.channel_occupancy_seconds.len()];
         let mut blamed = Vec::new();
         for step in &b.queue_critical_path {
             if let CriticalEdge::QueueOrder {
@@ -178,7 +185,7 @@ pub fn lint(graph: &TaskGraph, engine: &RpuEngine, config: &LintConfig) -> Vec<D
     }
     if !ceiling {
         if let Some(knee) = b.knee.effective_knee_gbps() {
-            let bandwidth = engine.config().dram_bandwidth_gbps;
+            let bandwidth = b.bandwidth_gbps;
             if bandwidth >= knee * config.knee_headroom_ratio {
                 diagnostics.push(Diagnostic::note(
                     codes::ABOVE_ROOFLINE_KNEE,
@@ -199,7 +206,7 @@ pub fn lint(graph: &TaskGraph, engine: &RpuEngine, config: &LintConfig) -> Vec<D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu::{ComputeKind, EvkPolicy, RpuConfig};
+    use rpu::{ComputeKind, EvkPolicy, RpuConfig, RpuEngine};
 
     /// 1 Gop/s compute at `bandwidth_gbps`, one channel: durations are plain
     /// ratios, so thresholds are easy to reason about exactly.
@@ -222,6 +229,10 @@ mod tests {
         RpuEngine::new(unit_config(bandwidth_gbps))
     }
 
+    fn lint_on(graph: &TaskGraph, engine: &RpuEngine, config: &LintConfig) -> Vec<Diagnostic> {
+        lint(graph, || Arc::new(engine.bounds(graph)), config)
+    }
+
     #[test]
     fn a_queue_zigzag_that_beats_every_occupancy_trips_r001() {
         // Two independent load->compute pairs whose compute order is
@@ -236,7 +247,7 @@ mod tests {
         let b = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load b", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![b], "cb", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![a], "ca", "P1");
-        let diagnostics = lint(&g, &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
         let hit = diagnostics
             .iter()
             .find(|d| d.code == codes::QUEUE_ORDER_CRITICAL)
@@ -247,7 +258,7 @@ mod tests {
             queue_path_ratio: 100.0,
             ..LintConfig::default()
         };
-        assert!(lint(&g, &engine(1.0), &lax)
+        assert!(lint_on(&g, &engine(1.0), &lax)
             .iter()
             .all(|d| d.code != codes::QUEUE_ORDER_CRITICAL));
     }
@@ -267,7 +278,7 @@ mod tests {
                 "P1",
             );
         }
-        let diagnostics = lint(&g, &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
         assert!(
             diagnostics
                 .iter()
@@ -300,7 +311,7 @@ mod tests {
             "join",
             "P1",
         );
-        let diagnostics = lint(&g, &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
         let prefetch: Vec<_> = diagnostics
             .iter()
             .filter(|d| d.code == codes::LATE_PREFETCH)
@@ -314,7 +325,7 @@ mod tests {
             prefetch_slack_fraction: 0.9,
             ..LintConfig::default()
         };
-        assert!(lint(&g, &engine(1.0), &strict)
+        assert!(lint_on(&g, &engine(1.0), &strict)
             .iter()
             .all(|d| d.code != codes::LATE_PREFETCH));
     }
@@ -348,7 +359,7 @@ mod tests {
                 "P1",
             ));
         }
-        let diagnostics = lint(&g, &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
         assert!(
             diagnostics
                 .iter()
@@ -357,7 +368,7 @@ mod tests {
         );
         // And the ceiling suppresses the above-knee note even at absurd
         // bandwidth: the regime boundary is not a real knee.
-        let fast = lint(&g, &engine(1024.0), &LintConfig::default());
+        let fast = lint_on(&g, &engine(1024.0), &LintConfig::default());
         assert!(fast.iter().any(|d| d.code == codes::UTILIZATION_CEILING));
         assert!(fast.iter().all(|d| d.code != codes::ABOVE_ROOFLINE_KNEE));
     }
@@ -404,7 +415,7 @@ mod tests {
     fn a_decoupled_pipeline_does_not_trip_r003() {
         // Only the 0.1 GB head prefetch is serialized with the compute
         // chain — 2% of the traffic, far below the 50% ceiling threshold.
-        let diagnostics = lint(&decoupled_pipeline(), &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&decoupled_pipeline(), &engine(1.0), &LintConfig::default());
         assert!(
             diagnostics
                 .iter()
@@ -416,7 +427,7 @@ mod tests {
             ceiling_residual_fraction: 0.01,
             ..LintConfig::default()
         };
-        assert!(lint(&decoupled_pipeline(), &engine(1.0), &strict)
+        assert!(lint_on(&decoupled_pipeline(), &engine(1.0), &strict)
             .iter()
             .any(|d| d.code == codes::UTILIZATION_CEILING));
     }
@@ -429,26 +440,26 @@ mod tests {
         let c = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
         let l = g.push_memory(MemoryDirection::Load, 2_000_000_000, vec![], "load x", "P1");
         g.push_compute(ComputeKind::PointwiseAdd, 0, vec![c, l], "join", "P1");
-        let above = lint(&g, &engine(64.0), &LintConfig::default());
+        let above = lint_on(&g, &engine(64.0), &LintConfig::default());
         let knee_note = above
             .iter()
             .find(|d| d.code == codes::ABOVE_ROOFLINE_KNEE)
             .expect("above-knee note");
         assert_eq!(knee_note.severity, rpu::Severity::Note);
         assert!(knee_note.message.contains("2.000 GB/s"), "{knee_note:?}");
-        let below = lint(&g, &engine(1.0), &LintConfig::default());
+        let below = lint_on(&g, &engine(1.0), &LintConfig::default());
         assert!(below.iter().all(|d| d.code != codes::ABOVE_ROOFLINE_KNEE));
         // Raising the headroom ratio pushes the gate past 64 GB/s.
         let strict = LintConfig {
             knee_headroom_ratio: 64.0,
             ..LintConfig::default()
         };
-        assert!(lint(&g, &engine(64.0), &strict)
+        assert!(lint_on(&g, &engine(64.0), &strict)
             .iter()
             .all(|d| d.code != codes::ABOVE_ROOFLINE_KNEE));
         // The decoupled pipeline has no exact knee, but past the point where
         // its bound tracks the compute floor the note still applies.
-        let pipeline = lint(&decoupled_pipeline(), &engine(64.0), &LintConfig::default());
+        let pipeline = lint_on(&decoupled_pipeline(), &engine(64.0), &LintConfig::default());
         assert!(
             pipeline
                 .iter()
@@ -464,7 +475,7 @@ mod tests {
         let mut broken = tasks.tasks().to_vec();
         broken[0].dependencies = vec![5];
         let g = TaskGraph::from_tasks_unchecked(broken);
-        assert!(lint(&g, &engine(1.0), &LintConfig::default()).is_empty());
-        assert!(lint(&TaskGraph::new(), &engine(1.0), &LintConfig::default()).is_empty());
+        assert!(lint_on(&g, &engine(1.0), &LintConfig::default()).is_empty());
+        assert!(lint_on(&TaskGraph::new(), &engine(1.0), &LintConfig::default()).is_empty());
     }
 }

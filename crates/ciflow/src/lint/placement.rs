@@ -27,7 +27,7 @@
 
 use rpu::channel::{canonical_label, split_label};
 use rpu::verify::Diagnostic;
-use rpu::RpuEngine;
+use rpu::ExecPlan;
 
 use super::{codes, LintConfig};
 use crate::schedule::Schedule;
@@ -48,12 +48,12 @@ fn shadowed_rules(patterns: &[&str]) -> Vec<(usize, usize)> {
     shadowed
 }
 
-/// Runs the placement/accounting pass for `schedule` under `engine`'s
-/// channel map and channel count. The imbalance thresholds come from
-/// [`LintConfig`].
-pub fn lint(schedule: &Schedule, engine: &RpuEngine, config: &LintConfig) -> Vec<Diagnostic> {
+/// Runs the placement/accounting pass for `schedule` under the channel map
+/// and channel count compiled into `plan` (the schedule graph's plan). The
+/// imbalance thresholds come from [`LintConfig`].
+pub fn lint(schedule: &Schedule, plan: &ExecPlan, config: &LintConfig) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
-    let map = engine.channel_map();
+    let map = plan.channel_map();
     let rules: Vec<(&str, &[usize])> = map.rules().collect();
     let patterns: Vec<&str> = rules.iter().map(|(p, _)| *p).collect();
 
@@ -73,17 +73,21 @@ pub fn lint(schedule: &Schedule, engine: &RpuEngine, config: &LintConfig) -> Vec
         );
     }
 
-    // One walk over the memory tasks feeds P002 (per-rule match counts under
-    // first-match semantics), P003 (per-channel byte totals) and A001/A002
-    // (labeled spill/park traffic).
-    let channels = map.num_channels();
+    // P003's per-channel byte totals come straight off the plan's queues;
+    // one walk over the memory tasks feeds P002 (per-rule match counts under
+    // first-match semantics) and A001/A002 (labeled spill/park traffic).
+    let tasks = schedule.graph.tasks();
+    let channels = plan.channels();
+    let channel_bytes: Vec<u64> = plan
+        .memory_queues()
+        .iter()
+        .map(|queue| queue.iter().map(|&t| tasks[t as usize].bytes()).sum())
+        .collect();
     let mut rule_matches = vec![0usize; patterns.len()];
-    let mut channel_bytes = vec![0u64; channels];
     let mut memory_tasks = 0usize;
     let mut labeled_spill_bytes = 0u64;
-    for task in schedule.graph.tasks().iter().filter(|t| t.is_memory()) {
+    for task in tasks.iter().filter(|t| t.is_memory()) {
         memory_tasks += 1;
-        channel_bytes[engine.channel_of(task)] += task.bytes();
         let canonical = canonical_label(&task.label);
         if let Some(hit) = patterns.iter().position(|p| canonical.contains(p)) {
             rule_matches[hit] += 1;
@@ -182,6 +186,10 @@ mod tests {
             .with_channel_map(map)
     }
 
+    fn lint_under(schedule: &Schedule, engine: &RpuEngine, config: &LintConfig) -> Vec<Diagnostic> {
+        lint(schedule, &engine.plan(&schedule.graph), config)
+    }
+
     #[test]
     fn shadowing_detection_is_order_sensitive() {
         // "evk" after the catch-all can never match; before it, it can.
@@ -203,7 +211,7 @@ mod tests {
             );
         }
         let engine = engine_with(ChannelMap::hashed(2).with_pin("zzz-typo", [0]));
-        let diagnostics = lint(&schedule(g, 0), &engine, &LintConfig::default());
+        let diagnostics = lint_under(&schedule(g, 0), &engine, &LintConfig::default());
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].code, codes::DEAD_PIN_RULE);
         assert!(diagnostics[0].message.contains("zzz-typo"));
@@ -222,7 +230,7 @@ mod tests {
             );
         }
         let engine = engine_with(ChannelMap::hashed(8).with_pin("", [0]));
-        let diagnostics = lint(&schedule(g, 0), &engine, &LintConfig::default());
+        let diagnostics = lint_under(&schedule(g, 0), &engine, &LintConfig::default());
         assert!(
             diagnostics
                 .iter()
@@ -244,7 +252,7 @@ mod tests {
             );
         }
         let engine = engine_with(ChannelMap::hashed(4));
-        assert!(lint(&schedule(g, 0), &engine, &LintConfig::default()).is_empty());
+        assert!(lint_under(&schedule(g, 0), &engine, &LintConfig::default()).is_empty());
     }
 
     #[test]
@@ -257,18 +265,18 @@ mod tests {
         let engine = engine_with(ChannelMap::hashed(1));
 
         // Exact accounting: clean.
-        assert!(lint(&schedule(g.clone(), 200), &engine, &LintConfig::default()).is_empty());
+        assert!(lint_under(&schedule(g.clone(), 200), &engine, &LintConfig::default()).is_empty());
 
         // Under-reporting is an error: the engine will move more spill bytes
         // than the schedule claims.
-        let under = lint(&schedule(g.clone(), 100), &engine, &LintConfig::default());
+        let under = lint_under(&schedule(g.clone(), 100), &engine, &LintConfig::default());
         assert_eq!(under.len(), 1);
         assert_eq!(under[0].code, codes::SPILL_UNDERREPORTED);
         assert_eq!(under[0].severity, rpu::Severity::Error);
 
         // Over-reporting (e.g. a custom strategy with coarse labels) is only
         // a warning.
-        let over = lint(&schedule(g, 300), &engine, &LintConfig::default());
+        let over = lint_under(&schedule(g, 300), &engine, &LintConfig::default());
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].code, codes::SPILL_OVERREPORTED);
         assert_eq!(over[0].severity, rpu::Severity::Warning);

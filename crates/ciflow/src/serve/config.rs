@@ -91,12 +91,10 @@ impl ServeConfig {
         if self.cluster.num_devices == 0 {
             return invalid("serving cluster has zero devices".to_string());
         }
-        let bandwidth = self.cluster.rpu.dram_bandwidth_gbps;
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return invalid(format!(
-                "per-device DRAM bandwidth {bandwidth} GB/s is not finite and positive"
-            ));
-        }
+        self.cluster
+            .rpu
+            .validate()
+            .or_else(|e| invalid(format!("per-device {e}")))?;
         if self.classes.is_empty() {
             return invalid("serving mix has zero request classes".to_string());
         }

@@ -352,21 +352,18 @@ pub fn try_analytic_sweep_in(
             runtime_ms: stats.runtime_ms(),
         })
         .collect();
-    // The static bound curve under the runtime curve, on the same ladder.
-    // One full analysis derives the knee (it is bandwidth-independent — a
-    // property of the bound's affine pieces); the dense per-point values
-    // come from `bound_curve`, which shares one placement layout across the
-    // ladder so the curve stays cheap next to the closed-form evaluation it
-    // annotates.
-    let map = output
-        .schedule
-        .channel_map(output.rpu.memory_channel_count());
-    let engine = RpuEngine::new(sweep_rpu(evk_policy, lo, modops)).with_channel_map(map);
-    let knee_gbps = engine
-        .bounds(&output.schedule.graph)
+    // The static bound curve under the runtime curve, on the same ladder and
+    // the timeline's own execution plan. One full analysis derives the knee
+    // (it is bandwidth-independent — a property of the bound's affine
+    // pieces); the dense per-point values come from `bound_curve_plan`, so
+    // the curve stays cheap next to the closed-form evaluation it annotates.
+    let engine = RpuEngine::new(sweep_rpu(evk_policy, lo, modops));
+    let graph = &output.schedule.graph;
+    let plan = output.timeline.plan();
+    let knee_gbps = rpu::bound::analyze_plan(&engine, graph, plan)
         .knee
         .effective_knee_gbps();
-    let bound_ms: Vec<f64> = rpu::bound::bound_curve(&engine, &output.schedule.graph, bandwidths)
+    let bound_ms: Vec<f64> = rpu::bound::bound_curve_plan(&engine, graph, plan, bandwidths)
         .iter()
         .map(|&seconds| seconds * 1e3)
         .collect();

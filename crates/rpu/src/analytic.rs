@@ -52,8 +52,9 @@
 //!
 //! ## How a segment is derived
 //!
-//! [`RpuEngine::analyze`] runs an instrumented mirror of the engine loop at
-//! an *anchor* bandwidth, carrying the affine form
+//! [`RpuEngine::analyze`] runs the engine's own event loop (the shared
+//! control flow in `engine::drive`, over the same [`ExecPlan`]) at an
+//! *anchor* bandwidth, carrying the affine form
 //! `constant + slope / bandwidth` alongside every concrete time. It records
 //! the **replay script** (the retirement order of all tasks) and the grant
 //! certificate, then solves each certificate comparison for the bandwidth
@@ -86,7 +87,8 @@
 //! See `docs/ANALYTIC.md` for the full segment semantics and breakpoint
 //! math.
 
-use crate::engine::{deadlock_error, grant_precedes, EngineError, EngineLayout, RpuEngine};
+use crate::engine::{drive, EngineError, Executor, RpuEngine};
+use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::{Task, TaskGraph, TaskId, TaskKind};
 use crate::trace::{EngineQueue, TaskRecord};
@@ -119,7 +121,7 @@ const LANES: usize = 8;
 /// with ordinary floating-point error. Bit-exact numbers always come from
 /// [`ParametricTimeline::evaluate`], which replays the engine's own
 /// arithmetic instead of collapsing it into two coefficients.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AffineTime {
     /// Bandwidth-independent part in seconds (compute durations and
     /// compute-bound slack end up here).
@@ -139,7 +141,7 @@ impl AffineTime {
 
 /// Start and finish of one task as affine functions of inverse bandwidth,
 /// valid within the owning segment's [`Segment::affine_range_gbps`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TaskTimes {
     /// When the task starts.
     pub start: AffineTime,
@@ -296,6 +298,8 @@ pub type SampledTimes = Vec<TaskRecord>;
 pub struct ParametricTimeline {
     engine: RpuEngine,
     graph: TaskGraph,
+    /// The plan every symbolic run and engine fallback executes.
+    plan: Arc<ExecPlan>,
     lo_gbps: f64,
     hi_gbps: f64,
     truncated: bool,
@@ -325,6 +329,12 @@ impl ParametricTimeline {
     #[must_use]
     pub fn graph(&self) -> &TaskGraph {
         &self.graph
+    }
+
+    /// The execution plan the timeline was derived on (and falls back to).
+    #[must_use]
+    pub fn plan(&self) -> &Arc<ExecPlan> {
+        &self.plan
     }
 
     /// The derived segments, ascending by bandwidth.
@@ -467,10 +477,8 @@ impl ParametricTimeline {
             }
         }
         self.fallbacks.fetch_add(1, AtomicOrdering::Relaxed);
-        let engine = RpuEngine::new(self.engine.config().clone().with_bandwidth(bandwidth_gbps))
-            .with_channel_map(self.engine.channel_map().clone());
-        engine
-            .execute_stats(&self.graph)
+        RpuEngine::new(self.engine.config().clone().with_bandwidth(bandwidth_gbps))
+            .execute_stats_plan(&self.graph, &self.plan)
             .expect("deadlock is timing-independent and the anchor run succeeded")
     }
 
@@ -709,6 +717,7 @@ impl RpuEngine {
     /// [`RpuEngine::execute_stats`] would: the deadlock condition is a
     /// property of the schedule and queue placement, independent of timing,
     /// so one symbolic run decides it for every bandwidth.
+    /// [`EngineError::NonFiniteTime`] reports a degenerate MODOPS rate.
     ///
     /// # Panics
     ///
@@ -718,6 +727,28 @@ impl RpuEngine {
     pub fn analyze(
         &self,
         graph: &TaskGraph,
+        lo_gbps: f64,
+        hi_gbps: f64,
+    ) -> Result<ParametricTimeline, EngineError> {
+        self.analyze_plan(graph, Arc::new(self.plan(graph)), lo_gbps, hi_gbps)
+    }
+
+    /// [`RpuEngine::analyze`] on a prebuilt plan of `graph`: every symbolic
+    /// run of the derivation, and every engine fallback of the returned
+    /// timeline, executes this one plan.
+    ///
+    /// # Errors
+    ///
+    /// As [`RpuEngine::analyze`], plus [`EngineError::PlanMismatch`] when
+    /// the plan was compiled for another task or channel count.
+    ///
+    /// # Panics
+    ///
+    /// As [`RpuEngine::analyze`].
+    pub fn analyze_plan(
+        &self,
+        graph: &TaskGraph,
+        plan: Arc<ExecPlan>,
         lo_gbps: f64,
         hi_gbps: f64,
     ) -> Result<ParametricTimeline, EngineError> {
@@ -745,24 +776,15 @@ impl RpuEngine {
             dep_edges.extend(task.dependencies.iter().map(|&d| d as u32));
         }
 
-        let layout = self.layout(graph);
+        self.check_plan(graph, &plan)?;
         // Certificate precondition: "retired by the scan" must coincide with
         // "finished no later than the scan's bus-free time", which holds iff
         // every compute duration is positive.
-        let certifiable = layout
-            .compute_queue
+        let certifiable = plan
+            .compute_queue()
             .iter()
-            .all(|&c| fixed_duration[c] > 0.0);
-        let (loaded, stored) = graph.total_bytes();
-        let template = ExecutionStats {
-            compute_tasks: layout.compute_queue.len(),
-            memory_tasks: layout.memory_tasks,
-            total_ops: graph.total_ops(),
-            bytes_loaded: loaded,
-            bytes_stored: stored,
-            memory_channel_busy_seconds: vec![0.0; self.config().memory_channel_count()],
-            ..ExecutionStats::default()
-        };
+            .all(|&c| fixed_duration[c as usize] > 0.0);
+        let template = plan.unstarted_stats();
 
         // Derive segments from the high-bandwidth end downwards: each
         // symbolic run certifies an interval around its anchor, and the next
@@ -776,7 +798,7 @@ impl RpuEngine {
         let mut runs = 0usize;
         let mut stall = 0u32;
         loop {
-            let segment = self.symbolic_run(graph, anchor, lo_gbps, hi_gbps)?;
+            let segment = self.symbolic_run(graph, &plan, anchor, lo_gbps, hi_gbps)?;
             runs += 1;
             if !certifiable {
                 truncated = true;
@@ -818,6 +840,7 @@ impl RpuEngine {
         Ok(ParametricTimeline {
             engine: self.clone(),
             graph: graph.clone(),
+            plan,
             lo_gbps,
             hi_gbps,
             truncated,
@@ -831,15 +854,15 @@ impl RpuEngine {
         })
     }
 
-    /// The instrumented mirror of the engine loop: identical concrete
-    /// arithmetic on the `v` components (so every branch is the engine's
-    /// own), affine bookkeeping on the side, recording the replay script,
-    /// the grant certificate and the nearest certificate flips in both
-    /// directions.
-    #[allow(clippy::too_many_lines)]
+    /// One symbolic execution at `anchor_gbps`: the engine's own control
+    /// flow ([`drive`]) over [`Symbolic`] times — identical concrete
+    /// arithmetic on the `v` components, so every branch is the engine's —
+    /// then the post-pass that turns the recorded grant evidence into the
+    /// segment's certificate and its nearest flips in both directions.
     fn symbolic_run(
         &self,
         graph: &TaskGraph,
+        plan: &ExecPlan,
         anchor_gbps: f64,
         lo_gbps: f64,
         hi_gbps: f64,
@@ -847,243 +870,41 @@ impl RpuEngine {
         let tasks = graph.tasks();
         let n = tasks.len();
         let x0 = 1.0 / anchor_gbps;
-        let dbps = anchor_gbps * 1e9;
-        let EngineLayout {
-            compute_queue,
-            memory_queues,
-            memory_tasks: _,
-            mut remaining,
-            offsets,
-            dependents,
-        } = self.layout(graph);
-
-        let duration = |task: &Task| -> Sym {
-            match task.kind {
-                TaskKind::Compute { .. } => {
-                    let d = self.task_duration(task);
-                    Sym { v: d, c: d, m: 0.0 }
-                }
-                TaskKind::Memory { bytes, .. } => Sym {
-                    v: bytes as f64 / dbps,
-                    c: 0.0,
-                    m: bytes as f64 / 1e9,
-                },
-            }
+        let mut compute_pos: Vec<u32> = vec![u32::MAX; n];
+        for (i, &c) in (0u32..).zip(plan.compute_queue()) {
+            compute_pos[c as usize] = i;
+        }
+        let mut run = Symbolic {
+            engine: self,
+            tasks,
+            plan,
+            x0,
+            dbps: anchor_gbps * 1e9,
+            aff: (0.0, f64::INFINITY),
+            times: vec![TaskTimes::default(); n],
+            script: Vec::with_capacity(n),
+            raw: Vec::new(),
+            grants_raw: Vec::new(),
+            ends_v: vec![0.0; n],
+            mem_retired: vec![false; n],
+            compute_pos,
         };
-
+        let makespan = drive(&mut run, tasks, plan)?;
+        let Symbolic {
+            mut aff,
+            times,
+            script,
+            raw,
+            grants_raw,
+            ends_v,
+            ..
+        } = run;
         // Running breakpoint bounds in x = 1/bandwidth space. `dec` bounds
         // come from certificate flips (grant-sequence changes — true segment
-        // edges, folded in a post-pass below); `aff` bounds additionally
-        // include ready-time crossovers (max-argument switches that bend the
+        // edges); `aff` bounds additionally include the ready-time
+        // crossovers the run folded in (max-argument switches that bend the
         // affine forms without reordering grants).
         let mut dec = (0.0f64, f64::INFINITY);
-        let mut aff = (0.0f64, f64::INFINITY);
-        let fold_cross = |bounds: &mut (f64, f64), dc: f64, dm: f64| {
-            // The (loser - winner) difference is ≤ 0 at the anchor; it can
-            // only cross zero where dc + dm·x = 0.
-            if dm == 0.0 {
-                return;
-            }
-            let xs = -dc / dm;
-            if !xs.is_finite() {
-                return;
-            }
-            match xs.partial_cmp(&x0) {
-                Some(Ordering::Greater) => bounds.1 = bounds.1.min(xs),
-                Some(Ordering::Less) => bounds.0 = bounds.0.max(xs),
-                _ => {
-                    bounds.0 = x0;
-                    bounds.1 = x0;
-                }
-            }
-        };
-        let sym_max = |a: Sym, b: Sym, aff: &mut (f64, f64)| -> Sym {
-            // Winner by the engine's concrete value; on an exact value tie
-            // the steeper affine branch wins so the view stays the max just
-            // above the anchor.
-            let (w, l) = match a.v.partial_cmp(&b.v) {
-                Some(Ordering::Greater) => (a, b),
-                Some(Ordering::Less) => (b, a),
-                _ => {
-                    if a.m >= b.m {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    }
-                }
-            };
-            fold_cross(aff, l.c - w.c, l.m - w.m);
-            Sym {
-                v: a.v.max(b.v),
-                c: w.c,
-                m: w.m,
-            }
-        };
-
-        let mut ready_at: Vec<Sym> = vec![Sym::ZERO; n];
-        let mut times: Vec<TaskTimes> = vec![
-            TaskTimes {
-                start: AffineTime {
-                    constant: 0.0,
-                    per_inverse_gbps: 0.0
-                },
-                end: AffineTime {
-                    constant: 0.0,
-                    per_inverse_gbps: 0.0
-                },
-            };
-            n
-        ];
-        let mut script: Vec<ScriptEntry> = Vec::with_capacity(n);
-        // Raw certificate evidence, finalized in the post-pass below:
-        // per grant, every channel head whose memory dependencies were
-        // already retired, paired with the latest compute dependency gating
-        // its readiness. `ends_v` keeps the anchor's concrete finish times
-        // so the post-pass can resolve each comparison's direction.
-        let mut raw: Vec<(u32, u32)> = Vec::new();
-        let mut grants_raw: Vec<(u32, u32)> = Vec::new();
-        let mut ends_v: Vec<f64> = vec![0.0f64; n];
-        let mut mem_retired: Vec<bool> = vec![false; n];
-        let mut compute_pos: Vec<u32> = vec![u32::MAX; n];
-        for (i, &c) in compute_queue.iter().enumerate() {
-            compute_pos[c] = i as u32;
-        }
-
-        let mut ci = 0usize;
-        let mut mi = vec![0usize; memory_queues.len()];
-        let mut compute_free = Sym::ZERO;
-        let mut bus_free = Sym::ZERO;
-        let mut makespan = Sym::ZERO;
-        let mut mem_run: Option<(TaskId, usize, Sym)> = None; // (task, channel, end)
-        let mut comp_run: Option<(TaskId, Sym)> = None; // (task, end)
-
-        loop {
-            if comp_run.is_none() {
-                if let Some(&head) = compute_queue.get(ci) {
-                    if remaining[head] == 0 {
-                        let start = sym_max(ready_at[head], compute_free, &mut aff);
-                        let end = start.add(duration(&tasks[head]));
-                        times[head] = TaskTimes {
-                            start: start.affine(),
-                            end: end.affine(),
-                        };
-                        ends_v[head] = end.v;
-                        comp_run = Some((head, end));
-                        ci += 1;
-                    }
-                }
-            }
-
-            if mem_run.is_none() {
-                let mut grant: Option<(TaskId, usize)> = None;
-                for (channel, queue) in memory_queues.iter().enumerate() {
-                    if let Some(&head) = queue.get(mi[channel]) {
-                        if remaining[head] == 0 && grant_precedes(head, grant.map(|(best, _)| best))
-                        {
-                            grant = Some((head, channel));
-                        }
-                    }
-                }
-                if let Some((head, channel)) = grant {
-                    let start = sym_max(ready_at[head], bus_free, &mut aff);
-                    let end = start.add(duration(&tasks[head]));
-                    times[head] = TaskTimes {
-                        start: start.affine(),
-                        end: end.affine(),
-                    };
-                    ends_v[head] = end.v;
-                    // Record this grant's readiness evidence while the
-                    // pre-grant heads are still in place: every head whose
-                    // memory dependencies are retired, with the latest
-                    // compute dependency gating it (none ⇒ unconditionally
-                    // ready ⇒ nothing value-dependent to record).
-                    for (c, queue) in memory_queues.iter().enumerate() {
-                        if let Some(&h2) = queue.get(mi[c]) {
-                            let mut eligible = true;
-                            let mut latest: Option<u32> = None;
-                            for &d in &tasks[h2].dependencies {
-                                match tasks[d].kind {
-                                    TaskKind::Compute { .. } => {
-                                        let p = compute_pos[d];
-                                        latest = Some(latest.map_or(p, |q| q.max(p)));
-                                    }
-                                    TaskKind::Memory { .. } => {
-                                        if !mem_retired[d] {
-                                            eligible = false;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            if eligible {
-                                if let Some(pos) = latest {
-                                    raw.push((h2 as u32, compute_queue[pos as usize] as u32));
-                                }
-                            }
-                        }
-                    }
-                    grants_raw.push((head as u32, raw.len() as u32));
-                    mem_run = Some((head, channel, end));
-                    mi[channel] += 1;
-                }
-            }
-
-            let t_next = match (&comp_run, &mem_run) {
-                (Some((_, ce)), Some((_, _, me))) => ce.v.min(me.v),
-                (Some((_, ce)), None) => ce.v,
-                (None, Some((_, _, me))) => me.v,
-                (None, None) => {
-                    let exhausted = ci >= compute_queue.len()
-                        && mi
-                            .iter()
-                            .zip(&memory_queues)
-                            .all(|(&i, queue)| i >= queue.len());
-                    if exhausted {
-                        break;
-                    }
-                    return Err(deadlock_error(
-                        tasks,
-                        &compute_queue,
-                        ci,
-                        &memory_queues,
-                        &mi,
-                        &remaining,
-                    ));
-                }
-            };
-
-            if let Some((head, channel, end)) = mem_run {
-                if end.v <= t_next {
-                    for &c in &dependents[offsets[head]..offsets[head + 1]] {
-                        remaining[c] -= 1;
-                        ready_at[c] = sym_max(ready_at[c], end, &mut aff);
-                    }
-                    makespan = sym_max(makespan, end, &mut aff);
-                    bus_free = end;
-                    script.push(ScriptEntry {
-                        task: head as u32,
-                        queue: 1 + channel as u32,
-                    });
-                    mem_run = None;
-                    mem_retired[head] = true;
-                }
-            }
-            if let Some((head, end)) = comp_run {
-                if end.v <= t_next {
-                    for &c in &dependents[offsets[head]..offsets[head + 1]] {
-                        remaining[c] -= 1;
-                        ready_at[c] = sym_max(ready_at[c], end, &mut aff);
-                    }
-                    makespan = sym_max(makespan, end, &mut aff);
-                    compute_free = end;
-                    script.push(ScriptEntry {
-                        task: head as u32,
-                        queue: 0,
-                    });
-                    comp_run = None;
-                }
-            }
-        }
 
         // Post-pass: resolve each raw readiness record into a directed
         // comparison and fold its crossing into the `dec` bounds. Deferred
@@ -1110,10 +931,7 @@ impl RpuEngine {
         let mut grants: Vec<Grant> = Vec::with_capacity(grants_raw.len());
         let mut checks: Vec<Check> = Vec::new();
         let mut te_v = 0.0f64;
-        let mut te = AffineTime {
-            constant: 0.0,
-            per_inverse_gbps: 0.0,
-        };
+        let mut te = AffineTime::default();
         let mut first = 0usize;
         for &(mem, raw_end) in &grants_raw {
             let slice = &raw[first..raw_end as usize];
@@ -1187,6 +1005,143 @@ impl RpuEngine {
             grants,
             checks,
         })
+    }
+}
+
+/// The symbolic executor behind [`RpuEngine::analyze`]: [`drive`]'s control
+/// flow over times that carry, next to the engine's concrete value `v`,
+/// their affine form in inverse bandwidth — plus the replay script and the
+/// raw grant evidence the certificate is built from.
+struct Symbolic<'a> {
+    engine: &'a RpuEngine,
+    tasks: &'a [Task],
+    plan: &'a ExecPlan,
+    /// `1 / anchor bandwidth`: where the affine forms are anchored.
+    x0: f64,
+    /// The anchor bandwidth in bytes per second.
+    dbps: f64,
+    /// Bounds in `x` from ready-time crossovers (see [`Symbolic::later`]).
+    aff: (f64, f64),
+    times: Vec<TaskTimes>,
+    script: Vec<ScriptEntry>,
+    /// Per grant, every channel head whose memory dependencies were already
+    /// retired, paired with the latest compute dependency gating its
+    /// readiness; `grants_raw` closes each grant's slice of it.
+    raw: Vec<(u32, u32)>,
+    grants_raw: Vec<(u32, u32)>,
+    /// The anchor's concrete finish times, to resolve each comparison's
+    /// direction in the post-pass.
+    ends_v: Vec<f64>,
+    mem_retired: Vec<bool>,
+    compute_pos: Vec<u32>,
+}
+
+impl Executor for Symbolic<'_> {
+    type Time = Sym;
+    const ZERO: Sym = Sym::ZERO;
+
+    fn seconds(time: Sym) -> f64 {
+        time.v
+    }
+
+    /// The max by the engine's concrete value; on an exact value tie the
+    /// steeper affine branch wins, so the view stays the max just above the
+    /// anchor. Where the loser's affine form crosses the winner's is a
+    /// ready-time crossover, folded into `aff`.
+    fn later(&mut self, a: Sym, b: Sym) -> Sym {
+        let (w, l) = match a.v.partial_cmp(&b.v) {
+            Some(Ordering::Greater) => (a, b),
+            Some(Ordering::Less) => (b, a),
+            _ if a.m >= b.m => (a, b),
+            _ => (b, a),
+        };
+        // The (loser - winner) difference is ≤ 0 at the anchor; it can only
+        // cross zero where dc + dm·x = 0.
+        let (dc, dm) = (l.c - w.c, l.m - w.m);
+        let xs = -dc / dm;
+        if dm != 0.0 && xs.is_finite() {
+            match xs.partial_cmp(&self.x0) {
+                Some(Ordering::Greater) => self.aff.1 = self.aff.1.min(xs),
+                Some(Ordering::Less) => self.aff.0 = self.aff.0.max(xs),
+                _ => self.aff = (self.x0, self.x0),
+            }
+        }
+        Sym {
+            v: a.v.max(b.v),
+            c: w.c,
+            m: w.m,
+        }
+    }
+
+    fn finish(&mut self, task: TaskId, start: Sym) -> Sym {
+        let task = &self.tasks[task];
+        start.add(match task.kind {
+            TaskKind::Compute { .. } => {
+                let d = self.engine.task_duration(task);
+                Sym { v: d, c: d, m: 0.0 }
+            }
+            TaskKind::Memory { bytes, .. } => Sym {
+                v: bytes as f64 / self.dbps,
+                c: 0.0,
+                m: bytes as f64 / 1e9,
+            },
+        })
+    }
+
+    fn issued(
+        &mut self,
+        task: TaskId,
+        channel: Option<usize>,
+        (start, end): (Sym, Sym),
+        heads: &[usize],
+    ) {
+        self.times[task] = TaskTimes {
+            start: start.affine(),
+            end: end.affine(),
+        };
+        self.ends_v[task] = end.v;
+        if channel.is_none() {
+            return;
+        }
+        // Record this grant's readiness evidence while the pre-grant heads
+        // are still in place: every head whose memory dependencies are
+        // retired, with the latest compute dependency gating it (none ⇒
+        // unconditionally ready ⇒ nothing value-dependent to record).
+        for (queue, &cursor) in self.plan.memory_queues().iter().zip(heads) {
+            let Some(&h2) = queue.get(cursor) else {
+                continue;
+            };
+            let mut eligible = true;
+            let mut latest: Option<u32> = None;
+            for &d in &self.tasks[h2 as usize].dependencies {
+                match self.tasks[d].kind {
+                    TaskKind::Compute { .. } => {
+                        let p = self.compute_pos[d];
+                        latest = Some(latest.map_or(p, |q| q.max(p)));
+                    }
+                    TaskKind::Memory { .. } => {
+                        if !self.mem_retired[d] {
+                            eligible = false;
+                            break;
+                        }
+                    }
+                }
+            }
+            if let (true, Some(pos)) = (eligible, latest) {
+                self.raw.push((h2, self.plan.compute_queue()[pos as usize]));
+            }
+        }
+        self.grants_raw.push((task as u32, self.raw.len() as u32));
+    }
+
+    fn retired(&mut self, task: TaskId, channel: Option<usize>, _span: (Sym, Sym)) {
+        self.script.push(ScriptEntry {
+            task: task as u32,
+            queue: channel.map_or(0, |c| 1 + c as u32),
+        });
+        if channel.is_some() {
+            self.mem_retired[task] = true;
+        }
     }
 }
 
@@ -1358,6 +1313,13 @@ mod tests {
             .analyze(&g, 1.0, 64.0)
             .unwrap_err();
         assert!(matches!(err, EngineError::Deadlock { .. }));
+    }
+
+    #[test]
+    fn a_degenerate_modops_rate_is_an_error_from_the_symbolic_run() {
+        let engine = RpuEngine::new(unit_config().with_modops(f64::NAN));
+        let err = engine.analyze(&race_graph(), 1.0, 64.0).unwrap_err();
+        assert!(matches!(err, EngineError::NonFiniteTime { .. }), "{err}");
     }
 
     #[test]

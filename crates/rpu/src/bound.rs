@@ -14,8 +14,8 @@
 //!   [`critical_path`](BoundAnalysis::critical_path).
 //! * **Queue-order bound** — the same forward pass over the *augmented*
 //!   graph (dependency edges plus the engine's in-order compute-queue and
-//!   per-channel memory-queue successor edges, placed by
-//!   [`RpuEngine::channel_of`]). This is the graph the deadlock verifier
+//!   per-channel memory-queue successor edges, as placed in the
+//!   [`ExecPlan`]). This is the graph the deadlock verifier
 //!   analyzes; here it tightens the bound and lets the
 //!   [`queue_critical_path`](BoundAnalysis::queue_critical_path) *blame*
 //!   each binding edge as a true dependency or a queue-order constraint.
@@ -64,6 +64,7 @@
 //! Model details and the soundness argument live in `docs/BOUNDS.md`.
 
 use crate::engine::RpuEngine;
+use crate::plan::ExecPlan;
 use crate::task::{Task, TaskGraph, TaskId};
 
 /// How many closed-form piece refinements the knee iteration may take. The
@@ -246,8 +247,8 @@ pub struct BoundAnalysis {
     /// Total data-path occupancy in seconds: every byte of DRAM traffic
     /// crosses the one shared data path at the aggregate rate.
     pub memory_occupancy_seconds: f64,
-    /// Per-channel in-order queue occupancy in seconds, placed by
-    /// [`RpuEngine::channel_of`]. Each entry is `<=` the aggregate
+    /// Per-channel in-order queue occupancy in seconds, as placed in the
+    /// [`ExecPlan`]. Each entry is `<=` the aggregate
     /// data-path occupancy (channels time-share one path).
     pub channel_occupancy_seconds: Vec<f64>,
     /// The sound makespan lower bound: the max of every component above.
@@ -327,18 +328,14 @@ type QueuePred = Option<(TaskId, Option<usize>)>;
 
 /// The in-order queue predecessor of each task (compute queue or the task's
 /// memory channel queue), or `None` for queue heads.
-fn queue_predecessors(
-    n: usize,
-    compute_queue: &[TaskId],
-    memory_queues: &[Vec<TaskId>],
-) -> Vec<QueuePred> {
-    let mut pred: Vec<QueuePred> = vec![None; n];
-    for w in compute_queue.windows(2) {
-        pred[w[1]] = Some((w[0], None));
+fn queue_predecessors(plan: &ExecPlan) -> Vec<QueuePred> {
+    let mut pred: Vec<QueuePred> = vec![None; plan.task_count()];
+    for w in plan.compute_queue().windows(2) {
+        pred[w[1] as usize] = Some((w[0] as TaskId, None));
     }
-    for (channel, queue) in memory_queues.iter().enumerate() {
+    for (channel, queue) in plan.memory_queues().iter().enumerate() {
         for w in queue.windows(2) {
-            pred[w[1]] = Some((w[0], Some(channel)));
+            pred[w[1] as usize] = Some((w[0] as TaskId, Some(channel)));
         }
     }
     pred
@@ -525,45 +522,34 @@ struct Components {
     channel_occupancy: Vec<f64>,
 }
 
-/// Computes the bound components at `engine`'s bandwidth. `channel_index`
-/// is each memory task's channel (precomputed from the engine layout —
-/// placement does not depend on bandwidth, so sweeps hash labels once).
+/// Computes the bound components at `engine`'s bandwidth under `plan`'s
+/// queues (placement does not depend on bandwidth).
 fn components(
     engine: &RpuEngine,
     graph: &TaskGraph,
+    plan: &ExecPlan,
     queue_pred: &[QueuePred],
-    channel_index: &[usize],
 ) -> Components {
     let dep = forward(engine, graph, None);
     let aug = forward(engine, graph, Some(queue_pred));
 
-    // Resource occupancies, folded with the engine's per-task durations.
-    // The compute fold mirrors the engine's in-order issue exactly; the
-    // memory folds are shaved to stay sound under any grant order.
-    let channels = engine.config().memory_channel_count();
-    let mut compute_occupancy = 0.0f64;
-    let mut memory_fold = 0.0f64;
-    let mut memory_tasks = 0usize;
-    let mut channel_fold = vec![0.0f64; channels];
-    let mut channel_tasks = vec![0usize; channels];
-    for task in graph.tasks() {
-        let d = engine.task_duration(task);
-        if task.is_compute() {
-            compute_occupancy += d;
-        } else {
-            memory_fold += d;
-            memory_tasks += 1;
-            let c = channel_index[task.id];
-            channel_fold[c] += d;
-            channel_tasks[c] += 1;
-        }
-    }
-    let memory_occupancy = occupancy_floor(memory_fold, memory_tasks);
-    let channel_occupancy = channel_fold
-        .iter()
-        .zip(&channel_tasks)
-        .map(|(&sum, &count)| occupancy_floor(sum, count))
+    // Resource occupancies, folded in program order with the engine's
+    // per-task durations. The compute fold mirrors the engine's in-order
+    // issue exactly; the memory folds are shaved to stay sound under any
+    // grant order.
+    let tasks = graph.tasks();
+    let fold = |queue: &[u32]| {
+        (queue.iter()).fold(0.0f64, |sum, &t| {
+            sum + engine.task_duration(&tasks[t as usize])
+        })
+    };
+    let memory_fold = (tasks.iter().filter(|t| t.is_memory()))
+        .fold(0.0f64, |sum, t| sum + engine.task_duration(t));
+    let channel_occupancy = (plan.memory_queues().iter())
+        .map(|queue| occupancy_floor(fold(queue), queue.len()))
         .collect();
+    let compute_occupancy = fold(plan.compute_queue());
+    let memory_occupancy = occupancy_floor(memory_fold, plan.memory_task_count());
     Components {
         dep,
         aug,
@@ -600,24 +586,19 @@ fn makespan_of(parts: &Components) -> (f64, BindingResource) {
     (makespan, binding)
 }
 
-/// Each memory task's channel, read back off the engine layout's queues so
-/// the label hashing behind [`RpuEngine::channel_of`] runs once per layout.
-fn channel_index_of(n: usize, memory_queues: &[Vec<TaskId>]) -> Vec<usize> {
-    let mut index = vec![0usize; n];
-    for (c, queue) in memory_queues.iter().enumerate() {
-        for &task in queue {
-            index[task] = c;
-        }
-    }
-    index
+/// Evaluates just the makespan bound at each bandwidth of
+/// `bandwidths_gbps`, under `engine`'s channel count and placement: builds
+/// the plan and runs [`bound_curve_plan`].
+pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64]) -> Vec<f64> {
+    bound_curve_plan(engine, graph, &engine.plan(graph), bandwidths_gbps)
 }
 
-/// Evaluates just the makespan bound at each bandwidth of
-/// `bandwidths_gbps`, under `engine`'s channel count and placement.
-/// Bit-identical to running [`analyze`] at every point and reading
+/// The makespan bound at each bandwidth of `bandwidths_gbps`, under the
+/// placement compiled into `plan` (which must be `graph`'s plan).
+/// Bit-identical to running [`analyze_plan`] at every point and reading
 /// [`BoundAnalysis::makespan_bound_seconds`], but built for dense ladders
-/// (`AnalyticSweep::bound_ms` sweeps 1000 points): the placement layout and
-/// all bandwidth-independent inputs (compute durations and their fold,
+/// (`AnalyticSweep::bound_ms` sweeps 1000 points): all
+/// bandwidth-independent inputs (compute durations and their fold,
 /// memory sizes, channel placement) are computed once, and each point is a
 /// single fused forward-pass-plus-occupancy-fold sweep with the engine's
 /// duration arithmetic inlined (`bytes / (bw * 1e9)` is exactly
@@ -628,13 +609,17 @@ fn channel_index_of(n: usize, memory_queues: &[Vec<TaskId>]) -> Vec<usize> {
 /// operations, so its finish times dominate pointwise — in machine
 /// arithmetic, not just over the reals — and the dependency bound can
 /// never be the strict maximum.
-pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64]) -> Vec<f64> {
+pub fn bound_curve_plan(
+    engine: &RpuEngine,
+    graph: &TaskGraph,
+    plan: &ExecPlan,
+    bandwidths_gbps: &[f64],
+) -> Vec<f64> {
     let tasks = graph.tasks();
     let n = tasks.len();
-    let layout = engine.layout(graph);
-    let queue_pred = queue_predecessors(n, &layout.compute_queue, &layout.memory_queues);
-    let channel_index = channel_index_of(n, &layout.memory_queues);
-    let channels = engine.config().memory_channel_count();
+    let queue_pred = queue_predecessors(plan);
+    let channel_index = plan.channel_index();
+    let channels = plan.channels();
     let compute_duration: Vec<f64> = tasks
         .iter()
         .map(|t| {
@@ -645,21 +630,9 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
             }
         })
         .collect();
-    let mut compute_occupancy = 0.0f64;
-    for task in tasks {
-        if task.is_compute() {
-            compute_occupancy += compute_duration[task.id];
-        }
-    }
-
-    let mut memory_tasks = 0usize;
-    let mut channel_count = vec![0usize; channels];
-    for task in tasks {
-        if task.is_memory() {
-            memory_tasks += 1;
-            channel_count[channel_index[task.id]] += 1;
-        }
-    }
+    let compute_occupancy =
+        (plan.compute_queue().iter()).fold(0.0f64, |sum, &t| sum + compute_duration[t as usize]);
+    let memory_tasks = plan.memory_task_count();
 
     // Lanes of eight, like the analytic evaluator: one pass over the graph
     // serves eight ladder points, amortizing the dependency walk.
@@ -684,7 +657,7 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
                 d.fill(compute_duration[task.id]);
             } else {
                 let bytes = task.bytes() as f64;
-                let fold = &mut channel_fold[channel_index[task.id]];
+                let fold = &mut channel_fold[channel_index[task.id] as usize];
                 for lane in 0..LANES {
                     d[lane] = bytes / bytes_per_second[lane];
                     memory_fold[lane] += d[lane];
@@ -723,8 +696,8 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
             if memory_occupancy > makespan {
                 makespan = memory_occupancy;
             }
-            for (fold, &count) in channel_fold.iter().zip(&channel_count) {
-                let occ = occupancy_floor(fold[lane], count);
+            for (fold, queue) in channel_fold.iter().zip(plan.memory_queues()) {
+                let occ = occupancy_floor(fold[lane], queue.len());
                 if occ > makespan {
                     makespan = occ;
                 }
@@ -738,7 +711,14 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
     out
 }
 
-/// Statically analyzes `graph` on `engine`'s configuration: schedule
+/// Statically analyzes `graph` on `engine`'s configuration and placement:
+/// builds the plan and runs [`analyze_plan`].
+pub fn analyze(engine: &RpuEngine, graph: &TaskGraph) -> BoundAnalysis {
+    analyze_plan(engine, graph, &engine.plan(graph))
+}
+
+/// Statically analyzes `graph` at `engine`'s bandwidth and MODOPS under the
+/// placement compiled into `plan` (which must be `graph`'s plan): schedule
 /// windows, critical paths, occupancies, the sound makespan bound and the
 /// roofline knee. Runs in O(V + E); never executes the graph.
 ///
@@ -746,15 +726,13 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
 /// (backward dependencies only). Graphs with forward or dangling edges
 /// should be screened with [`crate::verify::lint_structural`] first, as the
 /// engine itself requires.
-pub fn analyze(engine: &RpuEngine, graph: &TaskGraph) -> BoundAnalysis {
+pub fn analyze_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> BoundAnalysis {
     let tasks = graph.tasks();
     let n = tasks.len();
-    let layout = engine.layout(graph);
-    let queue_pred = queue_predecessors(n, &layout.compute_queue, &layout.memory_queues);
-    let channel_index = channel_index_of(n, &layout.memory_queues);
+    let queue_pred = queue_predecessors(plan);
 
     // Forward passes, occupancies, and the bound they deliver.
-    let parts = components(engine, graph, &queue_pred, &channel_index);
+    let parts = components(engine, graph, plan, &queue_pred);
     let (makespan, binding) = makespan_of(&parts);
     let Components {
         dep,
@@ -765,13 +743,13 @@ pub fn analyze(engine: &RpuEngine, graph: &TaskGraph) -> BoundAnalysis {
     } = parts;
 
     // Backward pass over true dependencies from the dependency bound, via
-    // the dependents CSR the engine layout already built.
+    // the plan's dependents CSR.
     let mut latest_start = vec![0.0f64; n];
     for task in tasks.iter().rev() {
         let mut lf = dep.bound;
-        for &child in &layout.dependents[layout.offsets[task.id]..layout.offsets[task.id + 1]] {
-            if latest_start[child] < lf {
-                lf = latest_start[child];
+        for &child in plan.dependents(task.id) {
+            if latest_start[child as usize] < lf {
+                lf = latest_start[child as usize];
             }
         }
         latest_start[task.id] = lf - engine.task_duration(task);
@@ -885,7 +863,7 @@ mod tests {
     fn bound_curve_matches_the_full_analysis_bit_for_bit() {
         // A chain (dependency-bound) and a wide fan-in (occupancy/queue
         // bound) — the curve must reproduce the full per-point analysis
-        // exactly, across channel counts, from one shared layout.
+        // exactly, across channel counts, from one shared plan.
         let mut fan = TaskGraph::new();
         let loads: Vec<TaskId> = (0..8)
             .map(|i| {

@@ -179,6 +179,26 @@ impl RpuConfig {
         self
     }
 
+    /// Checks the two swept rates every task duration divides by: the DRAM
+    /// bandwidth and the MODOPS multiplier must be finite and positive (a
+    /// zero rate means infinite durations, a negative or infinite one
+    /// silently drops that resource from the model).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field and value.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value, unit) in [
+            ("DRAM bandwidth", self.dram_bandwidth_gbps, " GB/s"),
+            ("MODOPS multiplier", self.modops_multiplier, ""),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(format!("{name} {value}{unit} is not finite and positive"));
+            }
+        }
+        Ok(())
+    }
+
     /// Peak modular operations per second (MODOPS): one modular multiply per
     /// HPLE per cycle, scaled by the MODOPS multiplier.
     pub fn modops_per_second(&self) -> f64 {

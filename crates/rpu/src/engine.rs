@@ -18,10 +18,11 @@
 //! Dependency resolution is *incremental*: the engine precomputes, per task,
 //! a remaining-dependency counter and keeps a running ready time (the max
 //! finish time over its already-completed dependencies). When a task
-//! completes, the engine walks its dependents (a CSR adjacency built once per
-//! execution), decrementing counters and raising ready times — O(1) amortized
-//! per graph edge. A queue head is *ready* exactly when its counter hits
-//! zero, so the issue check and the data-path grant scan are O(1) per queue:
+//! completes, the engine walks its dependents (a CSR adjacency compiled
+//! once per schedule and channel placement into an [`ExecPlan`] and reused
+//! by every run of it), decrementing counters and raising ready times —
+//! O(1) amortized per graph edge. A queue head is *ready* exactly when its
+//! counter hits zero, so the issue check and the data-path grant scan are O(1) per queue:
 //! granting is one pass over the channel heads picking the oldest
 //! (lowest-id) ready head, and the ready time established by that pass is
 //! the grant's start time lower bound — dependencies are never re-scanned.
@@ -34,7 +35,17 @@
 //! [`RpuEngine::execute_stats`] runs the identical simulation without
 //! allocating any per-task records — the mode sweeps and batch sessions use.
 //! Both paths share one simulation loop, so their [`ExecutionStats`] are
-//! bit-identical by construction (and property-tested anyway).
+//! bit-identical by construction (and property-tested anyway). Both build a
+//! fresh plan per call; [`RpuEngine::execute_plan`] and
+//! [`RpuEngine::execute_stats_plan`] run a prebuilt one. The same control
+//! flow, over symbolic times, drives the parametric timelines of
+//! [`crate::analytic`].
+//!
+//! *Progress guarantee.* Every loop iteration retires at least one task or
+//! returns an error: a task whose finish time is not finite (a NaN, zero or
+//! infinite rate in a hand-built configuration) is rejected with
+//! [`EngineError::NonFiniteTime`] when it issues, so the earliest in-flight
+//! finish always retires.
 //!
 //! The full timing semantics — issue and grant rules, dependency stalls, the
 //! deadlock condition, buffer-to-channel mapping, and worked timing
@@ -43,6 +54,7 @@
 
 use crate::channel::ChannelMap;
 use crate::config::RpuConfig;
+use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::{Label, Task, TaskGraph, TaskId, TaskKind};
 use crate::trace::{EngineQueue, ExecutionTrace, TaskRecord};
@@ -65,7 +77,7 @@ pub enum TraceMode {
 }
 
 /// Errors raised during execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// No queue head can make progress: the schedule has a cross-queue
     /// ordering cycle (a generator bug). See the deadlock section of
@@ -87,6 +99,23 @@ pub enum EngineError {
         /// task waits — through a dependency or its in-order queue — for the
         /// next, and the last waits for the first.
         wait_chain: Vec<(TaskId, Label)>,
+    },
+    /// A task's finish time is not finite: the configuration's bandwidth
+    /// or MODOPS rate is NaN, zero, or otherwise degenerate. Raised when the
+    /// task issues, so no run ever spins on an unreachable event.
+    NonFiniteTime {
+        /// The task whose finish time is not finite.
+        task: TaskId,
+        /// That finish time, in seconds.
+        seconds: f64,
+    },
+    /// The [`ExecPlan`] does not fit the run: it was compiled for another
+    /// task count or channel count than the graph and configuration given.
+    PlanMismatch {
+        /// `(tasks, channels)` the plan was compiled for.
+        plan: (usize, usize),
+        /// `(tasks, channels)` of the graph and configuration being run.
+        run: (usize, usize),
     },
 }
 
@@ -122,6 +151,17 @@ impl std::fmt::Display for EngineError {
                 }
                 write!(f, " (see docs/LINTS.md#d001)")
             }
+            EngineError::NonFiniteTime { task, seconds } => write!(
+                f,
+                "task {task} would finish at {seconds} s: the configured bandwidth and MODOPS \
+                 rate must be finite and positive"
+            ),
+            EngineError::PlanMismatch { plan, run } => write!(
+                f,
+                "execution plan compiled for {} tasks on {} channel(s) cannot run {} tasks on \
+                 {} channel(s)",
+                plan.0, plan.1, run.0, run.1
+            ),
         }
     }
 }
@@ -148,22 +188,6 @@ pub struct RunResult {
 #[must_use]
 pub fn grant_precedes(candidate: TaskId, incumbent: Option<TaskId>) -> bool {
     incumbent.is_none_or(|best| candidate < best)
-}
-
-/// The per-execution queue and dependency layout shared by the concrete
-/// engine loop and the symbolic executor in [`crate::analytic`]: the in-order
-/// compute queue, one in-order queue per memory channel, the
-/// remaining-dependency counters, and the dependents CSR adjacency. Both
-/// executors derive their control flow from this one structure, so a task
-/// lands in the same queue with the same dependency bookkeeping in either
-/// mode by construction.
-pub(crate) struct EngineLayout {
-    pub compute_queue: Vec<TaskId>,
-    pub memory_queues: Vec<Vec<TaskId>>,
-    pub memory_tasks: usize,
-    pub remaining: Vec<u32>,
-    pub offsets: Vec<usize>,
-    pub dependents: Vec<TaskId>,
 }
 
 /// The task-level RPU simulator.
@@ -216,17 +240,6 @@ impl RpuEngine {
         }
     }
 
-    /// The memory channel a task executes on: its explicit hint if set,
-    /// otherwise the channel map's label-driven placement — both reduced
-    /// modulo the configured channel count.
-    pub fn channel_of(&self, task: &Task) -> usize {
-        let n = self.config.memory_channel_count();
-        match task.channel {
-            Some(hint) => hint % n,
-            None => self.channel_map.channel_for(&task.label) % n,
-        }
-    }
-
     /// Executes a task graph and returns runtime statistics and a per-task
     /// trace ([`TraceMode::Full`]).
     ///
@@ -235,8 +248,23 @@ impl RpuEngine {
     /// Returns [`EngineError::Deadlock`] if the in-order queues block each
     /// other, which indicates an invalid schedule.
     pub fn execute(&self, graph: &TaskGraph) -> Result<RunResult, EngineError> {
+        self.execute_plan(graph, &self.plan(graph))
+    }
+
+    /// [`RpuEngine::execute`] on a prebuilt plan of `graph` (see
+    /// [`RpuEngine::plan`]); the engine's own channel map is not consulted.
+    ///
+    /// # Errors
+    ///
+    /// As [`RpuEngine::execute`], plus [`EngineError::PlanMismatch`] when
+    /// the plan was compiled for another task or channel count.
+    pub fn execute_plan(
+        &self,
+        graph: &TaskGraph,
+        plan: &ExecPlan,
+    ) -> Result<RunResult, EngineError> {
         let mut trace = ExecutionTrace::new();
-        let stats = self.run(graph, Some(&mut trace))?;
+        let stats = self.run(graph, plan, Some(&mut trace))?;
         Ok(RunResult { stats, trace })
     }
 
@@ -250,54 +278,30 @@ impl RpuEngine {
     /// Returns [`EngineError::Deadlock`] exactly as [`RpuEngine::execute`]
     /// would.
     pub fn execute_stats(&self, graph: &TaskGraph) -> Result<ExecutionStats, EngineError> {
-        self.run(graph, None)
+        self.execute_stats_plan(graph, &self.plan(graph))
     }
 
-    /// Builds the [`EngineLayout`] for one execution: queue contents in
-    /// program order, remaining-dependency counters and the dependents CSR
-    /// (one offsets array plus one flat edge array, built in O(V + E)).
-    pub(crate) fn layout(&self, graph: &TaskGraph) -> EngineLayout {
-        let tasks = graph.tasks();
-        let n = tasks.len();
-        let channels = self.config.memory_channel_count();
-        let compute_queue: Vec<TaskId> = tasks
-            .iter()
-            .filter(|t| t.is_compute())
-            .map(|t| t.id)
-            .collect();
-        // One in-order queue per memory channel, in program order.
-        let mut memory_queues: Vec<Vec<TaskId>> = vec![Vec::new(); channels];
-        let mut memory_tasks = 0usize;
-        for task in tasks.iter().filter(|t| t.is_memory()) {
-            memory_queues[self.channel_of(task)].push(task.id);
-            memory_tasks += 1;
-        }
-        let remaining: Vec<u32> = tasks.iter().map(|t| t.dependencies.len() as u32).collect();
-        let mut offsets: Vec<usize> = vec![0; n + 1];
-        for task in tasks {
-            for &d in &task.dependencies {
-                offsets[d + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut dependents: Vec<TaskId> = vec![0; offsets[n]];
-        let mut cursor = offsets.clone();
-        for task in tasks {
-            for &d in &task.dependencies {
-                dependents[cursor[d]] = task.id;
-                cursor[d] += 1;
-            }
-        }
-        EngineLayout {
-            compute_queue,
-            memory_queues,
-            memory_tasks,
-            remaining,
-            offsets,
-            dependents,
-        }
+    /// [`RpuEngine::execute_stats`] on a prebuilt plan of `graph`.
+    ///
+    /// # Errors
+    ///
+    /// As [`RpuEngine::execute_plan`].
+    pub fn execute_stats_plan(
+        &self,
+        graph: &TaskGraph,
+        plan: &ExecPlan,
+    ) -> Result<ExecutionStats, EngineError> {
+        self.run(graph, plan, None)
+    }
+
+    /// Rejects a plan compiled for another task or channel count than this
+    /// run of `graph`.
+    pub(crate) fn check_plan(&self, graph: &TaskGraph, plan: &ExecPlan) -> Result<(), EngineError> {
+        let run = (graph.len(), self.config.memory_channel_count());
+        let plan = (plan.task_count(), plan.channels());
+        (plan == run)
+            .then_some(())
+            .ok_or(EngineError::PlanMismatch { plan, run })
     }
 
     /// The shared simulation core. `trace` selects the mode: `Some` records a
@@ -308,170 +312,223 @@ impl RpuEngine {
     fn run(
         &self,
         graph: &TaskGraph,
-        mut trace: Option<&mut ExecutionTrace>,
+        plan: &ExecPlan,
+        trace: Option<&mut ExecutionTrace>,
     ) -> Result<ExecutionStats, EngineError> {
-        let tasks = graph.tasks();
-        let channels = self.config.memory_channel_count();
-        // Incremental ready-tracking state: per task, the number of
-        // dependencies not yet retired and the max finish time over the
-        // retired ones. Retirement walks the dependents adjacency, so
-        // dependency resolution costs O(1) amortized per edge instead of a
-        // per-event rescan of every queue head's dependency list.
-        let EngineLayout {
-            compute_queue,
-            memory_queues,
-            memory_tasks,
-            mut remaining,
-            offsets,
-            dependents,
-        } = self.layout(graph);
-        let mut ready_at: Vec<f64> = vec![0.0; tasks.len()];
-
-        let mut stats = ExecutionStats {
-            compute_tasks: compute_queue.len(),
-            memory_tasks,
-            total_ops: graph.total_ops(),
-            memory_channel_busy_seconds: vec![0.0; channels],
-            ..ExecutionStats::default()
+        self.check_plan(graph, plan)?;
+        let mut run = Concrete {
+            engine: self,
+            tasks: graph.tasks(),
+            trace,
+            stats: plan.unstarted_stats(),
         };
-        let (loaded, stored) = graph.total_bytes();
-        stats.bytes_loaded = loaded;
-        stats.bytes_stored = stored;
+        run.stats.runtime_seconds = drive(&mut run, graph.tasks(), plan)?;
+        Ok(run.stats)
+    }
+}
 
-        let mut ci = 0usize; // compute queue index
-        let mut mi = vec![0usize; channels]; // per-channel memory queue index
-        let mut compute_free_at = 0.0f64;
-        let mut bus_free_at = 0.0f64; // when the shared data path frees
-        let mut makespan = 0.0f64;
+/// An executor's time arithmetic and per-task bookkeeping: everything that
+/// differs between the event engine (concrete seconds) and the symbolic
+/// executor in [`crate::analytic`] (affine times). The control flow —
+/// which head issues, which channel wins the data path, when a task
+/// retires — is [`drive`]'s alone, so the two cannot disagree on it.
+pub(crate) trait Executor {
+    /// A point in time.
+    type Time: Copy;
+    /// Time zero.
+    const ZERO: Self::Time;
+    /// The concrete value of a time in seconds: what the event order and
+    /// the progress guarantee compare.
+    fn seconds(time: Self::Time) -> f64;
+    /// The later of two times.
+    fn later(&mut self, a: Self::Time, b: Self::Time) -> Self::Time;
+    /// When `task`, started at `start`, finishes.
+    fn finish(&mut self, task: TaskId, start: Self::Time) -> Self::Time;
+    /// `task` issues on the compute queue (`channel` `None`) or is granted
+    /// the data path from `channel`'s queue; `heads` are the memory queue
+    /// cursors before the issuing queue advances.
+    fn issued(
+        &mut self,
+        _task: TaskId,
+        _channel: Option<usize>,
+        _span: (Self::Time, Self::Time),
+        _heads: &[usize],
+    ) {
+    }
+    /// `task` retires at the end of `span`.
+    fn retired(&mut self, task: TaskId, channel: Option<usize>, span: (Self::Time, Self::Time));
+}
 
-        // Event-driven simulation: the in-flight compute task and the
-        // in-flight memory grant are the only events; at each event time the
-        // compute head issues if ready, and the freed data path is granted
-        // to the oldest (lowest task id, i.e. earliest program order)
-        // dependency-ready channel head. A channel whose head is still
-        // waiting on a dependency does not block the grant — that
-        // head-of-line bypass is the entire benefit of multiple channels.
-        let mut mem_run: Option<(TaskId, usize, f64, f64)> = None; // (task, channel, start, end)
-        let mut comp_run: Option<(TaskId, f64, f64)> = None; // (task, start, end)
+/// The event engine's executor: seconds as `f64`, busy-time statistics and
+/// the optional trace.
+struct Concrete<'a> {
+    engine: &'a RpuEngine,
+    tasks: &'a [Task],
+    trace: Option<&'a mut ExecutionTrace>,
+    stats: ExecutionStats,
+}
 
-        loop {
-            // Issue the compute head as soon as all its dependencies have
-            // retired; `ready_at` already holds their max finish time.
-            if comp_run.is_none() {
-                if let Some(&head) = compute_queue.get(ci) {
-                    if remaining[head] == 0 {
-                        let start = ready_at[head].max(compute_free_at);
-                        comp_run = Some((head, start, start + self.task_duration(&tasks[head])));
-                        ci += 1;
-                    }
-                }
+impl Executor for Concrete<'_> {
+    type Time = f64;
+    const ZERO: f64 = 0.0;
+
+    fn seconds(time: f64) -> f64 {
+        time
+    }
+
+    fn later(&mut self, a: f64, b: f64) -> f64 {
+        a.max(b)
+    }
+
+    fn finish(&mut self, task: TaskId, start: f64) -> f64 {
+        start + self.engine.task_duration(&self.tasks[task])
+    }
+
+    fn retired(&mut self, task: TaskId, channel: Option<usize>, (start, end): (f64, f64)) {
+        let queue = match channel {
+            Some(channel) => {
+                self.stats.memory_busy_seconds += end - start;
+                self.stats.memory_channel_busy_seconds[channel] += end - start;
+                EngineQueue::Memory(channel)
             }
-
-            // Grant the data path to the oldest ready channel head. The scan
-            // is O(channels): readiness is a counter test, and the ready
-            // time comes straight from `ready_at` — dependencies are not
-            // re-examined for the granted task.
-            if mem_run.is_none() {
-                let mut grant: Option<(TaskId, usize)> = None;
-                for (channel, queue) in memory_queues.iter().enumerate() {
-                    if let Some(&head) = queue.get(mi[channel]) {
-                        if remaining[head] == 0 && grant_precedes(head, grant.map(|(best, _)| best))
-                        {
-                            grant = Some((head, channel));
-                        }
-                    }
-                }
-                if let Some((head, channel)) = grant {
-                    let start = ready_at[head].max(bus_free_at);
-                    mem_run = Some((
-                        head,
-                        channel,
-                        start,
-                        start + self.task_duration(&tasks[head]),
-                    ));
-                    mi[channel] += 1;
-                }
+            None => {
+                self.stats.compute_busy_seconds += end - start;
+                EngineQueue::Compute
             }
+        };
+        if let Some(trace) = self.trace.as_deref_mut() {
+            trace.push(TaskRecord {
+                task,
+                queue,
+                start_seconds: start,
+                end_seconds: end,
+                label: Arc::clone(&self.tasks[task].label),
+                stage: Arc::clone(&self.tasks[task].stage),
+            });
+        }
+    }
+}
 
-            // Advance to the next completion event.
-            let t_next = match (&comp_run, &mem_run) {
-                (Some((_, _, ce)), Some((_, _, _, me))) => ce.min(*me),
-                (Some((_, _, ce)), None) => *ce,
-                (None, Some((_, _, _, me))) => *me,
-                (None, None) => {
-                    let exhausted = ci >= compute_queue.len()
-                        && mi
-                            .iter()
-                            .zip(&memory_queues)
-                            .all(|(&i, queue)| i >= queue.len());
-                    if exhausted {
-                        break;
-                    }
-                    return Err(deadlock_error(
-                        tasks,
-                        &compute_queue,
-                        ci,
-                        &memory_queues,
-                        &mi,
-                        &remaining,
-                    ));
-                }
-            };
+/// Runs `plan`'s queues to completion under `exec`'s arithmetic and returns
+/// the makespan.
+///
+/// Event-driven: the in-flight compute task and the in-flight memory grant
+/// are the only events. At each event time the compute head issues if
+/// ready, and the freed data path is granted to the oldest (lowest task id,
+/// i.e. earliest program order) dependency-ready channel head. A channel
+/// whose head still waits on a dependency does not block the grant — that
+/// head-of-line bypass is the entire benefit of multiple channels.
+///
+/// Readiness is incremental: per task, the number of dependencies not yet
+/// retired and the latest finish among the retired ones. Retirement walks
+/// the plan's dependents, so dependency resolution costs O(1) amortized per
+/// edge and the issue check and grant scan are O(1) per queue.
+pub(crate) fn drive<E: Executor>(
+    exec: &mut E,
+    tasks: &[Task],
+    plan: &ExecPlan,
+) -> Result<E::Time, EngineError> {
+    let compute_queue = plan.compute_queue();
+    let memory_queues = plan.memory_queues();
+    let mut remaining = plan.dependency_counts().to_vec();
+    let mut ready_at = vec![E::ZERO; tasks.len()];
+    let mut ci = 0usize; // compute queue cursor
+    let mut mi = vec![0usize; memory_queues.len()]; // per-channel cursors
+    let (mut compute_free, mut bus_free, mut makespan) = (E::ZERO, E::ZERO, E::ZERO);
+    let mut mem_run: InFlight<E::Time> = None;
+    let mut comp_run: InFlight<E::Time> = None;
 
-            // Retire a completed task: update the dependents' counters and
-            // ready times (the incremental replacement for finish-time
-            // rescans).
-            let retire = |head: TaskId, end: f64, remaining: &mut [u32], ready_at: &mut [f64]| {
-                for &c in &dependents[offsets[head]..offsets[head + 1]] {
-                    remaining[c] -= 1;
-                    ready_at[c] = ready_at[c].max(end);
-                }
-            };
-
-            if let Some((head, channel, start, end)) = mem_run {
-                if end <= t_next {
-                    retire(head, end, &mut remaining, &mut ready_at);
-                    makespan = makespan.max(end);
-                    bus_free_at = end;
-                    stats.memory_busy_seconds += end - start;
-                    stats.memory_channel_busy_seconds[channel] += end - start;
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(TaskRecord {
-                            task: head,
-                            queue: EngineQueue::Memory(channel),
-                            start_seconds: start,
-                            end_seconds: end,
-                            label: Arc::clone(&tasks[head].label),
-                            stage: Arc::clone(&tasks[head].stage),
-                        });
-                    }
-                    mem_run = None;
-                }
-            }
-            if let Some((head, start, end)) = comp_run {
-                if end <= t_next {
-                    retire(head, end, &mut remaining, &mut ready_at);
-                    makespan = makespan.max(end);
-                    compute_free_at = end;
-                    stats.compute_busy_seconds += end - start;
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(TaskRecord {
-                            task: head,
-                            queue: EngineQueue::Compute,
-                            start_seconds: start,
-                            end_seconds: end,
-                            label: Arc::clone(&tasks[head].label),
-                            stage: Arc::clone(&tasks[head].stage),
-                        });
-                    }
-                    comp_run = None;
+    loop {
+        if comp_run.is_none() {
+            if let Some(&head) = compute_queue.get(ci) {
+                let head = head as usize;
+                if remaining[head] == 0 {
+                    comp_run = issue(exec, head, None, (ready_at[head], compute_free), &mi)?;
+                    ci += 1;
                 }
             }
         }
 
-        stats.runtime_seconds = makespan;
-        Ok(stats)
+        if mem_run.is_none() {
+            let mut grant: Option<(TaskId, usize)> = None;
+            for (channel, queue) in memory_queues.iter().enumerate() {
+                if let Some(&head) = queue.get(mi[channel]) {
+                    let head = head as usize;
+                    if remaining[head] == 0 && grant_precedes(head, grant.map(|(best, _)| best)) {
+                        grant = Some((head, channel));
+                    }
+                }
+            }
+            if let Some((head, channel)) = grant {
+                mem_run = issue(exec, head, Some(channel), (ready_at[head], bus_free), &mi)?;
+                mi[channel] += 1;
+            }
+        }
+
+        // Advance to the next completion event.
+        let t_next = match (comp_run, mem_run) {
+            (Some((_, _, c)), Some((_, _, m))) => E::seconds(c.1).min(E::seconds(m.1)),
+            (Some((_, _, run)), None) | (None, Some((_, _, run))) => E::seconds(run.1),
+            (None, None) => {
+                let exhausted = ci >= compute_queue.len()
+                    && mi.iter().zip(memory_queues).all(|(&i, q)| i >= q.len());
+                if exhausted {
+                    return Ok(makespan);
+                }
+                return Err(deadlock_error(tasks, plan, ci, &mi, &remaining));
+            }
+        };
+
+        // Retire what completes at `t_next`, memory first: update the
+        // dependents' counters and ready times.
+        for run in [&mut mem_run, &mut comp_run] {
+            let Some((head, channel, span)) = *run else {
+                continue;
+            };
+            if E::seconds(span.1) <= t_next {
+                for &c in plan.dependents(head) {
+                    let c = c as usize;
+                    remaining[c] -= 1;
+                    ready_at[c] = exec.later(ready_at[c], span.1);
+                }
+                makespan = exec.later(makespan, span.1);
+                *(if channel.is_some() {
+                    &mut bus_free
+                } else {
+                    &mut compute_free
+                }) = span.1;
+                exec.retired(head, channel, span);
+                *run = None;
+            }
+        }
     }
+}
+
+/// A task in flight: its id, its memory channel (`None` on the compute
+/// queue) and its `(start, end)` span.
+type InFlight<T> = Option<(TaskId, Option<usize>, (T, T))>;
+
+/// Issues `head` at the later of its ready time and its resource's free
+/// time. The progress guarantee: only a finite finish time is an event, so
+/// the earliest in-flight finish always retires at the next event.
+fn issue<E: Executor>(
+    exec: &mut E,
+    head: TaskId,
+    channel: Option<usize>,
+    (ready, free): (E::Time, E::Time),
+    heads: &[usize],
+) -> Result<InFlight<E::Time>, EngineError> {
+    let start = exec.later(ready, free);
+    let end = exec.finish(head, start);
+    let seconds = E::seconds(end);
+    if !seconds.is_finite() {
+        return Err(EngineError::NonFiniteTime {
+            task: head,
+            seconds,
+        });
+    }
+    exec.issued(head, channel, (start, end), heads);
+    Ok(Some((head, channel, (start, end))))
 }
 
 /// Builds the enriched [`EngineError::Deadlock`] at the point where no queue
@@ -486,18 +543,23 @@ impl RpuEngine {
 /// statically.
 pub(crate) fn deadlock_error(
     tasks: &[Task],
-    compute_queue: &[TaskId],
+    plan: &ExecPlan,
     ci: usize,
-    memory_queues: &[Vec<TaskId>],
     mi: &[usize],
     remaining: &[u32],
 ) -> EngineError {
     let n = tasks.len();
-    let compute_head = compute_queue.get(ci).copied();
-    let memory_heads: Vec<(usize, TaskId)> = memory_queues
+    let compute_queue = plan.compute_queue();
+    let compute_head = compute_queue.get(ci).map(|&t| t as TaskId);
+    let memory_heads: Vec<(usize, TaskId)> = plan
+        .memory_queues()
         .iter()
         .enumerate()
-        .filter_map(|(channel, queue)| queue.get(mi[channel]).map(|&head| (channel, head)))
+        .filter_map(|(channel, queue)| {
+            queue
+                .get(mi[channel])
+                .map(|&head| (channel, head as TaskId))
+        })
         .collect();
     let heads: Vec<TaskId> = compute_head
         .into_iter()
@@ -512,15 +574,15 @@ pub(crate) fn deadlock_error(
     // queue prefixes have retired.
     let mut done = vec![false; n];
     let mut queue_head: Vec<Option<TaskId>> = vec![None; n];
-    for (queue, &cursor) in
-        std::iter::once((compute_queue, &ci)).chain(memory_queues.iter().map(Vec::as_slice).zip(mi))
+    for (queue, &cursor) in std::iter::once((compute_queue, &ci))
+        .chain(plan.memory_queues().iter().map(Vec::as_slice).zip(mi))
     {
         for &t in &queue[..cursor] {
-            done[t] = true;
+            done[t as usize] = true;
         }
         if let Some(&head) = queue.get(cursor) {
             for &t in &queue[cursor..] {
-                queue_head[t] = Some(head);
+                queue_head[t as usize] = Some(head as TaskId);
             }
         }
     }
@@ -529,7 +591,8 @@ pub(crate) fn deadlock_error(
     // repeats; keep the shortest cycle found. Every unfinished task waits
     // for *some* unfinished task (an unmet dependency, else its queue head,
     // which is distinct because a ready head would have issued), so the walk
-    // always closes a cycle within n steps.
+    // closes a cycle within n steps — unless it reaches a dependency outside
+    // the graph, which no task can ever satisfy (no cycle to report).
     let mut wait_chain: Vec<TaskId> = Vec::new();
     let mut position: Vec<Option<usize>> = vec![None; n];
     for &start in &heads {
@@ -541,21 +604,21 @@ pub(crate) fn deadlock_error(
             }
             position[cursor] = Some(path.len());
             path.push(cursor);
-            cursor = match (remaining[cursor] > 0)
+            let unmet = (remaining[cursor] > 0)
                 .then(|| {
                     tasks[cursor]
                         .dependencies
                         .iter()
                         .copied()
-                        .find(|&d| !done[d])
+                        .find(|&d| d >= n || !done[d])
                 })
-                .flatten()
-            {
-                Some(dep) => dep,
-                None => queue_head[cursor].expect("a blocked task is in a queue"),
+                .flatten();
+            cursor = match unmet.or(queue_head[cursor]) {
+                Some(next) if next < n => next,
+                _ => break &[],
             };
         };
-        if wait_chain.is_empty() || cycle.len() < wait_chain.len() {
+        if !cycle.is_empty() && (wait_chain.is_empty() || cycle.len() < wait_chain.len()) {
             wait_chain = cycle.to_vec();
         }
         for &t in &path {
@@ -814,7 +877,10 @@ mod tests {
             memory_heads,
             head_labels,
             wait_chain,
-        } = &err;
+        } = &err
+        else {
+            panic!("expected a deadlock, got {err:?}");
+        };
         assert_eq!(*compute_head, Some(0));
         assert_eq!(memory_heads, &vec![(0, 1)]);
         assert_eq!(head_labels.len(), 2);
@@ -838,6 +904,42 @@ mod tests {
         assert!(diagnostics
             .iter()
             .any(|d| d.code == crate::verify::codes::DEADLOCK_CYCLE));
+    }
+
+    #[test]
+    fn degenerate_rates_are_errors_not_hangs() {
+        // A NaN finish time never compares `<=` the next event time, so a
+        // loop without the progress guarantee spins on it forever; a zero
+        // rate makes it infinite. Both must surface as errors.
+        let mut g = TaskGraph::new();
+        let load = g.push_memory(MemoryDirection::Load, 1000, vec![], "load", "P1");
+        g.push_compute(ComputeKind::Ntt, 1000, vec![load], "ntt", "P1");
+        for config in [
+            unit_config().with_bandwidth(f64::NAN),
+            unit_config().with_modops(f64::NAN),
+            unit_config().with_bandwidth(0.0),
+            unit_config().with_modops(0.0),
+        ] {
+            let engine = RpuEngine::new(config);
+            let err = engine.execute_stats(&g).unwrap_err();
+            assert!(matches!(err, EngineError::NonFiniteTime { .. }), "{err}");
+            assert!(err.to_string().contains("finite and positive"), "{err}");
+            assert_eq!(engine.execute(&g).unwrap_err().to_string(), err.to_string());
+        }
+    }
+
+    #[test]
+    fn a_dangling_dependency_deadlocks_instead_of_panicking() {
+        let mut g = TaskGraph::new();
+        g.push_compute(ComputeKind::Ntt, 10, vec![], "c", "P1");
+        let mut tasks = g.tasks().to_vec();
+        tasks[0].dependencies = vec![7];
+        let g = TaskGraph::from_tasks_unchecked(tasks);
+        let err = RpuEngine::new(unit_config()).execute(&g).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Deadlock { compute_head: Some(0), wait_chain, .. } if wait_chain.is_empty()),
+            "{err:?}"
+        );
     }
 
     #[test]

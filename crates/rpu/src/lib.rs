@@ -23,6 +23,8 @@
 //!   per-point evaluation is bit-identical to the engine (`docs/ANALYTIC.md`).
 //! * [`channel::ChannelMap`] — deterministic buffer-to-channel placement for
 //!   the multi-channel memory model (label hash plus overridable pin rules).
+//! * [`plan::ExecPlan`] — a graph compiled once per channel placement: the
+//!   queues and dependency structure every executor and analyzer shares.
 //! * [`verify`] — static verification of task graphs against the queue
 //!   semantics: structural checks plus a deadlock-freedom proof over the
 //!   augmented (dependency + in-order queue) graph, the graph-level half of
@@ -57,6 +59,7 @@ pub mod channel;
 pub mod config;
 pub mod engine;
 pub mod isa;
+pub mod plan;
 pub mod stats;
 pub mod task;
 pub mod trace;
@@ -68,6 +71,7 @@ pub use channel::ChannelMap;
 pub use config::{EvkPolicy, RpuConfig, MIB};
 pub use engine::{grant_precedes, EngineError, RpuEngine, RunResult, TraceMode};
 pub use isa::{B1kInstruction, InstructionClass, KernelCosts};
+pub use plan::ExecPlan;
 pub use stats::ExecutionStats;
 pub use task::{
     AppendAction, AppendedGraph, ComputeKind, Label, MemoryDirection, Task, TaskGraph,

@@ -18,9 +18,8 @@
 //!   per-channel in-order grant semantics (`docs/MEMORY_MODEL.md`): the
 //!   engine deadlocks **iff** the *augmented graph* — dependency edges plus
 //!   the program-order successor edge within each in-order queue — contains
-//!   a cycle. The pass builds exactly the queues the engine would build
-//!   (same channel placement, via [`RpuEngine::channel_of`]) and runs a
-//!   topological sort over the augmented edges, so a clean result is a
+//!   a cycle. The pass reads exactly the queues the engine runs (the same
+//!   [`ExecPlan`]) and runs a topological sort over the augmented edges, so a clean result is a
 //!   *proof* of deadlock-freedom for that channel count and placement,
 //!   subsuming the runtime check.
 //!
@@ -41,6 +40,7 @@
 //! `docs/LINTS.md`.
 
 use crate::engine::RpuEngine;
+use crate::plan::ExecPlan;
 use crate::task::{Label, TaskGraph, TaskId};
 use serde::Serialize;
 
@@ -236,13 +236,13 @@ pub fn lint_structural(graph: &TaskGraph) -> Vec<Diagnostic> {
     diagnostics
 }
 
-/// Deadlock pass: proves, for the engine's channel count and buffer
+/// Deadlock pass: proves, for the plan's channel count and buffer
 /// placement, that the in-order queues cannot cross-block.
 ///
 /// The proof object is the *augmented graph*: every dependency edge plus an
 /// edge from each queue element to its successor in the same in-order queue
-/// (one compute queue, one queue per memory channel, membership computed by
-/// the same [`RpuEngine::channel_of`] the engine uses). A topological sort
+/// (one compute queue, one queue per memory channel, read off the same
+/// [`ExecPlan`] the engine runs; `plan` must be `graph`'s plan). A topological sort
 /// drains completely iff the engine — whose reachable states are exactly the
 /// downward-closed sets of this graph — can retire every task. On a cycle,
 /// the pass reports one [`codes::DEADLOCK_CYCLE`] Error carrying the
@@ -252,7 +252,7 @@ pub fn lint_structural(graph: &TaskGraph) -> Vec<Diagnostic> {
 /// Graphs with structural Errors ([`lint_structural`]) are not analyzable;
 /// the pass returns an empty result for them (the structural diagnostics
 /// already make the graph red).
-pub fn lint_deadlock(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
+pub fn lint_deadlock(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
     let tasks = graph.tasks();
     let n = tasks.len();
     let analyzable = tasks.iter().enumerate().all(|(index, task)| {
@@ -262,17 +262,7 @@ pub fn lint_deadlock(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
         return Vec::new();
     }
 
-    // Queue membership, exactly as the engine builds it.
-    let channels = engine.config().memory_channel_count();
-    let mut queues: Vec<Vec<TaskId>> = vec![Vec::new(); channels + 1];
-    for task in tasks {
-        if task.is_compute() {
-            queues[0].push(task.id);
-        } else {
-            queues[1 + engine.channel_of(task)].push(task.id);
-        }
-    }
-
+    let channels = plan.channels();
     // Augmented edges: dependency edges plus per-queue successor edges. The
     // queue *predecessor* of each task is also kept for cycle extraction.
     let mut successors: Vec<Vec<TaskId>> = vec![Vec::new(); n];
@@ -284,11 +274,13 @@ pub fn lint_deadlock(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
             indegree[task.id] += 1;
         }
     }
-    for queue in &queues {
+    let memory_queues = plan.memory_queues().iter().map(Vec::as_slice);
+    for queue in std::iter::once(plan.compute_queue()).chain(memory_queues) {
         for pair in queue.windows(2) {
-            successors[pair[0]].push(pair[1]);
-            indegree[pair[1]] += 1;
-            queue_prev[pair[1]] = Some(pair[0]);
+            let (prev, next) = (pair[0] as TaskId, pair[1] as TaskId);
+            successors[prev].push(next);
+            indegree[next] += 1;
+            queue_prev[next] = Some(prev);
         }
     }
 
@@ -351,10 +343,10 @@ pub fn lint_deadlock(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
 }
 
 /// Runs both graph-level passes: [`lint_structural`], then — when the graph
-/// is structurally analyzable — [`lint_deadlock`].
+/// is structurally analyzable — [`lint_deadlock`] on `engine`'s plan.
 pub fn lint_graph(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
     let mut diagnostics = lint_structural(graph);
-    diagnostics.extend(lint_deadlock(graph, engine));
+    diagnostics.extend(lint_deadlock(graph, &engine.plan(graph)));
     diagnostics
 }
 
@@ -437,7 +429,7 @@ mod tests {
         let severities: Vec<Severity> = diagnostics.iter().map(|d| d.severity).collect();
         assert_eq!(severities, vec![Error, Error, Warning, Error, Warning]);
         // Unanalyzable graph: the deadlock pass declines rather than panic.
-        assert!(lint_deadlock(&graph, &unit_engine(2)).is_empty());
+        assert!(lint_deadlock(&graph, &unit_engine(2).plan(&graph)).is_empty());
     }
 
     #[test]
@@ -468,7 +460,7 @@ mod tests {
         t1.channel = Some(0);
         let graph = TaskGraph::from_tasks_unchecked(vec![t0, t1]);
         let engine = unit_engine(2);
-        let diagnostics = lint_deadlock(&graph, &engine);
+        let diagnostics = lint_deadlock(&graph, &engine.plan(&graph));
         assert_eq!(diagnostics.len(), 1);
         assert_eq!(diagnostics[0].code, codes::DEADLOCK_CYCLE);
         assert_eq!(diagnostics[0].severity, Severity::Error);
@@ -493,11 +485,13 @@ mod tests {
             m2.channel = c2;
             TaskGraph::from_tasks_unchecked(vec![compute_task(0, vec![2], "c"), m1, m2])
         };
-        let single = lint_deadlock(&cross(None, None), &unit_engine(1));
+        let single_graph = cross(None, None);
+        let single = lint_deadlock(&single_graph, &unit_engine(1).plan(&single_graph));
         assert_eq!(single.len(), 1);
         assert_eq!(single[0].code, codes::DEADLOCK_CYCLE);
         assert!(single[0].message.contains("wait-for cycle"));
-        let dual = lint_deadlock(&cross(Some(0), Some(1)), &unit_engine(2));
+        let dual_graph = cross(Some(0), Some(1));
+        let dual = lint_deadlock(&dual_graph, &unit_engine(2).plan(&dual_graph));
         assert!(dual.is_empty());
         // The engine agrees on both verdicts.
         assert!(unit_engine(1).execute(&cross(None, None)).is_err());

@@ -52,6 +52,7 @@ fn assert_agreement(graph: &TaskGraph, context: &str) {
                 predicted,
                 "{context} x{channels}: engine deadlocked, lint saw nothing (false negative)"
             ),
+            Err(other) => panic!("{context} x{channels}: unexpected engine error: {other}"),
         }
     }
 }

@@ -357,3 +357,38 @@ fn sweeps_accept_custom_strategies() {
         Err(CiflowError::UnknownStrategy { .. })
     ));
 }
+
+#[test]
+fn degenerate_rates_are_rejected_at_every_session_entry_point() {
+    // NaN used to hang run_job, zero returned an infinite runtime, and -5 or
+    // +inf a silently compute-only one. Each is now an InvalidConfig error
+    // naming the value, on every single-job entry point.
+    let session = Session::new();
+    let base = RpuConfig::ciflow_baseline();
+    for value in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
+        for rpu in [
+            base.clone().with_bandwidth(value),
+            base.clone().with_modops(value),
+        ] {
+            let job = Job::new(HksBenchmark::ARK, Dataflow::OutputCentric).with_rpu(rpu);
+            let outcomes = [
+                ("run_job", session.run_job(&job).map(|_| ())),
+                ("verify_job", session.verify_job(&job).map(|_| ())),
+                ("bounds_job", session.bounds_job(&job).map(|_| ())),
+                (
+                    "run_analytic",
+                    session.run_analytic(&job, 8.0, 64.0).map(|_| ()),
+                ),
+            ];
+            for (entry, outcome) in outcomes {
+                match outcome {
+                    Err(CiflowError::InvalidConfig { message }) => assert!(
+                        message.contains(&value.to_string()),
+                        "{entry}: {message:?} does not name {value}"
+                    ),
+                    other => panic!("{entry} accepted {value}: {other:?}"),
+                }
+            }
+        }
+    }
+}
