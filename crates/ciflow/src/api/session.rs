@@ -335,6 +335,11 @@ impl AnalyticOutput {
 
     /// Execution statistics at `bandwidth_gbps` — bit-identical to running
     /// the job through the event engine at that bandwidth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bandwidth_gbps` is not finite and positive, as
+    /// [`ParametricTimeline::evaluate`].
     pub fn stats_at(&self, bandwidth_gbps: f64) -> ExecutionStats {
         self.timeline.evaluate(bandwidth_gbps)
     }

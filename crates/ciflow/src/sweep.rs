@@ -261,12 +261,12 @@ pub struct AnalyticSweep {
     /// The evaluated series — same shape and bit-identical runtimes as
     /// [`try_workload_sweep`] over the same ladder.
     pub series: SweepSeries,
-    /// Number of event-order segments the timeline stitched together over
-    /// the ladder's bandwidth range.
+    /// Number of grant-order segments the timeline stitched together over
+    /// the ladder's bandwidth range (one on a single-channel RPU).
     pub segments: usize,
     /// Bandwidths (GB/s) strictly inside the range at which the engine's
-    /// event order changes — the kinks of the piecewise-linear runtime
-    /// curve.
+    /// bus grant order changes. The runtime curve also kinks inside a
+    /// segment, at ready-time crossovers that reorder no grant.
     pub breakpoints_gbps: Vec<f64>,
     /// The provable makespan lower bound (ms) at each ladder point, in
     /// ladder order — the static roofline under the `runtime_ms` curve

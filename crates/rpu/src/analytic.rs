@@ -5,11 +5,16 @@
 //! (bandwidth-independent) and a memory task costs `bytes / (gbps * 1e9)`.
 //! Because the engine's control flow is a finite sequence of comparisons
 //! between such times, its entire event timeline is **piecewise-linear in
-//! `1/bandwidth`**: over an interval of bandwidths the engine issues, grants
-//! and retires tasks in exactly the same order, and every start/finish time
-//! is one affine function of `1/bandwidth`. This module runs the engine
-//! *symbolically* once per such segment and then evaluates any bandwidth
-//! ladder by replaying the recorded event order — no event loop per point.
+//! `1/bandwidth`**. A **segment** is a bandwidth range with one bus grant
+//! sequence; its **breakpoints** (the timeline's interior segment edges)
+//! are the bandwidths where that grant order changes. Inside a segment
+//! every start/finish time is a max-plus expression in `1/bandwidth`, and
+//! it bends only at *ready-time crossovers* (where another dependency, or
+//! the resource's free time, becomes the one a task waits on): the kinks
+//! [`Segment::affine_range_gbps`] reports around the anchor. This module
+//! runs the engine *symbolically* once per segment and then evaluates any
+//! bandwidth ladder by replaying the recorded event order — no event loop
+//! per point.
 //!
 //! ## The grant certificate
 //!
@@ -33,9 +38,15 @@
 //! or not), and computes retire as a growing prefix of the compute queue
 //! with non-decreasing finish times — so a head's readiness at the scan
 //! reduces to **one comparison**: the finish time of its *latest* compute
-//! dependency against `te`. Two regimes follow, and both are pinned by
-//! those comparisons alone:
+//! dependency against `te`. Three cases follow, each pinned by those
+//! comparisons alone:
 //!
+//! - **forced grant**: at most one channel still has a queued task, so its
+//!   head wins whenever it becomes ready and no readiness can change `G`.
+//!   The certificate records nothing: the replay's
+//!   `start = max(ready, bus_free)` is exact at every bandwidth. On a
+//!   single-channel plan *every* grant is forced, so the certificate is
+//!   empty and one segment covers all bandwidths;
 //! - some head is ready at `te` (its latest compute dependency finished no
 //!   later than `te`): the scan grants the lowest-id ready head immediately,
 //!   so the certificate needs "the winner was ready" plus "every head that
@@ -45,8 +56,8 @@
 //!   head still needs — a purely structural quantity — and the certificate
 //!   only needs "no eligible head was ready at `te`".
 //!
-//! A segment therefore carries, per grant, at most one comparison per
-//! channel head; any bandwidth whose replayed times satisfy them all
+//! A segment therefore carries, per contested grant, at most one comparison
+//! per channel head; any bandwidth whose replayed times satisfy them all
 //! provably takes the identical engine path. Exact finish ties
 //! (`compute_end == te`) stay certifiable because readiness is inclusive.
 //!
@@ -60,7 +71,8 @@
 //! certificate, then solves each certificate comparison for the bandwidth
 //! where it flips. The nearest flip on either side bounds the segment; the
 //! next segment is derived just past it, stitching a full piecewise
-//! description of the requested range.
+//! description of the requested range. A certificate with no comparisons
+//! never flips, so a single-channel analysis ends after one symbolic run.
 //!
 //! ## Bit-exactness
 //!
@@ -87,6 +99,7 @@
 //! See `docs/ANALYTIC.md` for the full segment semantics and breakpoint
 //! math.
 
+use crate::config::validate_bandwidth;
 use crate::engine::{drive, EngineError, Executor, RpuEngine};
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
@@ -192,15 +205,19 @@ struct ScriptEntry {
     queue: u32,
 }
 
-/// One bus grant of a segment's certificate: `mem` is the granted memory
-/// task and `checks_end` the exclusive end of its slice in the segment's
-/// flat [`Check`] list. The grant sequence plus its readiness checks pins
-/// the engine's entire execution — see the module docs.
+/// One checked bus grant of a segment's certificate: the bus scan happens
+/// when memory task `after` retires (`NO_TASK` for the first grant, scanned
+/// at time zero), and `checks_end` is the exclusive end of the grant's slice
+/// in the segment's flat [`Check`] list. Grants whose choice no readiness
+/// can change carry no checks and are not stored — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Grant {
-    mem: u32,
+    after: u32,
     checks_end: u32,
 }
+
+/// [`Grant::after`] for the first grant: no memory task has retired yet.
+const NO_TASK: u32 = u32::MAX;
 
 /// One certificate comparison: at the grant it belongs to, compute task
 /// `comp` (the latest compute dependency of some channel head) must finish
@@ -212,9 +229,11 @@ struct Check {
     le: bool,
 }
 
-/// One piecewise-linear segment: a bandwidth interval over which the engine
-/// grants the bus in the same order for the same head-readiness reasons,
-/// making every event time affine in inverse bandwidth.
+/// One segment: a bandwidth interval over which the engine grants the bus
+/// in the same order for the same head-readiness reasons. Every event time
+/// is piecewise-linear in inverse bandwidth over it, kinking only at
+/// ready-time crossovers; the stored affine forms hold between the two
+/// crossovers nearest the anchor ([`Segment::affine_range_gbps`]).
 #[derive(Debug, Clone)]
 pub struct Segment {
     anchor_gbps: f64,
@@ -272,7 +291,8 @@ impl Segment {
     }
 
     /// Number of certificate comparisons (head-readiness checks) re-verified
-    /// on every replayed evaluation.
+    /// on every replayed evaluation. Forced grants (one channel left with
+    /// queued tasks) add none, so a single-channel segment has zero.
     #[must_use]
     pub fn grant_checks(&self) -> usize {
         self.checks.len()
@@ -284,10 +304,10 @@ impl Segment {
 }
 
 /// Per-task start/finish sampled from a replayed evaluation, in the anchor
-/// run's retirement order. Away from exact finish ties this is also the
-/// engine's own trace order at the evaluated bandwidth; at a tie the engine
-/// may interleave the tied retirements differently while every recorded
-/// time stays bit-identical.
+/// run's retirement order. The engine's own trace at the evaluated
+/// bandwidth may interleave the compute and memory retirements differently
+/// (a segment fixes the grant order, not how the queues interleave), but
+/// every task's recorded times agree bit for bit.
 pub type SampledTimes = Vec<TaskRecord>;
 
 /// The piecewise-linear timeline of one `(schedule, channel map,
@@ -344,8 +364,12 @@ impl ParametricTimeline {
     }
 
     /// The interior segment edges: bandwidths where the engine's grant
-    /// sequence changes (a grant choice or a retired-compute prefix flips).
-    /// Sorted ascending, deduplicated, strictly inside the analyzed range.
+    /// sequence changes (a contested grant choice or a retired-compute
+    /// prefix flips). Sorted ascending, deduplicated, strictly inside the
+    /// analyzed range. Not every kink of the runtime curve is one: the
+    /// ready-time crossovers inside a segment bend it without reordering
+    /// grants (see [`Segment::affine_range_gbps`]), and a single-channel
+    /// timeline, whose grants are all forced, has no breakpoints at all.
     #[must_use]
     pub fn breakpoints_gbps(&self) -> Vec<f64> {
         let mut edges: Vec<f64> = self
@@ -381,9 +405,17 @@ impl ParametricTimeline {
     /// `RpuEngine::execute_stats` on the same graph with the bandwidth
     /// swapped in: replay + certificate check where a segment certifies the
     /// point, event-engine fallback otherwise. Bandwidths outside the
-    /// analyzed range are legal and simply tend to fall back.
+    /// analyzed range are legal: a segment with no certificate checks (every
+    /// single-channel one) certifies them too, others tend to fall back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bandwidth is not finite and positive (the rule of
+    /// [`RpuConfig::validate`](crate::RpuConfig::validate)); the message
+    /// names the value.
     #[must_use]
     pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
+        assert_valid_bandwidth(bandwidth_gbps);
         let mut scratch = vec![0.0f64; self.fixed_duration.len()];
         self.evaluate_with(bandwidth_gbps, &mut scratch)
     }
@@ -395,8 +427,17 @@ impl ParametricTimeline {
     /// individually with neighbour probing and engine fallback. Entries are
     /// evaluated independently in the given order, so duplicates and
     /// unsorted ladders are fine (duplicates produce bit-identical rows).
+    ///
+    /// # Panics
+    ///
+    /// As [`ParametricTimeline::evaluate`], for any entry of the ladder
+    /// (checked before anything is evaluated).
     #[must_use]
     pub fn evaluate_many(&self, bandwidths_gbps: &[f64]) -> Vec<ExecutionStats> {
+        bandwidths_gbps
+            .iter()
+            .copied()
+            .for_each(assert_valid_bandwidth);
         let n = self.fixed_duration.len();
         let mut scratch = vec![0.0f64; n];
         let mut lanes: Vec<[f64; LANES]> = vec![[0.0; LANES]; n];
@@ -404,12 +445,7 @@ impl ParametricTimeline {
         let mut chunks = bandwidths_gbps.chunks_exact(LANES);
         for chunk in &mut chunks {
             let bws: &[f64; LANES] = chunk.try_into().expect("chunk has LANES entries");
-            let candidate = if bws.iter().all(|&b| b > 0.0 && b.is_finite()) {
-                self.candidate_index(bws[0])
-            } else {
-                None
-            };
-            if let Some(idx) = candidate {
+            if let Some(idx) = self.candidate_index(bws[0]) {
                 let batch = self.replay_batch(&self.segments[idx], bws, &mut lanes);
                 for (l, stats) in batch.into_iter().enumerate() {
                     out.push(stats.unwrap_or_else(|| self.evaluate_with(bws[l], &mut scratch)));
@@ -426,17 +462,22 @@ impl ParametricTimeline {
 
     /// The makespan in seconds at one bandwidth (bit-identical to the
     /// engine's `runtime_seconds`).
+    ///
+    /// # Panics
+    ///
+    /// As [`ParametricTimeline::evaluate`].
     #[must_use]
     pub fn runtime_seconds_at(&self, bandwidth_gbps: f64) -> f64 {
         self.evaluate(bandwidth_gbps).runtime_seconds
     }
 
     /// The per-task spans a replayed evaluation produces at `bandwidth_gbps`,
-    /// in the anchor run's retirement order (the engine's trace order except
-    /// possibly across exact finish ties, where times still agree bit for
-    /// bit). Returns `None` when no segment certifies the point (the
-    /// evaluation would have used the engine itself, whose trace is then the
-    /// reference anyway).
+    /// in the anchor run's retirement order, which may differ from the
+    /// engine's trace order at this bandwidth; per-task times still agree
+    /// bit for bit (match records by task id). Returns `None` when no
+    /// segment certifies the point, including for a bandwidth that is not
+    /// finite and positive (the evaluation would have used the engine
+    /// itself, whose trace is then the reference anyway).
     #[must_use]
     pub fn sampled_times(&self, bandwidth_gbps: f64) -> Option<SampledTimes> {
         let (segment, ends) = self.certified_replay(bandwidth_gbps)?;
@@ -470,11 +511,10 @@ impl ParametricTimeline {
         )
     }
 
+    /// One validated bandwidth: a certified replay, else the engine.
     fn evaluate_with(&self, bandwidth_gbps: f64, scratch: &mut [f64]) -> ExecutionStats {
-        if bandwidth_gbps > 0.0 && bandwidth_gbps.is_finite() {
-            if let Some(stats) = self.try_segments(bandwidth_gbps, scratch) {
-                return stats;
-            }
+        if let Some(stats) = self.try_segments(bandwidth_gbps, scratch) {
+            return stats;
         }
         self.fallbacks.fetch_add(1, AtomicOrdering::Relaxed);
         RpuEngine::new(self.engine.config().clone().with_bandwidth(bandwidth_gbps))
@@ -583,19 +623,18 @@ impl ParametricTimeline {
         }
         // Certificate check. Written with `!` so a NaN anywhere rejects
         // (and falls back) instead of certifying.
-        let mut te_prev = 0.0f64;
         let mut first = 0usize;
         for grant in &segment.grants {
             let slice = &segment.checks[first..grant.checks_end as usize];
             first = grant.checks_end as usize;
+            let te = ends.get(grant.after as usize).copied().unwrap_or(0.0);
             for check in slice {
                 let e = ends[check.comp as usize];
-                let holds = if check.le { e <= te_prev } else { e > te_prev };
+                let holds = if check.le { e <= te } else { e > te };
                 if !holds {
                     return None;
                 }
             }
-            te_prev = ends[grant.mem as usize];
         }
         let mut stats = self.template.clone();
         stats.runtime_seconds = makespan;
@@ -668,24 +707,26 @@ impl ParametricTimeline {
         // anywhere clears the lane's flag, matching the scalar path's
         // reject-on-NaN behaviour.
         let mut ok = [true; LANES];
-        let mut te_prev = [0.0f64; LANES];
         let mut first = 0usize;
         for grant in &segment.grants {
             let slice = &segment.checks[first..grant.checks_end as usize];
             first = grant.checks_end as usize;
+            let te = ends
+                .get(grant.after as usize)
+                .copied()
+                .unwrap_or([0.0; LANES]);
             for check in slice {
                 let e = &ends[check.comp as usize];
                 if check.le {
                     for l in 0..LANES {
-                        ok[l] &= e[l] <= te_prev[l];
+                        ok[l] &= e[l] <= te[l];
                     }
                 } else {
                     for l in 0..LANES {
-                        ok[l] &= e[l] > te_prev[l];
+                        ok[l] &= e[l] > te[l];
                     }
                 }
             }
-            te_prev = ends[grant.mem as usize];
         }
         std::array::from_fn(|l| {
             if ok[l] {
@@ -700,6 +741,14 @@ impl ParametricTimeline {
                 None
             }
         })
+    }
+}
+
+/// The evaluation entry points' bandwidth check: [`validate_bandwidth`],
+/// as a panic.
+fn assert_valid_bandwidth(bandwidth_gbps: f64) {
+    if let Err(message) = validate_bandwidth(bandwidth_gbps) {
+        panic!("{message}");
     }
 }
 
@@ -928,8 +977,9 @@ impl RpuEngine {
                 bounds.0 = bounds.0.max(xs.min(x0));
             }
         };
-        let mut grants: Vec<Grant> = Vec::with_capacity(grants_raw.len());
+        let mut grants: Vec<Grant> = Vec::new();
         let mut checks: Vec<Check> = Vec::new();
+        let mut after = NO_TASK;
         let mut te_v = 0.0f64;
         let mut te = AffineTime::default();
         let mut first = 0usize;
@@ -962,10 +1012,13 @@ impl RpuEngine {
                 // positive, a `gt` comparison where it turns non-positive.
                 fold_flip(&mut dec, dc, dm, if le { dm > 0.0 } else { dm < 0.0 });
             }
-            grants.push(Grant {
-                mem,
-                checks_end: checks.len() as u32,
-            });
+            if checks.len() > grants.last().map_or(0, |g| g.checks_end as usize) {
+                grants.push(Grant {
+                    after,
+                    checks_end: checks.len() as u32,
+                });
+            }
+            after = mem;
             te_v = ends_v[mem as usize];
             te = times[mem as usize].end;
         }
@@ -1103,11 +1156,25 @@ impl Executor for Symbolic<'_> {
         if channel.is_none() {
             return;
         }
+        let queues = self.plan.memory_queues();
+        let contenders = queues
+            .iter()
+            .zip(heads)
+            .filter(|&(queue, &cursor)| cursor < queue.len())
+            .count();
+        // A forced grant: the granted head is the only one queued, so it
+        // wins whenever it becomes ready and no readiness can change `G`.
+        // Record no evidence for it (the replay's `max(ready, bus_free)` is
+        // exact at every bandwidth).
+        if contenders <= 1 {
+            self.grants_raw.push((task as u32, self.raw.len() as u32));
+            return;
+        }
         // Record this grant's readiness evidence while the pre-grant heads
         // are still in place: every head whose memory dependencies are
         // retired, with the latest compute dependency gating it (none ⇒
         // unconditionally ready ⇒ nothing value-dependent to record).
-        for (queue, &cursor) in self.plan.memory_queues().iter().zip(heads) {
+        for (queue, &cursor) in queues.iter().zip(heads) {
             let Some(&h2) = queue.get(cursor) else {
                 continue;
             };
@@ -1150,6 +1217,7 @@ mod tests {
     use super::*;
     use crate::config::RpuConfig;
     use crate::task::{ComputeKind, MemoryDirection, TaskGraph};
+    use MemoryDirection::{Load, Store};
 
     /// 1 Gop/s compute, bandwidth in GB/s — round numbers for hand checks.
     fn unit_config() -> RpuConfig {
@@ -1179,6 +1247,24 @@ mod tests {
         g
     }
 
+    /// A two-channel race whose grant order flips at 2 GB/s. Load M
+    /// (2e9 bytes, channel 0) retires at 2/bw s; compute C takes 1 s. At M's
+    /// retirement channel 0's next head X waits on C and channel 1's head Y
+    /// only on M: at or below 2 GB/s both are ready and X (the lower id)
+    /// wins, above it only Y is.
+    fn two_channel_race() -> (RpuEngine, TaskGraph) {
+        let mut g = TaskGraph::new();
+        let c = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
+        let m = g.push_memory_on(Load, 2_000_000_000, vec![], "m", "P1", Some(0));
+        g.push_memory_on(Store, 500_000_000, vec![c], "x", "P5", Some(0));
+        g.push_memory_on(Load, 500_000_000, vec![m], "y", "P1", Some(1));
+        let config = RpuConfig {
+            num_memory_channels: 2,
+            ..unit_config()
+        };
+        (RpuEngine::new(config), g)
+    }
+
     fn assert_bit_identical(engine: &RpuEngine, timeline: &ParametricTimeline, bw: f64) {
         let reference = RpuEngine::new(engine.config().clone().with_bandwidth(bw))
             .with_channel_map(engine.channel_map().clone())
@@ -1194,8 +1280,7 @@ mod tests {
 
     #[test]
     fn single_breakpoint_is_found_and_evaluation_is_bit_exact() {
-        let engine = RpuEngine::new(unit_config());
-        let g = race_graph();
+        let (engine, g) = two_channel_race();
         let timeline = engine.analyze(&g, 0.5, 16.0).unwrap();
         let breakpoints = timeline.breakpoints_gbps();
         assert!(
@@ -1330,12 +1415,76 @@ mod tests {
 
     #[test]
     fn out_of_range_points_fall_back_to_the_engine_and_stay_exact() {
-        let engine = RpuEngine::new(unit_config());
-        let g = race_graph();
+        let (engine, g) = two_channel_race();
         let timeline = engine.analyze(&g, 4.0, 16.0).unwrap();
         // 1 GB/s is below the analyzed range and on the other side of the
         // 2 GB/s breakpoint, so no derived segment certifies it.
         assert_bit_identical(&engine, &timeline, 1.0);
         assert!(timeline.fallback_evaluations() >= 1);
+    }
+
+    #[test]
+    fn forced_grants_leave_a_one_channel_race_one_segment() {
+        // The one-channel twin of the race: with a single memory queue every
+        // grant is forced, so the certificate is empty, one symbolic run
+        // covers the range, and even a point below it replays exactly.
+        let engine = RpuEngine::new(unit_config());
+        let g = race_graph();
+        let timeline = engine.analyze(&g, 4.0, 16.0).unwrap();
+        assert_eq!(timeline.segments().len(), 1);
+        assert!(timeline.breakpoints_gbps().is_empty());
+        assert_eq!(timeline.segments()[0].grant_checks(), 0);
+        for bw in [1.0, 2.0, 4.0, 16.0, 64.0] {
+            assert_bit_identical(&engine, &timeline, bw);
+        }
+        let ladder = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 0.75, 32.0];
+        for (stats, &bw) in timeline.evaluate_many(&ladder).iter().zip(&ladder) {
+            assert_eq!(*stats, timeline.evaluate(bw), "at {bw} GB/s");
+        }
+        assert_eq!(timeline.fallback_evaluations(), 0);
+    }
+
+    #[test]
+    fn forced_grants_keep_the_checks_of_contested_ones() {
+        // Two channels contest M's successor grant; the last grant (one
+        // queue left) is forced and adds nothing.
+        let (engine, g) = two_channel_race();
+        let timeline = engine.analyze(&g, 0.5, 16.0).unwrap();
+        let checks: Vec<usize> = timeline
+            .segments()
+            .iter()
+            .map(Segment::grant_checks)
+            .collect();
+        assert!(checks.iter().all(|&c| c == 1), "{checks:?}");
+    }
+
+    #[test]
+    fn invalid_bandwidths_panic_naming_the_value() {
+        let engine = RpuEngine::new(unit_config());
+        let timeline = engine.analyze(&race_graph(), 1.0, 16.0).unwrap();
+        for bw in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
+            let calls: [(&str, &dyn Fn()); 3] = [
+                ("evaluate", &|| {
+                    let _ = timeline.evaluate(bw);
+                }),
+                ("evaluate_many", &|| {
+                    let _ = timeline.evaluate_many(&[4.0, bw]);
+                }),
+                ("runtime_seconds_at", &|| {
+                    let _ = timeline.runtime_seconds_at(bw);
+                }),
+            ];
+            for (name, call) in calls {
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                    .expect_err(&format!("{name}({bw}) must panic"));
+                let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    message.contains(&format!("bandwidth {bw} GB/s")),
+                    "{name}({bw}): {message:?}"
+                );
+            }
+            assert!(timeline.sampled_times(bw).is_none());
+        }
+        assert_eq!(timeline.fallback_evaluations(), 0);
     }
 }

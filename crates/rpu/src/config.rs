@@ -188,15 +188,8 @@ impl RpuConfig {
     ///
     /// A message naming the offending field and value.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, value, unit) in [
-            ("DRAM bandwidth", self.dram_bandwidth_gbps, " GB/s"),
-            ("MODOPS multiplier", self.modops_multiplier, ""),
-        ] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(format!("{name} {value}{unit} is not finite and positive"));
-            }
-        }
-        Ok(())
+        validate_bandwidth(self.dram_bandwidth_gbps)?;
+        validate_rate("MODOPS multiplier", self.modops_multiplier, "")
     }
 
     /// Peak modular operations per second (MODOPS): one modular multiply per
@@ -242,6 +235,24 @@ impl RpuConfig {
         const COMPUTE_FLOOR: f64 = 9.85;
         let sram_mib = (self.vector_memory_bytes + self.key_memory_bytes) as f64 / MIB as f64;
         COMPUTE_FLOOR + sram_mib * AREA_PER_MIB * self.modops_multiplier.max(1.0).sqrt()
+    }
+}
+
+/// [`RpuConfig::validate`]'s rule for a DRAM bandwidth in GB/s: finite and
+/// positive.
+///
+/// # Errors
+///
+/// A message naming the value.
+pub(crate) fn validate_bandwidth(bandwidth_gbps: f64) -> Result<(), String> {
+    validate_rate("DRAM bandwidth", bandwidth_gbps, " GB/s")
+}
+
+fn validate_rate(name: &str, value: f64, unit: &str) -> Result<(), String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{name} {value}{unit} is not finite and positive"))
     }
 }
 

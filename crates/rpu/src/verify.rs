@@ -263,22 +263,17 @@ pub fn lint_deadlock(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
     }
 
     let channels = plan.channels();
-    // Augmented edges: dependency edges plus per-queue successor edges. The
-    // queue *predecessor* of each task is also kept for cycle extraction.
-    let mut successors: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-    let mut indegree: Vec<u32> = vec![0; n];
+    // Augmented edges: the plan's dependents plus each queue element's
+    // in-order successor. The queue *predecessor* of each task is also kept
+    // for cycle extraction.
+    let mut indegree: Vec<u32> = plan.dependency_counts().to_vec();
+    let mut queue_next: Vec<Option<TaskId>> = vec![None; n];
     let mut queue_prev: Vec<Option<TaskId>> = vec![None; n];
-    for task in tasks {
-        for &d in &task.dependencies {
-            successors[d].push(task.id);
-            indegree[task.id] += 1;
-        }
-    }
     let memory_queues = plan.memory_queues().iter().map(Vec::as_slice);
     for queue in std::iter::once(plan.compute_queue()).chain(memory_queues) {
         for pair in queue.windows(2) {
             let (prev, next) = (pair[0] as TaskId, pair[1] as TaskId);
-            successors[prev].push(next);
+            queue_next[prev] = Some(next);
             indegree[next] += 1;
             queue_prev[next] = Some(prev);
         }
@@ -289,7 +284,8 @@ pub fn lint_deadlock(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
     let mut drained = 0usize;
     while let Some(t) = stack.pop() {
         drained += 1;
-        for &s in &successors[t] {
+        let dependents = plan.dependents(t).iter().map(|&s| s as TaskId);
+        for s in dependents.chain(queue_next[t]) {
             indegree[s] -= 1;
             if indegree[s] == 0 {
                 stack.push(s);

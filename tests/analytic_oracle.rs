@@ -12,11 +12,17 @@
 //! 2. Real strategy schedules — every dataflow, both evk policies — through
 //!    the same sampling grid.
 //!
+//! 3. Forced grants: on one memory channel every bus grant is forced, so a
+//!    timeline is a single segment with no certificate checks, and the
+//!    static bound equals the evaluated runtime bit for bit.
+//!
 //! On divergence the failure message pins down the *first differing event*:
 //! the replayed per-task spans ([`ParametricTimeline::sampled_times`]) are
 //! diffed against the engine's full trace at the offending bandwidth.
 
+use ciflow::api::StrategyRegistry;
 use ciflow::schedule::{build_schedule, ScheduleConfig};
+use ciflow::workload::{build_workload, PipelineMode, Workload};
 use ciflow::{Dataflow, HksBenchmark, HksShape};
 use common::{assert_stats_bit_identical, random_valid_tasks};
 use proptest::prelude::*;
@@ -31,7 +37,9 @@ const LO_GBPS: f64 = 8.0;
 const HI_GBPS: f64 = 1024.0;
 
 /// The sampling grid for one timeline: range ends, every breakpoint, one ulp
-/// inside each side of every segment edge, and deterministic interior points.
+/// inside each side of every segment edge, every ready-time crossover (the
+/// affine-range edges) and one ulp either side of it, and deterministic
+/// interior points.
 fn sample_points(timeline: &ParametricTimeline, seed: u64) -> Vec<f64> {
     let mut points = vec![LO_GBPS, HI_GBPS];
     for b in timeline.breakpoints_gbps() {
@@ -40,6 +48,12 @@ fn sample_points(timeline: &ParametricTimeline, seed: u64) -> Vec<f64> {
     for segment in timeline.segments() {
         let (lo, hi) = segment.bandwidth_range_gbps();
         points.extend([lo, lo.next_up(), hi, hi.next_down()]);
+        // The ready-time crossovers nearest the anchor: kinks that split no
+        // segment, so the segment edges above never land on them.
+        let (lo, hi) = segment.affine_range_gbps();
+        for edge in [lo, hi] {
+            points.extend([edge.next_down(), edge, edge.next_up()]);
+        }
     }
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..16 {
@@ -53,7 +67,10 @@ fn sample_points(timeline: &ParametricTimeline, seed: u64) -> Vec<f64> {
 }
 
 /// Formats the first event where the timeline's replayed spans and the
-/// engine's trace disagree, for a failure message worth reading.
+/// engine's trace disagree, for a failure message worth reading. Spans are
+/// matched by task id: a replay script may interleave the queues' retirements
+/// differently from the engine's trace order at this bandwidth while every
+/// span still agrees.
 fn first_divergence(
     engine: &RpuEngine,
     graph: &TaskGraph,
@@ -68,20 +85,28 @@ fn first_divergence(
     let Some(replayed) = timeline.sampled_times(bandwidth_gbps) else {
         return format!("no certifying segment at {bandwidth_gbps} GB/s (engine fallback path)");
     };
-    for (i, (ours, reference)) in replayed.iter().zip(traced.trace.records()).enumerate() {
-        if ours.task != reference.task
-            || ours.start_seconds.to_bits() != reference.start_seconds.to_bits()
+    let mut by_task = vec![None; graph.len()];
+    for record in traced.trace.records() {
+        by_task[record.task] = Some(record);
+    }
+    for (i, ours) in replayed.iter().enumerate() {
+        let Some(reference) = by_task[ours.task] else {
+            return format!(
+                "replayed event #{i} at {bandwidth_gbps} GB/s, task {} ({}), is missing from \
+                 the engine's trace",
+                ours.task, ours.label
+            );
+        };
+        if ours.start_seconds.to_bits() != reference.start_seconds.to_bits()
             || ours.end_seconds.to_bits() != reference.end_seconds.to_bits()
         {
             return format!(
-                "first differing event at {bandwidth_gbps} GB/s is #{i}: \
-                 replay has task {} ({}) [{:.9e}, {:.9e}], engine has task {} ({}) [{:.9e}, {:.9e}]",
+                "first differing event at {bandwidth_gbps} GB/s is replay #{i}: task {} ({}) \
+                 spans [{:.9e}, {:.9e}] in the replay, [{:.9e}, {:.9e}] in the engine",
                 ours.task,
                 ours.label,
                 ours.start_seconds,
                 ours.end_seconds,
-                reference.task,
-                reference.label,
                 reference.start_seconds,
                 reference.end_seconds,
             );
@@ -176,5 +201,64 @@ fn the_timeline_reports_real_breakpoints_for_a_real_schedule() {
     assert!(!timeline.segments().is_empty());
     for b in timeline.breakpoints_gbps() {
         assert!(b > LO_GBPS && b < HI_GBPS, "interior breakpoint, got {b}");
+    }
+}
+
+/// On one memory channel `graph` derives a single segment with no
+/// certificate checks, and the static bound curve equals the evaluated
+/// runtime bit for bit on a 14-point ladder spanning the range.
+fn assert_one_channel_bound_is_tight(engine: &RpuEngine, graph: &TaskGraph, context: &str) {
+    let timeline = engine
+        .analyze(graph, LO_GBPS, HI_GBPS)
+        .expect("oracle graphs do not deadlock");
+    let segments = timeline.segments();
+    assert_eq!(segments.len(), 1, "{context}: one segment on one channel");
+    assert_eq!(segments[0].grant_checks(), 0, "{context}: forced grants");
+    let ladder: Vec<f64> = (0..14)
+        .map(|i| LO_GBPS * (HI_GBPS / LO_GBPS).powf(f64::from(i) / 13.0))
+        .collect();
+    let runtimes = timeline.evaluate_many(&ladder);
+    let bounds = rpu::bound::bound_curve(engine, graph, &ladder);
+    for ((&bw, stats), &bound) in ladder.iter().zip(&runtimes).zip(&bounds) {
+        assert_eq!(
+            bound.to_bits(),
+            stats.runtime_seconds.to_bits(),
+            "{context}: bound {bound} s vs runtime {} s at {bw} GB/s",
+            stats.runtime_seconds
+        );
+    }
+    assert_eq!(timeline.fallback_evaluations(), 0, "{context}");
+}
+
+#[test]
+fn forced_grant_bound_is_tight_on_one_channel() {
+    // The design-space grid (the five Table-III benchmarks x MP/DC/OC x
+    // evks on-chip or streamed, 32 MiB) ...
+    for benchmark in HksBenchmark::all() {
+        for dataflow in Dataflow::all() {
+            for evk_policy in [EvkPolicy::OnChip, EvkPolicy::Streamed] {
+                let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, evk_policy);
+                let schedule = build_schedule(dataflow, &HksShape::new(benchmark), &config);
+                let engine = RpuEngine::new(RpuConfig::ciflow_with_policy(evk_policy))
+                    .with_channel_map(schedule.channel_map(1));
+                let context = format!("{} {dataflow} {evk_policy:?}", benchmark.name);
+                assert_one_channel_bound_is_tight(&engine, &schedule.graph, &context);
+            }
+        }
+    }
+    // ... and the fused and back-to-back BTS2 rescaling chain, evks streamed.
+    let chain = Workload::rescaling_chain(HksBenchmark::BTS2, 6);
+    let registry = StrategyRegistry::builtin();
+    let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
+    for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
+        for dataflow in Dataflow::all() {
+            let strategy = registry.get(dataflow.short_name()).expect("builtin");
+            let built =
+                build_workload(&chain, strategy.as_ref(), &config, mode).expect("the chain builds");
+            let engine = RpuEngine::new(RpuConfig::ciflow_with_policy(EvkPolicy::Streamed))
+                .with_channel_map(built.schedule.channel_map(1));
+            let context = format!("{} {dataflow} {mode}", chain.name);
+            assert_one_channel_bound_is_tight(&engine, &built.schedule.graph, &context);
+        }
     }
 }
