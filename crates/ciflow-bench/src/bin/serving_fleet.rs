@@ -43,7 +43,7 @@ fn main() {
     }
     let classes = RequestClass::standard_mix(HksBenchmark::ARK);
 
-    // Reference point: the configuration the perf report times.
+    // Reference point: the gallery's reference configuration.
     let reference = ServeConfig::new(
         4,
         classes.clone(),

@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod perf;
 pub mod serving;
 
 use ciflow::api::Session;

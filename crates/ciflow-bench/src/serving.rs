@@ -21,8 +21,7 @@ use rpu::RpuConfig;
 use std::fmt::Write as _;
 
 /// The reference serving configuration every section runs: the standard ARK
-/// mix, closed loop (8 clients, 96 requests), 4 RPUs at 64 GB/s, seed 1 —
-/// the same point the perf report times.
+/// mix, closed loop (8 clients, 96 requests), 4 RPUs at 64 GB/s, seed 1.
 pub fn reference_config() -> ServeConfig {
     ServeConfig::new(
         4,
@@ -38,8 +37,8 @@ pub fn reference_config() -> ServeConfig {
 
 /// The standard adverse fault plan, scaled to `tick` (the mix's mean
 /// service time): seeded random crashes, 2% transient failures, generous
-/// capped-backoff retries, open admission. Matches the perf report's
-/// resilience section.
+/// capped-backoff retries, open admission. Used by the gallery's
+/// resilience section and by `simbench`'s `fleet_serve` workload.
 pub fn standard_fault_plan(tick: f64) -> FaultPlan {
     FaultPlan::none()
         .with_crashes(CrashPlan::Random {
@@ -146,7 +145,7 @@ pub fn validate_json(json: &str) -> Result<(), String> {
             return Err(format!("missing key {key}"));
         }
     }
-    crate::perf::check_structure(json)?;
+    check_structure(json)?;
     // The resilience section must conserve arrivals: offered = completed +
     // timed_out + shed, read back out of the rendered document.
     let field = |name: &str| -> Result<usize, String> {
@@ -180,6 +179,56 @@ pub fn validate_json(json: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks structural balance of a rendered JSON document: braces and
+/// brackets count only *outside* string literals (an escaped name may
+/// legitimately contain `{`, `}` or `\"`), and every string must be
+/// closed.
+fn check_structure(json: &str) -> Result<(), String> {
+    let mut depth = 0i64;
+    let mut bracket_depth = 0i64;
+    let mut in_string = false;
+    let mut string_escape = false;
+    for c in json.chars() {
+        if in_string {
+            match c {
+                _ if string_escape => string_escape = false,
+                '\\' => string_escape = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth < 0 {
+                    return Err("unbalanced braces".to_string());
+                }
+            }
+            '[' => bracket_depth += 1,
+            ']' => {
+                bracket_depth -= 1;
+                if bracket_depth < 0 {
+                    return Err("unbalanced brackets".to_string());
+                }
+            }
+            _ => {}
+        }
+    }
+    if depth != 0 {
+        return Err("unbalanced braces".to_string());
+    }
+    if bracket_depth != 0 {
+        return Err("unbalanced brackets".to_string());
+    }
+    if in_string {
+        return Err("unbalanced quotes".to_string());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,5 +255,30 @@ mod tests {
         let broken = json.replacen("\"offered\":96", "\"offered\":97", 1);
         assert_ne!(broken, json, "the reference offers 96 requests");
         assert!(validate_json(&broken).is_err());
+    }
+
+    #[test]
+    fn structure_check_ignores_brackets_and_escaped_quotes_inside_strings() {
+        // Braces, brackets and escaped quotes inside a quoted name are data,
+        // not structure.
+        let doc = r#"{"name":"a{b}}c\"d{[","list":[1,{"x":"]"}]}"#;
+        assert_eq!(check_structure(doc), Ok(()));
+        assert_eq!(check_structure(""), Ok(()));
+        for (broken, problem) in [
+            (r#"{"name":"a"}}"#, "unbalanced braces"),
+            (r#"{"name":"a""#, "unbalanced braces"),
+            (r#"{"list":[1,2]]}"#, "unbalanced brackets"),
+            (r#"{"list":[1,2}"#, "unbalanced brackets"),
+            // An unclosed string swallows the closing brace.
+            (r#"{"name":"a}"#, "unbalanced braces"),
+            (r#""a}"#, "unbalanced quotes"),
+            (r#""a\""#, "unbalanced quotes"),
+        ] {
+            assert_eq!(
+                check_structure(broken),
+                Err(problem.to_string()),
+                "{broken}"
+            );
+        }
     }
 }

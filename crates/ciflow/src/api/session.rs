@@ -415,21 +415,6 @@ impl JobOutput {
     pub fn bound_efficiency(&self) -> f64 {
         self.bound_analysis().efficiency(self.stats.runtime_seconds)
     }
-
-    /// The compact serializable summary used by the benchmark harnesses.
-    pub fn summary(&self) -> crate::runner::HksRunSummary {
-        crate::runner::HksRunSummary {
-            benchmark: self.benchmark.name,
-            dataflow: self.strategy.clone(),
-            bandwidth_gbps: self.rpu.dram_bandwidth_gbps,
-            modops: self.rpu.modops_multiplier,
-            evk_streamed: self.rpu.evk_policy == rpu::EvkPolicy::Streamed,
-            runtime_ms: self.stats.runtime_ms(),
-            compute_idle: self.stats.compute_idle_fraction(),
-            dram_mib: self.dram_mib(),
-            arithmetic_intensity: self.stats.arithmetic_intensity(),
-        }
-    }
 }
 
 /// One entry of a [`BatchOutcome`]: the job description plus its result.
@@ -982,18 +967,6 @@ impl Session {
     /// (as [`Session::verify_job`]), and the job's [`CiflowError`] on
     /// strategy-resolution, schedule construction, or execution failure.
     pub fn run_job(&self, job: &Job) -> Result<JobOutput, CiflowError> {
-        self.run_job_with(job, self.trace)
-    }
-
-    /// [`Session::run_job`] with an explicit trace mode, overriding the
-    /// session's. Lets callers that always need a trace (the legacy
-    /// [`HksRun`](crate::runner::HksRun) path) avoid cloning the session
-    /// just to flip the mode.
-    pub(crate) fn run_job_with(
-        &self,
-        job: &Job,
-        trace_mode: TraceMode,
-    ) -> Result<JobOutput, CiflowError> {
         let rpu = self.job_rpu(job)?.clone();
         let plan = self.plan_for(job)?;
         // Channel-aware placement: the schedule's label-encoded channel
@@ -1004,7 +977,7 @@ impl Session {
         let exec = plan.exec_plan(&rpu);
         let engine = RpuEngine::new(rpu.clone());
         let graph = &plan.schedule.graph;
-        let (stats, trace) = match trace_mode {
+        let (stats, trace) = match self.trace {
             TraceMode::Full => {
                 let result = engine.execute_plan(graph, &exec)?;
                 (result.stats, Some(result.trace))
@@ -1177,20 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn single_job_matches_legacy_runner() {
-        let session = Session::new();
-        let output = session
-            .run_one(HksBenchmark::ARK, Dataflow::OutputCentric)
-            .unwrap();
-        let legacy = crate::runner::HksRun::new(HksBenchmark::ARK, Dataflow::OutputCentric)
-            .execute()
-            .unwrap();
-        assert_eq!(output.stats, legacy.stats);
-        assert_eq!(output.schedule, legacy.schedule);
-        assert_eq!(output.strategy, "OC");
-    }
-
-    #[test]
     fn batch_runs_every_dataflow_benchmark_pair() {
         let mut session =
             Session::new().with_rpu(RpuConfig::ciflow_baseline().with_bandwidth(32.0));
@@ -1247,6 +1206,11 @@ mod tests {
         let outputs: Vec<&JobOutput> = outcome.successes().collect();
         assert_eq!(outputs.len(), 2);
         assert!(outputs[1].runtime_ms() > outputs[0].runtime_ms());
+        // Each output reports the configuration it actually executed on.
+        assert_eq!(
+            outputs[1].rpu,
+            RpuConfig::ciflow_baseline().with_bandwidth(8.0)
+        );
         assert_eq!(outcome.results[1].label, "slow-memory");
     }
 

@@ -5,8 +5,8 @@
 //! reports through [`CiflowError`], which wraps the per-crate error types
 //! ([`rpu::EngineError`], [`rpu::TaskGraphError`], [`hemath::HemathError`],
 //! [`ckks::CkksError`]) so a batch driver can hold per-job results without
-//! ever unwinding. The panicking convenience helpers (`runtime_ms`, …) remain
-//! available for scripts and tests, but are now thin wrappers over the
+//! ever unwinding. The panicking sweep helpers (`sweep::runtime_with`, …)
+//! remain available for scripts and tests, but are thin wrappers over the
 //! `Result`-returning API.
 
 use rpu::{EngineError, TaskGraphError};

@@ -665,11 +665,12 @@ pub fn runtime_with(
 /// The paper's baseline runtime for a benchmark: MP with evks on-chip at
 /// 64 GB/s.
 pub fn baseline_runtime_ms(benchmark: HksBenchmark) -> f64 {
-    crate::runner::runtime_ms(
+    runtime_with(
         benchmark,
         Dataflow::MaxParallel,
         BASELINE_BANDWIDTH_GBPS,
         EvkPolicy::OnChip,
+        1.0,
     )
 }
 
@@ -1379,6 +1380,68 @@ mod tests {
         for w in series.points.windows(2) {
             assert!(w[1].runtime_ms <= w[0].runtime_ms * 1.0001);
         }
+    }
+
+    #[test]
+    fn runtime_decreases_with_bandwidth() {
+        let mut last = f64::INFINITY;
+        for bw in [8.0, 16.0, 32.0, 64.0, 128.0] {
+            let t = runtime_with(
+                HksBenchmark::DPRIVE,
+                Dataflow::MaxParallel,
+                bw,
+                EvkPolicy::OnChip,
+                1.0,
+            );
+            assert!(
+                t <= last * 1.0001,
+                "runtime must not increase with bandwidth"
+            );
+            last = t;
+        }
+    }
+
+    #[test]
+    fn oc_beats_mp_at_low_bandwidth() {
+        // The qualitative core of Figure 4: at DDR4-class bandwidth OC is
+        // substantially faster than MP.
+        for benchmark in [HksBenchmark::ARK, HksBenchmark::DPRIVE] {
+            let mp = runtime_with(
+                benchmark,
+                Dataflow::MaxParallel,
+                8.0,
+                EvkPolicy::OnChip,
+                1.0,
+            );
+            let oc = runtime_with(
+                benchmark,
+                Dataflow::OutputCentric,
+                8.0,
+                EvkPolicy::OnChip,
+                1.0,
+            );
+            assert!(
+                oc * 1.5 < mp,
+                "{}: OC {oc:.2} ms vs MP {mp:.2} ms at 8 GB/s",
+                benchmark.name
+            );
+        }
+    }
+
+    #[test]
+    fn dataflows_converge_at_very_high_bandwidth() {
+        // With 1 TB/s the kernel is compute bound and the dataflow no longer
+        // matters much (paper §IV: "with unlimited on-chip memory / high
+        // bandwidth the performance gap decreases significantly").
+        let runtime =
+            |dataflow| runtime_with(HksBenchmark::ARK, dataflow, 1000.0, EvkPolicy::OnChip, 1.0);
+        let mp = runtime(Dataflow::MaxParallel);
+        let oc = runtime(Dataflow::OutputCentric);
+        let ratio = mp / oc;
+        assert!(
+            (0.8..=1.3).contains(&ratio),
+            "MP {mp:.3} ms vs OC {oc:.3} ms at 1 TB/s (ratio {ratio:.2})"
+        );
     }
 
     #[test]

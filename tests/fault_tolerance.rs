@@ -436,6 +436,25 @@ fn fault_sweep_is_deterministic_and_conserves_at_every_point() {
     let replay = try_fault_sweep_in(&session, &base, &plan, "OC", &intensities, &sizes)
         .expect("replay succeeds");
     assert_eq!(sweep, replay, "the fault sweep must be bit-reproducible");
+
+    // The goodput fraction under the standard adverse plan of the serving
+    // gallery and the benchmark (`ciflow_bench::serving::standard_fault_plan`):
+    // retries are generous and admission open, so faults cost goodput but
+    // never all of it.
+    let standard = FaultPlan::none()
+        .with_crashes(CrashPlan::Random {
+            mtbf_seconds: 40.0 * tick,
+            mttr_seconds: 5.0 * tick,
+        })
+        .with_transient_failure_rate(0.02)
+        .with_retry(RetryPolicy::capped_exponential(8, 0.5 * tick, 4.0 * tick));
+    let fault_free = try_serve_in(&session, &base, "OC").unwrap();
+    let faulted = try_fault_serve_in(&session, &base, &standard, "OC").unwrap();
+    let goodput_fraction = faulted.goodput_rps / fault_free.throughput_rps;
+    assert!(
+        goodput_fraction > 0.0 && goodput_fraction <= 1.0,
+        "faults can only cost goodput ({goodput_fraction})"
+    );
 }
 
 /// Invalid plans and ladders surface as typed errors on both the direct

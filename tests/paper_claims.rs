@@ -5,7 +5,7 @@ use ciflow::analysis::{min_memory_without_spills, table2_rows};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::sweep::{
-    ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime,
+    ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime, runtime_with,
     streaming_equivalence_row, table4_rows, table5_rows, BASELINE_BANDWIDTH_GBPS,
 };
 use rpu::{EvkPolicy, RpuConfig};
@@ -143,8 +143,7 @@ fn figure4_low_bandwidth_gap_and_high_bandwidth_convergence() {
     // The defining shape of Figure 4: a large OC advantage at 8 GB/s that
     // shrinks towards parity at very high bandwidth, for every benchmark.
     for bench in HksBenchmark::all() {
-        let runtime =
-            |d: Dataflow, bw: f64| ciflow::runner::runtime_ms(bench, d, bw, EvkPolicy::OnChip);
+        let runtime = |d: Dataflow, bw: f64| runtime_with(bench, d, bw, EvkPolicy::OnChip, 1.0);
         let gap_low = runtime(Dataflow::MaxParallel, 8.0) / runtime(Dataflow::OutputCentric, 8.0);
         let gap_high =
             runtime(Dataflow::MaxParallel, 1024.0) / runtime(Dataflow::OutputCentric, 1024.0);

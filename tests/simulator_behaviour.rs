@@ -2,27 +2,33 @@
 //! bandwidth/compute scaling laws, decoupled-queue overlap, and trace
 //! consistency.
 
+use ciflow::api::{Job, JobOutput, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::hks_shape::HksShape;
-use ciflow::runner::HksRun;
 use ciflow::schedule::{build_schedule, ScheduleConfig};
 use common::{baseline_at, streaming_at};
-use rpu::{EvkPolicy, RpuEngine};
+use rpu::{EvkPolicy, RpuConfig, RpuEngine, TraceMode};
 
 #[path = "common/mod.rs"]
 mod common;
+
+/// One traced session run of `benchmark` under `dataflow` on `rpu`.
+fn run(benchmark: HksBenchmark, dataflow: Dataflow, rpu: RpuConfig) -> JobOutput {
+    Session::new()
+        .with_trace(TraceMode::Full)
+        .run_job(&Job::new(benchmark, dataflow).with_rpu(rpu))
+        .unwrap()
+}
 
 #[test]
 fn runtime_is_monotone_in_bandwidth_for_all_dataflows() {
     for dataflow in Dataflow::all() {
         let mut last = f64::INFINITY;
         for bw in [8.0, 16.0, 32.0, 64.0, 128.0, 512.0] {
-            let result = HksRun::new(HksBenchmark::ARK, dataflow)
-                .with_rpu(baseline_at(bw))
-                .execute()
-                .unwrap();
-            let runtime = result.stats.runtime_seconds;
+            let runtime = run(HksBenchmark::ARK, dataflow, baseline_at(bw))
+                .stats
+                .runtime_seconds;
             assert!(
                 runtime <= last * 1.0001,
                 "{dataflow}: runtime increased from {last} to {runtime} at {bw} GB/s"
@@ -66,12 +72,13 @@ fn runtime_never_beats_the_compute_and_memory_bounds() {
 #[test]
 fn compute_idle_fraction_shrinks_with_bandwidth() {
     let at = |bw: f64| {
-        HksRun::new(HksBenchmark::DPRIVE, Dataflow::OutputCentric)
-            .with_rpu(baseline_at(bw))
-            .execute()
-            .unwrap()
-            .stats
-            .compute_idle_fraction()
+        run(
+            HksBenchmark::DPRIVE,
+            Dataflow::OutputCentric,
+            baseline_at(bw),
+        )
+        .stats
+        .compute_idle_fraction()
     };
     let idle_low = at(8.0);
     let idle_high = at(256.0);
@@ -83,10 +90,7 @@ fn oc_is_less_idle_than_mp_at_low_bandwidth() {
     // Paper §VI-A: at 12.8 GB/s OC leaves the RPU idle ~21% of the time for
     // DPRIVE versus ~73% for MP. Require a clear gap, not exact numbers.
     let idle = |dataflow| {
-        HksRun::new(HksBenchmark::DPRIVE, dataflow)
-            .with_rpu(baseline_at(12.8))
-            .execute()
-            .unwrap()
+        run(HksBenchmark::DPRIVE, dataflow, baseline_at(12.8))
             .stats
             .compute_idle_fraction()
     };
@@ -103,12 +107,13 @@ fn modops_scaling_only_helps_when_compute_bound() {
     // At very low bandwidth, doubling MODOPS barely changes the runtime; at
     // high bandwidth it nearly halves it (Figure 8's two regimes).
     let runtime = |bw: f64, modops: f64| {
-        HksRun::new(HksBenchmark::ARK, Dataflow::OutputCentric)
-            .with_rpu(baseline_at(bw).with_modops(modops))
-            .execute()
-            .unwrap()
-            .stats
-            .runtime_ms()
+        run(
+            HksBenchmark::ARK,
+            Dataflow::OutputCentric,
+            baseline_at(bw).with_modops(modops),
+        )
+        .stats
+        .runtime_ms()
     };
     let low_bw_gain = runtime(8.0, 1.0) / runtime(8.0, 2.0);
     let high_bw_gain = runtime(512.0, 1.0) / runtime(512.0, 2.0);
@@ -124,10 +129,12 @@ fn modops_scaling_only_helps_when_compute_bound() {
 
 #[test]
 fn traces_cover_every_stage_and_are_time_consistent() {
-    let result = HksRun::new(HksBenchmark::ARK, Dataflow::OutputCentric)
-        .execute()
-        .unwrap();
-    let records = result.trace.records();
+    let result = run(
+        HksBenchmark::ARK,
+        Dataflow::OutputCentric,
+        RpuConfig::ciflow_baseline(),
+    );
+    let records = result.trace.as_ref().expect("traced run").records();
     assert_eq!(
         records.len(),
         result.schedule.graph.len(),
