@@ -7,7 +7,7 @@
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::report::markdown_table;
-use ciflow::sweep::memory_sweep;
+use ciflow_bench::figures::memory_sweep;
 
 fn main() {
     let capacities = [8u64, 16, 32, 64, 128, 256, 512, 1024];

@@ -15,6 +15,6 @@ fn main() {
     ));
     ciflow_bench::section("Figure 6 analogue: ARK with evks streamed vs on-chip");
     print!("{}", ciflow::report::render_sweep_csv(&series));
-    let baseline = ciflow::sweep::baseline_runtime_ms(HksBenchmark::ARK);
+    let baseline = ciflow_bench::figures::baseline_runtime_ms(HksBenchmark::ARK);
     println!("\nbaseline (MP @ 64 GB/s, evks on-chip): {baseline:.2} ms");
 }

@@ -4,7 +4,7 @@
 
 use ciflow::benchmark::HksBenchmark;
 use ciflow::report::markdown_table;
-use ciflow::sweep::streaming_equivalence_row;
+use ciflow_bench::figures::streaming_equivalence_row;
 
 fn main() {
     ciflow_bench::section("Figure 7 analogue: OC with evks streamed vs on-chip");

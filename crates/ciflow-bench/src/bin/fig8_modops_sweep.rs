@@ -2,7 +2,8 @@
 //! across the bandwidth range, with evks on-chip.
 
 use ciflow::benchmark::HksBenchmark;
-use ciflow::sweep::{modops_sweep, MODOPS_LADDER};
+use ciflow::sweep::MODOPS_LADDER;
+use ciflow_bench::figures::modops_sweep;
 
 fn main() {
     let bandwidths = ciflow_bench::extended_bandwidths();
@@ -13,6 +14,6 @@ fn main() {
     ciflow_bench::section("Figure 8 analogue: ARK OC runtime at different MODOPS (evks on-chip)");
     println!("columns are 1x, 2x, 4x, 8x, 16x MODOPS");
     print!("{}", ciflow::report::render_sweep_csv(&series));
-    let (bw, runtime) = ciflow::sweep::ark_saturation_point();
+    let (bw, runtime) = ciflow_bench::figures::ark_saturation_point();
     println!("\nARK saturation point: {bw} GB/s -> {runtime:.2} ms at 1x MODOPS");
 }

@@ -4,7 +4,7 @@
 
 use ciflow::benchmark::HksBenchmark;
 use ciflow::report::markdown_table;
-use ciflow::sweep::{ark_saturation_point, baseline_runtime_ms, equivalent_configs};
+use ciflow_bench::figures::{ark_saturation_point, baseline_runtime_ms, equivalent_configs};
 
 fn main() {
     let (sat_bw, sat_ms) = ark_saturation_point();

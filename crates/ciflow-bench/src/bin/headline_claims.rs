@@ -5,7 +5,8 @@
 use ciflow::analysis::table2_rows;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{min_bandwidth_for_runtime, table4_rows, BASELINE_BANDWIDTH_GBPS};
+use ciflow::sweep::BASELINE_BANDWIDTH_GBPS;
+use ciflow_bench::figures::{baseline_runtime_ms, min_bandwidth_for_runtime, table4_rows};
 use rpu::EvkPolicy;
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
         "Headline claim 3: bandwidth saving of OC (evks streamed) vs the MP on-chip baseline",
     );
     for benchmark in HksBenchmark::all() {
-        let baseline = ciflow::sweep::baseline_runtime_ms(benchmark);
+        let baseline = baseline_runtime_ms(benchmark);
         let needed = min_bandwidth_for_runtime(
             benchmark,
             Dataflow::OutputCentric,

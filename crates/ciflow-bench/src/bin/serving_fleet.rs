@@ -41,19 +41,8 @@ fn main() {
         println!("{document}");
         return;
     }
-    let classes = RequestClass::standard_mix(HksBenchmark::ARK);
-
     // Reference point: the gallery's reference configuration.
-    let reference = ServeConfig::new(
-        4,
-        classes.clone(),
-        ArrivalProcess::ClosedLoop {
-            concurrency: 8,
-            requests: 96,
-        },
-    )
-    .with_rpu(ciflow_bench::rpu_at(64.0))
-    .with_seed(1);
+    let reference = ciflow_bench::serving::reference_config();
     ciflow_bench::section("Serving reference point (standard ARK mix, closed loop c=8)");
     for dataflow in Dataflow::all() {
         let report = try_serve_in(&session, &reference, dataflow).expect("reference run succeeds");
@@ -93,7 +82,7 @@ fn main() {
         .throughput_rps;
     let open = ServeConfig::new(
         4,
-        classes,
+        RequestClass::standard_mix(HksBenchmark::ARK),
         ArrivalProcess::OpenLoop {
             rate_rps: 0.9 * capacity,
             requests: 192,

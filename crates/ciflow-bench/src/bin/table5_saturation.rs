@@ -3,8 +3,8 @@
 
 fn main() {
     ciflow_bench::section("Table V analogue: configurations matching ARK's saturation point");
-    let rows = ciflow::sweep::table5_rows();
-    print!("{}", ciflow::report::render_table5(&rows));
+    let rows = ciflow_bench::figures::table5_rows();
+    print!("{}", ciflow_bench::figures::render_table5(&rows));
     ciflow_bench::section("Paper reference");
     println!("Sat. point: 128 GB/s, 1x | OC 12.8 GB/s @2x | DC 54.64 GB/s @2x | MP 128 GB/s @2x");
 }

@@ -27,8 +27,8 @@ use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::report::markdown_table;
 use ciflow::sweep::{
-    try_analytic_sweep_in, try_channel_sweep, try_heterogeneous_analytic_sweep,
-    try_heterogeneous_sweep, BANDWIDTH_LADDER, CHANNEL_LADDER,
+    try_analytic_sweep_in, try_channel_sweep, try_heterogeneous_analytic_sweep_in,
+    try_heterogeneous_sweep_in, BANDWIDTH_LADDER, CHANNEL_LADDER,
 };
 use ciflow::workload::{PipelineMode, Workload};
 use rpu::{EvkPolicy, RpuConfig};
@@ -156,12 +156,19 @@ fn render_rescaling_chain(benchmark: HksBenchmark, evk_policy: EvkPolicy) {
         .iter()
         .map(|b| b.q_towers.to_string())
         .collect();
+    let session = Session::new();
     for dataflow in Dataflow::all() {
-        let sweep = try_heterogeneous_sweep(&chain, dataflow, &BANDWIDTH_LADDER, evk_policy)
-            .expect("built-in pipelines are infallible");
-        let analytic =
-            try_heterogeneous_analytic_sweep(&chain, dataflow, &BANDWIDTH_LADDER, evk_policy)
+        let sweep =
+            try_heterogeneous_sweep_in(&session, &chain, dataflow, &BANDWIDTH_LADDER, evk_policy)
                 .expect("built-in pipelines are infallible");
+        let analytic = try_heterogeneous_analytic_sweep_in(
+            &session,
+            &chain,
+            dataflow,
+            &BANDWIDTH_LADDER,
+            evk_policy,
+        )
+        .expect("built-in pipelines are infallible");
         for (engine, closed_form) in sweep.points.iter().zip(&analytic.points) {
             let label = format!("rescaling chain {} {dataflow}", benchmark.name);
             assert_analytic_agrees(

@@ -1,0 +1,594 @@
+//! The paper-figure quantities behind Tables IV–V and Figures 7–9, built on
+//! the `Result`-returning sweeps of [`ciflow::sweep`].
+//!
+//! Every function here runs fixed built-in configurations (the paper's
+//! dataflows on the paper's RPU), which cannot fail by construction, so
+//! each returns its value directly and panics only on a simulator bug.
+
+use ciflow::api::{Job, Session};
+use ciflow::benchmark::HksBenchmark;
+use ciflow::dataflow::Dataflow;
+use ciflow::report::markdown_table;
+use ciflow::sweep::{
+    try_bandwidth_sweep_in, SweepSeries, BANDWIDTH_LADDER, BASELINE_BANDWIDTH_GBPS,
+};
+use rpu::{EvkPolicy, RpuConfig};
+
+/// Runs a runtime-vs-bandwidth sweep of one built-in dataflow.
+///
+/// # Panics
+///
+/// Panics if a schedule cannot be executed (a simulator bug).
+pub fn bandwidth_sweep(
+    benchmark: HksBenchmark,
+    dataflow: Dataflow,
+    bandwidths: &[f64],
+    evk_policy: EvkPolicy,
+    modops: f64,
+) -> SweepSeries {
+    try_bandwidth_sweep_in(
+        &Session::new(),
+        benchmark,
+        dataflow,
+        bandwidths,
+        evk_policy,
+        modops,
+    )
+    .expect("built-in dataflow sweeps are infallible")
+}
+
+/// Runtime (ms) of one built-in dataflow with an explicit MODOPS multiplier.
+///
+/// # Panics
+///
+/// Panics if the generated schedule cannot be executed (a simulator bug).
+pub fn runtime_with(
+    benchmark: HksBenchmark,
+    dataflow: Dataflow,
+    bandwidth_gbps: f64,
+    evk_policy: EvkPolicy,
+    modops: f64,
+) -> f64 {
+    Session::new()
+        .with_rpu(
+            RpuConfig::ciflow_with_policy(evk_policy)
+                .with_bandwidth(bandwidth_gbps)
+                .with_modops(modops),
+        )
+        .run_one(benchmark, dataflow)
+        .expect("built-in dataflow runs are infallible")
+        .runtime_ms()
+}
+
+/// The paper's baseline runtime for a benchmark: MP with evks on-chip at
+/// 64 GB/s.
+pub fn baseline_runtime_ms(benchmark: HksBenchmark) -> f64 {
+    runtime_with(
+        benchmark,
+        Dataflow::MaxParallel,
+        BASELINE_BANDWIDTH_GBPS,
+        EvkPolicy::OnChip,
+        1.0,
+    )
+}
+
+/// Finds the minimum bandwidth (by bisection, within `[lo, hi]` GB/s) at
+/// which the configuration achieves `target_ms` or better. Returns `hi` if
+/// even the upper bound cannot reach the target.
+///
+/// # Panics
+///
+/// Panics if a probe cannot be executed (a simulator bug).
+pub fn min_bandwidth_for_runtime(
+    benchmark: HksBenchmark,
+    dataflow: Dataflow,
+    evk_policy: EvkPolicy,
+    modops: f64,
+    target_ms: f64,
+    lo: f64,
+    hi: f64,
+) -> f64 {
+    let probe = |bw: f64| runtime_with(benchmark, dataflow, bw, evk_policy, modops);
+    let mut lo = lo;
+    let mut hi = hi;
+    if probe(hi) > target_ms {
+        return hi;
+    }
+    if probe(lo) <= target_ms {
+        return lo;
+    }
+    for _ in 0..40 {
+        let mid = 0.5 * (lo + hi);
+        if probe(mid) <= target_ms {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+        if hi - lo < 0.05 {
+            break;
+        }
+    }
+    hi
+}
+
+/// One row of the Table IV analogue.
+#[derive(Debug, Clone)]
+pub struct OcBaseRow {
+    /// Benchmark name.
+    pub benchmark: &'static str,
+    /// Bandwidth at which OC matches the baseline (GB/s).
+    pub ocbase_gbps: f64,
+    /// Bandwidth saving relative to the 64 GB/s baseline.
+    pub saved_bandwidth: f64,
+    /// OC runtime at the OCbase bandwidth (ms).
+    pub oc_ms: f64,
+    /// MP runtime at the OCbase bandwidth (ms).
+    pub mp_ms: f64,
+    /// OC speedup over MP at the OCbase bandwidth.
+    pub oc_speedup: f64,
+}
+
+/// Computes the Table IV analogue for one benchmark: the bandwidth at which
+/// OC (evks on-chip) matches the MP baseline at 64 GB/s, the bandwidth
+/// saving, and the OC-vs-MP speedup at that point.
+pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
+    let baseline = baseline_runtime_ms(benchmark);
+    let on_chip = |dataflow, bw| runtime_with(benchmark, dataflow, bw, EvkPolicy::OnChip, 1.0);
+    // The paper picks OCbase from the discrete ladder; do the same so the
+    // "saved bandwidth" factors are comparable.
+    let ocbase = BANDWIDTH_LADDER
+        .into_iter()
+        .take_while(|&bw| bw <= BASELINE_BANDWIDTH_GBPS)
+        .find(|&bw| on_chip(Dataflow::OutputCentric, bw) <= baseline)
+        .unwrap_or(BASELINE_BANDWIDTH_GBPS);
+    let oc_ms = on_chip(Dataflow::OutputCentric, ocbase);
+    let mp_ms = on_chip(Dataflow::MaxParallel, ocbase);
+    OcBaseRow {
+        benchmark: benchmark.name,
+        ocbase_gbps: ocbase,
+        saved_bandwidth: BASELINE_BANDWIDTH_GBPS / ocbase,
+        oc_ms,
+        mp_ms,
+        oc_speedup: mp_ms / oc_ms,
+    }
+}
+
+/// The full Table IV analogue, one row per benchmark.
+pub fn table4_rows() -> Vec<OcBaseRow> {
+    HksBenchmark::all().into_iter().map(ocbase_row).collect()
+}
+
+/// Renders the Table IV analogue (OCbase bandwidth and speedups).
+pub fn render_table4(rows: &[OcBaseRow]) -> String {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.benchmark.to_string(),
+                format!("{:.1}", r.ocbase_gbps),
+                format!("{:.2}x", r.saved_bandwidth),
+                format!("{:.2}", r.oc_ms),
+                format!("{:.2}", r.mp_ms),
+                format!("{:.2}x", r.oc_speedup),
+            ]
+        })
+        .collect();
+    markdown_table(
+        &[
+            "Benchmark",
+            "OCbase (GB/s)",
+            "Saved BW",
+            "OC (ms)",
+            "MP (ms)",
+            "OC speedup",
+        ],
+        &cells,
+    )
+}
+
+/// One bar group of the Figure 7 analogue: the bandwidth OC needs when
+/// streaming evks to match its own evk-on-chip performance at `ocbase_gbps`.
+#[derive(Debug, Clone)]
+pub struct StreamingEquivalenceRow {
+    /// Benchmark name.
+    pub benchmark: &'static str,
+    /// OCbase bandwidth with evks on-chip (GB/s).
+    pub ocbase_gbps: f64,
+    /// Runtime at that point with evks on-chip (ms).
+    pub on_chip_ms: f64,
+    /// Bandwidth needed to match that runtime while streaming evks (GB/s).
+    pub equivalent_streaming_gbps: f64,
+    /// Extra bandwidth factor paid for streaming.
+    pub extra_bandwidth: f64,
+    /// SRAM saving obtained by streaming (392 MB → 32 MB = 12.25×).
+    pub sram_saving: f64,
+}
+
+/// Computes the Figure 7 analogue for one benchmark.
+pub fn streaming_equivalence_row(benchmark: HksBenchmark) -> StreamingEquivalenceRow {
+    let ocbase = ocbase_row(benchmark).ocbase_gbps;
+    let on_chip_ms = runtime_with(
+        benchmark,
+        Dataflow::OutputCentric,
+        ocbase,
+        EvkPolicy::OnChip,
+        1.0,
+    );
+    let equivalent = min_bandwidth_for_runtime(
+        benchmark,
+        Dataflow::OutputCentric,
+        EvkPolicy::Streamed,
+        1.0,
+        on_chip_ms,
+        ocbase,
+        1024.0,
+    );
+    let on_chip = RpuConfig::ciflow_baseline();
+    let streaming = RpuConfig::ciflow_streaming();
+    StreamingEquivalenceRow {
+        benchmark: benchmark.name,
+        ocbase_gbps: ocbase,
+        on_chip_ms,
+        equivalent_streaming_gbps: equivalent,
+        extra_bandwidth: equivalent / ocbase,
+        sram_saving: (on_chip.vector_memory_bytes + on_chip.key_memory_bytes) as f64
+            / (streaming.vector_memory_bytes + streaming.key_memory_bytes) as f64,
+    }
+}
+
+/// One row of the Table V analogue: the bandwidth each dataflow needs at 2×
+/// MODOPS to match ARK's saturation-point performance.
+#[derive(Debug, Clone)]
+pub struct SaturationRow {
+    /// Dataflow short name (or "Sat. Point" for the reference).
+    pub label: &'static str,
+    /// Required bandwidth (GB/s).
+    pub bandwidth_gbps: f64,
+    /// MODOPS multiplier.
+    pub modops: f64,
+    /// Bandwidth relative to the saturation point's 128 GB/s.
+    pub relative_bandwidth: f64,
+}
+
+/// ARK's saturation point: the bandwidth beyond which OC (evks on-chip, 1×
+/// MODOPS) no longer improves — the paper identifies 128 GB/s. Returns the
+/// bandwidth and the runtime (ms) there.
+pub fn ark_saturation_point() -> (f64, f64) {
+    let bw = 128.0;
+    let runtime = runtime_with(
+        HksBenchmark::ARK,
+        Dataflow::OutputCentric,
+        bw,
+        EvkPolicy::OnChip,
+        1.0,
+    );
+    (bw, runtime)
+}
+
+/// The Table V analogue: required bandwidth for OC/DC/MP at 2× MODOPS to
+/// match ARK's saturation-point runtime.
+pub fn table5_rows() -> Vec<SaturationRow> {
+    let (sat_bw, sat_runtime) = ark_saturation_point();
+    let mut rows = vec![SaturationRow {
+        label: "Sat. Point",
+        bandwidth_gbps: sat_bw,
+        modops: 1.0,
+        relative_bandwidth: 1.0,
+    }];
+    rows.extend(
+        [
+            ("OC", Dataflow::OutputCentric),
+            ("DC", Dataflow::DigitCentric),
+            ("MP", Dataflow::MaxParallel),
+        ]
+        .map(|(label, dataflow)| {
+            let bw = min_bandwidth_for_runtime(
+                HksBenchmark::ARK,
+                dataflow,
+                EvkPolicy::OnChip,
+                2.0,
+                sat_runtime,
+                4.0,
+                1024.0,
+            );
+            SaturationRow {
+                label,
+                bandwidth_gbps: bw,
+                modops: 2.0,
+                relative_bandwidth: bw / sat_bw,
+            }
+        }),
+    );
+    rows
+}
+
+/// Renders the Table V analogue (configurations matching ARK's saturation
+/// point).
+pub fn render_table5(rows: &[SaturationRow]) -> String {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.label.to_string(),
+                format!("{:.2}", r.bandwidth_gbps),
+                format!("{:.2}x", r.modops),
+                format!("{:.2}x", r.relative_bandwidth),
+            ]
+        })
+        .collect();
+    markdown_table(&["Dataflow", "BW (GB/s)", "MODOPS", "Rel. BW"], &cells)
+}
+
+/// A MODOPS sweep series (one Figure 8 curve): runtime vs bandwidth at a
+/// fixed MODOPS multiplier under OC with evks on-chip.
+pub fn modops_sweep(benchmark: HksBenchmark, modops: f64, bandwidths: &[f64]) -> SweepSeries {
+    bandwidth_sweep(
+        benchmark,
+        Dataflow::OutputCentric,
+        bandwidths,
+        EvkPolicy::OnChip,
+        modops,
+    )
+}
+
+/// One point of the Figure 9 analogue: a `(bandwidth, MODOPS)` pair that
+/// matches a target runtime with evks streamed.
+#[derive(Debug, Clone)]
+pub struct EquivalentConfig {
+    /// MODOPS multiplier.
+    pub modops: f64,
+    /// Bandwidth needed at that multiplier (GB/s).
+    pub bandwidth_gbps: f64,
+}
+
+/// Finds, for each MODOPS multiplier, the bandwidth OC needs to match a
+/// target runtime while streaming evks (the Figure 9 analysis).
+pub fn equivalent_configs(
+    benchmark: HksBenchmark,
+    target_ms: f64,
+    modops_ladder: &[f64],
+) -> Vec<EquivalentConfig> {
+    modops_ladder
+        .iter()
+        .map(|&m| EquivalentConfig {
+            modops: m,
+            bandwidth_gbps: min_bandwidth_for_runtime(
+                benchmark,
+                Dataflow::OutputCentric,
+                EvkPolicy::Streamed,
+                m,
+                target_ms,
+                2.0,
+                1024.0,
+            ),
+        })
+        .collect()
+}
+
+/// One point of an on-chip-memory ablation: DRAM traffic and runtime as a
+/// function of the data-memory capacity.
+#[derive(Debug, Clone, Copy)]
+pub struct MemorySweepPoint {
+    /// Data-memory capacity in MiB.
+    pub data_memory_mib: u64,
+    /// Total DRAM traffic in MiB.
+    pub dram_mib: f64,
+    /// Runtime in milliseconds at the configured bandwidth.
+    pub runtime_ms: f64,
+    /// Bytes spilled because intermediates did not fit.
+    pub spill_mib: f64,
+}
+
+/// Ablation study (not a paper figure, but implied by §IV/§V-D): sweep the
+/// on-chip data-memory capacity and report how much DRAM traffic and runtime
+/// each dataflow pays at each size. This exposes the capacity at which each
+/// dataflow stops spilling — the quantity behind the paper's 675 MB (MP) /
+/// 255 MB (DC) / 32 MB (OC) discussion. Capacities run as one parallel batch.
+///
+/// # Panics
+///
+/// Panics if a schedule cannot be executed (a simulator bug).
+pub fn memory_sweep(
+    benchmark: HksBenchmark,
+    dataflow: Dataflow,
+    capacities_mib: &[u64],
+    bandwidth_gbps: f64,
+) -> Vec<MemorySweepPoint> {
+    let session = Session::new().jobs(capacities_mib.iter().map(|&mib| {
+        Job::new(benchmark, dataflow).with_rpu(
+            RpuConfig::ciflow_streaming()
+                .with_bandwidth(bandwidth_gbps)
+                .with_vector_memory(mib * rpu::MIB),
+        )
+    }));
+    let outputs = session
+        .run()
+        .into_outputs()
+        .expect("built-in dataflow sweeps are infallible");
+    capacities_mib
+        .iter()
+        .zip(outputs)
+        .map(|(&mib, output)| MemorySweepPoint {
+            data_memory_mib: mib,
+            dram_mib: output.schedule.dram_bytes() as f64 / rpu::MIB as f64,
+            runtime_ms: output.runtime_ms(),
+            spill_mib: output.schedule.spill_bytes as f64 / rpu::MIB as f64,
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_series_is_monotone() {
+        let series = bandwidth_sweep(
+            HksBenchmark::DPRIVE,
+            Dataflow::OutputCentric,
+            &[8.0, 16.0, 32.0, 64.0],
+            EvkPolicy::OnChip,
+            1.0,
+        );
+        assert_eq!(series.points.len(), 4);
+        for w in series.points.windows(2) {
+            assert!(w[1].runtime_ms <= w[0].runtime_ms * 1.0001);
+        }
+    }
+
+    #[test]
+    fn runtime_decreases_with_bandwidth() {
+        let mut last = f64::INFINITY;
+        for bw in [8.0, 16.0, 32.0, 64.0, 128.0] {
+            let t = runtime_with(
+                HksBenchmark::DPRIVE,
+                Dataflow::MaxParallel,
+                bw,
+                EvkPolicy::OnChip,
+                1.0,
+            );
+            assert!(
+                t <= last * 1.0001,
+                "runtime must not increase with bandwidth"
+            );
+            last = t;
+        }
+    }
+
+    #[test]
+    fn oc_beats_mp_at_low_bandwidth() {
+        // The qualitative core of Figure 4: at DDR4-class bandwidth OC is
+        // substantially faster than MP.
+        for benchmark in [HksBenchmark::ARK, HksBenchmark::DPRIVE] {
+            let mp = runtime_with(
+                benchmark,
+                Dataflow::MaxParallel,
+                8.0,
+                EvkPolicy::OnChip,
+                1.0,
+            );
+            let oc = runtime_with(
+                benchmark,
+                Dataflow::OutputCentric,
+                8.0,
+                EvkPolicy::OnChip,
+                1.0,
+            );
+            assert!(
+                oc * 1.5 < mp,
+                "{}: OC {oc:.2} ms vs MP {mp:.2} ms at 8 GB/s",
+                benchmark.name
+            );
+        }
+    }
+
+    #[test]
+    fn dataflows_converge_at_very_high_bandwidth() {
+        // With 1 TB/s the kernel is compute bound and the dataflow no longer
+        // matters much (paper §IV: "with unlimited on-chip memory / high
+        // bandwidth the performance gap decreases significantly").
+        let runtime =
+            |dataflow| runtime_with(HksBenchmark::ARK, dataflow, 1000.0, EvkPolicy::OnChip, 1.0);
+        let mp = runtime(Dataflow::MaxParallel);
+        let oc = runtime(Dataflow::OutputCentric);
+        let ratio = mp / oc;
+        assert!(
+            (0.8..=1.3).contains(&ratio),
+            "MP {mp:.3} ms vs OC {oc:.3} ms at 1 TB/s (ratio {ratio:.2})"
+        );
+    }
+
+    #[test]
+    fn ocbase_saves_bandwidth_for_every_benchmark() {
+        // Table IV: OC matches the MP 64 GB/s baseline at 2x-8x less
+        // bandwidth. Require at least a 2x saving everywhere and a larger
+        // saving for ARK than for BTS1/BTS3 (the paper's extremes).
+        let rows = table4_rows();
+        for row in &rows {
+            assert!(
+                row.saved_bandwidth >= 2.0,
+                "{}: saved bandwidth {:.2}",
+                row.benchmark,
+                row.saved_bandwidth
+            );
+            assert!(row.oc_speedup >= 1.0, "{}", row.benchmark);
+        }
+        let ark = rows.iter().find(|r| r.benchmark == "ARK").unwrap();
+        let bts3 = rows.iter().find(|r| r.benchmark == "BTS3").unwrap();
+        assert!(ark.saved_bandwidth >= bts3.saved_bandwidth);
+        // Headline claim: the best speedup is substantial (paper: 4.16x).
+        let best = rows.iter().map(|r| r.oc_speedup).fold(0.0, f64::max);
+        assert!(best > 2.0, "best OC speedup {best:.2}");
+    }
+
+    #[test]
+    fn streaming_needs_modest_extra_bandwidth() {
+        // Figure 7: streaming evks costs roughly 1.3x-3x extra bandwidth while
+        // saving 12.25x SRAM.
+        let row = streaming_equivalence_row(HksBenchmark::ARK);
+        assert!((row.sram_saving - 12.25).abs() < 1e-9);
+        assert!(row.extra_bandwidth >= 1.0);
+        assert!(
+            row.extra_bandwidth <= 6.0,
+            "extra bandwidth {:.2}",
+            row.extra_bandwidth
+        );
+    }
+
+    #[test]
+    fn doubling_modops_reduces_required_bandwidth() {
+        // Figure 9 intuition: with more compute, the same performance needs
+        // less bandwidth only once compute-bound; conversely at a fixed
+        // bandwidth the runtime improves (or stays equal) with more MODOPS.
+        let slow = runtime_with(
+            HksBenchmark::ARK,
+            Dataflow::OutputCentric,
+            256.0,
+            EvkPolicy::OnChip,
+            1.0,
+        );
+        let fast = runtime_with(
+            HksBenchmark::ARK,
+            Dataflow::OutputCentric,
+            256.0,
+            EvkPolicy::OnChip,
+            2.0,
+        );
+        assert!(fast < slow);
+        let (_, sat_runtime) = ark_saturation_point();
+        let configs = equivalent_configs(HksBenchmark::ARK, sat_runtime * 1.02, &[1.0, 2.0]);
+        assert!(configs[1].bandwidth_gbps <= configs[0].bandwidth_gbps);
+    }
+
+    #[test]
+    fn memory_sweep_traffic_is_monotone_in_capacity() {
+        // More on-chip memory can only remove spills, never add them.
+        let points = memory_sweep(
+            HksBenchmark::ARK,
+            Dataflow::MaxParallel,
+            &[8, 16, 32, 64, 256],
+            64.0,
+        );
+        for w in points.windows(2) {
+            assert!(w[1].dram_mib <= w[0].dram_mib + 1e-9);
+            assert!(w[1].spill_mib <= w[0].spill_mib + 1e-9);
+        }
+        // OC needs far less capacity than MP to reach the spill-free floor.
+        let oc = memory_sweep(HksBenchmark::ARK, Dataflow::OutputCentric, &[32], 64.0);
+        let mp = memory_sweep(HksBenchmark::ARK, Dataflow::MaxParallel, &[32], 64.0);
+        assert!(oc[0].spill_mib < mp[0].spill_mib);
+    }
+
+    #[test]
+    fn table5_mp_needs_more_bandwidth_than_oc() {
+        let rows = table5_rows();
+        let get = |label: &str| {
+            rows.iter()
+                .find(|r| r.label == label)
+                .unwrap()
+                .bandwidth_gbps
+        };
+        assert!(get("OC") <= get("DC"));
+        assert!(get("DC") <= get("MP"));
+    }
+}

@@ -7,17 +7,21 @@
 //!
 //! All regenerators drive the [`ciflow::api::Session`] batch API (directly
 //! or through the sweep drivers built on it), so multi-point figures use
-//! every core. The RPU configurations they share live here, in one place.
+//! every core. The RPU configurations they share live here, in one place;
+//! the paper-figure quantities of Tables IV–V and Figures 7–9 live in
+//! [`figures`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod figures;
 pub mod serving;
 
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{bandwidth_sweep, SweepSeries};
+use ciflow::sweep::SweepSeries;
+use figures::bandwidth_sweep;
 use rpu::{EvkPolicy, RpuConfig};
 
 /// Prints a titled section to stdout.

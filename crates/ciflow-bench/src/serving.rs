@@ -13,8 +13,7 @@ use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::json;
 use ciflow::serve::{
-    try_fault_serve_in, try_serve_in, ArrivalProcess, CrashPlan, FaultPlan, RequestClass,
-    ResilienceReport, RetryPolicy, ServeConfig,
+    try_fault_serve_in, try_serve_in, ArrivalProcess, RequestClass, ResilienceReport, ServeConfig,
 };
 use ciflow::sweep::try_fault_sweep_in;
 use rpu::RpuConfig;
@@ -35,19 +34,9 @@ pub fn reference_config() -> ServeConfig {
     .with_seed(1)
 }
 
-/// The standard adverse fault plan, scaled to `tick` (the mix's mean
-/// service time): seeded random crashes, 2% transient failures, generous
-/// capped-backoff retries, open admission. Used by the gallery's
-/// resilience section and by `simbench`'s `fleet_serve` workload.
-pub fn standard_fault_plan(tick: f64) -> FaultPlan {
-    FaultPlan::none()
-        .with_crashes(CrashPlan::Random {
-            mtbf_seconds: 40.0 * tick,
-            mttr_seconds: 5.0 * tick,
-        })
-        .with_transient_failure_rate(0.02)
-        .with_retry(RetryPolicy::capped_exponential(8, 0.5 * tick, 4.0 * tick))
-}
+/// The standard adverse fault plan the gallery's resilience section runs,
+/// re-exported for `simbench`'s `fleet_serve` workload.
+pub use ciflow::serve::standard_fault_plan;
 
 /// Renders the full `ciflow.serving_gallery.v1` document. Panics only if a
 /// built-in configuration fails to serve — a bug by construction, since

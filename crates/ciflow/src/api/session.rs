@@ -398,23 +398,6 @@ impl JobOutput {
     pub fn dram_mib(&self) -> f64 {
         self.stats.total_bytes() as f64 / rpu::MIB as f64
     }
-
-    /// The static bound analysis of the schedule this job executed, on the
-    /// configuration it executed on — same engine, same channel placement.
-    /// See [`rpu::bound::analyze`].
-    pub fn bound_analysis(&self) -> BoundAnalysis {
-        let engine = RpuEngine::new(self.rpu.clone())
-            .with_channel_map(self.schedule.channel_map(self.rpu.memory_channel_count()));
-        engine.bounds(&self.schedule.graph)
-    }
-
-    /// Achieved-vs-bound efficiency: the provable makespan lower bound
-    /// divided by the achieved runtime. 1.0 means the run hit the static
-    /// bound exactly; lower values quantify contention the bound cannot
-    /// see (see `docs/BOUNDS.md`).
-    pub fn bound_efficiency(&self) -> f64 {
-        self.bound_analysis().efficiency(self.stats.runtime_seconds)
-    }
 }
 
 /// One entry of a [`BatchOutcome`]: the job description plus its result.

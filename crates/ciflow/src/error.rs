@@ -5,9 +5,9 @@
 //! reports through [`CiflowError`], which wraps the per-crate error types
 //! ([`rpu::EngineError`], [`rpu::TaskGraphError`], [`hemath::HemathError`],
 //! [`ckks::CkksError`]) so a batch driver can hold per-job results without
-//! ever unwinding. The panicking sweep helpers (`sweep::runtime_with`, …)
-//! remain available for scripts and tests, but are thin wrappers over the
-//! `Result`-returning API.
+//! ever unwinding. Every sweep returns a `Result` too (see
+//! [`crate::sweep`]); only the paper-figure helpers of the `ciflow-bench`
+//! crate, which run fixed built-in configurations, panic on failure.
 
 use rpu::{EngineError, TaskGraphError};
 

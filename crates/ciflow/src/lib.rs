@@ -44,13 +44,16 @@
 //!   partial forwarding and traffic accounting re-derived at every kernel
 //!   boundary.
 //! * [`sweep`] — the `Session`-powered bandwidth / MODOPS / evk-placement /
-//!   workload sweeps behind Figures 4–9 and Tables IV–V.
+//!   workload / serving sweeps behind Figures 4–9 and Tables IV–V, one
+//!   entry point each (the paper-figure quantities built on them live in
+//!   the `ciflow-bench` crate).
 //! * [`serve`] — the fleet-scale serving simulator: seeded arrival
 //!   processes (open- and closed-loop) feeding mixed request classes to a
 //!   cluster of simulated RPUs under pluggable dispatch policies, reporting
 //!   throughput, utilization, queue depths and latency percentiles on a
 //!   deterministic virtual clock (see `docs/SERVING.md`).
-//! * [`report`] — markdown / CSV / ASCII rendering of every table and figure.
+//! * [`report`] — markdown / CSV / ASCII rendering of tables and sweep
+//!   series.
 //! * [`functional`] — bit-exact validation that the Output-Centric
 //!   decomposition computes the same function as the reference CKKS key
 //!   switch.

@@ -1,7 +1,7 @@
 //! Plain-text and CSV rendering of tables and figure series.
 
 use crate::analysis::{ParameterRow, TrafficRow};
-use crate::sweep::{OcBaseRow, SaturationRow, SweepSeries};
+use crate::sweep::SweepSeries;
 
 /// Renders a markdown table from a header and rows of cells.
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
@@ -105,51 +105,6 @@ pub fn render_table3(rows: &[ParameterRow]) -> String {
     )
 }
 
-/// Renders the Table IV analogue (OCbase bandwidth and speedups).
-pub fn render_table4(rows: &[OcBaseRow]) -> String {
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.benchmark.to_string(),
-                format!("{:.1}", r.ocbase_gbps),
-                format!("{:.2}x", r.saved_bandwidth),
-                format!("{:.2}", r.oc_ms),
-                format!("{:.2}", r.mp_ms),
-                format!("{:.2}x", r.oc_speedup),
-            ]
-        })
-        .collect();
-    markdown_table(
-        &[
-            "Benchmark",
-            "OCbase (GB/s)",
-            "Saved BW",
-            "OC (ms)",
-            "MP (ms)",
-            "OC speedup",
-        ],
-        &cells,
-    )
-}
-
-/// Renders the Table V analogue (configurations matching ARK's saturation
-/// point).
-pub fn render_table5(rows: &[SaturationRow]) -> String {
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.to_string(),
-                format!("{:.2}", r.bandwidth_gbps),
-                format!("{:.2}x", r.modops),
-                format!("{:.2}x", r.relative_bandwidth),
-            ]
-        })
-        .collect();
-    markdown_table(&["Dataflow", "BW (GB/s)", "MODOPS", "Rel. BW"], &cells)
-}
-
 /// Renders one or more sweep series as CSV: one bandwidth column followed by
 /// one runtime column per series.
 ///
@@ -228,9 +183,10 @@ pub fn render_sweep_ascii(series: &[SweepSeries], width: usize, height: usize) -
 mod tests {
     use super::*;
     use crate::analysis::{table2_rows, table3_rows};
+    use crate::api::Session;
     use crate::benchmark::HksBenchmark;
     use crate::dataflow::Dataflow;
-    use crate::sweep::{bandwidth_sweep, SweepPoint};
+    use crate::sweep::{try_bandwidth_sweep_in, SweepPoint};
     use rpu::EvkPolicy;
 
     #[test]
@@ -276,13 +232,15 @@ mod tests {
 
     #[test]
     fn sweep_csv_has_header_and_rows() {
-        let s = bandwidth_sweep(
+        let s = try_bandwidth_sweep_in(
+            &Session::new(),
             HksBenchmark::ARK,
             Dataflow::OutputCentric,
             &[8.0, 16.0],
             EvkPolicy::OnChip,
             1.0,
-        );
+        )
+        .unwrap();
         let csv = render_sweep_csv(std::slice::from_ref(&s));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

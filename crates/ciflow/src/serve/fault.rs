@@ -17,10 +17,10 @@
 //! same standard as the fault-free layer and property-tested in
 //! `tests/fault_tolerance.rs`:
 //!
-//! * **Zero-fault replay** — running [`try_fault_serve`] with
+//! * **Zero-fault replay** — running [`try_fault_serve_in`] with
 //!   [`FaultPlan::none`] produces a [`ResilienceReport`] whose embedded
-//!   [`ServeReport`] is bit-for-bit the report [`try_serve`](super::try_serve)
-//!   produces. The fault-free path *is* the faulted path with an empty
+//!   [`ServeReport`] is bit-for-bit the report
+//!   [`try_serve_in`](super::try_serve_in) produces. The fault-free path *is* the faulted path with an empty
 //!   plan; there is no second simulator to drift.
 //! * **Conservation** — every offered arrival is exactly one of
 //!   completed, timed-out, or shed:
@@ -267,7 +267,7 @@ impl FaultPlan {
     }
 
     /// Scales the plan's fault *intensity* by a non-negative factor — the
-    /// knob [`try_fault_sweep`](crate::sweep::try_fault_sweep) grids.
+    /// knob [`try_fault_sweep_in`](crate::sweep::try_fault_sweep_in) grids.
     /// `Random` crash rates scale as `mtbf / intensity` (MTTR fixed), the
     /// transient failure rate scales linearly (clamped below 1), and
     /// intensity `0` removes every injected fault while keeping the
@@ -639,25 +639,23 @@ impl std::fmt::Display for ResilienceReport {
     }
 }
 
-/// Runs one faulted serving simulation with the built-in strategy
-/// registry. Convenience wrapper over [`try_fault_serve_in`] with a fresh
-/// [`Session`].
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] when the configuration fails
-/// [`ServeConfig::validate`] or the plan fails [`FaultPlan::validate`],
-/// and propagates schedule-construction errors.
-pub fn try_fault_serve(
-    config: &ServeConfig,
-    plan: &FaultPlan,
-    strategy: impl Into<StrategySpec>,
-) -> Result<ResilienceReport, CiflowError> {
-    try_fault_serve_in(&Session::new(), config, plan, strategy)
+/// The standard adverse fault plan, scaled to `tick` (a request mix's mean
+/// service time): seeded random crashes with a 40-tick MTBF and a 5-tick
+/// MTTR, 2% transient failures, up to 8 attempts with capped exponential
+/// backoff (0.5 to 4 ticks), open admission.
+pub fn standard_fault_plan(tick: f64) -> FaultPlan {
+    FaultPlan::none()
+        .with_crashes(CrashPlan::Random {
+            mtbf_seconds: 40.0 * tick,
+            mttr_seconds: 5.0 * tick,
+        })
+        .with_transient_failure_rate(0.02)
+        .with_retry(RetryPolicy::capped_exponential(8, 0.5 * tick, 4.0 * tick))
 }
 
-/// Runs one faulted serving simulation inside an existing [`Session`]
-/// (custom strategy registries, shared schedule cache).
+/// Runs one faulted serving simulation inside a [`Session`] (pass
+/// `&Session::new()` for the built-in strategies; share one session to
+/// reuse its strategy registry and schedule cache).
 ///
 /// Baseline service times are measured exactly as
 /// [`try_serve_in`](super::try_serve_in) measures them — one stats-only

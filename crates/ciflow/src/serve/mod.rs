@@ -27,15 +27,16 @@
 //! bit-reproducible function of the configuration and seed.
 //!
 //! ```
+//! use ciflow::api::Session;
 //! use ciflow::benchmark::HksBenchmark;
-//! use ciflow::serve::{try_serve, ArrivalProcess, RequestClass, ServeConfig};
+//! use ciflow::serve::{try_serve_in, ArrivalProcess, RequestClass, ServeConfig};
 //!
 //! let config = ServeConfig::new(
 //!     4,
 //!     RequestClass::standard_mix(HksBenchmark::ARK),
 //!     ArrivalProcess::ClosedLoop { concurrency: 8, requests: 64 },
 //! );
-//! let report = try_serve(&config, "OC").unwrap();
+//! let report = try_serve_in(&Session::new(), &config, "OC").unwrap();
 //! assert_eq!(report.completed, 64);
 //! assert!(report.throughput_rps > 0.0);
 //! ```
@@ -45,13 +46,15 @@
 //! seeded device crashes and restarts, bandwidth-degradation windows,
 //! transient per-attempt failures — handled by deadlines, capped-backoff
 //! retries, crash failover, and admission control with graceful
-//! degradation. [`try_fault_serve`] returns a [`ResilienceReport`]; a
-//! zero-fault plan replays the plain [`ServeReport`] bit-for-bit.
+//! degradation. [`try_fault_serve_in`] returns a [`ResilienceReport`]; a
+//! zero-fault plan replays the plain [`ServeReport`] bit-for-bit, and
+//! [`standard_fault_plan`] is the adverse plan the serving gallery and the
+//! benchmark run.
 //!
 //! See `docs/SERVING.md` for the model in depth, and
-//! [`try_serve_sweep`](crate::sweep::try_serve_sweep) /
-//! [`try_fault_sweep`](crate::sweep::try_fault_sweep) for sweeping cluster
-//! size, bandwidth, and fault intensity in one call.
+//! [`try_serve_sweep_in`](crate::sweep::try_serve_sweep_in) /
+//! [`try_fault_sweep_in`](crate::sweep::try_fault_sweep_in) for sweeping
+//! cluster size, bandwidth, and fault intensity in one call.
 
 mod arrival;
 mod config;
@@ -66,7 +69,7 @@ pub use config::{ClusterConfig, ServeConfig};
 pub use dispatch::DispatchPolicy;
 pub(crate) use fault::{degraded_service_rows, resilience_with_service_times, ServiceTable};
 pub use fault::{
-    try_fault_serve, try_fault_serve_in, AdmissionPolicy, CrashEvent, CrashPlan, DegradeWindow,
+    standard_fault_plan, try_fault_serve_in, AdmissionPolicy, CrashEvent, CrashPlan, DegradeWindow,
     DeviceAvailability, FaultPlan, ResilienceReport, RetryPolicy,
 };
 pub use report::{
@@ -77,26 +80,9 @@ pub use request::{ClassWork, RequestClass};
 use crate::api::{Session, StrategySpec};
 use crate::error::CiflowError;
 
-/// Runs one serving simulation with the built-in strategy registry.
-///
-/// Convenience wrapper over [`try_serve_in`] with a fresh [`Session`]; when
-/// running many configurations (or a sweep) share one session so class
-/// schedules are built once.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] when the configuration fails
-/// [`ServeConfig::validate`], or any error the underlying schedule
-/// construction reports.
-pub fn try_serve(
-    config: &ServeConfig,
-    strategy: impl Into<StrategySpec>,
-) -> Result<ServeReport, CiflowError> {
-    try_serve_in(&Session::new(), config, strategy)
-}
-
-/// Runs one serving simulation inside an existing [`Session`] (custom
-/// strategy registries, shared schedule cache).
+/// Runs one serving simulation inside a [`Session`] (pass `&Session::new()`
+/// for the built-in strategies; when running many configurations, or a
+/// sweep, share one session so class schedules are built once).
 ///
 /// The session's own RPU configuration is ignored — every request runs on
 /// the cluster's per-device [`RpuConfig`](rpu::RpuConfig) — but its schedule
@@ -106,8 +92,8 @@ pub fn try_serve(
 ///
 /// # Errors
 ///
-/// Returns [`CiflowError::InvalidConfig`] for structurally invalid
-/// configurations and propagates schedule-construction errors.
+/// Returns [`CiflowError::InvalidConfig`] when the configuration fails
+/// [`ServeConfig::validate`], and propagates schedule-construction errors.
 pub fn try_serve_in(
     session: &Session,
     config: &ServeConfig,
@@ -170,7 +156,7 @@ mod tests {
                 requests: 24,
             },
         );
-        let report = try_serve(&config, "OC").expect("serving run succeeds");
+        let report = try_serve_in(&Session::new(), &config, "OC").expect("serving run succeeds");
         assert_eq!(report.completed, 24);
         assert_eq!(report.records.len(), 24);
         assert_eq!(report.devices.len(), 2);
@@ -197,7 +183,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            try_serve(&config, "OC"),
+            try_serve_in(&Session::new(), &config, "OC"),
             Err(CiflowError::InvalidConfig { .. })
         ));
     }
@@ -275,7 +261,8 @@ mod tests {
                 },
             )
             .with_policy(policy);
-            let report = try_serve(&config, "OC").expect("serving run succeeds");
+            let report =
+                try_serve_in(&Session::new(), &config, "OC").expect("serving run succeeds");
             assert_eq!(report.completed, 16, "policy {policy} completes the run");
         }
     }

@@ -1,5 +1,6 @@
-//! The virtual-clock event simulation behind [`try_serve`](super::try_serve)
-//! and [`try_fault_serve`](super::try_fault_serve).
+//! The virtual-clock event simulation behind
+//! [`try_serve_in`](super::try_serve_in) and
+//! [`try_fault_serve_in`](super::try_fault_serve_in).
 //!
 //! The simulation advances a virtual clock (f64 seconds) through four event
 //! kinds — device completions, device fault transitions (crash/restore),

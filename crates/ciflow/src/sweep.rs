@@ -1,18 +1,17 @@
 //! Parameter sweeps: the drivers behind Figures 4–9 and Tables IV–V.
 //!
-//! Every sweep is built on the [`Session`] batch API:
-//! the sampled points become jobs, the batch fans out across all cores, and
-//! failures surface as typed [`CiflowError`]s instead of panics. The
-//! historical panicking entry points (`bandwidth_sweep`, `runtime_with`, …)
-//! remain as thin wrappers over the `try_*` functions — the built-in
-//! strategies never fail, so the wrappers only panic on a genuine simulator
-//! bug. Sweeps also accept *custom* strategies: pass an inline
-//! [`StrategySpec`], or resolve a registered name through your own session
-//! with [`try_bandwidth_sweep_in`].
+//! Every sweep is built on the [`Session`] API and has exactly one entry
+//! point, which takes the session it runs in (pass `&Session::new()` for
+//! the built-in strategies): the sampled points become jobs, the batch fans
+//! out across all cores, and failures surface as typed [`CiflowError`]s
+//! instead of panics. Strategy names resolve through the session's
+//! registry, so custom strategies sweep by name; an inline
+//! [`StrategySpec`] works with any session. The paper-figure quantities
+//! built on these sweeps (Tables IV–V, Figures 7–9) live in the
+//! `ciflow-bench` crate's `figures` module.
 
 use crate::api::{Job, Session, StrategySpec};
 use crate::benchmark::HksBenchmark;
-use crate::dataflow::Dataflow;
 use crate::error::CiflowError;
 use crate::serve::{DispatchPolicy, FaultPlan, ServeConfig};
 use crate::workload::{PipelineMode, Workload};
@@ -67,42 +66,18 @@ fn sweep_rpu(evk_policy: EvkPolicy, bandwidth_gbps: f64, modops: f64) -> RpuConf
         .with_modops(modops)
 }
 
-/// Runs a runtime-vs-bandwidth sweep (one Figure 4/5/6 curve) for a built-in
-/// or [inline](StrategySpec::Inline) strategy, executing all points as one
-/// parallel batch. Names are resolved against the *built-in* registry — to
-/// sweep a strategy registered in your own session, use
-/// [`try_bandwidth_sweep_in`].
+/// Runs a runtime-vs-bandwidth sweep (one Figure 4/5/6 curve) of one
+/// benchmark, executing all points as one parallel batch. Strategy names
+/// resolve through `session`'s registry, so custom strategies registered
+/// with [`Session::register`](crate::api::Session::register) can be swept
+/// by name. Only the registry is taken from `session`; each point runs on
+/// the paper's RPU for `evk_policy` at its own bandwidth. An empty ladder
+/// yields an empty series.
 ///
 /// # Errors
 ///
 /// Returns the first failing point's [`CiflowError`] (unknown strategy,
-/// schedule failure, engine rejection).
-pub fn try_bandwidth_sweep(
-    benchmark: HksBenchmark,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> Result<SweepSeries, CiflowError> {
-    try_bandwidth_sweep_in(
-        &Session::new(),
-        benchmark,
-        strategy,
-        bandwidths,
-        evk_policy,
-        modops,
-    )
-}
-
-/// [`try_bandwidth_sweep`] resolving strategy names through `session`'s
-/// registry, so custom strategies registered with
-/// [`Session::register`](crate::api::Session::register) can be swept by name.
-/// Only the registry is taken from `session`; each point runs on the paper's
-/// RPU for `evk_policy` at its own bandwidth.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
+/// invalid bandwidth, schedule failure, engine rejection).
 pub fn try_bandwidth_sweep_in(
     session: &Session,
     benchmark: HksBenchmark,
@@ -165,34 +140,9 @@ fn sweep_series(
 
 /// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
 /// (fused or back-to-back), executing all points as one parallel batch.
-/// Strategy names resolve against the built-in registry — use
-/// [`try_workload_sweep_in`] for custom registries.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
-pub fn try_workload_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    mode: PipelineMode,
-) -> Result<SweepSeries, CiflowError> {
-    try_workload_sweep_in(
-        &Session::new(),
-        workload,
-        strategy,
-        bandwidths,
-        evk_policy,
-        modops,
-        mode,
-    )
-}
-
-/// [`try_workload_sweep`] resolving strategy names through `session`'s
-/// registry. Only the registry is taken from `session`; each point runs on
-/// the paper's RPU for `evk_policy` at its own bandwidth.
+/// Strategy names resolve through `session`'s registry; each point runs on
+/// the paper's RPU for `evk_policy` at its own bandwidth. An empty ladder
+/// yields an empty series.
 ///
 /// # Errors
 ///
@@ -218,18 +168,11 @@ pub fn try_workload_sweep_in(
     )
 }
 
-/// Validates the bandwidths of a sweep ladder: every entry must be finite
-/// and strictly positive (a zero or negative bandwidth has no physical
-/// meaning and would divide durations by zero).
-fn validate_bandwidths(bandwidths: &[f64], context: &str) -> Result<(), CiflowError> {
-    for &bw in bandwidths {
-        if !bw.is_finite() || bw <= 0.0 {
-            return Err(CiflowError::InvalidConfig {
-                message: format!("{context}: bandwidth {bw} GB/s must be finite and positive"),
-            });
-        }
-    }
-    Ok(())
+/// Rejects a bandwidth that is not finite and positive, with the message
+/// every sweep and [`RpuConfig::validate`] share.
+fn check_bandwidth(bandwidth_gbps: f64) -> Result<(), CiflowError> {
+    rpu::config::validate_bandwidth(bandwidth_gbps)
+        .map_err(|message| CiflowError::InvalidConfig { message })
 }
 
 /// Validates an analytic bandwidth ladder and returns its `(min, max)`.
@@ -241,7 +184,9 @@ fn validate_bandwidths(bandwidths: &[f64], context: &str) -> Result<(), CiflowEr
 /// non-empty (a single-point ladder is fine) and every entry must be finite
 /// and strictly positive.
 fn analytic_range(bandwidths: &[f64], context: &str) -> Result<(f64, f64), CiflowError> {
-    validate_bandwidths(bandwidths, context)?;
+    for &bw in bandwidths {
+        check_bandwidth(bw)?;
+    }
     let Some(&first) = bandwidths.first() else {
         return Err(CiflowError::InvalidConfig {
             message: format!("{context}: bandwidth ladder is empty"),
@@ -259,7 +204,7 @@ fn analytic_range(bandwidths: &[f64], context: &str) -> Result<(f64, f64), Ciflo
 #[derive(Debug, Clone, Serialize)]
 pub struct AnalyticSweep {
     /// The evaluated series — same shape and bit-identical runtimes as
-    /// [`try_workload_sweep`] over the same ladder.
+    /// [`try_workload_sweep_in`] over the same ladder.
     pub series: SweepSeries,
     /// Number of grant-order segments the timeline stitched together over
     /// the ladder's bandwidth range (one on a single-channel RPU).
@@ -286,40 +231,11 @@ pub struct AnalyticSweep {
 /// Runs a runtime-vs-bandwidth sweep of a [`Workload`] pipeline in closed
 /// form: one symbolic execution covers the ladder's whole bandwidth range,
 /// and each point is an interval lookup plus an affine replay — no event
-/// loop per point. Results are bit-identical to [`try_workload_sweep`].
-/// Strategy names resolve against the built-in registry — use
-/// [`try_analytic_sweep_in`] for custom registries.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for an empty ladder or a
-/// non-finite/non-positive bandwidth (see [`try_analytic_sweep_in`] for the
-/// full ladder semantics), and otherwise propagates the same errors as
-/// [`try_workload_sweep`].
-pub fn try_analytic_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    mode: PipelineMode,
-) -> Result<AnalyticSweep, CiflowError> {
-    try_analytic_sweep_in(
-        &Session::new(),
-        workload,
-        strategy,
-        bandwidths,
-        evk_policy,
-        modops,
-        mode,
-    )
-}
-
-/// [`try_analytic_sweep`] resolving strategy names through `session`'s
-/// registry and reusing its schedule **and timeline** caches: repeating a
-/// sweep (or sweeping a different ladder inside the same bandwidth range)
-/// re-uses the cached [`ParametricTimeline`](rpu::ParametricTimeline)
-/// outright.
+/// loop per point. Results are bit-identical to [`try_workload_sweep_in`].
+/// Strategy names resolve through `session`'s registry, and its schedule
+/// **and timeline** caches are reused: repeating a sweep (or sweeping a
+/// different ladder inside the same bandwidth range) re-uses the cached
+/// [`ParametricTimeline`](rpu::ParametricTimeline) outright.
 ///
 /// Ladder semantics: unsorted ladders and duplicates are allowed and
 /// evaluated pointwise in the order given (duplicates produce bit-identical
@@ -382,33 +298,17 @@ pub fn try_analytic_sweep_in(
     })
 }
 
-/// The closed-form counterpart of [`try_heterogeneous_sweep`]: both pipeline
-/// modes of a heterogeneous workload are executed symbolically once, and the
-/// whole ladder is evaluated from the two timelines — bit-identical to the
-/// engine path. Strategy names resolve against the built-in registry — use
-/// [`try_heterogeneous_analytic_sweep_in`] for custom registries.
+/// The closed-form counterpart of [`try_heterogeneous_sweep_in`]: both
+/// pipeline modes of a heterogeneous workload are executed symbolically
+/// once, and the whole ladder is evaluated from the two timelines —
+/// bit-identical to the engine path. Strategy names resolve through
+/// `session`'s registry, and its schedule and timeline caches are reused.
 ///
 /// # Errors
 ///
 /// Returns [`CiflowError::InvalidConfig`] for a degenerate ladder (see
 /// [`try_analytic_sweep_in`]) or a workload with no kernel invocations, or
 /// the first failing point's error.
-pub fn try_heterogeneous_analytic_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-) -> Result<HeterogeneousSweep, CiflowError> {
-    try_heterogeneous_analytic_sweep_in(&Session::new(), workload, strategy, bandwidths, evk_policy)
-}
-
-/// [`try_heterogeneous_analytic_sweep`] resolving strategy names through
-/// `session`'s registry and reusing its schedule and timeline caches.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for a degenerate ladder, or the
-/// first failing point's error.
 pub fn try_heterogeneous_analytic_sweep_in(
     session: &Session,
     workload: &Workload,
@@ -481,31 +381,15 @@ pub struct HeterogeneousSweep {
 
 /// Runs a heterogeneous [`Workload`] pipeline (per-step parameter points,
 /// e.g. [`Workload::rescaling_chain`]) across a bandwidth ladder, fused and
-/// back-to-back, as one parallel batch. Strategy names resolve against the
-/// built-in registry — use [`try_heterogeneous_sweep_in`] for custom
-/// registries.
+/// back-to-back, as one parallel batch. Strategy names resolve through
+/// `session`'s registry; each point runs on the paper's RPU for
+/// `evk_policy` at its own bandwidth. An empty ladder yields no points.
 ///
 /// # Errors
 ///
 /// Returns the first failing point's [`CiflowError`] — including
 /// [`CiflowError::InvalidConfig`] for a workload with no kernel
 /// invocations.
-pub fn try_heterogeneous_sweep(
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-) -> Result<HeterogeneousSweep, CiflowError> {
-    try_heterogeneous_sweep_in(&Session::new(), workload, strategy, bandwidths, evk_policy)
-}
-
-/// [`try_heterogeneous_sweep`] resolving strategy names through `session`'s
-/// registry. Only the registry is taken from `session`; each point runs on
-/// the paper's RPU for `evk_policy` at its own bandwidth.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
 pub fn try_heterogeneous_sweep_in(
     session: &Session,
     workload: &Workload,
@@ -592,7 +476,7 @@ pub fn try_channel_sweep(
     channel_counts: &[usize],
     mode: PipelineMode,
 ) -> Result<Vec<ChannelSweepPoint>, CiflowError> {
-    validate_bandwidths(&[bandwidth_gbps], "channel sweep")?;
+    check_bandwidth(bandwidth_gbps)?;
     let spec: StrategySpec = strategy.into();
     let session = Session::new().jobs(channel_counts.iter().map(|&channels| {
         Job::workload(workload.clone(), spec.clone(), mode)
@@ -609,356 +493,6 @@ pub fn try_channel_sweep(
             memory_imbalance: output.stats.memory_channel_imbalance(),
         })
         .collect())
-}
-
-/// Runs a runtime-vs-bandwidth sweep for a built-in dataflow.
-///
-/// # Panics
-///
-/// Panics if a schedule cannot be executed (a simulator bug).
-pub fn bandwidth_sweep(
-    benchmark: HksBenchmark,
-    dataflow: Dataflow,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> SweepSeries {
-    try_bandwidth_sweep(benchmark, dataflow, bandwidths, evk_policy, modops)
-        .expect("built-in dataflow sweeps are infallible")
-}
-
-/// Runtime of one configuration with an explicit MODOPS multiplier.
-///
-/// # Errors
-///
-/// Returns a [`CiflowError`] if the strategy is unknown or the schedule
-/// cannot be built or executed.
-pub fn try_runtime_with(
-    benchmark: HksBenchmark,
-    strategy: impl Into<StrategySpec>,
-    bandwidth_gbps: f64,
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> Result<f64, CiflowError> {
-    let output = Session::new()
-        .with_rpu(sweep_rpu(evk_policy, bandwidth_gbps, modops))
-        .run_one(benchmark, strategy)?;
-    Ok(output.runtime_ms())
-}
-
-/// Runtime of one configuration with an explicit MODOPS multiplier.
-///
-/// # Panics
-///
-/// Panics if the generated schedule cannot be executed (a simulator bug).
-pub fn runtime_with(
-    benchmark: HksBenchmark,
-    dataflow: Dataflow,
-    bandwidth_gbps: f64,
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> f64 {
-    try_runtime_with(benchmark, dataflow, bandwidth_gbps, evk_policy, modops)
-        .expect("built-in dataflow runs are infallible")
-}
-
-/// The paper's baseline runtime for a benchmark: MP with evks on-chip at
-/// 64 GB/s.
-pub fn baseline_runtime_ms(benchmark: HksBenchmark) -> f64 {
-    runtime_with(
-        benchmark,
-        Dataflow::MaxParallel,
-        BASELINE_BANDWIDTH_GBPS,
-        EvkPolicy::OnChip,
-        1.0,
-    )
-}
-
-/// Finds the minimum bandwidth (by bisection, within `[lo, hi]` GB/s) at
-/// which the configuration achieves `target_ms` or better. Returns `hi` if
-/// even the upper bound cannot reach the target.
-///
-/// # Errors
-///
-/// Propagates the first probe failure.
-pub fn try_min_bandwidth_for_runtime(
-    benchmark: HksBenchmark,
-    strategy: impl Into<StrategySpec>,
-    evk_policy: EvkPolicy,
-    modops: f64,
-    target_ms: f64,
-    lo: f64,
-    hi: f64,
-) -> Result<f64, CiflowError> {
-    let spec: StrategySpec = strategy.into();
-    let probe = |bw: f64| try_runtime_with(benchmark, spec.clone(), bw, evk_policy, modops);
-    let mut lo = lo;
-    let mut hi = hi;
-    if probe(hi)? > target_ms {
-        return Ok(hi);
-    }
-    if probe(lo)? <= target_ms {
-        return Ok(lo);
-    }
-    for _ in 0..40 {
-        let mid = 0.5 * (lo + hi);
-        if probe(mid)? <= target_ms {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if hi - lo < 0.05 {
-            break;
-        }
-    }
-    Ok(hi)
-}
-
-/// Bisection for the minimum bandwidth reaching `target_ms` (built-in
-/// dataflows; panics on simulator bugs). See
-/// [`try_min_bandwidth_for_runtime`].
-#[allow(clippy::too_many_arguments)]
-pub fn min_bandwidth_for_runtime(
-    benchmark: HksBenchmark,
-    dataflow: Dataflow,
-    evk_policy: EvkPolicy,
-    modops: f64,
-    target_ms: f64,
-    lo: f64,
-    hi: f64,
-) -> f64 {
-    try_min_bandwidth_for_runtime(benchmark, dataflow, evk_policy, modops, target_ms, lo, hi)
-        .expect("built-in dataflow bisections are infallible")
-}
-
-/// One row of the Table IV analogue.
-#[derive(Debug, Clone, Serialize)]
-pub struct OcBaseRow {
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Bandwidth at which OC matches the baseline (GB/s).
-    pub ocbase_gbps: f64,
-    /// Bandwidth saving relative to the 64 GB/s baseline.
-    pub saved_bandwidth: f64,
-    /// OC runtime at the OCbase bandwidth (ms).
-    pub oc_ms: f64,
-    /// MP runtime at the OCbase bandwidth (ms).
-    pub mp_ms: f64,
-    /// OC speedup over MP at the OCbase bandwidth.
-    pub oc_speedup: f64,
-}
-
-/// Computes the Table IV analogue for one benchmark: the bandwidth at which
-/// OC (evks on-chip) matches the MP baseline at 64 GB/s, the bandwidth
-/// saving, and the OC-vs-MP speedup at that point.
-pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
-    let baseline = baseline_runtime_ms(benchmark);
-    // The paper picks OCbase from the discrete ladder; do the same so the
-    // "saved bandwidth" factors are comparable.
-    let mut ocbase = BASELINE_BANDWIDTH_GBPS;
-    for &bw in &BANDWIDTH_LADDER {
-        if bw > BASELINE_BANDWIDTH_GBPS {
-            break;
-        }
-        if runtime_with(
-            benchmark,
-            Dataflow::OutputCentric,
-            bw,
-            EvkPolicy::OnChip,
-            1.0,
-        ) <= baseline
-        {
-            ocbase = bw;
-            break;
-        }
-    }
-    let oc_ms = runtime_with(
-        benchmark,
-        Dataflow::OutputCentric,
-        ocbase,
-        EvkPolicy::OnChip,
-        1.0,
-    );
-    let mp_ms = runtime_with(
-        benchmark,
-        Dataflow::MaxParallel,
-        ocbase,
-        EvkPolicy::OnChip,
-        1.0,
-    );
-    OcBaseRow {
-        benchmark: benchmark.name,
-        ocbase_gbps: ocbase,
-        saved_bandwidth: BASELINE_BANDWIDTH_GBPS / ocbase,
-        oc_ms,
-        mp_ms,
-        oc_speedup: mp_ms / oc_ms,
-    }
-}
-
-/// The full Table IV analogue (rows computed in parallel).
-pub fn table4_rows() -> Vec<OcBaseRow> {
-    crate::parallel::map(HksBenchmark::all().to_vec(), ocbase_row)
-}
-
-/// One bar group of the Figure 7 analogue: the bandwidth OC needs when
-/// streaming evks to match its own evk-on-chip performance at `ocbase_gbps`.
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamingEquivalenceRow {
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// OCbase bandwidth with evks on-chip (GB/s).
-    pub ocbase_gbps: f64,
-    /// Runtime at that point with evks on-chip (ms).
-    pub on_chip_ms: f64,
-    /// Bandwidth needed to match that runtime while streaming evks (GB/s).
-    pub equivalent_streaming_gbps: f64,
-    /// Extra bandwidth factor paid for streaming.
-    pub extra_bandwidth: f64,
-    /// SRAM saving obtained by streaming (392 MB → 32 MB = 12.25×).
-    pub sram_saving: f64,
-}
-
-/// Computes the Figure 7 analogue for one benchmark.
-pub fn streaming_equivalence_row(benchmark: HksBenchmark) -> StreamingEquivalenceRow {
-    let ocbase = ocbase_row(benchmark).ocbase_gbps;
-    let on_chip_ms = runtime_with(
-        benchmark,
-        Dataflow::OutputCentric,
-        ocbase,
-        EvkPolicy::OnChip,
-        1.0,
-    );
-    let equivalent = min_bandwidth_for_runtime(
-        benchmark,
-        Dataflow::OutputCentric,
-        EvkPolicy::Streamed,
-        1.0,
-        on_chip_ms,
-        ocbase,
-        1024.0,
-    );
-    let on_chip = RpuConfig::ciflow_baseline();
-    let streaming = RpuConfig::ciflow_streaming();
-    StreamingEquivalenceRow {
-        benchmark: benchmark.name,
-        ocbase_gbps: ocbase,
-        on_chip_ms,
-        equivalent_streaming_gbps: equivalent,
-        extra_bandwidth: equivalent / ocbase,
-        sram_saving: (on_chip.vector_memory_bytes + on_chip.key_memory_bytes) as f64
-            / (streaming.vector_memory_bytes + streaming.key_memory_bytes) as f64,
-    }
-}
-
-/// One row of the Table V analogue: the bandwidth each dataflow needs at 2×
-/// MODOPS to match ARK's saturation-point performance.
-#[derive(Debug, Clone, Serialize)]
-pub struct SaturationRow {
-    /// Dataflow short name (or "Sat. Point" for the reference).
-    pub label: &'static str,
-    /// Required bandwidth (GB/s).
-    pub bandwidth_gbps: f64,
-    /// MODOPS multiplier.
-    pub modops: f64,
-    /// Bandwidth relative to the saturation point's 128 GB/s.
-    pub relative_bandwidth: f64,
-}
-
-/// ARK's saturation point: the bandwidth beyond which OC (evks on-chip, 1×
-/// MODOPS) no longer improves — the paper identifies 128 GB/s.
-pub fn ark_saturation_point() -> (f64, f64) {
-    let bw = 128.0;
-    let runtime = runtime_with(
-        HksBenchmark::ARK,
-        Dataflow::OutputCentric,
-        bw,
-        EvkPolicy::OnChip,
-        1.0,
-    );
-    (bw, runtime)
-}
-
-/// The Table V analogue: required bandwidth for OC/DC/MP at 2× MODOPS to
-/// match ARK's saturation-point runtime.
-pub fn table5_rows() -> Vec<SaturationRow> {
-    let (sat_bw, sat_runtime) = ark_saturation_point();
-    let mut rows = vec![SaturationRow {
-        label: "Sat. Point",
-        bandwidth_gbps: sat_bw,
-        modops: 1.0,
-        relative_bandwidth: 1.0,
-    }];
-    let dataflow_rows = crate::parallel::map(
-        vec![
-            ("OC", Dataflow::OutputCentric),
-            ("DC", Dataflow::DigitCentric),
-            ("MP", Dataflow::MaxParallel),
-        ],
-        |(label, dataflow)| {
-            let bw = min_bandwidth_for_runtime(
-                HksBenchmark::ARK,
-                dataflow,
-                EvkPolicy::OnChip,
-                2.0,
-                sat_runtime,
-                4.0,
-                1024.0,
-            );
-            SaturationRow {
-                label,
-                bandwidth_gbps: bw,
-                modops: 2.0,
-                relative_bandwidth: bw / sat_bw,
-            }
-        },
-    );
-    rows.extend(dataflow_rows);
-    rows
-}
-
-/// A MODOPS sweep series (one Figure 8 curve): runtime vs bandwidth at a
-/// fixed MODOPS multiplier for ARK under OC with evks on-chip.
-pub fn modops_sweep(benchmark: HksBenchmark, modops: f64, bandwidths: &[f64]) -> SweepSeries {
-    bandwidth_sweep(
-        benchmark,
-        Dataflow::OutputCentric,
-        bandwidths,
-        EvkPolicy::OnChip,
-        modops,
-    )
-}
-
-/// One point of the Figure 9 analogue: a `(bandwidth, MODOPS)` pair that
-/// matches a target runtime with evks streamed.
-#[derive(Debug, Clone, Serialize)]
-pub struct EquivalentConfig {
-    /// MODOPS multiplier.
-    pub modops: f64,
-    /// Bandwidth needed at that multiplier (GB/s).
-    pub bandwidth_gbps: f64,
-}
-
-/// Finds, for each MODOPS multiplier, the bandwidth needed to match a target
-/// runtime while streaming evks (the Figure 9 analysis). Multipliers are
-/// searched in parallel.
-pub fn equivalent_configs(
-    benchmark: HksBenchmark,
-    target_ms: f64,
-    modops_ladder: &[f64],
-) -> Vec<EquivalentConfig> {
-    crate::parallel::map(modops_ladder.to_vec(), |m| EquivalentConfig {
-        modops: m,
-        bandwidth_gbps: min_bandwidth_for_runtime(
-            benchmark,
-            Dataflow::OutputCentric,
-            EvkPolicy::Streamed,
-            m,
-            target_ms,
-            2.0,
-            1024.0,
-        ),
-    })
 }
 
 /// One point of a serving sweep: one cluster size at one per-device
@@ -1004,30 +538,13 @@ pub struct ServeSweep {
 /// the request mix, arrival process, dispatch policy and seed of `base`
 /// fixed. `base.cluster.num_devices` and the per-device bandwidth are
 /// overridden at every point; everything else (including the rest of the
-/// RPU configuration) is taken from `base`. Strategy names resolve against
-/// the built-in registry — use [`try_serve_sweep_in`] for custom registries.
+/// RPU configuration) is taken from `base`. Strategy names resolve through
+/// `session`'s registry, and its schedule cache is reused — the
+/// request-class schedules are built once and shared by every point of the
+/// sweep (bandwidth is not part of the schedule cache key).
 ///
 /// Every point re-seeds its arrival process from `base.seed`, so the sweep
 /// is bit-reproducible and two calls with equal inputs compare equal.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for an empty size or bandwidth
-/// ladder, or the first failing point's error (invalid configuration,
-/// unknown strategy, schedule failure).
-pub fn try_serve_sweep(
-    base: &ServeConfig,
-    strategy: impl Into<StrategySpec>,
-    cluster_sizes: &[usize],
-    bandwidths: &[f64],
-) -> Result<ServeSweep, CiflowError> {
-    try_serve_sweep_in(&Session::new(), base, strategy, cluster_sizes, bandwidths)
-}
-
-/// [`try_serve_sweep`] resolving strategy names through `session`'s registry
-/// and reusing its schedule cache — the request-class schedules are built
-/// once and shared by every point of the sweep (bandwidth is not part of
-/// the schedule cache key).
 ///
 /// Service times are measured *symbolically*: each request class is executed
 /// once as a [`ParametricTimeline`](rpu::ParametricTimeline) covering the
@@ -1051,11 +568,6 @@ pub fn try_serve_sweep_in(
     if cluster_sizes.is_empty() {
         return Err(CiflowError::InvalidConfig {
             message: "serving sweep has an empty cluster-size ladder".to_string(),
-        });
-    }
-    if bandwidths.is_empty() {
-        return Err(CiflowError::InvalidConfig {
-            message: "serving sweep has an empty bandwidth ladder".to_string(),
         });
     }
     let (lo, hi) = analytic_range(bandwidths, "serving sweep")?;
@@ -1177,34 +689,8 @@ pub struct FaultSweep {
 /// fixed. Each point runs `base_plan.scaled(intensity)` (see
 /// [`FaultPlan::scaled`]: random crash rates and the transient-failure
 /// rate scale; intensity `0` is the fault-free bound with the handling
-/// policies still on). Strategy names resolve against the built-in
-/// registry — use [`try_fault_sweep_in`] for custom registries.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for an empty intensity or size
-/// ladder, a non-finite/negative intensity, or the first failing point's
-/// error (e.g. a scripted crash or degradation window targeting a device
-/// a smaller cluster does not have).
-pub fn try_fault_sweep(
-    base: &ServeConfig,
-    base_plan: &FaultPlan,
-    strategy: impl Into<StrategySpec>,
-    intensities: &[f64],
-    cluster_sizes: &[usize],
-) -> Result<FaultSweep, CiflowError> {
-    try_fault_sweep_in(
-        &Session::new(),
-        base,
-        base_plan,
-        strategy,
-        intensities,
-        cluster_sizes,
-    )
-}
-
-/// [`try_fault_sweep`] resolving strategy names through `session`'s
-/// registry and reusing its schedule cache. Baseline service times are
+/// policies still on). Strategy names resolve through `session`'s
+/// registry, and its schedule cache is reused. Baseline service times are
 /// measured once per class through the engine (exactly as
 /// [`try_fault_serve_in`](crate::serve::try_fault_serve_in) measures them)
 /// and degraded rows once per class through the parametric timelines; the
@@ -1212,8 +698,10 @@ pub fn try_fault_sweep(
 ///
 /// # Errors
 ///
-/// Returns [`CiflowError::InvalidConfig`] for an empty or invalid ladder,
-/// or the first failing point's error.
+/// Returns [`CiflowError::InvalidConfig`] for an empty intensity or size
+/// ladder, a non-finite/negative intensity, or the first failing point's
+/// error (e.g. a scripted crash or degradation window targeting a device
+/// a smaller cluster does not have).
 pub fn try_fault_sweep_in(
     session: &Session,
     base: &ServeConfig,
@@ -1315,140 +803,18 @@ pub fn try_fault_sweep_in(
     })
 }
 
-/// One point of an on-chip-memory ablation: DRAM traffic and runtime as a
-/// function of the data-memory capacity.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct MemorySweepPoint {
-    /// Data-memory capacity in MiB.
-    pub data_memory_mib: u64,
-    /// Total DRAM traffic in MiB.
-    pub dram_mib: f64,
-    /// Runtime in milliseconds at the configured bandwidth.
-    pub runtime_ms: f64,
-    /// Bytes spilled because intermediates did not fit.
-    pub spill_mib: f64,
-}
-
-/// Ablation study (not a paper figure, but implied by §IV/§V-D): sweep the
-/// on-chip data-memory capacity and report how much DRAM traffic and runtime
-/// each dataflow pays at each size. This exposes the capacity at which each
-/// dataflow stops spilling — the quantity behind the paper's 675 MB (MP) /
-/// 255 MB (DC) / 32 MB (OC) discussion. Capacities run as one parallel batch.
-pub fn memory_sweep(
-    benchmark: HksBenchmark,
-    dataflow: Dataflow,
-    capacities_mib: &[u64],
-    bandwidth_gbps: f64,
-) -> Vec<MemorySweepPoint> {
-    let session = Session::new().jobs(capacities_mib.iter().map(|&mib| {
-        Job::new(benchmark, dataflow).with_rpu(
-            RpuConfig::ciflow_streaming()
-                .with_bandwidth(bandwidth_gbps)
-                .with_vector_memory(mib * rpu::MIB),
-        )
-    }));
-    let outputs = session
-        .run()
-        .into_outputs()
-        .expect("built-in dataflow sweeps are infallible");
-    capacities_mib
-        .iter()
-        .zip(outputs)
-        .map(|(&mib, output)| MemorySweepPoint {
-            data_memory_mib: mib,
-            dram_mib: output.schedule.dram_bytes() as f64 / rpu::MIB as f64,
-            runtime_ms: output.runtime_ms(),
-            spill_mib: output.schedule.spill_bytes as f64 / rpu::MIB as f64,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_series_is_monotone() {
-        let series = bandwidth_sweep(
-            HksBenchmark::DPRIVE,
-            Dataflow::OutputCentric,
-            &[8.0, 16.0, 32.0, 64.0],
-            EvkPolicy::OnChip,
-            1.0,
-        );
-        assert_eq!(series.points.len(), 4);
-        for w in series.points.windows(2) {
-            assert!(w[1].runtime_ms <= w[0].runtime_ms * 1.0001);
-        }
-    }
-
-    #[test]
-    fn runtime_decreases_with_bandwidth() {
-        let mut last = f64::INFINITY;
-        for bw in [8.0, 16.0, 32.0, 64.0, 128.0] {
-            let t = runtime_with(
-                HksBenchmark::DPRIVE,
-                Dataflow::MaxParallel,
-                bw,
-                EvkPolicy::OnChip,
-                1.0,
-            );
-            assert!(
-                t <= last * 1.0001,
-                "runtime must not increase with bandwidth"
-            );
-            last = t;
-        }
-    }
-
-    #[test]
-    fn oc_beats_mp_at_low_bandwidth() {
-        // The qualitative core of Figure 4: at DDR4-class bandwidth OC is
-        // substantially faster than MP.
-        for benchmark in [HksBenchmark::ARK, HksBenchmark::DPRIVE] {
-            let mp = runtime_with(
-                benchmark,
-                Dataflow::MaxParallel,
-                8.0,
-                EvkPolicy::OnChip,
-                1.0,
-            );
-            let oc = runtime_with(
-                benchmark,
-                Dataflow::OutputCentric,
-                8.0,
-                EvkPolicy::OnChip,
-                1.0,
-            );
-            assert!(
-                oc * 1.5 < mp,
-                "{}: OC {oc:.2} ms vs MP {mp:.2} ms at 8 GB/s",
-                benchmark.name
-            );
-        }
-    }
-
-    #[test]
-    fn dataflows_converge_at_very_high_bandwidth() {
-        // With 1 TB/s the kernel is compute bound and the dataflow no longer
-        // matters much (paper §IV: "with unlimited on-chip memory / high
-        // bandwidth the performance gap decreases significantly").
-        let runtime =
-            |dataflow| runtime_with(HksBenchmark::ARK, dataflow, 1000.0, EvkPolicy::OnChip, 1.0);
-        let mp = runtime(Dataflow::MaxParallel);
-        let oc = runtime(Dataflow::OutputCentric);
-        let ratio = mp / oc;
-        assert!(
-            (0.8..=1.3).contains(&ratio),
-            "MP {mp:.3} ms vs OC {oc:.3} ms at 1 TB/s (ratio {ratio:.2})"
-        );
-    }
+    use crate::dataflow::Dataflow;
+    use crate::serve::{ArrivalProcess, RequestClass};
 
     #[test]
     fn workload_sweep_is_monotone_and_fused_dominates() {
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 4);
         let bandwidths = [8.0, 16.0, 32.0];
-        let fused = try_workload_sweep(
+        let fused = try_workload_sweep_in(
+            &Session::new(),
             &workload,
             Dataflow::OutputCentric,
             &bandwidths,
@@ -1457,7 +823,8 @@ mod tests {
             PipelineMode::Fused,
         )
         .unwrap();
-        let unfused = try_workload_sweep(
+        let unfused = try_workload_sweep_in(
+            &Session::new(),
             &workload,
             Dataflow::OutputCentric,
             &bandwidths,
@@ -1477,11 +844,13 @@ mod tests {
 
     #[test]
     fn analytic_sweep_is_bit_identical_to_the_engine_path() {
+        let session = Session::new();
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 4);
         // Unsorted with a duplicate: evaluated pointwise, in order.
         let ladder = [64.0, 8.0, 16.0, 8.0, 128.0];
         for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-            let engine = try_workload_sweep(
+            let engine = try_workload_sweep_in(
+                &session,
                 &workload,
                 Dataflow::OutputCentric,
                 &ladder,
@@ -1490,7 +859,8 @@ mod tests {
                 mode,
             )
             .unwrap();
-            let analytic = try_analytic_sweep(
+            let analytic = try_analytic_sweep_in(
+                &session,
                 &workload,
                 Dataflow::OutputCentric,
                 &ladder,
@@ -1533,14 +903,22 @@ mod tests {
             }
         }
     }
+
     #[test]
     fn heterogeneous_analytic_sweep_matches_the_engine_path() {
+        let session = Session::new();
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
         let ladder = [8.0, 16.0, 64.0];
-        let engine =
-            try_heterogeneous_sweep(&chain, Dataflow::OutputCentric, &ladder, EvkPolicy::OnChip)
-                .unwrap();
-        let analytic = try_heterogeneous_analytic_sweep(
+        let engine = try_heterogeneous_sweep_in(
+            &session,
+            &chain,
+            Dataflow::OutputCentric,
+            &ladder,
+            EvkPolicy::OnChip,
+        )
+        .unwrap();
+        let analytic = try_heterogeneous_analytic_sweep_in(
+            &session,
             &chain,
             Dataflow::OutputCentric,
             &ladder,
@@ -1561,9 +939,11 @@ mod tests {
 
     #[test]
     fn analytic_sweep_rejects_degenerate_ladders() {
+        let session = Session::new();
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
         let run = |ladder: &[f64]| {
-            try_analytic_sweep(
+            try_analytic_sweep_in(
+                &session,
                 &workload,
                 Dataflow::OutputCentric,
                 ladder,
@@ -1590,7 +970,8 @@ mod tests {
         let single = run(&[25.6]).unwrap();
         assert_eq!(single.series.points.len(), 1);
         assert!(single.breakpoints_gbps.is_empty());
-        let engine = try_workload_sweep(
+        let engine = try_workload_sweep_in(
+            &session,
             &workload,
             Dataflow::OutputCentric,
             &[25.6],
@@ -1603,6 +984,71 @@ mod tests {
             single.series.points[0].runtime_ms.to_bits(),
             engine.points[0].runtime_ms.to_bits()
         );
+    }
+
+    #[test]
+    fn every_ladder_sweep_rejects_a_degenerate_bandwidth_with_one_message() {
+        let session = Session::new();
+        let oc = Dataflow::OutputCentric;
+        let (on_chip, fused) = (EvkPolicy::OnChip, PipelineMode::Fused);
+        let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
+        let chain = Workload::rescaling_chain(HksBenchmark::ARK, 2);
+        let serve = ServeConfig::new(
+            2,
+            RequestClass::standard_mix(HksBenchmark::ARK),
+            ArrivalProcess::ClosedLoop {
+                concurrency: 2,
+                requests: 8,
+            },
+        );
+        for bad in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
+            // A valid point ahead of the bad one: every entry is checked.
+            let ladder = [64.0, bad];
+            let results = [
+                (
+                    "bandwidth",
+                    try_bandwidth_sweep_in(&session, HksBenchmark::ARK, oc, &ladder, on_chip, 1.0)
+                        .map(drop),
+                ),
+                (
+                    "workload",
+                    try_workload_sweep_in(&session, &workload, oc, &ladder, on_chip, 1.0, fused)
+                        .map(drop),
+                ),
+                (
+                    "analytic",
+                    try_analytic_sweep_in(&session, &workload, oc, &ladder, on_chip, 1.0, fused)
+                        .map(drop),
+                ),
+                (
+                    "heterogeneous analytic",
+                    try_heterogeneous_analytic_sweep_in(&session, &chain, oc, &ladder, on_chip)
+                        .map(drop),
+                ),
+                (
+                    "heterogeneous",
+                    try_heterogeneous_sweep_in(&session, &chain, oc, &ladder, on_chip).map(drop),
+                ),
+                (
+                    "serve",
+                    try_serve_sweep_in(&session, &serve, oc, &[2], &ladder).map(drop),
+                ),
+                (
+                    "channel",
+                    try_channel_sweep(&workload, oc, bad, on_chip, &CHANNEL_LADDER, fused)
+                        .map(drop),
+                ),
+            ];
+            let expected = format!("DRAM bandwidth {bad} GB/s is not finite and positive");
+            for (sweep, result) in results {
+                match result {
+                    Err(CiflowError::InvalidConfig { message }) => {
+                        assert_eq!(message, expected, "{sweep} sweep");
+                    }
+                    other => panic!("{sweep} sweep must reject {bad} GB/s, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1639,8 +1085,10 @@ mod tests {
 
     #[test]
     fn heterogeneous_sweep_reports_the_ladder_and_forwarding() {
+        let session = Session::new();
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
-        let sweep = try_heterogeneous_sweep(
+        let sweep = try_heterogeneous_sweep_in(
+            &session,
             &chain,
             Dataflow::OutputCentric,
             &[8.0, 16.0],
@@ -1657,14 +1105,21 @@ mod tests {
         // An empty workload surfaces the typed error instead of a panic.
         let empty = Workload::new("empty", HksBenchmark::ARK);
         assert!(matches!(
-            try_heterogeneous_sweep(&empty, Dataflow::OutputCentric, &[8.0], EvkPolicy::OnChip),
+            try_heterogeneous_sweep_in(
+                &session,
+                &empty,
+                Dataflow::OutputCentric,
+                &[8.0],
+                EvkPolicy::OnChip
+            ),
             Err(crate::error::CiflowError::InvalidConfig { .. })
         ));
     }
 
     #[test]
     fn workload_sweep_reports_unknown_strategies() {
-        let result = try_workload_sweep(
+        let result = try_workload_sweep_in(
+            &Session::new(),
             &Workload::rotation_batch(HksBenchmark::ARK, 2),
             "not-a-strategy",
             &[8.0],
@@ -1680,7 +1135,8 @@ mod tests {
 
     #[test]
     fn try_sweep_reports_unknown_strategies() {
-        let result = try_bandwidth_sweep(
+        let result = try_bandwidth_sweep_in(
+            &Session::new(),
             HksBenchmark::ARK,
             "not-a-strategy",
             &[8.0, 16.0],
@@ -1691,99 +1147,5 @@ mod tests {
             result,
             Err(crate::error::CiflowError::UnknownStrategy { .. })
         ));
-    }
-
-    #[test]
-    fn ocbase_saves_bandwidth_for_every_benchmark() {
-        // Table IV: OC matches the MP 64 GB/s baseline at 2x-8x less
-        // bandwidth. Require at least a 2x saving everywhere and a larger
-        // saving for ARK than for BTS1/BTS3 (the paper's extremes).
-        let rows = table4_rows();
-        for row in &rows {
-            assert!(
-                row.saved_bandwidth >= 2.0,
-                "{}: saved bandwidth {:.2}",
-                row.benchmark,
-                row.saved_bandwidth
-            );
-            assert!(row.oc_speedup >= 1.0, "{}", row.benchmark);
-        }
-        let ark = rows.iter().find(|r| r.benchmark == "ARK").unwrap();
-        let bts3 = rows.iter().find(|r| r.benchmark == "BTS3").unwrap();
-        assert!(ark.saved_bandwidth >= bts3.saved_bandwidth);
-        // Headline claim: the best speedup is substantial (paper: 4.16x).
-        let best = rows.iter().map(|r| r.oc_speedup).fold(0.0, f64::max);
-        assert!(best > 2.0, "best OC speedup {best:.2}");
-    }
-
-    #[test]
-    fn streaming_needs_modest_extra_bandwidth() {
-        // Figure 7: streaming evks costs roughly 1.3x-3x extra bandwidth while
-        // saving 12.25x SRAM.
-        let row = streaming_equivalence_row(HksBenchmark::ARK);
-        assert!((row.sram_saving - 12.25).abs() < 1e-9);
-        assert!(row.extra_bandwidth >= 1.0);
-        assert!(
-            row.extra_bandwidth <= 6.0,
-            "extra bandwidth {:.2}",
-            row.extra_bandwidth
-        );
-    }
-
-    #[test]
-    fn doubling_modops_reduces_required_bandwidth() {
-        // Figure 9 intuition: with more compute, the same performance needs
-        // less bandwidth only once compute-bound; conversely at a fixed
-        // bandwidth the runtime improves (or stays equal) with more MODOPS.
-        let slow = runtime_with(
-            HksBenchmark::ARK,
-            Dataflow::OutputCentric,
-            256.0,
-            EvkPolicy::OnChip,
-            1.0,
-        );
-        let fast = runtime_with(
-            HksBenchmark::ARK,
-            Dataflow::OutputCentric,
-            256.0,
-            EvkPolicy::OnChip,
-            2.0,
-        );
-        assert!(fast < slow);
-        let (_, sat_runtime) = ark_saturation_point();
-        let configs = equivalent_configs(HksBenchmark::ARK, sat_runtime * 1.02, &[1.0, 2.0]);
-        assert!(configs[1].bandwidth_gbps <= configs[0].bandwidth_gbps);
-    }
-
-    #[test]
-    fn memory_sweep_traffic_is_monotone_in_capacity() {
-        // More on-chip memory can only remove spills, never add them.
-        let points = memory_sweep(
-            HksBenchmark::ARK,
-            Dataflow::MaxParallel,
-            &[8, 16, 32, 64, 256],
-            64.0,
-        );
-        for w in points.windows(2) {
-            assert!(w[1].dram_mib <= w[0].dram_mib + 1e-9);
-            assert!(w[1].spill_mib <= w[0].spill_mib + 1e-9);
-        }
-        // OC needs far less capacity than MP to reach the spill-free floor.
-        let oc = memory_sweep(HksBenchmark::ARK, Dataflow::OutputCentric, &[32], 64.0);
-        let mp = memory_sweep(HksBenchmark::ARK, Dataflow::MaxParallel, &[32], 64.0);
-        assert!(oc[0].spill_mib < mp[0].spill_mib);
-    }
-
-    #[test]
-    fn table5_mp_needs_more_bandwidth_than_oc() {
-        let rows = table5_rows();
-        let get = |label: &str| {
-            rows.iter()
-                .find(|r| r.label == label)
-                .unwrap()
-                .bandwidth_gbps
-        };
-        assert!(get("OC") <= get("DC"));
-        assert!(get("DC") <= get("MP"));
     }
 }

@@ -239,12 +239,13 @@ impl RpuConfig {
 }
 
 /// [`RpuConfig::validate`]'s rule for a DRAM bandwidth in GB/s: finite and
-/// positive.
+/// positive. Bandwidth ladders are checked with it too, so every entry
+/// point rejects a bad bandwidth with the same message.
 ///
 /// # Errors
 ///
 /// A message naming the value.
-pub(crate) fn validate_bandwidth(bandwidth_gbps: f64) -> Result<(), String> {
+pub fn validate_bandwidth(bandwidth_gbps: f64) -> Result<(), String> {
     validate_rate("DRAM bandwidth", bandwidth_gbps, " GB/s")
 }
 

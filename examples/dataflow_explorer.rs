@@ -9,11 +9,12 @@
 //! `cargo run -p ciflow --release --example dataflow_explorer -- ARK`
 //! `cargo run -p ciflow --release --example dataflow_explorer -- BTS3 streamed`
 
-use ciflow::api::Session;
+use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
+use ciflow::dataflow::Dataflow;
 use ciflow::report::{render_sweep_ascii, render_sweep_csv};
-use ciflow::sweep::{baseline_runtime_ms, try_bandwidth_sweep_in};
-use rpu::EvkPolicy;
+use ciflow::sweep::{try_bandwidth_sweep_in, BASELINE_BANDWIDTH_GBPS};
+use rpu::{EvkPolicy, RpuConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `streamed` is a flag; any other argument names the benchmark (ARK when
@@ -58,9 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", render_sweep_csv(&series));
     println!();
     print!("{}", render_sweep_ascii(&series, 66, 14));
+    let baseline = session.run_job(
+        &Job::new(benchmark, Dataflow::MaxParallel)
+            .with_rpu(RpuConfig::ciflow_baseline().with_bandwidth(BASELINE_BANDWIDTH_GBPS)),
+    )?;
     println!(
         "\nbaseline (MP @ 64 GB/s, evks on-chip): {:.2} ms",
-        baseline_runtime_ms(benchmark)
+        baseline.runtime_ms()
     );
     Ok(())
 }

@@ -5,12 +5,12 @@
 //! (benchmark, placement) runs execute as one parallel
 //! [`Session`](ciflow::api::Session) batch.
 //!
-//! Run with: `cargo run -p ciflow --release --example evk_streaming`
+//! Run with: `cargo run -p ciflow-bench --release --example evk_streaming`
 
 use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::streaming_equivalence_row;
+use ciflow_bench::figures::streaming_equivalence_row;
 use rpu::RpuConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -9,7 +9,7 @@
 
 use ciflow::api::{Job, Session};
 use ciflow::schedule::ScheduleConfig;
-use ciflow::sweep::try_heterogeneous_sweep;
+use ciflow::sweep::try_heterogeneous_sweep_in;
 use ciflow::workload::{build_workload, PipelineMode, Workload};
 use ciflow::{Dataflow, HksBenchmark};
 use rpu::{EvkPolicy, RpuConfig};
@@ -84,7 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The sweep: fused-vs-unfused across bandwidths for the whole chain.
-    let sweep = try_heterogeneous_sweep(
+    let sweep = try_heterogeneous_sweep_in(
+        &session,
         &chain,
         Dataflow::OutputCentric,
         &[8.0, 12.8, 25.6, 64.0],

@@ -11,14 +11,14 @@
 //!    `bound <= runtime` at every channel count and Fig-4 bandwidth, with
 //!    *bit-exact* equality on contention-free single-stream chains.
 //! 3. **Knee agreement** — the closed-form roofline knee is consistent with
-//!    the closed-form [`ciflow::sweep::try_analytic_sweep`] timeline: the
+//!    the closed-form [`ciflow::sweep::try_analytic_sweep_in`] timeline: the
 //!    bound curve sits under the runtime curve at every ladder point *and*
 //!    at every event-order breakpoint the timeline reports, the sweep's
 //!    `knee_gbps` equals the analysis's effective knee, and above a true
 //!    crossover knee the bound is exactly flat at the compute floor.
 
 use ciflow::api::{Job, Session};
-use ciflow::sweep::{try_analytic_sweep, BANDWIDTH_LADDER, CHANNEL_LADDER};
+use ciflow::sweep::{try_analytic_sweep_in, BANDWIDTH_LADDER, CHANNEL_LADDER};
 use ciflow::workload::{PipelineMode, Workload};
 use ciflow::{Dataflow, HksBenchmark};
 use common::{path_oracle, random_valid_tasks};
@@ -199,7 +199,7 @@ fn preset_gallery_bounds_are_sound_across_the_ladders() {
                             b.makespan_bound_seconds,
                             run.stats.runtime_seconds
                         );
-                        let eff = run.bound_efficiency();
+                        let eff = b.efficiency(run.stats.runtime_seconds);
                         assert!(eff > 0.0 && eff <= 1.0, "efficiency {eff} outside (0, 1]");
                     }
                 }
@@ -215,10 +215,12 @@ fn static_knee_agrees_with_the_parametric_timeline_on_presets() {
         Workload::mul_rot_block(HksBenchmark::BTS2, 2),
         Workload::bootstrap_key_switch(HksBenchmark::BTS3),
     ];
+    let session = Session::new();
     for workload in &presets {
         for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
             let sweep = |ladder: &[f64]| {
-                try_analytic_sweep(
+                try_analytic_sweep_in(
+                    &session,
                     workload,
                     Dataflow::OutputCentric,
                     ladder,

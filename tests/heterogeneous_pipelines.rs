@@ -14,7 +14,7 @@ use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::error::CiflowError;
 use ciflow::schedule::ScheduleConfig;
-use ciflow::sweep::{try_heterogeneous_sweep, BANDWIDTH_LADDER, CHANNEL_LADDER};
+use ciflow::sweep::{try_heterogeneous_sweep_in, BANDWIDTH_LADDER, CHANNEL_LADDER};
 use ciflow::workload::{build_workload, KernelStep, PipelineMode, Workload};
 use common::{baseline_at, streaming_at};
 use proptest::prelude::*;
@@ -137,7 +137,8 @@ fn empty_workloads_error_through_the_session_path() {
 
 #[test]
 fn heterogeneous_sweep_reports_monotone_runtimes_and_fused_dominance() {
-    let sweep = try_heterogeneous_sweep(
+    let sweep = try_heterogeneous_sweep_in(
+        &Session::new(),
         &acceptance_chain(),
         Dataflow::OutputCentric,
         &[8.0, 16.0, 32.0],

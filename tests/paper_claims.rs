@@ -4,9 +4,10 @@
 use ciflow::analysis::{min_memory_without_spills, table2_rows};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{
+use ciflow::sweep::BASELINE_BANDWIDTH_GBPS;
+use ciflow_bench::figures::{
     ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime, runtime_with,
-    streaming_equivalence_row, table4_rows, table5_rows, BASELINE_BANDWIDTH_GBPS,
+    streaming_equivalence_row, table4_rows, table5_rows,
 };
 use rpu::{EvkPolicy, RpuConfig};
 

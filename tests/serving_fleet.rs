@@ -14,10 +14,8 @@
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::serve::{
-    try_serve, try_serve_in, ArrivalProcess, DispatchPolicy, RequestClass, ServeConfig,
-};
-use ciflow::sweep::{try_serve_sweep, try_serve_sweep_in, BANDWIDTH_LADDER};
+use ciflow::serve::{try_serve_in, ArrivalProcess, DispatchPolicy, RequestClass, ServeConfig};
+use ciflow::sweep::{try_serve_sweep_in, BANDWIDTH_LADDER};
 use ciflow::CiflowError;
 use proptest::prelude::*;
 use rpu::RpuConfig;
@@ -100,6 +98,7 @@ fn same_seed_reproduces_the_report_and_different_seeds_differ() {
 
 #[test]
 fn invalid_configurations_error_on_the_direct_path() {
+    let session = Session::new();
     let valid_arrival = ArrivalProcess::ClosedLoop {
         concurrency: 2,
         requests: 8,
@@ -109,14 +108,14 @@ fn invalid_configurations_error_on_the_direct_path() {
     // Zero devices.
     let zero_devices = ServeConfig::new(0, mix.clone(), valid_arrival);
     assert!(matches!(
-        try_serve(&zero_devices, "OC"),
+        try_serve_in(&session, &zero_devices, "OC"),
         Err(CiflowError::InvalidConfig { .. })
     ));
 
     // No request classes.
     let no_classes = ServeConfig::new(2, Vec::new(), valid_arrival);
     assert!(matches!(
-        try_serve(&no_classes, "OC"),
+        try_serve_in(&session, &no_classes, "OC"),
         Err(CiflowError::InvalidConfig { .. })
     ));
 
@@ -130,7 +129,7 @@ fn invalid_configurations_error_on_the_direct_path() {
         },
     );
     assert!(matches!(
-        try_serve(&nan_rate, "OC"),
+        try_serve_in(&session, &nan_rate, "OC"),
         Err(CiflowError::InvalidConfig { .. })
     ));
 
@@ -138,7 +137,7 @@ fn invalid_configurations_error_on_the_direct_path() {
     let mut nan_weight = ServeConfig::new(2, mix.clone(), valid_arrival);
     nan_weight.classes[0].weight = f64::NAN;
     assert!(matches!(
-        try_serve(&nan_weight, "OC"),
+        try_serve_in(&session, &nan_weight, "OC"),
         Err(CiflowError::InvalidConfig { .. })
     ));
 
@@ -147,7 +146,7 @@ fn invalid_configurations_error_on_the_direct_path() {
     for class in &mut zero_weights.classes {
         class.weight = 0.0;
     }
-    match try_serve(&zero_weights, "OC") {
+    match try_serve_in(&session, &zero_weights, "OC") {
         Err(CiflowError::InvalidConfig { message }) => {
             assert!(message.contains("weights sum to 0"), "got {message:?}");
         }
@@ -158,7 +157,7 @@ fn invalid_configurations_error_on_the_direct_path() {
         rate_rps: -5.0,
         requests: 8,
     };
-    match try_serve(&negative_rate, "OC") {
+    match try_serve_in(&session, &negative_rate, "OC") {
         Err(CiflowError::InvalidConfig { message }) => {
             assert!(
                 message.contains("rate -5 req/s is not positive"),
@@ -169,7 +168,7 @@ fn invalid_configurations_error_on_the_direct_path() {
     }
     let mut bad_bandwidth = ServeConfig::new(2, mix, valid_arrival);
     bad_bandwidth.cluster.rpu.dram_bandwidth_gbps = f64::NAN;
-    match try_serve(&bad_bandwidth, "OC") {
+    match try_serve_in(&session, &bad_bandwidth, "OC") {
         Err(CiflowError::InvalidConfig { message }) => {
             assert!(message.contains("DRAM bandwidth NaN"), "got {message:?}");
         }
@@ -179,6 +178,7 @@ fn invalid_configurations_error_on_the_direct_path() {
 
 #[test]
 fn invalid_configurations_error_on_the_sweep_path() {
+    let session = Session::new();
     let base = ServeConfig::new(
         2,
         RequestClass::standard_mix(HksBenchmark::ARK),
@@ -190,17 +190,17 @@ fn invalid_configurations_error_on_the_sweep_path() {
 
     // Empty ladders are rejected before any execution.
     assert!(matches!(
-        try_serve_sweep(&base, "OC", &[], &[8.0]),
+        try_serve_sweep_in(&session, &base, "OC", &[], &[8.0]),
         Err(CiflowError::InvalidConfig { .. })
     ));
     assert!(matches!(
-        try_serve_sweep(&base, "OC", &[2], &[]),
+        try_serve_sweep_in(&session, &base, "OC", &[2], &[]),
         Err(CiflowError::InvalidConfig { .. })
     ));
 
     // A zero cluster size inside the ladder fails per-point validation.
     assert!(matches!(
-        try_serve_sweep(&base, "OC", &[2, 0], &[8.0]),
+        try_serve_sweep_in(&session, &base, "OC", &[2, 0], &[8.0]),
         Err(CiflowError::InvalidConfig { .. })
     ));
 
@@ -208,13 +208,13 @@ fn invalid_configurations_error_on_the_sweep_path() {
     let mut no_classes = base.clone();
     no_classes.classes.clear();
     assert!(matches!(
-        try_serve_sweep(&no_classes, "OC", &[2], &[8.0]),
+        try_serve_sweep_in(&session, &no_classes, "OC", &[2], &[8.0]),
         Err(CiflowError::InvalidConfig { .. })
     ));
 
     // Unknown strategies surface the registry error, not a panic.
     assert!(matches!(
-        try_serve_sweep(&base, "not-a-strategy", &[2], &[8.0]),
+        try_serve_sweep_in(&session, &base, "not-a-strategy", &[2], &[8.0]),
         Err(CiflowError::UnknownStrategy { .. })
     ));
 
@@ -223,7 +223,7 @@ fn invalid_configurations_error_on_the_sweep_path() {
     for class in &mut zero_weights.classes {
         class.weight = 0.0;
     }
-    match try_serve_sweep(&zero_weights, "OC", &[2], &[8.0]) {
+    match try_serve_sweep_in(&session, &zero_weights, "OC", &[2], &[8.0]) {
         Err(CiflowError::InvalidConfig { message }) => {
             assert!(message.contains("weights sum to 0"), "got {message:?}");
         }

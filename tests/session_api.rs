@@ -299,7 +299,8 @@ fn deadlocking_strategy_fails_its_own_jobs_without_poisoning_siblings() {
 
 #[test]
 fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
-    let series = ciflow::sweep::try_bandwidth_sweep(
+    let series = ciflow::sweep::try_bandwidth_sweep_in(
+        &Session::new(),
         HksBenchmark::ARK,
         Dataflow::OutputCentric,
         &[],
@@ -320,7 +321,8 @@ fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
 
 #[test]
 fn sweeps_accept_custom_strategies() {
-    let series = ciflow::sweep::try_bandwidth_sweep(
+    let series = ciflow::sweep::try_bandwidth_sweep_in(
+        &Session::new(),
         HksBenchmark::DPRIVE,
         ciflow::api::StrategySpec::Inline(Arc::new(NoReuse)),
         &[8.0, 64.0, 1024.0],
@@ -345,9 +347,10 @@ fn sweeps_accept_custom_strategies() {
     .expect("registered strategies sweep by name");
     assert_eq!(by_name.dataflow, "NR");
     assert_eq!(by_name.points.len(), 2);
-    // ...but not through the builtin-only entry point.
+    // ...but not through a session that lacks the registration.
     assert!(matches!(
-        ciflow::sweep::try_bandwidth_sweep(
+        ciflow::sweep::try_bandwidth_sweep_in(
+            &Session::new(),
             HksBenchmark::DPRIVE,
             "NR",
             &[8.0],
