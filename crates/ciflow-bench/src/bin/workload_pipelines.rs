@@ -27,8 +27,8 @@ use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::report::markdown_table;
 use ciflow::sweep::{
-    try_analytic_sweep_in, try_channel_sweep, try_heterogeneous_analytic_sweep_in,
-    try_heterogeneous_sweep_in, BANDWIDTH_LADDER, CHANNEL_LADDER,
+    try_analytic_sweep_in, try_channel_sweep, try_heterogeneous_sweep_in, BANDWIDTH_LADDER,
+    CHANNEL_LADDER,
 };
 use ciflow::workload::{PipelineMode, Workload};
 use rpu::{EvkPolicy, RpuConfig};
@@ -53,11 +53,11 @@ const RESCALE_LEVELS: usize = 6;
 /// Bandwidths reported in the channel-count sweep: DDR4 through HBM2-class.
 const CHANNEL_SWEEP_BANDWIDTHS: [f64; 4] = [12.8, 25.6, 64.0, 128.0];
 
-/// Runs the workload for one benchmark under every (strategy, bandwidth,
-/// mode) combination as a single parallel batch and returns the outputs in
-/// submission order.
-fn run_ladder(benchmark: HksBenchmark, evk_policy: EvkPolicy) -> Vec<JobOutput> {
-    let workload = Workload::rotation_batch(benchmark, ROTATIONS);
+/// Runs `workload` under every (strategy, bandwidth, mode) combination of
+/// the Figure-4 ladder through the event engine, one job per point, as a
+/// single parallel batch, and returns the outputs in submission order
+/// (strategy-major, then bandwidth, then back-to-back before fused).
+fn run_ladder(workload: &Workload, evk_policy: EvkPolicy) -> Vec<JobOutput> {
     let mut session = Session::new();
     for dataflow in Dataflow::all() {
         for &bandwidth in &BANDWIDTH_LADDER {
@@ -76,8 +76,8 @@ fn run_ladder(benchmark: HksBenchmark, evk_policy: EvkPolicy) -> Vec<JobOutput> 
 }
 
 fn render(benchmark: HksBenchmark, evk_policy: EvkPolicy) {
-    let outputs = run_ladder(benchmark, evk_policy);
     let workload = Workload::rotation_batch(benchmark, ROTATIONS);
+    let outputs = run_ladder(&workload, evk_policy);
     let analytic_session = Session::new();
     for (d, dataflow) in Dataflow::all().into_iter().enumerate() {
         let [unfused_series, fused_series] =
@@ -156,32 +156,26 @@ fn render_rescaling_chain(benchmark: HksBenchmark, evk_policy: EvkPolicy) {
         .iter()
         .map(|b| b.q_towers.to_string())
         .collect();
+    let outputs = run_ladder(&chain, evk_policy);
     let session = Session::new();
-    for dataflow in Dataflow::all() {
+    for (d, dataflow) in Dataflow::all().into_iter().enumerate() {
         let sweep =
             try_heterogeneous_sweep_in(&session, &chain, dataflow, &BANDWIDTH_LADDER, evk_policy)
                 .expect("built-in pipelines are infallible");
-        let analytic = try_heterogeneous_analytic_sweep_in(
-            &session,
-            &chain,
-            dataflow,
-            &BANDWIDTH_LADDER,
-            evk_policy,
-        )
-        .expect("built-in pipelines are infallible");
-        for (engine, closed_form) in sweep.points.iter().zip(&analytic.points) {
+        for (b, point) in sweep.points.iter().enumerate() {
+            let base = d * BANDWIDTH_LADDER.len() * 2 + b * 2;
             let label = format!("rescaling chain {} {dataflow}", benchmark.name);
             assert_analytic_agrees(
                 &label,
-                engine.bandwidth_gbps,
-                engine.fused_ms,
-                closed_form.fused_ms,
+                point.bandwidth_gbps,
+                outputs[base + 1].runtime_ms(),
+                point.fused_ms,
             );
             assert_analytic_agrees(
                 &label,
-                engine.bandwidth_gbps,
-                engine.back_to_back_ms,
-                closed_form.back_to_back_ms,
+                point.bandwidth_gbps,
+                outputs[base].runtime_ms(),
+                point.back_to_back_ms,
             );
         }
         ciflow_bench::section(&format!(
@@ -243,9 +237,10 @@ fn render_channel_sweep(benchmark: HksBenchmark) {
     headers.extend(CHANNEL_LADDER.iter().map(|c| format!("idle {c}ch")));
     let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut rows = Vec::new();
-    let analytic_session = Session::new();
+    let session = Session::new();
     for &bandwidth in &CHANNEL_SWEEP_BANDWIDTHS {
         let points = try_channel_sweep(
+            &session,
             &workload,
             Dataflow::OutputCentric,
             bandwidth,
@@ -268,7 +263,7 @@ fn render_channel_sweep(benchmark: HksBenchmark) {
                     .with_modops(1.0)
                     .with_memory_channels(point.channels),
             );
-            let analytic = analytic_session
+            let analytic = session
                 .run_analytic(&job, 8.0, 1024.0)
                 .expect("built-in pipelines are infallible");
             assert_analytic_agrees(

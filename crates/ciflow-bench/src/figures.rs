@@ -74,11 +74,13 @@ pub fn baseline_runtime_ms(benchmark: HksBenchmark) -> f64 {
 
 /// Finds the minimum bandwidth (by bisection, within `[lo, hi]` GB/s) at
 /// which the configuration achieves `target_ms` or better. Returns `hi` if
-/// even the upper bound cannot reach the target.
+/// even the upper bound cannot reach the target. Every probe reads one
+/// parametric timeline over `[lo, hi]`, bit-identical to an engine run at
+/// that bandwidth.
 ///
 /// # Panics
 ///
-/// Panics if a probe cannot be executed (a simulator bug).
+/// Panics if the configuration cannot be executed (a simulator bug).
 pub fn min_bandwidth_for_runtime(
     benchmark: HksBenchmark,
     dataflow: Dataflow,
@@ -88,7 +90,13 @@ pub fn min_bandwidth_for_runtime(
     lo: f64,
     hi: f64,
 ) -> f64 {
-    let probe = |bw: f64| runtime_with(benchmark, dataflow, bw, evk_policy, modops);
+    let rpu = RpuConfig::ciflow_with_policy(evk_policy)
+        .with_bandwidth(lo)
+        .with_modops(modops);
+    let timeline = Session::new()
+        .run_analytic(&Job::new(benchmark, dataflow).with_rpu(rpu), lo, hi)
+        .expect("built-in dataflow runs are infallible");
+    let probe = |bw: f64| timeline.runtime_ms_at(bw);
     let mut lo = lo;
     let mut hi = hi;
     if probe(hi) > target_ms {

@@ -5,9 +5,10 @@
 //! print markdown tables / CSV series to stdout (and an ASCII sketch of the
 //! figure where applicable).
 //!
-//! All regenerators drive the [`ciflow::api::Session`] batch API (directly
-//! or through the sweep drivers built on it), so multi-point figures use
-//! every core. The RPU configurations they share live here, in one place;
+//! All regenerators drive the [`ciflow::api::Session`] API (directly or
+//! through the sweep drivers built on it): a batch fans its jobs out across
+//! cores, and a bandwidth curve reads every point off one parametric
+//! timeline. The RPU configurations they share live here, in one place;
 //! the paper-figure quantities of Tables IV–V and Figures 7–9 live in
 //! [`figures`].
 

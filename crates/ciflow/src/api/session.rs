@@ -671,7 +671,7 @@ impl Session {
             label: self.job_label(job),
             benchmark: job.effective_benchmark(),
             strategy: job.strategy_name(),
-            outcome: self.run_job_isolated(job),
+            outcome: Self::isolated(job, || self.run_job(job)),
         });
         BatchOutcome { results }
     }
@@ -890,13 +890,7 @@ impl Session {
                 label: self.job_label(job),
                 benchmark: job.effective_benchmark(),
                 strategy: job.strategy_name(),
-                outcome: match catch_unwind(AssertUnwindSafe(|| self.verify_job(job))) {
-                    Ok(outcome) => outcome,
-                    Err(payload) => Err(CiflowError::StrategyPanicked {
-                        strategy: job.strategy_name(),
-                        message: panic_message(payload.as_ref()),
-                    }),
-                },
+                outcome: Self::isolated(job, || self.verify_job(job)),
             })
             .collect()
     }
@@ -931,13 +925,7 @@ impl Session {
                 label: self.job_label(job),
                 benchmark: job.effective_benchmark(),
                 strategy: job.strategy_name(),
-                outcome: match catch_unwind(AssertUnwindSafe(|| self.bounds_job(job))) {
-                    Ok(outcome) => outcome,
-                    Err(payload) => Err(CiflowError::StrategyPanicked {
-                        strategy: job.strategy_name(),
-                        message: panic_message(payload.as_ref()),
-                    }),
-                },
+                outcome: Self::isolated(job, || self.bounds_job(job)),
             })
             .collect()
     }
@@ -1069,16 +1057,20 @@ impl Session {
         )
     }
 
-    /// [`Session::run_job`] with a panic boundary: a strategy that panics
-    /// fails its own job instead of tearing down the batch.
-    fn run_job_isolated(&self, job: &Job) -> Result<JobOutput, CiflowError> {
-        match catch_unwind(AssertUnwindSafe(|| self.run_job(job))) {
-            Ok(result) => result,
-            Err(payload) => Err(CiflowError::StrategyPanicked {
+    /// The panic boundary of every batch and sweep: runs `f` on behalf of
+    /// `job`, so a strategy that panics fails that job with
+    /// [`CiflowError::StrategyPanicked`] instead of unwinding into the
+    /// caller.
+    pub(crate) fn isolated<T>(
+        job: &Job,
+        f: impl FnOnce() -> Result<T, CiflowError>,
+    ) -> Result<T, CiflowError> {
+        catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+            Err(CiflowError::StrategyPanicked {
                 strategy: job.strategy_name(),
                 message: panic_message(payload.as_ref()),
-            }),
-        }
+            })
+        })
     }
 }
 

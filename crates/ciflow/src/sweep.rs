@@ -1,21 +1,33 @@
 //! Parameter sweeps: the drivers behind Figures 4–9 and Tables IV–V.
 //!
-//! Every sweep is built on the [`Session`] API and has exactly one entry
-//! point, which takes the session it runs in (pass `&Session::new()` for
-//! the built-in strategies): the sampled points become jobs, the batch fans
-//! out across all cores, and failures surface as typed [`CiflowError`]s
-//! instead of panics. Strategy names resolve through the session's
-//! registry, so custom strategies sweep by name; an inline
-//! [`StrategySpec`] works with any session. The paper-figure quantities
-//! built on these sweeps (Tables IV–V, Figures 7–9) live in the
+//! Every sweep has one entry point, which takes the [`Session`] it runs in
+//! (pass `&Session::new()` for the built-in strategies) and reuses its
+//! registry and caches: custom strategies sweep by name, an inline
+//! [`StrategySpec`] works with any session, and a repeated sweep rebuilds
+//! nothing. Failures are typed [`CiflowError`]s. The paper-figure
+//! quantities built on these sweeps (Tables IV–V, Figures 7–9) live in the
 //! `ciflow-bench` crate's `figures` module.
+//!
+//! The bandwidth, workload, analytic and heterogeneous sweeps evaluate their
+//! ladder on one [`Session::run_analytic`] timeline over its range,
+//! bit-identical to an engine run per point (see `docs/ANALYTIC.md`), and
+//! share its rules:
+//!
+//! * A ladder may be unsorted and hold duplicates; points come back in the
+//!   order given, and equal bandwidths give bit-identical rows.
+//! * An empty ladder fails with [`CiflowError::InvalidConfig`]
+//!   `"<sweep>: bandwidth ladder is empty"`, and an entry that is not finite
+//!   and positive with `"DRAM bandwidth {v} GB/s is not finite and
+//!   positive"`.
+//! * A strategy that panics fails the sweep (and the channel sweep) with
+//!   [`CiflowError::StrategyPanicked`] instead of unwinding into the caller.
 
-use crate::api::{Job, Session, StrategySpec};
+use crate::api::{AnalyticOutput, Job, Session, StrategySpec};
 use crate::benchmark::HksBenchmark;
 use crate::error::CiflowError;
 use crate::serve::{DispatchPolicy, FaultPlan, ServeConfig};
 use crate::workload::{PipelineMode, Workload};
-use rpu::{EvkPolicy, RpuConfig, RpuEngine};
+use rpu::{EvkPolicy, ExecutionStats, RpuConfig, RpuEngine};
 use serde::Serialize;
 
 /// The off-chip bandwidths (GB/s) swept in Figure 4, spanning DDR4 through
@@ -55,7 +67,7 @@ pub struct SweepSeries {
     pub evk_streamed: bool,
     /// MODOPS multiplier used.
     pub modops: f64,
-    /// The sampled points, in increasing bandwidth order.
+    /// The sampled points, in the bandwidth order given.
     pub points: Vec<SweepPoint>,
 }
 
@@ -66,108 +78,6 @@ fn sweep_rpu(evk_policy: EvkPolicy, bandwidth_gbps: f64, modops: f64) -> RpuConf
         .with_modops(modops)
 }
 
-/// Runs a runtime-vs-bandwidth sweep (one Figure 4/5/6 curve) of one
-/// benchmark, executing all points as one parallel batch. Strategy names
-/// resolve through `session`'s registry, so custom strategies registered
-/// with [`Session::register`](crate::api::Session::register) can be swept
-/// by name. Only the registry is taken from `session`; each point runs on
-/// the paper's RPU for `evk_policy` at its own bandwidth. An empty ladder
-/// yields an empty series.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`] (unknown strategy,
-/// invalid bandwidth, schedule failure, engine rejection).
-pub fn try_bandwidth_sweep_in(
-    session: &Session,
-    benchmark: HksBenchmark,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> Result<SweepSeries, CiflowError> {
-    sweep_series(
-        session,
-        benchmark.name,
-        &strategy.into(),
-        bandwidths,
-        evk_policy,
-        modops,
-        |spec| Job::new(benchmark, spec),
-    )
-}
-
-/// Shared core of the bandwidth sweeps: runs one job per bandwidth point as a
-/// parallel batch (resolving names through `session`'s registry) and
-/// assembles the [`SweepSeries`].
-fn sweep_series(
-    session: &Session,
-    benchmark: &'static str,
-    spec: &StrategySpec,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    job: impl Fn(StrategySpec) -> Job,
-) -> Result<SweepSeries, CiflowError> {
-    let sweep_session = Session::new()
-        .with_registry(session.registry().clone())
-        .jobs(
-            bandwidths
-                .iter()
-                .map(|&bw| job(spec.clone()).with_rpu(sweep_rpu(evk_policy, bw, modops))),
-        );
-    let outputs = sweep_session.run().into_outputs()?;
-    let dataflow = outputs
-        .first()
-        .map(|o| o.strategy.clone())
-        .unwrap_or_else(|| spec.display_name());
-    let points = bandwidths
-        .iter()
-        .zip(&outputs)
-        .map(|(&bw, output)| SweepPoint {
-            bandwidth_gbps: bw,
-            runtime_ms: output.runtime_ms(),
-        })
-        .collect();
-    Ok(SweepSeries {
-        benchmark,
-        dataflow,
-        evk_streamed: evk_policy == EvkPolicy::Streamed,
-        modops,
-        points,
-    })
-}
-
-/// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
-/// (fused or back-to-back), executing all points as one parallel batch.
-/// Strategy names resolve through `session`'s registry; each point runs on
-/// the paper's RPU for `evk_policy` at its own bandwidth. An empty ladder
-/// yields an empty series.
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_workload_sweep_in(
-    session: &Session,
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    mode: PipelineMode,
-) -> Result<SweepSeries, CiflowError> {
-    sweep_series(
-        session,
-        workload.benchmark.name,
-        &strategy.into(),
-        bandwidths,
-        evk_policy,
-        modops,
-        |spec| Job::workload(workload.clone(), spec, mode),
-    )
-}
-
 /// Rejects a bandwidth that is not finite and positive, with the message
 /// every sweep and [`RpuConfig::validate`] share.
 fn check_bandwidth(bandwidth_gbps: f64) -> Result<(), CiflowError> {
@@ -175,14 +85,8 @@ fn check_bandwidth(bandwidth_gbps: f64) -> Result<(), CiflowError> {
         .map_err(|message| CiflowError::InvalidConfig { message })
 }
 
-/// Validates an analytic bandwidth ladder and returns its `(min, max)`.
-///
-/// Ladder semantics, shared by every analytic entry point and pinned by the
-/// degenerate-input regression tests: the ladder may be unsorted and may
-/// contain duplicates — points are evaluated pointwise in the order given,
-/// and equal bandwidths produce bit-identical rows — but it must be
-/// non-empty (a single-point ladder is fine) and every entry must be finite
-/// and strictly positive.
+/// Validates a bandwidth ladder under the module's ladder rules and returns
+/// its `(min, max)`; `context` names the sweep in the empty-ladder error.
 fn analytic_range(bandwidths: &[f64], context: &str) -> Result<(f64, f64), CiflowError> {
     for &bw in bandwidths {
         check_bandwidth(bw)?;
@@ -197,14 +101,118 @@ fn analytic_range(bandwidths: &[f64], context: &str) -> Result<(f64, f64), Ciflo
     Ok((lo, hi))
 }
 
-/// A bandwidth sweep evaluated in closed form: the ladder's points come from
-/// one piecewise-linear [`ParametricTimeline`](rpu::ParametricTimeline)
-/// instead of one engine run per point, with runtimes bit-identical to the
-/// engine path (see `docs/ANALYTIC.md`).
+/// One bandwidth ladder evaluated on one timeline.
+struct Ladder {
+    /// The runtime-vs-bandwidth series, in ladder order.
+    series: SweepSeries,
+    /// The symbolic run the series was read from.
+    output: AnalyticOutput,
+    /// The execution statistics at every ladder point, in ladder order.
+    stats: Vec<ExecutionStats>,
+}
+
+/// The one path every bandwidth-ladder sweep takes: checks the ladder, runs
+/// `job` on the paper's RPU for `evk_policy` and `modops` symbolically over
+/// the ladder's range through `session` (behind its panic boundary), and
+/// evaluates every point of the ladder on the resulting timeline.
+fn run_ladder(
+    session: &Session,
+    job: Job,
+    bandwidths: &[f64],
+    evk_policy: EvkPolicy,
+    modops: f64,
+    context: &str,
+) -> Result<Ladder, CiflowError> {
+    let (lo, hi) = analytic_range(bandwidths, context)?;
+    let job = job.with_rpu(sweep_rpu(evk_policy, lo, modops));
+    let output = Session::isolated(&job, || session.run_analytic(&job, lo, hi))?;
+    let stats = output.timeline.evaluate_many(bandwidths);
+    let points = bandwidths
+        .iter()
+        .zip(&stats)
+        .map(|(&bw, stats)| SweepPoint {
+            bandwidth_gbps: bw,
+            runtime_ms: stats.runtime_ms(),
+        })
+        .collect();
+    Ok(Ladder {
+        series: SweepSeries {
+            benchmark: output.benchmark.name,
+            dataflow: output.strategy.clone(),
+            evk_streamed: evk_policy == EvkPolicy::Streamed,
+            modops,
+            points,
+        },
+        output,
+        stats,
+    })
+}
+
+/// Runs a runtime-vs-bandwidth sweep (one Figure 4/5/6 curve) of one
+/// benchmark on the paper's RPU for `evk_policy`, under the module's
+/// bandwidth-ladder rules.
+///
+/// # Errors
+///
+/// Returns [`CiflowError::InvalidConfig`] for an empty or degenerate ladder
+/// or MODOPS multiplier, [`CiflowError::StrategyPanicked`] for a panicking
+/// strategy, or the run's error (unknown strategy, schedule failure, engine
+/// rejection).
+pub fn try_bandwidth_sweep_in(
+    session: &Session,
+    benchmark: HksBenchmark,
+    strategy: impl Into<StrategySpec>,
+    bandwidths: &[f64],
+    evk_policy: EvkPolicy,
+    modops: f64,
+) -> Result<SweepSeries, CiflowError> {
+    let job = Job::new(benchmark, strategy);
+    let ladder = run_ladder(
+        session,
+        job,
+        bandwidths,
+        evk_policy,
+        modops,
+        "bandwidth sweep",
+    )?;
+    Ok(ladder.series)
+}
+
+/// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
+/// (fused or back-to-back) on the paper's RPU for `evk_policy`, under the
+/// module's bandwidth-ladder rules.
+///
+/// # Errors
+///
+/// As [`try_bandwidth_sweep_in`].
+#[allow(clippy::too_many_arguments)]
+pub fn try_workload_sweep_in(
+    session: &Session,
+    workload: &Workload,
+    strategy: impl Into<StrategySpec>,
+    bandwidths: &[f64],
+    evk_policy: EvkPolicy,
+    modops: f64,
+    mode: PipelineMode,
+) -> Result<SweepSeries, CiflowError> {
+    let job = Job::workload(workload.clone(), strategy, mode);
+    let ladder = run_ladder(
+        session,
+        job,
+        bandwidths,
+        evk_policy,
+        modops,
+        "workload sweep",
+    )?;
+    Ok(ladder.series)
+}
+
+/// A workload sweep annotated with the timeline's shape and the static
+/// bound under its runtime curve.
 #[derive(Debug, Clone, Serialize)]
 pub struct AnalyticSweep {
-    /// The evaluated series — same shape and bit-identical runtimes as
-    /// [`try_workload_sweep_in`] over the same ladder.
+    /// The evaluated series — what [`try_workload_sweep_in`] returns for the
+    /// same ladder.
     pub series: SweepSeries,
     /// Number of grant-order segments the timeline stitched together over
     /// the ladder's bandwidth range (one on a single-channel RPU).
@@ -228,24 +236,14 @@ pub struct AnalyticSweep {
     pub knee_gbps: Option<f64>,
 }
 
-/// Runs a runtime-vs-bandwidth sweep of a [`Workload`] pipeline in closed
-/// form: one symbolic execution covers the ladder's whole bandwidth range,
-/// and each point is an interval lookup plus an affine replay — no event
-/// loop per point. Results are bit-identical to [`try_workload_sweep_in`].
-/// Strategy names resolve through `session`'s registry, and its schedule
-/// **and timeline** caches are reused: repeating a sweep (or sweeping a
-/// different ladder inside the same bandwidth range) re-uses the cached
-/// [`ParametricTimeline`](rpu::ParametricTimeline) outright.
-///
-/// Ladder semantics: unsorted ladders and duplicates are allowed and
-/// evaluated pointwise in the order given (duplicates produce bit-identical
-/// rows); an empty ladder or any non-finite/non-positive entry is rejected
-/// with [`CiflowError::InvalidConfig`].
+/// Runs [`try_workload_sweep_in`] and adds the timeline's segments and
+/// breakpoints, the static bound at every ladder point and the bound's
+/// roofline knee. Repeating a sweep (or sweeping another ladder inside the
+/// same bandwidth range) on one session reuses its cached timeline outright.
 ///
 /// # Errors
 ///
-/// Returns [`CiflowError::InvalidConfig`] for a degenerate ladder, or the
-/// first failing point's error.
+/// As [`try_bandwidth_sweep_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_analytic_sweep_in(
     session: &Session,
@@ -256,24 +254,16 @@ pub fn try_analytic_sweep_in(
     modops: f64,
     mode: PipelineMode,
 ) -> Result<AnalyticSweep, CiflowError> {
-    let (lo, hi) = analytic_range(bandwidths, "analytic bandwidth sweep")?;
-    let job = Job::workload(workload.clone(), strategy.into(), mode)
-        .with_rpu(sweep_rpu(evk_policy, lo, modops));
-    let output = session.run_analytic(&job, lo, hi)?;
-    let points = bandwidths
-        .iter()
-        .zip(output.timeline.evaluate_many(bandwidths))
-        .map(|(&bw, stats)| SweepPoint {
-            bandwidth_gbps: bw,
-            runtime_ms: stats.runtime_ms(),
-        })
-        .collect();
+    let job = Job::workload(workload.clone(), strategy, mode);
+    let context = "analytic bandwidth sweep";
+    let Ladder { series, output, .. } =
+        run_ladder(session, job, bandwidths, evk_policy, modops, context)?;
     // The static bound curve under the runtime curve, on the same ladder and
     // the timeline's own execution plan. One full analysis derives the knee
     // (it is bandwidth-independent — a property of the bound's affine
     // pieces); the dense per-point values come from `bound_curve_plan`, so
     // the curve stays cheap next to the closed-form evaluation it annotates.
-    let engine = RpuEngine::new(sweep_rpu(evk_policy, lo, modops));
+    let engine = RpuEngine::new(output.rpu.clone());
     let graph = &output.schedule.graph;
     let plan = output.timeline.plan();
     let knee_gbps = rpu::bound::analyze_plan(&engine, graph, plan)
@@ -284,64 +274,11 @@ pub fn try_analytic_sweep_in(
         .map(|&seconds| seconds * 1e3)
         .collect();
     Ok(AnalyticSweep {
-        series: SweepSeries {
-            benchmark: workload.benchmark.name,
-            dataflow: output.strategy.clone(),
-            evk_streamed: evk_policy == EvkPolicy::Streamed,
-            modops,
-            points,
-        },
+        series,
         segments: output.timeline.segments().len(),
         breakpoints_gbps: output.timeline.breakpoints_gbps(),
         bound_ms,
         knee_gbps,
-    })
-}
-
-/// The closed-form counterpart of [`try_heterogeneous_sweep_in`]: both
-/// pipeline modes of a heterogeneous workload are executed symbolically
-/// once, and the whole ladder is evaluated from the two timelines —
-/// bit-identical to the engine path. Strategy names resolve through
-/// `session`'s registry, and its schedule and timeline caches are reused.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for a degenerate ladder (see
-/// [`try_analytic_sweep_in`]) or a workload with no kernel invocations, or
-/// the first failing point's error.
-pub fn try_heterogeneous_analytic_sweep_in(
-    session: &Session,
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-) -> Result<HeterogeneousSweep, CiflowError> {
-    let (lo, hi) = analytic_range(bandwidths, "heterogeneous analytic sweep")?;
-    let spec: StrategySpec = strategy.into();
-    let job_for = |mode| {
-        Job::workload(workload.clone(), spec.clone(), mode).with_rpu(sweep_rpu(evk_policy, lo, 1.0))
-    };
-    let b2b = session.run_analytic(&job_for(PipelineMode::BackToBack), lo, hi)?;
-    let fused = session.run_analytic(&job_for(PipelineMode::Fused), lo, hi)?;
-    let b2b_stats = b2b.timeline.evaluate_many(bandwidths);
-    let fused_stats = fused.timeline.evaluate_many(bandwidths);
-    let points = bandwidths
-        .iter()
-        .enumerate()
-        .map(|(i, &bw)| HeterogeneousSweepPoint {
-            bandwidth_gbps: bw,
-            fused_ms: fused_stats[i].runtime_ms(),
-            back_to_back_ms: b2b_stats[i].runtime_ms(),
-            fused_idle: fused_stats[i].compute_idle_fraction(),
-            back_to_back_idle: b2b_stats[i].compute_idle_fraction(),
-            forwarded_bytes: fused.forwarded_bytes,
-        })
-        .collect();
-    Ok(HeterogeneousSweep {
-        workload: workload.name.clone(),
-        dataflow: b2b.strategy.clone(),
-        kernel_towers: b2b.kernel_benchmarks.iter().map(|b| b.q_towers).collect(),
-        points,
     })
 }
 
@@ -381,15 +318,13 @@ pub struct HeterogeneousSweep {
 
 /// Runs a heterogeneous [`Workload`] pipeline (per-step parameter points,
 /// e.g. [`Workload::rescaling_chain`]) across a bandwidth ladder, fused and
-/// back-to-back, as one parallel batch. Strategy names resolve through
-/// `session`'s registry; each point runs on the paper's RPU for
-/// `evk_policy` at its own bandwidth. An empty ladder yields no points.
+/// back-to-back, on the paper's RPU for `evk_policy`: one timeline per
+/// pipeline mode, under the module's bandwidth-ladder rules.
 ///
 /// # Errors
 ///
-/// Returns the first failing point's [`CiflowError`] — including
-/// [`CiflowError::InvalidConfig`] for a workload with no kernel
-/// invocations.
+/// As [`try_bandwidth_sweep_in`], including [`CiflowError::InvalidConfig`]
+/// for a workload with no kernel invocations.
 pub fn try_heterogeneous_sweep_in(
     session: &Session,
     workload: &Workload,
@@ -398,39 +333,40 @@ pub fn try_heterogeneous_sweep_in(
     evk_policy: EvkPolicy,
 ) -> Result<HeterogeneousSweep, CiflowError> {
     let spec: StrategySpec = strategy.into();
-    let sweep_session = Session::new()
-        .with_registry(session.registry().clone())
-        .jobs(bandwidths.iter().flat_map(|&bw| {
-            [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
-                Job::workload(workload.clone(), spec.clone(), mode)
-                    .with_rpu(sweep_rpu(evk_policy, bw, 1.0))
-            })
-        }));
-    let outputs = sweep_session.run().into_outputs()?;
-    let dataflow = outputs
-        .first()
-        .map(|o| o.strategy.clone())
-        .unwrap_or_else(|| spec.display_name());
-    let kernel_towers = outputs
-        .first()
-        .map(|o| o.kernel_benchmarks.iter().map(|b| b.q_towers).collect())
-        .unwrap_or_default();
+    let run = |mode| {
+        let job = Job::workload(workload.clone(), spec.clone(), mode);
+        run_ladder(
+            session,
+            job,
+            bandwidths,
+            evk_policy,
+            1.0,
+            "heterogeneous sweep",
+        )
+    };
+    let b2b = run(PipelineMode::BackToBack)?;
+    let fused = run(PipelineMode::Fused)?;
     let points = bandwidths
         .iter()
-        .zip(outputs.chunks_exact(2))
-        .map(|(&bw, pair)| HeterogeneousSweepPoint {
+        .zip(b2b.stats.iter().zip(&fused.stats))
+        .map(|(&bw, (b2b_stats, fused_stats))| HeterogeneousSweepPoint {
             bandwidth_gbps: bw,
-            fused_ms: pair[1].runtime_ms(),
-            back_to_back_ms: pair[0].runtime_ms(),
-            fused_idle: pair[1].stats.compute_idle_fraction(),
-            back_to_back_idle: pair[0].stats.compute_idle_fraction(),
-            forwarded_bytes: pair[1].forwarded_bytes,
+            fused_ms: fused_stats.runtime_ms(),
+            back_to_back_ms: b2b_stats.runtime_ms(),
+            fused_idle: fused_stats.compute_idle_fraction(),
+            back_to_back_idle: b2b_stats.compute_idle_fraction(),
+            forwarded_bytes: fused.output.forwarded_bytes,
         })
         .collect();
     Ok(HeterogeneousSweep {
         workload: workload.name.clone(),
-        dataflow,
-        kernel_towers,
+        dataflow: b2b.series.dataflow,
+        kernel_towers: b2b
+            .output
+            .kernel_benchmarks
+            .iter()
+            .map(|b| b.q_towers)
+            .collect(),
         points,
     })
 }
@@ -452,10 +388,15 @@ pub struct ChannelSweepPoint {
 }
 
 /// Runs a [`Workload`] pipeline across a ladder of memory-channel counts at
-/// one fixed aggregate bandwidth, as one parallel batch. The aggregate
-/// bandwidth never changes — each point only re-partitions it over more
-/// in-order pseudo-channels — so any runtime/idle improvement is pure
-/// head-of-line-blocking relief from channel-aware data placement.
+/// one fixed aggregate bandwidth. The aggregate bandwidth never changes —
+/// each point only re-partitions it over more in-order pseudo-channels — so
+/// any runtime/idle improvement is pure head-of-line-blocking relief from
+/// channel-aware data placement.
+///
+/// Each channel count is one engine job on `session`: strategy names resolve
+/// through its registry, the schedule is built once, and every channel
+/// count's execution plan stays in the session's cache. A strategy that
+/// panics fails the sweep with [`CiflowError::StrategyPanicked`].
 ///
 /// Degenerate inputs (pinned by the regression tests): a non-finite or
 /// non-positive `bandwidth_gbps` is rejected with
@@ -469,6 +410,7 @@ pub struct ChannelSweepPoint {
 ///
 /// Returns the first failing point's [`CiflowError`].
 pub fn try_channel_sweep(
+    session: &Session,
     workload: &Workload,
     strategy: impl Into<StrategySpec>,
     bandwidth_gbps: f64,
@@ -478,21 +420,20 @@ pub fn try_channel_sweep(
 ) -> Result<Vec<ChannelSweepPoint>, CiflowError> {
     check_bandwidth(bandwidth_gbps)?;
     let spec: StrategySpec = strategy.into();
-    let session = Session::new().jobs(channel_counts.iter().map(|&channels| {
-        Job::workload(workload.clone(), spec.clone(), mode)
-            .with_rpu(sweep_rpu(evk_policy, bandwidth_gbps, 1.0).with_memory_channels(channels))
-    }));
-    let outputs = session.run().into_outputs()?;
-    Ok(channel_counts
+    channel_counts
         .iter()
-        .zip(&outputs)
-        .map(|(&channels, output)| ChannelSweepPoint {
-            channels,
-            runtime_ms: output.runtime_ms(),
-            compute_idle: output.stats.compute_idle_fraction(),
-            memory_imbalance: output.stats.memory_channel_imbalance(),
+        .map(|&channels| {
+            let rpu = sweep_rpu(evk_policy, bandwidth_gbps, 1.0).with_memory_channels(channels);
+            let job = Job::workload(workload.clone(), spec.clone(), mode).with_rpu(rpu);
+            let output = Session::isolated(&job, || session.run_job(&job))?;
+            Ok(ChannelSweepPoint {
+                channels,
+                runtime_ms: output.runtime_ms(),
+                compute_idle: output.stats.compute_idle_fraction(),
+                memory_imbalance: output.stats.memory_channel_imbalance(),
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// One point of a serving sweep: one cluster size at one per-device
@@ -806,8 +747,26 @@ pub fn try_fault_sweep_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::JobOutput;
     use crate::dataflow::Dataflow;
     use crate::serve::{ArrivalProcess, RequestClass};
+
+    /// The engine reference of a ladder: one [`Session::run_job`] per point,
+    /// on the RPU the sweeps use.
+    fn engine_ladder(
+        session: &Session,
+        job: &Job,
+        ladder: &[f64],
+        evk_policy: EvkPolicy,
+    ) -> Vec<JobOutput> {
+        ladder
+            .iter()
+            .map(|&bw| {
+                let job = job.clone().with_rpu(sweep_rpu(evk_policy, bw, 1.0));
+                session.run_job(&job).unwrap()
+            })
+            .collect()
+    }
 
     #[test]
     fn workload_sweep_is_monotone_and_fused_dominates() {
@@ -849,16 +808,8 @@ mod tests {
         // Unsorted with a duplicate: evaluated pointwise, in order.
         let ladder = [64.0, 8.0, 16.0, 8.0, 128.0];
         for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-            let engine = try_workload_sweep_in(
-                &session,
-                &workload,
-                Dataflow::OutputCentric,
-                &ladder,
-                EvkPolicy::Streamed,
-                1.0,
-                mode,
-            )
-            .unwrap();
+            let job = Job::workload(workload.clone(), Dataflow::OutputCentric, mode);
+            let engine = engine_ladder(&session, &job, &ladder, EvkPolicy::Streamed);
             let analytic = try_analytic_sweep_in(
                 &session,
                 &workload,
@@ -869,13 +820,13 @@ mod tests {
                 mode,
             )
             .unwrap();
-            assert_eq!(analytic.series.dataflow, engine.dataflow);
-            assert_eq!(analytic.series.points.len(), engine.points.len());
-            for (a, e) in analytic.series.points.iter().zip(&engine.points) {
-                assert_eq!(a.bandwidth_gbps, e.bandwidth_gbps);
+            assert_eq!(analytic.series.dataflow, engine[0].strategy);
+            assert_eq!(analytic.series.points.len(), engine.len());
+            for ((a, e), &bw) in analytic.series.points.iter().zip(&engine).zip(&ladder) {
+                assert_eq!(a.bandwidth_gbps, bw);
                 assert_eq!(
                     a.runtime_ms.to_bits(),
-                    e.runtime_ms.to_bits(),
+                    e.runtime_ms().to_bits(),
                     "at {} GB/s ({mode:?})",
                     a.bandwidth_gbps
                 );
@@ -909,7 +860,11 @@ mod tests {
         let session = Session::new();
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
         let ladder = [8.0, 16.0, 64.0];
-        let engine = try_heterogeneous_sweep_in(
+        let [b2b, fused] = [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
+            let job = Job::workload(chain.clone(), Dataflow::OutputCentric, mode);
+            engine_ladder(&session, &job, &ladder, EvkPolicy::OnChip)
+        });
+        let analytic = try_heterogeneous_sweep_in(
             &session,
             &chain,
             Dataflow::OutputCentric,
@@ -917,23 +872,25 @@ mod tests {
             EvkPolicy::OnChip,
         )
         .unwrap();
-        let analytic = try_heterogeneous_analytic_sweep_in(
-            &session,
-            &chain,
-            Dataflow::OutputCentric,
-            &ladder,
-            EvkPolicy::OnChip,
-        )
-        .unwrap();
-        assert_eq!(analytic.dataflow, engine.dataflow);
-        assert_eq!(analytic.kernel_towers, engine.kernel_towers);
-        for (a, e) in analytic.points.iter().zip(&engine.points) {
-            assert_eq!(a.bandwidth_gbps, e.bandwidth_gbps);
-            assert_eq!(a.fused_ms.to_bits(), e.fused_ms.to_bits());
-            assert_eq!(a.back_to_back_ms.to_bits(), e.back_to_back_ms.to_bits());
-            assert_eq!(a.fused_idle.to_bits(), e.fused_idle.to_bits());
-            assert_eq!(a.back_to_back_idle.to_bits(), e.back_to_back_idle.to_bits());
-            assert_eq!(a.forwarded_bytes, e.forwarded_bytes);
+        assert_eq!(analytic.dataflow, b2b[0].strategy);
+        let towers: Vec<usize> = b2b[0]
+            .kernel_benchmarks
+            .iter()
+            .map(|b| b.q_towers)
+            .collect();
+        assert_eq!(analytic.kernel_towers, towers);
+        assert_eq!(analytic.points.len(), ladder.len());
+        for (i, a) in analytic.points.iter().enumerate() {
+            let (b, f) = (&b2b[i].stats, &fused[i].stats);
+            assert_eq!(a.bandwidth_gbps, ladder[i]);
+            assert_eq!(a.fused_ms.to_bits(), f.runtime_ms().to_bits());
+            assert_eq!(a.back_to_back_ms.to_bits(), b.runtime_ms().to_bits());
+            assert_eq!(a.fused_idle.to_bits(), f.compute_idle_fraction().to_bits());
+            assert_eq!(
+                a.back_to_back_idle.to_bits(),
+                b.compute_idle_fraction().to_bits()
+            );
+            assert_eq!(a.forwarded_bytes, fused[i].forwarded_bytes);
         }
     }
 
@@ -970,19 +927,11 @@ mod tests {
         let single = run(&[25.6]).unwrap();
         assert_eq!(single.series.points.len(), 1);
         assert!(single.breakpoints_gbps.is_empty());
-        let engine = try_workload_sweep_in(
-            &session,
-            &workload,
-            Dataflow::OutputCentric,
-            &[25.6],
-            EvkPolicy::OnChip,
-            1.0,
-            PipelineMode::Fused,
-        )
-        .unwrap();
+        let job = Job::workload(workload, Dataflow::OutputCentric, PipelineMode::Fused);
+        let engine = engine_ladder(&session, &job, &[25.6], EvkPolicy::OnChip);
         assert_eq!(
             single.series.points[0].runtime_ms.to_bits(),
-            engine.points[0].runtime_ms.to_bits()
+            engine[0].runtime_ms().to_bits()
         );
     }
 
@@ -1021,11 +970,6 @@ mod tests {
                         .map(drop),
                 ),
                 (
-                    "heterogeneous analytic",
-                    try_heterogeneous_analytic_sweep_in(&session, &chain, oc, &ladder, on_chip)
-                        .map(drop),
-                ),
-                (
                     "heterogeneous",
                     try_heterogeneous_sweep_in(&session, &chain, oc, &ladder, on_chip).map(drop),
                 ),
@@ -1035,8 +979,16 @@ mod tests {
                 ),
                 (
                     "channel",
-                    try_channel_sweep(&workload, oc, bad, on_chip, &CHANNEL_LADDER, fused)
-                        .map(drop),
+                    try_channel_sweep(
+                        &session,
+                        &workload,
+                        oc,
+                        bad,
+                        on_chip,
+                        &CHANNEL_LADDER,
+                        fused,
+                    )
+                    .map(drop),
                 ),
             ];
             let expected = format!("DRAM bandwidth {bad} GB/s is not finite and positive");
@@ -1052,12 +1004,62 @@ mod tests {
     }
 
     #[test]
+    fn every_ladder_sweep_rejects_an_empty_ladder() {
+        let session = Session::new();
+        let oc = Dataflow::OutputCentric;
+        let (on_chip, fused) = (EvkPolicy::OnChip, PipelineMode::Fused);
+        let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
+        let chain = Workload::rescaling_chain(HksBenchmark::ARK, 2);
+        let serve = ServeConfig::new(
+            2,
+            RequestClass::standard_mix(HksBenchmark::ARK),
+            ArrivalProcess::ClosedLoop {
+                concurrency: 2,
+                requests: 8,
+            },
+        );
+        let results = [
+            (
+                "bandwidth sweep",
+                try_bandwidth_sweep_in(&session, HksBenchmark::ARK, oc, &[], on_chip, 1.0)
+                    .map(drop),
+            ),
+            (
+                "workload sweep",
+                try_workload_sweep_in(&session, &workload, oc, &[], on_chip, 1.0, fused).map(drop),
+            ),
+            (
+                "analytic bandwidth sweep",
+                try_analytic_sweep_in(&session, &workload, oc, &[], on_chip, 1.0, fused).map(drop),
+            ),
+            (
+                "heterogeneous sweep",
+                try_heterogeneous_sweep_in(&session, &chain, oc, &[], on_chip).map(drop),
+            ),
+            (
+                "serving sweep",
+                try_serve_sweep_in(&session, &serve, oc, &[2], &[]).map(drop),
+            ),
+        ];
+        for (context, result) in results {
+            match result {
+                Err(CiflowError::InvalidConfig { message }) => {
+                    assert_eq!(message, format!("{context}: bandwidth ladder is empty"));
+                }
+                other => panic!("{context} must reject an empty ladder, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn channel_sweep_rejects_invalid_bandwidths() {
+        let session = Session::new();
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
         for bad in [0.0, -64.0, f64::NAN, f64::INFINITY] {
             assert!(
                 matches!(
                     try_channel_sweep(
+                        &session,
                         &workload,
                         Dataflow::OutputCentric,
                         bad,
@@ -1072,6 +1074,7 @@ mod tests {
         }
         // An empty channel ladder is an empty sweep, not an error.
         let empty = try_channel_sweep(
+            &session,
             &workload,
             Dataflow::OutputCentric,
             64.0,

@@ -21,6 +21,7 @@ const SWEEP_BANDWIDTHS: [f64; 4] = [12.8, 25.6, 64.0, 128.0];
 
 #[test]
 fn channel_sweep_idle_fraction_is_monotonically_non_increasing() {
+    let session = Session::new();
     // The acceptance criterion: for the fused 8-rotation pipeline with
     // streamed evks, adding pseudo-channels (at a fixed aggregate bandwidth)
     // never increases the compute-idle fraction, and at HBM-class bandwidth
@@ -28,6 +29,7 @@ fn channel_sweep_idle_fraction_is_monotonically_non_increasing() {
     for benchmark in [HksBenchmark::ARK, HksBenchmark::DPRIVE] {
         for &bandwidth in &SWEEP_BANDWIDTHS {
             let points = try_channel_sweep(
+                &session,
                 &Workload::rotation_batch(benchmark, 8),
                 Dataflow::OutputCentric,
                 bandwidth,
@@ -60,6 +62,7 @@ fn channel_sweep_idle_fraction_is_monotonically_non_increasing() {
         }
         // At 128 GB/s the head-of-line bypass is worth several idle points.
         let points = try_channel_sweep(
+            &session,
             &Workload::rotation_batch(benchmark, 8),
             Dataflow::OutputCentric,
             128.0,
@@ -166,11 +169,13 @@ fn channel_accounting_sums_to_total_memory_busy_through_the_session() {
 
 #[test]
 fn channel_count_never_hurts_the_printed_pipeline_scenarios() {
+    let session = Session::new();
     // The unfused baseline also benefits (or at worst ties): its boundary
     // stores and next-kernel evk loads are serialized by the barrier, so
     // bypass opportunities are rarer but never harmful in these scenarios.
     for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
         let points = try_channel_sweep(
+            &session,
             &Workload::rotation_batch(HksBenchmark::ARK, 8),
             Dataflow::OutputCentric,
             64.0,

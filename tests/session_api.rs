@@ -3,12 +3,13 @@
 //! per-job results, and cross-strategy invariants over the built-in
 //! dataflows.
 
-use ciflow::api::{Job, ScheduleStrategy, Session, StrategyRegistry};
+use ciflow::api::{Job, ScheduleStrategy, Session, StrategyRegistry, StrategySpec};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::error::CiflowError;
 use ciflow::hks_shape::HksShape;
 use ciflow::schedule::{Schedule, ScheduleConfig};
+use ciflow::workload::{PipelineMode, Workload};
 use rpu::{ComputeKind, EvkPolicy, MemoryDirection, RpuConfig, TaskGraph};
 use std::sync::Arc;
 
@@ -138,6 +139,21 @@ impl ScheduleStrategy for Refusing {
             strategy: "NO".to_string(),
             message: "this strategy never schedules anything".to_string(),
         })
+    }
+}
+
+/// A strategy whose generator panics, for panic-boundary coverage.
+struct Panicking;
+
+impl ScheduleStrategy for Panicking {
+    fn name(&self) -> &str {
+        "panicking"
+    }
+    fn short_name(&self) -> &str {
+        "PN"
+    }
+    fn build(&self, _shape: &HksShape, _config: &ScheduleConfig) -> Result<Schedule, CiflowError> {
+        panic!("kaboom: this strategy panics instead of scheduling")
     }
 }
 
@@ -299,20 +315,29 @@ fn deadlocking_strategy_fails_its_own_jobs_without_poisoning_siblings() {
 
 #[test]
 fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
-    let series = ciflow::sweep::try_bandwidth_sweep_in(
+    // An empty ladder is a typed error, like every other degenerate ladder.
+    let result = ciflow::sweep::try_bandwidth_sweep_in(
         &Session::new(),
         HksBenchmark::ARK,
         Dataflow::OutputCentric,
         &[],
         EvkPolicy::OnChip,
         1.0,
-    )
-    .expect("an empty ladder is not an error");
-    assert_eq!(series.benchmark, "ARK");
-    assert_eq!(series.dataflow, "OC");
-    assert!(series.points.is_empty());
-    assert!(!series.evk_streamed);
-    // The renderer accepts the empty series without panicking.
+    );
+    match result {
+        Err(CiflowError::InvalidConfig { message }) => {
+            assert_eq!(message, "bandwidth sweep: bandwidth ladder is empty");
+        }
+        other => panic!("an empty ladder must be rejected, got {other:?}"),
+    }
+    // The renderers accept a series with no points without panicking.
+    let series = ciflow::sweep::SweepSeries {
+        benchmark: "ARK",
+        dataflow: "OC".to_string(),
+        evk_streamed: false,
+        modops: 1.0,
+        points: Vec::new(),
+    };
     let csv = ciflow::report::render_sweep_csv(std::slice::from_ref(&series));
     assert_eq!(csv.lines().count(), 1, "header only: {csv:?}");
     let ascii = ciflow::report::render_sweep_ascii(&[series], 10, 4);
@@ -359,6 +384,90 @@ fn sweeps_accept_custom_strategies() {
         ),
         Err(CiflowError::UnknownStrategy { .. })
     ));
+    // The channel sweep runs on the caller's session too, so the registered
+    // strategy channel-sweeps by name.
+    let points = ciflow::sweep::try_channel_sweep(
+        &session,
+        &Workload::rotation_batch(HksBenchmark::DPRIVE, 2),
+        "NR",
+        64.0,
+        EvkPolicy::Streamed,
+        &[1, 2],
+        PipelineMode::Fused,
+    )
+    .expect("registered strategies channel-sweep by name");
+    assert_eq!(points.len(), 2);
+    assert_eq!(points[0].channels, 1);
+    assert!(points.iter().all(|p| p.runtime_ms > 0.0));
+}
+
+#[test]
+fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
+    let panicking = || StrategySpec::Inline(Arc::new(Panicking));
+    let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
+    let chain = Workload::rescaling_chain(HksBenchmark::ARK, 2);
+    let session = Session::new();
+    let (streamed, fused) = (EvkPolicy::Streamed, PipelineMode::Fused);
+    let results = [
+        (
+            "bandwidth",
+            ciflow::sweep::try_bandwidth_sweep_in(
+                &session,
+                HksBenchmark::ARK,
+                panicking(),
+                &[8.0, 64.0],
+                streamed,
+                1.0,
+            )
+            .map(drop),
+        ),
+        (
+            "workload",
+            ciflow::sweep::try_workload_sweep_in(
+                &session,
+                &workload,
+                panicking(),
+                &[8.0, 64.0],
+                streamed,
+                1.0,
+                fused,
+            )
+            .map(drop),
+        ),
+        (
+            "heterogeneous",
+            ciflow::sweep::try_heterogeneous_sweep_in(
+                &session,
+                &chain,
+                panicking(),
+                &[8.0, 64.0],
+                streamed,
+            )
+            .map(drop),
+        ),
+        (
+            "channel",
+            ciflow::sweep::try_channel_sweep(
+                &session,
+                &workload,
+                panicking(),
+                64.0,
+                streamed,
+                &[1, 2],
+                fused,
+            )
+            .map(drop),
+        ),
+    ];
+    for (sweep, result) in results {
+        match result {
+            Err(CiflowError::StrategyPanicked { strategy, message }) => {
+                assert_eq!(strategy, "PN", "{sweep} sweep");
+                assert!(message.contains("kaboom"), "{sweep} sweep: {message:?}");
+            }
+            other => panic!("{sweep} sweep must report the panic, got {other:?}"),
+        }
+    }
 }
 
 #[test]
