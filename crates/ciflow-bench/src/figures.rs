@@ -140,17 +140,23 @@ pub struct OcBaseRow {
 /// OC (evks on-chip) matches the MP baseline at 64 GB/s, the bandwidth
 /// saving, and the OC-vs-MP speedup at that point.
 pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
-    let baseline = baseline_runtime_ms(benchmark);
-    let on_chip = |dataflow, bw| runtime_with(benchmark, dataflow, bw, EvkPolicy::OnChip, 1.0);
     // The paper picks OCbase from the discrete ladder; do the same so the
-    // "saved bandwidth" factors are comparable.
-    let ocbase = BANDWIDTH_LADDER
+    // "saved bandwidth" factors are comparable. Each curve is one sweep
+    // (one schedule, one timeline) over the ladder up to the baseline
+    // bandwidth, so the last MP point is the baseline itself.
+    let ladder: Vec<f64> = BANDWIDTH_LADDER
         .into_iter()
         .take_while(|&bw| bw <= BASELINE_BANDWIDTH_GBPS)
-        .find(|&bw| on_chip(Dataflow::OutputCentric, bw) <= baseline)
-        .unwrap_or(BASELINE_BANDWIDTH_GBPS);
-    let oc_ms = on_chip(Dataflow::OutputCentric, ocbase);
-    let mp_ms = on_chip(Dataflow::MaxParallel, ocbase);
+        .collect();
+    let curve =
+        |dataflow| bandwidth_sweep(benchmark, dataflow, &ladder, EvkPolicy::OnChip, 1.0).points;
+    let (oc, mp) = (curve(Dataflow::OutputCentric), curve(Dataflow::MaxParallel));
+    let baseline = mp[mp.len() - 1].runtime_ms;
+    let at = oc
+        .iter()
+        .position(|point| point.runtime_ms <= baseline)
+        .unwrap_or(oc.len() - 1);
+    let (ocbase, oc_ms, mp_ms) = (oc[at].bandwidth_gbps, oc[at].runtime_ms, mp[at].runtime_ms);
     OcBaseRow {
         benchmark: benchmark.name,
         ocbase_gbps: ocbase,
@@ -214,14 +220,11 @@ pub struct StreamingEquivalenceRow {
 
 /// Computes the Figure 7 analogue for one benchmark.
 pub fn streaming_equivalence_row(benchmark: HksBenchmark) -> StreamingEquivalenceRow {
-    let ocbase = ocbase_row(benchmark).ocbase_gbps;
-    let on_chip_ms = runtime_with(
-        benchmark,
-        Dataflow::OutputCentric,
-        ocbase,
-        EvkPolicy::OnChip,
-        1.0,
-    );
+    let OcBaseRow {
+        ocbase_gbps: ocbase,
+        oc_ms: on_chip_ms,
+        ..
+    } = ocbase_row(benchmark);
     let equivalent = min_bandwidth_for_runtime(
         benchmark,
         Dataflow::OutputCentric,

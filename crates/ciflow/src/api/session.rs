@@ -523,6 +523,17 @@ impl BatchOutcome {
 /// Batch execution is statistics-only by default; ask for per-task traces
 /// with [`Session::with_trace`] when you need timing diagrams.
 ///
+/// ## Panic boundary
+///
+/// One rule: a panic inside any single-job entry point —
+/// [`Session::run_job`], [`Session::run_analytic`], [`Session::verify_job`]
+/// or [`Session::bounds_job`] — is caught there and returned as
+/// [`CiflowError::StrategyPanicked`] for that job. The boundary wraps the
+/// whole entry point, so it holds for a panicking strategy and for an engine
+/// panic on a malformed custom graph alike. Everything built on these entry
+/// points (batches, every `sweep`, every `serve` run) inherits the rule and
+/// never unwinds into its caller.
+///
 /// See the [module docs](crate::api) for an end-to-end example.
 #[derive(Clone)]
 pub struct Session {
@@ -671,7 +682,7 @@ impl Session {
             label: self.job_label(job),
             benchmark: job.effective_benchmark(),
             strategy: job.strategy_name(),
-            outcome: Self::isolated(job, || self.run_job(job)),
+            outcome: self.run_job(job),
         });
         BatchOutcome { results }
     }
@@ -865,17 +876,19 @@ impl Session {
     /// that merely *lints badly* is an `Ok` report with errors in it, so
     /// callers can gate on [`LintReport::has_errors`](crate::lint::LintReport::has_errors).
     pub fn verify_job(&self, job: &Job) -> Result<crate::lint::LintReport, CiflowError> {
-        let rpu = self.job_rpu(job)?;
-        let cached = self.plan_for(job)?;
-        let plan = cached.exec_plan(rpu);
-        Ok(crate::lint::lint_plan(
-            &cached.schedule,
-            &cached.kernel_benchmarks,
-            rpu,
-            &plan,
-            || self.bound_analysis(&cached, &plan, rpu),
-            &crate::lint::LintConfig::default(),
-        ))
+        Self::isolated(job, || {
+            let rpu = self.job_rpu(job)?;
+            let cached = self.plan_for(job)?;
+            let plan = cached.exec_plan(rpu);
+            Ok(crate::lint::lint_plan(
+                &cached.schedule,
+                &cached.kernel_benchmarks,
+                rpu,
+                &plan,
+                || self.bound_analysis(&cached, &plan, rpu),
+                &crate::lint::LintConfig::default(),
+            ))
+        })
     }
 
     /// Statically verifies every queued job (in submission order) without
@@ -890,7 +903,7 @@ impl Session {
                 label: self.job_label(job),
                 benchmark: job.effective_benchmark(),
                 strategy: job.strategy_name(),
-                outcome: Self::isolated(job, || self.verify_job(job)),
+                outcome: self.verify_job(job),
             })
             .collect()
     }
@@ -906,12 +919,14 @@ impl Session {
     /// (as [`Session::verify_job`]), and propagates strategy-resolution or
     /// schedule-construction failures.
     pub fn bounds_job(&self, job: &Job) -> Result<BoundAnalysis, CiflowError> {
-        let rpu = self.job_rpu(job)?;
-        let cached = self.plan_for(job)?;
-        let plan = cached.exec_plan(rpu);
-        Ok(BoundAnalysis::clone(
-            &self.bound_analysis(&cached, &plan, rpu),
-        ))
+        Self::isolated(job, || {
+            let rpu = self.job_rpu(job)?;
+            let cached = self.plan_for(job)?;
+            let plan = cached.exec_plan(rpu);
+            Ok(BoundAnalysis::clone(
+                &self.bound_analysis(&cached, &plan, rpu),
+            ))
+        })
     }
 
     /// Statically bounds every queued job (in submission order) without
@@ -925,46 +940,50 @@ impl Session {
                 label: self.job_label(job),
                 benchmark: job.effective_benchmark(),
                 strategy: job.strategy_name(),
-                outcome: Self::isolated(job, || self.bounds_job(job)),
+                outcome: self.bounds_job(job),
             })
             .collect()
     }
 
-    /// Executes a single job immediately (no panic isolation, no queueing).
+    /// Executes a single job immediately, without queueing it.
     ///
     /// # Errors
     ///
     /// Returns [`CiflowError::InvalidConfig`] for an invalid configuration
-    /// (as [`Session::verify_job`]), and the job's [`CiflowError`] on
-    /// strategy-resolution, schedule construction, or execution failure.
+    /// (as [`Session::verify_job`]), the job's [`CiflowError`] on
+    /// strategy-resolution, schedule construction, or execution failure, and
+    /// [`CiflowError::StrategyPanicked`] under the session's panic rule.
     pub fn run_job(&self, job: &Job) -> Result<JobOutput, CiflowError> {
-        let rpu = self.job_rpu(job)?.clone();
-        let plan = self.plan_for(job)?;
-        // Channel-aware placement: the schedule's label-encoded channel
-        // hints become the plan's buffer-to-channel map (a no-op for the
-        // default single-channel configuration). The plan is compiled once
-        // per (schedule, channel count) and cached with the schedule — jobs
-        // sharing a schedule never re-place or re-link its tasks.
-        let exec = plan.exec_plan(&rpu);
-        let engine = RpuEngine::new(rpu.clone());
-        let graph = &plan.schedule.graph;
-        let (stats, trace) = match self.trace {
-            TraceMode::Full => {
-                let result = engine.execute_plan(graph, &exec)?;
-                (result.stats, Some(result.trace))
-            }
-            TraceMode::StatsOnly => (engine.execute_stats_plan(graph, &exec)?, None),
-        };
-        Ok(JobOutput {
-            benchmark: job.effective_benchmark(),
-            strategy: plan.schedule.strategy.clone(),
-            rpu,
-            stats,
-            trace,
-            schedule: Arc::clone(&plan.schedule),
-            kernels: plan.kernels,
-            kernel_benchmarks: plan.kernel_benchmarks.clone(),
-            forwarded_bytes: plan.forwarded_bytes,
+        Self::isolated(job, || {
+            let rpu = self.job_rpu(job)?.clone();
+            let plan = self.plan_for(job)?;
+            // Channel-aware placement: the schedule's label-encoded channel
+            // hints become the plan's buffer-to-channel map (a no-op for the
+            // default single-channel configuration). The plan is compiled
+            // once per (schedule, channel count) and cached with the
+            // schedule — jobs sharing a schedule never re-place or re-link
+            // its tasks.
+            let exec = plan.exec_plan(&rpu);
+            let engine = RpuEngine::new(rpu.clone());
+            let graph = &plan.schedule.graph;
+            let (stats, trace) = match self.trace {
+                TraceMode::Full => {
+                    let result = engine.execute_plan(graph, &exec)?;
+                    (result.stats, Some(result.trace))
+                }
+                TraceMode::StatsOnly => (engine.execute_stats_plan(graph, &exec)?, None),
+            };
+            Ok(JobOutput {
+                benchmark: job.effective_benchmark(),
+                strategy: plan.schedule.strategy.clone(),
+                rpu,
+                stats,
+                trace,
+                schedule: Arc::clone(&plan.schedule),
+                kernels: plan.kernels,
+                kernel_benchmarks: plan.kernel_benchmarks.clone(),
+                forwarded_bytes: plan.forwarded_bytes,
+            })
         })
     }
 
@@ -981,8 +1000,8 @@ impl Session {
     ///
     /// Returns [`CiflowError::InvalidConfig`] for an invalid range
     /// (non-finite, non-positive, or `lo > hi`) or configuration, and
-    /// otherwise propagates the same strategy-resolution,
-    /// schedule-construction and engine errors as [`Session::run_job`].
+    /// otherwise the same strategy-resolution, schedule-construction, engine
+    /// and panic errors as [`Session::run_job`].
     pub fn run_analytic(
         &self,
         job: &Job,
@@ -997,19 +1016,51 @@ impl Session {
                 ),
             });
         }
-        let rpu = self.job_rpu(job)?.clone();
-        let plan = self.plan_for(job)?;
-        let timeline = plan.timeline(&rpu, lo_gbps, hi_gbps)?;
-        Ok(AnalyticOutput {
-            benchmark: job.effective_benchmark(),
-            strategy: plan.schedule.strategy.clone(),
-            rpu,
-            schedule: Arc::clone(&plan.schedule),
-            kernels: plan.kernels,
-            kernel_benchmarks: plan.kernel_benchmarks.clone(),
-            forwarded_bytes: plan.forwarded_bytes,
-            timeline,
+        Self::isolated(job, || {
+            let rpu = self.job_rpu(job)?.clone();
+            let plan = self.plan_for(job)?;
+            let timeline = plan.timeline(&rpu, lo_gbps, hi_gbps)?;
+            Ok(AnalyticOutput {
+                benchmark: job.effective_benchmark(),
+                strategy: plan.schedule.strategy.clone(),
+                rpu,
+                schedule: Arc::clone(&plan.schedule),
+                kernels: plan.kernels,
+                kernel_benchmarks: plan.kernel_benchmarks.clone(),
+                forwarded_bytes: plan.forwarded_bytes,
+                timeline,
+            })
         })
+    }
+
+    /// Evaluates `job` at every bandwidth of a ladder: one
+    /// [`Session::run_analytic`] over the ladder's `[min, max]`, then every
+    /// point read off the timeline, in ladder order — bit-identical to one
+    /// [`Session::run_job`] per point. The job's RPU is taken as the caller
+    /// set it (its own bandwidth is only the timeline's anchor). This is the
+    /// one place the crate derives and evaluates timelines: every bandwidth
+    /// ladder of the sweeps and every degraded service time of the serving
+    /// layer comes from here.
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::run_analytic`], and [`CiflowError::InvalidConfig`] for
+    /// a ladder entry that is not finite and positive (the message of
+    /// [`RpuConfig::validate`]) or an empty ladder, which has no range.
+    pub(crate) fn run_ladder(
+        &self,
+        job: &Job,
+        bandwidths: &[f64],
+    ) -> Result<(AnalyticOutput, Vec<ExecutionStats>), CiflowError> {
+        for &bandwidth in bandwidths {
+            rpu::config::validate_bandwidth(bandwidth)
+                .map_err(|message| CiflowError::InvalidConfig { message })?;
+        }
+        let lo = bandwidths.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = bandwidths.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let output = self.run_analytic(job, lo, hi)?;
+        let stats = output.timeline.evaluate_many(bandwidths);
+        Ok((output, stats))
     }
 
     /// Convenience: queue nothing, run one `(benchmark, strategy)` pair on
@@ -1057,11 +1108,12 @@ impl Session {
         )
     }
 
-    /// The panic boundary of every batch and sweep: runs `f` on behalf of
-    /// `job`, so a strategy that panics fails that job with
+    /// The session's one panic boundary (see "Panic boundary" on
+    /// [`Session`]): runs the body of a single-job entry point on behalf of
+    /// `job`, so a panic inside it fails that job with
     /// [`CiflowError::StrategyPanicked`] instead of unwinding into the
     /// caller.
-    pub(crate) fn isolated<T>(
+    fn isolated<T>(
         job: &Job,
         f: impl FnOnce() -> Result<T, CiflowError>,
     ) -> Result<T, CiflowError> {

@@ -181,18 +181,16 @@ impl Schedule {
     }
 }
 
-/// Generates the schedule for a built-in dataflow.
-///
-/// Compatibility wrapper over the strategy API: delegates to
-/// [`Dataflow::strategy`] and unwraps, which is safe because the built-in
-/// strategies are infallible. For custom strategies (or fallible building),
-/// use [`ScheduleStrategy::build`](crate::api::ScheduleStrategy::build)
-/// directly or run jobs through a [`Session`](crate::api::Session).
+/// Generates the schedule for a built-in dataflow with its generator. For
+/// custom strategies use
+/// [`ScheduleStrategy::build`](crate::api::ScheduleStrategy::build) directly
+/// or run jobs through a [`Session`](crate::api::Session).
 pub fn build_schedule(dataflow: Dataflow, shape: &HksShape, config: &ScheduleConfig) -> Schedule {
-    dataflow
-        .strategy()
-        .build(shape, config)
-        .expect("built-in strategies are infallible")
+    match dataflow {
+        Dataflow::MaxParallel => build_max_parallel(shape, config),
+        Dataflow::DigitCentric => build_digit_centric(shape, config),
+        Dataflow::OutputCentric => build_output_centric(shape, config),
+    }
 }
 
 /// A buffer the generators track, keyed by its role and indices. Its

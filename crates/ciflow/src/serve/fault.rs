@@ -20,8 +20,9 @@
 //! * **Zero-fault replay** — running [`try_fault_serve_in`] with
 //!   [`FaultPlan::none`] produces a [`ResilienceReport`] whose embedded
 //!   [`ServeReport`] is bit-for-bit the report
-//!   [`try_serve_in`](super::try_serve_in) produces. The fault-free path *is* the faulted path with an empty
-//!   plan; there is no second simulator to drift.
+//!   [`try_serve_in`](super::try_serve_in) produces: `try_serve_in` *is*
+//!   this path under an empty plan, so there is no second simulator (or
+//!   second measurement) to drift.
 //! * **Conservation** — every offered arrival is exactly one of
 //!   completed, timed-out, or shed:
 //!   `offered == serve.completed + timed_out + shed`.
@@ -478,9 +479,11 @@ impl FaultPlan {
     }
 }
 
-/// Per-class service times the faulted simulation draws from: the baseline
+/// Per-class service times a serving simulation draws from: the baseline
 /// per-class times, plus one re-derived row per degradation window.
 pub(crate) struct ServiceTable {
+    /// Short name of the strategy the classes were measured under.
+    pub(crate) strategy: String,
     /// `base[class]` — service time at the configured bandwidth.
     pub(crate) base: Vec<f64>,
     /// `degraded[window][class]` — service time at
@@ -490,12 +493,47 @@ pub(crate) struct ServiceTable {
 }
 
 impl ServiceTable {
-    /// A table with no degradation rows (the fault-free case).
-    pub(crate) fn base_only(service_seconds: &[f64]) -> Self {
-        Self {
-            base: service_seconds.to_vec(),
-            degraded: Vec::new(),
+    /// Measures every class of `config` under `spec` on the cluster's
+    /// device: one stats-only engine run per class for the base row and,
+    /// only when `plan` has degradation windows, one
+    /// [`Session::run_ladder`] per class over the windows' bandwidths for
+    /// the degraded rows. A plan without windows derives no timeline.
+    pub(crate) fn measure(
+        session: &Session,
+        config: &ServeConfig,
+        plan: &FaultPlan,
+        spec: &StrategySpec,
+    ) -> Result<Self, CiflowError> {
+        let bandwidth = config.cluster.rpu.dram_bandwidth_gbps;
+        let windows: Vec<f64> = plan
+            .degradations
+            .iter()
+            .map(|window| bandwidth * window.bandwidth_factor)
+            .collect();
+        let measured = crate::parallel::map(config.classes.clone(), |class| {
+            let job = class.job(spec.clone()).with_rpu(config.cluster.rpu.clone());
+            let base = session.run_job(&job)?;
+            let degraded = if windows.is_empty() {
+                Vec::new()
+            } else {
+                session.run_ladder(&job, &windows)?.1
+            };
+            Ok::<_, CiflowError>((base, degraded))
+        });
+        let mut table = Self {
+            strategy: spec.display_name(),
+            base: Vec::with_capacity(measured.len()),
+            degraded: vec![Vec::with_capacity(measured.len()); windows.len()],
+        };
+        for row in measured {
+            let (base, degraded) = row?;
+            table.strategy = base.strategy;
+            table.base.push(base.stats.runtime_seconds);
+            for (column, stats) in table.degraded.iter_mut().zip(degraded) {
+                column.push(stats.runtime_seconds);
+            }
         }
+        Ok(table)
     }
 }
 
@@ -657,17 +695,17 @@ pub fn standard_fault_plan(tick: f64) -> FaultPlan {
 /// `&Session::new()` for the built-in strategies; share one session to
 /// reuse its strategy registry and schedule cache).
 ///
-/// Baseline service times are measured exactly as
-/// [`try_serve_in`](super::try_serve_in) measures them — one stats-only
-/// engine run per
-/// class — which is what makes the zero-fault replay bit-exact by
-/// construction. Degradation windows additionally measure each class once
-/// as a parametric timeline and evaluate it at the degraded bandwidth.
+/// Baseline service times are one stats-only engine run per class, and
+/// each degradation window's service times are read off the class's
+/// parametric timeline at the degraded bandwidth. Under
+/// [`FaultPlan::none`] this is exactly [`try_serve_in`](super::try_serve_in),
+/// which makes the zero-fault replay bit-exact by construction.
 ///
 /// # Errors
 ///
 /// Returns [`CiflowError::InvalidConfig`] for structurally invalid
-/// configurations or plans and propagates schedule-construction errors.
+/// configurations or plans, [`CiflowError::StrategyPanicked`] for a
+/// panicking strategy, and propagates schedule-construction errors.
 pub fn try_fault_serve_in(
     session: &Session,
     config: &ServeConfig,
@@ -676,83 +714,22 @@ pub fn try_fault_serve_in(
 ) -> Result<ResilienceReport, CiflowError> {
     config.validate()?;
     plan.validate(config)?;
-    let spec: StrategySpec = strategy.into();
-
-    let measured = crate::parallel::map(config.classes.clone(), |class| {
-        let job = class.job(spec.clone()).with_rpu(config.cluster.rpu.clone());
-        session.run_job(&job)
-    });
-    let mut base = Vec::with_capacity(measured.len());
-    let mut strategy_name = spec.display_name();
-    for output in measured {
-        let output = output?;
-        strategy_name = output.strategy.clone();
-        base.push(output.stats.runtime_seconds);
-    }
-
-    let degraded = degraded_service_rows(session, config, plan, &spec)?;
-    Ok(resilience_with_service_times(
-        config,
-        plan,
-        strategy_name,
-        &ServiceTable { base, degraded },
-    ))
-}
-
-/// Evaluates one per-class service-time row per degradation window via the
-/// parametric timelines, covering `[bandwidth * min_factor, bandwidth]`.
-pub(crate) fn degraded_service_rows(
-    session: &Session,
-    config: &ServeConfig,
-    plan: &FaultPlan,
-    spec: &StrategySpec,
-) -> Result<Vec<Vec<f64>>, CiflowError> {
-    if plan.degradations.is_empty() {
-        return Ok(Vec::new());
-    }
-    let bandwidth = config.cluster.rpu.dram_bandwidth_gbps;
-    let min_factor = plan
-        .degradations
-        .iter()
-        .map(|w| w.bandwidth_factor)
-        .fold(1.0f64, f64::min);
-    let measured = crate::parallel::map(config.classes.clone(), |class| {
-        let job = class.job(spec.clone()).with_rpu(config.cluster.rpu.clone());
-        session.run_analytic(&job, bandwidth * min_factor, bandwidth)
-    });
-    let mut timelines = Vec::with_capacity(measured.len());
-    for output in measured {
-        timelines.push(output?.timeline);
-    }
-    Ok(plan
-        .degradations
-        .iter()
-        .map(|window| {
-            timelines
-                .iter()
-                .map(|timeline| {
-                    timeline
-                        .evaluate(bandwidth * window.bandwidth_factor)
-                        .runtime_seconds
-                })
-                .collect()
-        })
-        .collect())
+    let services = ServiceTable::measure(session, config, plan, &strategy.into())?;
+    Ok(resilience_with_service_times(config, plan, &services))
 }
 
 /// The measurement-free half of [`try_fault_serve_in`]: plays the faulted
-/// simulation against externally supplied service times. The fault sweep
-/// ([`try_fault_sweep_in`](crate::sweep::try_fault_sweep_in)) derives the
-/// whole table from parametric timelines and lands here, so a grid shares
-/// one symbolic measurement per class.
+/// simulation against a measured [`ServiceTable`]. The serving and fault
+/// sweeps ([`try_serve_sweep_in`](crate::sweep::try_serve_sweep_in),
+/// [`try_fault_sweep_in`](crate::sweep::try_fault_sweep_in)) measure once
+/// and replay here at every grid point.
 pub(crate) fn resilience_with_service_times(
     config: &ServeConfig,
     plan: &FaultPlan,
-    strategy: String,
     services: &ServiceTable,
 ) -> ResilienceReport {
     let (outcome, counters) = sim::simulate_resilient(config, plan, services);
-    let serve = sim::finish(config, strategy, &services.base, outcome);
+    let serve = sim::finish(config, services.strategy.clone(), &services.base, outcome);
     let makespan = serve.makespan_seconds;
     let goodput_rps = if makespan > 0.0 {
         counters.useful as f64 / makespan

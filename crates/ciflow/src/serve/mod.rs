@@ -19,12 +19,16 @@
 //! * a `u64` seed.
 //!
 //! Requests never execute instruction-by-instruction inside the serving
-//! loop. Each distinct class is executed **once**, stats-only, through the
-//! regular [`Session`] path (hitting the session schedule cache), and the
-//! resulting deterministic runtime becomes the class's service time. A
-//! virtual-clock event simulation then plays the arrival stream against the
-//! fleet — no wall-clock anywhere — so a [`ServeReport`] is a pure,
-//! bit-reproducible function of the configuration and seed.
+//! loop. Every run measures its classes once into a table of service times:
+//! each distinct class is executed **once**, stats-only, through
+//! [`Session::run_job`] (hitting the session schedule cache), and the
+//! resulting deterministic runtime becomes the class's service time. Only
+//! the bandwidths a run needs beyond that — degradation windows, or the
+//! ladder of a serving sweep — are read off the class's parametric timeline
+//! (bit-identical to the engine). A virtual-clock event simulation then
+//! plays the arrival stream against the fleet — no wall-clock anywhere — so
+//! a [`ServeReport`] is a pure, bit-reproducible function of the
+//! configuration and seed.
 //!
 //! ```
 //! use ciflow::api::Session;
@@ -67,7 +71,7 @@ mod sim;
 pub use arrival::ArrivalProcess;
 pub use config::{ClusterConfig, ServeConfig};
 pub use dispatch::DispatchPolicy;
-pub(crate) use fault::{degraded_service_rows, resilience_with_service_times, ServiceTable};
+pub(crate) use fault::{resilience_with_service_times, ServiceTable};
 pub use fault::{
     standard_fault_plan, try_fault_serve_in, AdmissionPolicy, CrashEvent, CrashPlan, DegradeWindow,
     DeviceAvailability, FaultPlan, ResilienceReport, RetryPolicy,
@@ -88,57 +92,21 @@ use crate::error::CiflowError;
 /// the cluster's per-device [`RpuConfig`](rpu::RpuConfig) — but its schedule
 /// cache and strategy registry are used, so repeated calls (a bandwidth
 /// sweep, a policy comparison) re-plan each request class only when the
-/// cached schedule cannot be reused.
+/// cached schedule cannot be reused. This is the serve report of
+/// [`try_fault_serve_in`] under [`FaultPlan::none`]: one stats-only engine
+/// run per class, then the event loop with nothing injected.
 ///
 /// # Errors
 ///
 /// Returns [`CiflowError::InvalidConfig`] when the configuration fails
-/// [`ServeConfig::validate`], and propagates schedule-construction errors.
+/// [`ServeConfig::validate`], [`CiflowError::StrategyPanicked`] for a
+/// panicking strategy, and propagates schedule-construction errors.
 pub fn try_serve_in(
     session: &Session,
     config: &ServeConfig,
     strategy: impl Into<StrategySpec>,
 ) -> Result<ServeReport, CiflowError> {
-    config.validate()?;
-    let spec: StrategySpec = strategy.into();
-
-    // One stats-only engine run per distinct class; its deterministic
-    // runtime is the class's service time for every request in the run.
-    let measured = crate::parallel::map(config.classes.clone(), |class| {
-        let job = class.job(spec.clone()).with_rpu(config.cluster.rpu.clone());
-        session.run_job(&job)
-    });
-    let mut service_seconds = Vec::with_capacity(measured.len());
-    let mut strategy_name = String::new();
-    for output in measured {
-        let output = output?;
-        strategy_name = output.strategy.clone();
-        service_seconds.push(output.stats.runtime_seconds);
-    }
-
-    Ok(serve_with_service_times(
-        config,
-        strategy_name,
-        &service_seconds,
-    ))
-}
-
-/// Runs the virtual-clock serving simulation against externally supplied
-/// per-class service times (one entry per `config.classes` entry, in order).
-///
-/// This is the measurement-free half of [`try_serve_in`]: the analytic sweep
-/// path ([`try_serve_sweep_in`](crate::sweep::try_serve_sweep_in)) evaluates
-/// each class's [`ParametricTimeline`](rpu::ParametricTimeline) once per
-/// bandwidth and hands the resulting (bit-identical) service times here, so
-/// a whole cluster-size × bandwidth grid shares one symbolic measurement per
-/// class.
-pub(crate) fn serve_with_service_times(
-    config: &ServeConfig,
-    strategy: String,
-    service_seconds: &[f64],
-) -> ServeReport {
-    let outcome = sim::simulate(config, service_seconds);
-    sim::finish(config, strategy, service_seconds, outcome)
+    Ok(try_fault_serve_in(session, config, &FaultPlan::none(), strategy)?.serve)
 }
 
 #[cfg(test)]
@@ -188,6 +156,16 @@ mod tests {
         ));
     }
 
+    /// The fault-free report of `config` with every class taking no time.
+    fn instant(config: &ServeConfig) -> ServeReport {
+        let services = ServiceTable {
+            strategy: "OC".to_string(),
+            base: vec![0.0; config.classes.len()],
+            degraded: Vec::new(),
+        };
+        resilience_with_service_times(config, &FaultPlan::none(), &services).serve
+    }
+
     #[test]
     fn zero_duration_service_times_complete_without_dividing_by_zero() {
         // Degenerate but legal for the virtual clock: a class that takes no
@@ -204,7 +182,7 @@ mod tests {
                 requests: 12,
             },
         );
-        let report = serve_with_service_times(&config, "OC".to_string(), &[0.0, 0.0]);
+        let report = instant(&config);
         assert_eq!(report.completed, 12);
         assert!(report.makespan_seconds > 0.0, "arrivals still take time");
         assert!(report.throughput_rps.is_finite());
@@ -236,7 +214,7 @@ mod tests {
                 requests: 8,
             },
         );
-        let report = serve_with_service_times(&closed, "OC".to_string(), &[0.0]);
+        let report = instant(&closed);
         assert_eq!(report.completed, 8);
         assert_eq!(report.makespan_seconds, 0.0);
         assert_eq!(

@@ -290,16 +290,6 @@ pub(crate) struct DeviceFaultStats {
     pub(crate) down_seconds: f64,
 }
 
-/// Runs the fault-free event simulation: the faulted loop under an empty
-/// plan. `service_seconds[class]` is the deterministic per-request service
-/// time of each class; the caller (`try_serve_in`) has already validated
-/// the configuration and measured the classes.
-pub(crate) fn simulate(config: &ServeConfig, service_seconds: &[f64]) -> SimOutcome {
-    let plan = FaultPlan::none();
-    let services = ServiceTable::base_only(service_seconds);
-    simulate_resilient(config, &plan, &services).0
-}
-
 /// Runs the faulted event simulation. The returned [`SimOutcome`] holds the
 /// records of *completed* requests only (in issue order; ids are sparse
 /// when requests timed out); the [`FaultCounters`] hold the resilience

@@ -8,10 +8,10 @@
 //! quantities built on these sweeps (Tables IV–V, Figures 7–9) live in the
 //! `ciflow-bench` crate's `figures` module.
 //!
-//! The bandwidth, workload, analytic and heterogeneous sweeps evaluate their
-//! ladder on one [`Session::run_analytic`] timeline over its range,
-//! bit-identical to an engine run per point (see `docs/ANALYTIC.md`), and
-//! share its rules:
+//! The bandwidth, workload, analytic, heterogeneous and serving sweeps
+//! evaluate their ladder on one [`Session::run_analytic`] timeline over its
+//! range, bit-identical to an engine run per point (see `docs/ANALYTIC.md`),
+//! and share its rules:
 //!
 //! * A ladder may be unsorted and hold duplicates; points come back in the
 //!   order given, and equal bandwidths give bit-identical rows.
@@ -19,13 +19,17 @@
 //!   `"<sweep>: bandwidth ladder is empty"`, and an entry that is not finite
 //!   and positive with `"DRAM bandwidth {v} GB/s is not finite and
 //!   positive"`.
-//! * A strategy that panics fails the sweep (and the channel sweep) with
-//!   [`CiflowError::StrategyPanicked`] instead of unwinding into the caller.
+//! * A strategy that panics fails the sweep (and the channel and fault
+//!   sweeps) with [`CiflowError::StrategyPanicked`] instead of unwinding
+//!   into the caller — the [`Session`]'s one panic rule, which every sweep
+//!   inherits from the session entry points it runs on.
 
 use crate::api::{AnalyticOutput, Job, Session, StrategySpec};
 use crate::benchmark::HksBenchmark;
 use crate::error::CiflowError;
-use crate::serve::{DispatchPolicy, FaultPlan, ServeConfig};
+use crate::serve::{
+    resilience_with_service_times, DispatchPolicy, FaultPlan, ServeConfig, ServiceTable,
+};
 use crate::workload::{PipelineMode, Workload};
 use rpu::{EvkPolicy, ExecutionStats, RpuConfig, RpuEngine};
 use serde::Serialize;
@@ -85,20 +89,17 @@ fn check_bandwidth(bandwidth_gbps: f64) -> Result<(), CiflowError> {
         .map_err(|message| CiflowError::InvalidConfig { message })
 }
 
-/// Validates a bandwidth ladder under the module's ladder rules and returns
-/// its `(min, max)`; `context` names the sweep in the empty-ladder error.
-fn analytic_range(bandwidths: &[f64], context: &str) -> Result<(f64, f64), CiflowError> {
-    for &bw in bandwidths {
-        check_bandwidth(bw)?;
-    }
-    let Some(&first) = bandwidths.first() else {
-        return Err(CiflowError::InvalidConfig {
+/// The lowest bandwidth of a ladder (the RPU anchor of its timeline);
+/// `context` names the sweep in the empty-ladder error. Every entry is
+/// checked by [`Session::run_ladder`].
+fn ladder_floor(bandwidths: &[f64], context: &str) -> Result<f64, CiflowError> {
+    bandwidths
+        .iter()
+        .copied()
+        .reduce(f64::min)
+        .ok_or_else(|| CiflowError::InvalidConfig {
             message: format!("{context}: bandwidth ladder is empty"),
-        });
-    };
-    let lo = bandwidths.iter().copied().fold(first, f64::min);
-    let hi = bandwidths.iter().copied().fold(first, f64::max);
-    Ok((lo, hi))
+        })
 }
 
 /// One bandwidth ladder evaluated on one timeline.
@@ -112,10 +113,9 @@ struct Ladder {
 }
 
 /// The one path every bandwidth-ladder sweep takes: checks the ladder, runs
-/// `job` on the paper's RPU for `evk_policy` and `modops` symbolically over
-/// the ladder's range through `session` (behind its panic boundary), and
-/// evaluates every point of the ladder on the resulting timeline.
-fn run_ladder(
+/// `job` on the paper's RPU for `evk_policy` and `modops` through
+/// [`Session::run_ladder`], and reads the series off its points.
+fn sweep_ladder(
     session: &Session,
     job: Job,
     bandwidths: &[f64],
@@ -123,10 +123,9 @@ fn run_ladder(
     modops: f64,
     context: &str,
 ) -> Result<Ladder, CiflowError> {
-    let (lo, hi) = analytic_range(bandwidths, context)?;
+    let lo = ladder_floor(bandwidths, context)?;
     let job = job.with_rpu(sweep_rpu(evk_policy, lo, modops));
-    let output = Session::isolated(&job, || session.run_analytic(&job, lo, hi))?;
-    let stats = output.timeline.evaluate_many(bandwidths);
+    let (output, stats) = session.run_ladder(&job, bandwidths)?;
     let points = bandwidths
         .iter()
         .zip(&stats)
@@ -167,7 +166,7 @@ pub fn try_bandwidth_sweep_in(
     modops: f64,
 ) -> Result<SweepSeries, CiflowError> {
     let job = Job::new(benchmark, strategy);
-    let ladder = run_ladder(
+    let ladder = sweep_ladder(
         session,
         job,
         bandwidths,
@@ -196,7 +195,7 @@ pub fn try_workload_sweep_in(
     mode: PipelineMode,
 ) -> Result<SweepSeries, CiflowError> {
     let job = Job::workload(workload.clone(), strategy, mode);
-    let ladder = run_ladder(
+    let ladder = sweep_ladder(
         session,
         job,
         bandwidths,
@@ -257,7 +256,7 @@ pub fn try_analytic_sweep_in(
     let job = Job::workload(workload.clone(), strategy, mode);
     let context = "analytic bandwidth sweep";
     let Ladder { series, output, .. } =
-        run_ladder(session, job, bandwidths, evk_policy, modops, context)?;
+        sweep_ladder(session, job, bandwidths, evk_policy, modops, context)?;
     // The static bound curve under the runtime curve, on the same ladder and
     // the timeline's own execution plan. One full analysis derives the knee
     // (it is bandwidth-independent — a property of the bound's affine
@@ -335,7 +334,7 @@ pub fn try_heterogeneous_sweep_in(
     let spec: StrategySpec = strategy.into();
     let run = |mode| {
         let job = Job::workload(workload.clone(), spec.clone(), mode);
-        run_ladder(
+        sweep_ladder(
             session,
             job,
             bandwidths,
@@ -425,7 +424,7 @@ pub fn try_channel_sweep(
         .map(|&channels| {
             let rpu = sweep_rpu(evk_policy, bandwidth_gbps, 1.0).with_memory_channels(channels);
             let job = Job::workload(workload.clone(), spec.clone(), mode).with_rpu(rpu);
-            let output = Session::isolated(&job, || session.run_job(&job))?;
+            let output = session.run_job(&job)?;
             Ok(ChannelSweepPoint {
                 channels,
                 runtime_ms: output.runtime_ms(),
@@ -487,17 +486,21 @@ pub struct ServeSweep {
 /// Every point re-seeds its arrival process from `base.seed`, so the sweep
 /// is bit-reproducible and two calls with equal inputs compare equal.
 ///
-/// Service times are measured *symbolically*: each request class is executed
-/// once as a [`ParametricTimeline`](rpu::ParametricTimeline) covering the
-/// whole bandwidth ladder, and every grid point evaluates the timelines in
-/// closed form — bit-identical to measuring each point through the engine,
-/// but the measurement cost is per class instead of per class × point.
+/// Service times are measured *symbolically*: each request class runs once
+/// as one [`ParametricTimeline`](rpu::ParametricTimeline) ladder over
+/// `bandwidths`, giving one service-time row per bandwidth that every
+/// cluster size replays — bit-identical to measuring each point through the
+/// engine, and the measurement cost is per class instead of per class ×
+/// point. Each point is the serve report of
+/// [`try_serve_in`](crate::serve::try_serve_in) at its size and bandwidth,
+/// summarized.
 ///
 /// # Errors
 ///
 /// Returns [`CiflowError::InvalidConfig`] for an empty size or bandwidth
-/// ladder or a non-finite/non-positive bandwidth, or the first failing
-/// point's error.
+/// ladder or a non-finite/non-positive bandwidth,
+/// [`CiflowError::StrategyPanicked`] for a panicking strategy, or the first
+/// failing point's error.
 pub fn try_serve_sweep_in(
     session: &Session,
     base: &ServeConfig,
@@ -511,52 +514,46 @@ pub fn try_serve_sweep_in(
             message: "serving sweep has an empty cluster-size ladder".to_string(),
         });
     }
-    let (lo, hi) = analytic_range(bandwidths, "serving sweep")?;
+    ladder_floor(bandwidths, "serving sweep")?;
     // Surface structural configuration errors before measuring anything,
     // exactly as the per-point path would at its first grid point.
     let mut probe = base.clone();
     probe.cluster.num_devices = cluster_sizes[0];
     probe.validate()?;
 
-    // One symbolic run per distinct class; each timeline serves every grid
-    // point of the sweep.
+    // One ladder per class; `tables[i]` holds every class's service time at
+    // `bandwidths[i]`, and every cluster size replays it.
     let measured = crate::parallel::map(base.classes.clone(), |class| {
         let job = class.job(spec.clone()).with_rpu(base.cluster.rpu.clone());
-        session.run_analytic(&job, lo, hi)
+        session.run_ladder(&job, bandwidths)
     });
-    let mut timelines = Vec::with_capacity(measured.len());
     let mut strategy_name = spec.display_name();
-    for output in measured {
-        let output = output?;
-        strategy_name = output.strategy.clone();
-        timelines.push(output.timeline);
+    let mut rows = Vec::with_capacity(measured.len());
+    for ladder in measured {
+        let (output, stats) = ladder?;
+        strategy_name = output.strategy;
+        rows.push(stats);
     }
-
-    let grid: Vec<(usize, f64)> = cluster_sizes
-        .iter()
-        .flat_map(|&n| bandwidths.iter().map(move |&bw| (n, bw)))
+    let tables: Vec<ServiceTable> = (0..bandwidths.len())
+        .map(|i| ServiceTable {
+            strategy: strategy_name.clone(),
+            base: rows.iter().map(|row| row[i].runtime_seconds).collect(),
+            degraded: Vec::new(),
+        })
         .collect();
-    let reports =
-        crate::parallel::map(grid, |(num_devices, bandwidth)| -> Result<_, CiflowError> {
-            let mut config = base.clone();
-            config.cluster.num_devices = num_devices;
-            config.cluster.rpu = base.cluster.rpu.clone().with_bandwidth(bandwidth);
-            config.validate()?;
-            let service_seconds: Vec<f64> = timelines
-                .iter()
-                .map(|timeline| timeline.evaluate(bandwidth).runtime_seconds)
-                .collect();
-            Ok(crate::serve::serve_with_service_times(
-                &config,
-                strategy_name.clone(),
-                &service_seconds,
-            ))
-        });
-    let mut points = Vec::with_capacity(reports.len());
-    for report in reports {
-        let report = report?;
-        strategy_name = report.strategy.clone();
-        points.push(ServeSweepPoint {
+
+    let grid: Vec<(usize, usize)> = cluster_sizes
+        .iter()
+        .flat_map(|&n| (0..bandwidths.len()).map(move |i| (n, i)))
+        .collect();
+    let plan = FaultPlan::none();
+    let points = crate::parallel::map(grid, |(num_devices, i)| {
+        let mut config = base.clone();
+        config.cluster.num_devices = num_devices;
+        config.cluster.rpu = base.cluster.rpu.clone().with_bandwidth(bandwidths[i]);
+        config.validate()?;
+        let report = resilience_with_service_times(&config, &plan, &tables[i]).serve;
+        Ok(ServeSweepPoint {
             num_devices: report.num_devices,
             bandwidth_gbps: report.bandwidth_gbps,
             throughput_rps: report.throughput_rps,
@@ -565,13 +562,13 @@ pub fn try_serve_sweep_in(
             p95_ms: report.latency.p95_ms,
             p99_ms: report.latency.p99_ms,
             max_queue_depth: report.queue.max_depth,
-        });
-    }
+        })
+    });
     Ok(ServeSweep {
         strategy: strategy_name,
         policy: base.policy,
         seed: base.seed,
-        points,
+        points: points.into_iter().collect::<Result<_, CiflowError>>()?,
     })
 }
 
@@ -631,18 +628,21 @@ pub struct FaultSweep {
 /// [`FaultPlan::scaled`]: random crash rates and the transient-failure
 /// rate scale; intensity `0` is the fault-free bound with the handling
 /// policies still on). Strategy names resolve through `session`'s
-/// registry, and its schedule cache is reused. Baseline service times are
-/// measured once per class through the engine (exactly as
-/// [`try_fault_serve_in`](crate::serve::try_fault_serve_in) measures them)
-/// and degraded rows once per class through the parametric timelines; the
-/// whole grid replays those tables.
+/// registry, and its schedule cache is reused. The service times are
+/// measured once, exactly as
+/// [`try_fault_serve_in`](crate::serve::try_fault_serve_in) measures them
+/// under `base_plan` — one engine run per class, plus one timeline ladder
+/// per class when the plan has degradation windows — and the whole grid
+/// replays that table, so each point equals `try_fault_serve_in` under
+/// `base_plan.scaled(intensity)`.
 ///
 /// # Errors
 ///
 /// Returns [`CiflowError::InvalidConfig`] for an empty intensity or size
 /// ladder, a non-finite/negative intensity, or the first failing point's
 /// error (e.g. a scripted crash or degradation window targeting a device
-/// a smaller cluster does not have).
+/// a smaller cluster does not have); [`CiflowError::StrategyPanicked`] for
+/// a panicking strategy.
 pub fn try_fault_sweep_in(
     session: &Session,
     base: &ServeConfig,
@@ -676,51 +676,20 @@ pub fn try_fault_sweep_in(
     probe.validate()?;
     base_plan.validate(&probe)?;
 
-    // One engine run per class for the baseline service times, one
-    // timeline per class for the degraded rows; every grid point replays
-    // these tables.
-    let measured = crate::parallel::map(base.classes.clone(), |class| {
-        let job = class.job(spec.clone()).with_rpu(base.cluster.rpu.clone());
-        session.run_job(&job)
-    });
-    let mut base_service = Vec::with_capacity(measured.len());
-    let mut strategy_name = spec.display_name();
-    for output in measured {
-        let output = output?;
-        strategy_name = output.strategy.clone();
-        base_service.push(output.stats.runtime_seconds);
-    }
-    let degraded = crate::serve::degraded_service_rows(session, base, base_plan, &spec)?;
-    let services = crate::serve::ServiceTable {
-        base: base_service,
-        degraded,
-    };
+    let services = ServiceTable::measure(session, base, base_plan, &spec)?;
 
     let grid: Vec<(usize, f64)> = cluster_sizes
         .iter()
         .flat_map(|&n| intensities.iter().map(move |&i| (n, i)))
         .collect();
-    let reports =
-        crate::parallel::map(grid, |(num_devices, intensity)| -> Result<_, CiflowError> {
-            let mut config = base.clone();
-            config.cluster.num_devices = num_devices;
-            config.validate()?;
-            let plan = base_plan.scaled(intensity);
-            plan.validate(&config)?;
-            Ok((
-                intensity,
-                crate::serve::resilience_with_service_times(
-                    &config,
-                    &plan,
-                    strategy_name.clone(),
-                    &services,
-                ),
-            ))
-        });
-    let mut points = Vec::with_capacity(reports.len());
-    for report in reports {
-        let (intensity, report) = report?;
-        points.push(FaultSweepPoint {
+    let points = crate::parallel::map(grid, |(num_devices, intensity)| {
+        let mut config = base.clone();
+        config.cluster.num_devices = num_devices;
+        config.validate()?;
+        let plan = base_plan.scaled(intensity);
+        plan.validate(&config)?;
+        let report = resilience_with_service_times(&config, &plan, &services);
+        Ok(FaultSweepPoint {
             intensity,
             num_devices: report.serve.num_devices,
             offered: report.offered,
@@ -734,13 +703,13 @@ pub fn try_fault_sweep_in(
             mean_availability: report.mean_availability(),
             wasted_seconds: report.wasted_seconds,
             p99_ms: report.serve.latency.p99_ms,
-        });
-    }
+        })
+    });
     Ok(FaultSweep {
-        strategy: strategy_name,
+        strategy: services.strategy,
         policy: base.policy,
         seed: base.seed,
-        points,
+        points: points.into_iter().collect::<Result<_, CiflowError>>()?,
     })
 }
 

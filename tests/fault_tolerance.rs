@@ -22,7 +22,7 @@ use ciflow::serve::{
     DispatchPolicy, FaultPlan, LatencySummary, QueueSummary, RequestClass, RequestRecord,
     ResilienceReport, RetryPolicy, ServeConfig, ServeReport,
 };
-use ciflow::sweep::try_fault_sweep_in;
+use ciflow::sweep::{try_fault_sweep_in, try_serve_sweep_in, FaultSweepPoint, ServeSweepPoint};
 use ciflow::CiflowError;
 use proptest::prelude::*;
 
@@ -448,6 +448,92 @@ fn fault_sweep_is_deterministic_and_conserves_at_every_point() {
         goodput_fraction > 0.0 && goodput_fraction <= 1.0,
         "faults can only cost goodput ({goodput_fraction})"
     );
+}
+
+/// The sweeps measure once and replay the table at every grid point; each
+/// point must still be exactly what the direct run at that point reports.
+/// Compared through `Debug`, which prints every `f64` in its shortest
+/// round-trip form, so equal text is equal bits.
+#[test]
+fn sweep_points_equal_the_direct_runs_bit_for_bit() {
+    let session = Session::new();
+    let base = ServeConfig::new(
+        2,
+        light_mix(),
+        ArrivalProcess::OpenLoop {
+            rate_rps: 2000.0,
+            requests: 48,
+        },
+    )
+    .with_seed(5);
+    let sizes = [1usize, 3];
+
+    // Serving sweep vs `try_serve_in` at every (size, bandwidth), on an
+    // unsorted ladder with a duplicate.
+    let bandwidths = [64.0, 8.0, 25.6, 8.0];
+    let sweep = try_serve_sweep_in(&session, &base, "OC", &sizes, &bandwidths).unwrap();
+    let grid = sizes
+        .iter()
+        .flat_map(|&n| bandwidths.iter().map(move |&bw| (n, bw)));
+    assert_eq!(sweep.points.len(), sizes.len() * bandwidths.len());
+    for (point, (num_devices, bandwidth)) in sweep.points.iter().zip(grid) {
+        let mut config = base.clone();
+        config.cluster.num_devices = num_devices;
+        config.cluster.rpu = base.cluster.rpu.clone().with_bandwidth(bandwidth);
+        let report = try_serve_in(&session, &config, "OC").unwrap();
+        let direct = ServeSweepPoint {
+            num_devices: report.num_devices,
+            bandwidth_gbps: report.bandwidth_gbps,
+            throughput_rps: report.throughput_rps,
+            mean_utilization: report.mean_utilization(),
+            p50_ms: report.latency.p50_ms,
+            p95_ms: report.latency.p95_ms,
+            p99_ms: report.latency.p99_ms,
+            max_queue_depth: report.queue.max_depth,
+        };
+        assert_eq!(format!("{point:?}"), format!("{direct:?}"));
+        assert_eq!(sweep.strategy, report.strategy);
+    }
+
+    // Fault sweep vs `try_fault_serve_in` under `base_plan.scaled(i)`, with
+    // a degradation window so the table has a timeline-derived row.
+    let tick = try_serve_in(&session, &base, "OC").unwrap().latency.p50_ms * 1e-3;
+    let base_plan = standard_fault_plan(tick).with_degradation(DegradeWindow {
+        device: 0,
+        start_seconds: 2.0 * tick,
+        duration_seconds: 10.0 * tick,
+        bandwidth_factor: 0.25,
+    });
+    let intensities = [0.0, 1.0, 2.5];
+    let sweep =
+        try_fault_sweep_in(&session, &base, &base_plan, "OC", &intensities, &sizes).unwrap();
+    let grid = sizes
+        .iter()
+        .flat_map(|&n| intensities.iter().map(move |&i| (n, i)));
+    assert_eq!(sweep.points.len(), sizes.len() * intensities.len());
+    for (point, (num_devices, intensity)) in sweep.points.iter().zip(grid) {
+        let mut config = base.clone();
+        config.cluster.num_devices = num_devices;
+        let plan = base_plan.scaled(intensity);
+        let report = try_fault_serve_in(&session, &config, &plan, "OC").unwrap();
+        let direct = FaultSweepPoint {
+            intensity,
+            num_devices: report.serve.num_devices,
+            offered: report.offered,
+            completed: report.serve.completed,
+            timed_out: report.timed_out,
+            shed: report.shed,
+            degraded: report.degraded,
+            retries: report.retries,
+            goodput_rps: report.goodput_rps,
+            throughput_rps: report.serve.throughput_rps,
+            mean_availability: report.mean_availability(),
+            wasted_seconds: report.wasted_seconds,
+            p99_ms: report.serve.latency.p99_ms,
+        };
+        assert_eq!(format!("{point:?}"), format!("{direct:?}"));
+        assert_eq!(sweep.strategy, report.serve.strategy);
+    }
 }
 
 /// Invalid plans and ladders surface as typed errors on both the direct

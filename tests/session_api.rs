@@ -9,6 +9,9 @@ use ciflow::dataflow::Dataflow;
 use ciflow::error::CiflowError;
 use ciflow::hks_shape::HksShape;
 use ciflow::schedule::{Schedule, ScheduleConfig};
+use ciflow::serve::{
+    try_fault_serve_in, try_serve_in, ArrivalProcess, FaultPlan, RequestClass, ServeConfig,
+};
 use ciflow::workload::{PipelineMode, Workload};
 use rpu::{ComputeKind, EvkPolicy, MemoryDirection, RpuConfig, TaskGraph};
 use std::sync::Arc;
@@ -401,6 +404,9 @@ fn sweeps_accept_custom_strategies() {
     assert!(points.iter().all(|p| p.runtime_ms > 0.0));
 }
 
+/// The session's panic rule, checked at every entry point a panicking
+/// strategy can reach: the four single-job entry points themselves, and
+/// every sweep and serving run built on them.
 #[test]
 fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
     let panicking = || StrategySpec::Inline(Arc::new(Panicking));
@@ -408,9 +414,50 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
     let chain = Workload::rescaling_chain(HksBenchmark::ARK, 2);
     let session = Session::new();
     let (streamed, fused) = (EvkPolicy::Streamed, PipelineMode::Fused);
+    let job = Job::new(HksBenchmark::ARK, panicking());
+    let serve = ServeConfig::new(
+        2,
+        RequestClass::standard_mix(HksBenchmark::ARK),
+        ArrivalProcess::ClosedLoop {
+            concurrency: 2,
+            requests: 8,
+        },
+    );
     let results = [
+        ("run_job", session.run_job(&job).map(drop)),
         (
-            "bandwidth",
+            "run_analytic",
+            session.run_analytic(&job, 8.0, 64.0).map(drop),
+        ),
+        ("verify_job", session.verify_job(&job).map(drop)),
+        ("bounds_job", session.bounds_job(&job).map(drop)),
+        (
+            "try_serve_in",
+            try_serve_in(&session, &serve, panicking()).map(drop),
+        ),
+        (
+            "try_fault_serve_in",
+            try_fault_serve_in(&session, &serve, &FaultPlan::none(), panicking()).map(drop),
+        ),
+        (
+            "serving sweep",
+            ciflow::sweep::try_serve_sweep_in(&session, &serve, panicking(), &[1, 2], &[8.0, 64.0])
+                .map(drop),
+        ),
+        (
+            "fault sweep",
+            ciflow::sweep::try_fault_sweep_in(
+                &session,
+                &serve,
+                &FaultPlan::none(),
+                panicking(),
+                &[0.0, 1.0],
+                &[1, 2],
+            )
+            .map(drop),
+        ),
+        (
+            "bandwidth sweep",
             ciflow::sweep::try_bandwidth_sweep_in(
                 &session,
                 HksBenchmark::ARK,
@@ -422,7 +469,7 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
             .map(drop),
         ),
         (
-            "workload",
+            "workload sweep",
             ciflow::sweep::try_workload_sweep_in(
                 &session,
                 &workload,
@@ -435,7 +482,7 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
             .map(drop),
         ),
         (
-            "heterogeneous",
+            "heterogeneous sweep",
             ciflow::sweep::try_heterogeneous_sweep_in(
                 &session,
                 &chain,
@@ -446,7 +493,7 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
             .map(drop),
         ),
         (
-            "channel",
+            "channel sweep",
             ciflow::sweep::try_channel_sweep(
                 &session,
                 &workload,
@@ -459,13 +506,13 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
             .map(drop),
         ),
     ];
-    for (sweep, result) in results {
+    for (entry, result) in results {
         match result {
             Err(CiflowError::StrategyPanicked { strategy, message }) => {
-                assert_eq!(strategy, "PN", "{sweep} sweep");
-                assert!(message.contains("kaboom"), "{sweep} sweep: {message:?}");
+                assert_eq!(strategy, "PN", "{entry}");
+                assert!(message.contains("kaboom"), "{entry}: {message:?}");
             }
-            other => panic!("{sweep} sweep must report the panic, got {other:?}"),
+            other => panic!("{entry} must report the panic, got {other:?}"),
         }
     }
 }
