@@ -222,11 +222,14 @@ pub struct AnalyticSweep {
     pub breakpoints_gbps: Vec<f64>,
     /// The provable makespan lower bound (ms) at each ladder point, in
     /// ladder order — the static roofline under the `runtime_ms` curve
-    /// ([`rpu::bound::analyze`], `docs/BOUNDS.md`). Soundness guarantees
-    /// `bound_ms[i] <= points[i].runtime_ms` at every point.
+    /// ([`rpu::bound::bound_curve`], `docs/BOUNDS.md`). The sweep RPU has
+    /// one memory channel, where the bound is tight: it equals the runtime
+    /// bit for bit at every bandwidth, so this is a copy of the series'
+    /// `runtime_ms` (and bound/runtime is exactly 1.0).
     pub bound_ms: Vec<f64>,
     /// The effective static roofline knee (GB/s) of the bound, when it has
-    /// one ([`rpu::RooflineKnee::effective_knee_gbps`]): above this
+    /// one ([`rpu::RooflineKnee::effective_knee_gbps`] of
+    /// [`rpu::bound::knee_plan`] on the timeline's plan): above this
     /// bandwidth the bound is pinned to the compute floor — exactly flat at
     /// a true crossover, or tracking the floor plus a vanishing serialized
     /// residue for always-bandwidth-sensitive schedules. `None` for
@@ -257,21 +260,15 @@ pub fn try_analytic_sweep_in(
     let context = "analytic bandwidth sweep";
     let Ladder { series, output, .. } =
         sweep_ladder(session, job, bandwidths, evk_policy, modops, context)?;
-    // The static bound curve under the runtime curve, on the same ladder and
-    // the timeline's own execution plan. One full analysis derives the knee
-    // (it is bandwidth-independent — a property of the bound's affine
-    // pieces); the dense per-point values come from `bound_curve_plan`, so
-    // the curve stays cheap next to the closed-form evaluation it annotates.
+    // The static bound under the runtime curve. The sweep RPU has one
+    // memory channel, where every bus grant is forced and the queue-order
+    // bound replays the engine's own arithmetic, so the bound *is* the
+    // runtime bit for bit (`docs/BOUNDS.md`) and is copied, not recomputed.
+    // The bandwidth-independent knee comes from the timeline's own plan.
+    let bound_ms = series.points.iter().map(|p| p.runtime_ms).collect();
     let engine = RpuEngine::new(output.rpu.clone());
-    let graph = &output.schedule.graph;
-    let plan = output.timeline.plan();
-    let knee_gbps = rpu::bound::analyze_plan(&engine, graph, plan)
-        .knee
+    let knee_gbps = rpu::bound::knee_plan(&engine, &output.schedule.graph, output.timeline.plan())
         .effective_knee_gbps();
-    let bound_ms: Vec<f64> = rpu::bound::bound_curve_plan(&engine, graph, plan, bandwidths)
-        .iter()
-        .map(|&seconds| seconds * 1e3)
-        .collect();
     Ok(AnalyticSweep {
         series,
         segments: output.timeline.segments().len(),

@@ -54,7 +54,8 @@
 //! ([`RooflineKnee::AlwaysBandwidthSensitive`]); the variant records the
 //! residual serialized traffic and the bandwidth where that regime begins.
 //! The knee is derived twice: [`knee`](BoundAnalysis::knee) over the full
-//! placement-aware bound, and
+//! placement-aware bound (alone, without the rest of the analysis, by
+//! [`knee_plan`]), and
 //! [`dependency_knee`](BoundAnalysis::dependency_knee) over the
 //! placement-independent bound (no queue edges) — their disagreement
 //! separates a ceiling this placement imposes (fixable by re-pinning or
@@ -461,6 +462,30 @@ fn path_piece_at(
     (best.1, best.2)
 }
 
+/// The compute pipeline's occupancy: the engine's compute durations folded
+/// in compute-queue order, exactly as the engine issues them (the knee's
+/// compute floor).
+fn compute_fold(engine: &RpuEngine, tasks: &[Task], plan: &ExecPlan) -> f64 {
+    (plan.compute_queue().iter()).fold(0.0f64, |sum, &t| {
+        sum + engine.task_duration(&tasks[t as usize])
+    })
+}
+
+/// Each task's duration as the affine piece `(seconds, GB)` of inverse
+/// bandwidth it is: a compute costs a constant, a transfer its size over
+/// the bandwidth.
+fn affine_durations(engine: &RpuEngine, tasks: &[Task]) -> Vec<(f64, f64)> {
+    (tasks.iter())
+        .map(|t| {
+            if t.is_compute() {
+                (engine.task_duration(t), 0.0)
+            } else {
+                (0.0, t.bytes() as f64 / 1e9)
+            }
+        })
+        .collect()
+}
+
 /// Derives the roofline knee in closed form. Starting from the aggregate
 /// data-path crossover `M / C`, the iteration probes which affine piece of
 /// the (convex) bound is active just above the current candidate and moves
@@ -511,9 +536,9 @@ fn derive_knee(
 }
 
 /// Every per-bandwidth component of the makespan bound: both forward
-/// passes and the resource occupancy folds. Shared by [`analyze`] and
-/// [`bound_curve`] so a sweep point and a full analysis are bit-identical
-/// by construction.
+/// passes and the resource occupancy folds, as [`analyze_plan`] reads
+/// them. [`bound_curve`] inlines the same arithmetic per lane; this
+/// module's tests hold the two bit-identical.
 struct Components {
     dep: ForwardPass,
     aug: ForwardPass,
@@ -548,7 +573,7 @@ fn components(
     let channel_occupancy = (plan.memory_queues().iter())
         .map(|queue| occupancy_floor(fold(queue), queue.len()))
         .collect();
-    let compute_occupancy = fold(plan.compute_queue());
+    let compute_occupancy = compute_fold(engine, tasks, plan);
     let memory_occupancy = occupancy_floor(memory_fold, plan.memory_task_count());
     Components {
         dep,
@@ -586,22 +611,14 @@ fn makespan_of(parts: &Components) -> (f64, BindingResource) {
     (makespan, binding)
 }
 
-/// Evaluates just the makespan bound at each bandwidth of
-/// `bandwidths_gbps`, under `engine`'s channel count and placement: builds
-/// the plan and runs [`bound_curve_plan`].
-pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64]) -> Vec<f64> {
-    bound_curve_plan(engine, graph, &engine.plan(graph), bandwidths_gbps)
-}
-
-/// The makespan bound at each bandwidth of `bandwidths_gbps`, under the
-/// placement compiled into `plan` (which must be `graph`'s plan).
-/// Bit-identical to running [`analyze_plan`] at every point and reading
-/// [`BoundAnalysis::makespan_bound_seconds`], but built for dense ladders
-/// (`AnalyticSweep::bound_ms` sweeps 1000 points): all
-/// bandwidth-independent inputs (compute durations and their fold,
-/// memory sizes, channel placement) are computed once, and each point is a
-/// single fused forward-pass-plus-occupancy-fold sweep with the engine's
-/// duration arithmetic inlined (`bytes / (bw * 1e9)` is exactly
+/// The makespan bound at each bandwidth of `bandwidths_gbps`, under
+/// `engine`'s channel count and placement. Bit-identical to running
+/// [`analyze`] at every point and reading
+/// [`BoundAnalysis::makespan_bound_seconds`], but built for ladders: the
+/// plan and every bandwidth-independent input (compute durations and their
+/// fold, memory sizes, channel placement) are computed once, and each point
+/// is a single fused forward-pass-plus-occupancy-fold sweep with the
+/// engine's duration arithmetic inlined (`bytes / (bw * 1e9)` is exactly
 /// [`RpuEngine::task_duration`] at that point's configuration).
 ///
 /// The dependency-only pass is skipped: the augmented pass replays a
@@ -609,12 +626,8 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
 /// operations, so its finish times dominate pointwise — in machine
 /// arithmetic, not just over the reals — and the dependency bound can
 /// never be the strict maximum.
-pub fn bound_curve_plan(
-    engine: &RpuEngine,
-    graph: &TaskGraph,
-    plan: &ExecPlan,
-    bandwidths_gbps: &[f64],
-) -> Vec<f64> {
+pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64]) -> Vec<f64> {
+    let plan = &engine.plan(graph);
     let tasks = graph.tasks();
     let n = tasks.len();
     let queue_pred = queue_predecessors(plan);
@@ -630,8 +643,7 @@ pub fn bound_curve_plan(
             }
         })
         .collect();
-    let compute_occupancy =
-        (plan.compute_queue().iter()).fold(0.0f64, |sum, &t| sum + compute_duration[t as usize]);
+    let compute_occupancy = compute_fold(engine, tasks, plan);
     let memory_tasks = plan.memory_task_count();
 
     // Lanes of eight, like the analytic evaluator: one pass over the graph
@@ -711,6 +723,22 @@ pub fn bound_curve_plan(
     out
 }
 
+/// The placement-aware roofline knee of `graph` under the placement
+/// compiled into `plan` (which must be `graph`'s plan): exactly
+/// [`BoundAnalysis::knee`] of [`analyze_plan`], from only the inputs the
+/// knee needs — queue predecessors, affine durations and the compute fold —
+/// without the analysis's forward and backward passes, slack and critical
+/// paths. The knee does not depend on `engine`'s bandwidth.
+pub fn knee_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> RooflineKnee {
+    let tasks = graph.tasks();
+    derive_knee(
+        graph,
+        &affine_durations(engine, tasks),
+        &queue_predecessors(plan),
+        compute_fold(engine, tasks, plan),
+    )
+}
+
 /// Statically analyzes `graph` on `engine`'s configuration and placement:
 /// builds the plan and runs [`analyze_plan`].
 pub fn analyze(engine: &RpuEngine, graph: &TaskGraph) -> BoundAnalysis {
@@ -760,17 +788,9 @@ pub fn analyze_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> B
         .map(|(ls, es)| ls - es)
         .collect();
 
-    // Closed-form knee from the bound's affine pieces.
-    let durations: Vec<(f64, f64)> = tasks
-        .iter()
-        .map(|t| {
-            if t.is_compute() {
-                (engine.task_duration(t), 0.0)
-            } else {
-                (0.0, t.bytes() as f64 / 1e9)
-            }
-        })
-        .collect();
+    // Closed-form knees from the bound's affine pieces, the placement-aware
+    // one exactly as `knee_plan` derives it.
+    let durations = affine_durations(engine, tasks);
     let knee = derive_knee(graph, &durations, &queue_pred, compute_occupancy);
     let no_queue: Vec<QueuePred> = vec![None; n];
     let dependency_knee = derive_knee(graph, &durations, &no_queue, compute_occupancy);
@@ -1011,6 +1031,7 @@ mod tests {
         let b = engine.bounds(&g);
         let knee = b.knee.crossover_gbps().expect("race graph has a knee");
         assert!((knee - 2.0).abs() < 1e-9, "knee {knee}");
+        assert_eq!(knee_plan(&engine, &g, &engine.plan(&g)), b.knee);
     }
 
     #[test]
@@ -1058,6 +1079,14 @@ mod tests {
             RooflineKnee::ComputeBoundEverywhere
         );
         assert_eq!(engine.bounds(&TaskGraph::new()).makespan_bound_seconds, 0.0);
+        // `knee_plan` classifies every case as the full analysis does.
+        for graph in [compute_only, memory_only, serial_chain(2), TaskGraph::new()] {
+            let plan = engine.plan(&graph);
+            assert_eq!(
+                knee_plan(&engine, &graph, &plan),
+                engine.bounds(&graph).knee
+            );
+        }
     }
 
     #[test]

@@ -156,7 +156,8 @@ proptest! {
     }
 
     /// Soundness on random graphs: the engine can never beat the bound, at
-    /// any channel count or Fig-4 bandwidth.
+    /// any channel count or Fig-4 bandwidth — and on one channel, where
+    /// every bus grant is forced, the bound equals the runtime bit for bit.
     #[test]
     fn engine_runtime_never_beats_the_bound_on_random_graphs(seed in 0u64..1024, n in 1usize..40) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -172,6 +173,14 @@ proptest! {
                     "unsound at {} GB/s x{}: bound {} > runtime {}",
                     bandwidth, channels, b.makespan_bound_seconds, stats.runtime_seconds
                 );
+                if channels == 1 {
+                    prop_assert_eq!(
+                        b.makespan_bound_seconds.to_bits(),
+                        stats.runtime_seconds.to_bits(),
+                        "not tight on one channel at {} GB/s: bound {} vs runtime {}",
+                        bandwidth, b.makespan_bound_seconds, stats.runtime_seconds
+                    );
+                }
             }
         }
     }
@@ -214,63 +223,89 @@ fn static_knee_agrees_with_the_parametric_timeline_on_presets() {
         Workload::rotation_batch(HksBenchmark::ARK, 4),
         Workload::mul_rot_block(HksBenchmark::BTS2, 2),
         Workload::bootstrap_key_switch(HksBenchmark::BTS3),
+        // The fused BTS2 rescaling chain `simbench`'s `analytic_ladder` sweeps.
+        Workload::rescaling_chain(HksBenchmark::BTS2, 6),
     ];
     let session = Session::new();
     for workload in &presets {
-        for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-            let sweep = |ladder: &[f64]| {
-                try_analytic_sweep_in(
-                    &session,
-                    workload,
-                    Dataflow::OutputCentric,
-                    ladder,
-                    EvkPolicy::Streamed,
-                    1.0,
-                    mode,
-                )
-                .expect("preset sweeps")
-            };
-            // The bound curve sits under the runtime curve at every ladder
-            // point and at every event-order breakpoint of the timeline.
-            let base = sweep(&BANDWIDTH_LADDER);
-            for (bound_ms, point) in base.bound_ms.iter().zip(&base.series.points) {
-                assert!(
-                    *bound_ms <= point.runtime_ms,
-                    "{} {mode} @ {} GB/s: bound {bound_ms} > runtime {}",
-                    workload.name,
-                    point.bandwidth_gbps,
-                    point.runtime_ms
+        for dataflow in Dataflow::all() {
+            for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
+                let context = format!("{} {dataflow} {mode}", workload.name);
+                let sweep = |ladder: &[f64]| {
+                    try_analytic_sweep_in(
+                        &session,
+                        workload,
+                        dataflow,
+                        ladder,
+                        EvkPolicy::Streamed,
+                        1.0,
+                        mode,
+                    )
+                    .expect("preset sweeps")
+                };
+                let job = Job::workload(workload.clone(), dataflow, mode).with_rpu(
+                    RpuConfig::ciflow_with_policy(EvkPolicy::Streamed)
+                        .with_bandwidth(64.0)
+                        .with_modops(1.0),
                 );
-            }
-            if !base.breakpoints_gbps.is_empty() {
-                let at_kinks = sweep(&base.breakpoints_gbps);
-                for (bound_ms, point) in at_kinks.bound_ms.iter().zip(&at_kinks.series.points) {
+                // The real bound curve on the sweep's one-channel map, which
+                // the sweep's copied `bound_ms` must equal bit for bit.
+                let run = session.run_job(&job).expect("preset executes");
+                let engine =
+                    RpuEngine::new(run.rpu.clone()).with_channel_map(run.schedule.channel_map(1));
+                let check_bound_curve = |ladder: &[f64], bound_ms: &[f64]| {
+                    let curve = rpu::bound::bound_curve(&engine, &run.schedule.graph, ladder);
+                    for ((&bw, &copied), &seconds) in ladder.iter().zip(bound_ms).zip(&curve) {
+                        assert_eq!(
+                            copied.to_bits(),
+                            (seconds * 1e3).to_bits(),
+                            "{context} @ {bw} GB/s: sweep bound {copied} ms vs bound curve {} ms",
+                            seconds * 1e3
+                        );
+                    }
+                };
+                // The bound curve sits under the runtime curve at every
+                // ladder point and at every event-order breakpoint of the
+                // timeline.
+                let base = sweep(&BANDWIDTH_LADDER);
+                check_bound_curve(&BANDWIDTH_LADDER, &base.bound_ms);
+                for (bound_ms, point) in base.bound_ms.iter().zip(&base.series.points) {
                     assert!(
                         *bound_ms <= point.runtime_ms,
-                        "{} {mode} at breakpoint {} GB/s: bound {bound_ms} > runtime {}",
-                        workload.name,
+                        "{context} @ {} GB/s: bound {bound_ms} > runtime {}",
                         point.bandwidth_gbps,
                         point.runtime_ms
                     );
                 }
-            }
-            // The sweep's knee is the analysis's effective knee, and above a
-            // true crossover the bound is exactly flat at the compute floor.
-            let job = Job::workload(workload.clone(), Dataflow::OutputCentric, mode).with_rpu(
-                RpuConfig::ciflow_with_policy(EvkPolicy::Streamed)
-                    .with_bandwidth(64.0)
-                    .with_modops(1.0),
-            );
-            let analysis = Session::new().bounds_job(&job).expect("preset analyzes");
-            assert_eq!(base.knee_gbps, analysis.knee.effective_knee_gbps());
-            if let RooflineKnee::Crossover { bandwidth_gbps } = analysis.knee {
-                let above = sweep(&[bandwidth_gbps * 1.5, bandwidth_gbps * 64.0]);
+                if !base.breakpoints_gbps.is_empty() {
+                    let at_kinks = sweep(&base.breakpoints_gbps);
+                    check_bound_curve(&base.breakpoints_gbps, &at_kinks.bound_ms);
+                    for (bound_ms, point) in at_kinks.bound_ms.iter().zip(&at_kinks.series.points) {
+                        assert!(
+                            *bound_ms <= point.runtime_ms,
+                            "{context} at breakpoint {} GB/s: bound {bound_ms} > runtime {}",
+                            point.bandwidth_gbps,
+                            point.runtime_ms
+                        );
+                    }
+                }
+                // The sweep's knee is the analysis's effective knee, and
+                // above a true crossover the bound is exactly flat at the
+                // compute floor.
+                let analysis = Session::new().bounds_job(&job).expect("preset analyzes");
                 assert_eq!(
-                    above.bound_ms[0].to_bits(),
-                    above.bound_ms[1].to_bits(),
-                    "{} {mode}: bound not flat above its crossover knee",
-                    workload.name
+                    base.knee_gbps,
+                    analysis.knee.effective_knee_gbps(),
+                    "{context}"
                 );
+                if let RooflineKnee::Crossover { bandwidth_gbps } = analysis.knee {
+                    let above = sweep(&[bandwidth_gbps * 1.5, bandwidth_gbps * 64.0]);
+                    assert_eq!(
+                        above.bound_ms[0].to_bits(),
+                        above.bound_ms[1].to_bits(),
+                        "{context}: bound not flat above its crossover knee"
+                    );
+                }
             }
         }
     }
