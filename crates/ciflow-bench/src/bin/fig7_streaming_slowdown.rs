@@ -2,16 +2,18 @@
 //! streaming evks to match its own evk-on-chip performance at the OCbase
 //! bandwidth, and the associated SRAM saving.
 
+use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::report::markdown_table;
 use ciflow_bench::figures::streaming_equivalence_row;
 
 fn main() {
+    let session = Session::new();
     ciflow_bench::section("Figure 7 analogue: OC with evks streamed vs on-chip");
     let rows: Vec<Vec<String>> = HksBenchmark::all()
         .into_iter()
         .map(|b| {
-            let r = streaming_equivalence_row(b);
+            let r = streaming_equivalence_row(&session, b);
             vec![
                 r.benchmark.to_string(),
                 ciflow_bench::fmt(r.ocbase_gbps, 1),

@@ -3,6 +3,7 @@
 //! versus the MP on-chip baseline, and 1.43x-2.4x arithmetic-intensity gains.
 
 use ciflow::analysis::table2_rows;
+use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::sweep::BASELINE_BANDWIDTH_GBPS;
@@ -10,8 +11,9 @@ use ciflow_bench::figures::{baseline_runtime_ms, min_bandwidth_for_runtime, tabl
 use rpu::EvkPolicy;
 
 fn main() {
+    let session = Session::new();
     ciflow_bench::section("Headline claim 1: OC speedup over MP at the OCbase bandwidth");
-    let best = table4_rows()
+    let best = table4_rows(&session)
         .into_iter()
         .map(|r| (r.benchmark, r.oc_speedup))
         .collect::<Vec<_>>();
@@ -36,15 +38,15 @@ fn main() {
         "Headline claim 3: bandwidth saving of OC (evks streamed) vs the MP on-chip baseline",
     );
     for benchmark in HksBenchmark::all() {
-        let baseline = baseline_runtime_ms(benchmark);
+        let baseline = baseline_runtime_ms(&session, benchmark);
         let needed = min_bandwidth_for_runtime(
+            &session,
             benchmark,
             Dataflow::OutputCentric,
             EvkPolicy::Streamed,
             1.0,
             baseline,
             4.0,
-            1024.0,
         );
         println!(
             "{}: OC streaming matches the baseline at {needed:.1} GB/s ({:.2}x saving; paper: up to 3.3x)",

@@ -270,7 +270,7 @@ fn render_channel_sweep(benchmark: HksBenchmark) {
                 &format!("channel sweep {} x{}ch", benchmark.name, point.channels),
                 bandwidth,
                 point.runtime_ms,
-                analytic.runtime_ms_at(bandwidth),
+                analytic.timeline.evaluate(bandwidth).runtime_ms(),
             );
         }
         let mut row = vec![format!("{bandwidth}")];

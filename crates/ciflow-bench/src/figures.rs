@@ -4,6 +4,9 @@
 //! Every function here runs fixed built-in configurations (the paper's
 //! dataflows on the paper's RPU), which cannot fail by construction, so
 //! each returns its value directly and panics only on a simulator bug.
+//! Each takes the caller's [`Session`], so one regenerator builds every
+//! schedule once and its helpers share it (the job's RPU always replaces
+//! the session's).
 
 use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
@@ -20,21 +23,15 @@ use rpu::{EvkPolicy, RpuConfig};
 ///
 /// Panics if a schedule cannot be executed (a simulator bug).
 pub fn bandwidth_sweep(
+    session: &Session,
     benchmark: HksBenchmark,
     dataflow: Dataflow,
     bandwidths: &[f64],
     evk_policy: EvkPolicy,
     modops: f64,
 ) -> SweepSeries {
-    try_bandwidth_sweep_in(
-        &Session::new(),
-        benchmark,
-        dataflow,
-        bandwidths,
-        evk_policy,
-        modops,
-    )
-    .expect("built-in dataflow sweeps are infallible")
+    try_bandwidth_sweep_in(session, benchmark, dataflow, bandwidths, evk_policy, modops)
+        .expect("built-in dataflow sweeps are infallible")
 }
 
 /// Runtime (ms) of one built-in dataflow with an explicit MODOPS multiplier.
@@ -43,27 +40,27 @@ pub fn bandwidth_sweep(
 ///
 /// Panics if the generated schedule cannot be executed (a simulator bug).
 pub fn runtime_with(
+    session: &Session,
     benchmark: HksBenchmark,
     dataflow: Dataflow,
     bandwidth_gbps: f64,
     evk_policy: EvkPolicy,
     modops: f64,
 ) -> f64 {
-    Session::new()
-        .with_rpu(
-            RpuConfig::ciflow_with_policy(evk_policy)
-                .with_bandwidth(bandwidth_gbps)
-                .with_modops(modops),
-        )
-        .run_one(benchmark, dataflow)
+    let rpu = RpuConfig::ciflow_with_policy(evk_policy)
+        .with_bandwidth(bandwidth_gbps)
+        .with_modops(modops);
+    session
+        .run_job(&Job::new(benchmark, dataflow).with_rpu(rpu))
         .expect("built-in dataflow runs are infallible")
         .runtime_ms()
 }
 
 /// The paper's baseline runtime for a benchmark: MP with evks on-chip at
 /// 64 GB/s.
-pub fn baseline_runtime_ms(benchmark: HksBenchmark) -> f64 {
+pub fn baseline_runtime_ms(session: &Session, benchmark: HksBenchmark) -> f64 {
     runtime_with(
+        session,
         benchmark,
         Dataflow::MaxParallel,
         BASELINE_BANDWIDTH_GBPS,
@@ -72,33 +69,38 @@ pub fn baseline_runtime_ms(benchmark: HksBenchmark) -> f64 {
     )
 }
 
-/// Finds the minimum bandwidth (by bisection, within `[lo, hi]` GB/s) at
-/// which the configuration achieves `target_ms` or better. Returns `hi` if
+/// The upper end (GB/s, HBM3 class) of every [`min_bandwidth_for_runtime`]
+/// search.
+const SEARCH_CEILING_GBPS: f64 = 1024.0;
+
+/// Finds the minimum bandwidth (by bisection, within `[lo, 1024]` GB/s) at
+/// which the configuration achieves `target_ms` or better. Returns 1024 if
 /// even the upper bound cannot reach the target. Every probe reads one
-/// parametric timeline over `[lo, hi]`, bit-identical to an engine run at
+/// parametric timeline over that range, bit-identical to an engine run at
 /// that bandwidth.
 ///
 /// # Panics
 ///
 /// Panics if the configuration cannot be executed (a simulator bug).
 pub fn min_bandwidth_for_runtime(
+    session: &Session,
     benchmark: HksBenchmark,
     dataflow: Dataflow,
     evk_policy: EvkPolicy,
     modops: f64,
     target_ms: f64,
     lo: f64,
-    hi: f64,
 ) -> f64 {
     let rpu = RpuConfig::ciflow_with_policy(evk_policy)
         .with_bandwidth(lo)
         .with_modops(modops);
-    let timeline = Session::new()
-        .run_analytic(&Job::new(benchmark, dataflow).with_rpu(rpu), lo, hi)
+    let job = Job::new(benchmark, dataflow).with_rpu(rpu);
+    let output = session
+        .run_analytic(&job, lo, SEARCH_CEILING_GBPS)
         .expect("built-in dataflow runs are infallible");
-    let probe = |bw: f64| timeline.runtime_ms_at(bw);
+    let probe = |bw: f64| output.timeline.evaluate(bw).runtime_ms();
     let mut lo = lo;
-    let mut hi = hi;
+    let mut hi = SEARCH_CEILING_GBPS;
     if probe(hi) > target_ms {
         return hi;
     }
@@ -139,7 +141,7 @@ pub struct OcBaseRow {
 /// Computes the Table IV analogue for one benchmark: the bandwidth at which
 /// OC (evks on-chip) matches the MP baseline at 64 GB/s, the bandwidth
 /// saving, and the OC-vs-MP speedup at that point.
-pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
+pub fn ocbase_row(session: &Session, benchmark: HksBenchmark) -> OcBaseRow {
     // The paper picks OCbase from the discrete ladder; do the same so the
     // "saved bandwidth" factors are comparable. Each curve is one sweep
     // (one schedule, one timeline) over the ladder up to the baseline
@@ -148,8 +150,17 @@ pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
         .into_iter()
         .take_while(|&bw| bw <= BASELINE_BANDWIDTH_GBPS)
         .collect();
-    let curve =
-        |dataflow| bandwidth_sweep(benchmark, dataflow, &ladder, EvkPolicy::OnChip, 1.0).points;
+    let curve = |dataflow| {
+        bandwidth_sweep(
+            session,
+            benchmark,
+            dataflow,
+            &ladder,
+            EvkPolicy::OnChip,
+            1.0,
+        )
+        .points
+    };
     let (oc, mp) = (curve(Dataflow::OutputCentric), curve(Dataflow::MaxParallel));
     let baseline = mp[mp.len() - 1].runtime_ms;
     let at = oc
@@ -168,8 +179,11 @@ pub fn ocbase_row(benchmark: HksBenchmark) -> OcBaseRow {
 }
 
 /// The full Table IV analogue, one row per benchmark.
-pub fn table4_rows() -> Vec<OcBaseRow> {
-    HksBenchmark::all().into_iter().map(ocbase_row).collect()
+pub fn table4_rows(session: &Session) -> Vec<OcBaseRow> {
+    HksBenchmark::all()
+        .into_iter()
+        .map(|benchmark| ocbase_row(session, benchmark))
+        .collect()
 }
 
 /// Renders the Table IV analogue (OCbase bandwidth and speedups).
@@ -219,20 +233,23 @@ pub struct StreamingEquivalenceRow {
 }
 
 /// Computes the Figure 7 analogue for one benchmark.
-pub fn streaming_equivalence_row(benchmark: HksBenchmark) -> StreamingEquivalenceRow {
+pub fn streaming_equivalence_row(
+    session: &Session,
+    benchmark: HksBenchmark,
+) -> StreamingEquivalenceRow {
     let OcBaseRow {
         ocbase_gbps: ocbase,
         oc_ms: on_chip_ms,
         ..
-    } = ocbase_row(benchmark);
+    } = ocbase_row(session, benchmark);
     let equivalent = min_bandwidth_for_runtime(
+        session,
         benchmark,
         Dataflow::OutputCentric,
         EvkPolicy::Streamed,
         1.0,
         on_chip_ms,
         ocbase,
-        1024.0,
     );
     let on_chip = RpuConfig::ciflow_baseline();
     let streaming = RpuConfig::ciflow_streaming();
@@ -264,9 +281,10 @@ pub struct SaturationRow {
 /// ARK's saturation point: the bandwidth beyond which OC (evks on-chip, 1×
 /// MODOPS) no longer improves — the paper identifies 128 GB/s. Returns the
 /// bandwidth and the runtime (ms) there.
-pub fn ark_saturation_point() -> (f64, f64) {
+pub fn ark_saturation_point(session: &Session) -> (f64, f64) {
     let bw = 128.0;
     let runtime = runtime_with(
+        session,
         HksBenchmark::ARK,
         Dataflow::OutputCentric,
         bw,
@@ -278,8 +296,8 @@ pub fn ark_saturation_point() -> (f64, f64) {
 
 /// The Table V analogue: required bandwidth for OC/DC/MP at 2× MODOPS to
 /// match ARK's saturation-point runtime.
-pub fn table5_rows() -> Vec<SaturationRow> {
-    let (sat_bw, sat_runtime) = ark_saturation_point();
+pub fn table5_rows(session: &Session) -> Vec<SaturationRow> {
+    let (sat_bw, sat_runtime) = ark_saturation_point(session);
     let mut rows = vec![SaturationRow {
         label: "Sat. Point",
         bandwidth_gbps: sat_bw,
@@ -294,13 +312,13 @@ pub fn table5_rows() -> Vec<SaturationRow> {
         ]
         .map(|(label, dataflow)| {
             let bw = min_bandwidth_for_runtime(
+                session,
                 HksBenchmark::ARK,
                 dataflow,
                 EvkPolicy::OnChip,
                 2.0,
                 sat_runtime,
                 4.0,
-                1024.0,
             );
             SaturationRow {
                 label,
@@ -332,8 +350,14 @@ pub fn render_table5(rows: &[SaturationRow]) -> String {
 
 /// A MODOPS sweep series (one Figure 8 curve): runtime vs bandwidth at a
 /// fixed MODOPS multiplier under OC with evks on-chip.
-pub fn modops_sweep(benchmark: HksBenchmark, modops: f64, bandwidths: &[f64]) -> SweepSeries {
+pub fn modops_sweep(
+    session: &Session,
+    benchmark: HksBenchmark,
+    modops: f64,
+    bandwidths: &[f64],
+) -> SweepSeries {
     bandwidth_sweep(
+        session,
         benchmark,
         Dataflow::OutputCentric,
         bandwidths,
@@ -355,6 +379,7 @@ pub struct EquivalentConfig {
 /// Finds, for each MODOPS multiplier, the bandwidth OC needs to match a
 /// target runtime while streaming evks (the Figure 9 analysis).
 pub fn equivalent_configs(
+    session: &Session,
     benchmark: HksBenchmark,
     target_ms: f64,
     modops_ladder: &[f64],
@@ -364,13 +389,13 @@ pub fn equivalent_configs(
         .map(|&m| EquivalentConfig {
             modops: m,
             bandwidth_gbps: min_bandwidth_for_runtime(
+                session,
                 benchmark,
                 Dataflow::OutputCentric,
                 EvkPolicy::Streamed,
                 m,
                 target_ms,
                 2.0,
-                1024.0,
             ),
         })
         .collect()
@@ -394,36 +419,41 @@ pub struct MemorySweepPoint {
 /// on-chip data-memory capacity and report how much DRAM traffic and runtime
 /// each dataflow pays at each size. This exposes the capacity at which each
 /// dataflow stops spilling — the quantity behind the paper's 675 MB (MP) /
-/// 255 MB (DC) / 32 MB (OC) discussion. Capacities run as one parallel batch.
+/// 255 MB (DC) / 32 MB (OC) discussion. Capacities run as one parallel batch
+/// queued on a clone of `session`, which shares its schedule cache; only the
+/// capacities' results are read.
 ///
 /// # Panics
 ///
 /// Panics if a schedule cannot be executed (a simulator bug).
 pub fn memory_sweep(
+    session: &Session,
     benchmark: HksBenchmark,
     dataflow: Dataflow,
     capacities_mib: &[u64],
     bandwidth_gbps: f64,
 ) -> Vec<MemorySweepPoint> {
-    let session = Session::new().jobs(capacities_mib.iter().map(|&mib| {
+    let batch = session.clone().jobs(capacities_mib.iter().map(|&mib| {
         Job::new(benchmark, dataflow).with_rpu(
             RpuConfig::ciflow_streaming()
                 .with_bandwidth(bandwidth_gbps)
                 .with_vector_memory(mib * rpu::MIB),
         )
     }));
-    let outputs = session
-        .run()
-        .into_outputs()
-        .expect("built-in dataflow sweeps are infallible");
+    let outputs = batch.run().results.into_iter().skip(session.job_count());
     capacities_mib
         .iter()
         .zip(outputs)
-        .map(|(&mib, output)| MemorySweepPoint {
-            data_memory_mib: mib,
-            dram_mib: output.schedule.dram_bytes() as f64 / rpu::MIB as f64,
-            runtime_ms: output.runtime_ms(),
-            spill_mib: output.schedule.spill_bytes as f64 / rpu::MIB as f64,
+        .map(|(&mib, result)| {
+            let output = result
+                .outcome
+                .expect("built-in dataflow sweeps are infallible");
+            MemorySweepPoint {
+                data_memory_mib: mib,
+                dram_mib: output.schedule.dram_bytes() as f64 / rpu::MIB as f64,
+                runtime_ms: output.runtime_ms(),
+                spill_mib: output.schedule.spill_bytes as f64 / rpu::MIB as f64,
+            }
         })
         .collect()
 }
@@ -434,7 +464,9 @@ mod tests {
 
     #[test]
     fn sweep_series_is_monotone() {
+        let session = Session::new();
         let series = bandwidth_sweep(
+            &session,
             HksBenchmark::DPRIVE,
             Dataflow::OutputCentric,
             &[8.0, 16.0, 32.0, 64.0],
@@ -449,9 +481,11 @@ mod tests {
 
     #[test]
     fn runtime_decreases_with_bandwidth() {
+        let session = Session::new();
         let mut last = f64::INFINITY;
         for bw in [8.0, 16.0, 32.0, 64.0, 128.0] {
             let t = runtime_with(
+                &session,
                 HksBenchmark::DPRIVE,
                 Dataflow::MaxParallel,
                 bw,
@@ -470,8 +504,10 @@ mod tests {
     fn oc_beats_mp_at_low_bandwidth() {
         // The qualitative core of Figure 4: at DDR4-class bandwidth OC is
         // substantially faster than MP.
+        let session = Session::new();
         for benchmark in [HksBenchmark::ARK, HksBenchmark::DPRIVE] {
             let mp = runtime_with(
+                &session,
                 benchmark,
                 Dataflow::MaxParallel,
                 8.0,
@@ -479,6 +515,7 @@ mod tests {
                 1.0,
             );
             let oc = runtime_with(
+                &session,
                 benchmark,
                 Dataflow::OutputCentric,
                 8.0,
@@ -498,8 +535,17 @@ mod tests {
         // With 1 TB/s the kernel is compute bound and the dataflow no longer
         // matters much (paper §IV: "with unlimited on-chip memory / high
         // bandwidth the performance gap decreases significantly").
-        let runtime =
-            |dataflow| runtime_with(HksBenchmark::ARK, dataflow, 1000.0, EvkPolicy::OnChip, 1.0);
+        let session = Session::new();
+        let runtime = |dataflow| {
+            runtime_with(
+                &session,
+                HksBenchmark::ARK,
+                dataflow,
+                1000.0,
+                EvkPolicy::OnChip,
+                1.0,
+            )
+        };
         let mp = runtime(Dataflow::MaxParallel);
         let oc = runtime(Dataflow::OutputCentric);
         let ratio = mp / oc;
@@ -514,7 +560,8 @@ mod tests {
         // Table IV: OC matches the MP 64 GB/s baseline at 2x-8x less
         // bandwidth. Require at least a 2x saving everywhere and a larger
         // saving for ARK than for BTS1/BTS3 (the paper's extremes).
-        let rows = table4_rows();
+        let session = Session::new();
+        let rows = table4_rows(&session);
         for row in &rows {
             assert!(
                 row.saved_bandwidth >= 2.0,
@@ -536,7 +583,8 @@ mod tests {
     fn streaming_needs_modest_extra_bandwidth() {
         // Figure 7: streaming evks costs roughly 1.3x-3x extra bandwidth while
         // saving 12.25x SRAM.
-        let row = streaming_equivalence_row(HksBenchmark::ARK);
+        let session = Session::new();
+        let row = streaming_equivalence_row(&session, HksBenchmark::ARK);
         assert!((row.sram_saving - 12.25).abs() < 1e-9);
         assert!(row.extra_bandwidth >= 1.0);
         assert!(
@@ -551,7 +599,9 @@ mod tests {
         // Figure 9 intuition: with more compute, the same performance needs
         // less bandwidth only once compute-bound; conversely at a fixed
         // bandwidth the runtime improves (or stays equal) with more MODOPS.
+        let session = Session::new();
         let slow = runtime_with(
+            &session,
             HksBenchmark::ARK,
             Dataflow::OutputCentric,
             256.0,
@@ -559,6 +609,7 @@ mod tests {
             1.0,
         );
         let fast = runtime_with(
+            &session,
             HksBenchmark::ARK,
             Dataflow::OutputCentric,
             256.0,
@@ -566,15 +617,18 @@ mod tests {
             2.0,
         );
         assert!(fast < slow);
-        let (_, sat_runtime) = ark_saturation_point();
-        let configs = equivalent_configs(HksBenchmark::ARK, sat_runtime * 1.02, &[1.0, 2.0]);
+        let (_, sat_runtime) = ark_saturation_point(&session);
+        let configs =
+            equivalent_configs(&session, HksBenchmark::ARK, sat_runtime * 1.02, &[1.0, 2.0]);
         assert!(configs[1].bandwidth_gbps <= configs[0].bandwidth_gbps);
     }
 
     #[test]
     fn memory_sweep_traffic_is_monotone_in_capacity() {
         // More on-chip memory can only remove spills, never add them.
+        let session = Session::new();
         let points = memory_sweep(
+            &session,
             HksBenchmark::ARK,
             Dataflow::MaxParallel,
             &[8, 16, 32, 64, 256],
@@ -585,14 +639,27 @@ mod tests {
             assert!(w[1].spill_mib <= w[0].spill_mib + 1e-9);
         }
         // OC needs far less capacity than MP to reach the spill-free floor.
-        let oc = memory_sweep(HksBenchmark::ARK, Dataflow::OutputCentric, &[32], 64.0);
-        let mp = memory_sweep(HksBenchmark::ARK, Dataflow::MaxParallel, &[32], 64.0);
+        let oc = memory_sweep(
+            &session,
+            HksBenchmark::ARK,
+            Dataflow::OutputCentric,
+            &[32],
+            64.0,
+        );
+        let mp = memory_sweep(
+            &session,
+            HksBenchmark::ARK,
+            Dataflow::MaxParallel,
+            &[32],
+            64.0,
+        );
         assert!(oc[0].spill_mib < mp[0].spill_mib);
     }
 
     #[test]
     fn table5_mp_needs_more_bandwidth_than_oc() {
-        let rows = table5_rows();
+        let session = Session::new();
+        let rows = table5_rows(&session);
         let get = |label: &str| {
             rows.iter()
                 .find(|r| r.label == label)

@@ -60,15 +60,17 @@ pub fn extended_bandwidths() -> Vec<f64> {
     ]
 }
 
-/// Runs the three dataflows of one benchmark over a bandwidth ladder.
+/// Runs the three dataflows of one benchmark over a bandwidth ladder on
+/// `session`.
 pub fn sweep_all_dataflows(
+    session: &Session,
     benchmark: HksBenchmark,
     bandwidths: &[f64],
     evk_policy: EvkPolicy,
 ) -> Vec<SweepSeries> {
     Dataflow::all()
         .into_iter()
-        .map(|d| bandwidth_sweep(benchmark, d, bandwidths, evk_policy, 1.0))
+        .map(|d| bandwidth_sweep(session, benchmark, d, bandwidths, evk_policy, 1.0))
         .collect()
 }
 
@@ -91,7 +93,12 @@ mod tests {
 
     #[test]
     fn sweep_all_dataflows_returns_three_series() {
-        let series = sweep_all_dataflows(HksBenchmark::ARK, &[8.0, 64.0], EvkPolicy::OnChip);
+        let series = sweep_all_dataflows(
+            &Session::new(),
+            HksBenchmark::ARK,
+            &[8.0, 64.0],
+            EvkPolicy::OnChip,
+        );
         assert_eq!(series.len(), 3);
         assert!(series.iter().all(|s| s.points.len() == 2));
     }

@@ -39,8 +39,8 @@ mod strategy;
 
 pub use registry::StrategyRegistry;
 pub use session::{
-    AnalyticOutput, BatchOutcome, BoundsResult, Job, JobOutput, JobResult, Session, StrategySpec,
-    VerifyResult, WorkloadSpec,
+    AnalyticOutput, BatchOutcome, Job, JobOutput, JobResult, Session, StrategySpec, VerifyResult,
+    WorkloadSpec,
 };
 pub use strategy::{
     DigitCentricStrategy, MaxParallelStrategy, OutputCentricStrategy, ScheduleStrategy,

@@ -311,8 +311,9 @@ pub struct AnalyticOutput {
     pub strategy: String,
     /// The RPU configuration the timeline was derived from. Its
     /// `dram_bandwidth_gbps` is the anchor, not a restriction — evaluation
-    /// is valid anywhere in [`AnalyticOutput::bandwidth_range_gbps`], and
-    /// falls back to the engine (still bit-exact) outside it.
+    /// is valid anywhere in the timeline's
+    /// [`bandwidth_range_gbps`](ParametricTimeline::bandwidth_range_gbps),
+    /// and falls back to the engine (still bit-exact) outside it.
     pub rpu: RpuConfig,
     /// The schedule the timeline describes, shared with the session cache.
     pub schedule: Arc<Schedule>,
@@ -325,29 +326,6 @@ pub struct AnalyticOutput {
     /// The piecewise-linear timeline; shared with the session's plan cache,
     /// so repeated analytic runs of an identically-keyed job are lookups.
     pub timeline: Arc<ParametricTimeline>,
-}
-
-impl AnalyticOutput {
-    /// The bandwidth interval (GB/s) the timeline's segments cover.
-    pub fn bandwidth_range_gbps(&self) -> (f64, f64) {
-        self.timeline.bandwidth_range_gbps()
-    }
-
-    /// Execution statistics at `bandwidth_gbps` — bit-identical to running
-    /// the job through the event engine at that bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bandwidth_gbps` is not finite and positive, as
-    /// [`ParametricTimeline::evaluate`].
-    pub fn stats_at(&self, bandwidth_gbps: f64) -> ExecutionStats {
-        self.timeline.evaluate(bandwidth_gbps)
-    }
-
-    /// Runtime in milliseconds at `bandwidth_gbps`.
-    pub fn runtime_ms_at(&self, bandwidth_gbps: f64) -> f64 {
-        self.stats_at(bandwidth_gbps).runtime_ms()
-    }
 }
 
 /// The successful outcome of one job.
@@ -435,28 +413,6 @@ impl VerifyResult {
     }
 }
 
-/// One entry of a [`Session::bounds`] sweep: the job description plus its
-/// static bound analysis.
-#[derive(Debug)]
-pub struct BoundsResult {
-    /// Label identifying the job (caller-supplied or generated).
-    pub label: String,
-    /// The parameter point of the job.
-    pub benchmark: HksBenchmark,
-    /// The strategy name the job requested.
-    pub strategy: String,
-    /// The bound analysis, or the error that prevented building the
-    /// schedule.
-    pub outcome: Result<BoundAnalysis, CiflowError>,
-}
-
-impl BoundsResult {
-    /// True when the schedule was built and analyzed.
-    pub fn is_ok(&self) -> bool {
-        self.outcome.is_ok()
-    }
-}
-
 /// The per-job results of one [`Session::run`] batch, in submission order.
 #[derive(Debug, Default)]
 pub struct BatchOutcome {
@@ -513,10 +469,11 @@ impl BatchOutcome {
 /// size share one built [`Schedule`] — including its derived channel maps —
 /// no matter how their bandwidth, MODOPS multiplier or channel count differ.
 /// A bandwidth sweep therefore builds its task graph once, not once per
-/// point. The cache assumes strategies are *deterministic* (same shape and
-/// config in, same schedule out), which every reasonable strategy is; a
-/// deliberately randomized strategy can opt out with
-/// [`Session::without_schedule_cache`].
+/// point. Strategies must be *deterministic* (same shape and config in, same
+/// schedule out): the cache hands every identically-keyed job the first
+/// schedule built, so that is an invariant of the [`ScheduleStrategy`]
+/// contract, not an option. Debug builds lint every schedule the cache
+/// builds and panic on an Error-severity finding.
 ///
 /// ## Tracing
 ///
@@ -541,9 +498,8 @@ pub struct Session {
     registry: StrategyRegistry,
     jobs: Vec<Job>,
     trace: TraceMode,
-    cache: Option<ScheduleCache>,
+    cache: ScheduleCache,
     bound_slot: Arc<Mutex<Option<BoundSlot>>>,
-    cache_lint: bool,
 }
 
 impl std::fmt::Debug for Session {
@@ -553,10 +509,7 @@ impl std::fmt::Debug for Session {
             .field("registry", &self.registry)
             .field("jobs", &self.jobs)
             .field("trace", &self.trace)
-            .field(
-                "cached_schedules",
-                &self.cache.as_ref().map(|c| lock(c).len()),
-            )
+            .field("cached_schedules", &lock(&self.cache).len())
             .finish()
     }
 }
@@ -575,9 +528,8 @@ impl Session {
             registry: StrategyRegistry::builtin(),
             jobs: Vec::new(),
             trace: TraceMode::StatsOnly,
-            cache: Some(Arc::new(Mutex::new(HashMap::new()))),
+            cache: Arc::new(Mutex::new(HashMap::new())),
             bound_slot: Arc::new(Mutex::new(None)),
-            cache_lint: true,
         }
     }
 
@@ -594,34 +546,6 @@ impl Session {
     /// measurably cheaper for sweeps that only read aggregate numbers.
     pub fn with_trace(mut self, trace: TraceMode) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Disables the session's schedule cache: every job rebuilds its
-    /// schedule from scratch. Only needed for strategies that are not
-    /// deterministic functions of `(shape, config)`.
-    pub fn without_schedule_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// Disables the debug-build lint check on freshly built schedules.
-    ///
-    /// Debug builds lint every schedule template the session builds
-    /// ([`crate::lint::lint_with`]) and panic on an Error-severity finding,
-    /// so a broken strategy fails loudly and early at its construction site
-    /// rather than as a mid-run engine error. A strategy that *intentionally*
-    /// produces diagnostics (e.g. a test fixture exercising the runtime
-    /// deadlock path) can opt out with this. Release builds never pay for
-    /// the check.
-    pub fn without_cache_lint(mut self) -> Self {
-        self.cache_lint = false;
-        self
-    }
-
-    /// Replaces the strategy registry wholesale.
-    pub fn with_registry(mut self, registry: StrategyRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -693,9 +617,6 @@ impl Session {
     /// Build and resolution failures are swallowed here — the owning job
     /// re-encounters them and reports them as its own result.
     fn warm_schedule_cache(&self) {
-        if self.cache.is_none() {
-            return;
-        }
         let mut seen = std::collections::HashSet::new();
         let distinct: Vec<&Job> = self
             .jobs
@@ -746,20 +667,15 @@ impl Session {
     fn plan_for(&self, job: &Job) -> Result<Arc<CachedPlan>, CiflowError> {
         let strategy = self.job_strategy(job)?;
         let config = self.job_schedule_config(job);
-        let Some(cache) = &self.cache else {
-            let plan = Arc::new(self.build_plan(job, &strategy, &config)?);
-            self.debug_lint_plan(job, &plan);
-            return Ok(plan);
-        };
         let key = ScheduleKey::new(&strategy, &config, Self::work_key(job));
-        if let Some(plan) = lock(cache).get(&key) {
+        if let Some(plan) = lock(&self.cache).get(&key) {
             return Ok(Arc::clone(plan));
         }
         let plan = Arc::new(self.build_plan(job, &strategy, &config)?);
         self.debug_lint_plan(job, &plan);
         // First insert wins, so concurrent cold builders converge on one
         // shared plan (and one shared `Arc<Schedule>` identity).
-        Ok(Arc::clone(lock(cache).entry(key).or_insert(plan)))
+        Ok(Arc::clone(lock(&self.cache).entry(key).or_insert(plan)))
     }
 
     /// The configuration a job runs on, validated once at the entry of every
@@ -840,10 +756,9 @@ impl Session {
     /// Debug-build guard on the schedule-build path: lint every freshly
     /// built plan against the job's target and panic on Error-severity
     /// findings, so broken strategies are caught where the schedule is
-    /// constructed. Compiled out of release builds; opt out with
-    /// [`Session::without_cache_lint`].
+    /// constructed. Compiled out of release builds.
     fn debug_lint_plan(&self, job: &Job, plan: &CachedPlan) {
-        if cfg!(debug_assertions) && self.cache_lint {
+        if cfg!(debug_assertions) {
             let rpu = job.rpu.as_ref().unwrap_or(&self.rpu);
             let exec = plan.exec_plan(rpu);
             let report = crate::lint::lint_with(
@@ -854,8 +769,7 @@ impl Session {
             );
             debug_assert!(
                 !report.has_errors(),
-                "strategy {} built a schedule that fails `ciflow::lint` (disable with \
-                 Session::without_cache_lint if intentional):\n{report}",
+                "strategy {} built a schedule that fails `ciflow::lint`:\n{report}",
                 plan.schedule.strategy,
             );
         }
@@ -886,7 +800,6 @@ impl Session {
                 rpu,
                 &plan,
                 || self.bound_analysis(&cached, &plan, rpu),
-                &crate::lint::LintConfig::default(),
             ))
         })
     }
@@ -927,22 +840,6 @@ impl Session {
                 &self.bound_analysis(&cached, &plan, rpu),
             ))
         })
-    }
-
-    /// Statically bounds every queued job (in submission order) without
-    /// executing any of them: the batch-shaped counterpart of
-    /// [`Session::run`], with a [`BoundAnalysis`] where the stats would be.
-    /// Panicking strategies fail their own entry, like in `run`.
-    pub fn bounds(&self) -> Vec<BoundsResult> {
-        self.jobs
-            .iter()
-            .map(|job| BoundsResult {
-                label: self.job_label(job),
-                benchmark: job.effective_benchmark(),
-                strategy: job.strategy_name(),
-                outcome: self.bounds_job(job),
-            })
-            .collect()
     }
 
     /// Executes a single job immediately, without queueing it.
@@ -1061,35 +958,6 @@ impl Session {
         let output = self.run_analytic(job, lo, hi)?;
         let stats = output.timeline.evaluate_many(bandwidths);
         Ok((output, stats))
-    }
-
-    /// Convenience: queue nothing, run one `(benchmark, strategy)` pair on
-    /// the session RPU, and return its output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the job's [`CiflowError`].
-    pub fn run_one(
-        &self,
-        benchmark: HksBenchmark,
-        strategy: impl Into<StrategySpec>,
-    ) -> Result<JobOutput, CiflowError> {
-        self.run_job(&Job::new(benchmark, strategy))
-    }
-
-    /// Convenience: run one multi-kernel workload pipeline on the session RPU
-    /// and return its output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the job's [`CiflowError`].
-    pub fn run_workload(
-        &self,
-        workload: Workload,
-        strategy: impl Into<StrategySpec>,
-        mode: PipelineMode,
-    ) -> Result<JobOutput, CiflowError> {
-        self.run_job(&Job::workload(workload, strategy, mode))
     }
 
     fn job_label(&self, job: &Job) -> String {
@@ -1312,7 +1180,7 @@ mod tests {
         let session = Session::new();
         let job = Job::new(HksBenchmark::ARK, Dataflow::OutputCentric);
         let expected = session.run_job(&job).unwrap();
-        let cache = Arc::clone(session.cache.as_ref().unwrap());
+        let cache = Arc::clone(&session.cache);
         let slot = Arc::clone(&session.bound_slot);
         let poisoner = std::thread::spawn(move || {
             let _schedules = cache.lock().unwrap();
@@ -1320,7 +1188,7 @@ mod tests {
             panic!("poisoning the session caches");
         });
         assert!(poisoner.join().is_err());
-        assert!(session.cache.as_ref().unwrap().is_poisoned());
+        assert!(session.cache.is_poisoned());
         let output = session.run_job(&job).unwrap();
         assert_eq!(output.stats, expected.stats);
         assert!(Arc::ptr_eq(&output.schedule, &expected.schedule));
@@ -1329,13 +1197,14 @@ mod tests {
 
     #[test]
     fn streaming_policy_flows_into_schedule_config() {
+        let job = Job::new(HksBenchmark::ARK, "OC");
         let output = Session::new()
             .with_rpu(RpuConfig::ciflow_streaming())
-            .run_one(HksBenchmark::ARK, "OC")
+            .run_job(&job)
             .unwrap();
         assert_eq!(output.rpu.evk_policy, EvkPolicy::Streamed);
         // Streamed evks appear as DRAM traffic in the schedule.
-        let on_chip = Session::new().run_one(HksBenchmark::ARK, "OC").unwrap();
+        let on_chip = Session::new().run_job(&job).unwrap();
         assert!(output.schedule.dram_bytes() > on_chip.schedule.dram_bytes());
     }
 }

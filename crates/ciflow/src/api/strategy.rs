@@ -15,7 +15,10 @@ use crate::schedule::{Schedule, ScheduleConfig};
 /// without touching anything in this crate.
 ///
 /// Implementations must be `Send + Sync`: a [`Session`](crate::api::Session)
-/// batch invokes them from multiple worker threads.
+/// batch invokes them from multiple worker threads. They must also be
+/// deterministic (same shape and config in, same schedule out): a session
+/// caches the first schedule built for each key and hands it to every later
+/// job with that key.
 pub trait ScheduleStrategy: Send + Sync {
     /// The full, human-readable name (e.g. `"output-centric"`).
     fn name(&self) -> &str;

@@ -86,7 +86,7 @@
 //! session, the sweeps, the explorer example — can use it by name:
 //!
 //! ```
-//! use ciflow::api::{ScheduleStrategy, Session};
+//! use ciflow::api::{Job, ScheduleStrategy, Session};
 //! use ciflow::schedule::{Schedule, ScheduleConfig};
 //! use ciflow::{CiflowError, Dataflow, HksBenchmark, HksShape};
 //! use std::sync::Arc;
@@ -105,7 +105,7 @@
 //! }
 //!
 //! let session = Session::new().register(Arc::new(MaxParallelClone)).unwrap();
-//! let output = session.run_one(HksBenchmark::ARK, "MP2").unwrap();
+//! let output = session.run_job(&Job::new(HksBenchmark::ARK, "MP2")).unwrap();
 //! assert!(output.runtime_ms() > 0.0);
 //! ```
 
@@ -136,14 +136,14 @@ pub mod sweep;
 pub mod workload;
 
 pub use api::{
-    AnalyticOutput, BatchOutcome, BoundsResult, Job, JobOutput, JobResult, ScheduleStrategy,
-    Session, StrategyRegistry, VerifyResult,
+    AnalyticOutput, BatchOutcome, Job, JobOutput, JobResult, ScheduleStrategy, Session,
+    StrategyRegistry, VerifyResult,
 };
 pub use benchmark::HksBenchmark;
 pub use dataflow::Dataflow;
 pub use error::CiflowError;
 pub use hks_shape::{HksShape, HksStage};
-pub use lint::{lint_schedule, lint_with_config, lint_workload, LintConfig, LintReport};
+pub use lint::{lint_schedule, lint_workload, LintReport};
 pub use schedule::{build_schedule, Schedule, ScheduleConfig};
 pub use workload::{
     build_workload, KernelStep, PipelineMode, Workload, WorkloadSchedule, WorkloadStep,

@@ -38,10 +38,9 @@
 //! Entry points: [`lint_schedule`] for a single-kernel schedule,
 //! [`lint_workload`] for a stitched pipeline (adds the boundary pass), and
 //! [`Session::verify`](crate::api::Session::verify) to lint a whole queued
-//! batch exactly as it would run. Thresholds (capacity headroom, imbalance
-//! ratio, the `R`-code ratios) are tunable through [`LintConfig`] via
-//! [`lint_with_config`]; the plain entry points use [`LintConfig::default`],
-//! which preserves the historical behaviour. The `schedule_lint` binary (in
+//! batch exactly as it would run. Each threshold (capacity headroom,
+//! imbalance ratio, the `R`-code ratios) is a constant beside the pass that
+//! reads it, tabled in `docs/LINTS.md`. The `schedule_lint` binary (in
 //! `ciflow-bench`) sweeps the preset gallery and exits nonzero on any
 //! Error (or, with `--deny-warnings`, any Warning) — CI runs it, archiving
 //! the machine-readable `--json` report ([`LintReport::to_json`]).
@@ -112,56 +111,6 @@ pub mod codes {
     /// The configured bandwidth sits above the static roofline knee — the
     /// schedule is bandwidth-insensitive here.
     pub const ABOVE_ROOFLINE_KNEE: &str = "R004";
-}
-
-/// Tunable thresholds for the lint passes. [`LintConfig::default`] matches
-/// the historical hard-coded behaviour, so [`lint_schedule`] /
-/// [`lint_workload`] / [`lint_with`] are unchanged; pass a custom
-/// configuration through [`lint_with_config`] to tighten or relax a gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LintConfig {
-    /// Fraction of data memory above which `C002` notes thin headroom
-    /// (default 0.95).
-    pub near_capacity_fraction: f64,
-    /// `max channel bytes / fair share` above which `P003` warns
-    /// (default 4.0).
-    pub imbalance_ratio: f64,
-    /// Minimum memory tasks per channel before `P003` is meaningful
-    /// (default 4).
-    pub imbalance_min_tasks_per_channel: usize,
-    /// Queue-augmented bound over the largest placement-independent bound,
-    /// above which `R001` warns that queue-order edges dominate the critical
-    /// path (default 1.75: the intrinsic load/compute interleave of the
-    /// in-order queues costs the preset gallery up to ~1.5x on one channel,
-    /// while a genuine serialization pathology — e.g. a load/compute zigzag
-    /// that defeats all overlap — costs 2x or more).
-    pub queue_path_ratio: f64,
-    /// Fraction of the dependency bound a load's slack must reach — while
-    /// its queue position still makes it critical — before `R002` flags a
-    /// late prefetch (default 0.25).
-    pub prefetch_slack_fraction: f64,
-    /// Fraction of the graph's total DRAM traffic that must be serialized
-    /// with the full compute chain before `R003` reports a structural
-    /// utilization ceiling (default 0.5). Below it, the residue is a benign
-    /// head-of-pipeline prefetch, not a ceiling.
-    pub ceiling_residual_fraction: f64,
-    /// `configured bandwidth / knee bandwidth` at or above which `R004`
-    /// notes the schedule is bandwidth-insensitive (default 1.0).
-    pub knee_headroom_ratio: f64,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        Self {
-            near_capacity_fraction: 0.95,
-            imbalance_ratio: 4.0,
-            imbalance_min_tasks_per_channel: 4,
-            queue_path_ratio: 1.75,
-            prefetch_slack_fraction: 0.25,
-            ceiling_residual_fraction: 0.5,
-            knee_headroom_ratio: 1.0,
-        }
-    }
 }
 
 /// The outcome of linting one schedule: every diagnostic from every pass, in
@@ -303,28 +252,10 @@ pub fn lint_with(
     rpu: &RpuConfig,
     channel_map: &ChannelMap,
 ) -> LintReport {
-    lint_with_config(
-        schedule,
-        kernel_benchmarks,
-        rpu,
-        channel_map,
-        &LintConfig::default(),
-    )
-}
-
-/// [`lint_with`] with explicit thresholds: every pass that gates on a ratio
-/// or fraction reads it from `config` instead of a built-in constant.
-pub fn lint_with_config(
-    schedule: &Schedule,
-    kernel_benchmarks: &[HksBenchmark],
-    rpu: &RpuConfig,
-    channel_map: &ChannelMap,
-    config: &LintConfig,
-) -> LintReport {
     let engine = RpuEngine::new(rpu.clone()).with_channel_map(channel_map.clone());
     let plan = engine.plan(&schedule.graph);
     let bounds = || Arc::new(rpu::bound::analyze_plan(&engine, &schedule.graph, &plan));
-    lint_plan(schedule, kernel_benchmarks, rpu, &plan, bounds, config)
+    lint_plan(schedule, kernel_benchmarks, rpu, &plan, bounds)
 }
 
 /// Every pass over one compiled plan of `schedule` (its channel map and
@@ -338,17 +269,16 @@ pub(crate) fn lint_plan(
     rpu: &RpuConfig,
     plan: &ExecPlan,
     bounds: impl FnOnce() -> Arc<BoundAnalysis>,
-    config: &LintConfig,
 ) -> LintReport {
     let mut diagnostics = rpu::verify::lint_structural(&schedule.graph);
     diagnostics.extend(rpu::verify::lint_deadlock(&schedule.graph, plan));
     diagnostics.extend(buffer::lint(&schedule.graph));
-    diagnostics.extend(capacity::lint(schedule, rpu, config));
-    diagnostics.extend(placement::lint(schedule, plan, config));
+    diagnostics.extend(capacity::lint(schedule, rpu));
+    diagnostics.extend(placement::lint(schedule, plan));
     if kernel_benchmarks.len() > 1 {
         diagnostics.extend(pipeline::lint(&schedule.graph, kernel_benchmarks));
     }
-    diagnostics.extend(perf::lint(&schedule.graph, bounds, config));
+    diagnostics.extend(perf::lint(&schedule.graph, bounds));
     LintReport { diagnostics }
 }
 

@@ -8,35 +8,33 @@
 //! * **`R001` queue-order-dominated critical path** (Warning): the
 //!   queue-augmented makespan bound exceeds every *unavoidable* bound (the
 //!   true dependency path, the compute pipeline, the shared data path, the
-//!   busiest channel) by more than [`LintConfig::queue_path_ratio`], and
-//!   memory-channel queue-order edges sit on the binding path — the
-//!   placement serializes transfers the dataflow never ordered and the
-//!   hardware never required. Re-pinning the blamed channel's buffers (see
+//!   busiest channel) by more than 1.75×, and memory-channel queue-order
+//!   edges sit on the binding path — the placement serializes transfers
+//!   the dataflow never ordered and the hardware never required.
+//!   Re-pinning the blamed channel's buffers (see
 //!   [`rpu::ChannelMap::with_pin`]) can recover the gap. A schedule whose
 //!   queue bound merely matches its data-path occupancy is bandwidth-bound,
 //!   not placement-bound, and is not flagged.
 //! * **`R002` late prefetch** (Note): a load whose dependencies allow it
-//!   to issue far ahead of its deadline (slack at least
-//!   [`LintConfig::prefetch_slack_fraction`] of the dependency bound) sits
-//!   on the binding queue-augmented path *behind a queue-order edge* — its
-//!   in-order queue position, not its data, is what makes it critical.
-//!   Advisory: in a saturated stream, hoisting one load delays another, so
-//!   the pass points at the opportunity without promising the win.
+//!   to issue far ahead of its deadline (slack at least a quarter of the
+//!   dependency bound) sits on the binding queue-augmented path *behind a
+//!   queue-order edge* — its in-order queue position, not its data, is what
+//!   makes it critical. Advisory: in a saturated stream, hoisting one load
+//!   delays another, so the pass points at the opportunity without
+//!   promising the win.
 //! * **`R003` structural utilization ceiling** (Warning): the
 //!   *placement-independent* roofline knee
 //!   ([`rpu::bound::BoundAnalysis::dependency_knee`]) is
 //!   [`RooflineKnee::AlwaysBandwidthSensitive`] *and* the traffic
-//!   serialized with the full compute chain is at least
-//!   [`LintConfig::ceiling_residual_fraction`] of the graph's total — a
-//!   serial-chain shape where the idle lower bound stays positive at every
-//!   bandwidth *no matter how the transfers are placed*. A ceiling that
-//!   only the queue placement imposes (e.g. every single-channel streaming
-//!   config) is `R001`'s territory, not a structural defect; a
-//!   well-decoupled pipeline's vanishing head-of-pipeline prefetch residue
-//!   does not trip this either.
+//!   serialized with the full compute chain is at least half of the
+//!   graph's total — a serial-chain shape where the idle lower bound stays
+//!   positive at every bandwidth *no matter how the transfers are placed*.
+//!   A ceiling that only the queue placement imposes (e.g. every
+//!   single-channel streaming config) is `R001`'s territory, not a
+//!   structural defect; a well-decoupled pipeline's vanishing
+//!   head-of-pipeline prefetch residue does not trip this either.
 //! * **`R004` bandwidth-insensitive operating point** (Note): the
-//!   configured bandwidth sits at or above
-//!   [`LintConfig::knee_headroom_ratio`] times the static roofline knee
+//!   configured bandwidth sits at or above the static roofline knee
 //!   ([`RooflineKnee::effective_knee_gbps`]), so the makespan bound is
 //!   already (asymptotically) pinned to the compute floor — faster DRAM
 //!   provably cannot help this schedule. Not reported for schedules `R003`
@@ -52,18 +50,29 @@ use rpu::verify::Diagnostic;
 use rpu::{MemoryDirection, TaskGraph, TaskKind};
 use std::sync::Arc;
 
-use super::{codes, LintConfig};
+use super::codes;
+
+/// Queue-augmented bound over the largest placement-independent bound above
+/// which `R001` warns. The intrinsic load/compute interleave of the in-order
+/// queues costs the preset gallery up to ~1.5x on one channel, while a
+/// genuine serialization pathology (a load/compute zigzag that defeats all
+/// overlap) costs 2x or more.
+const QUEUE_PATH_RATIO: f64 = 1.75;
+/// Fraction of the dependency bound a load's slack must reach, while its
+/// queue position still makes it critical, before `R002` flags a late
+/// prefetch.
+const PREFETCH_SLACK_FRACTION: f64 = 0.25;
+/// Fraction of the graph's total DRAM traffic that must be serialized with
+/// the full compute chain before `R003` reports a structural utilization
+/// ceiling. Below it, the residue is a benign head-of-pipeline prefetch.
+const CEILING_RESIDUAL_FRACTION: f64 = 0.5;
 
 /// Runs the performance pass for `graph` over its bound analysis
 /// ([`rpu::bound::analyze_plan`] at the target configuration and
 /// placement). `bounds` is called only when the graph is analyzable, so a
 /// caller holding a cached analysis passes it in and everyone else computes
-/// it on demand. Thresholds come from [`LintConfig`].
-pub fn lint(
-    graph: &TaskGraph,
-    bounds: impl FnOnce() -> Arc<BoundAnalysis>,
-    config: &LintConfig,
-) -> Vec<Diagnostic> {
+/// it on demand.
+pub fn lint(graph: &TaskGraph, bounds: impl FnOnce() -> Arc<BoundAnalysis>) -> Vec<Diagnostic> {
     let tasks = graph.tasks();
     let well_formed = tasks
         .iter()
@@ -87,7 +96,7 @@ pub fn lint(
 
     // R001: queue order dominates every unavoidable bound, with
     // memory-channel queue edges on the binding path to blame.
-    if unavoidable > 0.0 && b.queue_bound_seconds > config.queue_path_ratio * unavoidable {
+    if unavoidable > 0.0 && b.queue_bound_seconds > QUEUE_PATH_RATIO * unavoidable {
         let mut per_channel = vec![0usize; b.channel_occupancy_seconds.len()];
         let mut blamed = Vec::new();
         for step in &b.queue_critical_path {
@@ -127,7 +136,7 @@ pub fn lint(
     // R002: loads with large dependency slack that are nevertheless on the
     // binding queue-augmented path behind a queue-order edge.
     if b.dependency_bound_seconds > 0.0 {
-        let min_slack = config.prefetch_slack_fraction * b.dependency_bound_seconds;
+        let min_slack = PREFETCH_SLACK_FRACTION * b.dependency_bound_seconds;
         for step in &b.queue_critical_path {
             let task = &tasks[step.task];
             let is_load = matches!(
@@ -167,7 +176,7 @@ pub fn lint(
     let total_gb = (loaded + stored) as f64 / 1e9;
     let mut ceiling = false;
     if let RooflineKnee::AlwaysBandwidthSensitive { residual_gb, .. } = b.dependency_knee {
-        if total_gb > 0.0 && residual_gb >= config.ceiling_residual_fraction * total_gb {
+        if total_gb > 0.0 && residual_gb >= CEILING_RESIDUAL_FRACTION * total_gb {
             ceiling = true;
             diagnostics.push(Diagnostic::warning(
                 codes::UTILIZATION_CEILING,
@@ -186,7 +195,7 @@ pub fn lint(
     if !ceiling {
         if let Some(knee) = b.knee.effective_knee_gbps() {
             let bandwidth = b.bandwidth_gbps;
-            if bandwidth >= knee * config.knee_headroom_ratio {
+            if bandwidth >= knee {
                 diagnostics.push(Diagnostic::note(
                     codes::ABOVE_ROOFLINE_KNEE,
                     format!(
@@ -229,8 +238,8 @@ mod tests {
         RpuEngine::new(unit_config(bandwidth_gbps))
     }
 
-    fn lint_on(graph: &TaskGraph, engine: &RpuEngine, config: &LintConfig) -> Vec<Diagnostic> {
-        lint(graph, || Arc::new(engine.bounds(graph)), config)
+    fn lint_on(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
+        lint(graph, || Arc::new(engine.bounds(graph)))
     }
 
     #[test]
@@ -247,20 +256,26 @@ mod tests {
         let b = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load b", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![b], "cb", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![a], "ca", "P1");
-        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&g, &engine(1.0));
         let hit = diagnostics
             .iter()
             .find(|d| d.code == codes::QUEUE_ORDER_CRITICAL)
             .expect("zigzag must warn");
         assert!(hit.message.contains("channel 0"), "{hit:?}");
-        // The ratio gate is tunable: an absurd threshold silences it.
-        let lax = LintConfig {
-            queue_path_ratio: 100.0,
-            ..LintConfig::default()
-        };
-        assert!(lint_on(&g, &engine(1.0), &lax)
-            .iter()
-            .all(|d| d.code != codes::QUEUE_ORDER_CRITICAL));
+        // In program order the queues cost 3 s against the same 2 s: a 1.5x
+        // ratio, below the 1.75x gate.
+        let mut g = TaskGraph::new();
+        let a = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load a", "P1");
+        g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![a], "ca", "P1");
+        let b = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load b", "P1");
+        g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![b], "cb", "P1");
+        let diagnostics = lint_on(&g, &engine(1.0));
+        assert!(
+            diagnostics
+                .iter()
+                .all(|d| d.code != codes::QUEUE_ORDER_CRITICAL),
+            "{diagnostics:?}"
+        );
     }
 
     #[test]
@@ -278,7 +293,7 @@ mod tests {
                 "P1",
             );
         }
-        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&g, &engine(1.0));
         assert!(
             diagnostics
                 .iter()
@@ -287,23 +302,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_slack_heavy_load_bound_by_queue_position_trips_r002() {
-        // Two 4 GB streams feed 4 s computes; a 5 GB load the final join
-        // needs is pushed last in program order, so the in-order queue makes
-        // it the binding constraint despite ~3 s of dependency slack.
+    /// Two 4 GB streams feed 4 s computes (an 8 s dependency bound); a
+    /// `late_bytes` load the final join needs is pushed last in program
+    /// order, so the in-order queue makes it the binding constraint.
+    fn late_load_join(late_bytes: u64) -> (TaskGraph, usize) {
         let mut g = TaskGraph::new();
         let l1 = g.push_memory(MemoryDirection::Load, 4_000_000_000, vec![], "load a", "P1");
         let c1 = g.push_compute(ComputeKind::Ntt, 4_000_000_000, vec![l1], "ca", "P1");
         let l2 = g.push_memory(MemoryDirection::Load, 4_000_000_000, vec![], "load b", "P1");
         let c2 = g.push_compute(ComputeKind::Ntt, 4_000_000_000, vec![l2], "cb", "P1");
-        let late = g.push_memory(
-            MemoryDirection::Load,
-            5_000_000_000,
-            vec![],
-            "load late",
-            "P1",
-        );
+        let late = g.push_memory(MemoryDirection::Load, late_bytes, vec![], "load late", "P1");
         g.push_compute(
             ComputeKind::PointwiseAdd,
             1_000,
@@ -311,7 +319,15 @@ mod tests {
             "join",
             "P1",
         );
-        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
+        (g, late)
+    }
+
+    #[test]
+    fn a_slack_heavy_load_bound_by_queue_position_trips_r002() {
+        // A 5 GB late load has 3 s of slack, over a quarter of the 8 s
+        // dependency bound.
+        let (g, late) = late_load_join(5_000_000_000);
+        let diagnostics = lint_on(&g, &engine(1.0));
         let prefetch: Vec<_> = diagnostics
             .iter()
             .filter(|d| d.code == codes::LATE_PREFETCH)
@@ -320,14 +336,13 @@ mod tests {
         assert_eq!(prefetch[0].tasks, vec![late]);
         // Advisory only: hoisting in a saturated stream is not a proven win.
         assert_eq!(prefetch[0].severity, rpu::Severity::Note);
-        // Demanding even more slack silences it.
-        let strict = LintConfig {
-            prefetch_slack_fraction: 0.9,
-            ..LintConfig::default()
-        };
-        assert!(lint_on(&g, &engine(1.0), &strict)
-            .iter()
-            .all(|d| d.code != codes::LATE_PREFETCH));
+        // A 7 GB late load has 1 s of slack, under a quarter: not flagged.
+        let (g, _) = late_load_join(7_000_000_000);
+        let diagnostics = lint_on(&g, &engine(1.0));
+        assert!(
+            diagnostics.iter().all(|d| d.code != codes::LATE_PREFETCH),
+            "{diagnostics:?}"
+        );
     }
 
     #[test]
@@ -359,7 +374,7 @@ mod tests {
                 "P1",
             ));
         }
-        let diagnostics = lint_on(&g, &engine(1.0), &LintConfig::default());
+        let diagnostics = lint_on(&g, &engine(1.0));
         assert!(
             diagnostics
                 .iter()
@@ -368,22 +383,17 @@ mod tests {
         );
         // And the ceiling suppresses the above-knee note even at absurd
         // bandwidth: the regime boundary is not a real knee.
-        let fast = lint_on(&g, &engine(1024.0), &LintConfig::default());
+        let fast = lint_on(&g, &engine(1024.0));
         assert!(fast.iter().any(|d| d.code == codes::UTILIZATION_CEILING));
         assert!(fast.iter().all(|d| d.code != codes::ABOVE_ROOFLINE_KNEE));
     }
 
-    /// A decoupled pipeline: a tiny head prefetch feeds a 4 s compute chain
-    /// while a 4 GB stream overlaps it entirely (feeding only the tail).
-    fn decoupled_pipeline() -> TaskGraph {
+    /// A decoupled pipeline: a `head_bytes` prefetch feeds a 4 s compute
+    /// chain while a 4 GB stream overlaps it entirely (feeding only the
+    /// tail).
+    fn decoupled_pipeline(head_bytes: u64) -> TaskGraph {
         let mut g = TaskGraph::new();
-        let head = g.push_memory(
-            MemoryDirection::Load,
-            100_000_000,
-            vec![],
-            "load head",
-            "P1",
-        );
+        let head = g.push_memory(MemoryDirection::Load, head_bytes, vec![], "load head", "P1");
         let mut prev = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![head], "c0", "P1");
         for stage in 1..4 {
             prev = g.push_compute(
@@ -415,21 +425,16 @@ mod tests {
     fn a_decoupled_pipeline_does_not_trip_r003() {
         // Only the 0.1 GB head prefetch is serialized with the compute
         // chain — 2% of the traffic, far below the 50% ceiling threshold.
-        let diagnostics = lint_on(&decoupled_pipeline(), &engine(1.0), &LintConfig::default());
-        assert!(
-            diagnostics
+        let ceiling = |head_bytes| {
+            lint_on(&decoupled_pipeline(head_bytes), &engine(1.0))
                 .iter()
-                .all(|d| d.code != codes::UTILIZATION_CEILING),
-            "{diagnostics:?}"
-        );
-        // Tightening the residual threshold below the head fraction flips it.
-        let strict = LintConfig {
-            ceiling_residual_fraction: 0.01,
-            ..LintConfig::default()
+                .any(|d| d.code == codes::UTILIZATION_CEILING)
         };
-        assert!(lint_on(&decoupled_pipeline(), &engine(1.0), &strict)
-            .iter()
-            .any(|d| d.code == codes::UTILIZATION_CEILING));
+        assert!(!ceiling(100_000_000));
+        // The gate sits at half the traffic: a 3 GB head is 43% of it, a
+        // 5 GB head 56%.
+        assert!(!ceiling(3_000_000_000));
+        assert!(ceiling(5_000_000_000));
     }
 
     #[test]
@@ -440,26 +445,18 @@ mod tests {
         let c = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
         let l = g.push_memory(MemoryDirection::Load, 2_000_000_000, vec![], "load x", "P1");
         g.push_compute(ComputeKind::PointwiseAdd, 0, vec![c, l], "join", "P1");
-        let above = lint_on(&g, &engine(64.0), &LintConfig::default());
+        let above = lint_on(&g, &engine(64.0));
         let knee_note = above
             .iter()
             .find(|d| d.code == codes::ABOVE_ROOFLINE_KNEE)
             .expect("above-knee note");
         assert_eq!(knee_note.severity, rpu::Severity::Note);
         assert!(knee_note.message.contains("2.000 GB/s"), "{knee_note:?}");
-        let below = lint_on(&g, &engine(1.0), &LintConfig::default());
+        let below = lint_on(&g, &engine(1.0));
         assert!(below.iter().all(|d| d.code != codes::ABOVE_ROOFLINE_KNEE));
-        // Raising the headroom ratio pushes the gate past 64 GB/s.
-        let strict = LintConfig {
-            knee_headroom_ratio: 64.0,
-            ..LintConfig::default()
-        };
-        assert!(lint_on(&g, &engine(64.0), &strict)
-            .iter()
-            .all(|d| d.code != codes::ABOVE_ROOFLINE_KNEE));
         // The decoupled pipeline has no exact knee, but past the point where
         // its bound tracks the compute floor the note still applies.
-        let pipeline = lint_on(&decoupled_pipeline(), &engine(64.0), &LintConfig::default());
+        let pipeline = lint_on(&decoupled_pipeline(100_000_000), &engine(64.0));
         assert!(
             pipeline
                 .iter()
@@ -475,7 +472,7 @@ mod tests {
         let mut broken = tasks.tasks().to_vec();
         broken[0].dependencies = vec![5];
         let g = TaskGraph::from_tasks_unchecked(broken);
-        assert!(lint_on(&g, &engine(1.0), &LintConfig::default()).is_empty());
-        assert!(lint_on(&TaskGraph::new(), &engine(1.0), &LintConfig::default()).is_empty());
+        assert!(lint_on(&g, &engine(1.0)).is_empty());
+        assert!(lint_on(&TaskGraph::new(), &engine(1.0)).is_empty());
     }
 }

@@ -14,8 +14,8 @@
 //! * **`P002` dead pin rule** (Warning): a reachable rule that matches none
 //!   of this schedule's buffers — usually a typo in the pattern.
 //! * **`P003` channel imbalance** (Warning): the placement concentrates
-//!   traffic so heavily that one channel carries more than
-//!   [`LintConfig::imbalance_ratio`] (default 4)× its fair share,
+//!   traffic so heavily that one channel carries more than 4× its fair
+//!   share (once there are at least 4 memory tasks per channel),
 //!   forfeiting the head-of-line bypass benefit multiple channels exist to
 //!   provide.
 //! * **`A001`/`A002` spill reconciliation**: the builder's
@@ -29,8 +29,13 @@ use rpu::channel::{canonical_label, split_label};
 use rpu::verify::Diagnostic;
 use rpu::ExecPlan;
 
-use super::{codes, LintConfig};
+use super::codes;
 use crate::schedule::Schedule;
+
+/// `max channel bytes / fair share` above which `P003` warns.
+const IMBALANCE_RATIO: f64 = 4.0;
+/// Minimum memory tasks per channel before `P003` is meaningful.
+const IMBALANCE_MIN_TASKS_PER_CHANNEL: usize = 4;
 
 /// Indices of rules that can never match because an earlier rule's pattern is
 /// a substring of theirs. Pure so the lint is testable without constructing
@@ -49,9 +54,8 @@ fn shadowed_rules(patterns: &[&str]) -> Vec<(usize, usize)> {
 }
 
 /// Runs the placement/accounting pass for `schedule` under the channel map
-/// and channel count compiled into `plan` (the schedule graph's plan). The
-/// imbalance thresholds come from [`LintConfig`].
-pub fn lint(schedule: &Schedule, plan: &ExecPlan, config: &LintConfig) -> Vec<Diagnostic> {
+/// and channel count compiled into `plan` (the schedule graph's plan).
+pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     let map = plan.channel_map();
     let rules: Vec<(&str, &[usize])> = map.rules().collect();
@@ -119,9 +123,7 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan, config: &LintConfig) -> Vec<Di
 
     // P003: one channel hoards the traffic.
     let total_bytes: u64 = channel_bytes.iter().sum();
-    if channels > 1
-        && memory_tasks >= config.imbalance_min_tasks_per_channel * channels
-        && total_bytes > 0
+    if channels > 1 && memory_tasks >= IMBALANCE_MIN_TASKS_PER_CHANNEL * channels && total_bytes > 0
     {
         let fair_share = total_bytes as f64 / channels as f64;
         let (worst, &max_bytes) = channel_bytes
@@ -129,7 +131,7 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan, config: &LintConfig) -> Vec<Di
             .enumerate()
             .max_by_key(|&(_, b)| *b)
             .expect("channels > 1");
-        if max_bytes as f64 > config.imbalance_ratio * fair_share {
+        if max_bytes as f64 > IMBALANCE_RATIO * fair_share {
             diagnostics.push(Diagnostic::warning(
                 codes::CHANNEL_IMBALANCE,
                 format!(
@@ -186,8 +188,8 @@ mod tests {
             .with_channel_map(map)
     }
 
-    fn lint_under(schedule: &Schedule, engine: &RpuEngine, config: &LintConfig) -> Vec<Diagnostic> {
-        lint(schedule, &engine.plan(&schedule.graph), config)
+    fn lint_under(schedule: &Schedule, engine: &RpuEngine) -> Vec<Diagnostic> {
+        lint(schedule, &engine.plan(&schedule.graph))
     }
 
     #[test]
@@ -211,7 +213,7 @@ mod tests {
             );
         }
         let engine = engine_with(ChannelMap::hashed(2).with_pin("zzz-typo", [0]));
-        let diagnostics = lint_under(&schedule(g, 0), &engine, &LintConfig::default());
+        let diagnostics = lint_under(&schedule(g, 0), &engine);
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].code, codes::DEAD_PIN_RULE);
         assert!(diagnostics[0].message.contains("zzz-typo"));
@@ -230,7 +232,7 @@ mod tests {
             );
         }
         let engine = engine_with(ChannelMap::hashed(8).with_pin("", [0]));
-        let diagnostics = lint_under(&schedule(g, 0), &engine, &LintConfig::default());
+        let diagnostics = lint_under(&schedule(g, 0), &engine);
         assert!(
             diagnostics
                 .iter()
@@ -252,7 +254,7 @@ mod tests {
             );
         }
         let engine = engine_with(ChannelMap::hashed(4));
-        assert!(lint_under(&schedule(g, 0), &engine, &LintConfig::default()).is_empty());
+        assert!(lint_under(&schedule(g, 0), &engine).is_empty());
     }
 
     #[test]
@@ -265,18 +267,18 @@ mod tests {
         let engine = engine_with(ChannelMap::hashed(1));
 
         // Exact accounting: clean.
-        assert!(lint_under(&schedule(g.clone(), 200), &engine, &LintConfig::default()).is_empty());
+        assert!(lint_under(&schedule(g.clone(), 200), &engine).is_empty());
 
         // Under-reporting is an error: the engine will move more spill bytes
         // than the schedule claims.
-        let under = lint_under(&schedule(g.clone(), 100), &engine, &LintConfig::default());
+        let under = lint_under(&schedule(g.clone(), 100), &engine);
         assert_eq!(under.len(), 1);
         assert_eq!(under[0].code, codes::SPILL_UNDERREPORTED);
         assert_eq!(under[0].severity, rpu::Severity::Error);
 
         // Over-reporting (e.g. a custom strategy with coarse labels) is only
         // a warning.
-        let over = lint_under(&schedule(g, 300), &engine, &LintConfig::default());
+        let over = lint_under(&schedule(g, 300), &engine);
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].code, codes::SPILL_OVERREPORTED);
         assert_eq!(over[0].severity, rpu::Severity::Warning);

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nBandwidth needed for the streamed configuration to match the on-chip one");
     println!("at the OCbase operating point (Figure 7):");
     for benchmark in HksBenchmark::all() {
-        let row = streaming_equivalence_row(benchmark);
+        let row = streaming_equivalence_row(&session, benchmark);
         println!(
             "  {:7}: {:5.1} GB/s -> {:6.1} GB/s ({:.2}x more bandwidth for a {:.2}x SRAM saving)",
             row.benchmark,

@@ -83,11 +83,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .with_bandwidth(128.0)
                     .with_memory_channels(channels),
             )
-            .run_workload(
+            .run_job(&Job::workload(
                 workload.clone(),
                 Dataflow::OutputCentric,
                 PipelineMode::Fused,
-            )?;
+            ))?;
         // The monotonicity of this curve is enforced by
         // `tests/memory_channels.rs`; the example only reports it.
         println!(

@@ -80,14 +80,18 @@ fn traffic_invariant_holds_across_the_fig4_ladder_and_channel_counts() {
             let session =
                 Session::new().with_rpu(streaming_at(bandwidth).with_memory_channels(channels));
             let fused = session
-                .run_workload(chain.clone(), Dataflow::OutputCentric, PipelineMode::Fused)
+                .run_job(&Job::workload(
+                    chain.clone(),
+                    Dataflow::OutputCentric,
+                    PipelineMode::Fused,
+                ))
                 .unwrap();
             let unfused = session
-                .run_workload(
+                .run_job(&Job::workload(
                     chain.clone(),
                     Dataflow::OutputCentric,
                     PipelineMode::BackToBack,
-                )
+                ))
                 .unwrap();
             assert!(fused.forwarded_bytes > 0, "DPRIVE chains fit on-chip");
             assert_eq!(unfused.forwarded_bytes, 0);
@@ -103,7 +107,7 @@ fn traffic_invariant_holds_across_the_fig4_ladder_and_channel_counts() {
 #[test]
 fn empty_workloads_error_through_the_session_path() {
     // No steps at all, and steps that expand to zero kernels: both must
-    // surface CiflowError::InvalidConfig from Session::run_workload instead
+    // surface CiflowError::InvalidConfig from Session::run_job instead
     // of producing a degenerate empty schedule.
     let session = Session::new();
     for empty in [
@@ -114,7 +118,7 @@ fn empty_workloads_error_through_the_session_path() {
         let name = empty.name.clone();
         for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
             let err = session
-                .run_workload(empty.clone(), Dataflow::OutputCentric, mode)
+                .run_job(&Job::workload(empty.clone(), Dataflow::OutputCentric, mode))
                 .unwrap_err();
             assert!(
                 matches!(err, CiflowError::InvalidConfig { .. }),

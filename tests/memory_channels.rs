@@ -119,11 +119,11 @@ fn single_channel_is_bit_identical_to_the_default_configuration() {
     let workload = Workload::rotation_batch(HksBenchmark::ARK, 6);
     let session = Session::new().with_rpu(streaming_at(12.8));
     let default_run = session
-        .run_workload(workload.clone(), "OC", PipelineMode::Fused)
+        .run_job(&Job::workload(workload.clone(), "OC", PipelineMode::Fused))
         .unwrap();
     let one_channel = Session::new()
         .with_rpu(streaming_at(12.8).with_memory_channels(1))
-        .run_workload(workload, "OC", PipelineMode::Fused)
+        .run_job(&Job::workload(workload, "OC", PipelineMode::Fused))
         .unwrap();
     assert_eq!(
         default_run.stats.runtime_seconds.to_bits(),
@@ -138,11 +138,11 @@ fn channel_accounting_sums_to_total_memory_busy_through_the_session() {
     for channels in CHANNEL_LADDER {
         let output = Session::new()
             .with_rpu(streaming_at(25.6).with_memory_channels(channels))
-            .run_workload(
+            .run_job(&Job::workload(
                 Workload::rotation_batch(HksBenchmark::ARK, 4),
                 "OC",
                 PipelineMode::Fused,
-            )
+            ))
             .unwrap();
         assert_eq!(output.stats.memory_channel_busy_seconds.len(), channels);
         let sum: f64 = output.stats.memory_channel_busy_seconds.iter().sum();

@@ -2,6 +2,7 @@
 //! numbers): the abstract's headline results and the per-section takeaways.
 
 use ciflow::analysis::{min_memory_without_spills, table2_rows};
+use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::sweep::BASELINE_BANDWIDTH_GBPS;
@@ -14,7 +15,8 @@ use rpu::{EvkPolicy, RpuConfig};
 #[test]
 fn headline_speedup_over_mp_is_substantial_and_largest_for_ark() {
     // Abstract: "up to 4.16x speedup over the MP dataflow", achieved on ARK.
-    let rows = table4_rows();
+    let session = Session::new();
+    let rows = table4_rows(&session);
     let ark = rows.iter().find(|r| r.benchmark == "ARK").unwrap();
     let best = rows.iter().map(|r| r.oc_speedup).fold(0.0f64, f64::max);
     assert!(ark.oc_speedup > 2.5, "ARK speedup {:.2}", ark.oc_speedup);
@@ -27,6 +29,7 @@ fn headline_speedup_over_mp_is_substantial_and_largest_for_ark() {
 
 #[test]
 fn headline_sram_saving_is_12_25x() {
+    let session = Session::new();
     let on_chip = RpuConfig::ciflow_baseline();
     let streaming = RpuConfig::ciflow_streaming();
     let saving = (on_chip.vector_memory_bytes + on_chip.key_memory_bytes) as f64
@@ -35,7 +38,7 @@ fn headline_sram_saving_is_12_25x() {
     // Streaming keys costs only a bounded amount of extra bandwidth at the
     // OCbase operating point (paper: 1.3x - 2.9x).
     for bench in HksBenchmark::all() {
-        let row = streaming_equivalence_row(bench);
+        let row = streaming_equivalence_row(&session, bench);
         assert!(
             row.extra_bandwidth <= 6.0,
             "{}: extra bandwidth {:.2}",
@@ -50,16 +53,17 @@ fn headline_bandwidth_saving_versus_mp_baseline() {
     // Abstract / §VI-B: OC with streamed keys still saves bandwidth relative
     // to the MP implementation with keys on-chip at 64 GB/s (paper: 1.4x up
     // to 3.3x). Require a saving > 1.2x for the small benchmarks.
+    let session = Session::new();
     for bench in [HksBenchmark::ARK, HksBenchmark::DPRIVE, HksBenchmark::BTS2] {
-        let baseline = baseline_runtime_ms(bench);
+        let baseline = baseline_runtime_ms(&session, bench);
         let needed = min_bandwidth_for_runtime(
+            &session,
             bench,
             Dataflow::OutputCentric,
             EvkPolicy::Streamed,
             1.0,
             baseline,
             4.0,
-            1024.0,
         );
         let saving = BASELINE_BANDWIDTH_GBPS / needed;
         assert!(
@@ -116,7 +120,8 @@ fn saturation_point_analysis_matches_the_papers_ordering() {
     // §VI-C / Table V: to match ARK's saturation performance at 2x MODOPS,
     // OC needs the least bandwidth, then DC, then MP; and the saturation
     // point itself is bounded by the compute roof.
-    let rows = table5_rows();
+    let session = Session::new();
+    let rows = table5_rows(&session);
     let get = |label: &str| {
         rows.iter()
             .find(|r| r.label == label)
@@ -130,7 +135,7 @@ fn saturation_point_analysis_matches_the_papers_ordering() {
         "OC should need far less than the saturation bandwidth"
     );
 
-    let (_, sat_runtime) = ark_saturation_point();
+    let (_, sat_runtime) = ark_saturation_point(&session);
     // The saturation runtime must be close to the pure compute bound.
     let shape = ciflow::hks_shape::HksShape::new(HksBenchmark::ARK);
     let compute_bound_ms =
@@ -143,8 +148,10 @@ fn saturation_point_analysis_matches_the_papers_ordering() {
 fn figure4_low_bandwidth_gap_and_high_bandwidth_convergence() {
     // The defining shape of Figure 4: a large OC advantage at 8 GB/s that
     // shrinks towards parity at very high bandwidth, for every benchmark.
+    let session = Session::new();
     for bench in HksBenchmark::all() {
-        let runtime = |d: Dataflow, bw: f64| runtime_with(bench, d, bw, EvkPolicy::OnChip, 1.0);
+        let runtime =
+            |d: Dataflow, bw: f64| runtime_with(&session, bench, d, bw, EvkPolicy::OnChip, 1.0);
         let gap_low = runtime(Dataflow::MaxParallel, 8.0) / runtime(Dataflow::OutputCentric, 8.0);
         let gap_high =
             runtime(Dataflow::MaxParallel, 1024.0) / runtime(Dataflow::OutputCentric, 1024.0);

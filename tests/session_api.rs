@@ -172,7 +172,7 @@ fn custom_strategy_round_trips_through_registry_and_session() {
     assert_eq!(session.registry().len(), 4);
 
     let output = session
-        .run_one(HksBenchmark::ARK, "nr")
+        .run_job(&Job::new(HksBenchmark::ARK, "nr"))
         .expect("custom strategy must execute");
     assert_eq!(output.strategy, "NR");
     assert!(output.runtime_ms() > 0.0);
@@ -183,7 +183,9 @@ fn custom_strategy_round_trips_through_registry_and_session() {
 
     // The deliberately wasteful strategy must be slower than every built-in.
     for dataflow in Dataflow::all() {
-        let builtin = session.run_one(HksBenchmark::ARK, dataflow).unwrap();
+        let builtin = session
+            .run_job(&Job::new(HksBenchmark::ARK, dataflow))
+            .unwrap();
         assert!(
             output.runtime_ms() > builtin.runtime_ms(),
             "NR ({:.2} ms) should lose to {dataflow} ({:.2} ms)",
@@ -272,7 +274,7 @@ fn builtin_strategies_agree_on_functional_work_per_benchmark() {
         let shape = HksShape::new(benchmark);
         let mut splits = Vec::new();
         for dataflow in Dataflow::all() {
-            let output = session.run_one(benchmark, dataflow).unwrap();
+            let output = session.run_job(&Job::new(benchmark, dataflow)).unwrap();
             // Identical executed work...
             assert_eq!(
                 output.stats.total_ops,

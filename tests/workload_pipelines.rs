@@ -28,14 +28,18 @@ fn fused_pipelines_beat_back_to_back_for_oc_at_ddr4_bandwidth() {
             let session = Session::new().with_rpu(baseline_at(bandwidth));
             let workload = Workload::rotation_batch(benchmark, 8);
             let fused = session
-                .run_workload(
+                .run_job(&Job::workload(
                     workload.clone(),
                     Dataflow::OutputCentric,
                     PipelineMode::Fused,
-                )
+                ))
                 .unwrap();
             let unfused = session
-                .run_workload(workload, Dataflow::OutputCentric, PipelineMode::BackToBack)
+                .run_job(&Job::workload(
+                    workload,
+                    Dataflow::OutputCentric,
+                    PipelineMode::BackToBack,
+                ))
                 .unwrap();
             assert!(
                 fused.runtime_ms() < unfused.runtime_ms(),
