@@ -18,18 +18,27 @@ fn main() {
             "Memory ablation: {} at 64 GB/s, evks streamed (traffic MiB / spill MiB / runtime ms)",
             benchmark.name
         ));
-        let mut rows = Vec::new();
-        for &mib in &capacities {
-            let mut cells = vec![format!("{mib} MiB")];
-            for dataflow in Dataflow::all() {
-                let p = memory_sweep(&session, benchmark, dataflow, &[mib], 64.0)[0];
-                cells.push(format!(
-                    "{:.0} / {:.0} / {:.2}",
-                    p.dram_mib, p.spill_mib, p.runtime_ms
-                ));
-            }
-            rows.push(cells);
-        }
+        // One batch of every capacity per dataflow, transposed into one row
+        // per capacity.
+        let columns: Vec<_> = Dataflow::all()
+            .into_iter()
+            .map(|dataflow| memory_sweep(&session, benchmark, dataflow, &capacities, 64.0))
+            .collect();
+        let rows: Vec<Vec<String>> = capacities
+            .iter()
+            .enumerate()
+            .map(|(at, mib)| {
+                let mut cells = vec![format!("{mib} MiB")];
+                cells.extend(columns.iter().map(|column| {
+                    let p = column[at];
+                    format!(
+                        "{:.0} / {:.0} / {:.2}",
+                        p.dram_mib, p.spill_mib, p.runtime_ms
+                    )
+                }));
+                cells
+            })
+            .collect();
         print!(
             "{}",
             markdown_table(&["data memory", "MP", "DC", "OC"], &rows)

@@ -6,7 +6,7 @@ use crate::benchmark::HksBenchmark;
 use crate::dataflow::Dataflow;
 use crate::error::CiflowError;
 use crate::hks_shape::HksShape;
-use crate::schedule::{Schedule, ScheduleConfig};
+use crate::schedule::{evk_split_map, Schedule, ScheduleConfig};
 use crate::workload::{build_workload, PipelineMode, Workload};
 use rpu::analytic::ParametricTimeline;
 use rpu::{
@@ -15,7 +15,7 @@ use rpu::{
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Locks a session cache. Every cache holds immutable derived data inserted
 /// whole, so a panic elsewhere while the lock was held cannot have left an
@@ -142,11 +142,14 @@ struct CachedPlan {
     kernels: usize,
     kernel_benchmarks: Vec<HksBenchmark>,
     forwarded_bytes: u64,
-    /// Execution plans compiled from the schedule, keyed by channel count:
-    /// deriving the channel map scans the whole graph and placing every
-    /// memory task hashes its label, so jobs sharing a schedule compile it
-    /// once per channel count. The plans share one channel-independent half.
+    /// Execution plans compiled from the schedule, keyed by channel count,
+    /// so jobs sharing a schedule compile it once per channel count. The
+    /// plans share one channel-independent half, and with it the schedule's
+    /// parsed memory labels.
     plans: Mutex<HashMap<usize, Arc<ExecPlan>>>,
+    /// The schedule's `(evk, total)` memory traffic every multi-channel map
+    /// is split by, scanned on the first multi-channel plan.
+    evk_traffic: OnceLock<(u64, u64)>,
     /// Parametric timelines derived from the schedule
     /// ([`Session::run_analytic`]), keyed by the non-bandwidth knobs —
     /// deriving one costs a handful of symbolic executions, so jobs sharing
@@ -163,7 +166,9 @@ impl CachedPlan {
             return Arc::clone(plan);
         }
         let graph = &self.schedule.graph;
-        let map = self.schedule.channel_map(channels);
+        let map = evk_split_map(channels, || {
+            *self.evk_traffic.get_or_init(|| self.schedule.evk_traffic())
+        });
         let plan = Arc::new(match plans.values().next() {
             Some(sibling) => sibling.rechannel(graph, &map, channels),
             None => ExecPlan::new(graph, &map, channels),
@@ -749,6 +754,7 @@ impl Session {
             kernel_benchmarks,
             forwarded_bytes,
             plans: Mutex::new(HashMap::new()),
+            evk_traffic: OnceLock::new(),
             timelines: Mutex::new(HashMap::new()),
         })
     }

@@ -1,9 +1,10 @@
 //! Buffer-lifetime hazard pass (`B001`–`B003`).
 //!
 //! Reconstructs, per canonical buffer, the program-order sequence of memory
-//! events touching it — using the same label vocabulary
-//! ([`rpu::channel::split_label`]) the schedule builders emit and the
-//! channel placement keys on — and checks each buffer's lifetime:
+//! events touching it — reading the plan's [`BufferKeys`], the labels
+//! parsed once in the vocabulary ([`rpu::channel::split_label`]) the
+//! schedule builders emit and the channel placement keys on — and checks
+//! each buffer's lifetime:
 //!
 //! * **`B001` load-before-store** (Error): a buffer that the schedule itself
 //!   materializes (it has a `spill`/`park` write) is loaded *before* the
@@ -21,10 +22,9 @@
 //!   here by design: this lint is the static signal for the ROADMAP's
 //!   cross-kernel evk cache.
 
-use rpu::channel::split_label;
+use rpu::channel::Verb;
 use rpu::verify::Diagnostic;
-use rpu::{TaskGraph, TaskId};
-use std::collections::BTreeMap;
+use rpu::{BufferKeys, ExecPlan, TaskGraph, TaskId};
 
 use super::codes;
 
@@ -44,26 +44,20 @@ fn starts_in_dram(buffer: &str) -> bool {
     buffer.starts_with("in[") || buffer.starts_with("evk[")
 }
 
-/// Runs the buffer-lifetime pass over a task graph.
-pub fn lint(graph: &TaskGraph) -> Vec<Diagnostic> {
-    // Canonical buffer -> program-ordered events. BTreeMap for deterministic
-    // diagnostic order.
-    let mut events: BTreeMap<&str, Vec<Event>> = BTreeMap::new();
-    for task in graph.tasks().iter().filter(|t| t.is_memory()) {
-        let (verb, buffer) = split_label(&task.label);
-        let event = match verb {
-            Some("load") => Event::Load(task.id),
-            Some("store") => Event::Write(task.id, false),
-            Some("spill") | Some("park") => Event::Write(task.id, true),
-            // Custom strategies are free to label however they like; buffers
-            // without the canonical verb vocabulary are not analyzable.
-            _ => continue,
-        };
-        events.entry(buffer).or_default().push(event);
-    }
-
+/// Runs the buffer-lifetime pass over a task graph, reading the labels out
+/// of `plan` (compiled from `graph`).
+pub fn lint(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
+    let keys = plan.buffer_keys(graph);
+    let (start, events) = group_events(graph, keys);
+    // Buffers in name order, for a deterministic diagnostic order.
+    let mut order: Vec<(&str, usize)> = (0..keys.buffer_count())
+        .filter(|&b| start[b] < start[b + 1])
+        .map(|b| (keys.name(graph, b as u32), b))
+        .collect();
+    order.sort_unstable();
     let mut diagnostics = Vec::new();
-    for (buffer, events) in &events {
+    for (buffer, b) in order {
+        let events = &events[start[b]..start[b + 1]];
         let spilled = events.iter().any(|e| matches!(e, Event::Write(_, true)));
         let first_write = events.iter().find_map(|e| match e {
             Event::Write(t, _) => Some(*t),
@@ -146,10 +140,44 @@ pub fn lint(graph: &TaskGraph) -> Vec<Diagnostic> {
     diagnostics
 }
 
+/// Each buffer's program-ordered events, grouped CSR-style: buffer `b`'s
+/// are `events[start[b]..start[b + 1]]`. Tasks without the canonical verb
+/// vocabulary are skipped: custom strategies are free to label however they
+/// like, and such buffers are not analyzable.
+fn group_events(graph: &TaskGraph, keys: &BufferKeys) -> (Vec<usize>, Vec<Event>) {
+    let keyed = || {
+        keys.memory_tasks(graph).filter_map(|(_, task, key)| {
+            let event = match key.verb? {
+                Verb::Load => Event::Load(task.id),
+                verb => Event::Write(task.id, verb.is_spill()),
+            };
+            Some((key.buffer as usize, event))
+        })
+    };
+    let mut start = vec![0usize; keys.buffer_count() + 1];
+    for (buffer, _) in keyed() {
+        start[buffer + 1] += 1;
+    }
+    for b in 0..keys.buffer_count() {
+        start[b + 1] += start[b];
+    }
+    let mut events = vec![Event::Load(0); start[keys.buffer_count()]];
+    let mut cursor = start.clone();
+    for (buffer, event) in keyed() {
+        events[cursor[buffer]] = event;
+        cursor[buffer] += 1;
+    }
+    (start, events)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu::{MemoryDirection, TaskGraph};
+    use rpu::{ChannelMap, MemoryDirection, TaskGraph};
+
+    fn lint(graph: &TaskGraph) -> Vec<Diagnostic> {
+        super::lint(graph, &ExecPlan::new(graph, &ChannelMap::hashed(1), 1))
+    }
 
     fn load(g: &mut TaskGraph, label: &str) -> TaskId {
         g.push_memory(MemoryDirection::Load, 100, vec![], label, "P1")

@@ -243,9 +243,9 @@ pub fn lint_workload(pipeline: &WorkloadSchedule, rpu: &RpuConfig) -> LintReport
 
 /// The fully-parameterized entry point: lints `schedule` as it would execute
 /// on `rpu` under `channel_map`, with the kernel-boundary pass enabled when
-/// `kernel_benchmarks` describes a multi-kernel pipeline. This is what
-/// [`Session::verify`](crate::api::Session::verify) calls with the session's
-/// cached plan and placement.
+/// `kernel_benchmarks` describes a multi-kernel pipeline, on a plan compiled
+/// for this call. [`Session::verify_job`](crate::api::Session::verify_job)
+/// runs the same passes on the session's cached plan instead.
 pub fn lint_with(
     schedule: &Schedule,
     kernel_benchmarks: &[HksBenchmark],
@@ -272,7 +272,7 @@ pub(crate) fn lint_plan(
 ) -> LintReport {
     let mut diagnostics = rpu::verify::lint_structural(&schedule.graph);
     diagnostics.extend(rpu::verify::lint_deadlock(&schedule.graph, plan));
-    diagnostics.extend(buffer::lint(&schedule.graph));
+    diagnostics.extend(buffer::lint(&schedule.graph, plan));
     diagnostics.extend(capacity::lint(schedule, rpu));
     diagnostics.extend(placement::lint(schedule, plan));
     if kernel_benchmarks.len() > 1 {

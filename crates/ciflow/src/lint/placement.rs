@@ -25,7 +25,7 @@
 //!   a report exceeding the labels is only a Warning (`A002` — custom
 //!   strategies may account spills without using the canonical verbs).
 
-use rpu::channel::{canonical_label, split_label};
+use rpu::channel::Verb;
 use rpu::verify::Diagnostic;
 use rpu::ExecPlan;
 
@@ -78,25 +78,29 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
     }
 
     // P003's per-channel byte totals come straight off the plan's queues;
-    // one walk over the memory tasks feeds P002 (per-rule match counts under
-    // first-match semantics) and A001/A002 (labeled spill/park traffic).
-    let tasks = schedule.graph.tasks();
+    // one walk over the plan's memory keys feeds P002 (per-rule match counts
+    // under first-match semantics, matched once per distinct buffer) and
+    // A001/A002 (labeled spill/park traffic).
+    let graph = &schedule.graph;
+    let tasks = graph.tasks();
     let channels = plan.channels();
     let channel_bytes: Vec<u64> = plan
         .memory_queues()
         .iter()
         .map(|queue| queue.iter().map(|&t| tasks[t as usize].bytes()).sum())
         .collect();
+    let keys = plan.buffer_keys(graph);
+    let buffer_rule: Vec<Option<usize>> = (0..keys.buffer_count() as u32)
+        .map(|b| map.rule_for(keys.name(graph, b)))
+        .collect();
     let mut rule_matches = vec![0usize; patterns.len()];
-    let mut memory_tasks = 0usize;
+    let memory_tasks = keys.memory_task_count();
     let mut labeled_spill_bytes = 0u64;
-    for task in tasks.iter().filter(|t| t.is_memory()) {
-        memory_tasks += 1;
-        let canonical = canonical_label(&task.label);
-        if let Some(hit) = patterns.iter().position(|p| canonical.contains(p)) {
+    for (_, task, key) in keys.memory_tasks(graph) {
+        if let Some(hit) = buffer_rule[key.buffer as usize] {
             rule_matches[hit] += 1;
         }
-        if matches!(split_label(&task.label).0, Some("spill") | Some("park")) {
+        if key.verb.is_some_and(Verb::is_spill) {
             labeled_spill_bytes += task.bytes();
         }
     }

@@ -126,13 +126,28 @@ impl ChannelMap {
     /// The channel the named buffer lives on. Always `< num_channels`.
     pub fn channel_for(&self, label: &str) -> usize {
         let canonical = canonical_label(label);
-        let hash = fnv1a(canonical.as_bytes());
-        for rule in &self.rules {
-            if canonical.contains(rule.pattern.as_str()) {
-                return rule.channels[(hash % rule.channels.len() as u64) as usize];
+        self.channel_for_buffer(canonical, fnv1a(canonical.as_bytes()))
+    }
+
+    /// The channel of an already canonical buffer name whose [`fnv1a`] hash
+    /// is `hash`: the one placement rule [`ChannelMap::channel_for`] and the
+    /// execution plan's per-buffer placement share.
+    pub(crate) fn channel_for_buffer(&self, canonical: &str, hash: u64) -> usize {
+        match self.rule_for(canonical) {
+            Some(at) => {
+                let channels = &self.rules[at].channels;
+                channels[(hash % channels.len() as u64) as usize]
             }
+            None => (hash % self.num_channels as u64) as usize,
         }
-        (hash % self.num_channels as u64) as usize
+    }
+
+    /// The index, in [`ChannelMap::rules`] order, of the first pin rule
+    /// whose pattern occurs in the canonical buffer name, if any.
+    pub fn rule_for(&self, canonical: &str) -> Option<usize> {
+        self.rules
+            .iter()
+            .position(|rule| canonical.contains(rule.pattern.as_str()))
     }
 }
 
@@ -144,6 +159,39 @@ impl ChannelMap {
 /// a spilled buffer's writeback and its later reload share a channel.
 pub fn canonical_label(label: &str) -> &str {
     split_label(label).1
+}
+
+/// The operation verb of a memory-task label, as [`split_label`] names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verb {
+    /// `load`: DRAM to on-chip.
+    Load,
+    /// `store`: a final write to DRAM.
+    Store,
+    /// `spill`: a freshly produced buffer written to DRAM because it does
+    /// not fit on-chip.
+    Spill,
+    /// `park`: a resident buffer evicted to DRAM with its value kept.
+    Park,
+}
+
+impl Verb {
+    /// The verb [`split_label`] returned as a string.
+    pub(crate) fn named(verb: &str) -> Self {
+        match verb {
+            "load" => Self::Load,
+            "store" => Self::Store,
+            "spill" => Self::Spill,
+            "park" => Self::Park,
+            _ => unreachable!("split_label yields no verb {verb:?}"),
+        }
+    }
+
+    /// True for the spill-family writes (`spill`/`park`), the ones that
+    /// promise a later reload.
+    pub fn is_spill(self) -> bool {
+        matches!(self, Self::Spill | Self::Park)
+    }
 }
 
 /// Splits a task label into its operation verb and the canonical buffer it
@@ -182,7 +230,7 @@ pub fn split_label(label: &str) -> (Option<&'static str>, &str) {
 
 /// 64-bit FNV-1a: stable across runs, platforms and Rust versions (unlike
 /// `DefaultHasher`, whose output is explicitly unspecified).
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;

@@ -71,7 +71,7 @@ pub use channel::ChannelMap;
 pub use config::{EvkPolicy, RpuConfig, MIB};
 pub use engine::{grant_precedes, EngineError, RpuEngine, RunResult, TraceMode};
 pub use isa::{B1kInstruction, InstructionClass, KernelCosts};
-pub use plan::ExecPlan;
+pub use plan::{BufferKeys, ExecPlan, MemoryKey};
 pub use stats::ExecutionStats;
 pub use task::{
     AppendAction, AppendedGraph, ComputeKind, Label, MemoryDirection, Task, TaskGraph,

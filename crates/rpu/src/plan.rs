@@ -9,18 +9,140 @@
 //! behind [`crate::analytic`], [`crate::bound`] and the deadlock proof in
 //! [`crate::verify`] all run on `&ExecPlan`; their graph-only entry points
 //! ([`RpuEngine::execute`], [`RpuEngine::bounds`], ...) compile a fresh one
-//! per call. Label hashing ([`ChannelMap::channel_for`]) happens only here.
+//! per call.
 //!
 //! The channel-independent half is shared: [`ExecPlan::rechannel`] places
 //! the same graph over another channel count without copying it. Tasks are
 //! named by their position in the graph (their id in any graph
 //! [`TaskGraph::from_tasks`] accepts), stored as `u32`.
+//!
+//! That half also owns the graph's [`BufferKeys`]: every memory label parsed
+//! once ([`split_label`]) into a verb and a dense buffer id, built on first
+//! use and shared by every rechanneled plan. Placement over several
+//! channels and the `ciflow::lint` buffer and placement passes read it
+//! instead of parsing labels; a one-channel plan that is never linted
+//! never builds it.
 
-use crate::channel::ChannelMap;
+use crate::channel::{fnv1a, split_label, ChannelMap, Verb};
 use crate::engine::RpuEngine;
 use crate::stats::ExecutionStats;
-use crate::task::{TaskGraph, TaskId};
-use std::sync::Arc;
+use crate::task::{Task, TaskGraph, TaskId};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
+
+/// One memory task's parsed label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoryKey {
+    /// Dense id of the canonical buffer the label names.
+    pub buffer: u32,
+    /// The label's operation verb; `None` for labels outside the builders'
+    /// vocabulary.
+    pub verb: Option<Verb>,
+}
+
+/// The memory labels of one graph, parsed once: each memory task's verb and
+/// buffer id, and each distinct buffer's canonical name (by position in the
+/// first label naming it) and FNV-1a hash.
+#[derive(Debug)]
+pub struct BufferKeys {
+    /// Per memory task, in program order: its buffer id and its verb.
+    buffers: Vec<u32>,
+    verbs: Vec<Option<Verb>>,
+    /// Per buffer: the first task naming it and the byte offset of the
+    /// canonical name (always a suffix) in that task's label.
+    names: Vec<(u32, u32)>,
+    hashes: Vec<u64>,
+}
+
+/// A canonical buffer name keyed by its precomputed FNV-1a hash, so
+/// interning hashes each label once.
+#[derive(PartialEq, Eq)]
+struct Hashed<'a>(u64, &'a str);
+
+impl Hash for Hashed<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0);
+    }
+}
+
+/// Passes a [`Hashed`] key's hash through unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only Hashed keys are hashed");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+impl BufferKeys {
+    /// Parses the labels of `graph`'s `memory_tasks` memory tasks. The
+    /// table lives as long as the plan core, so it is sized exactly.
+    fn parse(graph: &TaskGraph, memory_tasks: usize) -> Self {
+        let mut ids: HashMap<Hashed, u32, BuildHasherDefault<PassThrough>> = HashMap::default();
+        let mut keys = Self {
+            buffers: Vec::with_capacity(memory_tasks),
+            verbs: Vec::with_capacity(memory_tasks),
+            names: Vec::new(),
+            hashes: Vec::new(),
+        };
+        for (at, task) in (0u32..).zip(graph.tasks()).filter(|(_, t)| t.is_memory()) {
+            let (verb, name) = split_label(&task.label);
+            let hash = fnv1a(name.as_bytes());
+            let fresh = keys.names.len() as u32;
+            let buffer = *ids.entry(Hashed(hash, name)).or_insert_with(|| {
+                let offset = (task.label.len() - name.len()) as u32;
+                keys.names.push((at, offset));
+                keys.hashes.push(hash);
+                fresh
+            });
+            keys.buffers.push(buffer);
+            keys.verbs.push(verb.map(Verb::named));
+        }
+        keys.names.shrink_to_fit();
+        keys.hashes.shrink_to_fit();
+        keys
+    }
+
+    /// Every memory task of `graph` (the graph the keys were parsed from)
+    /// in program order: its position, the task and its key.
+    pub fn memory_tasks<'g>(
+        &'g self,
+        graph: &'g TaskGraph,
+    ) -> impl Iterator<Item = (u32, &'g Task, MemoryKey)> + 'g {
+        (0u32..)
+            .zip(graph.tasks())
+            .filter(|(_, task)| task.is_memory())
+            .zip(self.buffers.iter().zip(&self.verbs))
+            .map(|((at, task), (&buffer, &verb))| (at, task, MemoryKey { buffer, verb }))
+    }
+
+    /// Number of memory tasks.
+    pub fn memory_task_count(&self) -> usize {
+        self.buffers.len()
+    }
+
+    /// Number of distinct buffers; ids run over `0..buffer_count()`.
+    pub fn buffer_count(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The canonical name of `buffer`, read out of `graph` (the graph the
+    /// keys were parsed from).
+    pub fn name<'g>(&self, graph: &'g TaskGraph, buffer: u32) -> &'g str {
+        let (task, offset) = self.names[buffer as usize];
+        &graph.tasks()[task as usize].label[offset as usize..]
+    }
+}
 
 /// The channel-independent half of a plan.
 #[derive(Debug)]
@@ -31,6 +153,7 @@ struct PlanCore {
     dependents: Vec<u32>,
     total_ops: u64,
     total_bytes: (u64, u64),
+    keys: OnceLock<BufferKeys>,
 }
 
 impl PlanCore {
@@ -69,7 +192,18 @@ impl PlanCore {
             dependents,
             total_ops: graph.total_ops(),
             total_bytes: graph.total_bytes(),
+            keys: OnceLock::new(),
         }
+    }
+
+    fn memory_task_count(&self) -> usize {
+        self.dependency_count.len() - self.compute_queue.len()
+    }
+
+    /// The graph's parsed memory labels, built on first use.
+    fn keys(&self, graph: &TaskGraph) -> &BufferKeys {
+        self.keys
+            .get_or_init(|| BufferKeys::parse(graph, self.memory_task_count()))
     }
 }
 
@@ -86,7 +220,9 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Compiles `graph` under `channel_map` for `channels` memory channels
     /// (at least one). A memory task runs on its channel hint, else on
-    /// `channel_map.channel_for(label)`, either reduced modulo `channels`.
+    /// `channel_map.channel_for(label)`, either reduced modulo `channels`;
+    /// [`ChannelMap::channel_for`] stays the reference the placement agrees
+    /// with for every task.
     pub fn new(graph: &TaskGraph, channel_map: &ChannelMap, channels: usize) -> Self {
         Self::place(Arc::new(PlanCore::new(graph)), graph, channel_map, channels)
     }
@@ -103,18 +239,54 @@ impl ExecPlan {
         Self::place(Arc::clone(&self.core), graph, channel_map, channels)
     }
 
+    /// Places every memory task: its channel hint, else its buffer's
+    /// channel, worked out once per distinct buffer. One channel takes every
+    /// transfer whatever its channel, so it skips the keys altogether.
     fn place(core: Arc<PlanCore>, graph: &TaskGraph, map: &ChannelMap, channels: usize) -> Self {
         let channels = channels.max(1);
-        let mut memory_queues = vec![Vec::new(); channels];
-        for (at, task) in (0u32..).zip(graph.tasks()).filter(|(_, t)| t.is_memory()) {
-            let channel = task.channel.unwrap_or_else(|| map.channel_for(&task.label));
-            memory_queues[channel % channels].push(at);
-        }
+        let tasks = graph.tasks();
+        let memory_queues = if channels == 1 {
+            let mut queue = Vec::with_capacity(core.memory_task_count());
+            queue.extend(
+                (0u32..)
+                    .zip(tasks)
+                    .filter(|(_, t)| t.is_memory())
+                    .map(|(at, _)| at),
+            );
+            vec![queue]
+        } else {
+            let keys = core.keys(graph);
+            let buffer_channel: Vec<usize> = (0..keys.names.len() as u32)
+                .map(|b| map.channel_for_buffer(keys.name(graph, b), keys.hashes[b as usize]))
+                .collect();
+            let mut queues = vec![Vec::new(); channels];
+            for (at, task, key) in keys.memory_tasks(graph) {
+                let channel = task.channel.unwrap_or(buffer_channel[key.buffer as usize]);
+                queues[channel % channels].push(at);
+            }
+            // Cached plans live as long as their schedule: drop the growth
+            // slack.
+            for queue in &mut queues {
+                queue.shrink_to_fit();
+            }
+            queues
+        };
         Self {
             core,
             channel_map: map.clone(),
             memory_queues,
         }
+    }
+
+    /// The memory labels of `graph` — the graph the plan was compiled from —
+    /// parsed once per plan core. See the [module docs](self).
+    pub fn buffer_keys(&self, graph: &TaskGraph) -> &BufferKeys {
+        assert_eq!(
+            graph.len(),
+            self.task_count(),
+            "buffer_keys takes the plan's own graph"
+        );
+        self.core.keys(graph)
     }
 
     /// Number of tasks in the compiled graph.
@@ -144,7 +316,7 @@ impl ExecPlan {
 
     /// Total number of memory tasks over all channels.
     pub(crate) fn memory_task_count(&self) -> usize {
-        self.memory_queues.iter().map(Vec::len).sum()
+        self.core.memory_task_count()
     }
 
     /// Each task's dependency count.
@@ -218,6 +390,33 @@ mod tests {
         assert!(Arc::ptr_eq(&wide.core, &plan.core));
         assert_eq!(wide.memory_queues()[3], vec![2]);
         assert_eq!(wide.memory_task_count(), 3);
+    }
+
+    #[test]
+    fn buffer_keys_intern_canonical_names_once_per_core() {
+        let mut g = TaskGraph::new();
+        g.push_memory(MemoryDirection::Store, 1, vec![], "k2:spill acc0[1]", "P1");
+        g.push_compute(ComputeKind::Ntt, 1, vec![], "c", "P1");
+        g.push_memory(MemoryDirection::Load, 1, vec![], "load acc0[1]", "P1");
+        g.push_memory(MemoryDirection::Load, 1, vec![], "kx:load in[0]", "P1");
+        let plan = ExecPlan::new(&g, &ChannelMap::hashed(1), 1);
+        assert!(plan.core.keys.get().is_none(), "one channel parses nothing");
+        let keys = plan.buffer_keys(&g);
+        let parsed: Vec<(u32, &str, Option<Verb>)> = keys
+            .memory_tasks(&g)
+            .map(|(at, _, key)| (at, keys.name(&g, key.buffer), key.verb))
+            .collect();
+        assert_eq!(
+            parsed,
+            [
+                (0, "acc0[1]", Some(Verb::Spill)),
+                (2, "acc0[1]", Some(Verb::Load)),
+                (3, "kx:load in[0]", None),
+            ]
+        );
+        assert_eq!((keys.memory_task_count(), keys.buffer_count()), (3, 2));
+        let wide = plan.rechannel(&g, &ChannelMap::hashed(4), 4);
+        assert!(std::ptr::eq(wide.buffer_keys(&g), keys));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! session, sweep and workload APIs, including the acceptance claims:
 //! the `workload_pipelines` channel sweep's fused compute-idle fraction is
 //! monotonically non-increasing from 1 to 8 channels, and single-channel
-//! results are bit-identical to the default configuration.
+//! results are bit-identical to the default configuration. The placement
+//! oracle holds every compiled plan's queues to `ChannelMap::channel_for`,
+//! the reference placement.
 
 use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
@@ -193,4 +195,179 @@ fn channel_count_never_hurts_the_printed_pipeline_scenarios() {
             );
         }
     }
+}
+
+/// Every memory task of `graph` sits in exactly one queue of `plan`: the
+/// channel hint, else `map.channel_for(label)`, reduced modulo the plan's
+/// channel count — the public reference placement.
+fn assert_placement_matches_the_reference(
+    name: &str,
+    graph: &rpu::TaskGraph,
+    map: &rpu::ChannelMap,
+    plan: &rpu::ExecPlan,
+) {
+    let tasks = graph.tasks();
+    let channels = plan.channels();
+    let mut placed = vec![None; tasks.len()];
+    for (channel, queue) in plan.memory_queues().iter().enumerate() {
+        assert!(
+            queue.windows(2).all(|w| w[0] < w[1]),
+            "{name}: program order"
+        );
+        for &t in queue {
+            assert!(
+                placed[t as usize].replace(channel).is_none(),
+                "{name}: task {t} twice"
+            );
+        }
+    }
+    for (t, task) in tasks.iter().enumerate() {
+        let expected = task
+            .is_memory()
+            .then(|| task.channel.unwrap_or_else(|| map.channel_for(&task.label)) % channels);
+        assert_eq!(
+            placed[t], expected,
+            "{name} x{channels}: task {t} `{}`",
+            task.label
+        );
+    }
+}
+
+#[test]
+fn placement_oracle_agrees_with_channel_for_on_every_preset() {
+    use ciflow::schedule::{build_schedule, Schedule, ScheduleConfig};
+    use ciflow::workload::build_workload;
+    use ciflow::HksShape;
+    use rpu::ExecPlan;
+
+    let mut schedules: Vec<(String, Schedule)> = Vec::new();
+    for benchmark in HksBenchmark::all() {
+        for dataflow in Dataflow::all() {
+            for policy in [EvkPolicy::OnChip, EvkPolicy::Streamed] {
+                let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, policy);
+                schedules.push((
+                    format!("{} {dataflow} {policy:?}", benchmark.name),
+                    build_schedule(dataflow, &HksShape::new(benchmark), &config),
+                ));
+            }
+        }
+    }
+    let bench = HksBenchmark::all()[0];
+    for workload in [
+        Workload::rotation_batch(bench, 3),
+        Workload::mul_rot_block(bench, 2),
+        Workload::bootstrap_key_switch(bench),
+        Workload::rescaling_chain(bench, 3),
+    ] {
+        for dataflow in Dataflow::all() {
+            let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
+            let pipeline =
+                build_workload(&workload, dataflow.strategy(), &config, PipelineMode::Fused)
+                    .unwrap();
+            schedules.push((format!("{} {dataflow}", workload.name), pipeline.schedule));
+        }
+    }
+    for (name, schedule) in &schedules {
+        let graph = &schedule.graph;
+        // A fresh compile per channel count, and rechannels of one core (the
+        // session's path), whose parsed labels are shared.
+        let single = ExecPlan::new(graph, &schedule.channel_map(1), 1);
+        for channels in [1, 2, 4, 8] {
+            let map = schedule.channel_map(channels);
+            let fresh = ExecPlan::new(graph, &map, channels);
+            assert_placement_matches_the_reference(name, graph, &map, &fresh);
+            let shared = single.rechannel(graph, &map, channels);
+            assert_eq!(shared.memory_queues(), fresh.memory_queues(), "{name}");
+        }
+    }
+}
+
+#[test]
+fn placement_oracle_covers_hints_prefixes_and_custom_labels() {
+    use ciflow::lint::buffer;
+    use rpu::{ChannelMap, ExecPlan, MemoryDirection, TaskGraph};
+
+    let mut g = TaskGraph::new();
+    let memory = |g: &mut TaskGraph, direction, label: &str, hint| {
+        g.push_memory_on(direction, 64, vec![], label, "P1", hint);
+    };
+    use MemoryDirection::{Load, Store};
+    memory(&mut g, Load, "load acc0[10]", None); // loaded before its spill
+    memory(&mut g, Store, "spill acc0[10]", None);
+    memory(&mut g, Load, "k12:load acc0[10]", Some(5));
+    memory(&mut g, Load, "k12:load evk[d0][t1]", None);
+    memory(&mut g, Load, "k3:load evk[d0][t1]", Some(2));
+    memory(&mut g, Load, "load evk[d0][t1]", None); // two redundant reloads
+    memory(&mut g, Load, "kx:load in[0]", None); // not a kernel prefix
+    memory(&mut g, Load, "load in[0]", Some(7));
+    memory(&mut g, Store, "k1:park in[0]", None);
+    memory(&mut g, Load, "k1:load in[0]", None);
+    memory(&mut g, Store, "spill acc0[2]", None); // never reloaded
+    memory(&mut g, Store, "park Z[0]", Some(1)); // never reloaded, sorts first
+    memory(&mut g, Load, "reload working set (ModUp-P1)", None);
+    memory(&mut g, Store, "writeback working set (ModUp-P1)", Some(3));
+    memory(&mut g, Load, "k:load in[0]", None); // empty kernel digits
+    memory(&mut g, Store, "store out1[0]", None);
+    memory(&mut g, Load, "loadin[0]", None); // no verb separator
+    g.push_compute(rpu::ComputeKind::Ntt, 10, vec![0], "ntt", "P1");
+
+    let maps = [
+        ChannelMap::hashed(4),
+        ChannelMap::hashed(4)
+            .with_pin("evk", 2..4)
+            .with_pin("", 0..2),
+        ChannelMap::hashed(8)
+            .with_pin("in[", [6])
+            .with_pin("acc", 0..3),
+    ];
+    let mut single = None;
+    for channels in [1, 2, 4, 8] {
+        for map in &maps {
+            let fresh = ExecPlan::new(&g, map, channels);
+            assert_placement_matches_the_reference("hand-built", &g, map, &fresh);
+            let core = single.get_or_insert_with(|| ExecPlan::new(&g, map, 1));
+            let shared = core.rechannel(&g, map, channels);
+            assert_placement_matches_the_reference("hand-built", &g, map, &shared);
+        }
+    }
+
+    // The buffer pass reports in canonical-name (byte) order, with the
+    // tasks, labels and messages the string-keyed pass gave.
+    let plan = single.expect("plans were compiled");
+    let found: Vec<(&str, Vec<usize>, String, String)> = buffer::lint(&g, &plan)
+        .into_iter()
+        .map(|d| (d.code, d.tasks, d.label.unwrap().to_string(), d.message))
+        .collect();
+    let expected = [
+        (
+            "B002",
+            vec![11],
+            "spill Z[0]",
+            "buffer `Z[0]` is spilled/parked (task 11) but never reloaded: the writeback \
+             is wasted traffic (release it instead)",
+        ),
+        (
+            "B001",
+            vec![0, 1],
+            "load acc0[10]",
+            "buffer `acc0[10]` is loaded (task 0) before its first write (task 1): nothing \
+             has put it in DRAM yet",
+        ),
+        (
+            "B002",
+            vec![10],
+            "spill acc0[2]",
+            "buffer `acc0[2]` is spilled/parked (task 10) but never reloaded: the \
+             writeback is wasted traffic (release it instead)",
+        ),
+        (
+            "B003",
+            vec![3, 4],
+            "load evk[d0][t1]",
+            "buffer `evk[d0][t1]` is reloaded 2 time(s) with no intervening write (first: \
+             tasks 3 then 4): caching it on-chip would elide the repeat traffic",
+        ),
+    ]
+    .map(|(code, tasks, label, message)| (code, tasks, label.to_string(), message.to_string()));
+    assert_eq!(found, expected);
 }
