@@ -141,7 +141,7 @@ pub struct OcBaseRow {
 /// Computes the Table IV analogue for one benchmark: the bandwidth at which
 /// OC (evks on-chip) matches the MP baseline at 64 GB/s, the bandwidth
 /// saving, and the OC-vs-MP speedup at that point.
-pub fn ocbase_row(session: &Session, benchmark: HksBenchmark) -> OcBaseRow {
+fn ocbase_row(session: &Session, benchmark: HksBenchmark) -> OcBaseRow {
     // The paper picks OCbase from the discrete ladder; do the same so the
     // "saved bandwidth" factors are comparable. Each curve is one sweep
     // (one schedule, one timeline) over the ladder up to the baseline

@@ -38,7 +38,7 @@ impl TrafficRow {
 /// Computes the Table II analogue (DRAM transfers and arithmetic intensity
 /// with 32 MB of data memory and streamed evks) for one benchmark under one
 /// dataflow.
-pub fn traffic_row(benchmark: HksBenchmark, dataflow: Dataflow) -> TrafficRow {
+fn traffic_row(benchmark: HksBenchmark, dataflow: Dataflow) -> TrafficRow {
     let shape = HksShape::new(benchmark);
     let config = ScheduleConfig {
         data_memory_bytes: 32 * rpu::MIB,
@@ -51,7 +51,7 @@ pub fn traffic_row(benchmark: HksBenchmark, dataflow: Dataflow) -> TrafficRow {
 /// Summarizes an already-built schedule into a [`TrafficRow`]; the strategy
 /// label comes from the schedule itself, so rows cannot desync from the
 /// schedule they describe.
-pub fn summarize(benchmark: HksBenchmark, schedule: &Schedule) -> TrafficRow {
+fn summarize(benchmark: HksBenchmark, schedule: &Schedule) -> TrafficRow {
     TrafficRow {
         benchmark: benchmark.name,
         dataflow: schedule.strategy.clone(),
@@ -71,13 +71,6 @@ pub fn table2_rows() -> Vec<TrafficRow> {
         }
     }
     rows
-}
-
-/// Effect of the key-compression technique discussed in §IV-D (halving the
-/// off-chip key traffic): returns the improved arithmetic intensity.
-pub fn arithmetic_intensity_with_key_compression(row: &TrafficRow, benchmark: HksBenchmark) -> f64 {
-    let compressed_bytes = row.dram_bytes - benchmark.evk_bytes() / 2;
-    row.total_ops as f64 / compressed_bytes as f64
 }
 
 /// Minimum on-chip data memory (in bytes) for a dataflow to run without any
@@ -183,13 +176,6 @@ mod tests {
             assert!(get(Dataflow::OutputCentric) > get(Dataflow::MaxParallel));
             assert!(get(Dataflow::OutputCentric) > get(Dataflow::DigitCentric) - 1e-9);
         }
-    }
-
-    #[test]
-    fn key_compression_improves_intensity() {
-        let row = traffic_row(HksBenchmark::ARK, Dataflow::OutputCentric);
-        let improved = arithmetic_intensity_with_key_compression(&row, HksBenchmark::ARK);
-        assert!(improved > row.arithmetic_intensity);
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl Job {
     /// The parameter point the job actually runs: a workload job always runs
     /// its workload's benchmark, even if the (public) `benchmark` field was
     /// mutated to disagree.
-    pub fn effective_benchmark(&self) -> HksBenchmark {
+    fn effective_benchmark(&self) -> HksBenchmark {
         self.workload
             .as_ref()
             .map(|spec| spec.workload.benchmark)

@@ -125,7 +125,7 @@ impl HksBenchmark {
     }
 
     /// Extended tower count `k_l + k_p`.
-    pub fn extended_towers(&self) -> usize {
+    fn extended_towers(&self) -> usize {
         self.q_towers + self.p_towers
     }
 

@@ -21,28 +21,12 @@ use std::sync::Arc;
 /// Returns `(k0, k1)` over the live `Q` towers, identical (bit for bit) to
 /// the reference implementation.
 ///
-/// # Panics
-///
-/// Panics on the precondition failures that
-/// [`try_output_centric_key_switch`] reports as errors.
-pub fn output_centric_key_switch(
-    ctx: &CkksContext,
-    d: &RnsPolynomial,
-    level: usize,
-    evk: &EvaluationKey,
-) -> (RnsPolynomial, RnsPolynomial) {
-    try_output_centric_key_switch(ctx, d, level, evk).expect("valid key-switch input")
-}
-
-/// [`output_centric_key_switch`] with typed precondition errors instead of
-/// panics, for use on library paths.
-///
 /// # Errors
 ///
 /// Returns [`CiflowError::InvalidConfig`] if `d` is not in the evaluation
 /// domain over the live towers of `level`, or if the evaluation key's digit
 /// count disagrees with the context parameters.
-pub fn try_output_centric_key_switch(
+pub fn output_centric_key_switch(
     ctx: &CkksContext,
     d: &RnsPolynomial,
     level: usize,
@@ -215,7 +199,7 @@ mod tests {
                 Representation::Evaluation,
             );
             let (ref0, ref1) = ckks::keyswitch::hybrid_key_switch(&ctx, &d, level, &ksk);
-            let (oc0, oc1) = output_centric_key_switch(&ctx, &d, level, &ksk);
+            let (oc0, oc1) = output_centric_key_switch(&ctx, &d, level, &ksk).unwrap();
             assert_eq!(ref0, oc0, "dnum={dnum}: c0 mismatch");
             assert_eq!(ref1, oc1, "dnum={dnum}: c1 mismatch");
         }
@@ -242,7 +226,7 @@ mod tests {
             ctx.basis_q_at_level(level),
             Representation::Coefficient,
         );
-        let err = try_output_centric_key_switch(&ctx, &d, level, &ksk).unwrap_err();
+        let err = output_centric_key_switch(&ctx, &d, level, &ksk).unwrap_err();
         assert!(matches!(err, CiflowError::InvalidConfig { .. }), "{err}");
         // Wrong tower count for the level.
         let d = sample_uniform(
@@ -250,7 +234,7 @@ mod tests {
             ctx.basis_q_at_level(level - 1),
             Representation::Evaluation,
         );
-        let err = try_output_centric_key_switch(&ctx, &d, level, &ksk).unwrap_err();
+        let err = output_centric_key_switch(&ctx, &d, level, &ksk).unwrap_err();
         assert!(err.to_string().contains("towers"), "{err}");
     }
 
@@ -274,7 +258,7 @@ mod tests {
                 Representation::Evaluation,
             );
             let (ref0, ref1) = ckks::keyswitch::hybrid_key_switch(&ctx, &d, level, &ksk);
-            let (oc0, oc1) = output_centric_key_switch(&ctx, &d, level, &ksk);
+            let (oc0, oc1) = output_centric_key_switch(&ctx, &d, level, &ksk).unwrap();
             assert_eq!(ref0, oc0, "level={level}");
             assert_eq!(ref1, oc1, "level={level}");
         }

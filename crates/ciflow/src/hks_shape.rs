@@ -8,7 +8,6 @@
 //! benchmark is independent of dataflow".
 
 use crate::benchmark::HksBenchmark;
-use rpu::KernelCosts;
 use serde::Serialize;
 
 /// The nine HKS stages, used to label tasks and group timing diagrams.
@@ -134,9 +133,10 @@ impl HksShape {
 
     // ----- per-unit compute costs ------------------------------------------
 
-    /// Modular operations of one (i)NTT of a single tower.
+    /// Modular operations of one (i)NTT of a single tower: `(N/2)·log2 N`
+    /// butterflies at 2 modops each.
     pub fn ntt_ops(&self) -> u64 {
-        KernelCosts::ntt_ops(self.n())
+        (self.n() as u64 / 2) * u64::from(self.n().trailing_zeros()) * 2
     }
 
     /// Modular operations of the per-digit BConv *scaling* pass
@@ -218,11 +218,6 @@ impl HksShape {
     pub fn evk_bytes(&self) -> u64 {
         self.benchmark.evk_bytes()
     }
-
-    /// Bytes of the two ModUp accumulator polynomials over `ℓ + K` towers.
-    pub fn modup_output_bytes(&self) -> u64 {
-        2 * self.extended() as u64 * self.tower_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -270,6 +265,12 @@ mod tests {
             assert_eq!(s.beta(j), 33);
         }
         assert_eq!(s.extended(), 44);
+        // One NTT of N = 1024: 512 butterflies per level, 10 levels, 2 modops each.
+        let n1024 = HksShape::new(HksBenchmark {
+            log_ring_degree: 10,
+            ..custom
+        });
+        assert_eq!(n1024.ntt_ops(), 512 * 10 * 2);
     }
 
     #[test]
@@ -285,7 +286,6 @@ mod tests {
         assert_eq!(s.evk_bytes(), 120 * MIB);
         assert_eq!(s.input_bytes(), 24 * s.tower_bytes());
         assert_eq!(s.output_bytes(), 48 * s.tower_bytes());
-        assert_eq!(s.modup_output_bytes(), 60 * s.tower_bytes());
     }
 
     #[test]

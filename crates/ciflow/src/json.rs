@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// `\` get a backslash, control characters their `\n`/`\r`/`\t`/`\u00XX` form.
 /// Every byte that needs escaping is ASCII, so the runs between them are
 /// copied whole.
-pub fn escape_into(out: &mut String, raw: &str) {
+fn escape_into(out: &mut String, raw: &str) {
     let mut copied = 0;
     for (at, &byte) in raw.as_bytes().iter().enumerate() {
         let escape = match byte {

@@ -113,6 +113,11 @@ pub fn render_table3(rows: &[ParameterRow]) -> String {
 /// Panics if the series do not share identical bandwidth points.
 pub fn render_sweep_csv(series: &[SweepSeries]) -> String {
     assert!(!series.is_empty(), "need at least one series");
+    let reference = &series[0].points;
+    assert!(
+        series.iter().all(|s| s.points.len() == reference.len()),
+        "series must share bandwidth points"
+    );
     let mut out = String::from("bandwidth_gbps");
     for s in series {
         out.push_str(&format!(
@@ -123,7 +128,6 @@ pub fn render_sweep_csv(series: &[SweepSeries]) -> String {
         ));
     }
     out.push('\n');
-    let reference = &series[0].points;
     for (i, p) in reference.iter().enumerate() {
         out.push_str(&format!("{}", p.bandwidth_gbps));
         for s in series {
@@ -245,6 +249,34 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("bandwidth_gbps,ARK_OC"));
+    }
+
+    fn ark_oc_series(bandwidths: &[f64]) -> SweepSeries {
+        SweepSeries {
+            benchmark: "ARK",
+            dataflow: "OC".to_string(),
+            evk_streamed: false,
+            modops: 1.0,
+            points: bandwidths
+                .iter()
+                .map(|&bandwidth_gbps| SweepPoint {
+                    bandwidth_gbps,
+                    runtime_ms: 1.0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "series must share bandwidth points")]
+    fn sweep_csv_rejects_a_longer_later_series() {
+        let _ = render_sweep_csv(&[ark_oc_series(&[8.0]), ark_oc_series(&[8.0, 16.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "series must share bandwidth points")]
+    fn sweep_csv_rejects_a_shorter_later_series() {
+        let _ = render_sweep_csv(&[ark_oc_series(&[8.0, 16.0]), ark_oc_series(&[8.0])]);
     }
 
     #[test]

@@ -91,18 +91,6 @@ impl Schedule {
         self.graph.arithmetic_intensity()
     }
 
-    /// DRAM traffic broken down by HKS stage label, in bytes. Useful for
-    /// understanding where each dataflow spends its bandwidth.
-    pub fn traffic_by_stage(&self) -> std::collections::BTreeMap<String, u64> {
-        let mut map = std::collections::BTreeMap::new();
-        for task in self.graph.tasks() {
-            if task.is_memory() {
-                *map.entry(task.stage.to_string()).or_insert(0) += task.bytes();
-            }
-        }
-        map
-    }
-
     /// Derives the channel-aware buffer placement for this schedule: the
     /// channel hints the generators encode in their canonical buffer labels,
     /// turned into a concrete [`ChannelMap`](rpu::ChannelMap) for
@@ -152,27 +140,6 @@ impl Schedule {
             }
         }
         (evk_bytes, total_bytes)
-    }
-
-    /// DRAM traffic broken down by buffer kind (evk, input, spill, output),
-    /// in bytes.
-    pub fn traffic_by_kind(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        let mut map = std::collections::BTreeMap::new();
-        for task in self.graph.tasks() {
-            if task.is_memory() {
-                let kind = if task.label.contains("evk") {
-                    "evk"
-                } else if task.label.contains("load in[") {
-                    "input"
-                } else if task.label.starts_with("store out") {
-                    "output"
-                } else {
-                    "intermediate"
-                };
-                *map.entry(kind).or_insert(0) += task.bytes();
-            }
-        }
-        map
     }
 }
 

@@ -259,14 +259,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects no faults at all (handling knobs like
-    /// deadlines or admission control may still be set).
-    pub fn injects_nothing(&self) -> bool {
-        matches!(self.crashes, CrashPlan::None)
-            && self.degradations.is_empty()
-            && self.transient_failure_rate == 0.0
-    }
-
     /// Scales the plan's fault *intensity* by a non-negative factor — the
     /// knob [`try_fault_sweep_in`](crate::sweep::try_fault_sweep_in) grids.
     /// `Random` crash rates scale as `mtbf / intensity` (MTTR fixed), the
@@ -773,6 +765,14 @@ mod tests {
     use super::*;
     use crate::benchmark::HksBenchmark;
 
+    /// Whether the plan injects no faults at all (handling knobs like
+    /// deadlines or admission control may still be set).
+    fn injects_nothing(plan: &FaultPlan) -> bool {
+        matches!(plan.crashes, CrashPlan::None)
+            && plan.degradations.is_empty()
+            && plan.transient_failure_rate == 0.0
+    }
+
     fn base_config() -> ServeConfig {
         ServeConfig::new(
             2,
@@ -788,7 +788,7 @@ mod tests {
     fn empty_plan_is_valid_and_injects_nothing() {
         let plan = FaultPlan::none();
         plan.validate(&base_config()).expect("empty plan is valid");
-        assert!(plan.injects_nothing());
+        assert!(injects_nothing(&plan));
     }
 
     #[test]
@@ -897,7 +897,7 @@ mod tests {
         }
         assert_eq!(doubled.transient_failure_rate, 0.20);
         let off = plan.scaled(0.0);
-        assert!(off.injects_nothing());
+        assert!(injects_nothing(&off));
         assert_eq!(off.deadline_seconds, Some(0.5), "handling knobs survive");
     }
 }

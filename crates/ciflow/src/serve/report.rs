@@ -34,7 +34,7 @@ pub struct RequestRecord {
 
 impl RequestRecord {
     /// End-to-end latency in seconds (`wait + service`).
-    pub fn latency_seconds(&self) -> f64 {
+    fn latency_seconds(&self) -> f64 {
         self.wait_seconds + self.service_seconds
     }
 
@@ -133,11 +133,6 @@ impl ServeReport {
             return 0.0;
         }
         self.devices.iter().map(|d| d.utilization).sum::<f64>() / self.devices.len() as f64
-    }
-
-    /// Latencies of every completed request in milliseconds, in issue order.
-    pub fn latencies_ms(&self) -> Vec<f64> {
-        self.records.iter().map(RequestRecord::latency_ms).collect()
     }
 
     /// Renders the report as one `ciflow.serve_report.v1` JSON document —

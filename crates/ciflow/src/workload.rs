@@ -73,12 +73,13 @@ impl KernelStep {
     /// Number of HKS kernel invocations this step expands to.
     ///
     /// ```
-    /// use ciflow::KernelStep;
-    /// assert_eq!(KernelStep::KeySwitch.hks_count(), 1);
-    /// assert_eq!(KernelStep::Relinearize.hks_count(), 1);
-    /// assert_eq!(KernelStep::RotationBatch { count: 6 }.hks_count(), 6);
+    /// use ciflow::{HksBenchmark, KernelStep, Workload};
+    /// let count = |step| Workload::new("w", HksBenchmark::ARK).step(step).hks_invocations();
+    /// assert_eq!(count(KernelStep::KeySwitch), 1);
+    /// assert_eq!(count(KernelStep::Relinearize), 1);
+    /// assert_eq!(count(KernelStep::RotationBatch { count: 6 }), 6);
     /// ```
-    pub fn hks_count(&self) -> usize {
+    fn hks_count(&self) -> usize {
         match self {
             KernelStep::KeySwitch | KernelStep::Relinearize => 1,
             KernelStep::RotationBatch { count } => *count,
@@ -98,12 +99,12 @@ pub struct WorkloadStep {
 
 impl WorkloadStep {
     /// The parameter point this step runs at, given the workload default.
-    pub fn benchmark_or(&self, default: HksBenchmark) -> HksBenchmark {
+    fn benchmark_or(&self, default: HksBenchmark) -> HksBenchmark {
         self.benchmark.unwrap_or(default)
     }
 
     /// Number of HKS kernel invocations this step expands to.
-    pub fn hks_count(&self) -> usize {
+    fn hks_count(&self) -> usize {
         self.step.hks_count()
     }
 }
@@ -188,7 +189,6 @@ impl Workload {
     ///     );
     /// assert_eq!(w.kernel_benchmarks().iter().map(|b| b.q_towers).collect::<Vec<_>>(),
     ///            vec![24, 23, 23]);
-    /// assert!(w.is_heterogeneous());
     /// ```
     pub fn step_at(mut self, step: KernelStep, benchmark: HksBenchmark) -> Self {
         self.steps.push(WorkloadStep {
@@ -203,16 +203,16 @@ impl Workload {
         &self.steps
     }
 
-    /// Total number of HKS kernel invocations across all steps — always the
-    /// sum of [`KernelStep::hks_count`] over [`Workload::steps`], and the
-    /// value reported back as
+    /// Total number of HKS kernel invocations across all steps — one per
+    /// key switch or relinearization and `count` per rotation batch, summed
+    /// over [`Workload::steps`] — and the value reported back as
     /// [`JobOutput::kernels`](crate::api::JobOutput::kernels) after a run.
     pub fn hks_invocations(&self) -> usize {
         self.steps.iter().map(WorkloadStep::hks_count).sum()
     }
 
     /// The parameter point of every kernel invocation, in execution order
-    /// (each step expanded by its [`KernelStep::hks_count`]). This is the
+    /// (each step expanded by its kernel count). This is the
     /// per-kernel shape ladder reported back as
     /// [`JobOutput::kernel_benchmarks`](crate::api::JobOutput::kernel_benchmarks).
     pub fn kernel_benchmarks(&self) -> Vec<HksBenchmark> {
@@ -220,14 +220,6 @@ impl Workload {
             .iter()
             .flat_map(|s| std::iter::repeat_n(s.benchmark_or(self.benchmark), s.hks_count()))
             .collect()
-    }
-
-    /// True if any step runs at a parameter point different from the
-    /// workload's default.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.steps
-            .iter()
-            .any(|s| s.benchmark.is_some_and(|b| b != self.benchmark))
     }
 
     /// Preset: a batch of `count` chained rotations.
@@ -277,7 +269,6 @@ impl Workload {
     /// let w = Workload::rescaling_chain(HksBenchmark::ARK, 4);
     /// assert_eq!(w.kernel_benchmarks().iter().map(|b| b.q_towers).collect::<Vec<_>>(),
     ///            vec![24, 23, 22, 21]);
-    /// assert!(w.is_heterogeneous());
     /// ```
     pub fn rescaling_chain(benchmark: HksBenchmark, levels: usize) -> Self {
         let mut workload = Self::new(format!("rescale{levels}-{}", benchmark.name), benchmark);
@@ -707,8 +698,6 @@ mod tests {
             .map(|b| b.q_towers)
             .collect();
         assert_eq!(ells, vec![26, 25, 24, 23]);
-        assert!(chain.is_heterogeneous());
-        assert!(!Workload::rotation_batch(HksBenchmark::ARK, 4).is_heterogeneous());
         // A chain deeper than the level budget clamps at ℓ = 1 instead of
         // deriving a nonsensical zero-tower point.
         let deep = Workload::rescaling_chain(HksBenchmark::ARK, 30);

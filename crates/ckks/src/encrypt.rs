@@ -4,7 +4,6 @@ use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::Plaintext;
 use crate::keys::{PublicKey, SecretKey};
-use hemath::poly::{Representation, RnsPolynomial};
 use hemath::sampler::{sample_error, sample_ternary};
 use rand::Rng;
 
@@ -44,35 +43,6 @@ pub fn encrypt<R: Rng + ?Sized>(
     }
 }
 
-/// Encrypts directly under the secret key (useful for tests; produces lower
-/// noise than public-key encryption).
-pub fn encrypt_symmetric<R: Rng + ?Sized>(
-    ctx: &CkksContext,
-    rng: &mut R,
-    sk: &SecretKey,
-    plaintext: &Plaintext,
-) -> Ciphertext {
-    let level = ctx.params().max_level();
-    let basis = ctx.basis_q().clone();
-    let mut m = plaintext.poly.clone();
-    m.to_evaluation();
-    let s = sk.evaluation_form_q(ctx, level);
-    let a = hemath::sampler::sample_uniform(rng, basis.clone(), Representation::Evaluation);
-    let mut e = sample_error(rng, basis, ctx.params().error_eta());
-    e.to_evaluation();
-    // c0 = -a*s + e + m ; c1 = a
-    let mut c0 = a.mul(&s).expect("same basis");
-    c0.negate();
-    c0.add_assign(&e).expect("same basis");
-    c0.add_assign(&m).expect("same basis");
-    Ciphertext {
-        c0,
-        c1: a,
-        scale: plaintext.scale,
-        level,
-    }
-}
-
 /// Decrypts a ciphertext into a plaintext (`c0 + c1·s`).
 pub fn decrypt(ctx: &CkksContext, sk: &SecretKey, ciphertext: &Ciphertext) -> Plaintext {
     let s = sk.evaluation_form_q(ctx, ciphertext.level);
@@ -86,28 +56,6 @@ pub fn decrypt(ctx: &CkksContext, sk: &SecretKey, ciphertext: &Ciphertext) -> Pl
         scale: ciphertext.scale,
     }
 }
-
-/// Returns an upper bound on the decryption noise of a ciphertext that
-/// encrypts `expected` (in slot space): the maximum slot-wise distance.
-pub fn decryption_error(
-    ctx: &CkksContext,
-    encoder: &crate::encoding::CkksEncoder,
-    sk: &SecretKey,
-    ciphertext: &Ciphertext,
-    expected: &[crate::encoding::Complex],
-) -> f64 {
-    let decoded = encoder.decode(&decrypt(ctx, sk, ciphertext));
-    expected
-        .iter()
-        .zip(decoded.iter())
-        .map(|(e, d)| e.distance(*d))
-        .fold(0.0, f64::max)
-}
-
-/// A dummy placeholder polynomial import kept private to silence unused
-/// import lints in minimal builds.
-#[allow(dead_code)]
-fn _assert_types(_: &RnsPolynomial) {}
 
 #[cfg(test)]
 mod tests {
@@ -145,6 +93,23 @@ mod tests {
             .collect()
     }
 
+    /// Returns an upper bound on the decryption noise of a ciphertext that
+    /// encrypts `expected` (in slot space): the maximum slot-wise distance.
+    fn decryption_error(
+        ctx: &CkksContext,
+        encoder: &CkksEncoder,
+        sk: &SecretKey,
+        ciphertext: &Ciphertext,
+        expected: &[Complex],
+    ) -> f64 {
+        let decoded = encoder.decode(&decrypt(ctx, sk, ciphertext));
+        expected
+            .iter()
+            .zip(decoded.iter())
+            .map(|(e, d)| e.distance(*d))
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn public_key_encryption_round_trip() {
         let (ctx, encoder, keygen, mut rng) = setup();
@@ -155,17 +120,6 @@ mod tests {
         let ct = encrypt(&ctx, &mut rng, &pk, &pt);
         let err = decryption_error(&ctx, &encoder, &sk, &ct, &msg);
         assert!(err < 1e-3, "decryption error too large: {err}");
-    }
-
-    #[test]
-    fn symmetric_encryption_round_trip() {
-        let (ctx, encoder, keygen, mut rng) = setup();
-        let sk = keygen.secret_key(&mut rng);
-        let msg = ramp(&encoder);
-        let pt = encoder.encode(&msg, ctx.params().scale(), ctx.basis_q().clone());
-        let ct = encrypt_symmetric(&ctx, &mut rng, &sk, &pt);
-        let err = decryption_error(&ctx, &encoder, &sk, &ct, &msg);
-        assert!(err < 1e-4, "decryption error too large: {err}");
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub fn rotation_galois_element(steps: i64, ring_degree: usize) -> u64 {
     g
 }
 
-/// The Galois element that conjugates the slots (`2N - 1`).
-pub fn conjugation_galois_element(ring_degree: usize) -> u64 {
-    2 * ring_degree as u64 - 1
-}
-
 /// Applies the automorphism `X ↦ X^g` to a coefficient-domain polynomial.
 ///
 /// # Panics
@@ -91,7 +86,6 @@ mod tests {
             assert_eq!(g % 2, 1);
             assert_eq!(g, rotation_galois_element(steps + slots, n));
         }
-        assert_eq!(conjugation_galois_element(n), 2 * n as u64 - 1);
     }
 
     #[test]

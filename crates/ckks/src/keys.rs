@@ -22,7 +22,7 @@ pub struct SecretKey {
 
 impl SecretKey {
     /// The secret in the coefficient domain over `Q·P`.
-    pub fn coefficient_form(&self) -> &RnsPolynomial {
+    fn coefficient_form(&self) -> &RnsPolynomial {
         &self.s_coeff
     }
 

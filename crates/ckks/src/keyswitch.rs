@@ -34,12 +34,7 @@ pub type KeySwitchOutput = (RnsPolynomial, RnsPolynomial);
 ///
 /// Panics if `d` is not in the evaluation domain over the live `Q` towers of
 /// `level`, or if the digit is empty at this level.
-pub fn modup_digit(
-    ctx: &CkksContext,
-    d: &RnsPolynomial,
-    level: usize,
-    digit: usize,
-) -> RnsPolynomial {
+fn modup_digit(ctx: &CkksContext, d: &RnsPolynomial, level: usize, digit: usize) -> RnsPolynomial {
     assert_eq!(d.representation(), Representation::Evaluation);
     assert_eq!(d.tower_count(), level + 1, "input must have level+1 towers");
     let params = ctx.params();

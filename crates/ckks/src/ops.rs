@@ -6,7 +6,6 @@
 
 use crate::ciphertext::{Ciphertext, TripleCiphertext};
 use crate::context::CkksContext;
-use crate::encoding::Plaintext;
 use crate::galois::{apply_galois, rotation_galois_element};
 use crate::keys::{EvaluationKey, EvaluationKeyKind};
 use crate::keyswitch::hybrid_key_switch;
@@ -107,33 +106,13 @@ pub fn sub(a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, OpsError> {
     })
 }
 
-/// Adds an encoded plaintext to a ciphertext.
-///
-/// # Panics
-///
-/// Panics if the plaintext is encoded over a different basis than the
-/// ciphertext's live towers.
-pub fn add_plain(ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-    let mut m = pt.poly.clone();
-    if m.tower_count() > ct.c0.tower_count() {
-        m.truncate_towers(ct.c0.tower_count());
-    }
-    m.to_evaluation();
-    Ciphertext {
-        c0: ct.c0.add(&m).expect("plaintext basis mismatch"),
-        c1: ct.c1.clone(),
-        scale: ct.scale,
-        level: ct.level,
-    }
-}
-
 /// Multiplies two ciphertexts without relinearizing, returning the
 /// three-component result.
 ///
 /// # Errors
 ///
 /// Same as [`add`].
-pub fn multiply_raw(a: &Ciphertext, b: &Ciphertext) -> Result<TripleCiphertext, OpsError> {
+fn multiply_raw(a: &Ciphertext, b: &Ciphertext) -> Result<TripleCiphertext, OpsError> {
     check_binary(a, b)?;
     let d0 = a.c0.mul(&b.c0).expect("same basis");
     let mut d1 = a.c0.mul(&b.c1).expect("same basis");
@@ -179,7 +158,8 @@ pub fn relinearize(
 ///
 /// # Errors
 ///
-/// Propagates the errors of [`multiply_raw`] and [`relinearize`].
+/// Returns the errors of [`add`] for incompatible operands and those of
+/// [`relinearize`].
 pub fn multiply(
     ctx: &CkksContext,
     a: &Ciphertext,
@@ -188,25 +168,6 @@ pub fn multiply(
 ) -> Result<Ciphertext, OpsError> {
     let triple = multiply_raw(a, b)?;
     relinearize(ctx, &triple, rlk)
-}
-
-/// Multiplies a ciphertext by an encoded plaintext (no key switch needed).
-///
-/// # Panics
-///
-/// Panics if the plaintext basis does not cover the ciphertext's live towers.
-pub fn multiply_plain(ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-    let mut m = pt.poly.clone();
-    if m.tower_count() > ct.c0.tower_count() {
-        m.truncate_towers(ct.c0.tower_count());
-    }
-    m.to_evaluation();
-    Ciphertext {
-        c0: ct.c0.mul(&m).expect("plaintext basis mismatch"),
-        c1: ct.c1.mul(&m).expect("plaintext basis mismatch"),
-        scale: ct.scale * pt.scale,
-        level: ct.level,
-    }
 }
 
 /// Rescales the ciphertext by its last prime: drops one tower and divides the
@@ -482,33 +443,6 @@ mod tests {
             .collect();
         let err = max_error(&expected, &decoded);
         assert!(err < 2e-2, "mult+rotate error too large: {err}");
-    }
-
-    #[test]
-    fn plaintext_operations() {
-        let mut f = fixture();
-        let slots = f.encoder.slot_count();
-        let ma = message_a(slots);
-        let mb = message_b(slots);
-        let scale = f.ctx.params().scale();
-        let sk = f.keygen.secret_key(&mut f.rng);
-        let pk = f.keygen.public_key(&mut f.rng, &sk);
-        let ct = encrypt(
-            &f.ctx,
-            &mut f.rng,
-            &pk,
-            &f.encoder.encode(&ma, scale, f.ctx.basis_q().clone()),
-        );
-        let pt = f.encoder.encode(&mb, scale, f.ctx.basis_q().clone());
-        let sum = add_plain(&ct, &pt);
-        let decoded_sum = f.encoder.decode(&decrypt(&f.ctx, &sk, &sum));
-        let expected_sum: Vec<Complex> = ma.iter().zip(&mb).map(|(a, b)| a.add(*b)).collect();
-        assert!(max_error(&expected_sum, &decoded_sum) < 1e-3);
-
-        let prod = rescale(&f.ctx, &multiply_plain(&ct, &pt)).unwrap();
-        let decoded_prod = f.encoder.decode(&decrypt(&f.ctx, &sk, &prod));
-        let expected_prod: Vec<Complex> = ma.iter().zip(&mb).map(|(a, b)| a.mul(*b)).collect();
-        assert!(max_error(&expected_prod, &decoded_prod) < 1e-2);
     }
 
     #[test]

@@ -162,16 +162,6 @@ impl CkksParameters {
         let alpha = self.alpha();
         (level + 1).div_ceil(alpha)
     }
-
-    /// Total number of bits in `Q · P`, the quantity that (together with `N`)
-    /// determines the security level.
-    pub fn log_qp(&self) -> f64 {
-        self.q_moduli
-            .iter()
-            .chain(self.p_moduli.iter())
-            .map(|&q| (q as f64).log2())
-            .sum()
-    }
 }
 
 /// Builder for [`CkksParameters`].
@@ -344,7 +334,6 @@ mod tests {
         assert_eq!(p.dnum(), 3);
         assert_eq!(p.alpha(), 2);
         assert!(p.scale() == 2f64.powi(36));
-        assert!(p.log_qp() > 36.0 * 6.0);
     }
 
     #[test]

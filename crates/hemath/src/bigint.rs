@@ -47,7 +47,7 @@ impl UBig {
     }
 
     /// True when the value is zero.
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
@@ -187,7 +187,7 @@ impl UBig {
     }
 
     /// Shifts left by `bits`.
-    pub fn shl(&self, bits: u32) -> UBig {
+    fn shl(&self, bits: u32) -> UBig {
         if self.is_zero() {
             return UBig::zero();
         }
@@ -232,15 +232,6 @@ impl UBig {
             }
         }
         (quotient, remainder)
-    }
-
-    /// Remainder modulo another big integer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is zero.
-    pub fn rem(&self, modulus: &UBig) -> UBig {
-        self.div_rem(modulus).1
     }
 
     /// Product of a slice of `u64` factors.

@@ -306,11 +306,6 @@ impl RnsPolynomial {
             .zip(self.towers.iter().map(Vec::as_slice))
     }
 
-    /// Consumes the polynomial and returns its raw towers.
-    pub fn into_towers(self) -> Vec<Vec<u64>> {
-        self.towers
-    }
-
     /// Converts every tower to the evaluation domain (forward NTT). No-op if
     /// already there.
     pub fn to_evaluation(&mut self) {
@@ -473,22 +468,6 @@ impl RnsPolynomial {
         }
     }
 
-    /// Keeps only the first `count` towers, dropping the rest (modulus
-    /// switching / level drop helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the current tower count or is zero.
-    pub fn truncate_towers(&mut self, count: usize) {
-        assert!(count > 0 && count <= self.towers.len());
-        if count == self.towers.len() {
-            return;
-        }
-        let indices: Vec<usize> = (0..count).collect();
-        self.basis = Arc::new(self.basis.subset(&indices));
-        self.towers.truncate(count);
-    }
-
     /// Size of this polynomial in bytes when stored as 8-byte words, the unit
     /// the CiFlow memory model uses.
     pub fn byte_size(&self) -> u64 {
@@ -641,17 +620,6 @@ mod tests {
         let a = random_poly(&b1, 10);
         let c = random_poly(&b2, 11);
         assert_eq!(a.add(&c).unwrap_err(), RnsError::BasisMismatch);
-    }
-
-    #[test]
-    fn truncate_towers_drops_levels() {
-        let b = basis(32, 4);
-        let mut p = random_poly(&b, 12);
-        let kept = p.tower(0).to_vec();
-        p.truncate_towers(2);
-        assert_eq!(p.tower_count(), 2);
-        assert_eq!(p.basis().tower_count(), 2);
-        assert_eq!(p.tower(0), &kept[..]);
     }
 
     #[test]

@@ -242,7 +242,7 @@ fn pollard_rho(n: u64) -> u64 {
 }
 
 /// Greatest common divisor.
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;

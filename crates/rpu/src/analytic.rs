@@ -152,20 +152,10 @@ impl AffineTime {
     }
 }
 
-/// Start and finish of one task as affine functions of inverse bandwidth,
-/// valid within the owning segment's [`Segment::affine_range_gbps`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TaskTimes {
-    /// When the task starts.
-    pub start: AffineTime,
-    /// When the task finishes.
-    pub end: AffineTime,
-}
-
 /// A concrete time paired with its affine form. The `v` component mirrors
 /// the engine's floating-point arithmetic operation for operation (it drives
 /// every branch the symbolic run takes); `c`/`m` carry the affine view used
-/// for breakpoint estimation and the public [`TaskTimes`].
+/// for breakpoint estimation and [`Segment::runtime_affine`].
 #[derive(Debug, Clone, Copy)]
 struct Sym {
     v: f64,
@@ -232,16 +222,16 @@ struct Check {
 /// One segment: a bandwidth interval over which the engine grants the bus
 /// in the same order for the same head-readiness reasons. Every event time
 /// is piecewise-linear in inverse bandwidth over it, kinking only at
-/// ready-time crossovers; the stored affine forms hold between the two
-/// crossovers nearest the anchor ([`Segment::affine_range_gbps`]).
+/// ready-time crossovers; the makespan's affine form
+/// ([`Segment::runtime_affine`]) holds between the two crossovers nearest
+/// the anchor bandwidth the segment was derived at
+/// ([`Segment::affine_range_gbps`]).
 #[derive(Debug, Clone)]
 pub struct Segment {
-    anchor_gbps: f64,
     lo_gbps: f64,
     hi_gbps: f64,
     affine_lo_gbps: f64,
     affine_hi_gbps: f64,
-    times: Vec<TaskTimes>,
     runtime: AffineTime,
     script: Vec<ScriptEntry>,
     grants: Vec<Grant>,
@@ -249,12 +239,6 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// The bandwidth this segment was derived at (always inside the segment).
-    #[must_use]
-    pub fn anchor_gbps(&self) -> f64 {
-        self.anchor_gbps
-    }
-
     /// The `(lo, hi)` bandwidth interval (GB/s) over which the engine's
     /// grant certificate provably holds. The edges are estimated from the
     /// affine forms; evaluation re-verifies every point, so the interval is
@@ -265,7 +249,7 @@ impl Segment {
     }
 
     /// The sub-interval of [`Segment::bandwidth_range_gbps`] where the
-    /// stored [`TaskTimes`] affine forms are additionally exact (in real
+    /// affine forms of the symbolic run are additionally exact (in real
     /// arithmetic): between two *ready-time crossovers* — bandwidths where a
     /// different dependency (or queue backpressure) becomes the one a task
     /// waits on. A crossover changes the affine coefficients without
@@ -274,13 +258,6 @@ impl Segment {
     #[must_use]
     pub fn affine_range_gbps(&self) -> (f64, f64) {
         (self.affine_lo_gbps, self.affine_hi_gbps)
-    }
-
-    /// Per-task start/finish as affine functions of inverse bandwidth,
-    /// indexed by [`TaskId`]. Exact within [`Segment::affine_range_gbps`].
-    #[must_use]
-    pub fn task_times(&self) -> &[TaskTimes] {
-        &self.times
     }
 
     /// The makespan as an affine function of inverse bandwidth, exact within
@@ -311,9 +288,10 @@ impl Segment {
 pub type SampledTimes = Vec<TaskRecord>;
 
 /// The piecewise-linear timeline of one `(schedule, channel map,
-/// configuration)` triple over a bandwidth range: per-task start/finish as
-/// affine functions of inverse bandwidth, segment by segment, with
-/// bit-exact evaluation at any bandwidth. Built by [`RpuEngine::analyze`].
+/// configuration)` triple over a bandwidth range: one segment per bus grant
+/// sequence, each with the makespan as an affine function of inverse
+/// bandwidth, and bit-exact evaluation at any bandwidth. Built by
+/// [`RpuEngine::analyze`].
 #[derive(Debug)]
 pub struct ParametricTimeline {
     engine: RpuEngine,
@@ -458,17 +436,6 @@ impl ParametricTimeline {
             out.push(self.evaluate_with(b, &mut scratch));
         }
         out
-    }
-
-    /// The makespan in seconds at one bandwidth (bit-identical to the
-    /// engine's `runtime_seconds`).
-    ///
-    /// # Panics
-    ///
-    /// As [`ParametricTimeline::evaluate`].
-    #[must_use]
-    pub fn runtime_seconds_at(&self, bandwidth_gbps: f64) -> f64 {
-        self.evaluate(bandwidth_gbps).runtime_seconds
     }
 
     /// The per-task spans a replayed evaluation produces at `bandwidth_gbps`,
@@ -930,7 +897,7 @@ impl RpuEngine {
             x0,
             dbps: anchor_gbps * 1e9,
             aff: (0.0, f64::INFINITY),
-            times: vec![TaskTimes::default(); n],
+            ends: vec![AffineTime::default(); n],
             script: Vec::with_capacity(n),
             raw: Vec::new(),
             grants_raw: Vec::new(),
@@ -941,7 +908,7 @@ impl RpuEngine {
         let makespan = drive(&mut run, tasks, plan)?;
         let Symbolic {
             mut aff,
-            times,
+            ends,
             script,
             raw,
             grants_raw,
@@ -1003,7 +970,7 @@ impl RpuEngine {
                     debug_assert!(!le, "a preceding ready head would have won the grant");
                 }
                 checks.push(Check { comp, le });
-                let e = times[comp as usize].end;
+                let e = ends[comp as usize];
                 let (dc, dm) = (
                     e.constant - te.constant,
                     e.per_inverse_gbps - te.per_inverse_gbps,
@@ -1020,7 +987,7 @@ impl RpuEngine {
             }
             after = mem;
             te_v = ends_v[mem as usize];
-            te = times[mem as usize].end;
+            te = ends[mem as usize];
         }
 
         // The affine view is only meaningful where the grant order holds.
@@ -1047,12 +1014,10 @@ impl RpuEngine {
         let (affine_lo, affine_hi) = to_bw(aff, anchor_gbps);
 
         Ok(Segment {
-            anchor_gbps,
             lo_gbps: lo,
             hi_gbps: hi,
             affine_lo_gbps: affine_lo,
             affine_hi_gbps: affine_hi,
-            times,
             runtime: makespan.affine(),
             script,
             grants,
@@ -1075,7 +1040,9 @@ struct Symbolic<'a> {
     dbps: f64,
     /// Bounds in `x` from ready-time crossovers (see [`Symbolic::later`]).
     aff: (f64, f64),
-    times: Vec<TaskTimes>,
+    /// Each task's finish time as an affine form, for the post-pass's
+    /// breakpoint estimates.
+    ends: Vec<AffineTime>,
     script: Vec<ScriptEntry>,
     /// Per grant, every channel head whose memory dependencies were already
     /// retired, paired with the latest compute dependency gating its
@@ -1145,13 +1112,10 @@ impl Executor for Symbolic<'_> {
         &mut self,
         task: TaskId,
         channel: Option<usize>,
-        (start, end): (Sym, Sym),
+        (_, end): (Sym, Sym),
         heads: &[usize],
     ) {
-        self.times[task] = TaskTimes {
-            start: start.affine(),
-            end: end.affine(),
-        };
+        self.ends[task] = end.affine();
         self.ends_v[task] = end.v;
         if channel.is_none() {
             return;
@@ -1463,15 +1427,12 @@ mod tests {
         let engine = RpuEngine::new(unit_config());
         let timeline = engine.analyze(&race_graph(), 1.0, 16.0).unwrap();
         for bw in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
-            let calls: [(&str, &dyn Fn()); 3] = [
+            let calls: [(&str, &dyn Fn()); 2] = [
                 ("evaluate", &|| {
                     let _ = timeline.evaluate(bw);
                 }),
                 ("evaluate_many", &|| {
                     let _ = timeline.evaluate_many(&[4.0, bw]);
-                }),
-                ("runtime_seconds_at", &|| {
-                    let _ = timeline.runtime_seconds_at(bw);
                 }),
             ];
             for (name, call) in calls {

@@ -106,14 +106,6 @@ pub enum RooflineKnee {
 }
 
 impl RooflineKnee {
-    /// The crossover bandwidth in GB/s, if the bound has one.
-    pub fn crossover_gbps(&self) -> Option<f64> {
-        match self {
-            RooflineKnee::Crossover { bandwidth_gbps } => Some(*bandwidth_gbps),
-            _ => None,
-        }
-    }
-
     /// The bandwidth (GB/s) above which the bound is pinned to the compute
     /// floor: the exact crossover when there is one, or the bandwidth where
     /// the all-compute piece takes over (the bound then tracks the floor
@@ -270,16 +262,6 @@ pub struct BoundAnalysis {
 }
 
 impl BoundAnalysis {
-    /// The makespan bound in milliseconds.
-    pub fn makespan_bound_ms(&self) -> f64 {
-        self.makespan_bound_seconds * 1e3
-    }
-
-    /// The dependency-path bound in milliseconds.
-    pub fn dependency_bound_ms(&self) -> f64 {
-        self.dependency_bound_seconds * 1e3
-    }
-
     /// Achieved-vs-bound efficiency: `bound / actual` for an actual runtime
     /// in seconds. 1.0 means the run hit the provable bound exactly; lower
     /// values quantify contention the static model cannot see. Returns 1.0
@@ -988,7 +970,10 @@ mod tests {
             one.knee,
             RooflineKnee::AlwaysBandwidthSensitive { .. }
         ));
-        assert!(one.dependency_knee.crossover_gbps().is_some());
+        assert!(matches!(
+            one.dependency_knee,
+            RooflineKnee::Crossover { .. }
+        ));
     }
 
     #[test]
@@ -1029,7 +1014,12 @@ mod tests {
         g.push_compute(ComputeKind::PointwiseAdd, 0, vec![c, l], "join", "P1");
         let engine = RpuEngine::new(unit_config(64.0));
         let b = engine.bounds(&g);
-        let knee = b.knee.crossover_gbps().expect("race graph has a knee");
+        let RooflineKnee::Crossover {
+            bandwidth_gbps: knee,
+        } = b.knee
+        else {
+            panic!("race graph has a knee, got {:?}", b.knee);
+        };
         assert!((knee - 2.0).abs() < 1e-9, "knee {knee}");
         assert_eq!(knee_plan(&engine, &g, &engine.plan(&g)), b.knee);
     }
@@ -1069,7 +1059,6 @@ mod tests {
             "{dominated_above_gbps}"
         );
         assert_eq!(serial.effective_knee_gbps(), Some(dominated_above_gbps));
-        assert_eq!(serial.crossover_gbps(), None);
         // A serial chain's ceiling is structural: the dependency knee (no
         // queue edges at all) classifies it identically.
         assert_eq!(engine.bounds(&serial_chain(2)).dependency_knee, serial);
@@ -1121,7 +1110,7 @@ mod tests {
         let eff = b.efficiency(stats.runtime_seconds);
         assert!((eff - 1.0).abs() < 1e-12);
         assert!(b.efficiency(0.0) == 1.0);
-        assert!(b.makespan_bound_ms() > 0.0);
+        assert!(b.makespan_bound_seconds > 0.0);
         assert!(format!("{}", b.binding).contains("dependency"));
         assert!(format!(
             "{}",

@@ -157,7 +157,7 @@ impl ChannelMap {
 /// placement keys on the buffer identity — the same DRAM data lives on the
 /// same channel no matter which kernel instance or operation touches it, so
 /// a spilled buffer's writeback and its later reload share a channel.
-pub fn canonical_label(label: &str) -> &str {
+fn canonical_label(label: &str) -> &str {
     split_label(label).1
 }
 

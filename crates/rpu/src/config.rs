@@ -161,16 +161,15 @@ impl RpuConfig {
     /// independent in-order pseudo-channels. The total bandwidth is
     /// unchanged — more channels mean narrower channels. `channels` is
     /// clamped to at least 1 *in the stored field* (a zero-channel RPU would
-    /// have no DRAM interface), so the field, the
-    /// [`memory_channel_count`](Self::memory_channel_count) accessor and
-    /// [`channel_bytes_per_second`](Self::channel_bytes_per_second) always
+    /// have no DRAM interface), so the field and the
+    /// [`memory_channel_count`](Self::memory_channel_count) accessor always
     /// agree:
     ///
     /// ```
     /// use rpu::RpuConfig;
     /// let c = RpuConfig::ciflow_baseline().with_memory_channels(8);
     /// assert_eq!(c.memory_channel_count(), 8);
-    /// assert!((c.channel_bytes_per_second() - c.dram_bytes_per_second() / 8.0).abs() < 1.0);
+    /// assert_eq!(c.dram_bandwidth_gbps, RpuConfig::ciflow_baseline().dram_bandwidth_gbps);
     /// let degenerate = RpuConfig::ciflow_baseline().with_memory_channels(0);
     /// assert_eq!(degenerate.num_memory_channels, 1);
     /// ```
@@ -207,18 +206,6 @@ impl RpuConfig {
     /// would have no DRAM interface at all).
     pub fn memory_channel_count(&self) -> usize {
         self.num_memory_channels.max(1)
-    }
-
-    /// Sustained bandwidth of one pseudo-channel in bytes per second: the
-    /// aggregate divided by the channel count. The channels time-share one
-    /// full-rate data path (see `docs/MEMORY_MODEL.md`), so this is the
-    /// fair-share rate a channel sustains when all channels stream
-    /// continuously — an individual granted transfer still bursts at the
-    /// full aggregate rate. With one channel this is exactly
-    /// [`dram_bytes_per_second`](Self::dram_bytes_per_second) (the division
-    /// by 1.0 is lossless).
-    pub fn channel_bytes_per_second(&self) -> f64 {
-        self.dram_bytes_per_second() / self.memory_channel_count() as f64
     }
 
     /// Total on-chip SRAM (vector data + key + scalar memories) in bytes.
@@ -302,17 +289,12 @@ mod tests {
     fn channel_bandwidth_derivation() {
         let c = RpuConfig::ciflow_baseline();
         assert_eq!(c.memory_channel_count(), 1);
-        // One channel: per-channel bandwidth IS the aggregate, bit for bit.
-        assert_eq!(
-            c.channel_bytes_per_second().to_bits(),
-            c.dram_bytes_per_second().to_bits()
-        );
         let eight = c.clone().with_memory_channels(8);
         assert_eq!(eight.memory_channel_count(), 8);
-        assert!((eight.channel_bytes_per_second() - 8e9).abs() < 1.0);
-        // The aggregate is conserved.
-        assert!(
-            (8.0 * eight.channel_bytes_per_second() - eight.dram_bytes_per_second()).abs() < 1.0
+        // The aggregate is conserved: more channels are narrower channels.
+        assert_eq!(
+            eight.dram_bytes_per_second().to_bits(),
+            c.dram_bytes_per_second().to_bits()
         );
         // Degenerate zero-channel configurations clamp to one channel.
         assert_eq!(c.clone().with_memory_channels(0).memory_channel_count(), 1);
@@ -321,17 +303,13 @@ mod tests {
     #[test]
     fn zero_channel_setter_keeps_field_accessor_and_bandwidth_consistent() {
         // Regression: with_memory_channels(0) used to store 0 while
-        // memory_channel_count() silently clamped to 1, so the stored field,
-        // the accessor and channel_bytes_per_second() disagreed (and any code
-        // reading the field directly — serialization, reports — saw an RPU
-        // with no DRAM interface). The setter now clamps.
+        // memory_channel_count() silently clamped to 1, so the stored field
+        // and the accessor disagreed (and any code reading the field
+        // directly — serialization, reports — saw an RPU with no DRAM
+        // interface). The setter now clamps.
         let c = RpuConfig::ciflow_baseline().with_memory_channels(0);
         assert_eq!(c.num_memory_channels, 1);
         assert_eq!(c.memory_channel_count(), c.num_memory_channels);
-        assert_eq!(
-            c.channel_bytes_per_second().to_bits(),
-            c.dram_bytes_per_second().to_bits()
-        );
         // The clamped config is indistinguishable from an explicit 1-channel
         // one.
         assert_eq!(c, RpuConfig::ciflow_baseline().with_memory_channels(1));

@@ -10,8 +10,6 @@
 //!
 //! * [`config::RpuConfig`] — architectural parameters plus the bandwidth /
 //!   MODOPS / evk-placement knobs the paper sweeps.
-//! * [`isa`] — the 28-instruction B1K ISA and the closed-form kernel cost
-//!   model (modular operations per NTT / BConv / point-wise kernel).
 //! * [`task`] — compute and memory tasks with explicit dependencies, the
 //!   interface between the CiFlow schedule generators and the hardware model.
 //! * [`engine::RpuEngine`] — the decoupled executor (one compute queue plus
@@ -58,19 +56,17 @@ pub mod bound;
 pub mod channel;
 pub mod config;
 pub mod engine;
-pub mod isa;
 pub mod plan;
 pub mod stats;
 pub mod task;
 pub mod trace;
 pub mod verify;
 
-pub use analytic::{AffineTime, ParametricTimeline, Segment, TaskTimes};
+pub use analytic::{AffineTime, ParametricTimeline, Segment};
 pub use bound::{BindingResource, BoundAnalysis, CriticalEdge, CriticalStep, RooflineKnee};
 pub use channel::ChannelMap;
 pub use config::{EvkPolicy, RpuConfig, MIB};
 pub use engine::{grant_precedes, EngineError, RpuEngine, RunResult, TraceMode};
-pub use isa::{B1kInstruction, InstructionClass, KernelCosts};
 pub use plan::{BufferKeys, ExecPlan, MemoryKey};
 pub use stats::ExecutionStats;
 pub use task::{

@@ -48,16 +48,6 @@ impl ExecutionStats {
         }
     }
 
-    /// Fraction of the runtime during which the DRAM data path was idle
-    /// (no channel transferring).
-    pub fn memory_idle_fraction(&self) -> f64 {
-        if self.runtime_seconds <= 0.0 {
-            0.0
-        } else {
-            (1.0 - self.memory_busy_seconds / self.runtime_seconds).max(0.0)
-        }
-    }
-
     /// Number of memory channels the run executed with. Statistics built by
     /// hand without per-channel entries count as single-channel.
     pub fn memory_channel_count(&self) -> usize {
@@ -71,15 +61,6 @@ impl ExecutionStats {
             .get(channel)
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Fraction of the runtime during which one memory channel was idle.
-    pub fn memory_channel_idle_fraction(&self, channel: usize) -> f64 {
-        if self.runtime_seconds <= 0.0 {
-            0.0
-        } else {
-            (1.0 - self.memory_channel_busy(channel) / self.runtime_seconds).max(0.0)
-        }
     }
 
     /// Channel load imbalance: the busiest channel's transfer time divided
@@ -116,15 +97,6 @@ impl ExecutionStats {
             self.total_ops as f64 / self.total_bytes() as f64
         }
     }
-
-    /// Achieved modular-operation throughput in operations per second.
-    pub fn achieved_modops_per_second(&self) -> f64 {
-        if self.runtime_seconds <= 0.0 {
-            0.0
-        } else {
-            self.total_ops as f64 / self.runtime_seconds
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,10 +118,8 @@ mod tests {
         };
         assert!((s.runtime_ms() - 2000.0).abs() < 1e-9);
         assert!((s.compute_idle_fraction() - 0.25).abs() < 1e-12);
-        assert!((s.memory_idle_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(s.total_bytes(), 1000);
         assert!((s.arithmetic_intensity() - 3.0).abs() < 1e-12);
-        assert!((s.achieved_modops_per_second() - 1500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -165,19 +135,14 @@ mod tests {
         assert_eq!(s.memory_channel_count(), 4);
         assert!((s.memory_channel_busy(0) - 1.0).abs() < 1e-12);
         assert!((s.memory_channel_busy(7) - 0.0).abs() < 1e-12);
-        assert!((s.memory_channel_idle_fraction(1) - 0.75).abs() < 1e-12);
         // Mean busy = 0.375 s, busiest = 1.0 s.
         assert!((s.memory_channel_imbalance() - 1.0 / 0.375).abs() < 1e-12);
-        // The data path was transferring 1.5 s of the 2 s runtime.
-        assert!((s.memory_idle_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn zero_runtime_is_handled() {
         let s = ExecutionStats::default();
         assert_eq!(s.compute_idle_fraction(), 0.0);
-        assert_eq!(s.memory_idle_fraction(), 0.0);
-        assert_eq!(s.achieved_modops_per_second(), 0.0);
         assert!(s.arithmetic_intensity().is_infinite());
         assert_eq!(s.memory_channel_count(), 1);
         assert!((s.memory_channel_imbalance() - 1.0).abs() < 1e-12);

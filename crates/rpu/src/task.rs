@@ -229,15 +229,6 @@ pub struct AppendedGraph {
 }
 
 impl AppendedGraph {
-    /// The id the appended task `old` received, or `None` if it was spliced
-    /// out.
-    pub fn task_id(&self, old: TaskId) -> Option<TaskId> {
-        match self.mapping.get(old) {
-            Some(AppendMapping::Task(id)) => Some(*id),
-            _ => None,
-        }
-    }
-
     /// The ids in the receiving graph that stand for the appended task `old`:
     /// its new id if it was kept, or the dependencies spliced in for it.
     pub fn resolve(&self, old: TaskId) -> &[TaskId] {
@@ -647,7 +638,7 @@ mod tests {
             .append_offset(&sub, "k2:", |_| AppendAction::keep())
             .unwrap();
         assert_eq!(g.len(), 8);
-        assert_eq!(appended.task_id(0), Some(4));
+        assert_eq!(appended.resolve(0), &[4]);
         assert_eq!(appended.resolve(3), &[7]);
         // Dependencies point at the remapped ids, labels carry the prefix.
         assert_eq!(g.tasks()[5].dependencies, vec![4]);
@@ -674,8 +665,8 @@ mod tests {
             })
             .unwrap();
         // The appended root (old id 0) now depends on the first graph's sink.
-        let root = appended.task_id(0).unwrap();
-        assert_eq!(g.tasks()[root].dependencies, vec![3]);
+        assert_eq!(appended.resolve(0), &[4]);
+        assert_eq!(g.tasks()[4].dependencies, vec![3]);
         assert!(TaskGraph::from_tasks(g.tasks().to_vec()).is_ok());
     }
 
@@ -697,10 +688,10 @@ mod tests {
             })
             .unwrap();
         assert_eq!(g.len(), 7);
-        assert_eq!(appended.task_id(0), None);
+        // The spliced load resolves to its extra dependency, not to a new id.
         assert_eq!(appended.resolve(0), &[3]);
-        let intt = appended.task_id(1).unwrap();
-        assert_eq!(g.tasks()[intt].dependencies, vec![3]);
+        assert_eq!(appended.resolve(1), &[4]);
+        assert_eq!(g.tasks()[4].dependencies, vec![3]);
         // The spliced load's bytes are gone from the totals.
         assert_eq!(g.total_bytes(), (1024, 2 * 1024));
         assert!(TaskGraph::from_tasks(g.tasks().to_vec()).is_ok());

@@ -130,7 +130,7 @@ fn output_centric_key_switch_is_bit_identical_to_reference() {
             Representation::Evaluation,
         );
         let reference = ckks::keyswitch::hybrid_key_switch(&ctx, &d, level, &ksk);
-        let oc = output_centric_key_switch(&ctx, &d, level, &ksk);
+        let oc = output_centric_key_switch(&ctx, &d, level, &ksk).unwrap();
         assert_eq!(reference.0, oc.0, "dnum={dnum}");
         assert_eq!(reference.1, oc.1, "dnum={dnum}");
     }
