@@ -12,6 +12,10 @@
 //! 2. Real strategy schedules — every dataflow, both evk policies — through
 //!    the same sampling grid.
 //!
+//!    Both grids are evaluated point by point (`evaluate`) and as one
+//!    unsorted ladder (`evaluate_many`), whose lane chunks straddle segment
+//!    edges.
+//!
 //! 3. Forced grants: on one memory channel every bus grant is forced, so a
 //!    timeline is a single segment with no certificate checks, and the
 //!    static bound equals the evaluated runtime bit for bit.
@@ -116,16 +120,26 @@ fn first_divergence(
 }
 
 /// Analyzes `graph` on `engine` and asserts evaluate == execute_stats, bit
-/// for bit, over the whole sampling grid.
+/// for bit, over the whole sampling grid — and the same of the ladder path,
+/// `evaluate_many` over the unsorted grid, whose lane chunks straddle
+/// segment edges and so also re-evaluate lanes one by one.
 fn assert_oracle_agreement(engine: &RpuEngine, graph: &TaskGraph, seed: u64, context: &str) {
     let timeline = engine
         .analyze(graph, LO_GBPS, HI_GBPS)
         .expect("oracle graphs do not deadlock");
-    for bandwidth in sample_points(&timeline, seed) {
+    let points = sample_points(&timeline, seed);
+    let ladder = timeline.evaluate_many(&points);
+    for (&bandwidth, laned) in points.iter().zip(&ladder) {
         let expected = RpuEngine::new(engine.config().clone().with_bandwidth(bandwidth))
             .with_channel_map(engine.channel_map().clone())
             .execute_stats(graph)
             .expect("oracle graphs do not deadlock");
+        assert_eq!(
+            expected.runtime_seconds.to_bits(),
+            laned.runtime_seconds.to_bits(),
+            "{context}: evaluate_many diverges from the engine at {bandwidth} GB/s"
+        );
+        assert_stats_bit_identical(&expected, laned);
         let got = timeline.evaluate(bandwidth);
         let agree = expected.runtime_seconds.to_bits() == got.runtime_seconds.to_bits()
             && expected.compute_busy_seconds.to_bits() == got.compute_busy_seconds.to_bits()
