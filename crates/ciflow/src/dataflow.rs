@@ -66,16 +66,6 @@ impl Dataflow {
     pub fn description(&self) -> &'static str {
         self.strategy().description()
     }
-
-    /// Parses a short or long name.
-    pub fn parse(name: &str) -> Option<Dataflow> {
-        match name.to_ascii_lowercase().as_str() {
-            "mp" | "max-parallel" | "maxparallel" => Some(Dataflow::MaxParallel),
-            "dc" | "digit-centric" | "digitcentric" => Some(Dataflow::DigitCentric),
-            "oc" | "output-centric" | "outputcentric" => Some(Dataflow::OutputCentric),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Dataflow {
@@ -87,19 +77,6 @@ impl std::fmt::Display for Dataflow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for d in Dataflow::all() {
-            assert_eq!(Dataflow::parse(d.short_name()), Some(d));
-            assert_eq!(Dataflow::parse(&d.short_name().to_lowercase()), Some(d));
-        }
-        assert_eq!(Dataflow::parse("bogus"), None);
-        assert_eq!(
-            Dataflow::parse("output-centric"),
-            Some(Dataflow::OutputCentric)
-        );
-    }
 
     #[test]
     fn descriptions_are_distinct() {

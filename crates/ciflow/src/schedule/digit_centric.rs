@@ -184,7 +184,10 @@ mod tests {
         let mp = build_max_parallel(&shape, &streamed_32mb());
         assert_eq!(dc.total_ops(), mp.total_ops());
         assert_eq!(dc.dram_bytes(), mp.dram_bytes());
-        assert_eq!(dc.dataflow(), Some(crate::dataflow::Dataflow::DigitCentric));
+        assert_eq!(
+            dc.strategy,
+            crate::dataflow::Dataflow::DigitCentric.short_name()
+        );
     }
 
     #[test]

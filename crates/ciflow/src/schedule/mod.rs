@@ -69,12 +69,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// The built-in dataflow that generated this schedule, if it was one of
-    /// the three paper dataflows (custom strategies return `None`).
-    pub fn dataflow(&self) -> Option<Dataflow> {
-        Dataflow::parse(&self.strategy)
-    }
-
     /// Total DRAM traffic (loads + stores) in bytes.
     pub fn dram_bytes(&self) -> u64 {
         let (l, s) = self.graph.total_bytes();

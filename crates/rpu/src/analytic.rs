@@ -86,8 +86,11 @@
 //! [`ExecutionStats`] are bit-identical to [`RpuEngine::execute_stats`],
 //! with no tolerance. If any check fails, the timeline falls back to
 //! running the real event engine — the oracle — for that point, so every
-//! answer is exact by construction either way. `tests/analytic_oracle.rs`
-//! property-tests this end to end.
+//! answer is exact by construction either way. One replay body serves every
+//! path, generic over how many bandwidths one script walk carries: a ladder
+//! replays eight at a time, a single point one, and a lane's arithmetic is
+//! the same either way. `tests/analytic_oracle.rs` property-tests this end
+//! to end, point by point and as ladders.
 //!
 //! *Certifiability.* Equating "retired by the scan" with "finished no later
 //! than `te`" needs every compute duration to be positive — a zero-duration
@@ -323,12 +326,6 @@ impl ParametricTimeline {
         (self.lo_gbps, self.hi_gbps)
     }
 
-    /// The task graph the timeline describes.
-    #[must_use]
-    pub fn graph(&self) -> &TaskGraph {
-        &self.graph
-    }
-
     /// The execution plan the timeline was derived on (and falls back to).
     #[must_use]
     pub fn plan(&self) -> &Arc<ExecPlan> {
@@ -366,7 +363,8 @@ impl ParametricTimeline {
     /// the `MAX_SEGMENTS` / `MAX_RUNS` backstops fired, or the graph is
     /// not certifiable (a zero-duration compute task breaks the
     /// certificate's prefix counting). Uncovered bandwidths are still
-    /// answered exactly, via the event-engine fallback.
+    /// answered exactly, via the event-engine fallback. Kept as an oracle
+    /// surface: the integration suites check coverage with it.
     #[must_use]
     pub fn is_truncated(&self) -> bool {
         self.truncated
@@ -394,13 +392,12 @@ impl ParametricTimeline {
     #[must_use]
     pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
         assert_valid_bandwidth(bandwidth_gbps);
-        let mut scratch = vec![0.0f64; self.fixed_duration.len()];
-        self.evaluate_with(bandwidth_gbps, &mut scratch)
+        self.evaluate_with(bandwidth_gbps, &mut vec![[0.0]; self.fixed_duration.len()])
     }
 
     /// Evaluates a whole bandwidth ladder. Points are processed `LANES` at
-    /// a time through one shared script walk (the per-lane arithmetic is
-    /// operation-for-operation the scalar replay's, so results stay
+    /// a time through one shared script walk (each lane's arithmetic is
+    /// operation-for-operation a single point's, so results stay
     /// bit-identical); lanes the shared segment cannot certify re-evaluate
     /// individually with neighbour probing and engine fallback. Entries are
     /// evaluated independently in the given order, so duplicates and
@@ -417,19 +414,18 @@ impl ParametricTimeline {
             .copied()
             .for_each(assert_valid_bandwidth);
         let n = self.fixed_duration.len();
-        let mut scratch = vec![0.0f64; n];
-        let mut lanes: Vec<[f64; LANES]> = vec![[0.0; LANES]; n];
+        let mut scratch = vec![[0.0]; n];
+        let mut lanes = vec![[0.0; LANES]; n];
         let mut out = Vec::with_capacity(bandwidths_gbps.len());
         let mut chunks = bandwidths_gbps.chunks_exact(LANES);
         for chunk in &mut chunks {
             let bws: &[f64; LANES] = chunk.try_into().expect("chunk has LANES entries");
-            if let Some(idx) = self.candidate_index(bws[0]) {
-                let batch = self.replay_batch(&self.segments[idx], bws, &mut lanes);
-                for (l, stats) in batch.into_iter().enumerate() {
-                    out.push(stats.unwrap_or_else(|| self.evaluate_with(bws[l], &mut scratch)));
-                }
-            } else {
-                out.extend(chunk.iter().map(|&b| self.evaluate_with(b, &mut scratch)));
+            let batch = match self.candidate_index(bws[0]) {
+                Some(idx) => self.replay(&self.segments[idx], bws, &mut lanes),
+                None => Default::default(),
+            };
+            for (stats, &b) in batch.into_iter().zip(bws) {
+                out.push(stats.unwrap_or_else(|| self.evaluate_with(b, &mut scratch)));
             }
         }
         for &b in chunks.remainder() {
@@ -444,10 +440,13 @@ impl ParametricTimeline {
     /// bit for bit (match records by task id). Returns `None` when no
     /// segment certifies the point, including for a bandwidth that is not
     /// finite and positive (the evaluation would have used the engine
-    /// itself, whose trace is then the reference anyway).
+    /// itself, whose trace is then the reference anyway). Kept as an oracle
+    /// surface: the integration suites diff it against the engine's trace.
     #[must_use]
     pub fn sampled_times(&self, bandwidth_gbps: f64) -> Option<SampledTimes> {
-        let (segment, ends) = self.certified_replay(bandwidth_gbps)?;
+        validate_bandwidth(bandwidth_gbps).ok()?;
+        let mut ends = vec![[0.0]; self.fixed_duration.len()];
+        let (segment, _) = self.certify(bandwidth_gbps, &mut ends)?;
         let tasks = self.graph.tasks();
         let dbps = bandwidth_gbps * 1e9;
         Some(
@@ -456,7 +455,7 @@ impl ParametricTimeline {
                 .iter()
                 .map(|entry| {
                     let t = entry.task as usize;
-                    let end = ends[t];
+                    let [end] = ends[t];
                     let duration = if entry.queue == 0 {
                         self.fixed_duration[t]
                     } else {
@@ -479,8 +478,8 @@ impl ParametricTimeline {
     }
 
     /// One validated bandwidth: a certified replay, else the engine.
-    fn evaluate_with(&self, bandwidth_gbps: f64, scratch: &mut [f64]) -> ExecutionStats {
-        if let Some(stats) = self.try_segments(bandwidth_gbps, scratch) {
+    fn evaluate_with(&self, bandwidth_gbps: f64, ends: &mut [[f64; 1]]) -> ExecutionStats {
+        if let Some((_, stats)) = self.certify(bandwidth_gbps, ends) {
             return stats;
         }
         self.fallbacks.fetch_add(1, AtomicOrdering::Relaxed);
@@ -489,22 +488,26 @@ impl ParametricTimeline {
             .expect("deadlock is timing-independent and the anchor run succeeded")
     }
 
-    /// Tries the segment whose interval hint contains the point first, then
-    /// its neighbours (interval edges are estimates; the certificate check
-    /// is what decides). Returns `None` when nothing certifies the point.
-    fn try_segments(&self, bandwidth_gbps: f64, scratch: &mut [f64]) -> Option<ExecutionStats> {
+    /// Replays one bandwidth against the segment whose interval hint
+    /// contains it, then against that segment's two neighbours (interval
+    /// edges are estimates; the certificate check is what decides). Returns
+    /// the first segment that certifies the point with its statistics, the
+    /// replayed finish times left in `ends`; `None` when nothing certifies
+    /// it.
+    fn certify(
+        &self,
+        bandwidth_gbps: f64,
+        ends: &mut [[f64; 1]],
+    ) -> Option<(&Segment, ExecutionStats)> {
         let idx = self.candidate_index(bandwidth_gbps)?;
-        for probe in [Some(idx), idx.checked_sub(1), idx.checked_add(1)]
+        [Some(idx), idx.checked_sub(1), Some(idx + 1)]
             .into_iter()
             .flatten()
-        {
-            if let Some(segment) = self.segments.get(probe) {
-                if let Some(stats) = self.replay_checked(segment, bandwidth_gbps, scratch) {
-                    return Some(stats);
-                }
-            }
-        }
-        None
+            .filter_map(|probe| self.segments.get(probe))
+            .find_map(|segment| {
+                let [stats] = self.replay(segment, &[bandwidth_gbps], ends);
+                Some((segment, stats?))
+            })
     }
 
     fn candidate_index(&self, bandwidth_gbps: f64) -> Option<usize> {
@@ -517,138 +520,47 @@ impl ParametricTimeline {
         Some(idx.saturating_sub(1))
     }
 
-    fn certified_replay(&self, bandwidth_gbps: f64) -> Option<(&Segment, Vec<f64>)> {
-        if !(bandwidth_gbps > 0.0 && bandwidth_gbps.is_finite()) {
-            return None;
-        }
-        let mut scratch = vec![0.0f64; self.fixed_duration.len()];
-        let idx = self.candidate_index(bandwidth_gbps)?;
-        for probe in [Some(idx), idx.checked_sub(1), idx.checked_add(1)]
-            .into_iter()
-            .flatten()
-        {
-            if let Some(segment) = self.segments.get(probe) {
-                if self
-                    .replay_checked(segment, bandwidth_gbps, &mut scratch)
-                    .is_some()
-                {
-                    return Some((segment, scratch));
-                }
-            }
-        }
-        None
-    }
-
-    /// Replays one segment's script at a bandwidth with the engine's own
-    /// arithmetic, then verifies the grant certificate against the replayed
-    /// finish times: for each grant, every recorded head-readiness
-    /// comparison must resolve the same way it did at the anchor. A full
-    /// pass certifies (and returns) bit-exact statistics; any mismatch
-    /// returns `None`.
-    fn replay_checked(
+    /// Replays one segment's script at `L` bandwidths at once with the
+    /// engine's own arithmetic, sharing the script walk and every dependency
+    /// lookup across lanes, then verifies the grant certificate per lane
+    /// against the replayed finish times: for each grant, every recorded
+    /// head-readiness comparison must resolve the way it did at the anchor.
+    /// Lane `l` yields bit-exact statistics when all of them do and `None`
+    /// otherwise. Each lane performs the identical sequence of `max`/`+`/`/`
+    /// operations whatever `L` is, just interleaved with the other lanes, so
+    /// the lane count never changes a bit.
+    fn replay<const L: usize>(
         &self,
         segment: &Segment,
-        bandwidth_gbps: f64,
-        ends: &mut [f64],
-    ) -> Option<ExecutionStats> {
-        let dbps = bandwidth_gbps * 1e9;
+        bws: &[f64; L],
+        ends: &mut [[f64; L]],
+    ) -> [Option<ExecutionStats>; L] {
+        let dbps = bws.map(|b| b * 1e9);
         let channels = self.template.memory_channel_busy_seconds.len();
-        let mut channel_busy = vec![0.0f64; channels];
-        let mut compute_busy = 0.0f64;
-        let mut memory_busy = 0.0f64;
-        let mut compute_free = 0.0f64;
-        let mut bus_free = 0.0f64;
-        let mut makespan = 0.0f64;
+        let mut channel_busy = vec![[0.0f64; L]; channels];
+        let mut compute_busy = [0.0f64; L];
+        let mut memory_busy = [0.0f64; L];
+        let mut compute_free = [0.0f64; L];
+        let mut bus_free = [0.0f64; L];
+        let mut makespan = [0.0f64; L];
         for entry in &segment.script {
             let t = entry.task as usize;
             // Ready time: the max finish time over the task's dependencies.
             // The engine folds them in retirement order, this loop in
             // dependency-list order — `f64::max` is exact, so the fold is
             // order-independent and the bits agree.
-            let mut ready = 0.0f64;
-            for &d in
-                &self.dep_edges[self.dep_offsets[t] as usize..self.dep_offsets[t + 1] as usize]
-            {
-                ready = ready.max(ends[d as usize]);
-            }
-            let end = if entry.queue == 0 {
-                let start = ready.max(compute_free);
-                let end = start + self.fixed_duration[t];
-                compute_busy += end - start;
-                compute_free = end;
-                end
-            } else {
-                let start = ready.max(bus_free);
-                let end = start + self.bytes_f64[t] / dbps;
-                memory_busy += end - start;
-                channel_busy[(entry.queue - 1) as usize] += end - start;
-                bus_free = end;
-                end
-            };
-            ends[t] = end;
-            makespan = makespan.max(end);
-        }
-        // Certificate check. Written with `!` so a NaN anywhere rejects
-        // (and falls back) instead of certifying.
-        let mut first = 0usize;
-        for grant in &segment.grants {
-            let slice = &segment.checks[first..grant.checks_end as usize];
-            first = grant.checks_end as usize;
-            let te = ends.get(grant.after as usize).copied().unwrap_or(0.0);
-            for check in slice {
-                let e = ends[check.comp as usize];
-                let holds = if check.le { e <= te } else { e > te };
-                if !holds {
-                    return None;
-                }
-            }
-        }
-        let mut stats = self.template.clone();
-        stats.runtime_seconds = makespan;
-        stats.compute_busy_seconds = compute_busy;
-        stats.memory_busy_seconds = memory_busy;
-        stats.memory_channel_busy_seconds = channel_busy;
-        Some(stats)
-    }
-
-    /// Replays one segment's script for [`LANES`] bandwidths at once,
-    /// sharing the script walk and every dependency lookup across lanes,
-    /// then verifies the grant certificate per lane. Lane `l` yields `Some`
-    /// exactly when [`Self::replay_checked`] would certify `bws[l]` against
-    /// this segment, with bit-identical statistics: each lane performs the
-    /// identical sequence of `max`/`+`/`/` operations the scalar replay
-    /// does, just interleaved across lanes.
-    fn replay_batch(
-        &self,
-        segment: &Segment,
-        bws: &[f64; LANES],
-        ends: &mut [[f64; LANES]],
-    ) -> [Option<ExecutionStats>; LANES] {
-        let mut dbps = [0.0f64; LANES];
-        for (lane, &b) in dbps.iter_mut().zip(bws) {
-            *lane = b * 1e9;
-        }
-        let channels = self.template.memory_channel_busy_seconds.len();
-        let mut channel_busy = vec![[0.0f64; LANES]; channels];
-        let mut compute_busy = [0.0f64; LANES];
-        let mut memory_busy = [0.0f64; LANES];
-        let mut compute_free = [0.0f64; LANES];
-        let mut bus_free = [0.0f64; LANES];
-        let mut makespan = [0.0f64; LANES];
-        for entry in &segment.script {
-            let t = entry.task as usize;
-            let mut ready = [0.0f64; LANES];
+            let mut ready = [0.0f64; L];
             for &d in
                 &self.dep_edges[self.dep_offsets[t] as usize..self.dep_offsets[t + 1] as usize]
             {
                 let e = &ends[d as usize];
-                for l in 0..LANES {
+                for l in 0..L {
                     ready[l] = ready[l].max(e[l]);
                 }
             }
             if entry.queue == 0 {
                 let duration = self.fixed_duration[t];
-                for l in 0..LANES {
+                for l in 0..L {
                     let start = ready[l].max(compute_free[l]);
                     let end = start + duration;
                     compute_busy[l] += end - start;
@@ -659,7 +571,7 @@ impl ParametricTimeline {
             } else {
                 let bytes = self.bytes_f64[t];
                 let busy = &mut channel_busy[(entry.queue - 1) as usize];
-                for l in 0..LANES {
+                for l in 0..L {
                     let start = ready[l].max(bus_free[l]);
                     let end = start + bytes / dbps[l];
                     memory_busy[l] += end - start;
@@ -670,43 +582,37 @@ impl ParametricTimeline {
                 }
             }
         }
-        // Per-lane certificate check; comparisons are written so a NaN
-        // anywhere clears the lane's flag, matching the scalar path's
-        // reject-on-NaN behaviour.
-        let mut ok = [true; LANES];
+        // Certificate check, written so a NaN anywhere clears the lane's
+        // flag (and falls back) instead of certifying.
+        let mut ok = [true; L];
         let mut first = 0usize;
         for grant in &segment.grants {
             let slice = &segment.checks[first..grant.checks_end as usize];
             first = grant.checks_end as usize;
-            let te = ends
-                .get(grant.after as usize)
-                .copied()
-                .unwrap_or([0.0; LANES]);
+            let te = ends.get(grant.after as usize).copied().unwrap_or([0.0; L]);
             for check in slice {
                 let e = &ends[check.comp as usize];
                 if check.le {
-                    for l in 0..LANES {
+                    for l in 0..L {
                         ok[l] &= e[l] <= te[l];
                     }
                 } else {
-                    for l in 0..LANES {
+                    for l in 0..L {
                         ok[l] &= e[l] > te[l];
                     }
                 }
             }
         }
         std::array::from_fn(|l| {
-            if ok[l] {
+            ok[l].then(|| {
                 let mut stats = self.template.clone();
                 stats.runtime_seconds = makespan[l];
                 stats.compute_busy_seconds = compute_busy[l];
                 stats.memory_busy_seconds = memory_busy[l];
                 stats.memory_channel_busy_seconds =
                     channel_busy.iter().map(|busy| busy[l]).collect();
-                Some(stats)
-            } else {
-                None
-            }
+                stats
+            })
         })
     }
 }
@@ -1229,10 +1135,15 @@ mod tests {
         (RpuEngine::new(config), g)
     }
 
-    fn assert_bit_identical(engine: &RpuEngine, timeline: &ParametricTimeline, bw: f64) {
+    fn assert_bit_identical(
+        engine: &RpuEngine,
+        graph: &TaskGraph,
+        timeline: &ParametricTimeline,
+        bw: f64,
+    ) {
         let reference = RpuEngine::new(engine.config().clone().with_bandwidth(bw))
             .with_channel_map(engine.channel_map().clone())
-            .execute_stats(timeline.graph())
+            .execute_stats(graph)
             .unwrap();
         let got = timeline.evaluate(bw);
         assert_eq!(got, reference, "divergence at {bw} GB/s");
@@ -1252,7 +1163,7 @@ mod tests {
             "expected a breakpoint near 2 GB/s, got {breakpoints:?}"
         );
         for bw in [0.5, 1.0, 1.9999, 2.0, 2.0001, 3.0, 16.0, 2.0_f64.next_up()] {
-            assert_bit_identical(&engine, &timeline, bw);
+            assert_bit_identical(&engine, &g, &timeline, bw);
         }
     }
 
@@ -1265,7 +1176,7 @@ mod tests {
         let g = race_graph();
         let timeline = engine.analyze(&g, 0.5, 16.0).unwrap();
         for bw in [0.5, 1.0, 2.0, 2.0_f64.next_down(), 2.0_f64.next_up(), 16.0] {
-            assert_bit_identical(&engine, &timeline, bw);
+            assert_bit_identical(&engine, &g, &timeline, bw);
         }
         assert_eq!(
             timeline.fallback_evaluations(),
@@ -1314,7 +1225,7 @@ mod tests {
         assert!(timeline.is_truncated());
         assert!(timeline.segments().is_empty());
         for bw in [1.0, 2.5, 64.0] {
-            assert_bit_identical(&engine, &timeline, bw);
+            assert_bit_identical(&engine, &g, &timeline, bw);
         }
         assert!(timeline.fallback_evaluations() >= 3);
     }
@@ -1383,7 +1294,7 @@ mod tests {
         let timeline = engine.analyze(&g, 4.0, 16.0).unwrap();
         // 1 GB/s is below the analyzed range and on the other side of the
         // 2 GB/s breakpoint, so no derived segment certifies it.
-        assert_bit_identical(&engine, &timeline, 1.0);
+        assert_bit_identical(&engine, &g, &timeline, 1.0);
         assert!(timeline.fallback_evaluations() >= 1);
     }
 
@@ -1399,7 +1310,7 @@ mod tests {
         assert!(timeline.breakpoints_gbps().is_empty());
         assert_eq!(timeline.segments()[0].grant_checks(), 0);
         for bw in [1.0, 2.0, 4.0, 16.0, 64.0] {
-            assert_bit_identical(&engine, &timeline, bw);
+            assert_bit_identical(&engine, &g, &timeline, bw);
         }
         let ladder = [1.0, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 0.75, 32.0];
         for (stats, &bw) in timeline.evaluate_many(&ladder).iter().zip(&ladder) {

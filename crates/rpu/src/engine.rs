@@ -743,8 +743,8 @@ mod tests {
             .unwrap();
         assert!((dual.stats.runtime_seconds - 2.0).abs() < 1e-9);
         assert_eq!(dual.stats.memory_channel_count(), 2);
-        assert!((dual.stats.memory_channel_busy(0) - 1.0).abs() < 1e-9);
-        assert!((dual.stats.memory_channel_busy(1) - 1.0).abs() < 1e-9);
+        assert!((dual.stats.memory_channel_busy_seconds[0] - 1.0).abs() < 1e-9);
+        assert!((dual.stats.memory_channel_busy_seconds[1] - 1.0).abs() < 1e-9);
         // The per-channel accounting sums to the aggregate busy time.
         assert!(
             (dual.stats.memory_channel_busy_seconds.iter().sum::<f64>()

@@ -54,15 +54,6 @@ impl ExecutionStats {
         self.memory_channel_busy_seconds.len().max(1)
     }
 
-    /// Busy time of one memory channel in seconds (0.0 for a channel index
-    /// the run did not have).
-    pub fn memory_channel_busy(&self, channel: usize) -> f64 {
-        self.memory_channel_busy_seconds
-            .get(channel)
-            .copied()
-            .unwrap_or(0.0)
-    }
-
     /// Channel load imbalance: the busiest channel's transfer time divided
     /// by the mean across channels (1.0 = perfectly balanced; large values
     /// mean the placement starved most channels). Returns 1.0 when no
@@ -133,8 +124,7 @@ mod tests {
             ..ExecutionStats::default()
         };
         assert_eq!(s.memory_channel_count(), 4);
-        assert!((s.memory_channel_busy(0) - 1.0).abs() < 1e-12);
-        assert!((s.memory_channel_busy(7) - 0.0).abs() < 1e-12);
+        assert!((s.memory_channel_busy_seconds[0] - 1.0).abs() < 1e-12);
         // Mean busy = 0.375 s, busiest = 1.0 s.
         assert!((s.memory_channel_imbalance() - 1.0 / 0.375).abs() < 1e-12);
     }
