@@ -129,6 +129,12 @@ fn bound_is_bit_exact_on_contention_free_chains() {
     }
 }
 
+/// The Fig-4 ladder unsorted, with one entry repeated: 11 points, so
+/// `bound_curve` runs one 8-lane chunk and a 3-point remainder.
+const CURVE_LADDER: [f64; 11] = [
+    64.0, 8.0, 1024.0, 12.8, 256.0, 16.0, 512.0, 25.6, 128.0, 12.8, 32.0,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -159,15 +165,33 @@ proptest! {
     /// Soundness on random graphs: the engine can never beat the bound, at
     /// any channel count or Fig-4 bandwidth — and on one channel, where
     /// every bus grant is forced, the bound equals the runtime bit for bit.
+    /// The ladder path of `bound_curve` (one 8-lane chunk plus a 3-point
+    /// remainder, unsorted, with a duplicate) equals the full analysis at
+    /// every entry, bit for bit.
     #[test]
     fn engine_runtime_never_beats_the_bound_on_random_graphs(seed in 0u64..1024, n in 1usize..40) {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = TaskGraph::from_tasks(random_valid_tasks(&mut rng, n))
             .expect("backward deps always form a valid graph");
         for &channels in &CHANNEL_LADDER {
+            let curve = rpu::bound::bound_curve(
+                &RpuEngine::new(unit_rpu(BANDWIDTH_LADDER[0], channels)),
+                &graph,
+                &CURVE_LADDER,
+            );
             for &bandwidth in &BANDWIDTH_LADDER {
                 let engine = RpuEngine::new(unit_rpu(bandwidth, channels));
                 let b = engine.bounds(&graph);
+                for (&bw, &bound) in CURVE_LADDER.iter().zip(&curve) {
+                    if bw == bandwidth {
+                        prop_assert_eq!(
+                            bound.to_bits(),
+                            b.makespan_bound_seconds.to_bits(),
+                            "bound curve off the full analysis at {} GB/s x{}: {} vs {}",
+                            bw, channels, bound, b.makespan_bound_seconds
+                        );
+                    }
+                }
                 let stats = engine.execute_stats(&graph).expect("valid graphs execute");
                 prop_assert!(
                     b.makespan_bound_seconds <= stats.runtime_seconds,
