@@ -8,10 +8,10 @@
 //! quantities built on these sweeps (Tables IV–V, Figures 7–9) live in the
 //! `ciflow-bench` crate's `figures` module.
 //!
-//! The bandwidth, workload, analytic, heterogeneous and serving sweeps
-//! evaluate their ladder on one [`Session::run_analytic`] timeline over its
-//! range, bit-identical to an engine run per point (see `docs/ANALYTIC.md`),
-//! and share its rules:
+//! The bandwidth, analytic, heterogeneous and serving sweeps evaluate their
+//! ladder on one [`Session::run_analytic`] timeline over its range,
+//! bit-identical to an engine run per point (see `docs/ANALYTIC.md`), and
+//! share its rules:
 //!
 //! * A ladder may be unsorted and hold duplicates; points come back in the
 //!   order given, and equal bandwidths give bit-identical rows.
@@ -177,41 +177,12 @@ pub fn try_bandwidth_sweep_in(
     Ok(ladder.series)
 }
 
-/// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
-/// (fused or back-to-back) on the paper's RPU for `evk_policy`, under the
-/// module's bandwidth-ladder rules.
-///
-/// # Errors
-///
-/// As [`try_bandwidth_sweep_in`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_workload_sweep_in(
-    session: &Session,
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    mode: PipelineMode,
-) -> Result<SweepSeries, CiflowError> {
-    let job = Job::workload(workload.clone(), strategy, mode);
-    let ladder = sweep_ladder(
-        session,
-        job,
-        bandwidths,
-        evk_policy,
-        modops,
-        "workload sweep",
-    )?;
-    Ok(ladder.series)
-}
-
-/// A workload sweep annotated with the timeline's shape and the static
-/// bound under its runtime curve.
+/// A workload pipeline's bandwidth sweep annotated with the timeline's
+/// shape and the static bound under its runtime curve.
 #[derive(Debug, Clone, Serialize)]
 pub struct AnalyticSweep {
-    /// The evaluated series — what [`try_workload_sweep_in`] returns for the
-    /// same ladder.
+    /// The evaluated series: one runtime point per ladder entry, in ladder
+    /// order.
     pub series: SweepSeries,
     /// Number of grant-order segments the timeline stitched together over
     /// the ladder's bandwidth range (one on a single-channel RPU).
@@ -238,7 +209,9 @@ pub struct AnalyticSweep {
     pub knee_gbps: Option<f64>,
 }
 
-/// Runs [`try_workload_sweep_in`] and adds the timeline's segments and
+/// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
+/// (fused or back-to-back) on the paper's RPU for `evk_policy`, under the
+/// module's bandwidth-ladder rules, and adds the timeline's segments and
 /// breakpoints, the static bound at every ladder point and the bound's
 /// roofline knee. Repeating a sweep (or sweeping another ladder inside the
 /// same bandwidth range) on one session reuses its cached timeline outright.
@@ -738,7 +711,7 @@ mod tests {
     fn workload_sweep_is_monotone_and_fused_dominates() {
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 4);
         let bandwidths = [8.0, 16.0, 32.0];
-        let fused = try_workload_sweep_in(
+        let fused = try_analytic_sweep_in(
             &Session::new(),
             &workload,
             Dataflow::OutputCentric,
@@ -747,8 +720,9 @@ mod tests {
             1.0,
             PipelineMode::Fused,
         )
+        .map(|s| s.series)
         .unwrap();
-        let unfused = try_workload_sweep_in(
+        let unfused = try_analytic_sweep_in(
             &Session::new(),
             &workload,
             Dataflow::OutputCentric,
@@ -757,6 +731,7 @@ mod tests {
             1.0,
             PipelineMode::BackToBack,
         )
+        .map(|s| s.series)
         .unwrap();
         assert_eq!(fused.points.len(), 3);
         for w in fused.points.windows(2) {
@@ -926,11 +901,6 @@ mod tests {
                         .map(drop),
                 ),
                 (
-                    "workload",
-                    try_workload_sweep_in(&session, &workload, oc, &ladder, on_chip, 1.0, fused)
-                        .map(drop),
-                ),
-                (
                     "analytic",
                     try_analytic_sweep_in(&session, &workload, oc, &ladder, on_chip, 1.0, fused)
                         .map(drop),
@@ -989,10 +959,6 @@ mod tests {
                 "bandwidth sweep",
                 try_bandwidth_sweep_in(&session, HksBenchmark::ARK, oc, &[], on_chip, 1.0)
                     .map(drop),
-            ),
-            (
-                "workload sweep",
-                try_workload_sweep_in(&session, &workload, oc, &[], on_chip, 1.0, fused).map(drop),
             ),
             (
                 "analytic bandwidth sweep",
@@ -1087,7 +1053,7 @@ mod tests {
 
     #[test]
     fn workload_sweep_reports_unknown_strategies() {
-        let result = try_workload_sweep_in(
+        let result = try_analytic_sweep_in(
             &Session::new(),
             &Workload::rotation_batch(HksBenchmark::ARK, 2),
             "not-a-strategy",
@@ -1095,7 +1061,8 @@ mod tests {
             EvkPolicy::OnChip,
             1.0,
             PipelineMode::Fused,
-        );
+        )
+        .map(|s| s.series);
         assert!(matches!(
             result,
             Err(crate::error::CiflowError::UnknownStrategy { .. })

@@ -102,7 +102,7 @@
 //! See `docs/ANALYTIC.md` for the full segment semantics and breakpoint
 //! math.
 
-use crate::config::validate_bandwidth;
+use crate::config::{assert_valid_bandwidth, validate_bandwidth};
 use crate::engine::{drive, EngineError, Executor, RpuEngine};
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
@@ -614,14 +614,6 @@ impl ParametricTimeline {
                 stats
             })
         })
-    }
-}
-
-/// The evaluation entry points' bandwidth check: [`validate_bandwidth`],
-/// as a panic.
-fn assert_valid_bandwidth(bandwidth_gbps: f64) {
-    if let Err(message) = validate_bandwidth(bandwidth_gbps) {
-        panic!("{message}");
     }
 }
 

@@ -28,6 +28,10 @@
 //!   `tests/bound_oracle.rs` across presets, random graphs, channel counts
 //!   and bandwidths, with bit-exact equality on contention-free chains).
 //!
+//! One forward pass, generic over a lane count, yields the path bounds and
+//! memory folds: [`analyze`] runs it with one lane, [`bound_curve`] with
+//! eight ladder points per walk of the graph and one for the remainder.
+//!
 //! # Floating-point soundness
 //!
 //! Soundness holds in *machine* arithmetic, not just in exact real
@@ -64,14 +68,18 @@
 //!
 //! Model details and the soundness argument live in `docs/BOUNDS.md`.
 
+use crate::config::assert_valid_bandwidth;
 use crate::engine::RpuEngine;
 use crate::plan::ExecPlan;
-use crate::task::{Task, TaskGraph, TaskId};
+use crate::task::{Task, TaskGraph, TaskId, TaskKind};
 
 /// How many closed-form piece refinements the knee iteration may take. The
 /// active piece's slope strictly decreases every step and there are finitely
 /// many pieces, so this is a backstop, never a limit hit in practice.
 const MAX_KNEE_STEPS: usize = 64;
+
+/// Ladder points [`bound_curve`] evaluates per walk of the graph.
+const LANES: usize = 8;
 
 /// The crossover bandwidth where the static makespan bound flips from
 /// memory-bound to compute-bound, derived in closed form from the bound's
@@ -212,8 +220,6 @@ pub struct BoundAnalysis {
     pub bandwidth_gbps: f64,
     /// Per task: the earliest time its true dependencies allow it to start.
     pub earliest_start: Vec<f64>,
-    /// Per task: earliest start plus its duration.
-    pub earliest_finish: Vec<f64>,
     /// Per task: the earliest start under the augmented graph — true
     /// dependencies *plus* in-order queue edges. Always `>=`
     /// [`earliest_start`](Self::earliest_start); the gap is start delay the
@@ -295,16 +301,6 @@ impl BoundAnalysis {
     }
 }
 
-/// One forward pass: per-task earliest start/finish, the binding edge per
-/// task, and the argmax sink.
-struct ForwardPass {
-    start: Vec<f64>,
-    finish: Vec<f64>,
-    binding: Vec<CriticalEdge>,
-    bound: f64,
-    sink: Option<TaskId>,
-}
-
 /// A task's in-order queue predecessor and its channel (`None` = compute
 /// queue), or `None` for queue heads.
 type QueuePred = Option<(TaskId, Option<usize>)>;
@@ -324,75 +320,175 @@ fn queue_predecessors(plan: &ExecPlan) -> Vec<QueuePred> {
     pred
 }
 
-/// Longest-path forward pass using the engine's duration arithmetic. When
-/// `queue_pred` is provided the pass also honors in-order queue successor
-/// edges (the augmented graph of the deadlock verifier). The recurrences use
-/// exactly the engine's operations — a max fold over predecessor finishes
-/// followed by one addition — so a contention-free serial chain reproduces
-/// the engine's timestamps bit for bit, and in general every finish is a
-/// machine-arithmetic lower bound on the engine's.
-fn forward(engine: &RpuEngine, graph: &TaskGraph, queue_pred: Option<&[QueuePred]>) -> ForwardPass {
-    let tasks = graph.tasks();
-    let n = tasks.len();
-    let mut start = vec![0.0f64; n];
-    let mut finish = vec![0.0f64; n];
-    let mut binding = vec![CriticalEdge::Source; n];
-    let mut bound = 0.0f64;
-    let mut sink = None;
-    for task in tasks {
-        let mut es = 0.0f64;
-        let mut edge = CriticalEdge::Source;
-        for &dep in &task.dependencies {
-            if finish[dep] > es {
-                es = finish[dep];
-                edge = CriticalEdge::Dependency(dep);
+/// What every forward pass over one graph under one placement shares, with
+/// each task's [`RpuEngine::task_duration`] on the engine's configuration
+/// (the passes read it for computes; each lane times its own transfers).
+struct Placed<'a> {
+    tasks: &'a [Task],
+    plan: &'a ExecPlan,
+    channel_index: Vec<u32>,
+    queue_pred: Vec<QueuePred>,
+    compute_occupancy: f64,
+    duration: Vec<f64>,
+}
+
+/// The per-lane result of one [`Placed::forward`] pass: the longest path, and
+/// every transfer's duration folded in program order onto the shared data
+/// path and onto its channel (before [`occupancy_floor`]'s shave).
+struct Lanes<const L: usize> {
+    path: [f64; L],
+    memory: [f64; L],
+    channels: Vec<[f64; L]>,
+}
+
+impl<'a> Placed<'a> {
+    fn new(engine: &RpuEngine, graph: &'a TaskGraph, plan: &'a ExecPlan) -> Self {
+        let tasks = graph.tasks();
+        Placed {
+            tasks,
+            plan,
+            channel_index: plan.channel_index(),
+            queue_pred: queue_predecessors(plan),
+            compute_occupancy: compute_fold(engine, tasks, plan),
+            duration: tasks.iter().map(|t| engine.task_duration(t)).collect(),
+        }
+    }
+
+    /// The longest-path forward pass at `L` bandwidths at once, over the true
+    /// dependencies plus, with `queues`, the in-order queue edges (the
+    /// deadlock verifier's augmented graph): writes each task's earliest
+    /// finish to `finish`, hands its earliest start to `start`, and folds the
+    /// transfer durations on the way. Each lane runs the engine's arithmetic
+    /// — `bytes / (bw * 1e9)` is [`RpuEngine::task_duration`] at its
+    /// bandwidth, and timestamps take a max fold then one addition — so a
+    /// contention-free chain reproduces the engine bit for bit, every finish
+    /// is a machine-arithmetic lower bound on the engine's, and `L` never
+    /// changes a bit.
+    fn forward<const L: usize>(
+        &self,
+        bandwidths_gbps: &[f64; L],
+        queues: bool,
+        finish: &mut [[f64; L]],
+        mut start: impl FnMut(TaskId, [f64; L]),
+    ) -> Lanes<L> {
+        let bytes_per_second = bandwidths_gbps.map(|bw| bw * 1e9);
+        let mut lanes = Lanes {
+            path: [0.0; L],
+            memory: [0.0; L],
+            channels: vec![[0.0; L]; self.plan.channels()],
+        };
+        for task in self.tasks {
+            let d = match task.kind {
+                TaskKind::Compute { .. } => [self.duration[task.id]; L],
+                TaskKind::Memory { bytes, .. } => {
+                    let d = bytes_per_second.map(|bps| bytes as f64 / bps);
+                    let channel = &mut lanes.channels[self.channel_index[task.id] as usize];
+                    for l in 0..L {
+                        lanes.memory[l] += d[l];
+                        channel[l] += d[l];
+                    }
+                    d
+                }
+            };
+            let mut es = [0.0f64; L];
+            let mut relax = |p: TaskId| {
+                let f = &finish[p];
+                for l in 0..L {
+                    if f[l] > es[l] {
+                        es[l] = f[l];
+                    }
+                }
+            };
+            task.dependencies.iter().for_each(|&p| relax(p));
+            if let Some((p, _)) = self.queue_pred[task.id].filter(|_| queues) {
+                relax(p);
+            }
+            start(task.id, es);
+            let f = &mut finish[task.id];
+            for l in 0..L {
+                f[l] = es[l] + d[l];
+                if f[l] > lanes.path[l] {
+                    lanes.path[l] = f[l];
+                }
             }
         }
-        if let Some(pred) = queue_pred {
-            if let Some((p, channel)) = pred[task.id] {
-                if finish[p] > es {
-                    es = finish[p];
+        lanes
+    }
+
+    /// One longest path of a one-lane [`forward`](Self::forward) pass, in
+    /// program order: back from the first task to finish at `bound`, each
+    /// step blamed on the predecessor that delivered its start, re-derived
+    /// from `finish` in the pass's strict-`>` order (dependencies as listed,
+    /// then the queue predecessor when `queues`), so ties resolve as there.
+    fn walk_critical(&self, finish: &[[f64; 1]], bound: f64, queues: bool) -> Vec<CriticalStep> {
+        let mut path = Vec::new();
+        let mut cursor = finish.iter().position(|&[f]| bound > 0.0 && f == bound);
+        while let Some(task) = cursor {
+            let mut ready = 0.0f64;
+            let mut edge = CriticalEdge::Source;
+            for &dep in &self.tasks[task].dependencies {
+                if finish[dep][0] > ready {
+                    ready = finish[dep][0];
+                    edge = CriticalEdge::Dependency(dep);
+                }
+            }
+            if let Some((predecessor, channel)) = self.queue_pred[task].filter(|_| queues) {
+                if finish[predecessor][0] > ready {
                     edge = CriticalEdge::QueueOrder {
-                        predecessor: p,
+                        predecessor,
                         channel,
                     };
                 }
             }
+            path.push(CriticalStep { task, edge });
+            cursor = match edge {
+                CriticalEdge::Source => None,
+                CriticalEdge::Dependency(p) | CriticalEdge::QueueOrder { predecessor: p, .. } => {
+                    Some(p)
+                }
+            };
         }
-        start[task.id] = es;
-        finish[task.id] = es + engine.task_duration(task);
-        binding[task.id] = edge;
-        if finish[task.id] > bound {
-            bound = finish[task.id];
-            sink = Some(task.id);
-        }
+        path.reverse();
+        path
     }
-    ForwardPass {
-        start,
-        finish,
-        binding,
-        bound,
-        sink,
-    }
-}
 
-/// Walks a forward pass's binding edges back from its sink and returns the
-/// path in program order.
-fn walk_critical(pass: &ForwardPass) -> Vec<CriticalStep> {
-    let mut path = Vec::new();
-    let mut cursor = pass.sink;
-    while let Some(task) = cursor {
-        let edge = pass.binding[task];
-        path.push(CriticalStep { task, edge });
-        cursor = match edge {
-            CriticalEdge::Source => None,
-            CriticalEdge::Dependency(p) | CriticalEdge::QueueOrder { predecessor: p, .. } => {
-                Some(p)
-            }
-        };
+    /// The bound components at lane `lane` of the queue-augmented pass `aug`,
+    /// given the dependency path bound. The memory occupancies are shaved to
+    /// stay sound under any grant order; the compute fold mirrors the
+    /// engine's in-order issue exactly and needs no shave.
+    fn components<const L: usize>(
+        &self,
+        aug: &Lanes<L>,
+        lane: usize,
+        dependency: f64,
+    ) -> Components {
+        Components {
+            compute_occupancy: self.compute_occupancy,
+            memory_occupancy: occupancy_floor(aug.memory[lane], self.plan.memory_task_count()),
+            channel_occupancy: (aug.channels.iter().zip(self.plan.memory_queues()))
+                .map(|(fold, queue)| occupancy_floor(fold[lane], queue.len()))
+                .collect(),
+            dependency_bound: dependency,
+            queue_bound: aug.path[lane],
+        }
     }
-    path.reverse();
-    path
+
+    /// Appends the makespan bound at each of `bandwidths_gbps` (whole chunks
+    /// of `L`) to `out`, one queue-augmented pass per chunk. The finish
+    /// buffer lives only while this runs, and not at all for no points.
+    fn curve<const L: usize>(&self, bandwidths_gbps: &[f64], out: &mut Vec<f64>) {
+        if bandwidths_gbps.is_empty() {
+            return;
+        }
+        let mut finish = vec![[0.0; L]; self.tasks.len()];
+        for chunk in bandwidths_gbps.chunks_exact(L) {
+            let bandwidths: &[f64; L] = chunk.try_into().expect("chunk has L entries");
+            let aug = self.forward(bandwidths, true, &mut finish, |_, _| {});
+            // The dependency bound is never the strict maximum (see
+            // `bound_curve`), so zero stands in for it without moving a bit.
+            out.extend((0..L).map(|lane| self.components(&aug, lane, 0.0).makespan().0));
+        }
+    }
 }
 
 /// Shaves an occupancy fold down by `(terms + 3)` epsilons so it is provably
@@ -517,191 +613,66 @@ fn derive_knee(
     }
 }
 
-/// Every per-bandwidth component of the makespan bound: both forward
-/// passes and the resource occupancy folds, as [`analyze_plan`] reads
-/// them. [`bound_curve`] inlines the same arithmetic per lane; this
-/// module's tests hold the two bit-identical.
+/// Every per-bandwidth component of the makespan bound at one bandwidth, as
+/// [`analyze_plan`] reports them; [`bound_curve`] reads the same components
+/// lane by lane from the same pass.
 struct Components {
-    dep: ForwardPass,
-    aug: ForwardPass,
     compute_occupancy: f64,
     memory_occupancy: f64,
     channel_occupancy: Vec<f64>,
+    dependency_bound: f64,
+    queue_bound: f64,
 }
 
-/// Computes the bound components at `engine`'s bandwidth under `plan`'s
-/// queues (placement does not depend on bandwidth).
-fn components(
-    engine: &RpuEngine,
-    graph: &TaskGraph,
-    plan: &ExecPlan,
-    queue_pred: &[QueuePred],
-) -> Components {
-    let dep = forward(engine, graph, None);
-    let aug = forward(engine, graph, Some(queue_pred));
-
-    // Resource occupancies, folded in program order with the engine's
-    // per-task durations. The compute fold mirrors the engine's in-order
-    // issue exactly; the memory folds are shaved to stay sound under any
-    // grant order.
-    let tasks = graph.tasks();
-    let fold = |queue: &[u32]| {
-        (queue.iter()).fold(0.0f64, |sum, &t| {
-            sum + engine.task_duration(&tasks[t as usize])
-        })
-    };
-    let memory_fold = (tasks.iter().filter(|t| t.is_memory()))
-        .fold(0.0f64, |sum, t| sum + engine.task_duration(t));
-    let channel_occupancy = (plan.memory_queues().iter())
-        .map(|queue| occupancy_floor(fold(queue), queue.len()))
-        .collect();
-    let compute_occupancy = compute_fold(engine, tasks, plan);
-    let memory_occupancy = occupancy_floor(memory_fold, plan.memory_task_count());
-    Components {
-        dep,
-        aug,
-        compute_occupancy,
-        memory_occupancy,
-        channel_occupancy,
+impl Components {
+    /// The sound makespan bound and its binding component. Strict `>` in
+    /// this order means a tie blames the simpler component (a serial chain
+    /// reads "dependency path", not "queue order").
+    fn makespan(&self) -> (f64, BindingResource) {
+        use BindingResource::*;
+        let channels =
+            (self.channel_occupancy.iter().enumerate()).map(|(c, &o)| (o, MemoryChannel(c)));
+        ([(self.memory_occupancy, DataPath)].into_iter())
+            .chain(channels)
+            .chain([
+                (self.dependency_bound, DependencyPath),
+                (self.queue_bound, QueueOrder),
+            ])
+            .fold((self.compute_occupancy, ComputePipeline), |best, next| {
+                if next.0 > best.0 {
+                    next
+                } else {
+                    best
+                }
+            })
     }
-}
-
-/// The sound makespan bound and its binding component. Strict `>` in this
-/// order means a tie blames the simpler component (a serial chain reads
-/// "dependency path", not "queue order").
-fn makespan_of(parts: &Components) -> (f64, BindingResource) {
-    let mut makespan = parts.compute_occupancy;
-    let mut binding = BindingResource::ComputePipeline;
-    if parts.memory_occupancy > makespan {
-        makespan = parts.memory_occupancy;
-        binding = BindingResource::DataPath;
-    }
-    for (c, &occ) in parts.channel_occupancy.iter().enumerate() {
-        if occ > makespan {
-            makespan = occ;
-            binding = BindingResource::MemoryChannel(c);
-        }
-    }
-    if parts.dep.bound > makespan {
-        makespan = parts.dep.bound;
-        binding = BindingResource::DependencyPath;
-    }
-    if parts.aug.bound > makespan {
-        makespan = parts.aug.bound;
-        binding = BindingResource::QueueOrder;
-    }
-    (makespan, binding)
 }
 
 /// The makespan bound at each bandwidth of `bandwidths_gbps`, under
-/// `engine`'s channel count and placement. Bit-identical to running
-/// [`analyze`] at every point and reading
-/// [`BoundAnalysis::makespan_bound_seconds`], but built for ladders: the
-/// plan and every bandwidth-independent input (compute durations and their
-/// fold, memory sizes, channel placement) are computed once, and each point
-/// is a single fused forward-pass-plus-occupancy-fold sweep with the
-/// engine's duration arithmetic inlined (`bytes / (bw * 1e9)` is exactly
-/// [`RpuEngine::task_duration`] at that point's configuration).
+/// `engine`'s channel count and placement: bit for bit what [`analyze`]
+/// reports as [`BoundAnalysis::makespan_bound_seconds`] at every point, but
+/// the plan and every bandwidth-independent input are built once, and
+/// [`analyze_plan`]'s forward pass runs eight points per walk of the graph
+/// (one per walk for the remainder). Only the queue-augmented pass runs: it
+/// replays a superset of the dependency pass's constraints with the same
+/// exact-`max`/monotone-`+` operations, so its finishes dominate pointwise
+/// in machine arithmetic and the dependency bound is never the strict
+/// maximum.
 ///
-/// The dependency-only pass is skipped: the augmented pass replays a
-/// superset of its constraints with the same exact-`max`/monotone-`+`
-/// operations, so its finish times dominate pointwise — in machine
-/// arithmetic, not just over the reals — and the dependency bound can
-/// never be the strict maximum.
+/// # Panics
+///
+/// If an entry is not a finite, positive bandwidth, with
+/// [`validate_bandwidth`](crate::config::validate_bandwidth)'s message.
 pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64]) -> Vec<f64> {
-    let plan = &engine.plan(graph);
-    let tasks = graph.tasks();
-    let n = tasks.len();
-    let queue_pred = queue_predecessors(plan);
-    let channel_index = plan.channel_index();
-    let channels = plan.channels();
-    let compute_duration: Vec<f64> = tasks
+    bandwidths_gbps
         .iter()
-        .map(|t| {
-            if t.is_compute() {
-                engine.task_duration(t)
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let compute_occupancy = compute_fold(engine, tasks, plan);
-    let memory_tasks = plan.memory_task_count();
-
-    // Lanes of eight, like the analytic evaluator: one pass over the graph
-    // serves eight ladder points, amortizing the dependency walk.
-    const LANES: usize = 8;
-    let mut finish = vec![[0.0f64; LANES]; n];
-    let mut channel_fold = vec![[0.0f64; LANES]; channels];
+        .for_each(|&bw| assert_valid_bandwidth(bw));
+    let plan = &engine.plan(graph);
+    let placed = Placed::new(engine, graph, plan);
+    let split = bandwidths_gbps.len() - bandwidths_gbps.len() % LANES;
     let mut out = Vec::with_capacity(bandwidths_gbps.len());
-    for chunk in bandwidths_gbps.chunks(LANES) {
-        // Idle lanes divide by 1 and are discarded below.
-        let mut bytes_per_second = [1.0f64; LANES];
-        for (lane, &bw) in chunk.iter().enumerate() {
-            bytes_per_second[lane] = bw * 1e9;
-        }
-        let mut path_bound = [0.0f64; LANES];
-        let mut memory_fold = [0.0f64; LANES];
-        for fold in &mut channel_fold {
-            fold.fill(0.0);
-        }
-        for task in tasks {
-            let mut d = [0.0f64; LANES];
-            if task.is_compute() {
-                d.fill(compute_duration[task.id]);
-            } else {
-                let bytes = task.bytes() as f64;
-                let fold = &mut channel_fold[channel_index[task.id] as usize];
-                for lane in 0..LANES {
-                    d[lane] = bytes / bytes_per_second[lane];
-                    memory_fold[lane] += d[lane];
-                    fold[lane] += d[lane];
-                }
-            }
-            let mut es = [0.0f64; LANES];
-            for &dep in &task.dependencies {
-                let f = &finish[dep];
-                for lane in 0..LANES {
-                    if f[lane] > es[lane] {
-                        es[lane] = f[lane];
-                    }
-                }
-            }
-            if let Some((p, _)) = queue_pred[task.id] {
-                let f = &finish[p];
-                for lane in 0..LANES {
-                    if f[lane] > es[lane] {
-                        es[lane] = f[lane];
-                    }
-                }
-            }
-            let mut f = [0.0f64; LANES];
-            for lane in 0..LANES {
-                f[lane] = es[lane] + d[lane];
-                if f[lane] > path_bound[lane] {
-                    path_bound[lane] = f[lane];
-                }
-            }
-            finish[task.id] = f;
-        }
-        for lane in 0..chunk.len() {
-            let mut makespan = compute_occupancy;
-            let memory_occupancy = occupancy_floor(memory_fold[lane], memory_tasks);
-            if memory_occupancy > makespan {
-                makespan = memory_occupancy;
-            }
-            for (fold, queue) in channel_fold.iter().zip(plan.memory_queues()) {
-                let occ = occupancy_floor(fold[lane], queue.len());
-                if occ > makespan {
-                    makespan = occ;
-                }
-            }
-            if path_bound[lane] > makespan {
-                makespan = path_bound[lane];
-            }
-            out.push(makespan);
-        }
-    }
+    placed.curve::<LANES>(&bandwidths_gbps[..split], &mut out);
+    placed.curve::<1>(&bandwidths_gbps[split..], &mut out);
     out
 }
 
@@ -739,58 +710,72 @@ pub fn analyze(engine: &RpuEngine, graph: &TaskGraph) -> BoundAnalysis {
 pub fn analyze_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> BoundAnalysis {
     let tasks = graph.tasks();
     let n = tasks.len();
-    let queue_pred = queue_predecessors(plan);
+    let placed = Placed::new(engine, graph, plan);
 
-    // Forward passes, occupancies, and the bound they deliver.
-    let parts = components(engine, graph, plan, &queue_pred);
-    let (makespan, binding) = makespan_of(&parts);
-    let Components {
-        dep,
-        aug,
-        compute_occupancy,
-        memory_occupancy,
-        channel_occupancy,
-    } = parts;
+    // The dependency and queue-augmented forward passes, one lane each at
+    // the engine's bandwidth, and the bound they deliver.
+    let bw = [engine.config().dram_bandwidth_gbps];
+    let mut earliest_start = vec![0.0f64; n];
+    let mut dep_finish = vec![[0.0f64]; n];
+    let dep = placed.forward(&bw, false, &mut dep_finish, |t, [es]| {
+        earliest_start[t] = es;
+    });
+    let [dependency_bound] = dep.path;
+    let mut queue_earliest_start = vec![0.0f64; n];
+    let mut aug_finish = vec![[0.0f64]; n];
+    let aug = placed.forward(&bw, true, &mut aug_finish, |t, [es]| {
+        queue_earliest_start[t] = es;
+    });
+    let parts = placed.components(&aug, 0, dependency_bound);
+    let (makespan, binding) = parts.makespan();
 
     // Backward pass over true dependencies from the dependency bound, via
     // the plan's dependents CSR.
     let mut latest_start = vec![0.0f64; n];
     for task in tasks.iter().rev() {
-        let mut lf = dep.bound;
+        let mut lf = dependency_bound;
         for &child in plan.dependents(task.id) {
             if latest_start[child as usize] < lf {
                 lf = latest_start[child as usize];
             }
         }
-        latest_start[task.id] = lf - engine.task_duration(task);
+        latest_start[task.id] = lf - placed.duration[task.id];
     }
     let slack: Vec<f64> = latest_start
         .iter()
-        .zip(&dep.start)
+        .zip(&earliest_start)
         .map(|(ls, es)| ls - es)
         .collect();
 
     // Closed-form knees from the bound's affine pieces, the placement-aware
     // one exactly as `knee_plan` derives it.
     let durations = affine_durations(engine, tasks);
-    let knee = derive_knee(graph, &durations, &queue_pred, compute_occupancy);
+    let knee = derive_knee(
+        graph,
+        &durations,
+        &placed.queue_pred,
+        parts.compute_occupancy,
+    );
     let no_queue: Vec<QueuePred> = vec![None; n];
-    let dependency_knee = derive_knee(graph, &durations, &no_queue, compute_occupancy);
+    let dependency_knee = derive_knee(graph, &durations, &no_queue, parts.compute_occupancy);
 
     BoundAnalysis {
         bandwidth_gbps: engine.config().dram_bandwidth_gbps,
-        critical_path: walk_critical(&dep).iter().map(|s| s.task).collect(),
-        queue_critical_path: walk_critical(&aug),
-        queue_earliest_start: aug.start,
-        earliest_start: dep.start,
-        earliest_finish: dep.finish,
+        critical_path: (placed
+            .walk_critical(&dep_finish, dependency_bound, false)
+            .iter())
+        .map(|s| s.task)
+        .collect(),
+        queue_critical_path: placed.walk_critical(&aug_finish, parts.queue_bound, true),
+        queue_earliest_start,
+        earliest_start,
         latest_start,
         slack,
-        dependency_bound_seconds: dep.bound,
-        queue_bound_seconds: aug.bound,
-        compute_occupancy_seconds: compute_occupancy,
-        memory_occupancy_seconds: memory_occupancy,
-        channel_occupancy_seconds: channel_occupancy,
+        dependency_bound_seconds: dependency_bound,
+        queue_bound_seconds: parts.queue_bound,
+        compute_occupancy_seconds: parts.compute_occupancy,
+        memory_occupancy_seconds: parts.memory_occupancy,
+        channel_occupancy_seconds: parts.channel_occupancy,
         makespan_bound_seconds: makespan,
         binding,
         knee,
@@ -879,7 +864,8 @@ mod tests {
             })
             .collect();
         fan.push_compute(ComputeKind::Ntt, 2_000_000_000, loads, "join", "P1");
-        let ladder = [0.5, 1.0, 3.0, 12.8, 64.0, 1024.0];
+        // Nine points: one 8-lane chunk and a one-lane remainder.
+        let ladder = [0.5, 1.0, 3.0, 12.8, 64.0, 1024.0, 2.0, 8.0, 256.0];
         for graph in [&serial_chain(3), &fan] {
             for channels in [1usize, 2, 8] {
                 let engine = RpuEngine::new(unit_config(1.0).with_memory_channels(channels));
@@ -893,6 +879,25 @@ mod tests {
                         "bw={bw} channels={channels}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bound_curve_panics_on_a_ladder_entry_that_is_not_a_bandwidth() {
+        // A bad entry in the one-lane remainder or in an 8-lane chunk,
+        // beside good ones: none may come back as a number.
+        let engine = RpuEngine::new(unit_config(1.0));
+        let graph = serial_chain(1);
+        for bw in [f64::NAN, 0.0, -8.0, f64::INFINITY] {
+            for ladder in [vec![8.0, bw], [[bw].as_slice(), &[8.0; 8]].concat()] {
+                let panic = std::panic::catch_unwind(|| bound_curve(&engine, &graph, &ladder))
+                    .expect_err(&format!("bound_curve({ladder:?}) must panic"));
+                let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    message.contains(&format!("bandwidth {bw} GB/s")),
+                    "{ladder:?}: {message:?}"
+                );
             }
         }
     }

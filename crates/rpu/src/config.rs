@@ -236,6 +236,14 @@ pub fn validate_bandwidth(bandwidth_gbps: f64) -> Result<(), String> {
     validate_rate("DRAM bandwidth", bandwidth_gbps, " GB/s")
 }
 
+/// [`validate_bandwidth`] as a panic with its message: the check of the
+/// evaluation entry points that take a bandwidth ladder.
+pub(crate) fn assert_valid_bandwidth(bandwidth_gbps: f64) {
+    if let Err(message) = validate_bandwidth(bandwidth_gbps) {
+        panic!("{message}");
+    }
+}
+
 fn validate_rate(name: &str, value: f64, unit: &str) -> Result<(), String> {
     if value.is_finite() && value > 0.0 {
         Ok(())

@@ -471,8 +471,8 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
             .map(drop),
         ),
         (
-            "workload sweep",
-            ciflow::sweep::try_workload_sweep_in(
+            "analytic sweep",
+            ciflow::sweep::try_analytic_sweep_in(
                 &session,
                 &workload,
                 panicking(),

@@ -6,7 +6,7 @@
 use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::try_workload_sweep_in;
+use ciflow::sweep::try_analytic_sweep_in;
 use ciflow::workload::{build_workload, KernelStep, PipelineMode, Workload};
 use ciflow::HksShape;
 use common::{baseline_at, streaming_at};
@@ -97,7 +97,7 @@ fn workload_sweep_runs_the_figure4_ladder() {
         .step(KernelStep::RotationBatch { count: 3 })
         .step(KernelStep::KeySwitch);
     assert_eq!(workload.hks_invocations(), 5);
-    let series = try_workload_sweep_in(
+    let series = try_analytic_sweep_in(
         &Session::new(),
         &workload,
         Dataflow::OutputCentric,
@@ -106,6 +106,7 @@ fn workload_sweep_runs_the_figure4_ladder() {
         1.0,
         PipelineMode::Fused,
     )
+    .map(|s| s.series)
     .unwrap();
     assert_eq!(series.points.len(), ciflow::sweep::BANDWIDTH_LADDER.len());
     assert!(series.evk_streamed);
