@@ -315,10 +315,11 @@ pub struct AnalyticOutput {
     /// Short name of the strategy that scheduled it.
     pub strategy: String,
     /// The RPU configuration the timeline was derived from. Its
-    /// `dram_bandwidth_gbps` is the anchor, not a restriction — evaluation
-    /// is valid anywhere in the timeline's
-    /// [`bandwidth_range_gbps`](ParametricTimeline::bandwidth_range_gbps),
-    /// and falls back to the engine (still bit-exact) outside it.
+    /// `dram_bandwidth_gbps` is not a restriction: evaluation is bit-exact
+    /// at any bandwidth, in the timeline's
+    /// [`bandwidth_range_gbps`](ParametricTimeline::bandwidth_range_gbps)
+    /// or outside it — a replay on one memory channel, an engine run per
+    /// point on several.
     pub rpu: RpuConfig,
     /// The schedule the timeline describes, shared with the session cache.
     pub schedule: Arc<Schedule>,
@@ -328,8 +329,8 @@ pub struct AnalyticOutput {
     pub kernel_benchmarks: Vec<HksBenchmark>,
     /// DRAM traffic eliminated by on-chip forwarding, in bytes.
     pub forwarded_bytes: u64,
-    /// The piecewise-linear timeline; shared with the session's plan cache,
-    /// so repeated analytic runs of an identically-keyed job are lookups.
+    /// The parametric timeline; shared with the session's plan cache, so
+    /// repeated analytic runs of an identically-keyed job are lookups.
     pub timeline: Arc<ParametricTimeline>,
 }
 
@@ -892,9 +893,9 @@ impl Session {
 
     /// Runs a job *symbolically* over a bandwidth range instead of at one
     /// bandwidth: builds (or fetches) the same cached schedule plan
-    /// [`Session::run_job`] would use, derives its piecewise-linear
-    /// [`ParametricTimeline`] once, and returns it for closed-form
-    /// evaluation at any bandwidth — bit-identical to running the job with
+    /// [`Session::run_job`] would use, derives its [`ParametricTimeline`]
+    /// once, and returns it for evaluation at any bandwidth (closed-form on
+    /// one memory channel) — bit-identical to running the job with
     /// that bandwidth swapped in (see `docs/ANALYTIC.md`). Timelines are
     /// cached with the plan, so repeated analytic runs of an
     /// identically-keyed job cost one lookup.

@@ -177,20 +177,13 @@ pub fn try_bandwidth_sweep_in(
     Ok(ladder.series)
 }
 
-/// A workload pipeline's bandwidth sweep annotated with the timeline's
-/// shape and the static bound under its runtime curve.
+/// A workload pipeline's bandwidth sweep annotated with the static bound
+/// under its runtime curve.
 #[derive(Debug, Clone, Serialize)]
 pub struct AnalyticSweep {
     /// The evaluated series: one runtime point per ladder entry, in ladder
     /// order.
     pub series: SweepSeries,
-    /// Number of grant-order segments the timeline stitched together over
-    /// the ladder's bandwidth range (one on a single-channel RPU).
-    pub segments: usize,
-    /// Bandwidths (GB/s) strictly inside the range at which the engine's
-    /// bus grant order changes. The runtime curve also kinks inside a
-    /// segment, at ready-time crossovers that reorder no grant.
-    pub breakpoints_gbps: Vec<f64>,
     /// The provable makespan lower bound (ms) at each ladder point, in
     /// ladder order — the static roofline under the `runtime_ms` curve
     /// ([`rpu::bound::bound_curve`], `docs/BOUNDS.md`). The sweep RPU has
@@ -211,10 +204,10 @@ pub struct AnalyticSweep {
 
 /// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
 /// (fused or back-to-back) on the paper's RPU for `evk_policy`, under the
-/// module's bandwidth-ladder rules, and adds the timeline's segments and
-/// breakpoints, the static bound at every ladder point and the bound's
-/// roofline knee. Repeating a sweep (or sweeping another ladder inside the
-/// same bandwidth range) on one session reuses its cached timeline outright.
+/// module's bandwidth-ladder rules, and adds the static bound at every
+/// ladder point and the bound's roofline knee. Repeating a sweep (or
+/// sweeping another ladder inside the same bandwidth range) on one session
+/// reuses its cached timeline outright.
 ///
 /// # Errors
 ///
@@ -244,8 +237,6 @@ pub fn try_analytic_sweep_in(
         .effective_knee_gbps();
     Ok(AnalyticSweep {
         series,
-        segments: output.timeline.segments().len(),
-        breakpoints_gbps: output.timeline.breakpoints_gbps(),
         bound_ms,
         knee_gbps,
     })
@@ -369,10 +360,11 @@ pub struct ChannelSweepPoint {
 ///
 /// Degenerate inputs (pinned by the regression tests): a non-finite or
 /// non-positive `bandwidth_gbps` is rejected with
-/// [`CiflowError::InvalidConfig`]; an empty `channel_counts` ladder yields
-/// an empty result; duplicate or unsorted channel counts are evaluated
-/// pointwise in the order given (duplicates produce bit-identical rows);
-/// a channel count of `0` is clamped to one channel by
+/// [`CiflowError::InvalidConfig`], and so is an empty `channel_counts`
+/// ladder (`"channel sweep: channel ladder is empty"`); duplicate or
+/// unsorted channel counts are evaluated pointwise in the order given
+/// (duplicates produce bit-identical rows); a channel count of `0` is
+/// clamped to one channel by
 /// [`RpuConfig::with_memory_channels`].
 ///
 /// # Errors
@@ -388,6 +380,11 @@ pub fn try_channel_sweep(
     mode: PipelineMode,
 ) -> Result<Vec<ChannelSweepPoint>, CiflowError> {
     check_bandwidth(bandwidth_gbps)?;
+    if channel_counts.is_empty() {
+        return Err(CiflowError::InvalidConfig {
+            message: "channel sweep: channel ladder is empty".to_string(),
+        });
+    }
     let spec: StrategySpec = strategy.into();
     channel_counts
         .iter()
@@ -777,10 +774,6 @@ mod tests {
                 analytic.series.points[1].runtime_ms.to_bits(),
                 analytic.series.points[3].runtime_ms.to_bits()
             );
-            assert!(analytic.segments >= 1);
-            for &bp in &analytic.breakpoints_gbps {
-                assert!(bp > 8.0 && bp < 128.0, "interior breakpoint {bp}");
-            }
             // The static bound curve sits under the runtime curve at every
             // ladder point (soundness), one bound per point.
             assert_eq!(analytic.bound_ms.len(), analytic.series.points.len());
@@ -867,7 +860,6 @@ mod tests {
         // A single-point ladder is legal and matches the engine.
         let single = run(&[25.6]).unwrap();
         assert_eq!(single.series.points.len(), 1);
-        assert!(single.breakpoints_gbps.is_empty());
         let job = Job::workload(workload, Dataflow::OutputCentric, PipelineMode::Fused);
         let engine = engine_ladder(&session, &job, &[25.6], EvkPolicy::OnChip);
         assert_eq!(
@@ -1004,8 +996,8 @@ mod tests {
                 "bandwidth {bad} must be rejected"
             );
         }
-        // An empty channel ladder is an empty sweep, not an error.
-        let empty = try_channel_sweep(
+        // An empty channel ladder is rejected like every other empty ladder.
+        match try_channel_sweep(
             &session,
             &workload,
             Dataflow::OutputCentric,
@@ -1013,9 +1005,12 @@ mod tests {
             EvkPolicy::OnChip,
             &[],
             PipelineMode::Fused,
-        )
-        .unwrap();
-        assert!(empty.is_empty());
+        ) {
+            Err(CiflowError::InvalidConfig { message }) => {
+                assert_eq!(message, "channel sweep: channel ladder is empty");
+            }
+            other => panic!("an empty channel ladder must be rejected, got {other:?}"),
+        }
     }
 
     #[test]

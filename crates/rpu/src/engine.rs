@@ -344,17 +344,6 @@ pub(crate) trait Executor {
     fn later(&mut self, a: Self::Time, b: Self::Time) -> Self::Time;
     /// When `task`, started at `start`, finishes.
     fn finish(&mut self, task: TaskId, start: Self::Time) -> Self::Time;
-    /// `task` issues on the compute queue (`channel` `None`) or is granted
-    /// the data path from `channel`'s queue; `heads` are the memory queue
-    /// cursors before the issuing queue advances.
-    fn issued(
-        &mut self,
-        _task: TaskId,
-        _channel: Option<usize>,
-        _span: (Self::Time, Self::Time),
-        _heads: &[usize],
-    ) {
-    }
     /// `task` retires at the end of `span`.
     fn retired(&mut self, task: TaskId, channel: Option<usize>, span: (Self::Time, Self::Time));
 }
@@ -443,7 +432,7 @@ pub(crate) fn drive<E: Executor>(
             if let Some(&head) = compute_queue.get(ci) {
                 let head = head as usize;
                 if remaining[head] == 0 {
-                    comp_run = issue(exec, head, None, (ready_at[head], compute_free), &mi)?;
+                    comp_run = issue(exec, head, None, (ready_at[head], compute_free))?;
                     ci += 1;
                 }
             }
@@ -460,7 +449,7 @@ pub(crate) fn drive<E: Executor>(
                 }
             }
             if let Some((head, channel)) = grant {
-                mem_run = issue(exec, head, Some(channel), (ready_at[head], bus_free), &mi)?;
+                mem_run = issue(exec, head, Some(channel), (ready_at[head], bus_free))?;
                 mi[channel] += 1;
             }
         }
@@ -516,7 +505,6 @@ fn issue<E: Executor>(
     head: TaskId,
     channel: Option<usize>,
     (ready, free): (E::Time, E::Time),
-    heads: &[usize],
 ) -> Result<InFlight<E::Time>, EngineError> {
     let start = exec.later(ready, free);
     let end = exec.finish(head, start);
@@ -527,7 +515,6 @@ fn issue<E: Executor>(
             seconds,
         });
     }
-    exec.issued(head, channel, (start, end), heads);
     Ok(Some((head, channel, (start, end))))
 }
 

@@ -16,9 +16,10 @@
 //!   one in-order queue per DRAM pseudo-channel) producing runtimes, idle
 //!   fractions and per-task traces; timing semantics in
 //!   `docs/MEMORY_MODEL.md`.
-//! * [`analytic`] — closed-form bandwidth sweeps: one symbolic execution per
-//!   event-order segment yields a [`analytic::ParametricTimeline`] whose
-//!   per-point evaluation is bit-identical to the engine (`docs/ANALYTIC.md`).
+//! * [`analytic`] — closed-form bandwidth sweeps: one symbolic execution
+//!   yields a [`analytic::ParametricTimeline`] whose per-point evaluation is
+//!   bit-identical to the engine — a replay on one memory channel, the
+//!   engine itself on several (`docs/ANALYTIC.md`).
 //! * [`channel::ChannelMap`] — deterministic buffer-to-channel placement for
 //!   the multi-channel memory model (label hash plus overridable pin rules).
 //! * [`plan::ExecPlan`] — a graph compiled once per channel placement: the

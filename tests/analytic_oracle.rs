@@ -6,19 +6,20 @@
 //! where it is most likely to break:
 //!
 //! 1. Random structurally-valid task graphs (the `lint_oracle` generator)
-//!    across 1/2/4/8 memory channels, sampled at every reported breakpoint,
-//!    one ulp inside each side of every segment edge, and at random interior
-//!    points of the analyzed range.
+//!    across 1/2/4/8 memory channels, sampled at the range ends, at every
+//!    ready-time crossover the one-channel replay reports (the edges of
+//!    `Segment::affine_range_gbps`) and one ulp either side of it, and at
+//!    random interior points of the analyzed range.
 //! 2. Real strategy schedules — every dataflow, both evk policies — through
 //!    the same sampling grid.
 //!
 //!    Both grids are evaluated point by point (`evaluate`) and as one
-//!    unsorted ladder (`evaluate_many`), whose lane chunks straddle segment
-//!    edges.
+//!    unsorted ladder (`evaluate_many`): on one channel through the replay
+//!    and its eight-lane chunks, on several through the engine.
 //!
 //! 3. Forced grants: on one memory channel every bus grant is forced, so a
-//!    timeline is a single segment with no certificate checks, and the
-//!    static bound equals the evaluated runtime bit for bit.
+//!    timeline is a single segment, and the static bound equals the
+//!    evaluated runtime bit for bit.
 //!
 //! On divergence the failure message pins down the *first differing event*:
 //! the replayed per-task spans ([`ParametricTimeline::sampled_times`]) are
@@ -40,20 +41,14 @@ mod common;
 const LO_GBPS: f64 = 8.0;
 const HI_GBPS: f64 = 1024.0;
 
-/// The sampling grid for one timeline: range ends, every breakpoint, one ulp
-/// inside each side of every segment edge, every ready-time crossover (the
-/// affine-range edges) and one ulp either side of it, and deterministic
-/// interior points.
+/// The sampling grid for one timeline: range ends, every ready-time
+/// crossover (the affine-range edges) and one ulp either side of it, and
+/// deterministic interior points.
 fn sample_points(timeline: &ParametricTimeline, seed: u64) -> Vec<f64> {
     let mut points = vec![LO_GBPS, HI_GBPS];
-    for b in timeline.breakpoints_gbps() {
-        points.extend([b, b.next_down(), b.next_up()]);
-    }
     for segment in timeline.segments() {
-        let (lo, hi) = segment.bandwidth_range_gbps();
-        points.extend([lo, lo.next_up(), hi, hi.next_down()]);
-        // The ready-time crossovers nearest the anchor: kinks that split no
-        // segment, so the segment edges above never land on them.
+        // The ready-time crossover nearest the anchor, where the runtime
+        // curve kinks.
         let (lo, hi) = segment.affine_range_gbps();
         for edge in [lo, hi] {
             points.extend([edge.next_down(), edge, edge.next_up()]);
@@ -87,7 +82,7 @@ fn first_divergence(
         .execute(graph)
         .expect("oracle graphs do not deadlock");
     let Some(replayed) = timeline.sampled_times(bandwidth_gbps) else {
-        return format!("no certifying segment at {bandwidth_gbps} GB/s (engine fallback path)");
+        return format!("no replay script at {bandwidth_gbps} GB/s (multi-channel engine path)");
     };
     let mut by_task = vec![None; graph.len()];
     for record in traced.trace.records() {
@@ -121,8 +116,7 @@ fn first_divergence(
 
 /// Analyzes `graph` on `engine` and asserts evaluate == execute_stats, bit
 /// for bit, over the whole sampling grid — and the same of the ladder path,
-/// `evaluate_many` over the unsorted grid, whose lane chunks straddle
-/// segment edges and so also re-evaluate lanes one by one.
+/// `evaluate_many` over the unsorted grid.
 fn assert_oracle_agreement(engine: &RpuEngine, graph: &TaskGraph, seed: u64, context: &str) {
     let timeline = engine
         .analyze(graph, LO_GBPS, HI_GBPS)
@@ -197,37 +191,50 @@ fn strategy_schedules_evaluate_bit_identically() {
 }
 
 #[test]
-fn the_timeline_reports_real_breakpoints_for_a_real_schedule() {
+fn a_real_schedule_is_one_segment_on_one_channel_and_none_on_four() {
     // Sanity on the shape of the answer itself: a streamed OC schedule over
-    // the full range derives a small number of wide segments, is not
-    // truncated, and its breakpoints lie strictly inside the range.
+    // the full range keeps one replay script on the paper's one-channel RPU,
+    // whose affine range lies inside the analyzed range, and none on four
+    // channels, where every point runs the engine.
     let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
     let schedule = build_schedule(
         Dataflow::OutputCentric,
         &HksShape::new(HksBenchmark::ARK),
         &config,
     );
-    let engine = RpuEngine::new(RpuConfig::ciflow_streaming());
-    let timeline = engine
-        .analyze(&schedule.graph, LO_GBPS, HI_GBPS)
-        .expect("schedule does not deadlock");
-    assert!(!timeline.is_truncated(), "full range must be covered");
-    assert!(!timeline.segments().is_empty());
-    for b in timeline.breakpoints_gbps() {
-        assert!(b > LO_GBPS && b < HI_GBPS, "interior breakpoint, got {b}");
-    }
+    let analyze = |channels: usize| {
+        RpuEngine::new(RpuConfig::ciflow_streaming().with_memory_channels(channels))
+            .with_channel_map(schedule.channel_map(channels))
+            .analyze(&schedule.graph, LO_GBPS, HI_GBPS)
+            .expect("schedule does not deadlock")
+    };
+    let one = analyze(1);
+    let [segment] = one.segments() else {
+        panic!("one channel: {} segments", one.segments().len());
+    };
+    let (lo, hi) = segment.affine_range_gbps();
+    assert!(
+        LO_GBPS <= lo && lo <= hi && hi == HI_GBPS,
+        "affine range [{lo}, {hi}]"
+    );
+    let four = analyze(4);
+    assert!(four.segments().is_empty());
+    let _ = four.evaluate(64.0);
+    assert_eq!(four.fallback_evaluations(), 1);
 }
 
-/// On one memory channel `graph` derives a single segment with no
-/// certificate checks, and the static bound curve equals the evaluated
+/// On one memory channel `graph` derives a single segment, and the static
+/// bound curve equals the evaluated
 /// runtime bit for bit on a 14-point ladder spanning the range.
 fn assert_one_channel_bound_is_tight(engine: &RpuEngine, graph: &TaskGraph, context: &str) {
     let timeline = engine
         .analyze(graph, LO_GBPS, HI_GBPS)
         .expect("oracle graphs do not deadlock");
-    let segments = timeline.segments();
-    assert_eq!(segments.len(), 1, "{context}: one segment on one channel");
-    assert_eq!(segments[0].grant_checks(), 0, "{context}: forced grants");
+    assert_eq!(
+        timeline.segments().len(),
+        1,
+        "{context}: one segment on one channel"
+    );
     let ladder: Vec<f64> = (0..14)
         .map(|i| LO_GBPS * (HI_GBPS / LO_GBPS).powf(f64::from(i) / 13.0))
         .collect();

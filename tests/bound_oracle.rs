@@ -15,8 +15,8 @@
 //!    bound curve sits under the runtime curve at every ladder point, the
 //!    sweep's `knee_gbps` equals the analysis's effective knee, and above a
 //!    true crossover knee the bound is exactly flat at the compute floor.
-//!    A multi-channel timeline (the one-channel sweep has no breakpoints)
-//!    keeps the bound under the runtime at every event-order breakpoint.
+//!    A multi-channel timeline, which evaluates through the engine, keeps
+//!    the bound under the runtime on a 64-point log ladder over 8–1024 GB/s.
 
 use ciflow::api::{Job, Session};
 use ciflow::sweep::{try_analytic_sweep_in, BANDWIDTH_LADDER, CHANNEL_LADDER};
@@ -325,9 +325,12 @@ fn static_knee_agrees_with_the_parametric_timeline_on_presets() {
 
 #[test]
 fn bound_sits_under_the_runtime_at_multichannel_breakpoints() {
-    // A 2-channel streamed timeline has hundreds of event-order breakpoints
-    // (the one-channel sweep has none). Deriving the timeline dominates the
-    // test's time; bounding all of its breakpoints adds little.
+    // A 2-channel streamed timeline contests the data path, so its grant
+    // order moves with bandwidth (the one-channel sweep's does not); every
+    // point of the ladder runs the engine.
+    let ladder: Vec<f64> = (0..64)
+        .map(|i| 8.0 * 128.0_f64.powf(f64::from(i) / 63.0))
+        .collect();
     let session = Session::new();
     let workload = Workload::rotation_batch(HksBenchmark::ARK, 4);
     let rpu = RpuConfig::ciflow_streaming().with_memory_channels(2);
@@ -337,15 +340,14 @@ fn bound_sits_under_the_runtime_at_multichannel_breakpoints() {
         let output = session
             .run_analytic(&job, 8.0, 1024.0)
             .expect("preset analyzes");
-        let breakpoints = output.timeline.breakpoints_gbps();
-        assert!(!breakpoints.is_empty(), "{dataflow}: no breakpoints");
         let engine = RpuEngine::new(rpu.clone()).with_channel_map(output.schedule.channel_map(2));
-        let bounds = rpu::bound::bound_curve(&engine, &output.schedule.graph, &breakpoints);
-        for (&bw, &bound) in breakpoints.iter().zip(&bounds) {
-            let runtime = output.timeline.evaluate(bw).runtime_seconds;
+        let bounds = rpu::bound::bound_curve(&engine, &output.schedule.graph, &ladder);
+        let runtimes = output.timeline.evaluate_many(&ladder);
+        for ((&bw, &bound), stats) in ladder.iter().zip(&bounds).zip(&runtimes) {
+            let runtime = stats.runtime_seconds;
             assert!(
                 bound <= runtime,
-                "{dataflow} at breakpoint {bw} GB/s: bound {bound} s > runtime {runtime} s"
+                "{dataflow} at {bw} GB/s: bound {bound} s > runtime {runtime} s"
             );
         }
     }
