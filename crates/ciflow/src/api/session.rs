@@ -152,7 +152,7 @@ struct CachedPlan {
     evk_traffic: OnceLock<(u64, u64)>,
     /// Parametric timelines derived from the schedule
     /// ([`Session::run_analytic`]), keyed by the non-bandwidth knobs —
-    /// deriving one costs a handful of symbolic executions, so jobs sharing
+    /// deriving one costs an engine run and an affine fold, so jobs sharing
     /// a schedule share the piecewise description too.
     timelines: Mutex<HashMap<TimelineKey, Arc<ParametricTimeline>>>,
 }

@@ -106,7 +106,7 @@ fn ladder_floor(bandwidths: &[f64], context: &str) -> Result<f64, CiflowError> {
 struct Ladder {
     /// The runtime-vs-bandwidth series, in ladder order.
     series: SweepSeries,
-    /// The symbolic run the series was read from.
+    /// The analytic run the series was read from.
     output: AnalyticOutput,
     /// The execution statistics at every ladder point, in ladder order.
     stats: Vec<ExecutionStats>,

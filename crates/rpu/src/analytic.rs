@@ -7,64 +7,56 @@
 //! start/finish time is a max-plus expression in `1/bandwidth`: a
 //! piecewise-linear curve that bends at *ready-time crossovers* (where
 //! another dependency, or the resource's free time, becomes the one a task
-//! waits on) — the kinks [`Segment::affine_range_gbps`] reports around the
-//! anchor.
+//! waits on).
 //!
-//! ## One channel: one replay script for every bandwidth
+//! ## One channel: one program-order fold at every bandwidth
 //!
-//! The [`ExecutionStats`] the engine produces depend on two things only:
+//! On one memory channel the data path serves the one memory queue in
+//! order, so the service order never depends on timing. When every
+//! dependency also points backward, program order is a topological order of
+//! the dependency and queue-order edges, and one walk in program order
+//! computes every start as `max(ready, free)` and every finish as
+//! `start + duration` — the engine's own arithmetic, with `max` exact and
+//! each queue's busy time summed in the engine's order. That fold is what
+//! [`RpuEngine::execute_stats`] runs on such a plan, so every evaluation is
+//! bit-identical to the engine, with no tolerance and no event loop per
+//! point. The timeline keeps one [`Segment`], valid at every bandwidth: the
+//! affine view of the same fold anchored at the top of the analyzed range.
 //!
-//! - **service order**: the compute queue and each memory channel queue are
-//!   serviced strictly in order, and every task starts at
-//!   `max(ready, free)` — its latest dependency finish against its
-//!   resource's free time — whenever the event loop gets to issue it; and
-//! - **exact arithmetic**: every value is a fold of `+` and `f64::max` over
-//!   task durations, and `max` is exact, so two executions that service the
-//!   queues in the same order agree on every bit.
-//!
-//! On one memory channel the shared data path serves the one memory queue
-//! in order, so the service order never depends on timing. One symbolic run
-//! of the engine ([`RpuEngine::analyze`]) records the retirement order of
-//! all tasks — the **replay script** — and the timeline keeps it as its
-//! single [`Segment`], valid at every bandwidth. To evaluate a bandwidth,
-//! the timeline replays the script with the *engine's own arithmetic*
-//! (`bytes as f64 / (b * 1e9)`, `max`-of-dependency finish times,
-//! queue-order accumulation), so the result is bit-identical to
-//! [`RpuEngine::execute_stats`], with no tolerance and no event loop per
-//! point.
-//!
-//! ## Several channels: the engine per point
+//! ## Otherwise: the engine per point
 //!
 //! With several channels the data path goes to the oldest
 //! *dependency-ready* channel head each time it frees, so which transfer
-//! wins depends on bandwidth. Such a timeline keeps no segment: every
-//! evaluation runs the event engine on the cached [`ExecPlan`] (exact, not
-//! closed-form). Its one symbolic run still decides deadlock and
-//! non-finite times for every bandwidth.
+//! wins depends on bandwidth; a graph with a forward dependency has no
+//! program-order walk. Such a timeline keeps no segment: every evaluation
+//! runs the event engine on the cached [`ExecPlan`] (exact, not
+//! closed-form). Either way, one engine run at the top of the range decides
+//! deadlock and non-finite times for every bandwidth.
 //!
-//! ## The replay
+//! ## Lanes
 //!
-//! One replay body serves every path, generic over how many bandwidths one
-//! script walk carries: a ladder replays eight at a time, a single point
-//! one, and a lane's arithmetic is the same either way.
-//! `tests/analytic_oracle.rs` property-tests bit-identity with the engine
-//! end to end, point by point and as ladders, on 1/2/4/8 channels.
+//! The fold is generic over how many bandwidths one walk carries: a ladder
+//! evaluates eight at a time, a single point one, and a lane's arithmetic is
+//! the same either way. `tests/analytic_oracle.rs` property-tests
+//! bit-identity with the engine end to end, point by point and as ladders,
+//! on 1/2/4/8 channels.
 //!
 //! See `docs/ANALYTIC.md` for the model in full.
 
 use crate::config::{assert_valid_bandwidth, validate_bandwidth};
-use crate::engine::{drive, EngineError, Executor, RpuEngine};
+use crate::engine::{EngineError, RpuEngine};
+use crate::fold::{self, fold, Clock, Cost, Seconds};
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
-use crate::task::{Task, TaskGraph, TaskId, TaskKind};
+use crate::task::TaskGraph;
 use crate::trace::{EngineQueue, TaskRecord};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Ladder evaluation batch width: [`ParametricTimeline::evaluate_many`]
-/// replays one script walk for this many bandwidths at a time, sharing
-/// every dependency lookup across lanes.
+/// folds this many bandwidths per walk of the graph, sharing every
+/// dependency lookup across lanes.
 const LANES: usize = 8;
 
 /// A time that is affine in inverse bandwidth:
@@ -73,7 +65,7 @@ const LANES: usize = 8;
 /// Affine forms are the timeline's *analytic view* — they are exact in real
 /// arithmetic within [`Segment::affine_range_gbps`] but evaluate with
 /// ordinary floating-point error. Bit-exact numbers always come from
-/// [`ParametricTimeline::evaluate`], which replays the engine's own
+/// [`ParametricTimeline::evaluate`], which folds the engine's own
 /// arithmetic instead of collapsing it into two coefficients.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AffineTime {
@@ -93,10 +85,9 @@ impl AffineTime {
     }
 }
 
-/// A concrete time paired with its affine form. The `v` component mirrors
-/// the engine's floating-point arithmetic operation for operation (it drives
-/// every branch the symbolic run takes); `c`/`m` carry the affine view
-/// behind [`Segment::runtime_affine`].
+/// A concrete time paired with its affine form. The `v` component is the
+/// engine's floating-point value at the anchor bandwidth (it decides every
+/// max); `c`/`m` carry the affine view behind [`Segment::runtime_affine`].
 #[derive(Debug, Clone, Copy)]
 struct Sym {
     v: f64,
@@ -104,479 +95,26 @@ struct Sym {
     m: f64,
 }
 
-impl Sym {
-    const ZERO: Sym = Sym {
-        v: 0.0,
-        c: 0.0,
-        m: 0.0,
-    };
-
-    fn add(self, other: Sym) -> Sym {
-        Sym {
-            v: self.v + other.v,
-            c: self.c + other.c,
-            m: self.m + other.m,
-        }
-    }
-
-    fn affine(self) -> AffineTime {
-        AffineTime {
-            constant: self.c,
-            per_inverse_gbps: self.m,
-        }
-    }
-}
-
-/// One entry of the replay script: a task retiring on a queue, in the
-/// symbolic run's retirement order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ScriptEntry {
-    task: u32,
-    /// `0` is the compute queue, `1 + c` is memory channel `c`.
-    queue: u32,
-}
-
-/// The replay script of a one-channel timeline, valid at every bandwidth.
-/// Every event time is piecewise-linear in inverse bandwidth, kinking only
-/// at ready-time crossovers; the makespan's affine form
-/// ([`Segment::runtime_affine`]) holds from the top of the analyzed range
-/// down to the first crossover ([`Segment::affine_range_gbps`]).
-#[derive(Debug, Clone)]
-pub struct Segment {
-    affine_lo_gbps: f64,
-    affine_hi_gbps: f64,
-    runtime: AffineTime,
-    script: Vec<ScriptEntry>,
-}
-
-impl Segment {
-    /// The bandwidth interval (GB/s) inside the analyzed range where the
-    /// affine forms of the symbolic run are exact (in real arithmetic): from
-    /// the top of the range, where the run is anchored, down to the nearest
-    /// *ready-time crossover* — a bandwidth where a different dependency
-    /// (or queue backpressure) becomes the one a task waits on. A crossover
-    /// changes the affine coefficients, never the bit-exact replay.
-    #[must_use]
-    pub fn affine_range_gbps(&self) -> (f64, f64) {
-        (self.affine_lo_gbps, self.affine_hi_gbps)
-    }
-
-    /// The makespan as an affine function of inverse bandwidth, exact within
-    /// [`Segment::affine_range_gbps`].
-    #[must_use]
-    pub fn runtime_affine(&self) -> AffineTime {
-        self.runtime
-    }
-
-    /// Always `0`: a one-channel replay checks nothing per point. Kept only
-    /// for `simbench`, which still reports the count.
-    #[must_use]
-    pub fn grant_checks(&self) -> usize {
-        0
-    }
-}
-
-/// Per-task start/finish sampled from a replayed evaluation, in the
-/// symbolic run's retirement order. The engine's own trace at the evaluated
-/// bandwidth may interleave the compute and memory retirements differently
-/// (the script fixes each queue's order, not how the queues interleave),
-/// but every task's recorded times agree bit for bit.
-pub type SampledTimes = Vec<TaskRecord>;
-
-/// The timeline of one `(schedule, channel map, configuration)` triple over
-/// a bandwidth range, with bit-exact evaluation at any bandwidth: a replay
-/// script on one memory channel, the event engine on several. Built by
-/// [`RpuEngine::analyze`].
-#[derive(Debug)]
-pub struct ParametricTimeline {
-    engine: RpuEngine,
-    graph: TaskGraph,
-    /// The plan the symbolic run and every engine evaluation execute.
-    plan: Arc<ExecPlan>,
-    lo_gbps: f64,
-    hi_gbps: f64,
-    /// The replay script: present exactly on a one-channel plan.
-    segment: Option<Segment>,
-    /// Per-task bandwidth-independent duration (compute tasks; `0.0` for
-    /// memory tasks, whose duration is recomputed per point).
-    fixed_duration: Vec<f64>,
-    /// Per-task transfer size as `bytes as f64` (memory tasks; `0.0` for
-    /// compute tasks).
-    bytes_f64: Vec<f64>,
-    /// Flattened per-task dependency lists (CSR), for the replay's
-    /// ready-time computation.
-    dep_offsets: Vec<u32>,
-    dep_edges: Vec<u32>,
-    template: ExecutionStats,
-    engine_runs: AtomicUsize,
-}
-
-impl ParametricTimeline {
-    /// The `(lo, hi)` bandwidth range (GB/s) the timeline was derived over.
-    #[must_use]
-    pub fn bandwidth_range_gbps(&self) -> (f64, f64) {
-        (self.lo_gbps, self.hi_gbps)
-    }
-
-    /// The execution plan the timeline was derived on (and runs the engine
-    /// on).
-    #[must_use]
-    pub fn plan(&self) -> &Arc<ExecPlan> {
-        &self.plan
-    }
-
-    /// The replay script as a slice: one segment on a one-channel plan,
-    /// none on several channels.
-    #[must_use]
-    pub fn segments(&self) -> &[Segment] {
-        self.segment.as_slice()
-    }
-
-    /// How many evaluations so far ran the event engine: every point of a
-    /// multi-channel timeline, none of a one-channel one. Diagnostic only.
-    #[must_use]
-    pub fn fallback_evaluations(&self) -> usize {
-        self.engine_runs.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Evaluates the execution statistics at one bandwidth, bit-identical to
-    /// `RpuEngine::execute_stats` on the same graph with the bandwidth
-    /// swapped in: a replay on one channel, the event engine on several.
-    /// Bandwidths outside the analyzed range are legal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bandwidth is not finite and positive (the rule of
-    /// [`RpuConfig::validate`](crate::RpuConfig::validate)); the message
-    /// names the value.
-    #[must_use]
-    pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
-        assert_valid_bandwidth(bandwidth_gbps);
-        match &self.segment {
-            Some(segment) => {
-                let [stats] = self.replay(
-                    segment,
-                    &[bandwidth_gbps],
-                    &mut vec![[0.0]; self.fixed_duration.len()],
-                );
-                stats
-            }
-            None => self.run_engine(bandwidth_gbps),
-        }
-    }
-
-    /// Evaluates a whole bandwidth ladder. On one channel, points are
-    /// replayed `LANES` at a time through one shared script walk (each
-    /// lane's arithmetic is operation-for-operation a single point's, so
-    /// results stay bit-identical); on several, each point runs the engine.
-    /// Entries are evaluated independently in the given order, so duplicates
-    /// and unsorted ladders are fine (duplicates produce bit-identical rows).
-    ///
-    /// # Panics
-    ///
-    /// As [`ParametricTimeline::evaluate`], for any entry of the ladder
-    /// (checked before anything is evaluated).
-    #[must_use]
-    pub fn evaluate_many(&self, bandwidths_gbps: &[f64]) -> Vec<ExecutionStats> {
-        bandwidths_gbps
-            .iter()
-            .copied()
-            .for_each(assert_valid_bandwidth);
-        let Some(segment) = &self.segment else {
-            return bandwidths_gbps
-                .iter()
-                .map(|&b| self.run_engine(b))
-                .collect();
-        };
-        let n = self.fixed_duration.len();
-        let mut lanes = vec![[0.0; LANES]; n];
-        let mut out = Vec::with_capacity(bandwidths_gbps.len());
-        let mut chunks = bandwidths_gbps.chunks_exact(LANES);
-        for chunk in &mut chunks {
-            let bws: &[f64; LANES] = chunk.try_into().expect("chunk has LANES entries");
-            out.extend(self.replay(segment, bws, &mut lanes));
-        }
-        let mut scratch = vec![[0.0]; n];
-        for &b in chunks.remainder() {
-            let [stats] = self.replay(segment, &[b], &mut scratch);
-            out.push(stats);
-        }
-        out
-    }
-
-    /// The per-task spans a replayed evaluation produces at `bandwidth_gbps`,
-    /// in the symbolic run's retirement order, which may differ from the
-    /// engine's trace order at this bandwidth; per-task times still agree
-    /// bit for bit (match records by task id). Returns `None` on a
-    /// multi-channel timeline, which replays nothing, and for a bandwidth
-    /// that is not finite and positive (the engine's trace is the reference
-    /// either way). Kept as an oracle surface: the integration suites diff
-    /// it against the engine's trace.
-    #[must_use]
-    pub fn sampled_times(&self, bandwidth_gbps: f64) -> Option<SampledTimes> {
-        validate_bandwidth(bandwidth_gbps).ok()?;
-        let segment = self.segment.as_ref()?;
-        let mut ends = vec![[0.0]; self.fixed_duration.len()];
-        self.replay(segment, &[bandwidth_gbps], &mut ends);
-        let tasks = self.graph.tasks();
-        let dbps = bandwidth_gbps * 1e9;
-        Some(
-            segment
-                .script
-                .iter()
-                .map(|entry| {
-                    let t = entry.task as usize;
-                    let [end] = ends[t];
-                    let duration = if entry.queue == 0 {
-                        self.fixed_duration[t]
-                    } else {
-                        self.bytes_f64[t] / dbps
-                    };
-                    TaskRecord {
-                        task: t,
-                        queue: match entry.queue {
-                            0 => EngineQueue::Compute,
-                            q => EngineQueue::Memory((q - 1) as usize),
-                        },
-                        start_seconds: end - duration,
-                        end_seconds: end,
-                        label: Arc::clone(&tasks[t].label),
-                        stage: Arc::clone(&tasks[t].stage),
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    /// One validated bandwidth through the event engine on the cached plan.
-    fn run_engine(&self, bandwidth_gbps: f64) -> ExecutionStats {
-        self.engine_runs.fetch_add(1, AtomicOrdering::Relaxed);
-        RpuEngine::new(self.engine.config().clone().with_bandwidth(bandwidth_gbps))
-            .execute_stats_plan(&self.graph, &self.plan)
-            .expect("deadlock is timing-independent and the symbolic run succeeded")
-    }
-
-    /// Replays the script at `L` bandwidths at once with the engine's own
-    /// arithmetic, sharing the script walk and every dependency lookup
-    /// across lanes, and leaves each task's finish times in `ends`. Each
-    /// lane performs the identical sequence of `max`/`+`/`/` operations
-    /// whatever `L` is, just interleaved with the other lanes, so the lane
-    /// count never changes a bit.
-    fn replay<const L: usize>(
-        &self,
-        segment: &Segment,
-        bws: &[f64; L],
-        ends: &mut [[f64; L]],
-    ) -> [ExecutionStats; L] {
-        let dbps = bws.map(|b| b * 1e9);
-        let channels = self.template.memory_channel_busy_seconds.len();
-        let mut channel_busy = vec![[0.0f64; L]; channels];
-        let mut compute_busy = [0.0f64; L];
-        let mut memory_busy = [0.0f64; L];
-        let mut compute_free = [0.0f64; L];
-        let mut bus_free = [0.0f64; L];
-        let mut makespan = [0.0f64; L];
-        for entry in &segment.script {
-            let t = entry.task as usize;
-            // Ready time: the max finish time over the task's dependencies.
-            // The engine folds them in retirement order, this loop in
-            // dependency-list order — `f64::max` is exact, so the fold is
-            // order-independent and the bits agree.
-            let mut ready = [0.0f64; L];
-            for &d in
-                &self.dep_edges[self.dep_offsets[t] as usize..self.dep_offsets[t + 1] as usize]
-            {
-                let e = &ends[d as usize];
-                for l in 0..L {
-                    ready[l] = ready[l].max(e[l]);
-                }
-            }
-            if entry.queue == 0 {
-                let duration = self.fixed_duration[t];
-                for l in 0..L {
-                    let start = ready[l].max(compute_free[l]);
-                    let end = start + duration;
-                    compute_busy[l] += end - start;
-                    compute_free[l] = end;
-                    ends[t][l] = end;
-                    makespan[l] = makespan[l].max(end);
-                }
-            } else {
-                let bytes = self.bytes_f64[t];
-                let busy = &mut channel_busy[(entry.queue - 1) as usize];
-                for l in 0..L {
-                    let start = ready[l].max(bus_free[l]);
-                    let end = start + bytes / dbps[l];
-                    memory_busy[l] += end - start;
-                    busy[l] += end - start;
-                    bus_free[l] = end;
-                    ends[t][l] = end;
-                    makespan[l] = makespan[l].max(end);
-                }
-            }
-        }
-        std::array::from_fn(|l| {
-            let mut stats = self.template.clone();
-            stats.runtime_seconds = makespan[l];
-            stats.compute_busy_seconds = compute_busy[l];
-            stats.memory_busy_seconds = memory_busy[l];
-            stats.memory_channel_busy_seconds = channel_busy.iter().map(|busy| busy[l]).collect();
-            stats
-        })
-    }
-}
-
-impl RpuEngine {
-    /// Runs the engine symbolically over `[lo_gbps, hi_gbps]` (aggregate
-    /// DRAM bandwidth, GB/s) and returns the [`ParametricTimeline`]. The
-    /// engine's *own* bandwidth setting is irrelevant — every evaluation
-    /// substitutes its point's bandwidth; all other configuration (MODOPS,
-    /// channel count, channel map, evk policy) is taken from `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Deadlock`] exactly when
-    /// [`RpuEngine::execute_stats`] would: the deadlock condition is a
-    /// property of the schedule and queue placement, independent of timing,
-    /// so one symbolic run decides it for every bandwidth.
-    /// [`EngineError::NonFiniteTime`] reports a degenerate MODOPS rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is invalid: non-finite, non-positive, or
-    /// `lo_gbps > hi_gbps`. (The `ciflow` sweep layer validates ladders and
-    /// reports `InvalidConfig` before ever reaching this.)
-    pub fn analyze(
-        &self,
-        graph: &TaskGraph,
-        lo_gbps: f64,
-        hi_gbps: f64,
-    ) -> Result<ParametricTimeline, EngineError> {
-        self.analyze_plan(graph, Arc::new(self.plan(graph)), lo_gbps, hi_gbps)
-    }
-
-    /// [`RpuEngine::analyze`] on a prebuilt plan of `graph`: the symbolic
-    /// run, and every engine evaluation of the returned timeline, executes
-    /// this one plan.
-    ///
-    /// # Errors
-    ///
-    /// As [`RpuEngine::analyze`], plus [`EngineError::PlanMismatch`] when
-    /// the plan was compiled for another task or channel count.
-    ///
-    /// # Panics
-    ///
-    /// As [`RpuEngine::analyze`].
-    pub fn analyze_plan(
-        &self,
-        graph: &TaskGraph,
-        plan: Arc<ExecPlan>,
-        lo_gbps: f64,
-        hi_gbps: f64,
-    ) -> Result<ParametricTimeline, EngineError> {
-        assert!(
-            lo_gbps.is_finite() && hi_gbps.is_finite() && lo_gbps > 0.0 && lo_gbps <= hi_gbps,
-            "invalid bandwidth range [{lo_gbps}, {hi_gbps}] GB/s: bounds must be finite, \
-             positive and ordered"
-        );
-        let tasks = graph.tasks();
-        let n = tasks.len();
-        let mut fixed_duration = vec![0.0f64; n];
-        let mut bytes_f64 = vec![0.0f64; n];
-        for task in tasks {
-            match task.kind {
-                TaskKind::Compute { .. } => fixed_duration[task.id] = self.task_duration(task),
-                TaskKind::Memory { bytes, .. } => bytes_f64[task.id] = bytes as f64,
-            }
-        }
-        let mut dep_offsets = vec![0u32; n + 1];
-        for task in tasks {
-            dep_offsets[task.id + 1] = dep_offsets[task.id] + task.dependencies.len() as u32;
-        }
-        let mut dep_edges = Vec::with_capacity(dep_offsets[n] as usize);
-        for task in tasks {
-            dep_edges.extend(task.dependencies.iter().map(|&d| d as u32));
-        }
-
-        self.check_plan(graph, &plan)?;
-        let segment = self.symbolic_run(tasks, &plan, lo_gbps, hi_gbps)?;
-        Ok(ParametricTimeline {
-            engine: self.clone(),
-            graph: graph.clone(),
-            segment: (plan.channels() == 1).then_some(segment),
-            template: plan.unstarted_stats(),
-            plan,
-            lo_gbps,
-            hi_gbps,
-            fixed_duration,
-            bytes_f64,
-            dep_offsets,
-            dep_edges,
-            engine_runs: AtomicUsize::new(0),
-        })
-    }
-
-    /// The symbolic execution anchored at `hi_gbps`: the engine's own
-    /// control flow ([`drive`]) over [`Symbolic`] times — identical concrete
-    /// arithmetic on the `v` components, so every branch is the engine's.
-    fn symbolic_run(
-        &self,
-        tasks: &[Task],
-        plan: &ExecPlan,
-        lo_gbps: f64,
-        hi_gbps: f64,
-    ) -> Result<Segment, EngineError> {
-        let x0 = 1.0 / hi_gbps;
-        let mut run = Symbolic {
-            engine: self,
-            tasks,
-            x0,
-            dbps: hi_gbps * 1e9,
-            crossover_x: f64::INFINITY,
-            script: Vec::with_capacity(tasks.len()),
-        };
-        let makespan = drive(&mut run, tasks, plan)?;
-        // x = 1/bw reverses the order: the nearest crossover below the
-        // anchor bandwidth bounds the affine range from below, clipped to
-        // the analyzed range and kept at or below the anchor whatever the
-        // conversion rounding did.
-        let affine_lo = if run.crossover_x.is_infinite() {
-            lo_gbps
-        } else {
-            (1.0 / run.crossover_x).max(lo_gbps).min(hi_gbps)
-        };
-        Ok(Segment {
-            affine_lo_gbps: affine_lo,
-            affine_hi_gbps: hi_gbps,
-            runtime: makespan.affine(),
-            script: run.script,
-        })
-    }
-}
-
-/// The symbolic executor behind [`RpuEngine::analyze`]: [`drive`]'s control
-/// flow over times that carry, next to the engine's concrete value `v`,
-/// their affine form in inverse bandwidth — plus the replay script.
-struct Symbolic<'a> {
-    engine: &'a RpuEngine,
-    tasks: &'a [Task],
+/// The affine clock of the fold, anchored at one bandwidth: each time's
+/// value there and its affine form, plus the nearest ready-time crossover
+/// below the anchor.
+struct Affine {
     /// `1 / anchor bandwidth`: where the affine forms are anchored.
     x0: f64,
     /// The anchor bandwidth in bytes per second.
     dbps: f64,
     /// The nearest ready-time crossover at or above `x0` (see
-    /// [`Symbolic::later`]).
+    /// [`Affine::later`]).
     crossover_x: f64,
-    script: Vec<ScriptEntry>,
 }
 
-impl Executor for Symbolic<'_> {
+impl Clock for Affine {
     type Time = Sym;
-    const ZERO: Sym = Sym::ZERO;
-
-    fn seconds(time: Sym) -> f64 {
-        time.v
-    }
+    const ZERO: Sym = Sym {
+        v: 0.0,
+        c: 0.0,
+        m: 0.0,
+    };
 
     /// The max by the engine's concrete value; on an exact value tie the
     /// steeper affine branch wins, so the view stays the max just below the
@@ -604,26 +142,336 @@ impl Executor for Symbolic<'_> {
         }
     }
 
-    fn finish(&mut self, task: TaskId, start: Sym) -> Sym {
-        let task = &self.tasks[task];
-        start.add(match task.kind {
-            TaskKind::Compute { .. } => {
-                let d = self.engine.task_duration(task);
-                Sym { v: d, c: d, m: 0.0 }
-            }
-            TaskKind::Memory { bytes, .. } => Sym {
-                v: bytes as f64 / self.dbps,
+    fn duration(&self, cost: Cost) -> Sym {
+        match cost {
+            Cost::Compute(d) => Sym { v: d, c: d, m: 0.0 },
+            Cost::Memory { bytes, .. } => Sym {
+                v: bytes / self.dbps,
                 c: 0.0,
-                m: bytes as f64 / 1e9,
+                m: bytes / 1e9,
             },
+        }
+    }
+
+    fn after(start: Sym, duration: Sym) -> Sym {
+        Sym {
+            v: start.v + duration.v,
+            c: start.c + duration.c,
+            m: start.m + duration.m,
+        }
+    }
+}
+
+/// The affine view of a one-channel timeline, whose fold is valid at every
+/// bandwidth. Every event time is piecewise-linear in inverse bandwidth,
+/// kinking only at ready-time crossovers; the makespan's affine form
+/// ([`Segment::runtime_affine`]) holds from the top of the analyzed range
+/// down to at least [`Segment::affine_range_gbps`]'s lower end.
+#[derive(Debug, Clone)]
+pub struct Segment {
+    affine_lo_gbps: f64,
+    affine_hi_gbps: f64,
+    runtime: AffineTime,
+}
+
+impl Segment {
+    /// A bandwidth interval (GB/s) inside the analyzed range where the
+    /// makespan's affine form is exact (in real arithmetic): from the top of
+    /// the range, where the fold is anchored, down to the nearest
+    /// *ready-time crossover* of any task — a bandwidth where a different
+    /// dependency (or queue backpressure) becomes the one some task waits
+    /// on. Most crossovers do not touch the makespan, so this is a
+    /// sub-range of the makespan's affine piece, usually a small one, not
+    /// the piece itself. A crossover changes the affine coefficients, never
+    /// the bit-exact evaluation.
+    #[must_use]
+    pub fn affine_range_gbps(&self) -> (f64, f64) {
+        (self.affine_lo_gbps, self.affine_hi_gbps)
+    }
+
+    /// The makespan as an affine function of inverse bandwidth, exact within
+    /// [`Segment::affine_range_gbps`].
+    #[must_use]
+    pub fn runtime_affine(&self) -> AffineTime {
+        self.runtime
+    }
+
+    /// Always `0`: a one-channel fold checks nothing per point. Kept only
+    /// for `simbench`, which still reports the count.
+    #[must_use]
+    pub fn grant_checks(&self) -> usize {
+        0
+    }
+}
+
+/// Per-task start/finish of a folded evaluation, in program order. The
+/// engine's own trace at the evaluated bandwidth lists tasks in retirement
+/// order, which may interleave the compute and memory queues differently,
+/// but every task's times agree bit for bit.
+pub type SampledTimes = Vec<TaskRecord>;
+
+/// The timeline of one `(schedule, channel map, configuration)` triple over
+/// a bandwidth range, with bit-exact evaluation at any bandwidth: the
+/// program-order fold on one memory channel, the event engine otherwise.
+/// Built by [`RpuEngine::analyze`].
+#[derive(Debug)]
+pub struct ParametricTimeline {
+    engine: RpuEngine,
+    graph: TaskGraph,
+    /// The plan every evaluation folds or runs the engine on.
+    plan: Arc<ExecPlan>,
+    lo_gbps: f64,
+    hi_gbps: f64,
+    /// The affine view: present exactly when the fold times the plan.
+    segment: Option<Segment>,
+    /// Each task's cost, as the fold reads it.
+    costs: Vec<Cost>,
+    engine_runs: AtomicUsize,
+}
+
+impl ParametricTimeline {
+    /// The `(lo, hi)` bandwidth range (GB/s) the timeline was derived over.
+    #[must_use]
+    pub fn bandwidth_range_gbps(&self) -> (f64, f64) {
+        (self.lo_gbps, self.hi_gbps)
+    }
+
+    /// The execution plan the timeline was derived on (and runs the engine
+    /// on).
+    #[must_use]
+    pub fn plan(&self) -> &Arc<ExecPlan> {
+        &self.plan
+    }
+
+    /// The timeline's affine view as a slice: one segment where the
+    /// program-order fold times the plan (one channel, every dependency
+    /// backward), none otherwise.
+    #[must_use]
+    pub fn segments(&self) -> &[Segment] {
+        self.segment.as_slice()
+    }
+
+    /// How many evaluations so far ran the event engine: every point of a
+    /// timeline without a segment, none of a one-channel one. Diagnostic
+    /// only.
+    #[must_use]
+    pub fn fallback_evaluations(&self) -> usize {
+        self.engine_runs.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Evaluates the execution statistics at one bandwidth, bit-identical to
+    /// `RpuEngine::execute_stats` on the same graph with the bandwidth
+    /// swapped in: the fold on one channel, the event engine otherwise.
+    /// Bandwidths outside the analyzed range are legal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bandwidth is not finite and positive (the rule of
+    /// [`RpuConfig::validate`](crate::RpuConfig::validate)); the message
+    /// names the value.
+    #[must_use]
+    pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
+        assert_valid_bandwidth(bandwidth_gbps);
+        if self.segment.is_none() {
+            return self.run_engine(bandwidth_gbps);
+        }
+        let [stats] = self.fold_stats(&[bandwidth_gbps], &mut vec![[0.0]; self.costs.len()]);
+        stats
+    }
+
+    /// Evaluates a whole bandwidth ladder. On one channel, points are
+    /// folded `LANES` at a time through one shared walk of the graph (each
+    /// lane's arithmetic is operation-for-operation a single point's, so
+    /// results stay bit-identical); otherwise each point runs the engine.
+    /// Entries are evaluated independently in the given order, so duplicates
+    /// and unsorted ladders are fine (duplicates produce bit-identical rows).
+    ///
+    /// # Panics
+    ///
+    /// As [`ParametricTimeline::evaluate`], for any entry of the ladder
+    /// (checked before anything is evaluated).
+    #[must_use]
+    pub fn evaluate_many(&self, bandwidths_gbps: &[f64]) -> Vec<ExecutionStats> {
+        bandwidths_gbps
+            .iter()
+            .copied()
+            .for_each(assert_valid_bandwidth);
+        if self.segment.is_none() {
+            return bandwidths_gbps
+                .iter()
+                .map(|&b| self.run_engine(b))
+                .collect();
+        }
+        let n = self.costs.len();
+        let mut lanes = vec![[0.0; LANES]; n];
+        let mut out = Vec::with_capacity(bandwidths_gbps.len());
+        let mut chunks = bandwidths_gbps.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            let bws: &[f64; LANES] = chunk.try_into().expect("chunk has LANES entries");
+            out.extend(self.fold_stats(bws, &mut lanes));
+        }
+        let mut scratch = vec![[0.0]; n];
+        for &b in chunks.remainder() {
+            let [stats] = self.fold_stats(&[b], &mut scratch);
+            out.push(stats);
+        }
+        out
+    }
+
+    /// The per-task spans a folded evaluation produces at `bandwidth_gbps`,
+    /// in program order, which may differ from the engine's trace order at
+    /// this bandwidth; per-task times still agree bit for bit (match records
+    /// by task id). Returns `None` on a timeline without a segment, which
+    /// folds nothing, and for a bandwidth that is not finite and positive
+    /// (the engine's trace is the reference either way). Kept as an oracle
+    /// surface: the integration suites diff it against the engine's trace.
+    #[must_use]
+    pub fn sampled_times(&self, bandwidth_gbps: f64) -> Option<SampledTimes> {
+        validate_bandwidth(bandwidth_gbps).ok()?;
+        self.segment.as_ref()?;
+        let tasks = self.graph.tasks();
+        let mut records = Vec::with_capacity(tasks.len());
+        let clock = &mut Seconds::gbps(&[bandwidth_gbps]);
+        let ready = &mut vec![[0.0]; tasks.len()];
+        fold(
+            clock,
+            &self.costs,
+            &self.plan,
+            true,
+            ready,
+            |t, cost, [start], [end], _| {
+                records.push(TaskRecord {
+                    task: t,
+                    queue: match cost {
+                        Cost::Compute(_) => EngineQueue::Compute,
+                        Cost::Memory { channel, .. } => EngineQueue::Memory(channel as usize),
+                    },
+                    start_seconds: start,
+                    end_seconds: end,
+                    label: Arc::clone(&tasks[t].label),
+                    stage: Arc::clone(&tasks[t].stage),
+                });
+            },
+        );
+        Some(records)
+    }
+
+    /// The fold's statistics at `L` validated bandwidths.
+    fn fold_stats<const L: usize>(
+        &self,
+        bws: &[f64; L],
+        ready: &mut [[f64; L]],
+    ) -> [ExecutionStats; L] {
+        fold::stats(&self.costs, &self.plan, Seconds::gbps(bws), ready)
+    }
+
+    /// One validated bandwidth through the event engine on the cached plan.
+    fn run_engine(&self, bandwidth_gbps: f64) -> ExecutionStats {
+        self.engine_runs.fetch_add(1, AtomicOrdering::Relaxed);
+        self.engine
+            .at(bandwidth_gbps)
+            .execute_stats_plan(&self.graph, &self.plan)
+            .expect("deadlock is timing-independent and the run at the range's top succeeded")
+    }
+}
+
+impl RpuEngine {
+    /// Derives the [`ParametricTimeline`] of `graph` over
+    /// `[lo_gbps, hi_gbps]` (aggregate DRAM bandwidth, GB/s). The engine's
+    /// *own* bandwidth setting is irrelevant — every evaluation substitutes
+    /// its point's bandwidth; all other configuration (MODOPS, channel
+    /// count, channel map, evk policy) is taken from `self`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Deadlock`] exactly when
+    /// [`RpuEngine::execute_stats`] would: the deadlock condition is a
+    /// property of the schedule and queue placement, independent of timing,
+    /// so one engine run at `hi_gbps` decides it for every bandwidth.
+    /// [`EngineError::NonFiniteTime`] reports a degenerate MODOPS rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is invalid: non-finite, non-positive, or
+    /// `lo_gbps > hi_gbps`. (The `ciflow` sweep layer validates ladders and
+    /// reports `InvalidConfig` before ever reaching this.)
+    pub fn analyze(
+        &self,
+        graph: &TaskGraph,
+        lo_gbps: f64,
+        hi_gbps: f64,
+    ) -> Result<ParametricTimeline, EngineError> {
+        self.analyze_plan(graph, Arc::new(self.plan(graph)), lo_gbps, hi_gbps)
+    }
+
+    /// [`RpuEngine::analyze`] on a prebuilt plan of `graph`: the run at
+    /// `hi_gbps`, and every evaluation of the returned timeline, executes
+    /// this one plan.
+    ///
+    /// # Errors
+    ///
+    /// As [`RpuEngine::analyze`], plus [`EngineError::PlanMismatch`] when
+    /// the plan was compiled for another task or channel count.
+    ///
+    /// # Panics
+    ///
+    /// As [`RpuEngine::analyze`].
+    pub fn analyze_plan(
+        &self,
+        graph: &TaskGraph,
+        plan: Arc<ExecPlan>,
+        lo_gbps: f64,
+        hi_gbps: f64,
+    ) -> Result<ParametricTimeline, EngineError> {
+        assert!(
+            lo_gbps.is_finite() && hi_gbps.is_finite() && lo_gbps > 0.0 && lo_gbps <= hi_gbps,
+            "invalid bandwidth range [{lo_gbps}, {hi_gbps}] GB/s: bounds must be finite, \
+             positive and ordered"
+        );
+        self.at(hi_gbps).execute_stats_plan(graph, &plan)?;
+        let costs = fold::costs(self, graph.tasks(), &plan);
+        let segment = plan.folds().then(|| {
+            let mut clock = Affine {
+                x0: 1.0 / hi_gbps,
+                dbps: hi_gbps * 1e9,
+                crossover_x: f64::INFINITY,
+            };
+            let ready = &mut vec![Affine::ZERO; costs.len()];
+            let makespan = fold(&mut clock, &costs, &plan, true, ready, |_, _, _, _, _| {});
+            // x = 1/bw reverses the order: the nearest crossover below the
+            // anchor bandwidth bounds the affine range from below, clipped
+            // to the analyzed range and kept at or below the anchor whatever
+            // the conversion rounding did.
+            let affine_lo = if clock.crossover_x.is_infinite() {
+                lo_gbps
+            } else {
+                (1.0 / clock.crossover_x).max(lo_gbps).min(hi_gbps)
+            };
+            Segment {
+                affine_lo_gbps: affine_lo,
+                affine_hi_gbps: hi_gbps,
+                runtime: AffineTime {
+                    constant: makespan.c,
+                    per_inverse_gbps: makespan.m,
+                },
+            }
+        });
+        Ok(ParametricTimeline {
+            engine: self.clone(),
+            graph: graph.clone(),
+            segment,
+            costs,
+            plan,
+            lo_gbps,
+            hi_gbps,
+            engine_runs: AtomicUsize::new(0),
         })
     }
 
-    fn retired(&mut self, task: TaskId, channel: Option<usize>, _span: (Sym, Sym)) {
-        self.script.push(ScriptEntry {
-            task: task as u32,
-            queue: channel.map_or(0, |c| 1 + c as u32),
-        });
+    /// This engine's configuration at another bandwidth. The channel map
+    /// does not matter: the callers run a prebuilt plan.
+    fn at(&self, bandwidth_gbps: f64) -> RpuEngine {
+        RpuEngine::new(self.config().clone().with_bandwidth(bandwidth_gbps))
     }
 }
 
@@ -715,7 +563,7 @@ mod tests {
     #[test]
     fn a_tie_at_the_breakpoint_is_certified_without_fallback() {
         // At exactly 2 GB/s the compute and the racing load finish at the
-        // same instant; on one channel the replay is exact there too, so no
+        // same instant; on one channel the fold is exact there too, so no
         // point of the grid runs the engine.
         let engine = RpuEngine::new(unit_config());
         let g = race_graph();
@@ -726,7 +574,7 @@ mod tests {
         assert_eq!(
             timeline.fallback_evaluations(),
             0,
-            "every grid point should be replayed"
+            "every grid point should be folded"
         );
     }
 
@@ -742,7 +590,7 @@ mod tests {
             let affine = segment.runtime_affine().at(bw);
             assert!(
                 (affine - stats.runtime_seconds).abs() <= 1e-9 * stats.runtime_seconds.max(1e-12),
-                "affine runtime {affine} vs replay {} at {bw}",
+                "affine runtime {affine} vs evaluation {} at {bw}",
                 stats.runtime_seconds
             );
         }
@@ -761,8 +609,8 @@ mod tests {
     #[test]
     fn zero_duration_compute_disables_certification_but_stays_exact() {
         // A zero-duration compute finishes at the instant it starts, tying
-        // with whatever it gates; the one-channel replay rests on queue
-        // order alone, so the graph replays exactly anyway.
+        // with whatever it gates; the one-channel fold rests on queue order
+        // alone, so the graph evaluates exactly anyway.
         let mut g = TaskGraph::new();
         let z = g.push_compute(ComputeKind::Ntt, 0, vec![], "zero", "P1");
         let m = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "m", "P1");
@@ -777,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_is_reported_from_the_symbolic_run() {
+    fn deadlock_is_reported_when_analyzing() {
         use crate::task::{Task, TaskKind};
         let tasks = vec![
             Task {
@@ -822,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn a_degenerate_modops_rate_is_an_error_from_the_symbolic_run() {
+    fn a_degenerate_modops_rate_is_an_error_when_analyzing() {
         let engine = RpuEngine::new(unit_config().with_modops(f64::NAN));
         let err = engine.analyze(&race_graph(), 1.0, 64.0).unwrap_err();
         assert!(matches!(err, EngineError::NonFiniteTime { .. }), "{err}");
@@ -847,8 +695,8 @@ mod tests {
     #[test]
     fn forced_grants_leave_a_one_channel_race_one_segment() {
         // The one-channel twin of the race: with a single memory queue every
-        // data-path grant is forced, so one symbolic run's script covers
-        // the range, and even a point below it replays exactly.
+        // data-path grant is forced, so the program-order fold covers the
+        // range, and even a point below it evaluates exactly.
         let engine = RpuEngine::new(unit_config());
         let g = race_graph();
         let timeline = engine.analyze(&g, 4.0, 16.0).unwrap();

@@ -28,9 +28,14 @@
 //!   `tests/bound_oracle.rs` across presets, random graphs, channel counts
 //!   and bandwidths, with bit-exact equality on contention-free chains).
 //!
-//! One forward pass, generic over a lane count, yields the path bounds and
-//! memory folds: [`analyze`] runs it with one lane, [`bound_curve`] with
-//! eight ladder points per walk of the graph and one for the remainder.
+//! Both path passes are the engine's one-channel timing kernel: one
+//! program-order max-plus fold (`max(ready, free)`, then `+ duration`),
+//! without the queue free times for the dependency pass and with one free
+//! time per queue (compute and each channel) for the queue-order pass. On
+//! one channel the queue-order pass is therefore the engine's own timeline.
+//! The fold is generic over a lane count: [`analyze`] runs it with one lane,
+//! [`bound_curve`] with eight ladder points per walk of the graph and one
+//! for the remainder.
 //!
 //! # Floating-point soundness
 //!
@@ -70,8 +75,9 @@
 
 use crate::config::assert_valid_bandwidth;
 use crate::engine::RpuEngine;
+use crate::fold::{self, fold, Cost, Seconds};
 use crate::plan::ExecPlan;
-use crate::task::{Task, TaskGraph, TaskId, TaskKind};
+use crate::task::{Task, TaskGraph, TaskId};
 
 /// How many closed-form piece refinements the knee iteration may take. The
 /// active piece's slope strictly decreases every step and there are finitely
@@ -301,35 +307,13 @@ impl BoundAnalysis {
     }
 }
 
-/// A task's in-order queue predecessor and its channel (`None` = compute
-/// queue), or `None` for queue heads.
-type QueuePred = Option<(TaskId, Option<usize>)>;
-
-/// The in-order queue predecessor of each task (compute queue or the task's
-/// memory channel queue), or `None` for queue heads.
-fn queue_predecessors(plan: &ExecPlan) -> Vec<QueuePred> {
-    let mut pred: Vec<QueuePred> = vec![None; plan.task_count()];
-    for w in plan.compute_queue().windows(2) {
-        pred[w[1] as usize] = Some((w[0] as TaskId, None));
-    }
-    for (channel, queue) in plan.memory_queues().iter().enumerate() {
-        for w in queue.windows(2) {
-            pred[w[1] as usize] = Some((w[0] as TaskId, Some(channel)));
-        }
-    }
-    pred
-}
-
-/// What every forward pass over one graph under one placement shares, with
-/// each task's [`RpuEngine::task_duration`] on the engine's configuration
-/// (the passes read it for computes; each lane times its own transfers).
+/// What every forward pass over one graph under one placement shares: each
+/// task's cost on the engine's configuration and the compute floor.
 struct Placed<'a> {
     tasks: &'a [Task],
     plan: &'a ExecPlan,
-    channel_index: Vec<u32>,
-    queue_pred: Vec<QueuePred>,
+    costs: Vec<Cost>,
     compute_occupancy: f64,
-    duration: Vec<f64>,
 }
 
 /// The per-lane result of one [`Placed::forward`] pass: the longest path, and
@@ -343,24 +327,21 @@ struct Lanes<const L: usize> {
 
 impl<'a> Placed<'a> {
     fn new(engine: &RpuEngine, graph: &'a TaskGraph, plan: &'a ExecPlan) -> Self {
-        let tasks = graph.tasks();
+        let costs = fold::costs(engine, graph.tasks(), plan);
         Placed {
-            tasks,
+            tasks: graph.tasks(),
             plan,
-            channel_index: plan.channel_index(),
-            queue_pred: queue_predecessors(plan),
-            compute_occupancy: compute_fold(engine, tasks, plan),
-            duration: tasks.iter().map(|t| engine.task_duration(t)).collect(),
+            compute_occupancy: compute_fold(&costs),
+            costs,
         }
     }
 
-    /// The longest-path forward pass at `L` bandwidths at once, over the true
-    /// dependencies plus, with `queues`, the in-order queue edges (the
-    /// deadlock verifier's augmented graph): writes each task's earliest
-    /// finish to `finish`, hands its earliest start to `start`, and folds the
-    /// transfer durations on the way. Each lane runs the engine's arithmetic
-    /// — `bytes / (bw * 1e9)` is [`RpuEngine::task_duration`] at its
-    /// bandwidth, and timestamps take a max fold then one addition — so a
+    /// The longest-path forward pass at `L` bandwidths at once: the
+    /// program-order fold over the true dependencies plus, with `queues`,
+    /// the in-order queue edges (the deadlock verifier's augmented graph;
+    /// each channel keeps its own queue). `retired` sees each task's
+    /// earliest start, earliest finish and duration; the transfer durations
+    /// are summed on the way. Each lane runs the engine's arithmetic, so a
     /// contention-free chain reproduces the engine bit for bit, every finish
     /// is a machine-arithmetic lower bound on the engine's, and `L` never
     /// changes a bit.
@@ -368,72 +349,57 @@ impl<'a> Placed<'a> {
         &self,
         bandwidths_gbps: &[f64; L],
         queues: bool,
-        finish: &mut [[f64; L]],
-        mut start: impl FnMut(TaskId, [f64; L]),
+        ready: &mut [[f64; L]],
+        mut retired: impl FnMut(TaskId, [f64; L], [f64; L], [f64; L]),
     ) -> Lanes<L> {
-        let bytes_per_second = bandwidths_gbps.map(|bw| bw * 1e9);
-        let mut lanes = Lanes {
-            path: [0.0; L],
-            memory: [0.0; L],
-            channels: vec![[0.0; L]; self.plan.channels()],
-        };
-        for task in self.tasks {
-            let d = match task.kind {
-                TaskKind::Compute { .. } => [self.duration[task.id]; L],
-                TaskKind::Memory { bytes, .. } => {
-                    let d = bytes_per_second.map(|bps| bytes as f64 / bps);
-                    let channel = &mut lanes.channels[self.channel_index[task.id] as usize];
+        let mut memory = [0.0; L];
+        let mut channels = vec![[0.0; L]; self.plan.channels()];
+        let clock = &mut Seconds::gbps(bandwidths_gbps);
+        let path = fold(
+            clock,
+            &self.costs,
+            self.plan,
+            queues,
+            ready,
+            |t, cost, start, end, d| {
+                if let Cost::Memory { channel, .. } = cost {
+                    let channel = &mut channels[channel as usize];
                     for l in 0..L {
-                        lanes.memory[l] += d[l];
+                        memory[l] += d[l];
                         channel[l] += d[l];
                     }
-                    d
                 }
-            };
-            let mut es = [0.0f64; L];
-            let mut relax = |p: TaskId| {
-                let f = &finish[p];
-                for l in 0..L {
-                    if f[l] > es[l] {
-                        es[l] = f[l];
-                    }
-                }
-            };
-            task.dependencies.iter().for_each(|&p| relax(p));
-            if let Some((p, _)) = self.queue_pred[task.id].filter(|_| queues) {
-                relax(p);
-            }
-            start(task.id, es);
-            let f = &mut finish[task.id];
-            for l in 0..L {
-                f[l] = es[l] + d[l];
-                if f[l] > lanes.path[l] {
-                    lanes.path[l] = f[l];
-                }
-            }
+                retired(t, start, end, d);
+            },
+        );
+        Lanes {
+            path,
+            memory,
+            channels,
         }
-        lanes
     }
 
     /// One longest path of a one-lane [`forward`](Self::forward) pass, in
     /// program order: back from the first task to finish at `bound`, each
     /// step blamed on the predecessor that delivered its start, re-derived
-    /// from `finish` in the pass's strict-`>` order (dependencies as listed,
-    /// then the queue predecessor when `queues`), so ties resolve as there.
-    fn walk_critical(&self, finish: &[[f64; 1]], bound: f64, queues: bool) -> Vec<CriticalStep> {
+    /// from `finish` in strict-`>` order (dependencies as listed, then the
+    /// queue predecessor when `queues`), so a tie blames the first.
+    fn walk_critical(&self, finish: &[f64], bound: f64, queues: bool) -> Vec<CriticalStep> {
         let mut path = Vec::new();
-        let mut cursor = finish.iter().position(|&[f]| bound > 0.0 && f == bound);
+        let mut at = vec![0; 1 + self.plan.channels()];
+        let mut cursor = finish.iter().position(|&f| bound > 0.0 && f == bound);
         while let Some(task) = cursor {
             let mut ready = 0.0f64;
             let mut edge = CriticalEdge::Source;
             for &dep in &self.tasks[task].dependencies {
-                if finish[dep][0] > ready {
-                    ready = finish[dep][0];
+                if finish[dep] > ready {
+                    ready = finish[dep];
                     edge = CriticalEdge::Dependency(dep);
                 }
             }
-            if let Some((predecessor, channel)) = self.queue_pred[task].filter(|_| queues) {
-                if finish[predecessor][0] > ready {
+            let predecessor = queues.then(|| self.queue_predecessor(task, &mut at));
+            if let Some((predecessor, channel)) = predecessor.flatten() {
+                if finish[predecessor] > ready {
                     edge = CriticalEdge::QueueOrder {
                         predecessor,
                         channel,
@@ -450,6 +416,30 @@ impl<'a> Placed<'a> {
         }
         path.reverse();
         path
+    }
+
+    /// `task`'s in-order queue predecessor and its channel (`None` = compute
+    /// queue), or `None` for a queue head. `at` holds a position in each
+    /// queue (compute first, then each channel), moved to `task`'s: queues
+    /// hold program order, and a critical path walks back through it, so
+    /// each position only ever moves a queue's length in all.
+    fn queue_predecessor(&self, task: TaskId, at: &mut [usize]) -> Option<(TaskId, Option<usize>)> {
+        let cost = self.costs[task];
+        let (queue, channel) = match cost {
+            Cost::Compute(_) => (self.plan.compute_queue(), None),
+            Cost::Memory { channel, .. } => (
+                self.plan.memory_queues()[channel as usize].as_slice(),
+                Some(channel as usize),
+            ),
+        };
+        let at = &mut at[cost.queue()];
+        while *at > 0 && queue[*at - 1] as usize >= task {
+            *at -= 1;
+        }
+        while *at < queue.len() && (queue[*at] as usize) < task {
+            *at += 1;
+        }
+        Some((queue[at.checked_sub(1)?] as TaskId, channel))
     }
 
     /// The bound components at lane `lane` of the queue-augmented pass `aug`,
@@ -474,16 +464,16 @@ impl<'a> Placed<'a> {
     }
 
     /// Appends the makespan bound at each of `bandwidths_gbps` (whole chunks
-    /// of `L`) to `out`, one queue-augmented pass per chunk. The finish
+    /// of `L`) to `out`, one queue-augmented pass per chunk. The ready
     /// buffer lives only while this runs, and not at all for no points.
     fn curve<const L: usize>(&self, bandwidths_gbps: &[f64], out: &mut Vec<f64>) {
         if bandwidths_gbps.is_empty() {
             return;
         }
-        let mut finish = vec![[0.0; L]; self.tasks.len()];
+        let mut ready = vec![[0.0; L]; self.tasks.len()];
         for chunk in bandwidths_gbps.chunks_exact(L) {
             let bandwidths: &[f64; L] = chunk.try_into().expect("chunk has L entries");
-            let aug = self.forward(bandwidths, true, &mut finish, |_, _| {});
+            let aug = self.forward(bandwidths, true, &mut ready, |_, _, _, _| {});
             // The dependency bound is never the strict maximum (see
             // `bound_curve`), so zero stands in for it without moving a bit.
             out.extend((0..L).map(|lane| self.components(&aug, lane, 0.0).makespan().0));
@@ -501,14 +491,17 @@ fn occupancy_floor(sum: f64, terms: usize) -> f64 {
     sum * (1.0 - (terms as f64 + 3.0) * f64::EPSILON)
 }
 
-/// The affine piece `(constant_seconds, per_inverse_gbps)` of the augmented
-/// path bound active at `bandwidth_gbps`: a forward pass over precomputed
-/// duration decompositions, carrying the affine coefficients of whichever
-/// predecessor wins each max.
+/// The affine piece `(constant_seconds, per_inverse_gbps)` of the path
+/// bound active at `bandwidth_gbps`, over the true dependencies plus, with
+/// `queues`, each task's queue predecessor: a forward pass carrying the
+/// affine coefficients of whichever predecessor wins each max (the first on
+/// a tie). A compute costs a constant, a transfer its size over the
+/// bandwidth.
 fn path_piece_at(
     tasks: &[Task],
-    durations: &[(f64, f64)],
-    queue_pred: &[QueuePred],
+    costs: &[Cost],
+    channels: usize,
+    queues: bool,
     bandwidth_gbps: f64,
 ) -> (f64, f64) {
     let inv = 1.0 / bandwidth_gbps;
@@ -516,52 +509,45 @@ fn path_piece_at(
     let mut value = vec![0.0f64; n];
     let mut constant = vec![0.0f64; n];
     let mut slope = vec![0.0f64; n];
+    // The last task walked on each queue: the next one's queue predecessor.
+    let mut last: Vec<Option<usize>> = vec![None; 1 + channels];
     let mut best = (0.0f64, 0.0f64, 0.0f64);
-    for task in tasks {
+    for (t, task) in tasks.iter().enumerate() {
         let mut es = (0.0f64, 0.0f64, 0.0f64);
         for &dep in &task.dependencies {
             if value[dep] > es.0 {
                 es = (value[dep], constant[dep], slope[dep]);
             }
         }
-        if let Some((p, _)) = queue_pred[task.id] {
+        let queue = costs[t].queue();
+        if let Some(p) = last[queue].filter(|_| queues) {
             if value[p] > es.0 {
                 es = (value[p], constant[p], slope[p]);
             }
         }
-        let (dc, dm) = durations[task.id];
-        value[task.id] = es.0 + (dc + dm * inv);
-        constant[task.id] = es.1 + dc;
-        slope[task.id] = es.2 + dm;
-        if value[task.id] > best.0 {
-            best = (value[task.id], constant[task.id], slope[task.id]);
+        last[queue] = Some(t);
+        let (dc, dm) = match costs[t] {
+            Cost::Compute(seconds) => (seconds, 0.0),
+            Cost::Memory { bytes, .. } => (0.0, bytes / 1e9),
+        };
+        value[t] = es.0 + (dc + dm * inv);
+        constant[t] = es.1 + dc;
+        slope[t] = es.2 + dm;
+        if value[t] > best.0 {
+            best = (value[t], constant[t], slope[t]);
         }
     }
     (best.1, best.2)
 }
 
-/// The compute pipeline's occupancy: the engine's compute durations folded
-/// in compute-queue order, exactly as the engine issues them (the knee's
+/// The compute pipeline's occupancy: the compute durations folded in
+/// program order, which is the compute queue's issue order (the knee's
 /// compute floor).
-fn compute_fold(engine: &RpuEngine, tasks: &[Task], plan: &ExecPlan) -> f64 {
-    (plan.compute_queue().iter()).fold(0.0f64, |sum, &t| {
-        sum + engine.task_duration(&tasks[t as usize])
+fn compute_fold(costs: &[Cost]) -> f64 {
+    costs.iter().fold(0.0f64, |sum, cost| match cost {
+        Cost::Compute(seconds) => sum + seconds,
+        Cost::Memory { .. } => sum,
     })
-}
-
-/// Each task's duration as the affine piece `(seconds, GB)` of inverse
-/// bandwidth it is: a compute costs a constant, a transfer its size over
-/// the bandwidth.
-fn affine_durations(engine: &RpuEngine, tasks: &[Task]) -> Vec<(f64, f64)> {
-    (tasks.iter())
-        .map(|t| {
-            if t.is_compute() {
-                (engine.task_duration(t), 0.0)
-            } else {
-                (0.0, t.bytes() as f64 / 1e9)
-            }
-        })
-        .collect()
 }
 
 /// Derives the roofline knee in closed form. Starting from the aggregate
@@ -571,8 +557,9 @@ fn affine_durations(engine: &RpuEngine, tasks: &[Task]) -> Vec<(f64, f64)> {
 /// decrease, so it terminates at the true knee.
 fn derive_knee(
     graph: &TaskGraph,
-    durations: &[(f64, f64)],
-    queue_pred: &[QueuePred],
+    costs: &[Cost],
+    channels: usize,
+    queues: bool,
     compute_floor: f64,
 ) -> RooflineKnee {
     let (loaded, stored) = graph.total_bytes();
@@ -588,7 +575,7 @@ fn derive_knee(
         // Probe just above the candidate so the piece that is active *above*
         // the crossover wins any tie at the crossover itself.
         let probe = knee * (1.0 + 1e-9);
-        let (c, m) = path_piece_at(graph.tasks(), durations, queue_pred, probe);
+        let (c, m) = path_piece_at(graph.tasks(), costs, channels, queues, probe);
         if m <= 0.0 {
             break;
         }
@@ -679,17 +666,12 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
 /// The placement-aware roofline knee of `graph` under the placement
 /// compiled into `plan` (which must be `graph`'s plan): exactly
 /// [`BoundAnalysis::knee`] of [`analyze_plan`], from only the inputs the
-/// knee needs — queue predecessors, affine durations and the compute fold —
-/// without the analysis's forward and backward passes, slack and critical
-/// paths. The knee does not depend on `engine`'s bandwidth.
+/// knee needs — the task costs and the compute fold — without the
+/// analysis's forward and backward passes, slack and critical paths. The
+/// knee does not depend on `engine`'s bandwidth.
 pub fn knee_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> RooflineKnee {
-    let tasks = graph.tasks();
-    derive_knee(
-        graph,
-        &affine_durations(engine, tasks),
-        &queue_predecessors(plan),
-        compute_fold(engine, tasks, plan),
-    )
+    let costs = fold::costs(engine, graph.tasks(), plan);
+    derive_knee(graph, &costs, plan.channels(), true, compute_fold(&costs))
 }
 
 /// Statically analyzes `graph` on `engine`'s configuration and placement:
@@ -708,23 +690,24 @@ pub fn analyze(engine: &RpuEngine, graph: &TaskGraph) -> BoundAnalysis {
 /// should be screened with [`crate::verify::lint_structural`] first, as the
 /// engine itself requires.
 pub fn analyze_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> BoundAnalysis {
-    let tasks = graph.tasks();
-    let n = tasks.len();
+    let n = graph.len();
     let placed = Placed::new(engine, graph, plan);
 
     // The dependency and queue-augmented forward passes, one lane each at
     // the engine's bandwidth, and the bound they deliver.
     let bw = [engine.config().dram_bandwidth_gbps];
+    let mut ready = vec![[0.0f64]; n];
     let mut earliest_start = vec![0.0f64; n];
-    let mut dep_finish = vec![[0.0f64]; n];
-    let dep = placed.forward(&bw, false, &mut dep_finish, |t, [es]| {
-        earliest_start[t] = es;
+    let mut dep_finish = vec![0.0f64; n];
+    let mut duration = vec![0.0f64; n];
+    let dep = placed.forward(&bw, false, &mut ready, |t, [es], [ef], [d]| {
+        (earliest_start[t], dep_finish[t], duration[t]) = (es, ef, d);
     });
     let [dependency_bound] = dep.path;
     let mut queue_earliest_start = vec![0.0f64; n];
-    let mut aug_finish = vec![[0.0f64]; n];
-    let aug = placed.forward(&bw, true, &mut aug_finish, |t, [es]| {
-        queue_earliest_start[t] = es;
+    let mut aug_finish = vec![0.0f64; n];
+    let aug = placed.forward(&bw, true, &mut ready, |t, [es], [ef], _| {
+        (queue_earliest_start[t], aug_finish[t]) = (es, ef);
     });
     let parts = placed.components(&aug, 0, dependency_bound);
     let (makespan, binding) = parts.makespan();
@@ -732,14 +715,14 @@ pub fn analyze_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> B
     // Backward pass over true dependencies from the dependency bound, via
     // the plan's dependents CSR.
     let mut latest_start = vec![0.0f64; n];
-    for task in tasks.iter().rev() {
+    for task in (0..n).rev() {
         let mut lf = dependency_bound;
-        for &child in plan.dependents(task.id) {
+        for &child in plan.dependents(task) {
             if latest_start[child as usize] < lf {
                 lf = latest_start[child as usize];
             }
         }
-        latest_start[task.id] = lf - placed.duration[task.id];
+        latest_start[task] = lf - duration[task];
     }
     let slack: Vec<f64> = latest_start
         .iter()
@@ -749,15 +732,9 @@ pub fn analyze_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> B
 
     // Closed-form knees from the bound's affine pieces, the placement-aware
     // one exactly as `knee_plan` derives it.
-    let durations = affine_durations(engine, tasks);
-    let knee = derive_knee(
-        graph,
-        &durations,
-        &placed.queue_pred,
-        parts.compute_occupancy,
-    );
-    let no_queue: Vec<QueuePred> = vec![None; n];
-    let dependency_knee = derive_knee(graph, &durations, &no_queue, parts.compute_occupancy);
+    let (costs, channels) = (&placed.costs, plan.channels());
+    let knee = derive_knee(graph, costs, channels, true, parts.compute_occupancy);
+    let dependency_knee = derive_knee(graph, costs, channels, false, parts.compute_occupancy);
 
     BoundAnalysis {
         bandwidth_gbps: engine.config().dram_bandwidth_gbps,

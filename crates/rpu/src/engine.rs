@@ -32,14 +32,25 @@
 //!
 //! Execution is *trace-optional*: [`RpuEngine::execute`] records a
 //! [`TaskRecord`] per task for timing diagrams, while
-//! [`RpuEngine::execute_stats`] runs the identical simulation without
-//! allocating any per-task records — the mode sweeps and batch sessions use.
-//! Both paths share one simulation loop, so their [`ExecutionStats`] are
-//! bit-identical by construction (and property-tested anyway). Both build a
-//! fresh plan per call; [`RpuEngine::execute_plan`] and
-//! [`RpuEngine::execute_stats_plan`] run a prebuilt one. The same control
-//! flow, over symbolic times, drives the parametric timelines of
-//! [`crate::analytic`].
+//! [`RpuEngine::execute_stats`] returns only the aggregate numbers — the mode
+//! sweeps and batch sessions use. Both build a fresh plan per call;
+//! [`RpuEngine::execute_plan`] and [`RpuEngine::execute_stats_plan`] run a
+//! prebuilt one.
+//!
+//! ## One event loop, one fold
+//!
+//! The event loop (`drive`) is the engine. On one memory channel, and when
+//! every dependency points backward (which the [`ExecPlan`] records), it
+//! services the queues in program order whatever the timing, so a
+//! statistics-only run there is one program-order max-plus fold instead:
+//! every start is
+//! `max(ready, free)` and every finish `start + duration`, the loop's own
+//! arithmetic. The fold is bit-identical to the loop, which is
+//! property-tested against it (`tests/fold_oracle.rs`). The same fold times
+//! the parametric timelines of [`crate::analytic`] and the path bounds of
+//! [`crate::bound`]. Traced runs, several channels, graphs with a forward or
+//! dangling dependency, and a fold whose times come out non-finite take the
+//! loop, so its [`EngineError`]s are the only ones.
 //!
 //! *Progress guarantee.* Every loop iteration retires at least one task or
 //! returns an error: a task whose finish time is not finite (a NaN, zero or
@@ -54,6 +65,7 @@
 
 use crate::channel::ChannelMap;
 use crate::config::RpuConfig;
+use crate::fold::{self, Seconds};
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::{Label, Task, TaskGraph, TaskId, TaskKind};
@@ -177,19 +189,6 @@ pub struct RunResult {
     pub trace: ExecutionTrace,
 }
 
-/// The grant comparator: does `candidate` win the freed data path over the
-/// best head found so far? The engine grants the *oldest* (lowest task id,
-/// i.e. earliest program order) dependency-ready channel head, so the
-/// comparator is a plain id comparison with "no incumbent" losing to
-/// everything. [`crate::analytic`] replays the same comparator symbolically,
-/// which is what makes the parametric timeline's grant choices provably the
-/// engine's own.
-#[inline]
-#[must_use]
-pub fn grant_precedes(candidate: TaskId, incumbent: Option<TaskId>) -> bool {
-    incumbent.is_none_or(|best| candidate < best)
-}
-
 /// The task-level RPU simulator.
 #[derive(Debug, Clone)]
 pub struct RpuEngine {
@@ -306,9 +305,10 @@ impl RpuEngine {
 
     /// The shared simulation core. `trace` selects the mode: `Some` records a
     /// [`TaskRecord`] per completed task, `None` skips all per-task
-    /// allocation. Everything else — issue, grant, retirement, statistics —
-    /// is one code path, which is what makes the two public modes
-    /// bit-identical.
+    /// allocation. A statistics-only run of a plan the program-order fold
+    /// times exactly (`ExecPlan::folds`) takes the fold; every other run,
+    /// and a fold whose times come out non-finite, takes the event loop
+    /// (`drive`), whose errors are the reference.
     fn run(
         &self,
         graph: &TaskGraph,
@@ -316,178 +316,146 @@ impl RpuEngine {
         trace: Option<&mut ExecutionTrace>,
     ) -> Result<ExecutionStats, EngineError> {
         self.check_plan(graph, plan)?;
-        let mut run = Concrete {
-            engine: self,
-            tasks: graph.tasks(),
-            trace,
-            stats: plan.unstarted_stats(),
-        };
-        run.stats.runtime_seconds = drive(&mut run, graph.tasks(), plan)?;
-        Ok(run.stats)
-    }
-}
-
-/// An executor's time arithmetic and per-task bookkeeping: everything that
-/// differs between the event engine (concrete seconds) and the symbolic
-/// executor in [`crate::analytic`] (affine times). The control flow —
-/// which head issues, which channel wins the data path, when a task
-/// retires — is [`drive`]'s alone, so the two cannot disagree on it.
-pub(crate) trait Executor {
-    /// A point in time.
-    type Time: Copy;
-    /// Time zero.
-    const ZERO: Self::Time;
-    /// The concrete value of a time in seconds: what the event order and
-    /// the progress guarantee compare.
-    fn seconds(time: Self::Time) -> f64;
-    /// The later of two times.
-    fn later(&mut self, a: Self::Time, b: Self::Time) -> Self::Time;
-    /// When `task`, started at `start`, finishes.
-    fn finish(&mut self, task: TaskId, start: Self::Time) -> Self::Time;
-    /// `task` retires at the end of `span`.
-    fn retired(&mut self, task: TaskId, channel: Option<usize>, span: (Self::Time, Self::Time));
-}
-
-/// The event engine's executor: seconds as `f64`, busy-time statistics and
-/// the optional trace.
-struct Concrete<'a> {
-    engine: &'a RpuEngine,
-    tasks: &'a [Task],
-    trace: Option<&'a mut ExecutionTrace>,
-    stats: ExecutionStats,
-}
-
-impl Executor for Concrete<'_> {
-    type Time = f64;
-    const ZERO: f64 = 0.0;
-
-    fn seconds(time: f64) -> f64 {
-        time
-    }
-
-    fn later(&mut self, a: f64, b: f64) -> f64 {
-        a.max(b)
-    }
-
-    fn finish(&mut self, task: TaskId, start: f64) -> f64 {
-        start + self.engine.task_duration(&self.tasks[task])
-    }
-
-    fn retired(&mut self, task: TaskId, channel: Option<usize>, (start, end): (f64, f64)) {
-        let queue = match channel {
-            Some(channel) => {
-                self.stats.memory_busy_seconds += end - start;
-                self.stats.memory_channel_busy_seconds[channel] += end - start;
-                EngineQueue::Memory(channel)
-            }
-            None => {
-                self.stats.compute_busy_seconds += end - start;
-                EngineQueue::Compute
-            }
-        };
-        if let Some(trace) = self.trace.as_deref_mut() {
-            trace.push(TaskRecord {
-                task,
-                queue,
-                start_seconds: start,
-                end_seconds: end,
-                label: Arc::clone(&self.tasks[task].label),
-                stage: Arc::clone(&self.tasks[task].stage),
-            });
-        }
-    }
-}
-
-/// Runs `plan`'s queues to completion under `exec`'s arithmetic and returns
-/// the makespan.
-///
-/// Event-driven: the in-flight compute task and the in-flight memory grant
-/// are the only events. At each event time the compute head issues if
-/// ready, and the freed data path is granted to the oldest (lowest task id,
-/// i.e. earliest program order) dependency-ready channel head. A channel
-/// whose head still waits on a dependency does not block the grant — that
-/// head-of-line bypass is the entire benefit of multiple channels.
-///
-/// Readiness is incremental: per task, the number of dependencies not yet
-/// retired and the latest finish among the retired ones. Retirement walks
-/// the plan's dependents, so dependency resolution costs O(1) amortized per
-/// edge and the issue check and grant scan are O(1) per queue.
-pub(crate) fn drive<E: Executor>(
-    exec: &mut E,
-    tasks: &[Task],
-    plan: &ExecPlan,
-) -> Result<E::Time, EngineError> {
-    let compute_queue = plan.compute_queue();
-    let memory_queues = plan.memory_queues();
-    let mut remaining = plan.dependency_counts().to_vec();
-    let mut ready_at = vec![E::ZERO; tasks.len()];
-    let mut ci = 0usize; // compute queue cursor
-    let mut mi = vec![0usize; memory_queues.len()]; // per-channel cursors
-    let (mut compute_free, mut bus_free, mut makespan) = (E::ZERO, E::ZERO, E::ZERO);
-    let mut mem_run: InFlight<E::Time> = None;
-    let mut comp_run: InFlight<E::Time> = None;
-
-    loop {
-        if comp_run.is_none() {
-            if let Some(&head) = compute_queue.get(ci) {
-                let head = head as usize;
-                if remaining[head] == 0 {
-                    comp_run = issue(exec, head, None, (ready_at[head], compute_free))?;
-                    ci += 1;
-                }
+        if trace.is_none() && plan.folds() {
+            let [stats] = fold::stats(
+                &fold::costs(self, graph.tasks(), plan),
+                plan,
+                Seconds([self.config.dram_bytes_per_second()]),
+                &mut vec![[0.0]; graph.len()],
+            );
+            // A non-finite finish makes its queue's busy sum non-finite.
+            if stats.compute_busy_seconds.is_finite() && stats.memory_busy_seconds.is_finite() {
+                return Ok(stats);
             }
         }
+        self.drive(graph.tasks(), plan, trace)
+    }
 
-        if mem_run.is_none() {
-            let mut grant: Option<(TaskId, usize)> = None;
-            for (channel, queue) in memory_queues.iter().enumerate() {
-                if let Some(&head) = queue.get(mi[channel]) {
+    /// Runs `plan`'s queues to completion and returns the statistics.
+    ///
+    /// Event-driven: the in-flight compute task and the in-flight memory
+    /// grant are the only events. At each event time the compute head issues
+    /// if ready, and the freed data path is granted to the oldest (lowest
+    /// task id, i.e. earliest program order) dependency-ready channel head.
+    /// A channel whose head still waits on a dependency does not block the
+    /// grant — that head-of-line bypass is the entire benefit of multiple
+    /// channels.
+    ///
+    /// Readiness is incremental: per task, the number of dependencies not yet
+    /// retired and the latest finish among the retired ones. Retirement walks
+    /// the plan's dependents, so dependency resolution costs O(1) amortized
+    /// per edge and the issue check and grant scan are O(1) per queue.
+    fn drive(
+        &self,
+        tasks: &[Task],
+        plan: &ExecPlan,
+        mut trace: Option<&mut ExecutionTrace>,
+    ) -> Result<ExecutionStats, EngineError> {
+        let compute_queue = plan.compute_queue();
+        let memory_queues = plan.memory_queues();
+        let mut stats = plan.unstarted_stats();
+        let mut remaining = plan.dependency_counts().to_vec();
+        let mut ready_at = vec![0.0f64; tasks.len()];
+        let mut ci = 0usize; // compute queue cursor
+        let mut mi = vec![0usize; memory_queues.len()]; // per-channel cursors
+        let (mut compute_free, mut bus_free) = (0.0f64, 0.0f64);
+        let mut mem_run: InFlight = None;
+        let mut comp_run: InFlight = None;
+        // Issues `head` at the later of its ready time and its resource's
+        // free time. The progress guarantee: only a finite finish time is an
+        // event, so the earliest in-flight finish always retires next.
+        let issue = |head: TaskId, channel: Option<usize>, ready: f64, free: f64| {
+            let start = ready.max(free);
+            let end = start + self.task_duration(&tasks[head]);
+            if !end.is_finite() {
+                return Err(EngineError::NonFiniteTime {
+                    task: head,
+                    seconds: end,
+                });
+            }
+            Ok(Some((head, channel, (start, end))))
+        };
+
+        loop {
+            if comp_run.is_none() {
+                if let Some(&head) = compute_queue.get(ci) {
                     let head = head as usize;
-                    if remaining[head] == 0 && grant_precedes(head, grant.map(|(best, _)| best)) {
-                        grant = Some((head, channel));
+                    if remaining[head] == 0 {
+                        comp_run = issue(head, None, ready_at[head], compute_free)?;
+                        ci += 1;
                     }
                 }
             }
-            if let Some((head, channel)) = grant {
-                mem_run = issue(exec, head, Some(channel), (ready_at[head], bus_free))?;
-                mi[channel] += 1;
-            }
-        }
 
-        // Advance to the next completion event.
-        let t_next = match (comp_run, mem_run) {
-            (Some((_, _, c)), Some((_, _, m))) => E::seconds(c.1).min(E::seconds(m.1)),
-            (Some((_, _, run)), None) | (None, Some((_, _, run))) => E::seconds(run.1),
-            (None, None) => {
-                let exhausted = ci >= compute_queue.len()
-                    && mi.iter().zip(memory_queues).all(|(&i, q)| i >= q.len());
-                if exhausted {
-                    return Ok(makespan);
+            if mem_run.is_none() {
+                // The oldest ready head wins the data path.
+                let mut grant: Option<(TaskId, usize)> = None;
+                for (channel, queue) in memory_queues.iter().enumerate() {
+                    if let Some(&head) = queue.get(mi[channel]) {
+                        let head = head as usize;
+                        if remaining[head] == 0 && grant.is_none_or(|(best, _)| head < best) {
+                            grant = Some((head, channel));
+                        }
+                    }
                 }
-                return Err(deadlock_error(tasks, plan, ci, &mi, &remaining));
+                if let Some((head, channel)) = grant {
+                    mem_run = issue(head, Some(channel), ready_at[head], bus_free)?;
+                    mi[channel] += 1;
+                }
             }
-        };
 
-        // Retire what completes at `t_next`, memory first: update the
-        // dependents' counters and ready times.
-        for run in [&mut mem_run, &mut comp_run] {
-            let Some((head, channel, span)) = *run else {
-                continue;
+            // Advance to the next completion event.
+            let t_next = match (comp_run, mem_run) {
+                (Some((_, _, c)), Some((_, _, m))) => c.1.min(m.1),
+                (Some((_, _, run)), None) | (None, Some((_, _, run))) => run.1,
+                (None, None) => {
+                    let exhausted = ci >= compute_queue.len()
+                        && mi.iter().zip(memory_queues).all(|(&i, q)| i >= q.len());
+                    if exhausted {
+                        return Ok(stats);
+                    }
+                    return Err(deadlock_error(tasks, plan, ci, &mi, &remaining));
+                }
             };
-            if E::seconds(span.1) <= t_next {
-                for &c in plan.dependents(head) {
-                    let c = c as usize;
-                    remaining[c] -= 1;
-                    ready_at[c] = exec.later(ready_at[c], span.1);
+
+            // Retire what completes at `t_next`, memory first: update the
+            // dependents' counters and ready times.
+            for run in [&mut mem_run, &mut comp_run] {
+                let Some((head, channel, (start, end))) = *run else {
+                    continue;
+                };
+                if end <= t_next {
+                    for &c in plan.dependents(head) {
+                        let c = c as usize;
+                        remaining[c] -= 1;
+                        ready_at[c] = ready_at[c].max(end);
+                    }
+                    stats.runtime_seconds = stats.runtime_seconds.max(end);
+                    let queue = match channel {
+                        Some(channel) => {
+                            bus_free = end;
+                            stats.memory_busy_seconds += end - start;
+                            stats.memory_channel_busy_seconds[channel] += end - start;
+                            EngineQueue::Memory(channel)
+                        }
+                        None => {
+                            compute_free = end;
+                            stats.compute_busy_seconds += end - start;
+                            EngineQueue::Compute
+                        }
+                    };
+                    if let Some(trace) = trace.as_deref_mut() {
+                        trace.push(TaskRecord {
+                            task: head,
+                            queue,
+                            start_seconds: start,
+                            end_seconds: end,
+                            label: Arc::clone(&tasks[head].label),
+                            stage: Arc::clone(&tasks[head].stage),
+                        });
+                    }
+                    *run = None;
                 }
-                makespan = exec.later(makespan, span.1);
-                *(if channel.is_some() {
-                    &mut bus_free
-                } else {
-                    &mut compute_free
-                }) = span.1;
-                exec.retired(head, channel, span);
-                *run = None;
             }
         }
     }
@@ -495,28 +463,7 @@ pub(crate) fn drive<E: Executor>(
 
 /// A task in flight: its id, its memory channel (`None` on the compute
 /// queue) and its `(start, end)` span.
-type InFlight<T> = Option<(TaskId, Option<usize>, (T, T))>;
-
-/// Issues `head` at the later of its ready time and its resource's free
-/// time. The progress guarantee: only a finite finish time is an event, so
-/// the earliest in-flight finish always retires at the next event.
-fn issue<E: Executor>(
-    exec: &mut E,
-    head: TaskId,
-    channel: Option<usize>,
-    (ready, free): (E::Time, E::Time),
-) -> Result<InFlight<E::Time>, EngineError> {
-    let start = exec.later(ready, free);
-    let end = exec.finish(head, start);
-    let seconds = E::seconds(end);
-    if !seconds.is_finite() {
-        return Err(EngineError::NonFiniteTime {
-            task: head,
-            seconds,
-        });
-    }
-    Ok(Some((head, channel, (start, end))))
-}
+type InFlight = Option<(TaskId, Option<usize>, (f64, f64))>;
 
 /// Builds the enriched [`EngineError::Deadlock`] at the point where no queue
 /// head can progress and nothing is in flight: reconstructs which tasks are

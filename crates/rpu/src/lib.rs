@@ -16,10 +16,10 @@
 //!   one in-order queue per DRAM pseudo-channel) producing runtimes, idle
 //!   fractions and per-task traces; timing semantics in
 //!   `docs/MEMORY_MODEL.md`.
-//! * [`analytic`] — closed-form bandwidth sweeps: one symbolic execution
-//!   yields a [`analytic::ParametricTimeline`] whose per-point evaluation is
-//!   bit-identical to the engine — a replay on one memory channel, the
-//!   engine itself on several (`docs/ANALYTIC.md`).
+//! * [`analytic`] — closed-form bandwidth sweeps: a
+//!   [`analytic::ParametricTimeline`] whose per-point evaluation is
+//!   bit-identical to the engine — the engine's own program-order fold on
+//!   one memory channel, the engine itself on several (`docs/ANALYTIC.md`).
 //! * [`channel::ChannelMap`] — deterministic buffer-to-channel placement for
 //!   the multi-channel memory model (label hash plus overridable pin rules).
 //! * [`plan::ExecPlan`] — a graph compiled once per channel placement: the
@@ -57,6 +57,7 @@ pub mod bound;
 pub mod channel;
 pub mod config;
 pub mod engine;
+mod fold;
 pub mod plan;
 pub mod stats;
 pub mod task;
@@ -67,7 +68,7 @@ pub use analytic::{AffineTime, ParametricTimeline, Segment};
 pub use bound::{BindingResource, BoundAnalysis, CriticalEdge, CriticalStep, RooflineKnee};
 pub use channel::ChannelMap;
 pub use config::{EvkPolicy, RpuConfig, MIB};
-pub use engine::{grant_precedes, EngineError, RpuEngine, RunResult, TraceMode};
+pub use engine::{EngineError, RpuEngine, RunResult, TraceMode};
 pub use plan::{BufferKeys, ExecPlan, MemoryKey};
 pub use stats::ExecutionStats;
 pub use task::{

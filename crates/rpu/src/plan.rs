@@ -5,11 +5,10 @@
 //! never on bandwidth or MODOPS. An [`ExecPlan`] holds exactly that —
 //! the compute queue, one memory queue per channel, each task's dependency
 //! count and the dependents CSR — compiled once per
-//! `(graph, channel map, channel count)`. The engine, the symbolic executor
-//! behind [`crate::analytic`], [`crate::bound`] and the deadlock proof in
-//! [`crate::verify`] all run on `&ExecPlan`; their graph-only entry points
-//! ([`RpuEngine::execute`], [`RpuEngine::bounds`], ...) compile a fresh one
-//! per call.
+//! `(graph, channel map, channel count)`. The engine, [`crate::analytic`],
+//! [`crate::bound`] and the deadlock proof in [`crate::verify`] all run on
+//! `&ExecPlan`; their graph-only entry points ([`RpuEngine::execute`],
+//! [`RpuEngine::bounds`], ...) compile a fresh one per call.
 //!
 //! The channel-independent half is shared: [`ExecPlan::rechannel`] places
 //! the same graph over another channel count without copying it. Tasks are
@@ -151,6 +150,8 @@ struct PlanCore {
     dependency_count: Vec<u32>,
     dependent_offsets: Vec<u32>,
     dependents: Vec<u32>,
+    /// Every dependency points backward (so also into the graph).
+    in_program_order: bool,
     total_ops: u64,
     total_bytes: (u64, u64),
     keys: OnceLock<BufferKeys>,
@@ -165,9 +166,13 @@ impl PlanCore {
         // ready, which the engine reports as a deadlock — but has no
         // dependents entry to index out of bounds with.
         let mut dependent_offsets = vec![0u32; n + 1];
-        for &d in tasks.iter().flat_map(|t| &t.dependencies) {
-            if d < n {
-                dependent_offsets[d + 1] += 1;
+        let mut in_program_order = true;
+        for (at, task) in tasks.iter().enumerate() {
+            for &d in &task.dependencies {
+                in_program_order &= d < at;
+                if d < n {
+                    dependent_offsets[d + 1] += 1;
+                }
             }
         }
         for i in 0..n {
@@ -188,6 +193,7 @@ impl PlanCore {
                 .map(|(at, _)| at)
                 .collect(),
             dependency_count: tasks.iter().map(|t| t.dependencies.len() as u32).collect(),
+            in_program_order,
             dependent_offsets,
             dependents,
             total_ops: graph.total_ops(),
@@ -328,6 +334,15 @@ impl ExecPlan {
     pub(crate) fn dependents(&self, task: TaskId) -> &[u32] {
         let offsets = &self.core.dependent_offsets;
         &self.core.dependents[offsets[task] as usize..offsets[task + 1] as usize]
+    }
+
+    /// Whether the program-order fold is this plan's exact timeline: one
+    /// memory channel, and every dependency points backward. Such a plan
+    /// cannot deadlock, and the event loop services its queues in program
+    /// order whatever the timing. Graphs from [`TaskGraph::from_tasks`] and
+    /// the `push_*` builders always qualify on one channel.
+    pub(crate) fn folds(&self) -> bool {
+        self.channels() == 1 && self.core.in_program_order
     }
 
     /// Each memory task's channel, indexed by task (compute tasks read 0).

@@ -240,6 +240,17 @@ impl AppendedGraph {
 }
 
 /// A validated, causally ordered list of tasks.
+///
+/// **Invariant:** every dependency names an *earlier* task. Program order
+/// is then a topological order of the dependency and queue-order edges, so
+/// on one memory channel the engine times the graph with one program-order
+/// fold instead of its event loop. [`TaskGraph::from_tasks`] rejects a
+/// graph that breaks the invariant; the `push_*` builders only
+/// `debug_assert!` it, so a release build accepts a forward dependency
+/// through them, as does [`TaskGraph::from_tasks_unchecked`]. Such a graph
+/// still runs exactly: its [`ExecPlan`](crate::plan::ExecPlan) detects the
+/// forward (or dangling) edge when it is compiled, and the engine then runs
+/// the event loop, which reports a deadlock if the edge closes a cycle.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
@@ -277,14 +288,19 @@ impl TaskGraph {
     /// order. This exists for the static verifier ([`crate::verify`]) and its
     /// tests: malformed graphs — forward dependencies, cross-queue cycles,
     /// dangling edges — can only be constructed through this door, and the
-    /// lint passes are the tool that diagnoses them. Executing an unchecked
-    /// graph whose dependencies are out of range will panic in the engine;
-    /// run [`crate::verify::lint_structural`] first.
+    /// lint passes are the tool that diagnoses them. The engine runs an
+    /// unchecked graph through its event loop (see the invariant on
+    /// [`TaskGraph`]), and a dependency that is out of range never
+    /// resolves, so it ends in
+    /// [`EngineError::Deadlock`](crate::engine::EngineError::Deadlock);
+    /// [`crate::verify::lint_structural`] names the bad edge up front.
     pub fn from_tasks_unchecked(tasks: Vec<Task>) -> Self {
         Self { tasks }
     }
 
-    /// Appends a compute task and returns its id.
+    /// Appends a compute task and returns its id. Every dependency must be
+    /// an earlier task (checked in debug builds only; see the invariant on
+    /// [`TaskGraph`]).
     pub fn push_compute(
         &mut self,
         kind: ComputeKind,
@@ -303,7 +319,8 @@ impl TaskGraph {
     }
 
     /// Appends a memory task (no channel hint — the engine places it by
-    /// label) and returns its id.
+    /// label) and returns its id. Dependencies as for
+    /// [`TaskGraph::push_compute`].
     pub fn push_memory(
         &mut self,
         direction: MemoryDirection,
@@ -318,6 +335,7 @@ impl TaskGraph {
     /// Appends a memory task with an explicit channel hint and returns its
     /// id. `Some(c)` pins the transfer to memory channel
     /// `c % num_memory_channels` regardless of the engine's channel map.
+    /// Dependencies as for [`TaskGraph::push_compute`].
     pub fn push_memory_on(
         &mut self,
         direction: MemoryDirection,

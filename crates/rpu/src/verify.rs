@@ -1,9 +1,10 @@
 //! Static verification of task graphs against the engine's queue semantics.
 //!
 //! Every property this module checks is otherwise only enforced
-//! *dynamically*: a malformed graph surfaces as an engine panic (dangling
-//! dependency), an [`EngineError::Deadlock`](crate::engine::EngineError)
-//! mid-run, or silently wrong analysis numbers. The passes here prove the
+//! *dynamically*: a malformed graph surfaces as an
+//! [`EngineError::Deadlock`](crate::engine::EngineError) mid-run (a
+//! dangling dependency never resolves, and a cross-queue cycle never
+//! drains), or as silently wrong analysis numbers. The passes here prove the
 //! same properties *without executing* — they are the graph-level half of
 //! the `ciflow::lint` subsystem (which adds schedule-aware buffer, capacity
 //! and placement passes on top).

@@ -7,22 +7,24 @@
 //!
 //! 1. Random structurally-valid task graphs (the `lint_oracle` generator)
 //!    across 1/2/4/8 memory channels, sampled at the range ends, at every
-//!    ready-time crossover the one-channel replay reports (the edges of
+//!    ready-time crossover the one-channel fold reports (the edges of
 //!    `Segment::affine_range_gbps`) and one ulp either side of it, and at
 //!    random interior points of the analyzed range.
 //! 2. Real strategy schedules — every dataflow, both evk policies — through
 //!    the same sampling grid.
 //!
 //!    Both grids are evaluated point by point (`evaluate`) and as one
-//!    unsorted ladder (`evaluate_many`): on one channel through the replay
+//!    unsorted ladder (`evaluate_many`): on one channel through the fold
 //!    and its eight-lane chunks, on several through the engine.
 //!
 //! 3. Forced grants: on one memory channel every bus grant is forced, so a
 //!    timeline is a single segment, and the static bound equals the
 //!    evaluated runtime bit for bit.
+//! 4. The affine view: on the same one-channel schedules the makespan's
+//!    affine form matches the evaluated runtime at both ends of its range.
 //!
 //! On divergence the failure message pins down the *first differing event*:
-//! the replayed per-task spans ([`ParametricTimeline::sampled_times`]) are
+//! the folded per-task spans ([`ParametricTimeline::sampled_times`]) are
 //! diffed against the engine's full trace at the offending bandwidth.
 
 use ciflow::api::StrategyRegistry;
@@ -65,11 +67,10 @@ fn sample_points(timeline: &ParametricTimeline, seed: u64) -> Vec<f64> {
     points
 }
 
-/// Formats the first event where the timeline's replayed spans and the
+/// Formats the first event where the timeline's folded spans and the
 /// engine's trace disagree, for a failure message worth reading. Spans are
-/// matched by task id: a replay script may interleave the queues' retirements
-/// differently from the engine's trace order at this bandwidth while every
-/// span still agrees.
+/// matched by task id: the fold lists tasks in program order, the engine's
+/// trace in retirement order, while every span still agrees.
 fn first_divergence(
     engine: &RpuEngine,
     graph: &TaskGraph,
@@ -82,7 +83,7 @@ fn first_divergence(
         .execute(graph)
         .expect("oracle graphs do not deadlock");
     let Some(replayed) = timeline.sampled_times(bandwidth_gbps) else {
-        return format!("no replay script at {bandwidth_gbps} GB/s (multi-channel engine path)");
+        return format!("no fold at {bandwidth_gbps} GB/s (engine path)");
     };
     let mut by_task = vec![None; graph.len()];
     for record in traced.trace.records() {
@@ -91,7 +92,7 @@ fn first_divergence(
     for (i, ours) in replayed.iter().enumerate() {
         let Some(reference) = by_task[ours.task] else {
             return format!(
-                "replayed event #{i} at {bandwidth_gbps} GB/s, task {} ({}), is missing from \
+                "folded event #{i} at {bandwidth_gbps} GB/s, task {} ({}), is missing from \
                  the engine's trace",
                 ours.task, ours.label
             );
@@ -100,8 +101,8 @@ fn first_divergence(
             || ours.end_seconds.to_bits() != reference.end_seconds.to_bits()
         {
             return format!(
-                "first differing event at {bandwidth_gbps} GB/s is replay #{i}: task {} ({}) \
-                 spans [{:.9e}, {:.9e}] in the replay, [{:.9e}, {:.9e}] in the engine",
+                "first differing event at {bandwidth_gbps} GB/s is fold #{i}: task {} ({}) \
+                 spans [{:.9e}, {:.9e}] in the fold, [{:.9e}, {:.9e}] in the engine",
                 ours.task,
                 ours.label,
                 ours.start_seconds,
@@ -193,7 +194,7 @@ fn strategy_schedules_evaluate_bit_identically() {
 #[test]
 fn a_real_schedule_is_one_segment_on_one_channel_and_none_on_four() {
     // Sanity on the shape of the answer itself: a streamed OC schedule over
-    // the full range keeps one replay script on the paper's one-channel RPU,
+    // the full range keeps one segment on the paper's one-channel RPU,
     // whose affine range lies inside the analyzed range, and none on four
     // channels, where every point runs the engine.
     let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
@@ -251,10 +252,11 @@ fn assert_one_channel_bound_is_tight(engine: &RpuEngine, graph: &TaskGraph, cont
     assert_eq!(timeline.fallback_evaluations(), 0, "{context}");
 }
 
-#[test]
-fn forced_grant_bound_is_tight_on_one_channel() {
-    // The design-space grid (the five Table-III benchmarks x MP/DC/OC x
-    // evks on-chip or streamed, 32 MiB) ...
+/// Runs `check` on every one-channel schedule the forced-grant claims are
+/// held on: the design-space grid (the five Table-III benchmarks x MP/DC/OC
+/// x evks on-chip or streamed, 32 MiB) and the fused and back-to-back BTS2
+/// rescaling chain, evks streamed.
+fn for_each_one_channel_schedule(mut check: impl FnMut(&RpuEngine, &TaskGraph, &str)) {
     for benchmark in HksBenchmark::all() {
         for dataflow in Dataflow::all() {
             for evk_policy in [EvkPolicy::OnChip, EvkPolicy::Streamed] {
@@ -263,11 +265,10 @@ fn forced_grant_bound_is_tight_on_one_channel() {
                 let engine = RpuEngine::new(RpuConfig::ciflow_with_policy(evk_policy))
                     .with_channel_map(schedule.channel_map(1));
                 let context = format!("{} {dataflow} {evk_policy:?}", benchmark.name);
-                assert_one_channel_bound_is_tight(&engine, &schedule.graph, &context);
+                check(&engine, &schedule.graph, &context);
             }
         }
     }
-    // ... and the fused and back-to-back BTS2 rescaling chain, evks streamed.
     let chain = Workload::rescaling_chain(HksBenchmark::BTS2, 6);
     let registry = StrategyRegistry::builtin();
     let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
@@ -279,7 +280,42 @@ fn forced_grant_bound_is_tight_on_one_channel() {
             let engine = RpuEngine::new(RpuConfig::ciflow_with_policy(EvkPolicy::Streamed))
                 .with_channel_map(built.schedule.channel_map(1));
             let context = format!("{} {dataflow} {mode}", chain.name);
-            assert_one_channel_bound_is_tight(&engine, &built.schedule.graph, &context);
+            check(&engine, &built.schedule.graph, &context);
         }
     }
+}
+
+#[test]
+fn forced_grant_bound_is_tight_on_one_channel() {
+    for_each_one_channel_schedule(assert_one_channel_bound_is_tight);
+}
+
+/// The makespan's affine form matches the evaluated runtime within 1e-12
+/// relative at both ends of `Segment::affine_range_gbps`, on every
+/// one-channel schedule and over two analyzed ranges. The runtime is convex
+/// in inverse bandwidth and the affine form is one of the terms of its max,
+/// so agreement at both ends certifies the whole range.
+#[test]
+fn affine_view_matches_the_runtime_at_both_ends_of_its_range() {
+    for_each_one_channel_schedule(|engine, graph, context| {
+        for (lo, hi) in [(LO_GBPS, HI_GBPS), (1.0, 64.0)] {
+            let timeline = engine
+                .analyze(graph, lo, hi)
+                .expect("schedules do not deadlock");
+            let [segment] = timeline.segments() else {
+                panic!("{context}: one segment on one channel");
+            };
+            let (affine_lo, affine_hi) = segment.affine_range_gbps();
+            assert!(lo <= affine_lo && affine_lo <= affine_hi && affine_hi == hi);
+            for bw in [affine_lo, affine_hi] {
+                let runtime = timeline.evaluate(bw).runtime_seconds;
+                let affine = segment.runtime_affine().at(bw);
+                assert!(
+                    (affine - runtime).abs() <= 1e-12 * runtime,
+                    "{context} over [{lo}, {hi}]: affine {affine} s vs runtime {runtime} s \
+                     at {bw} GB/s"
+                );
+            }
+        }
+    });
 }
