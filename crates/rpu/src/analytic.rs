@@ -275,7 +275,8 @@ impl ParametricTimeline {
         if self.segment.is_none() {
             return self.run_engine(bandwidth_gbps);
         }
-        let [stats] = self.fold_stats(&[bandwidth_gbps], &mut vec![[0.0]; self.costs.len()]);
+        let ready = &mut vec![[0.0]; self.costs.len()];
+        let [stats] = fold::stats(&self.costs, &self.plan, &[bandwidth_gbps], ready);
         stats
     }
 
@@ -308,11 +309,11 @@ impl ParametricTimeline {
         let mut chunks = bandwidths_gbps.chunks_exact(LANES);
         for chunk in &mut chunks {
             let bws: &[f64; LANES] = chunk.try_into().expect("chunk has LANES entries");
-            out.extend(self.fold_stats(bws, &mut lanes));
+            out.extend(fold::stats(&self.costs, &self.plan, bws, &mut lanes));
         }
         let mut scratch = vec![[0.0]; n];
         for &b in chunks.remainder() {
-            let [stats] = self.fold_stats(&[b], &mut scratch);
+            let [stats] = fold::stats(&self.costs, &self.plan, &[b], &mut scratch);
             out.push(stats);
         }
         out
@@ -354,15 +355,6 @@ impl ParametricTimeline {
             },
         );
         Some(records)
-    }
-
-    /// The fold's statistics at `L` validated bandwidths.
-    fn fold_stats<const L: usize>(
-        &self,
-        bws: &[f64; L],
-        ready: &mut [[f64; L]],
-    ) -> [ExecutionStats; L] {
-        fold::stats(&self.costs, &self.plan, Seconds::gbps(bws), ready)
     }
 
     /// One validated bandwidth through the event engine on the cached plan.

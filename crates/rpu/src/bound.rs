@@ -383,7 +383,11 @@ impl<'a> Placed<'a> {
     /// program order: back from the first task to finish at `bound`, each
     /// step blamed on the predecessor that delivered its start, re-derived
     /// from `finish` in strict-`>` order (dependencies as listed, then the
-    /// queue predecessor when `queues`), so a tie blames the first.
+    /// queue predecessor when `queues`), so a tie blames the first. Only
+    /// earlier tasks are followed, as the fold only pushes into later ones:
+    /// a forward or dangling dependency (only
+    /// [`TaskGraph::from_tasks_unchecked`] builds one) can neither index out
+    /// of range nor close a loop.
     fn walk_critical(&self, finish: &[f64], bound: f64, queues: bool) -> Vec<CriticalStep> {
         let mut path = Vec::new();
         let mut at = vec![0; 1 + self.plan.channels()];
@@ -392,7 +396,7 @@ impl<'a> Placed<'a> {
             let mut ready = 0.0f64;
             let mut edge = CriticalEdge::Source;
             for &dep in &self.tasks[task].dependencies {
-                if finish[dep] > ready {
+                if dep < task && finish[dep] > ready {
                     ready = finish[dep];
                     edge = CriticalEdge::Dependency(dep);
                 }
@@ -514,8 +518,9 @@ fn path_piece_at(
     let mut best = (0.0f64, 0.0f64, 0.0f64);
     for (t, task) in tasks.iter().enumerate() {
         let mut es = (0.0f64, 0.0f64, 0.0f64);
+        // A later task has no value yet; a dangling one never will.
         for &dep in &task.dependencies {
-            if value[dep] > es.0 {
+            if dep < t && value[dep] > es.0 {
                 es = (value[dep], constant[dep], slope[dep]);
             }
         }
@@ -956,6 +961,27 @@ mod tests {
             one.dependency_knee,
             RooflineKnee::Crossover { .. }
         ));
+    }
+
+    #[test]
+    fn forward_and_dangling_dependencies_neither_panic_nor_loop() {
+        // A two-task cycle (the compute waits for the load that waits for
+        // it) and a dependency past the end: the engine reports a deadlock
+        // for both, and the analysis still returns, its critical paths
+        // walking back through earlier tasks only.
+        let mut g = TaskGraph::new();
+        g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
+        g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![0], "l", "P1");
+        for extra in [1, 9] {
+            let mut tasks = g.tasks().to_vec();
+            tasks[0].dependencies.push(extra);
+            let graph = TaskGraph::from_tasks_unchecked(tasks);
+            let engine = RpuEngine::new(unit_config(1.0));
+            assert!(engine.execute_stats(&graph).is_err());
+            let b = engine.bounds(&graph);
+            assert_eq!(b.makespan_bound_seconds, 2.0, "extra dependency {extra}");
+            assert_eq!(b.critical_path, vec![0, 1]);
+        }
     }
 
     #[test]

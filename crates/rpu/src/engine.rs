@@ -65,7 +65,7 @@
 
 use crate::channel::ChannelMap;
 use crate::config::RpuConfig;
-use crate::fold::{self, Seconds};
+use crate::fold;
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::{Label, Task, TaskGraph, TaskId, TaskKind};
@@ -320,7 +320,7 @@ impl RpuEngine {
             let [stats] = fold::stats(
                 &fold::costs(self, graph.tasks(), plan),
                 plan,
-                Seconds([self.config.dram_bytes_per_second()]),
+                &[self.config.dram_bandwidth_gbps],
                 &mut vec![[0.0]; graph.len()],
             );
             // A non-finite finish makes its queue's busy sum non-finite.

@@ -80,7 +80,7 @@ pub(crate) trait Clock {
 /// Seconds at `L` bandwidths at once, held in bytes per second: each lane
 /// runs the engine's arithmetic at its own bandwidth, so the lane count never
 /// changes a bit.
-pub(crate) struct Seconds<const L: usize>(pub(crate) [f64; L]);
+pub(crate) struct Seconds<const L: usize>([f64; L]);
 
 impl<const L: usize> Seconds<L> {
     /// Bandwidths in GB/s, converted as the engine converts them.
@@ -160,12 +160,12 @@ pub(crate) fn fold<C: Clock>(
 pub(crate) fn stats<const L: usize>(
     costs: &[Cost],
     plan: &ExecPlan,
-    mut clock: Seconds<L>,
+    bandwidths_gbps: &[f64; L],
     ready: &mut [[f64; L]],
 ) -> [ExecutionStats; L] {
     let mut busy = [[0.0f64; L]; 2];
     let makespan = fold(
-        &mut clock,
+        &mut Seconds::gbps(bandwidths_gbps),
         costs,
         plan,
         true,
