@@ -17,10 +17,10 @@
 //! the dependency and queue-order edges, and one walk in program order
 //! computes every start as `max(ready, free)` and every finish as
 //! `start + duration` — the engine's own arithmetic, with `max` exact and
-//! each queue's busy time summed in the engine's order. That fold is what
-//! [`RpuEngine::execute_stats`] runs on such a plan, so every evaluation is
-//! bit-identical to the engine, with no tolerance and no event loop per
-//! point. The timeline keeps one [`Segment`], valid at every bandwidth: the
+//! each queue's busy time summed in the engine's order. That fold is the
+//! timeline [`RpuEngine::execute_stats`] computes on such a plan, so every
+//! evaluation is bit-identical to the engine, with no tolerance and no event
+//! loop per point. The timeline keeps one [`Segment`], valid at every bandwidth: the
 //! affine view of the same fold anchored at the top of the analyzed range.
 //!
 //! ## Otherwise: the engine per point
@@ -45,7 +45,7 @@
 
 use crate::config::{assert_valid_bandwidth, validate_bandwidth};
 use crate::engine::{EngineError, RpuEngine};
-use crate::fold::{self, fold, Clock, Cost, Seconds};
+use crate::fold::{self, fold, Clock, Cost, Seconds, Sym};
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::TaskGraph;
@@ -85,19 +85,10 @@ impl AffineTime {
     }
 }
 
-/// A concrete time paired with its affine form. The `v` component is the
-/// engine's floating-point value at the anchor bandwidth (it decides every
-/// max); `c`/`m` carry the affine view behind [`Segment::runtime_affine`].
-#[derive(Debug, Clone, Copy)]
-struct Sym {
-    v: f64,
-    c: f64,
-    m: f64,
-}
-
 /// The affine clock of the fold, anchored at one bandwidth: each time's
-/// value there and its affine form, plus the nearest ready-time crossover
-/// below the anchor.
+/// value there (the engine's floating-point value, which decides every max)
+/// and its affine form, which [`Segment::runtime_affine`] reports, plus the
+/// nearest ready-time crossover below the anchor.
 struct Affine {
     /// `1 / anchor bandwidth`: where the affine forms are anchored.
     x0: f64,
@@ -110,11 +101,7 @@ struct Affine {
 
 impl Clock for Affine {
     type Time = Sym;
-    const ZERO: Sym = Sym {
-        v: 0.0,
-        c: 0.0,
-        m: 0.0,
-    };
+    const ZERO: Sym = Sym::ZERO;
 
     /// The max by the engine's concrete value; on an exact value tie the
     /// steeper affine branch wins, so the view stays the max just below the
@@ -154,11 +141,7 @@ impl Clock for Affine {
     }
 
     fn after(start: Sym, duration: Sym) -> Sym {
-        Sym {
-            v: start.v + duration.v,
-            c: start.c + duration.c,
-            m: start.m + duration.m,
-        }
+        start.plus(duration)
     }
 }
 

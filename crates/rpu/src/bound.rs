@@ -28,14 +28,15 @@
 //!   `tests/bound_oracle.rs` across presets, random graphs, channel counts
 //!   and bandwidths, with bit-exact equality on contention-free chains).
 //!
-//! Both path passes are the engine's one-channel timing kernel: one
-//! program-order max-plus fold (`max(ready, free)`, then `+ duration`),
+//! Both path passes are the one-channel timing kernel: one program-order
+//! max-plus fold (`max(ready, free)`, then `+ duration`),
 //! without the queue free times for the dependency pass and with one free
 //! time per queue (compute and each channel) for the queue-order pass. On
 //! one channel the queue-order pass is therefore the engine's own timeline.
 //! The fold is generic over a lane count: [`analyze`] runs it with one lane,
 //! [`bound_curve`] with eight ladder points per walk of the graph and one
-//! for the remainder.
+//! for the remainder. The knee's probes run the same fold with an affine
+//! clock.
 //!
 //! # Floating-point soundness
 //!
@@ -75,7 +76,7 @@
 
 use crate::config::assert_valid_bandwidth;
 use crate::engine::RpuEngine;
-use crate::fold::{self, fold, Cost, Seconds};
+use crate::fold::{self, fold, Clock, Cost, Seconds, Sym};
 use crate::plan::ExecPlan;
 use crate::task::{Task, TaskGraph, TaskId};
 
@@ -495,54 +496,48 @@ fn occupancy_floor(sum: f64, terms: usize) -> f64 {
     sum * (1.0 - (terms as f64 + 3.0) * f64::EPSILON)
 }
 
-/// The affine piece `(constant_seconds, per_inverse_gbps)` of the path
-/// bound active at `bandwidth_gbps`, over the true dependencies plus, with
-/// `queues`, each task's queue predecessor: a forward pass carrying the
-/// affine coefficients of whichever predecessor wins each max (the first on
-/// a tie). A compute costs a constant, a transfer its size over the
+/// The knee probe's clock at one bandwidth: each time's value there and the
+/// affine form of whichever predecessor wins each max (the earlier one on a
+/// value tie). A compute costs a constant, a transfer its size over the
 /// bandwidth.
-fn path_piece_at(
-    tasks: &[Task],
-    costs: &[Cost],
-    channels: usize,
-    queues: bool,
-    bandwidth_gbps: f64,
-) -> (f64, f64) {
-    let inv = 1.0 / bandwidth_gbps;
-    let n = tasks.len();
-    let mut value = vec![0.0f64; n];
-    let mut constant = vec![0.0f64; n];
-    let mut slope = vec![0.0f64; n];
-    // The last task walked on each queue: the next one's queue predecessor.
-    let mut last: Vec<Option<usize>> = vec![None; 1 + channels];
-    let mut best = (0.0f64, 0.0f64, 0.0f64);
-    for (t, task) in tasks.iter().enumerate() {
-        let mut es = (0.0f64, 0.0f64, 0.0f64);
-        // A later task has no value yet; a dangling one never will.
-        for &dep in &task.dependencies {
-            if dep < t && value[dep] > es.0 {
-                es = (value[dep], constant[dep], slope[dep]);
-            }
-        }
-        let queue = costs[t].queue();
-        if let Some(p) = last[queue].filter(|_| queues) {
-            if value[p] > es.0 {
-                es = (value[p], constant[p], slope[p]);
-            }
-        }
-        last[queue] = Some(t);
-        let (dc, dm) = match costs[t] {
-            Cost::Compute(seconds) => (seconds, 0.0),
-            Cost::Memory { bytes, .. } => (0.0, bytes / 1e9),
-        };
-        value[t] = es.0 + (dc + dm * inv);
-        constant[t] = es.1 + dc;
-        slope[t] = es.2 + dm;
-        if value[t] > best.0 {
-            best = (value[t], constant[t], slope[t]);
+struct Probe {
+    /// `1 / bandwidth_gbps`.
+    inv: f64,
+}
+
+impl Clock for Probe {
+    type Time = Sym;
+    const ZERO: Sym = Sym::ZERO;
+
+    fn later(&mut self, a: Sym, b: Sym) -> Sym {
+        if b.v > a.v {
+            b
+        } else {
+            a
         }
     }
-    (best.1, best.2)
+
+    fn duration(&self, cost: Cost) -> Sym {
+        match cost {
+            Cost::Compute(seconds) => Sym {
+                v: seconds,
+                c: seconds,
+                m: 0.0,
+            },
+            Cost::Memory { bytes, .. } => {
+                let m = bytes / 1e9;
+                Sym {
+                    v: m * self.inv,
+                    c: 0.0,
+                    m,
+                }
+            }
+        }
+    }
+
+    fn after(start: Sym, duration: Sym) -> Sym {
+        start.plus(duration)
+    }
 }
 
 /// The compute pipeline's occupancy: the compute durations folded in
@@ -563,7 +558,7 @@ fn compute_fold(costs: &[Cost]) -> f64 {
 fn derive_knee(
     graph: &TaskGraph,
     costs: &[Cost],
-    channels: usize,
+    plan: &ExecPlan,
     queues: bool,
     compute_floor: f64,
 ) -> RooflineKnee {
@@ -576,11 +571,15 @@ fn derive_knee(
     }
     let m_total = (loaded + stored) as f64 / 1e9;
     let mut knee = m_total / compute_floor;
+    let ready = &mut vec![Sym::ZERO; costs.len()];
     for _ in 0..MAX_KNEE_STEPS {
-        // Probe just above the candidate so the piece that is active *above*
-        // the crossover wins any tie at the crossover itself.
-        let probe = knee * (1.0 + 1e-9);
-        let (c, m) = path_piece_at(graph.tasks(), costs, channels, queues, probe);
+        // The path bound's affine piece active just above the candidate, so
+        // the piece that is active *above* the crossover wins any tie at the
+        // crossover itself.
+        let clock = &mut Probe {
+            inv: 1.0 / (knee * (1.0 + 1e-9)),
+        };
+        let Sym { c, m, .. } = fold(clock, costs, plan, queues, ready, |_, _, _, _, _| {});
         if m <= 0.0 {
             break;
         }
@@ -676,7 +675,7 @@ pub fn bound_curve(engine: &RpuEngine, graph: &TaskGraph, bandwidths_gbps: &[f64
 /// knee does not depend on `engine`'s bandwidth.
 pub fn knee_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> RooflineKnee {
     let costs = fold::costs(engine, graph.tasks(), plan);
-    derive_knee(graph, &costs, plan.channels(), true, compute_fold(&costs))
+    derive_knee(graph, &costs, plan, true, compute_fold(&costs))
 }
 
 /// Statically analyzes `graph` on `engine`'s configuration and placement:
@@ -737,9 +736,9 @@ pub fn analyze_plan(engine: &RpuEngine, graph: &TaskGraph, plan: &ExecPlan) -> B
 
     // Closed-form knees from the bound's affine pieces, the placement-aware
     // one exactly as `knee_plan` derives it.
-    let (costs, channels) = (&placed.costs, plan.channels());
-    let knee = derive_knee(graph, costs, channels, true, parts.compute_occupancy);
-    let dependency_knee = derive_knee(graph, costs, channels, false, parts.compute_occupancy);
+    let costs = &placed.costs;
+    let knee = derive_knee(graph, costs, plan, true, parts.compute_occupancy);
+    let dependency_knee = derive_knee(graph, costs, plan, false, parts.compute_occupancy);
 
     BoundAnalysis {
         bandwidth_gbps: engine.config().dram_bandwidth_gbps,

@@ -37,20 +37,17 @@
 //! [`RpuEngine::execute_plan`] and [`RpuEngine::execute_stats_plan`] run a
 //! prebuilt one.
 //!
-//! ## One event loop, one fold
+//! ## One event loop
 //!
-//! The event loop (`drive`) is the engine. On one memory channel, and when
-//! every dependency points backward (which the [`ExecPlan`] records), it
-//! services the queues in program order whatever the timing, so a
-//! statistics-only run there is one program-order max-plus fold instead:
-//! every start is
-//! `max(ready, free)` and every finish `start + duration`, the loop's own
-//! arithmetic. The fold is bit-identical to the loop, which is
-//! property-tested against it (`tests/fold_oracle.rs`). The same fold times
-//! the parametric timelines of [`crate::analytic`] and the path bounds of
-//! [`crate::bound`]. Traced runs, several channels, graphs with a forward or
-//! dangling dependency, and a fold whose times come out non-finite take the
-//! loop, so its [`EngineError`]s are the only ones.
+//! The event loop (`drive`) is the engine, traced or not, on any channel
+//! count. On one memory channel, when every dependency points backward
+//! (which the [`ExecPlan`] records), the loop services the queues in program
+//! order whatever the timing, so its timeline equals one program-order
+//! max-plus fold: every start `max(ready, free)`, every finish
+//! `start + duration`. That fold times the parametric timelines of
+//! [`crate::analytic`] and the path bounds of [`crate::bound`];
+//! `tests/fold_oracle.rs` holds the timeline's fold to this loop bit for
+//! bit. The loop's [`EngineError`]s are the only ones.
 //!
 //! *Progress guarantee.* Every loop iteration retires at least one task or
 //! returns an error: a task whose finish time is not finite (a NaN, zero or
@@ -65,7 +62,6 @@
 
 use crate::channel::ChannelMap;
 use crate::config::RpuConfig;
-use crate::fold;
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::{Label, Task, TaskGraph, TaskId, TaskKind};
@@ -263,7 +259,7 @@ impl RpuEngine {
         plan: &ExecPlan,
     ) -> Result<RunResult, EngineError> {
         let mut trace = ExecutionTrace::new();
-        let stats = self.run(graph, plan, Some(&mut trace))?;
+        let stats = self.drive(graph, plan, Some(&mut trace))?;
         Ok(RunResult { stats, trace })
     }
 
@@ -290,7 +286,7 @@ impl RpuEngine {
         graph: &TaskGraph,
         plan: &ExecPlan,
     ) -> Result<ExecutionStats, EngineError> {
-        self.run(graph, plan, None)
+        self.drive(graph, plan, None)
     }
 
     /// Rejects a plan compiled for another task or channel count than this
@@ -303,35 +299,10 @@ impl RpuEngine {
             .ok_or(EngineError::PlanMismatch { plan, run })
     }
 
-    /// The shared simulation core. `trace` selects the mode: `Some` records a
+    /// The simulation core: runs `plan`'s queues to completion and returns
+    /// the statistics. `trace` selects the mode: `Some` records a
     /// [`TaskRecord`] per completed task, `None` skips all per-task
-    /// allocation. A statistics-only run of a plan the program-order fold
-    /// times exactly (`ExecPlan::folds`) takes the fold; every other run,
-    /// and a fold whose times come out non-finite, takes the event loop
-    /// (`drive`), whose errors are the reference.
-    fn run(
-        &self,
-        graph: &TaskGraph,
-        plan: &ExecPlan,
-        trace: Option<&mut ExecutionTrace>,
-    ) -> Result<ExecutionStats, EngineError> {
-        self.check_plan(graph, plan)?;
-        if trace.is_none() && plan.folds() {
-            let [stats] = fold::stats(
-                &fold::costs(self, graph.tasks(), plan),
-                plan,
-                &[self.config.dram_bandwidth_gbps],
-                &mut vec![[0.0]; graph.len()],
-            );
-            // A non-finite finish makes its queue's busy sum non-finite.
-            if stats.compute_busy_seconds.is_finite() && stats.memory_busy_seconds.is_finite() {
-                return Ok(stats);
-            }
-        }
-        self.drive(graph.tasks(), plan, trace)
-    }
-
-    /// Runs `plan`'s queues to completion and returns the statistics.
+    /// allocation.
     ///
     /// Event-driven: the in-flight compute task and the in-flight memory
     /// grant are the only events. At each event time the compute head issues
@@ -347,10 +318,12 @@ impl RpuEngine {
     /// per edge and the issue check and grant scan are O(1) per queue.
     fn drive(
         &self,
-        tasks: &[Task],
+        graph: &TaskGraph,
         plan: &ExecPlan,
         mut trace: Option<&mut ExecutionTrace>,
     ) -> Result<ExecutionStats, EngineError> {
+        self.check_plan(graph, plan)?;
+        let tasks = graph.tasks();
         let compute_queue = plan.compute_queue();
         let memory_queues = plan.memory_queues();
         let mut stats = plan.unstarted_stats();

@@ -12,19 +12,19 @@
 //! queue's busy time is summed in the order the engine sums it.
 //!
 //! [`fold`] is that walk, generic over its [`Clock`]. [`Seconds`] carries `L`
-//! bandwidths at once, each lane doing a single run's arithmetic, and the
-//! analytic timeline's affine clock carries each time's form in inverse
-//! bandwidth. The fold serves:
+//! bandwidths at once, each lane doing a single run's arithmetic; the
+//! analytic timeline's and the bound's knee-probe clocks carry each time's
+//! affine form in inverse bandwidth ([`Sym`]). The fold serves:
 //!
-//! - [`RpuEngine::execute_stats_plan`] on one channel, through [`stats`];
-//! - the analytic timeline's evaluations and its affine view;
-//! - the static bound's dependency and queue-augmented passes, at any
-//!   channel count. There each channel keeps its own free time, which is the
-//!   augmented graph's queue-predecessor edge.
+//! - the analytic timeline's evaluations, through [`stats`], and its affine
+//!   view;
+//! - the static bound's dependency and queue-augmented passes and its knee
+//!   probe, at any channel count. There each channel keeps its own free
+//!   time, which is the augmented graph's queue-predecessor edge.
 //!
-//! The event loop in [`crate::engine`] stays the reference for several
-//! channels, traced runs, graphs with a forward or dangling dependency, and
-//! runs whose times come out non-finite.
+//! The engine itself always runs its event loop ([`crate::engine`]), the
+//! reference for several channels, graphs with a forward or dangling
+//! dependency, and runs whose times come out non-finite.
 
 use crate::engine::RpuEngine;
 use crate::plan::ExecPlan;
@@ -75,6 +75,33 @@ pub(crate) trait Clock {
     fn duration(&self, cost: Cost) -> Self::Time;
     /// `start + duration`.
     fn after(start: Self::Time, duration: Self::Time) -> Self::Time;
+}
+
+/// A time at one bandwidth paired with its affine form in inverse
+/// bandwidth: `v` is its value there, which decides every max, and
+/// `c + m / bandwidth_gbps` its form (`m` in seconds·GB/s).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sym {
+    pub(crate) v: f64,
+    pub(crate) c: f64,
+    pub(crate) m: f64,
+}
+
+impl Sym {
+    pub(crate) const ZERO: Sym = Sym {
+        v: 0.0,
+        c: 0.0,
+        m: 0.0,
+    };
+
+    /// Component-wise `self + duration`.
+    pub(crate) fn plus(self, duration: Sym) -> Sym {
+        Sym {
+            v: self.v + duration.v,
+            c: self.c + duration.c,
+            m: self.m + duration.m,
+        }
+    }
 }
 
 /// Seconds at `L` bandwidths at once, held in bytes per second: each lane

@@ -18,8 +18,9 @@
 //!   `docs/MEMORY_MODEL.md`.
 //! * [`analytic`] — closed-form bandwidth sweeps: a
 //!   [`analytic::ParametricTimeline`] whose per-point evaluation is
-//!   bit-identical to the engine — the engine's own program-order fold on
-//!   one memory channel, the engine itself on several (`docs/ANALYTIC.md`).
+//!   bit-identical to the engine — a program-order fold equal to the
+//!   engine's timeline on one memory channel, the engine itself on several
+//!   (`docs/ANALYTIC.md`).
 //! * [`channel::ChannelMap`] — deterministic buffer-to-channel placement for
 //!   the multi-channel memory model (label hash plus overridable pin rules).
 //! * [`plan::ExecPlan`] — a graph compiled once per channel placement: the

@@ -339,8 +339,9 @@ impl ExecPlan {
     /// Whether the program-order fold is this plan's exact timeline: one
     /// memory channel, and every dependency points backward. Such a plan
     /// cannot deadlock, and the event loop services its queues in program
-    /// order whatever the timing. Graphs from [`TaskGraph::from_tasks`] and
-    /// the `push_*` builders always qualify on one channel.
+    /// order whatever the timing. Graphs from [`TaskGraph::from_tasks`]
+    /// always qualify on one channel, and so do the `push_*` builders'
+    /// wherever their debug assertion holds.
     pub(crate) fn folds(&self) -> bool {
         self.channels() == 1 && self.core.in_program_order
     }

@@ -243,14 +243,16 @@ impl AppendedGraph {
 ///
 /// **Invariant:** every dependency names an *earlier* task. Program order
 /// is then a topological order of the dependency and queue-order edges, so
-/// on one memory channel the engine times the graph with one program-order
-/// fold instead of its event loop. [`TaskGraph::from_tasks`] rejects a
-/// graph that breaks the invariant; the `push_*` builders only
-/// `debug_assert!` it, so a release build accepts a forward dependency
-/// through them, as does [`TaskGraph::from_tasks_unchecked`]. Such a graph
-/// still runs exactly: its [`ExecPlan`](crate::plan::ExecPlan) detects the
-/// forward (or dangling) edge when it is compiled, and the engine then runs
-/// the event loop, which reports a deadlock if the edge closes a cycle.
+/// on one memory channel the engine's timeline is one program-order fold,
+/// which the parametric timeline evaluates instead of the event loop.
+/// [`TaskGraph::from_tasks`] rejects a graph that breaks the invariant; the
+/// `push_*` builders only `debug_assert!` it, so a release build accepts a
+/// forward dependency through them, as does
+/// [`TaskGraph::from_tasks_unchecked`]. Such a graph still runs exactly:
+/// the engine always runs its event loop, which reports a deadlock if the
+/// edge closes a cycle, and the [`ExecPlan`](crate::plan::ExecPlan) detects
+/// the forward (or dangling) edge when it is compiled, so the timeline
+/// evaluates the graph through the engine too.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
@@ -288,10 +290,9 @@ impl TaskGraph {
     /// order. This exists for the static verifier ([`crate::verify`]) and its
     /// tests: malformed graphs — forward dependencies, cross-queue cycles,
     /// dangling edges — can only be constructed through this door, and the
-    /// lint passes are the tool that diagnoses them. The engine runs an
-    /// unchecked graph through its event loop (see the invariant on
-    /// [`TaskGraph`]), and a dependency that is out of range never
-    /// resolves, so it ends in
+    /// lint passes are the tool that diagnoses them. The engine's event loop
+    /// runs an unchecked graph (see the invariant on [`TaskGraph`]), and a
+    /// dependency that is out of range never resolves, so it ends in
     /// [`EngineError::Deadlock`](crate::engine::EngineError::Deadlock);
     /// [`crate::verify::lint_structural`] names the bad edge up front.
     pub fn from_tasks_unchecked(tasks: Vec<Task>) -> Self {

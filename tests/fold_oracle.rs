@@ -1,20 +1,20 @@
-//! Differential oracle of the engine's program-order fold.
+//! Differential oracle of the one-channel program-order fold.
 //!
-//! On one memory channel a statistics-only run of a graph whose
-//! dependencies all point backward is one program-order max-plus fold, not
-//! the event loop (`rpu::engine` module docs). A traced run always takes the
-//! event loop. This suite holds the two equal on random graphs: the same
-//! `ExecutionStats`, bit for bit, or the same `EngineError`. The graphs are
-//! random valid graphs plus mutations the fold must hand back to the loop:
+//! On one memory channel the event loop's timeline of a graph whose
+//! dependencies all point backward is one program-order max-plus fold
+//! (`rpu::engine` module docs), and the parametric timeline evaluates it
+//! that way. This suite holds the timeline to the engine on random graphs:
+//! `analyze` fails exactly as the engine's run at the top of its range, and
+//! every evaluation equals the engine's `ExecutionStats` bit for bit. It
+//! also holds the engine's statistics-only runs to its traced runs, equal
+//! statistics or the same `EngineError`. The graphs are random valid graphs
+//! plus mutations the timeline must hand to the event loop:
 //!
 //! - a forward dependency that does not deadlock, which the fold would time
 //!   wrongly;
 //! - a forward dependency that deadlocks, and a dangling one;
 //! - NaN and zero MODOPS and bandwidth, whose non-finite times only the
 //!   loop reports (with the first task to issue one).
-//!
-//! The parametric timeline agrees: `analyze` fails exactly as the run at the
-//! top of its range, and its evaluations equal the engine's.
 
 use common::random_valid_tasks;
 use proptest::prelude::*;
@@ -76,11 +76,11 @@ fn dangling(mut tasks: Vec<Task>) -> Vec<Task> {
 /// same error. Errors compare by their `Debug` form, because a NaN in
 /// `NonFiniteTime` is not `==` to itself.
 fn assert_same(
-    folded: &Result<ExecutionStats, EngineError>,
+    got: &Result<ExecutionStats, EngineError>,
     looped: &Result<ExecutionStats, EngineError>,
     context: &str,
 ) {
-    match (folded, looped) {
+    match (got, looped) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a, b, "{context}");
             assert_eq!(
@@ -90,7 +90,7 @@ fn assert_same(
             );
         }
         (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{context}"),
-        _ => panic!("{context}: stats-only {folded:?} vs traced {looped:?}"),
+        _ => panic!("{context}: {got:?} vs the traced run's {looped:?}"),
     }
 }
 
@@ -113,9 +113,9 @@ fn check(tasks: Vec<Task>, context: &str) {
         );
         let engine = RpuEngine::new(config);
         let plan = engine.plan(&graph);
-        let folded = engine.execute_stats_plan(&graph, &plan);
+        let stats_only = engine.execute_stats_plan(&graph, &plan);
         let looped = engine.execute_plan(&graph, &plan).map(|run| run.stats);
-        assert_same(&folded, &looped, &context);
+        assert_same(&stats_only, &looped, &context);
         assert_same(&engine.execute_stats(&graph), &looped, &context);
     }
 
@@ -143,8 +143,8 @@ fn check(tasks: Vec<Task>, context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The fold and the event loop agree on random graphs and on every
-    /// mutation the fold must hand back to the loop.
+    /// The timeline's fold and the event loop agree on random graphs and on
+    /// every mutation the fold must hand to the loop.
     #[test]
     fn stats_only_runs_match_the_event_loop_on_random_graphs(seed in 0u64..1024, n in 1usize..48) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -171,8 +171,8 @@ proptest! {
 
 /// `TaskGraph::push` only debug-asserts that dependencies point backward:
 /// a debug build panics on a forward one, a release build accepts it. The
-/// plan must then hand the graph to the event loop, which times the
-/// compute after the load it waits for (1 µs each at 8 GB/s and 1 Gop/s).
+/// engine times the compute after the load it waits for (1 µs each at
+/// 8 GB/s and 1 Gop/s), and the plan must keep the timeline off the fold.
 #[test]
 fn a_forward_dependency_pushed_in_a_release_build_runs_through_the_event_loop() {
     let pushed = std::panic::catch_unwind(|| {
