@@ -7,8 +7,8 @@
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::report::markdown_table;
 use ciflow_bench::figures::memory_sweep;
+use ciflow_bench::report::markdown_table;
 
 fn main() {
     let session = Session::new();

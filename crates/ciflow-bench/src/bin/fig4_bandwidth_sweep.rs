@@ -3,6 +3,7 @@
 
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
+use ciflow_bench::report::{render_sweep_ascii, render_sweep_csv};
 use rpu::EvkPolicy;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
             "Figure 4 analogue: {} (evks on-chip)",
             benchmark.name
         ));
-        print!("{}", ciflow::report::render_sweep_csv(&series));
-        print!("{}", ciflow::report::render_sweep_ascii(&series, 60, 12));
+        print!("{}", render_sweep_csv(&series));
+        print!("{}", render_sweep_ascii(&series, 60, 12));
     }
 }

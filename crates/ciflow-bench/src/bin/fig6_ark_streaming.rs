@@ -8,20 +8,14 @@ use rpu::EvkPolicy;
 fn main() {
     let session = Session::new();
     let bandwidths = ciflow_bench::extended_bandwidths();
-    let mut series = ciflow_bench::sweep_all_dataflows(
-        &session,
-        HksBenchmark::ARK,
-        &bandwidths,
-        EvkPolicy::Streamed,
-    );
-    series.extend(ciflow_bench::sweep_all_dataflows(
-        &session,
-        HksBenchmark::ARK,
-        &bandwidths,
-        EvkPolicy::OnChip,
-    ));
+    let series: Vec<_> = [EvkPolicy::Streamed, EvkPolicy::OnChip]
+        .into_iter()
+        .flat_map(|evks| {
+            ciflow_bench::sweep_all_dataflows(&session, HksBenchmark::ARK, &bandwidths, evks)
+        })
+        .collect();
     ciflow_bench::section("Figure 6 analogue: ARK with evks streamed vs on-chip");
-    print!("{}", ciflow::report::render_sweep_csv(&series));
+    print!("{}", ciflow_bench::report::render_sweep_csv(&series));
     let baseline = ciflow_bench::figures::baseline_runtime_ms(&session, HksBenchmark::ARK);
     println!("\nbaseline (MP @ 64 GB/s, evks on-chip): {baseline:.2} ms");
 }

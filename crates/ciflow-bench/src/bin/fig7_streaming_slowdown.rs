@@ -4,8 +4,9 @@
 
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
-use ciflow::report::markdown_table;
 use ciflow_bench::figures::streaming_equivalence_row;
+use ciflow_bench::paper;
+use ciflow_bench::report::markdown_table;
 
 fn main() {
     let session = Session::new();
@@ -38,7 +39,9 @@ fn main() {
             &rows,
         )
     );
+    let [(least, lo), (most, hi)] = paper::STREAMING_EXTRA_BANDWIDTH;
     println!(
-        "\nPaper reference: 1.3x (BTS1) to 2.9x (ARK) extra bandwidth for a 12.25x SRAM saving."
+        "\nPaper reference: {lo}x ({least}) to {hi}x ({most}) extra bandwidth for a {}x SRAM saving.",
+        paper::SRAM_SAVING
     );
 }

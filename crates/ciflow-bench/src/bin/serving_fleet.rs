@@ -15,12 +15,12 @@
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::report::markdown_table;
 use ciflow::serve::{
     try_fault_serve_in, try_serve_in, ArrivalProcess, DispatchPolicy, RequestClass, ServeConfig,
 };
 use ciflow::sweep::{try_fault_sweep_in, try_serve_sweep_in, BANDWIDTH_LADDER};
 use ciflow_bench::fmt;
+use ciflow_bench::report::markdown_table;
 
 fn main() {
     let mut json = false;

@@ -1,15 +1,12 @@
-//! Regenerates Table II: DRAM transfers (MB) and arithmetic intensity for
-//! every benchmark under MP / DC / OC, with 32 MB of on-chip data memory and
-//! evks streamed from DRAM.
+//! Regenerates Table II: DRAM transfers and arithmetic intensity for every
+//! benchmark under MP / DC / OC, with 32 MiB of on-chip data memory and evks
+//! streamed from DRAM. The model prints MiB; the paper prints MB.
+
+use ciflow_bench::{figures, paper, report};
 
 fn main() {
     ciflow_bench::section("Table II analogue: DRAM transfers (MiB) and arithmetic intensity");
-    let rows = ciflow::analysis::table2_rows();
-    print!("{}", ciflow::report::render_table2(&rows));
+    print!("{}", report::render_table2(&figures::table2_rows()));
     ciflow_bench::section("Paper reference (MB / AI)");
-    println!("BTS1: MP 600/1.81  DC 600/1.81  OC 420/2.59");
-    println!("BTS2: MP 1352/1.14 DC 1278/1.20 OC 716/2.15");
-    println!("BTS3: MP 1850/1.00 DC 1766/1.04 OC 1119/1.65");
-    println!("ARK:  MP 432/1.05  DC 356/1.27  OC 180/2.52");
-    println!("DPRIVE: MP 365/1.26 DC 336/1.37 OC 170/2.71");
+    print!("{}", report::render_paper_table2(&paper::TABLE2));
 }

@@ -3,13 +3,12 @@
 //! point.
 
 use ciflow::api::Session;
+use ciflow_bench::{figures, paper, report};
 
 fn main() {
     let session = Session::new();
     ciflow_bench::section("Table IV analogue: OCbase bandwidth and OC speedup over MP");
-    let rows = ciflow_bench::figures::table4_rows(&session);
-    print!("{}", ciflow_bench::figures::render_table4(&rows));
+    print!("{}", report::render_table4(&figures::table4_rows(&session)));
     ciflow_bench::section("Paper reference");
-    println!("BTS1 25.6 GB/s 2.5x 1.30x | BTS2 12.8 GB/s 5x 2.42x | BTS3 32 GB/s 2x 1.37x");
-    println!("ARK 8 GB/s 8x 4.16x | DPRIVE 12.8 GB/s 5x 2.96x");
+    print!("{}", report::render_paper_table4(&paper::TABLE4));
 }

@@ -25,12 +25,12 @@
 use ciflow::api::{Job, JobOutput, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::report::markdown_table;
 use ciflow::sweep::{
     try_analytic_sweep_in, try_channel_sweep, try_heterogeneous_sweep_in, BANDWIDTH_LADDER,
     CHANNEL_LADDER,
 };
 use ciflow::workload::{PipelineMode, Workload};
+use ciflow_bench::report::markdown_table;
 use rpu::{EvkPolicy, RpuConfig};
 
 /// Every one-channel number the tables print is double-checked against the

@@ -1,21 +1,28 @@
-//! Shared helpers for the table/figure regenerators.
+//! The paper's tables and figures, regenerated from the `ciflow` model.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper.
 //! Run them with `cargo run -p ciflow-bench --release --bin <name>`; they
 //! print markdown tables / CSV series to stdout (and an ASCII sketch of the
-//! figure where applicable).
+//! figure where applicable). The crate has three parts, one job each:
+//!
+//! * [`paper`] — the paper's own numbers (Tables II, IV and V, the Figure 7
+//!   range and the headline claims), the only place they are written down;
+//! * [`figures`] — the model's rows for Tables II–V and the quantities
+//!   behind Figures 7–9;
+//! * [`report`] — every renderer: markdown tables of both, and CSV and
+//!   ASCII sweep series.
 //!
 //! All regenerators drive the [`ciflow::api::Session`] API (directly or
 //! through the sweep drivers built on it): a batch fans its jobs out across
 //! cores, and a bandwidth curve reads every point off one parametric
-//! timeline. The RPU configurations they share live here, in one place;
-//! the paper-figure quantities of Tables IV–V and Figures 7–9 live in
-//! [`figures`].
+//! timeline. The RPU configurations they share live here, in one place.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod figures;
+pub mod paper;
+pub mod report;
 pub mod serving;
 
 use ciflow::api::Session;

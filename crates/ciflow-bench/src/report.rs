@@ -1,10 +1,17 @@
-//! Plain-text and CSV rendering of tables and figure series.
+//! Every renderer of the regenerators: markdown tables of the model's rows
+//! ([`figures`](crate::figures)) and of the paper's ([`paper`]), and CSV
+//! and ASCII sweep series.
 
-use crate::analysis::{ParameterRow, TrafficRow};
-use crate::sweep::SweepSeries;
+use crate::figures::{OcBaseRow, ParameterRow, SaturationRow, TrafficRow};
+use crate::paper;
+use ciflow::dataflow::Dataflow;
+use ciflow::sweep::SweepSeries;
 
 /// Renders a markdown table from a header and rows of cells.
-pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub fn markdown_table<R: AsRef<[String]>>(
+    header: &[&str],
+    rows: impl IntoIterator<Item = R>,
+) -> String {
     let mut out = String::new();
     out.push('|');
     for h in header {
@@ -18,7 +25,7 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out.push('\n');
     for row in rows {
         out.push('|');
-        for cell in row {
+        for cell in row.as_ref() {
             out.push_str(&format!(" {cell} |"));
         }
         out.push('\n');
@@ -32,21 +39,15 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// custom registered strategies render alongside the paper's MP/DC/OC
 /// instead of silently vanishing.
 pub fn render_table2(rows: &[TrafficRow]) -> String {
-    fn first_seen<'a>(
-        rows: &'a [TrafficRow],
-        key: impl Fn(&'a TrafficRow) -> &'a str,
-    ) -> Vec<&'a str> {
-        let mut seen = Vec::new();
-        for r in rows {
-            let k = key(r);
-            if !seen.contains(&k) {
-                seen.push(k);
-            }
+    let (mut benchmarks, mut strategies) = (Vec::new(), Vec::new());
+    for r in rows {
+        if !benchmarks.contains(&r.benchmark) {
+            benchmarks.push(r.benchmark);
         }
-        seen
+        if !strategies.contains(&r.dataflow.as_str()) {
+            strategies.push(r.dataflow.as_str());
+        }
     }
-    let benchmarks = first_seen(rows, |r| r.benchmark);
-    let strategies = first_seen(rows, |r| r.dataflow.as_str());
     let mut grouped: Vec<Vec<String>> = Vec::new();
     for bench in benchmarks {
         let mut cells = vec![bench.to_string()];
@@ -70,26 +71,47 @@ pub fn render_table2(rows: &[TrafficRow]) -> String {
         header.push(format!("{s} AI"));
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    markdown_table(&header_refs, &grouped)
+    markdown_table(&header_refs, grouped)
+}
+
+/// Renders the paper's Table II (decimal MB and arithmetic intensity).
+pub fn render_paper_table2(rows: &[paper::Table2Row]) -> String {
+    let cells = rows.iter().map(|r| {
+        let mut cells = vec![r.benchmark.to_string()];
+        for traffic in Dataflow::all().map(|d| r.traffic(d)) {
+            cells.push(traffic.dram_mb.to_string());
+            cells.push(format!("{:.2}", traffic.ops_per_byte));
+        }
+        cells
+    });
+    markdown_table(
+        &[
+            "Benchmark",
+            "MP MB",
+            "MP AI",
+            "DC MB",
+            "DC AI",
+            "OC MB",
+            "OC AI",
+        ],
+        cells,
+    )
 }
 
 /// Renders the Table III analogue (benchmark parameters).
 pub fn render_table3(rows: &[ParameterRow]) -> String {
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.benchmark.to_string(),
-                format!("2^{}", r.log_n),
-                r.q_towers.to_string(),
-                r.p_towers.to_string(),
-                r.dnum.to_string(),
-                r.alpha.to_string(),
-                format!("{:.0} MiB", r.evk_mib),
-                format!("{:.0} MiB", r.temp_mib),
-            ]
-        })
-        .collect();
+    let cells = rows.iter().map(|r| {
+        vec![
+            r.benchmark.to_string(),
+            format!("2^{}", r.log_n),
+            r.q_towers.to_string(),
+            r.p_towers.to_string(),
+            r.dnum.to_string(),
+            r.alpha.to_string(),
+            format!("{:.0} MiB", r.evk_mib),
+            format!("{:.0} MiB", r.temp_mib),
+        ]
+    });
     markdown_table(
         &[
             "Benchmark",
@@ -101,8 +123,75 @@ pub fn render_table3(rows: &[ParameterRow]) -> String {
             "evk size",
             "temp data",
         ],
-        &cells,
+        cells,
     )
+}
+
+/// Renders the Table IV analogue (OCbase bandwidth and speedups).
+pub fn render_table4(rows: &[OcBaseRow]) -> String {
+    let cells = rows.iter().map(|r| {
+        vec![
+            r.benchmark.to_string(),
+            format!("{:.1}", r.ocbase_gbps),
+            format!("{:.2}x", r.saved_bandwidth),
+            format!("{:.2}", r.oc_ms),
+            format!("{:.2}", r.mp_ms),
+            format!("{:.2}x", r.oc_speedup),
+        ]
+    });
+    markdown_table(
+        &[
+            "Benchmark",
+            "OCbase (GB/s)",
+            "Saved BW",
+            "OC (ms)",
+            "MP (ms)",
+            "OC speedup",
+        ],
+        cells,
+    )
+}
+
+/// Renders the paper's Table IV.
+pub fn render_paper_table4(rows: &[paper::Table4Row]) -> String {
+    let cells = rows.iter().map(|r| {
+        vec![
+            r.benchmark.to_string(),
+            r.ocbase_gbps.to_string(),
+            format!("{}x", r.saved_bandwidth),
+            format!("{:.2}x", r.oc_speedup),
+        ]
+    });
+    markdown_table(
+        &["Benchmark", "OCbase (GB/s)", "Saved BW", "OC speedup"],
+        cells,
+    )
+}
+
+/// Renders the Table V analogue (configurations matching ARK's saturation
+/// point).
+pub fn render_table5(rows: &[SaturationRow]) -> String {
+    let cells = rows.iter().map(|r| {
+        vec![
+            r.label.to_string(),
+            format!("{:.2}", r.bandwidth_gbps),
+            format!("{:.2}x", r.modops),
+            format!("{:.2}x", r.relative_bandwidth),
+        ]
+    });
+    markdown_table(&["Dataflow", "BW (GB/s)", "MODOPS", "Rel. BW"], cells)
+}
+
+/// Renders the paper's Table V.
+pub fn render_paper_table5(rows: &[paper::Table5Row]) -> String {
+    let cells = rows.iter().map(|r| {
+        vec![
+            r.label.to_string(),
+            r.bandwidth_gbps.to_string(),
+            format!("{}x", r.modops),
+        ]
+    });
+    markdown_table(&["Dataflow", "BW (GB/s)", "MODOPS"], cells)
 }
 
 /// Renders one or more sweep series as CSV: one bandwidth column followed by
@@ -186,11 +275,10 @@ pub fn render_sweep_ascii(series: &[SweepSeries], width: usize, height: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{table2_rows, table3_rows};
-    use crate::api::Session;
-    use crate::benchmark::HksBenchmark;
-    use crate::dataflow::Dataflow;
-    use crate::sweep::{try_bandwidth_sweep_in, SweepPoint};
+    use crate::figures::{table2_rows, table3_rows};
+    use ciflow::api::Session;
+    use ciflow::benchmark::HksBenchmark;
+    use ciflow::sweep::{try_bandwidth_sweep_in, SweepPoint};
     use rpu::EvkPolicy;
 
     #[test]
@@ -300,5 +388,21 @@ mod tests {
         let chart = render_sweep_ascii(&[series], 20, 5);
         assert!(chart.contains('A'));
         assert!(chart.contains("A: ARK OC"));
+    }
+
+    #[test]
+    fn renderers_accept_a_series_with_no_points() {
+        // The renderers accept a series with no points without panicking.
+        let series = ciflow::sweep::SweepSeries {
+            benchmark: "ARK",
+            dataflow: "OC".to_string(),
+            evk_streamed: false,
+            modops: 1.0,
+            points: Vec::new(),
+        };
+        let csv = render_sweep_csv(std::slice::from_ref(&series));
+        assert_eq!(csv.lines().count(), 1, "header only: {csv:?}");
+        let ascii = render_sweep_ascii(&[series], 10, 4);
+        assert!(ascii.contains("no data"));
     }
 }

@@ -13,9 +13,6 @@ use serde::Serialize;
 /// moduli (half the original RPU word size).
 pub const WORD_BYTES: u64 = 8;
 
-/// Bytes per binary megabyte, the unit of every capacity in the paper.
-pub const MIB: u64 = 1024 * 1024;
-
 /// One HKS benchmark parameter point (a row of Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct HksBenchmark {
@@ -190,6 +187,7 @@ impl std::fmt::Display for HksBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpu::MIB;
 
     #[test]
     fn alpha_matches_table_iii() {

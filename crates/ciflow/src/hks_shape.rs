@@ -223,7 +223,7 @@ impl HksShape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benchmark::MIB;
+    use rpu::MIB;
 
     #[test]
     fn stage_labels_are_unique() {

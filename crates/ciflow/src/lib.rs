@@ -26,8 +26,6 @@
 //!   (**Max-Parallel**, **Digit-Centric**, **Output-Centric**) as task-graph
 //!   generators with explicit on-chip buffer management and evk streaming;
 //!   [`Dataflow`] is a thin compatibility shim over the strategy API.
-//! * [`analysis`] — DRAM traffic, arithmetic intensity and minimum-memory
-//!   analysis (Tables II and III).
 //! * [`lint`] — static schedule verification: a deadlock-freedom proof over
 //!   the engine's queue semantics plus buffer-lifetime, capacity, placement
 //!   and accounting checks, emitted as structured diagnostics *before*
@@ -45,15 +43,13 @@
 //!   boundary.
 //! * [`sweep`] — the `Session`-powered bandwidth / MODOPS / evk-placement /
 //!   workload / serving sweeps behind Figures 4–9 and Tables IV–V, one
-//!   entry point each (the paper-figure quantities built on them live in
-//!   the `ciflow-bench` crate).
+//!   entry point each (the paper's tables and figures built on them, with
+//!   their analysis and rendering, live in the `ciflow-bench` crate).
 //! * [`serve`] — the fleet-scale serving simulator: seeded arrival
 //!   processes (open- and closed-loop) feeding mixed request classes to a
 //!   cluster of simulated RPUs under pluggable dispatch policies, reporting
 //!   throughput, utilization, queue depths and latency percentiles on a
 //!   deterministic virtual clock (see `docs/SERVING.md`).
-//! * [`report`] — markdown / CSV / ASCII rendering of tables and sweep
-//!   series.
 //! * [`functional`] — bit-exact validation that the Output-Centric
 //!   decomposition computes the same function as the reference CKKS key
 //!   switch.
@@ -119,7 +115,6 @@
 #[cfg(doctest)]
 pub struct ReadmeDoctests;
 
-pub mod analysis;
 pub mod api;
 pub mod benchmark;
 pub mod dataflow;
@@ -129,7 +124,6 @@ pub mod hks_shape;
 pub mod json;
 pub mod lint;
 mod parallel;
-pub mod report;
 pub mod schedule;
 pub mod serve;
 pub mod sweep;

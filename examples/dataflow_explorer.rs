@@ -6,14 +6,14 @@
 //! session below shows up in the output automatically.
 //!
 //! Run with, e.g.:
-//! `cargo run -p ciflow --release --example dataflow_explorer -- ARK`
-//! `cargo run -p ciflow --release --example dataflow_explorer -- BTS3 streamed`
+//! `cargo run -p ciflow-bench --release --example dataflow_explorer -- ARK`
+//! `cargo run -p ciflow-bench --release --example dataflow_explorer -- BTS3 streamed`
 
 use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::report::{render_sweep_ascii, render_sweep_csv};
 use ciflow::sweep::{try_bandwidth_sweep_in, BASELINE_BANDWIDTH_GBPS};
+use ciflow_bench::report::{render_sweep_ascii, render_sweep_csv};
 use rpu::{EvkPolicy, RpuConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -4,8 +4,9 @@
 //! workspace-local crate keeps the `#[derive(Serialize, Deserialize)]`
 //! annotations across the codebase compiling. The traits are markers: nothing
 //! in the workspace serializes through serde (CSV/markdown rendering is
-//! hand-written in `ciflow::report`). Replacing this shim with the real serde
-//! only requires editing `[workspace.dependencies]` in the root manifest.
+//! hand-written in `ciflow_bench::report`). Replacing this shim with the real
+//! serde only requires editing `[workspace.dependencies]` in the root
+//! manifest.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

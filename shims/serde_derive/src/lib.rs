@@ -3,9 +3,10 @@
 //! The build environment for this repository has no access to crates.io, so
 //! the real serde cannot be vendored. Nothing in the workspace actually
 //! serializes through serde (all rendering is hand-written in
-//! `ciflow::report`), so the derive macros only need to emit marker-trait
-//! impls that keep `#[derive(Serialize, Deserialize)]` compiling. Swapping
-//! the real serde back in is a two-line change in the workspace manifest.
+//! `ciflow_bench::report`), so the derive macros only need to emit
+//! marker-trait impls that keep `#[derive(Serialize, Deserialize)]`
+//! compiling. Swapping the real serde back in is a two-line change in the
+//! workspace manifest.
 
 use proc_macro::{TokenStream, TokenTree};
 

@@ -1,22 +1,90 @@
 //! End-to-end checks of the paper's quantitative claims (shape, not exact
-//! numbers): the abstract's headline results and the per-section takeaways.
+//! numbers): the abstract's headline results and the per-section takeaways,
+//! plus the consistency of the typed paper tables in `ciflow_bench::paper`.
 
-use ciflow::analysis::{min_memory_without_spills, table2_rows};
 use ciflow::api::Session;
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
+use ciflow::hks_shape::HksShape;
 use ciflow::sweep::BASELINE_BANDWIDTH_GBPS;
 use ciflow_bench::figures::{
-    ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime, runtime_with,
-    streaming_equivalence_row, table4_rows, table5_rows,
+    ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime,
+    min_memory_without_spills, runtime_with, streaming_equivalence_row, table2_rows, table4_rows,
+    table5_rows,
 };
+use ciflow_bench::paper;
 use rpu::{EvkPolicy, RpuConfig};
+
+#[test]
+fn paper_table2_implies_one_op_count_per_benchmark() {
+    // Table II's MB x AI is the benchmark's op count (in millions), which
+    // the paper's model makes the same for MP, DC and OC. Each printed cell
+    // is rounded (MB to the unit, AI to two decimals), so each dataflow
+    // pins the count to an interval; the three intervals must overlap.
+    for row in paper::TABLE2 {
+        let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+        for dataflow in Dataflow::all() {
+            let cell = row.traffic(dataflow);
+            let mb = f64::from(cell.dram_mb);
+            lo = lo.max((mb - 0.5) * (cell.ops_per_byte - 0.005));
+            hi = hi.min((mb + 0.5) * (cell.ops_per_byte + 0.005));
+        }
+        assert!(
+            lo <= hi,
+            "{}: the MP/DC/OC op counts disagree ({lo:.1} > {hi:.1} M ops)",
+            row.benchmark
+        );
+    }
+}
+
+#[test]
+fn paper_values_derived_from_others_agree() {
+    // Table IV's saved bandwidth is the 64 GB/s baseline over OCbase.
+    for row in paper::TABLE4 {
+        assert!(
+            (row.saved_bandwidth - BASELINE_BANDWIDTH_GBPS / row.ocbase_gbps).abs() < 1e-9,
+            "{}: saved bandwidth {} vs 64 / {}",
+            row.benchmark,
+            row.saved_bandwidth,
+            row.ocbase_gbps
+        );
+    }
+    // Tables II and IV list the same benchmarks, in the model's order.
+    let names: Vec<&str> = HksBenchmark::all().iter().map(|b| b.name).collect();
+    assert_eq!(paper::TABLE2.map(|r| r.benchmark).to_vec(), names);
+    assert_eq!(paper::TABLE4.map(|r| r.benchmark).to_vec(), names);
+}
+
+#[test]
+fn model_op_count_deviation_from_table2_is_pinned() {
+    // A known deviation, not a match: the model's dataflow-independent op
+    // count over the count Table II implies (MP's MB x AI). A model change
+    // that moves a ratio updates its pin here.
+    let pinned = [
+        ("BTS1", 0.9496),
+        ("BTS2", 0.9423),
+        ("BTS3", 0.9001),
+        ("ARK", 0.7455),
+        ("DPRIVE", 0.7276),
+    ];
+    for (row, (name, pin)) in paper::TABLE2.iter().zip(pinned) {
+        assert_eq!(row.benchmark, name);
+        let benchmark = HksBenchmark::by_name(name).unwrap();
+        let paper_ops = f64::from(row.mp.dram_mb) * row.mp.ops_per_byte * 1e6;
+        let ratio = HksShape::new(benchmark).total_ops() as f64 / paper_ops;
+        assert!(
+            (ratio - pin).abs() < 1e-4,
+            "{name}: model / paper op count {ratio:.4}, pinned at {pin}"
+        );
+    }
+}
 
 #[test]
 fn headline_speedup_over_mp_is_substantial_and_largest_for_ark() {
     // Abstract: "up to 4.16x speedup over the MP dataflow", achieved on ARK.
     let session = Session::new();
     let rows = table4_rows(&session);
+    assert_eq!(paper::best_oc_speedup().benchmark, "ARK");
     let ark = rows.iter().find(|r| r.benchmark == "ARK").unwrap();
     let best = rows.iter().map(|r| r.oc_speedup).fold(0.0f64, f64::max);
     assert!(ark.oc_speedup > 2.5, "ARK speedup {:.2}", ark.oc_speedup);
@@ -34,7 +102,7 @@ fn headline_sram_saving_is_12_25x() {
     let streaming = RpuConfig::ciflow_streaming();
     let saving = (on_chip.vector_memory_bytes + on_chip.key_memory_bytes) as f64
         / (streaming.vector_memory_bytes + streaming.key_memory_bytes) as f64;
-    assert!((saving - 12.25).abs() < 1e-9);
+    assert!((saving - paper::SRAM_SAVING).abs() < 1e-9);
     // Streaming keys costs only a bounded amount of extra bandwidth at the
     // OCbase operating point (paper: 1.3x - 2.9x).
     for bench in HksBenchmark::all() {
@@ -131,7 +199,7 @@ fn saturation_point_analysis_matches_the_papers_ordering() {
     assert!(get("OC") <= get("DC"));
     assert!(get("DC") <= get("MP"));
     assert!(
-        get("OC") < 128.0,
+        get("OC") < paper::SATURATION_POINT.bandwidth_gbps,
         "OC should need far less than the saturation bandwidth"
     );
 
