@@ -4,6 +4,7 @@
 
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
+use ciflow::ScheduleStrategy;
 use rpu::TraceMode;
 
 fn main() {

@@ -9,9 +9,9 @@
 //!   [`HksShape`](crate::hks_shape::HksShape) and a
 //!   [`ScheduleConfig`](crate::schedule::ScheduleConfig), get back a
 //!   [`Schedule`](crate::schedule::Schedule) (or a typed error). The three
-//!   paper dataflows ([`MaxParallelStrategy`], [`DigitCentricStrategy`],
-//!   [`OutputCentricStrategy`]) are ordinary implementations with no special
-//!   status; out-of-crate strategies plug in identically.
+//!   paper dataflows are one ordinary implementation,
+//!   [`Dataflow`](crate::Dataflow), with no special status; out-of-crate
+//!   strategies plug in identically.
 //! * [`StrategyRegistry`] — name → strategy resolution, pre-populated with
 //!   the built-ins and open to registration.
 //! * [`Session`] — owns an [`RpuConfig`](rpu::RpuConfig) and a registry,
@@ -42,6 +42,4 @@ pub use session::{
     AnalyticOutput, BatchOutcome, Job, JobOutput, JobResult, Session, StrategySpec, VerifyResult,
     WorkloadSpec,
 };
-pub use strategy::{
-    DigitCentricStrategy, MaxParallelStrategy, OutputCentricStrategy, ScheduleStrategy,
-};
+pub use strategy::ScheduleStrategy;

@@ -1,8 +1,7 @@
 //! Name → strategy resolution.
 
-use super::strategy::{
-    DigitCentricStrategy, MaxParallelStrategy, OutputCentricStrategy, ScheduleStrategy,
-};
+use super::strategy::ScheduleStrategy;
+use crate::dataflow::Dataflow;
 use crate::error::CiflowError;
 use std::sync::Arc;
 
@@ -11,9 +10,9 @@ use std::sync::Arc;
 ///
 /// The registry is the one place that knows which dataflows exist: the
 /// [`Session`](crate::api::Session) resolves job strategies through it, and
-/// the legacy [`Dataflow`](crate::dataflow::Dataflow) enum is a thin shim
-/// over the built-in entries. Registering a new strategy makes it available
-/// to every consumer without touching this crate.
+/// its built-in entries are the three [`Dataflow`]s. Registering a new
+/// strategy makes it available to every consumer without touching this
+/// crate.
 #[derive(Clone)]
 pub struct StrategyRegistry {
     entries: Vec<Arc<dyn ScheduleStrategy>>,
@@ -45,14 +44,9 @@ impl StrategyRegistry {
     /// presents them: MP, DC, OC.
     pub fn builtin() -> Self {
         let mut registry = Self::empty();
-        let builtins: [Arc<dyn ScheduleStrategy>; 3] = [
-            Arc::new(MaxParallelStrategy),
-            Arc::new(DigitCentricStrategy),
-            Arc::new(OutputCentricStrategy),
-        ];
-        for strategy in builtins {
+        for dataflow in Dataflow::all() {
             registry
-                .register(strategy)
+                .register(Arc::new(dataflow))
                 .expect("built-in strategy names cannot collide");
         }
         registry
@@ -146,7 +140,7 @@ mod tests {
             shape: &HksShape,
             config: &ScheduleConfig,
         ) -> Result<Schedule, CiflowError> {
-            MaxParallelStrategy.build(shape, config)
+            Dataflow::MaxParallel.build(shape, config)
         }
     }
 
@@ -173,7 +167,7 @@ mod tests {
             Err(CiflowError::DuplicateStrategy { .. })
         ));
         assert!(matches!(
-            registry.register(Arc::new(MaxParallelStrategy)),
+            registry.register(Arc::new(Dataflow::MaxParallel)),
             Err(CiflowError::DuplicateStrategy { .. })
         ));
     }

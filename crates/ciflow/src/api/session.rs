@@ -24,22 +24,13 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How a job names its strategy: by registry name or as an inline object.
-#[derive(Clone)]
+/// How a job names its strategy: a name resolved through the session's
+/// [`StrategyRegistry`] at run time. A custom strategy is registered with
+/// [`Session::register`] and named like a built-in.
+#[derive(Debug, Clone)]
 pub enum StrategySpec {
-    /// Resolved through the session's [`StrategyRegistry`] at run time.
+    /// A full or short registry name (case-insensitive).
     Named(String),
-    /// Used directly, bypassing the registry.
-    Inline(Arc<dyn ScheduleStrategy>),
-}
-
-impl std::fmt::Debug for StrategySpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StrategySpec::Named(name) => write!(f, "Named({name:?})"),
-            StrategySpec::Inline(s) => write!(f, "Inline({:?})", s.short_name()),
-        }
-    }
 }
 
 impl From<&str> for StrategySpec {
@@ -60,20 +51,12 @@ impl From<Dataflow> for StrategySpec {
     }
 }
 
-impl From<Arc<dyn ScheduleStrategy>> for StrategySpec {
-    fn from(strategy: Arc<dyn ScheduleStrategy>) -> Self {
-        StrategySpec::Inline(strategy)
-    }
-}
-
 impl StrategySpec {
     /// The name this spec would be displayed under: the requested registry
-    /// name, or the inline strategy's short name.
+    /// name.
     pub fn display_name(&self) -> String {
-        match self {
-            StrategySpec::Named(name) => name.clone(),
-            StrategySpec::Inline(s) => s.short_name().to_string(),
-        }
+        let StrategySpec::Named(name) = self;
+        name.clone()
     }
 }
 
@@ -99,9 +82,10 @@ enum WorkKey {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ScheduleKey {
     /// Identity of the strategy *object* (the thin part of its `Arc`
-    /// pointer). Names are not used: two inline strategies may share a short
-    /// name. The cached entry holds the `Arc` alive, so the address cannot be
-    /// recycled while the key exists.
+    /// pointer). Names are not used: clones of a session share one cache but
+    /// can hold different registries, so one short name may resolve to two
+    /// strategies. The cached entry holds the `Arc` alive, so the address
+    /// cannot be recycled while the key exists.
     strategy: usize,
     evk_policy: EvkPolicy,
     data_memory_bytes: u64,
@@ -642,12 +626,10 @@ impl Session {
         }
     }
 
-    /// Resolves the strategy a job names (or carries inline).
+    /// Resolves the strategy a job names through the session's registry.
     fn job_strategy(&self, job: &Job) -> Result<Arc<dyn ScheduleStrategy>, CiflowError> {
-        match &job.strategy {
-            StrategySpec::Named(name) => self.registry.get(name),
-            StrategySpec::Inline(strategy) => Ok(Arc::clone(strategy)),
-        }
+        let StrategySpec::Named(name) = &job.strategy;
+        self.registry.get(name)
     }
 
     /// The schedule-affecting knobs of the configuration a job runs on.

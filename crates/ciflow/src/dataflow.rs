@@ -1,16 +1,17 @@
 //! The CiFlow dataflow taxonomy.
 //!
-//! [`Dataflow`] enumerates the three dataflows the *paper* compares. It is
-//! kept as a convenient, `Copy` handle for the built-ins — but it is a thin
-//! shim: each variant delegates to its [`ScheduleStrategy`] implementation
-//! via [`Dataflow::strategy`], and the open-ended API
-//! ([`StrategyRegistry`](crate::api::StrategyRegistry) /
-//! [`Session`](crate::api::Session)) is where new dataflows plug in without
-//! touching this enum.
+//! [`Dataflow`] enumerates the three dataflows the *paper* compares, and it
+//! is their [`ScheduleStrategy`]: each variant's names, description and
+//! generator are written here once.
+//! [`StrategyRegistry::builtin`](crate::api::StrategyRegistry::builtin)
+//! registers [`Dataflow::all`], and new dataflows plug in beside them through
+//! [`StrategyRegistry::register`](crate::api::StrategyRegistry::register)
+//! without touching this enum.
 
-use crate::api::{
-    DigitCentricStrategy, MaxParallelStrategy, OutputCentricStrategy, ScheduleStrategy,
-};
+use crate::api::ScheduleStrategy;
+use crate::error::CiflowError;
+use crate::hks_shape::HksShape;
+use crate::schedule::{build_schedule, Schedule, ScheduleConfig};
 use serde::{Deserialize, Serialize};
 
 /// The three HKS dataflows the paper proposes and compares (§IV).
@@ -43,17 +44,8 @@ impl Dataflow {
         ]
     }
 
-    /// The [`ScheduleStrategy`] implementation behind this dataflow — the
-    /// single dispatch point from the closed enum into the open strategy API.
-    pub fn strategy(&self) -> &'static dyn ScheduleStrategy {
-        match self {
-            Dataflow::MaxParallel => &MaxParallelStrategy,
-            Dataflow::DigitCentric => &DigitCentricStrategy,
-            Dataflow::OutputCentric => &OutputCentricStrategy,
-        }
-    }
-
-    /// The short name used in tables and figures.
+    /// The short name used in tables, figures and schedule labels (also the
+    /// [`ScheduleStrategy::short_name`], usable without the trait in scope).
     pub fn short_name(&self) -> &'static str {
         match self {
             Dataflow::MaxParallel => "MP",
@@ -61,10 +53,37 @@ impl Dataflow {
             Dataflow::OutputCentric => "OC",
         }
     }
+}
 
-    /// A one-sentence description of the scheduling strategy.
-    pub fn description(&self) -> &'static str {
-        self.strategy().description()
+impl ScheduleStrategy for Dataflow {
+    fn name(&self) -> &str {
+        match self {
+            Dataflow::MaxParallel => "max-parallel",
+            Dataflow::DigitCentric => "digit-centric",
+            Dataflow::OutputCentric => "output-centric",
+        }
+    }
+
+    fn short_name(&self) -> &str {
+        Dataflow::short_name(self)
+    }
+
+    fn description(&self) -> &str {
+        match self {
+            Dataflow::MaxParallel => {
+                "stage-by-stage over all towers; maximal parallelism, maximal intermediate state"
+            }
+            Dataflow::DigitCentric => {
+                "one digit at a time through ModUp P1-P5; reuses the loaded digit"
+            }
+            Dataflow::OutputCentric => {
+                "one output tower at a time; compresses the intermediate working set and reuses INTT outputs"
+            }
+        }
+    }
+
+    fn build(&self, shape: &HksShape, config: &ScheduleConfig) -> Result<Schedule, CiflowError> {
+        Ok(build_schedule(*self, shape, config))
     }
 }
 
@@ -77,13 +96,13 @@ impl std::fmt::Display for Dataflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmark::HksBenchmark;
 
     #[test]
     fn descriptions_are_distinct() {
-        let set: std::collections::HashSet<_> = Dataflow::all()
-            .iter()
-            .map(super::Dataflow::description)
-            .collect();
+        let all = Dataflow::all();
+        let set: std::collections::HashSet<_> =
+            all.iter().map(ScheduleStrategy::description).collect();
         assert_eq!(set.len(), 3);
     }
 
@@ -91,5 +110,19 @@ mod tests {
     fn display_uses_short_name() {
         assert_eq!(Dataflow::MaxParallel.to_string(), "MP");
         assert_eq!(Dataflow::OutputCentric.to_string(), "OC");
+    }
+
+    #[test]
+    fn builtin_strategies_label_their_schedules() {
+        let shape = HksShape::new(HksBenchmark::ARK);
+        let config = ScheduleConfig::default();
+        for (dataflow, short) in Dataflow::all().into_iter().zip(["MP", "DC", "OC"]) {
+            let strategy: &dyn ScheduleStrategy = &dataflow;
+            let schedule = strategy.build(&shape, &config).unwrap();
+            assert_eq!(schedule.strategy, short);
+            assert_eq!(strategy.short_name(), short);
+            assert!(!strategy.description().is_empty());
+            assert!(schedule.total_ops() > 0);
+        }
     }
 }

@@ -25,7 +25,8 @@
 //! * [`dataflow`] / [`schedule`] — the three built-in dataflows
 //!   (**Max-Parallel**, **Digit-Centric**, **Output-Centric**) as task-graph
 //!   generators with explicit on-chip buffer management and evk streaming;
-//!   [`Dataflow`] is a thin compatibility shim over the strategy API.
+//!   [`Dataflow`] is their [`ScheduleStrategy`], and the registry's built-in
+//!   entries.
 //! * [`lint`] — static schedule verification: a deadlock-freedom proof over
 //!   the engine's queue semantics plus buffer-lifetime, capacity, placement
 //!   and accounting checks, emitted as structured diagnostics *before*
@@ -96,7 +97,7 @@
 //!         -> Result<Schedule, CiflowError>
 //!     {
 //!         // A real strategy would build its own task graph here.
-//!         Dataflow::MaxParallel.strategy().build(shape, config)
+//!         Dataflow::MaxParallel.build(shape, config)
 //!     }
 //! }
 //!

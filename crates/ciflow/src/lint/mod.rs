@@ -332,8 +332,7 @@ mod tests {
                 for dataflow in Dataflow::all() {
                     let config =
                         ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
-                    let pipeline =
-                        build_workload(workload, dataflow.strategy(), &config, mode).unwrap();
+                    let pipeline = build_workload(workload, &dataflow, &config, mode).unwrap();
                     for channels in [1, 2, 4, 8] {
                         let rpu = rpu::RpuConfig::ciflow_baseline().with_memory_channels(channels);
                         let report = lint_workload(&pipeline, &rpu);

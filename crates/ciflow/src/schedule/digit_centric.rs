@@ -9,13 +9,16 @@
 //! converges towards MP — both behaviours the paper reports. This dataflow is
 //! analogous to the one used by MAD (MICRO'23).
 
-use super::{emit_moddown_stagewise, Buf, Schedule, ScheduleBuilder, ScheduleConfig};
+use super::{
+    emit_digit_bconv, emit_digit_ntt, emit_extended_apply_evk, emit_moddown_stagewise, Buf,
+    Schedule, ScheduleBuilder, ScheduleConfig,
+};
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
 use rpu::ComputeKind;
 
 /// Builds the Digit-Centric schedule for one hybrid key switch.
-pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedule {
+pub(super) fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedule {
     // With a single digit there is nothing to iterate over: the paper notes
     // that MP and DC share the same implementation for BTS1. Reuse the MP
     // generator so the two schedules are bit-identical in that case.
@@ -35,12 +38,9 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
     }
 
     for j in 0..dnum {
-        let alpha_j = shape.digit_width(j);
-        let beta_j = shape.beta(j);
         let range = shape.benchmark.digit_range(j);
 
         // P1: load and INTT only this digit's towers.
-        let mut digit_deps = Vec::with_capacity(alpha_j);
         for t in range.clone() {
             let dep = b.acquire(Buf::In(t), HksStage::ModUpIntt);
             let intt = b.compute(
@@ -52,64 +52,16 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
             );
             b.produce(Buf::Intt(t), tower, intt, HksStage::ModUpIntt);
         }
-        for t in range.clone() {
-            digit_deps.push(b.acquire(Buf::Intt(t), HksStage::ModUpBconv));
-        }
 
         // P2 + P3: extend this digit and bring the extension back to the
         // evaluation domain.
-        let scale = b.compute(
-            ComputeKind::BasisConversion,
-            shape.bconv_scale_ops(alpha_j),
-            digit_deps.clone(),
-            format_args!("bconv scale digit {j}"),
-            HksStage::ModUpBconv,
-        );
-        for e in 0..beta_j {
-            let mut deps = digit_deps.clone();
-            deps.push(scale);
-            let slice = b.compute(
-                ComputeKind::BasisConversion,
-                shape.bconv_slice_ops(alpha_j),
-                deps,
-                format_args!("bconv d{j} ext{e}"),
-                HksStage::ModUpBconv,
-            );
-            b.produce(Buf::Bconv(j, e), tower, slice, HksStage::ModUpBconv);
-        }
-        for e in 0..beta_j {
-            let dep = b.acquire(Buf::Bconv(j, e), HksStage::ModUpNtt);
-            let ntt = b.compute(
-                ComputeKind::Ntt,
-                shape.ntt_ops(),
-                vec![dep],
-                format_args!("ntt d{j} ext{e}"),
-                HksStage::ModUpNtt,
-            );
-            b.release(Buf::Bconv(j, e));
-            b.produce(Buf::Ext(j, e), tower, ntt, HksStage::ModUpNtt);
-        }
+        emit_digit_bconv(&mut b, j);
+        emit_digit_ntt(&mut b, j);
 
         // P4 + P5: apply this digit's evk towers and fold the result into the
         // running accumulator.
-        let mut ext_index = 0usize;
         for t in 0..shape.extended() {
-            let d_dep = if t < ell && range.contains(&t) {
-                b.acquire(Buf::In(t), HksStage::ModUpApplyKey)
-            } else {
-                let dep = b.acquire(Buf::Ext(j, ext_index), HksStage::ModUpApplyKey);
-                ext_index += 1;
-                dep
-            };
-            let mut deps = vec![d_dep];
-            deps.extend(b.acquire_evk(j, t, HksStage::ModUpApplyKey));
-            let mul = b.compute(
-                ComputeKind::PointwiseMul,
-                2 * shape.pointwise_ops(),
-                deps,
-                format_args!("apply evk d{j} t{t}"),
-                HksStage::ModUpApplyKey,
-            );
+            let mul = emit_extended_apply_evk(&mut b, j, t);
             if j == 0 {
                 b.produce(Buf::Acc(0, t), tower, mul, HksStage::ModUpApplyKey);
                 b.produce(Buf::Acc(1, t), tower, mul, HksStage::ModUpApplyKey);
@@ -135,7 +87,7 @@ pub fn build_digit_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedul
             b.release(Buf::Intt(t));
             b.release(Buf::In(t));
         }
-        for e in 0..beta_j {
+        for e in 0..shape.beta(j) {
             b.release(Buf::Ext(j, e));
         }
     }

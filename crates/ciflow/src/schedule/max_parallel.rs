@@ -8,13 +8,16 @@
 //! intermediates spill to DRAM and are reloaded by the next stage. This is
 //! the baseline dataflow used by prior accelerators such as Cheetah and HEAX.
 
-use super::{emit_moddown_stagewise, Buf, Schedule, ScheduleBuilder, ScheduleConfig};
+use super::{
+    emit_digit_bconv, emit_digit_ntt, emit_extended_apply_evk, emit_moddown_stagewise, Buf,
+    Schedule, ScheduleBuilder, ScheduleConfig,
+};
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
 use rpu::ComputeKind;
 
 /// Builds the Max-Parallel schedule for one hybrid key switch.
-pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule {
+pub(super) fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule {
     let mut b = ScheduleBuilder::new(shape, config);
     let shape = *shape;
     let ell = shape.ell();
@@ -42,31 +45,7 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
 
     // ModUp P2: basis-convert every digit from alpha to beta towers.
     for j in 0..dnum {
-        let alpha_j = shape.digit_width(j);
-        let beta_j = shape.beta(j);
-        let mut digit_deps = Vec::with_capacity(alpha_j);
-        for t in shape.benchmark.digit_range(j) {
-            digit_deps.push(b.acquire(Buf::Intt(t), HksStage::ModUpBconv));
-        }
-        let scale = b.compute(
-            ComputeKind::BasisConversion,
-            shape.bconv_scale_ops(alpha_j),
-            digit_deps.clone(),
-            format_args!("bconv scale digit {j}"),
-            HksStage::ModUpBconv,
-        );
-        for e in 0..beta_j {
-            let mut deps = digit_deps.clone();
-            deps.push(scale);
-            let slice = b.compute(
-                ComputeKind::BasisConversion,
-                shape.bconv_slice_ops(alpha_j),
-                deps,
-                format_args!("bconv d{j} ext{e}"),
-                HksStage::ModUpBconv,
-            );
-            b.produce(Buf::Bconv(j, e), tower, slice, HksStage::ModUpBconv);
-        }
+        emit_digit_bconv(&mut b, j);
         // The INTT outputs of this digit are dead once its BConv is done.
         for t in shape.benchmark.digit_range(j) {
             b.release(Buf::Intt(t));
@@ -75,44 +54,14 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
 
     // ModUp P3: NTT every extended tower.
     for j in 0..dnum {
-        for e in 0..shape.beta(j) {
-            let dep = b.acquire(Buf::Bconv(j, e), HksStage::ModUpNtt);
-            let ntt = b.compute(
-                ComputeKind::Ntt,
-                shape.ntt_ops(),
-                vec![dep],
-                format_args!("ntt d{j} ext{e}"),
-                HksStage::ModUpNtt,
-            );
-            b.release(Buf::Bconv(j, e));
-            b.produce(Buf::Ext(j, e), tower, ntt, HksStage::ModUpNtt);
-        }
+        emit_digit_ntt(&mut b, j);
     }
 
     // ModUp P4: point-wise multiply each digit's extended polynomial with its
     // evk pair, over all ℓ+K towers.
     for j in 0..dnum {
-        let range = shape.benchmark.digit_range(j);
-        let mut ext_index = 0usize;
         for t in 0..shape.extended() {
-            // D_j tower t is the bypassed original tower when t belongs to
-            // this digit, otherwise the basis-extended tower.
-            let d_dep = if t < ell && range.contains(&t) {
-                b.acquire(Buf::In(t), HksStage::ModUpApplyKey)
-            } else {
-                let dep = b.acquire(Buf::Ext(j, ext_index), HksStage::ModUpApplyKey);
-                ext_index += 1;
-                dep
-            };
-            let mut deps = vec![d_dep];
-            deps.extend(b.acquire_evk(j, t, HksStage::ModUpApplyKey));
-            let mul = b.compute(
-                ComputeKind::PointwiseMul,
-                2 * shape.pointwise_ops(),
-                deps,
-                format_args!("apply evk d{j} t{t}"),
-                HksStage::ModUpApplyKey,
-            );
+            let mul = emit_extended_apply_evk(&mut b, j, t);
             if dnum == 1 {
                 // A single digit needs no reduction (the paper notes BTS1
                 // lacks the Reduce step); the product is the accumulator.
@@ -127,7 +76,7 @@ pub fn build_max_parallel(shape: &HksShape, config: &ScheduleConfig) -> Schedule
         for e in 0..shape.beta(j) {
             b.release(Buf::Ext(j, e));
         }
-        for t in range {
+        for t in shape.benchmark.digit_range(j) {
             b.release(Buf::In(t));
         }
     }

@@ -12,9 +12,9 @@ mod digit_centric;
 mod max_parallel;
 mod output_centric;
 
-pub use digit_centric::build_digit_centric;
-pub use max_parallel::build_max_parallel;
-pub use output_centric::build_output_centric;
+use digit_centric::build_digit_centric;
+use max_parallel::build_max_parallel;
+use output_centric::build_output_centric;
 
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
@@ -161,10 +161,10 @@ pub(crate) fn evk_split_map(
         .with_pin("", 0..split)
 }
 
-/// Generates the schedule for a built-in dataflow with its generator. For
-/// custom strategies use
-/// [`ScheduleStrategy::build`](crate::api::ScheduleStrategy::build) directly
-/// or run jobs through a [`Session`](crate::api::Session).
+/// Generates the schedule for a built-in dataflow with its generator (what
+/// [`Dataflow`]'s [`ScheduleStrategy::build`](crate::api::ScheduleStrategy::build)
+/// returns). For custom strategies call their `build` directly or run jobs
+/// through a [`Session`](crate::api::Session).
 pub fn build_schedule(dataflow: Dataflow, shape: &HksShape, config: &ScheduleConfig) -> Schedule {
     match dataflow {
         Dataflow::MaxParallel => build_max_parallel(shape, config),
@@ -494,6 +494,92 @@ impl<'a> ScheduleBuilder<'a> {
         let stage = Label::clone(&self.stages[stage as usize]);
         (Label::from(self.label.as_str()), stage)
     }
+}
+
+/// ModUp P2 of one digit (shared by the MP and DC generators): one BConv
+/// scaling pass over digit `j`'s INTT outputs, then one slice per extension
+/// tower, each producing `bconv[j][e]`.
+pub(crate) fn emit_digit_bconv(b: &mut ScheduleBuilder<'_>, j: usize) {
+    let shape = *b.shape();
+    let alpha_j = shape.digit_width(j);
+    let mut digit_deps = Vec::with_capacity(alpha_j);
+    for t in shape.benchmark.digit_range(j) {
+        digit_deps.push(b.acquire(Buf::Intt(t), HksStage::ModUpBconv));
+    }
+    let scale = b.compute(
+        ComputeKind::BasisConversion,
+        shape.bconv_scale_ops(alpha_j),
+        digit_deps.clone(),
+        format_args!("bconv scale digit {j}"),
+        HksStage::ModUpBconv,
+    );
+    for e in 0..shape.beta(j) {
+        let mut deps = digit_deps.clone();
+        deps.push(scale);
+        let slice = b.compute(
+            ComputeKind::BasisConversion,
+            shape.bconv_slice_ops(alpha_j),
+            deps,
+            format_args!("bconv d{j} ext{e}"),
+            HksStage::ModUpBconv,
+        );
+        b.produce(
+            Buf::Bconv(j, e),
+            shape.tower_bytes(),
+            slice,
+            HksStage::ModUpBconv,
+        );
+    }
+}
+
+/// ModUp P3 of one digit (shared by the MP and DC generators): the NTT of
+/// each of digit `j`'s `bconv[j][e]` towers, producing `ext[j][e]`.
+pub(crate) fn emit_digit_ntt(b: &mut ScheduleBuilder<'_>, j: usize) {
+    let shape = *b.shape();
+    for e in 0..shape.beta(j) {
+        let dep = b.acquire(Buf::Bconv(j, e), HksStage::ModUpNtt);
+        let ntt = b.compute(
+            ComputeKind::Ntt,
+            shape.ntt_ops(),
+            vec![dep],
+            format_args!("ntt d{j} ext{e}"),
+            HksStage::ModUpNtt,
+        );
+        b.release(Buf::Bconv(j, e));
+        b.produce(Buf::Ext(j, e), shape.tower_bytes(), ntt, HksStage::ModUpNtt);
+    }
+}
+
+/// ModUp P4 of one tower of a materialized extension (shared by the MP and
+/// DC generators): tower `t` of digit `j`'s extended polynomial is the
+/// bypassed input tower when `t` belongs to the digit and its next
+/// `ext[j][e]` tower otherwise; [`apply_evk`] multiplies it with the evk.
+pub(crate) fn emit_extended_apply_evk(b: &mut ScheduleBuilder<'_>, j: usize, t: usize) -> TaskId {
+    let range = b.shape().benchmark.digit_range(j);
+    let d_dep = if range.contains(&t) {
+        b.acquire(Buf::In(t), HksStage::ModUpApplyKey)
+    } else {
+        // The extension skips the digit's own towers.
+        let e = if t < range.start { t } else { t - range.len() };
+        b.acquire(Buf::Ext(j, e), HksStage::ModUpApplyKey)
+    };
+    apply_evk(b, j, t, d_dep)
+}
+
+/// ModUp P4 (shared by all three generators): the point-wise product of
+/// digit `j`'s tower `t`, ready at `d_dep`, with the digit's evk tower pair
+/// (loaded first when evks are streamed).
+pub(crate) fn apply_evk(b: &mut ScheduleBuilder<'_>, j: usize, t: usize, d_dep: TaskId) -> TaskId {
+    let mut deps = vec![d_dep];
+    deps.extend(b.acquire_evk(j, t, HksStage::ModUpApplyKey));
+    let ops = 2 * b.shape().pointwise_ops();
+    b.compute(
+        ComputeKind::PointwiseMul,
+        ops,
+        deps,
+        format_args!("apply evk d{j} t{t}"),
+        HksStage::ModUpApplyKey,
+    )
 }
 
 /// Emits the ModDown phase (shared by the MP and DC generators, which handle

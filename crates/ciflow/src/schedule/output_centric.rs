@@ -20,7 +20,7 @@
 //! smaller intermediate working set and far less off-chip traffic, at an
 //! identical total operation count.
 
-use super::{Buf, Schedule, ScheduleBuilder, ScheduleConfig};
+use super::{apply_evk, Buf, Schedule, ScheduleBuilder, ScheduleConfig};
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
 use rpu::{ComputeKind, TaskId};
@@ -115,15 +115,7 @@ fn accumulate_digit(
     d_dep: TaskId,
     prev: Option<TaskId>,
 ) -> TaskId {
-    let mut deps = vec![d_dep];
-    deps.extend(b.acquire_evk(j, t, HksStage::ModUpApplyKey));
-    let mul = b.compute(
-        ComputeKind::PointwiseMul,
-        2 * shape.pointwise_ops(),
-        deps,
-        format_args!("apply evk d{j} t{t}"),
-        HksStage::ModUpApplyKey,
-    );
+    let mul = apply_evk(b, j, t, d_dep);
     match prev {
         None => mul,
         Some(prev) => b.compute(
@@ -169,7 +161,7 @@ fn slice_and_ntt(
 }
 
 /// Builds the Output-Centric schedule for one hybrid key switch.
-pub fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedule {
+pub(super) fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) -> Schedule {
     let mut b = ScheduleBuilder::new(shape, config);
     let shape = *shape;
     let ell = shape.ell();

@@ -2,9 +2,9 @@
 //!
 //! Every sweep has one entry point, which takes the [`Session`] it runs in
 //! (pass `&Session::new()` for the built-in strategies) and reuses its
-//! registry and caches: custom strategies sweep by name, an inline
-//! [`StrategySpec`] works with any session, and a repeated sweep rebuilds
-//! nothing. Failures are typed [`CiflowError`]s. The paper-figure
+//! registry and caches: a [`StrategySpec`] names a strategy in that
+//! session's registry (register a custom one first), and a repeated sweep
+//! rebuilds nothing. Failures are typed [`CiflowError`]s. The paper-figure
 //! quantities built on these sweeps (Tables IV–V, Figures 7–9) live in the
 //! `ciflow-bench` crate's `figures` module.
 //!

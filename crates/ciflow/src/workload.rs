@@ -657,7 +657,7 @@ mod tests {
     ) -> WorkloadSchedule {
         build_workload(
             &Workload::rotation_batch(benchmark, count),
-            dataflow.strategy(),
+            &dataflow,
             &config(evk_policy),
             mode,
         )
@@ -710,7 +710,7 @@ mod tests {
     fn empty_workload_is_rejected() {
         let err = build_workload(
             &Workload::new("empty", HksBenchmark::ARK),
-            Dataflow::OutputCentric.strategy(),
+            &Dataflow::OutputCentric,
             &config(EvkPolicy::OnChip),
             PipelineMode::Fused,
         )
@@ -720,7 +720,7 @@ mod tests {
         // empty: no degenerate zero-task schedule may escape.
         let err = build_workload(
             &Workload::rotation_batch(HksBenchmark::ARK, 0),
-            Dataflow::OutputCentric.strategy(),
+            &Dataflow::OutputCentric,
             &config(EvkPolicy::OnChip),
             PipelineMode::BackToBack,
         )
@@ -751,13 +751,8 @@ mod tests {
             .sum();
         for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
             for dataflow in Dataflow::all() {
-                let ws = build_workload(
-                    &chain,
-                    dataflow.strategy(),
-                    &config(EvkPolicy::Streamed),
-                    mode,
-                )
-                .unwrap();
+                let ws =
+                    build_workload(&chain, &dataflow, &config(EvkPolicy::Streamed), mode).unwrap();
                 assert_eq!(ws.schedule.total_ops(), expected, "{dataflow} {mode}");
                 assert_eq!(ws.kernel_benchmarks, chain.kernel_benchmarks());
             }
@@ -831,7 +826,7 @@ mod tests {
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
         let fused = build_workload(
             &chain,
-            Dataflow::OutputCentric.strategy(),
+            &Dataflow::OutputCentric,
             &config(EvkPolicy::OnChip),
             PipelineMode::Fused,
         )
@@ -854,7 +849,7 @@ mod tests {
         // The traffic invariant against the unfused baseline.
         let unfused = build_workload(
             &chain,
-            Dataflow::OutputCentric.strategy(),
+            &Dataflow::OutputCentric,
             &config(EvkPolicy::OnChip),
             PipelineMode::BackToBack,
         )
@@ -878,7 +873,7 @@ mod tests {
         for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
             let ws = build_workload(
                 &ascending,
-                Dataflow::OutputCentric.strategy(),
+                &Dataflow::OutputCentric,
                 &config(EvkPolicy::Streamed),
                 mode,
             )
@@ -905,7 +900,7 @@ mod tests {
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 3);
         let fused = build_workload(
             &workload,
-            Dataflow::OutputCentric.strategy(),
+            &Dataflow::OutputCentric,
             &tight,
             PipelineMode::Fused,
         )
@@ -913,7 +908,7 @@ mod tests {
         assert_eq!(fused.forwarded_bytes, 0);
         let unfused = build_workload(
             &workload,
-            Dataflow::OutputCentric.strategy(),
+            &Dataflow::OutputCentric,
             &tight,
             PipelineMode::BackToBack,
         )
@@ -963,13 +958,8 @@ mod tests {
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 4);
         for dataflow in Dataflow::all() {
             for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-                let ws = build_workload(
-                    &chain,
-                    dataflow.strategy(),
-                    &config(EvkPolicy::Streamed),
-                    mode,
-                )
-                .unwrap();
+                let ws =
+                    build_workload(&chain, &dataflow, &config(EvkPolicy::Streamed), mode).unwrap();
                 rpu::TaskGraph::from_tasks(ws.schedule.graph.tasks().to_vec()).unwrap();
                 let result = engine.execute(&ws.schedule.graph).unwrap();
                 assert!(result.stats.runtime_seconds > 0.0, "{dataflow} {mode}");
@@ -1026,7 +1016,6 @@ mod tests {
         // the sum of independent per-kernel runs to within rounding.
         let engine = RpuEngine::new(RpuConfig::ciflow_baseline().with_bandwidth(12.8));
         let single = Dataflow::OutputCentric
-            .strategy()
             .build(
                 &HksShape::new(HksBenchmark::ARK),
                 &config(EvkPolicy::OnChip),
@@ -1063,7 +1052,6 @@ mod tests {
             .iter()
             .map(|&b| {
                 let schedule = Dataflow::OutputCentric
-                    .strategy()
                     .build(&HksShape::new(b), &config(EvkPolicy::OnChip))
                     .unwrap();
                 engine.execute(&schedule.graph).unwrap().stats.runtime_ms()
@@ -1071,7 +1059,7 @@ mod tests {
             .sum();
         let unfused = build_workload(
             &chain,
-            Dataflow::OutputCentric.strategy(),
+            &Dataflow::OutputCentric,
             &config(EvkPolicy::OnChip),
             PipelineMode::BackToBack,
         )

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tower's worth of store+load traffic.
     let ws = build_workload(
         &chain,
-        Dataflow::OutputCentric.strategy(),
+        &Dataflow::OutputCentric,
         &ScheduleConfig::default(),
         PipelineMode::Fused,
     )?;

@@ -225,7 +225,7 @@ fn schedules_match_the_golden_digest() {
     for workload in &workloads {
         for dataflow in Dataflow::all() {
             for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-                let ws = build_workload(workload, dataflow.strategy(), &streamed(32), mode)
+                let ws = build_workload(workload, &dataflow, &streamed(32), mode)
                     .expect("built-in workloads build");
                 tasks += digest.schedule(&ws.schedule);
                 digest.u64(ws.boundary_forwarded_bytes.len() as u64);

@@ -169,7 +169,7 @@ fn channel_map_covers_the_union_of_heterogeneous_step_traffic() {
     let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
     let ws = build_workload(
         &chain,
-        Dataflow::OutputCentric.strategy(),
+        &Dataflow::OutputCentric,
         &ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed),
         PipelineMode::Fused,
     )
@@ -214,9 +214,9 @@ proptest! {
             if streamed { EvkPolicy::Streamed } else { EvkPolicy::OnChip },
         );
         let fused =
-            build_workload(&workload, dataflow.strategy(), &config, PipelineMode::Fused).unwrap();
+            build_workload(&workload, &dataflow, &config, PipelineMode::Fused).unwrap();
         let unfused =
-            build_workload(&workload, dataflow.strategy(), &config, PipelineMode::BackToBack)
+            build_workload(&workload, &dataflow, &config, PipelineMode::BackToBack)
                 .unwrap();
         prop_assert_eq!(unfused.forwarded_bytes, 0);
         prop_assert_eq!(

@@ -150,7 +150,7 @@ fn elided_boundary_store_is_a_lint_error_the_engine_cannot_see() {
     let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
     let mut pipeline = build_workload(
         &Workload::rotation_batch(HksBenchmark::ARK, 2),
-        Dataflow::OutputCentric.strategy(),
+        &Dataflow::OutputCentric,
         &config,
         PipelineMode::BackToBack,
     )

@@ -262,8 +262,7 @@ fn placement_oracle_agrees_with_channel_for_on_every_preset() {
         for dataflow in Dataflow::all() {
             let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
             let pipeline =
-                build_workload(&workload, dataflow.strategy(), &config, PipelineMode::Fused)
-                    .unwrap();
+                build_workload(&workload, &dataflow, &config, PipelineMode::Fused).unwrap();
             schedules.push((format!("{} {dataflow}", workload.name), pipeline.schedule));
         }
     }

@@ -49,7 +49,7 @@ proptest! {
         };
         let ws = build_workload(
             &Workload::rotation_batch(benchmark, 2),
-            dataflow.strategy(),
+            &dataflow,
             &config,
             mode,
         ).unwrap();

@@ -3,7 +3,7 @@
 //! per-job results, and cross-strategy invariants over the built-in
 //! dataflows.
 
-use ciflow::api::{Job, ScheduleStrategy, Session, StrategyRegistry, StrategySpec};
+use ciflow::api::{Job, ScheduleStrategy, Session, StrategyRegistry};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::error::CiflowError;
@@ -339,32 +339,20 @@ fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
 
 #[test]
 fn sweeps_accept_custom_strategies() {
-    let series = ciflow::sweep::try_bandwidth_sweep_in(
-        &Session::new(),
-        HksBenchmark::DPRIVE,
-        ciflow::api::StrategySpec::Inline(Arc::new(NoReuse)),
-        &[8.0, 64.0, 1024.0],
-        EvkPolicy::Streamed,
-        1.0,
-    )
-    .expect("inline strategies sweep without registration");
-    assert_eq!(series.dataflow, "NR");
-    assert_eq!(series.points.len(), 3);
-    assert!(series.points[2].runtime_ms < series.points[0].runtime_ms);
-
     // Registered strategies sweep *by name* through the owning session.
     let session = Session::new().register(Arc::new(NoReuse)).unwrap();
     let by_name = ciflow::sweep::try_bandwidth_sweep_in(
         &session,
         HksBenchmark::DPRIVE,
         "NR",
-        &[8.0, 64.0],
+        &[8.0, 64.0, 1024.0],
         EvkPolicy::Streamed,
         1.0,
     )
     .expect("registered strategies sweep by name");
     assert_eq!(by_name.dataflow, "NR");
-    assert_eq!(by_name.points.len(), 2);
+    assert_eq!(by_name.points.len(), 3);
+    assert!(by_name.points[2].runtime_ms < by_name.points[0].runtime_ms);
     // ...but not through a session that lacks the registration.
     assert!(matches!(
         ciflow::sweep::try_bandwidth_sweep_in(
@@ -399,10 +387,10 @@ fn sweeps_accept_custom_strategies() {
 /// every sweep and serving run built on them.
 #[test]
 fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
-    let panicking = || StrategySpec::Inline(Arc::new(Panicking));
+    let panicking = || "PN";
     let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
     let chain = Workload::rescaling_chain(HksBenchmark::ARK, 2);
-    let session = Session::new();
+    let session = Session::new().register(Arc::new(Panicking)).unwrap();
     let (streamed, fused) = (EvkPolicy::Streamed, PipelineMode::Fused);
     let job = Job::new(HksBenchmark::ARK, panicking());
     let serve = ServeConfig::new(
