@@ -384,7 +384,10 @@ impl<'a> Placed<'a> {
     /// program order: back from the first task to finish at `bound`, each
     /// step blamed on the predecessor that delivered its start, re-derived
     /// from `finish` in strict-`>` order (dependencies as listed, then the
-    /// queue predecessor when `queues`), so a tie blames the first. Only
+    /// queue predecessor when `queues`), so a tie blames the first. The
+    /// [`TaskGraph`] builders store every list in id order, so a tie between
+    /// dependencies blames the lower id, as the fold's push order does (a
+    /// [`TaskGraph::from_tasks`] list is walked as given). Only
     /// earlier tasks are followed, as the fold only pushes into later ones:
     /// a forward or dangling dependency (only
     /// [`TaskGraph::from_tasks_unchecked`] builds one) can neither index out
@@ -981,6 +984,26 @@ mod tests {
             assert_eq!(b.makespan_bound_seconds, 2.0, "extra dependency {extra}");
             assert_eq!(b.critical_path, vec![0, 1]);
         }
+    }
+
+    #[test]
+    fn a_dependency_tie_blames_the_lower_id() {
+        // Two equal loads finish together on the dependency pass, and the
+        // join lists the later one first: the walk blames the lower id, as
+        // the fold breaks its ties.
+        let mut g = TaskGraph::new();
+        let earlier = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "a", "P1");
+        let later = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "b", "P1");
+        let join = g.push_compute(
+            ComputeKind::PointwiseAdd,
+            1_000_000_000,
+            vec![later, earlier],
+            "join",
+            "P1",
+        );
+        let b = RpuEngine::new(unit_config(1.0)).bounds(&g);
+        assert_eq!(b.dependency_bound_seconds, 2.0);
+        assert_eq!(b.critical_path, vec![earlier, join]);
     }
 
     #[test]

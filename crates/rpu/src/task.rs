@@ -93,7 +93,9 @@ pub struct Task {
     pub id: TaskId,
     /// What the task does.
     pub kind: TaskKind,
-    /// Ids of tasks that must finish before this task may start.
+    /// Ids of tasks that must finish before this task may start, sorted and
+    /// without duplicates in every graph the [`TaskGraph`] builders make
+    /// (`push_*` and `append_offset`; `from_tasks` keeps lists as given).
     pub dependencies: Vec<TaskId>,
     /// Human-readable label (buffer or kernel name), used in traces. For
     /// memory tasks this is also the *placement key*: the engine's
@@ -358,30 +360,22 @@ impl TaskGraph {
     fn push(
         &mut self,
         kind: TaskKind,
-        dependencies: Vec<TaskId>,
+        mut dependencies: Vec<TaskId>,
         label: impl Into<Label>,
         stage: impl Into<Label>,
         channel: Option<usize>,
     ) -> TaskId {
         let id = self.tasks.len();
         debug_assert!(dependencies.iter().all(|&d| d < id));
-        // Dedupe dependency edges, preserving first-occurrence order: a
-        // duplicate edge would silently inflate the engine's remaining-dep
-        // counter and the verifier's in-degrees (both count edges, and both
-        // also *decrement* per edge, so execution stays correct — but every
-        // downstream analysis over `dependencies` would double-count).
-        let mut dependencies = dependencies;
-        if dependencies.len() > 1 {
-            let mut kept = 0;
-            for i in 0..dependencies.len() {
-                let d = dependencies[i];
-                if !dependencies[..kept].contains(&d) {
-                    dependencies[kept] = d;
-                    kept += 1;
-                }
-            }
-            dependencies.truncate(kept);
-        }
+        // Sort and dedupe dependency edges, the one form every builder
+        // stores (`append_offset` too): a duplicate edge would silently
+        // inflate the engine's remaining-dep counter and the verifier's
+        // in-degrees (both count edges, and both also *decrement* per edge,
+        // so execution stays correct — but every downstream analysis over
+        // `dependencies` would double-count), and id order makes a critical
+        // path's tie blame the lower id.
+        dependencies.sort_unstable();
+        dependencies.dedup();
         self.tasks.push(Task {
             id,
             kind,
@@ -730,16 +724,15 @@ mod tests {
     }
 
     #[test]
-    fn push_dedupes_duplicate_dependency_edges_in_order() {
+    fn push_sorts_and_dedupes_dependency_edges() {
         // A generator that lists the same dependency twice must not inflate
         // the engine's remaining-dep counters or the verifier's in-degrees;
-        // the surviving edges keep their first-occurrence order.
+        // the surviving edges are stored in id order.
         let mut g = TaskGraph::new();
         let a = g.push_memory(MemoryDirection::Load, 8, vec![], "load a", "P1");
         let b = g.push_memory(MemoryDirection::Load, 8, vec![], "load b", "P1");
         let c = g.push_compute(ComputeKind::Ntt, 8, vec![b, a, b, a, a], "ntt", "P1");
-        assert_eq!(g.tasks()[c].dependencies, vec![b, a]);
-        // Single dependencies stay untouched (the fast path).
+        assert_eq!(g.tasks()[c].dependencies, vec![a, b]);
         let d = g.push_compute(ComputeKind::Ntt, 8, vec![c], "ntt2", "P1");
         assert_eq!(g.tasks()[d].dependencies, vec![c]);
     }
