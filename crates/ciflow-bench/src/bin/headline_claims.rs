@@ -16,13 +16,21 @@ use rpu::EvkPolicy;
 fn main() {
     let session = Session::new();
     ciflow_bench::section("Headline claim 1: OC speedup over MP at the OCbase bandwidth");
-    let paper_best = paper::best_oc_speedup();
-    for row in table4_rows(&session) {
+    for (row, paper_row) in table4_rows(&session).iter().zip(paper::TABLE4) {
         println!(
-            "{}: {:.2}x (paper's best: {} {}x)",
-            row.benchmark, row.oc_speedup, paper_best.benchmark, paper_best.oc_speedup
+            "{}: {:.2}x at {} GB/s (paper: {:.2}x at {} GB/s)",
+            row.benchmark,
+            row.oc_speedup,
+            row.ocbase_gbps,
+            paper_row.oc_speedup,
+            paper_row.ocbase_gbps
         );
     }
+    let paper_best = paper::best_oc_speedup();
+    println!(
+        "paper's best: {} {}x",
+        paper_best.benchmark, paper_best.oc_speedup
+    );
 
     ciflow_bench::section("Headline claim 2: SRAM saving from streaming evks");
     let on_chip = ciflow_bench::rpu_for(EvkPolicy::OnChip, BASELINE_BANDWIDTH_GBPS);

@@ -24,22 +24,32 @@
 
 use rpu::verify::Diagnostic;
 use rpu::TaskGraph;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use super::codes;
 use crate::benchmark::HksBenchmark;
 use crate::hks_shape::HksShape;
+use crate::workload::{kernel_label, tower_index};
 
 /// Runs the boundary pass over a stitched pipeline graph. `kernel_benchmarks`
 /// is the per-kernel parameter ladder ([`crate::workload::WorkloadSchedule`]'s
 /// `kernel_benchmarks`); boundaries are consecutive pairs.
 pub fn lint(graph: &TaskGraph, kernel_benchmarks: &[HksBenchmark]) -> Vec<Diagnostic> {
-    let labels: HashSet<&str> = graph
-        .tasks()
-        .iter()
-        .filter(|t| t.is_memory())
-        .map(|t| &*t.label)
-        .collect();
+    // One scan: the chained towers each kernel stores (`store out1[t]`) and
+    // loads (`load in[t]`).
+    let kernels = kernel_benchmarks.len();
+    let mut stored = vec![BTreeSet::new(); kernels];
+    let mut loaded = vec![BTreeSet::new(); kernels];
+    for task in graph.tasks().iter().filter(|t| t.is_memory()) {
+        let Some((kernel, local)) = kernel_label(&task.label).filter(|&(k, _)| k < kernels) else {
+            continue;
+        };
+        if let Some(tower) = tower_index(local, "store out1[") {
+            stored[kernel].insert(tower);
+        } else if let Some(tower) = tower_index(local, "load in[") {
+            loaded[kernel].insert(tower);
+        }
+    }
 
     let mut diagnostics = Vec::new();
     for (producer, pair) in kernel_benchmarks.windows(2).enumerate() {
@@ -47,36 +57,35 @@ pub fn lint(graph: &TaskGraph, kernel_benchmarks: &[HksBenchmark]) -> Vec<Diagno
         let chained = HksShape::new(pair[0])
             .ell()
             .min(HksShape::new(pair[1]).ell());
-        for tower in 0..chained {
+        // A chained tower with only one half of its round trip, in tower
+        // order.
+        for &tower in loaded[consumer].symmetric_difference(&stored[producer]) {
+            if tower >= chained {
+                break;
+            }
             let store = format!("k{producer}:store out1[{tower}]");
             let load = format!("k{consumer}:load in[{tower}]");
-            let has_store = labels.contains(store.as_str());
-            let has_load = labels.contains(load.as_str());
-            if has_load && !has_store {
-                diagnostics.push(
-                    Diagnostic::error(
-                        codes::HALF_FORWARDED_BOUNDARY,
-                        format!(
-                            "boundary k{producer}->k{consumer}: tower {tower} is loaded \
-                             from DRAM (`{load}`) but the producing store (`{store}`) was \
-                             elided — the load reads data nothing wrote"
-                        ),
-                    )
-                    .with_label(load.into()),
-                );
-            } else if has_store && !has_load {
-                diagnostics.push(
-                    Diagnostic::warning(
-                        codes::UNCONSUMED_BOUNDARY_STORE,
-                        format!(
-                            "boundary k{producer}->k{consumer}: tower {tower} is stored \
-                             (`{store}`) but never loaded by the consumer — dead traffic \
-                             across this boundary"
-                        ),
-                    )
-                    .with_label(store.into()),
-                );
-            }
+            diagnostics.push(if loaded[consumer].contains(&tower) {
+                Diagnostic::error(
+                    codes::HALF_FORWARDED_BOUNDARY,
+                    format!(
+                        "boundary k{producer}->k{consumer}: tower {tower} is loaded \
+                         from DRAM (`{load}`) but the producing store (`{store}`) was \
+                         elided — the load reads data nothing wrote"
+                    ),
+                )
+                .with_label(load.into())
+            } else {
+                Diagnostic::warning(
+                    codes::UNCONSUMED_BOUNDARY_STORE,
+                    format!(
+                        "boundary k{producer}->k{consumer}: tower {tower} is stored \
+                         (`{store}`) but never loaded by the consumer — dead traffic \
+                         across this boundary"
+                    ),
+                )
+                .with_label(store.into())
+            });
         }
     }
     diagnostics

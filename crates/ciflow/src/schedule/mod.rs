@@ -741,7 +741,7 @@ mod tests {
 
     #[test]
     fn buffer_names_keep_the_label_vocabulary() {
-        use crate::workload::tower_index;
+        use crate::workload::{kernel_label, tower_index};
         use rpu::channel::split_label;
         let bufs = [
             Buf::In(3),
@@ -789,6 +789,8 @@ mod tests {
                     split_label(&format!("k2:{label}")),
                     (Some(verb), name.as_str())
                 );
+                assert_eq!(kernel_label(&format!("k12:{label}")), Some((12, *label)));
+                assert_eq!(kernel_label(label), None, "{label}");
                 assert_ne!(map.channel_for(label), evk_channel, "{label}");
                 let tower = (*label == "load in[3]").then_some(3);
                 assert_eq!(tower_index(label, "load in["), tower, "{label}");

@@ -392,6 +392,13 @@ pub(crate) fn tower_index(label: &str, prefix: &str) -> Option<usize> {
     label.strip_prefix(prefix)?.strip_suffix(']')?.parse().ok()
 }
 
+/// Splits a stitched pipeline label `k{i}:{label}` (the prefix
+/// [`build_workload`] writes) into kernel `i` and the kernel's own label.
+pub(crate) fn kernel_label(label: &str) -> Option<(usize, &str)> {
+    let (kernel, local) = label.strip_prefix('k')?.split_once(':')?;
+    Some((kernel.parse().ok()?, local))
+}
+
 /// True for the loads of the kernel's chained input polynomial.
 fn is_input_load(task: &Task) -> bool {
     task.is_memory() && tower_index(&task.label, "load in[").is_some()
