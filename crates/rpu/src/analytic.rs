@@ -20,8 +20,19 @@
 //! each queue's busy time summed in the engine's order. That fold is the
 //! timeline [`RpuEngine::execute_stats`] computes on such a plan, so every
 //! evaluation is bit-identical to the engine, with no tolerance and no event
-//! loop per point. The timeline keeps one [`Segment`], valid at every bandwidth: the
-//! affine view of the same fold anchored at the top of the analyzed range.
+//! loop per point. The timeline keeps one [`Segment`], valid at every
+//! bandwidth: the affine view of the same fold anchored at the top of the
+//! analyzed range.
+//!
+//! Evaluations push finishes along one edge per task: its latest dependency
+//! in the other queue (`fold::reduced`, built once per timeline). A
+//! dependency in the task's own queue finishes no later than that queue's
+//! free time, because finishes never decrease along an in-order queue when
+//! no duration is negative; an earlier dependency in the other queue
+//! finishes no later than the latest one. `max` is exact, so dropping those
+//! edges changes no value (a negative MODOPS rate keeps every edge). The
+//! affine view keeps the full table, as the bound's passes and knee probe
+//! do: its clock breaks value ties by which predecessor wins.
 //!
 //! ## Otherwise: the engine per point
 //!
@@ -30,8 +41,11 @@
 //! wins depends on bandwidth; a graph with a forward dependency has no
 //! program-order walk. Such a timeline keeps no segment: every evaluation
 //! runs the event engine on the cached [`ExecPlan`] (exact, not
-//! closed-form). Either way, one engine run at the top of the range decides
-//! deadlock and non-finite times for every bandwidth.
+//! closed-form), and one engine run at the top of the range decides
+//! deadlock and non-finite times for every bandwidth. A plan the fold times
+//! cannot deadlock, and the affine fold at the top of the range computes
+//! the engine's values there, so the engine runs only if one of them is not
+//! finite, to report its own error.
 //!
 //! ## Lanes
 //!
@@ -46,7 +60,7 @@
 use crate::config::{assert_valid_bandwidth, validate_bandwidth};
 use crate::engine::{EngineError, RpuEngine};
 use crate::fold::{self, fold, Clock, Cost, Seconds, Sym};
-use crate::plan::ExecPlan;
+use crate::plan::{DependentsTable, ExecPlan};
 use crate::stats::ExecutionStats;
 use crate::task::TaskGraph;
 use crate::trace::{EngineQueue, TaskRecord};
@@ -199,17 +213,30 @@ pub type SampledTimes = Vec<TaskRecord>;
 /// Built by [`RpuEngine::analyze`].
 #[derive(Debug)]
 pub struct ParametricTimeline {
-    engine: RpuEngine,
-    graph: TaskGraph,
     /// The plan every evaluation folds or runs the engine on.
     plan: Arc<ExecPlan>,
     lo_gbps: f64,
     hi_gbps: f64,
-    /// The affine view: present exactly when the fold times the plan.
-    segment: Option<Segment>,
-    /// Each task's cost, as the fold reads it.
-    costs: Vec<Cost>,
+    timing: Timing,
     engine_runs: AtomicUsize,
+}
+
+/// How a timeline times a point.
+#[derive(Debug)]
+enum Timing {
+    /// The program-order fold times the plan (one channel, every dependency
+    /// backward).
+    Fold {
+        /// The affine view.
+        segment: Segment,
+        /// Each task's cost, as the fold reads it.
+        costs: Vec<Cost>,
+        /// The plan's dependents [`fold::reduced`] to the edges that can
+        /// set a start.
+        dependents: DependentsTable,
+    },
+    /// The event engine runs every point.
+    Engine { engine: RpuEngine, graph: TaskGraph },
 }
 
 impl ParametricTimeline {
@@ -231,7 +258,10 @@ impl ParametricTimeline {
     /// backward), none otherwise.
     #[must_use]
     pub fn segments(&self) -> &[Segment] {
-        self.segment.as_slice()
+        match &self.timing {
+            Timing::Fold { segment, .. } => std::slice::from_ref(segment),
+            Timing::Engine { .. } => &[],
+        }
     }
 
     /// How many evaluations so far ran the event engine: every point of a
@@ -255,12 +285,16 @@ impl ParametricTimeline {
     #[must_use]
     pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
         assert_valid_bandwidth(bandwidth_gbps);
-        if self.segment.is_none() {
-            return self.run_engine(bandwidth_gbps);
+        match &self.timing {
+            Timing::Fold {
+                costs, dependents, ..
+            } => {
+                let ready = &mut vec![[0.0]; costs.len()];
+                let [stats] = fold::stats(costs, &self.plan, dependents, &[bandwidth_gbps], ready);
+                stats
+            }
+            Timing::Engine { engine, graph } => self.run_engine(engine, graph, bandwidth_gbps),
         }
-        let ready = &mut vec![[0.0]; self.costs.len()];
-        let [stats] = fold::stats(&self.costs, &self.plan, &[bandwidth_gbps], ready);
-        stats
     }
 
     /// Evaluates a whole bandwidth ladder. On one channel, points are
@@ -280,47 +314,63 @@ impl ParametricTimeline {
             .iter()
             .copied()
             .for_each(assert_valid_bandwidth);
-        if self.segment.is_none() {
-            return bandwidths_gbps
-                .iter()
-                .map(|&b| self.run_engine(b))
-                .collect();
-        }
-        let n = self.costs.len();
+        let (costs, dependents) = match &self.timing {
+            Timing::Fold {
+                costs, dependents, ..
+            } => (costs, dependents),
+            Timing::Engine { engine, graph } => {
+                return bandwidths_gbps
+                    .iter()
+                    .map(|&b| self.run_engine(engine, graph, b))
+                    .collect();
+            }
+        };
+        let n = costs.len();
         let mut lanes = vec![[0.0; LANES]; n];
         let mut out = Vec::with_capacity(bandwidths_gbps.len());
         let mut chunks = bandwidths_gbps.chunks_exact(LANES);
         for chunk in &mut chunks {
             let bws: &[f64; LANES] = chunk.try_into().expect("chunk has LANES entries");
-            out.extend(fold::stats(&self.costs, &self.plan, bws, &mut lanes));
+            out.extend(fold::stats(costs, &self.plan, dependents, bws, &mut lanes));
         }
         let mut scratch = vec![[0.0]; n];
         for &b in chunks.remainder() {
-            let [stats] = fold::stats(&self.costs, &self.plan, &[b], &mut scratch);
+            let [stats] = fold::stats(costs, &self.plan, dependents, &[b], &mut scratch);
             out.push(stats);
         }
         out
     }
 
     /// The per-task spans a folded evaluation produces at `bandwidth_gbps`,
-    /// in program order, which may differ from the engine's trace order at
-    /// this bandwidth; per-task times still agree bit for bit (match records
-    /// by task id). Returns `None` on a timeline without a segment, which
-    /// folds nothing, and for a bandwidth that is not finite and positive
-    /// (the engine's trace is the reference either way). Kept as an oracle
-    /// surface: the integration suites diff it against the engine's trace.
+    /// in program order, labelled from `graph`, the graph the timeline was
+    /// derived from. The order may differ from the engine's trace order at
+    /// this bandwidth; per-task times still agree bit for bit (match
+    /// records by task id). Returns `None` on a timeline without a segment,
+    /// which folds nothing, for a `graph` with another task count, and for
+    /// a bandwidth that is not finite and positive (the engine's trace is
+    /// the reference either way). Kept as an oracle surface: the
+    /// integration suites diff it against the engine's trace.
     #[must_use]
-    pub fn sampled_times(&self, bandwidth_gbps: f64) -> Option<SampledTimes> {
+    pub fn sampled_times(&self, graph: &TaskGraph, bandwidth_gbps: f64) -> Option<SampledTimes> {
         validate_bandwidth(bandwidth_gbps).ok()?;
-        self.segment.as_ref()?;
-        let tasks = self.graph.tasks();
+        let Timing::Fold {
+            costs, dependents, ..
+        } = &self.timing
+        else {
+            return None;
+        };
+        let tasks = graph.tasks();
+        if tasks.len() != costs.len() {
+            return None;
+        }
         let mut records = Vec::with_capacity(tasks.len());
         let clock = &mut Seconds::gbps(&[bandwidth_gbps]);
         let ready = &mut vec![[0.0]; tasks.len()];
         fold(
             clock,
-            &self.costs,
+            costs,
             &self.plan,
+            dependents,
             true,
             ready,
             |t, cost, [start], [end], _| {
@@ -341,11 +391,16 @@ impl ParametricTimeline {
     }
 
     /// One validated bandwidth through the event engine on the cached plan.
-    fn run_engine(&self, bandwidth_gbps: f64) -> ExecutionStats {
+    fn run_engine(
+        &self,
+        engine: &RpuEngine,
+        graph: &TaskGraph,
+        bandwidth_gbps: f64,
+    ) -> ExecutionStats {
         self.engine_runs.fetch_add(1, AtomicOrdering::Relaxed);
-        self.engine
+        engine
             .at(bandwidth_gbps)
-            .execute_stats_plan(&self.graph, &self.plan)
+            .execute_stats_plan(graph, &self.plan)
             .expect("deadlock is timing-independent and the run at the range's top succeeded")
     }
 }
@@ -362,7 +417,8 @@ impl RpuEngine {
     /// Returns [`EngineError::Deadlock`] exactly when
     /// [`RpuEngine::execute_stats`] would: the deadlock condition is a
     /// property of the schedule and queue placement, independent of timing,
-    /// so one engine run at `hi_gbps` decides it for every bandwidth.
+    /// so one engine run at `hi_gbps` decides it for every bandwidth, and a
+    /// plan the fold times cannot deadlock at all.
     /// [`EngineError::NonFiniteTime`] reports a degenerate MODOPS rate.
     ///
     /// # Panics
@@ -382,6 +438,12 @@ impl RpuEngine {
     /// [`RpuEngine::analyze`] on a prebuilt plan of `graph`: the run at
     /// `hi_gbps`, and every evaluation of the returned timeline, executes
     /// this one plan.
+    ///
+    /// A plan the fold times derives its segment with the affine fold at
+    /// `hi_gbps`, whose values are the engine's there. The engine runs at
+    /// `hi_gbps` only when the plan does not fold or some finish of that
+    /// fold is not finite, so every error is the engine's own. A timeline
+    /// that folds keeps no copy of `graph`.
     ///
     /// # Errors
     ///
@@ -403,42 +465,32 @@ impl RpuEngine {
             "invalid bandwidth range [{lo_gbps}, {hi_gbps}] GB/s: bounds must be finite, \
              positive and ordered"
         );
-        self.at(hi_gbps).execute_stats_plan(graph, &plan)?;
-        let costs = fold::costs(self, graph.tasks(), &plan);
-        let segment = plan.folds().then(|| {
-            let mut clock = Affine {
-                x0: 1.0 / hi_gbps,
-                dbps: hi_gbps * 1e9,
-                crossover_x: f64::INFINITY,
-            };
-            let ready = &mut vec![Affine::ZERO; costs.len()];
-            let makespan = fold(&mut clock, &costs, &plan, true, ready, |_, _, _, _, _| {});
-            // x = 1/bw reverses the order: the nearest crossover below the
-            // anchor bandwidth bounds the affine range from below, clipped
-            // to the analyzed range and kept at or below the anchor whatever
-            // the conversion rounding did.
-            let affine_lo = if clock.crossover_x.is_infinite() {
-                lo_gbps
-            } else {
-                (1.0 / clock.crossover_x).max(lo_gbps).min(hi_gbps)
-            };
-            Segment {
-                affine_lo_gbps: affine_lo,
-                affine_hi_gbps: hi_gbps,
-                runtime: AffineTime {
-                    constant: makespan.c,
-                    per_inverse_gbps: makespan.m,
-                },
-            }
+        self.check_plan(graph, &plan)?;
+        let folded = plan.folds().then(|| {
+            let costs = fold::costs(self, graph.tasks(), &plan);
+            let segment = derive_segment(&costs, &plan, lo_gbps, hi_gbps)?;
+            let dependents = fold::reduced(&costs, plan.dependents_table());
+            Some(Timing::Fold {
+                segment,
+                costs,
+                dependents,
+            })
         });
+        let timing = match folded.flatten() {
+            Some(timing) => timing,
+            None => {
+                self.at(hi_gbps).execute_stats_plan(graph, &plan)?;
+                Timing::Engine {
+                    engine: self.clone(),
+                    graph: graph.clone(),
+                }
+            }
+        };
         Ok(ParametricTimeline {
-            engine: self.clone(),
-            graph: graph.clone(),
-            segment,
-            costs,
             plan,
             lo_gbps,
             hi_gbps,
+            timing,
             engine_runs: AtomicUsize::new(0),
         })
     }
@@ -448,6 +500,49 @@ impl RpuEngine {
     fn at(&self, bandwidth_gbps: f64) -> RpuEngine {
         RpuEngine::new(self.config().clone().with_bandwidth(bandwidth_gbps))
     }
+}
+
+/// The affine view of a plan the fold times, anchored at `hi_gbps`: the
+/// affine fold over the plan's full dependents table, whose tie rule the
+/// crossover search depends on. `None` when some finish at `hi_gbps` is not
+/// finite, which only the engine reports.
+fn derive_segment(costs: &[Cost], plan: &ExecPlan, lo_gbps: f64, hi_gbps: f64) -> Option<Segment> {
+    let mut clock = Affine {
+        x0: 1.0 / hi_gbps,
+        dbps: hi_gbps * 1e9,
+        crossover_x: f64::INFINITY,
+    };
+    let ready = &mut vec![Affine::ZERO; costs.len()];
+    let mut finite = true;
+    let makespan = fold(
+        &mut clock,
+        costs,
+        plan,
+        plan.dependents_table(),
+        true,
+        ready,
+        |_, _, _, end, _| finite &= end.v.is_finite(),
+    );
+    if !finite {
+        return None;
+    }
+    // x = 1/bw reverses the order: the nearest crossover below the anchor
+    // bandwidth bounds the affine range from below, clipped to the analyzed
+    // range and kept at or below the anchor whatever the conversion
+    // rounding did.
+    let affine_lo = if clock.crossover_x.is_infinite() {
+        lo_gbps
+    } else {
+        (1.0 / clock.crossover_x).max(lo_gbps).min(hi_gbps)
+    };
+    Some(Segment {
+        affine_lo_gbps: affine_lo,
+        affine_hi_gbps: hi_gbps,
+        runtime: AffineTime {
+            constant: makespan.c,
+            per_inverse_gbps: makespan.m,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -600,6 +695,50 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_modops_rate_stays_exact() {
+        // A negative compute duration lets an own-queue dependency finish
+        // after its queue frees: t2 waits for t0 (done at 1 s), while t1
+        // before it runs backward from 1 s to 0 s.
+        let mut g = TaskGraph::new();
+        let m = g.push_memory(Load, 1_000_000_000, vec![], "m", "P1");
+        let t0 = g.push_compute(ComputeKind::Ntt, 0, vec![m], "t0", "P1");
+        g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "t1", "P1");
+        g.push_compute(ComputeKind::Ntt, 1, vec![t0], "t2", "P1");
+        let engine = RpuEngine::new(unit_config().with_modops(-1.0));
+        let timeline = engine.analyze(&g, 1.0, 4.0).unwrap();
+        assert_eq!(timeline.segments().len(), 1);
+        for bw in [1.0, 2.0, 4.0] {
+            assert_bit_identical(&engine, &g, &timeline, bw);
+            let traced = RpuEngine::new(engine.config().clone().with_bandwidth(bw))
+                .execute(&g)
+                .unwrap();
+            let spans = timeline.sampled_times(&g, bw).unwrap();
+            for record in traced.trace.records() {
+                let span = &spans[record.task];
+                assert_eq!(
+                    (span.start_seconds.to_bits(), span.end_seconds.to_bits()),
+                    (record.start_seconds.to_bits(), record.end_seconds.to_bits()),
+                    "task {} at {bw} GB/s",
+                    record.task
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_times_takes_the_timelines_own_graph() {
+        let engine = RpuEngine::new(unit_config());
+        let g = race_graph();
+        let timeline = engine.analyze(&g, 1.0, 16.0).unwrap();
+        let spans = timeline.sampled_times(&g, 4.0).expect("one channel folds");
+        assert_eq!(spans.len(), g.len());
+        assert!(timeline.sampled_times(&TaskGraph::new(), 4.0).is_none());
+        let (engine, g) = two_channel_race();
+        let timeline = engine.analyze(&g, 1.0, 16.0).unwrap();
+        assert!(timeline.sampled_times(&g, 4.0).is_none());
+    }
+
+    #[test]
     fn deadlock_is_reported_when_analyzing() {
         use crate::task::{Task, TaskKind};
         let tasks = vec![
@@ -708,7 +847,7 @@ mod tests {
                     "{name}({bw}): {message:?}"
                 );
             }
-            assert!(timeline.sampled_times(bw).is_none());
+            assert!(timeline.sampled_times(&race_graph(), bw).is_none());
         }
         assert_eq!(timeline.fallback_evaluations(), 0);
     }

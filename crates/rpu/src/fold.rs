@@ -22,12 +22,20 @@
 //!   probe, at any channel count. There each channel keeps its own free
 //!   time, which is the augmented graph's queue-predecessor edge.
 //!
+//! The fold pushes each finish through a dependents table it is given. The
+//! analytic timeline's evaluations pass a table [`reduced`] once per
+//! timeline to one edge per task, its latest dependency in the other queue:
+//! on in-order queues with no negative duration no other edge can set a
+//! start, and `max` is exact, so no bit moves. The affine view, the bound's
+//! passes and the knee probe pass the plan's full table: their clocks break
+//! value ties by which predecessor wins, which dropped edges could change.
+//!
 //! The engine itself always runs its event loop ([`crate::engine`]), the
 //! reference for several channels, graphs with a forward or dangling
 //! dependency, and runs whose times come out non-finite.
 
 use crate::engine::RpuEngine;
-use crate::plan::ExecPlan;
+use crate::plan::{DependentsTable, ExecPlan};
 use crate::stats::ExecutionStats;
 use crate::task::{Task, TaskId, TaskKind};
 
@@ -142,9 +150,10 @@ impl<const L: usize> Clock for Seconds<L> {
 
 /// Walks `plan`'s tasks in program order and returns the makespan. Each task
 /// starts at the later of its ready time and, with `queues`, its queue's
-/// free time; its finish raises its dependents' ready times through the
-/// plan's dependents table. `retired` sees each task's cost, start, finish
-/// and duration. `ready` (one entry per task) is scratch.
+/// free time; its finish raises its dependents' ready times through
+/// `dependents`: the plan's own table, or [`reduced`] from it. `retired`
+/// sees each task's cost, start, finish and duration. `ready` (one entry
+/// per task) is scratch.
 ///
 /// A dependency that points forward never reaches its dependent, whose
 /// walk is already done: on such a graph the fold is not the engine's
@@ -153,6 +162,7 @@ pub(crate) fn fold<C: Clock>(
     clock: &mut C,
     costs: &[Cost],
     plan: &ExecPlan,
+    dependents: &DependentsTable,
     queues: bool,
     ready: &mut [C::Time],
     mut retired: impl FnMut(TaskId, Cost, C::Time, C::Time, C::Time),
@@ -169,7 +179,7 @@ pub(crate) fn fold<C: Clock>(
         };
         let duration = clock.duration(cost);
         let end = C::after(start, duration);
-        for &c in plan.dependents(task) {
+        for &c in dependents.of(task) {
             ready[c as usize] = clock.later(ready[c as usize], end);
         }
         makespan = clock.later(makespan, end);
@@ -182,11 +192,13 @@ pub(crate) fn fold<C: Clock>(
 /// The execution statistics of a one-channel plan at `L` bandwidths: the
 /// fold's makespan, and each queue's busy time summed as `end - start` in
 /// program order, which is the engine's issue order there. Bit-identical to
-/// the event engine wherever every time is finite (see [`ExecPlan::folds`]).
-/// A plan on several channels has more queues than this sums, and panics.
+/// the event engine wherever every time is finite (see [`ExecPlan::folds`]),
+/// through the plan's own dependents table or one [`reduced`] from it. A
+/// plan on several channels has more queues than this sums, and panics.
 pub(crate) fn stats<const L: usize>(
     costs: &[Cost],
     plan: &ExecPlan,
+    dependents: &DependentsTable,
     bandwidths_gbps: &[f64; L],
     ready: &mut [[f64; L]],
 ) -> [ExecutionStats; L] {
@@ -195,6 +207,7 @@ pub(crate) fn stats<const L: usize>(
         &mut Seconds::gbps(bandwidths_gbps),
         costs,
         plan,
+        dependents,
         true,
         ready,
         |_, cost, start, end, _| {
@@ -212,4 +225,111 @@ pub(crate) fn stats<const L: usize>(
         memory_channel_busy_seconds: vec![busy[1][l]],
         ..template.clone()
     })
+}
+
+/// The edges of `full` (a one-channel plan's dependents table) that can set
+/// a start in a queue [`fold`] of `costs`: for each task, only its latest
+/// (highest-id) dependency in the other queue. At most one edge per task.
+///
+/// The fold over the result computes every value of the fold over `full`,
+/// bit for bit. A task starts at `max(ready, free)`, `free` its queue's
+/// last finish. Along an in-order queue finishes never decrease when no
+/// duration is negative: each start is at or after the previous finish, and
+/// adding a duration `>= 0` in `f64` cannot lower it. So a dependency in the
+/// task's own queue finishes no later than `free`, and an earlier
+/// dependency in the other queue no later than the latest one; `max` is
+/// exact, so dropping both changes no value. A negative compute duration (a
+/// negative MODOPS rate) breaks the premise, and then every edge is kept.
+///
+/// Only a fold whose `max` is symmetric may drop edges: the affine clock
+/// and the bound's knee probe break value ties by which predecessor wins,
+/// so they keep the full table.
+pub(crate) fn reduced(costs: &[Cost], full: &DependentsTable) -> DependentsTable {
+    if costs
+        .iter()
+        .any(|&cost| matches!(cost, Cost::Compute(d) if d < 0.0))
+    {
+        return full.clone();
+    }
+    let mut latest = vec![None; costs.len()];
+    for (d, cost) in costs.iter().enumerate() {
+        for &c in full.of(d) {
+            if costs[c as usize].queue() != cost.queue() {
+                latest[c as usize] = Some(d);
+            }
+        }
+    }
+    DependentsTable::from_dependencies(costs.len(), |c| latest[c].as_slice()).0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RpuConfig;
+    use crate::task::{ComputeKind, MemoryDirection, TaskGraph};
+    use proptest::prelude::*;
+
+    /// A valid graph from `(is_compute, raw dependencies)` per task: each
+    /// raw value is taken modulo the task's id, so lists come unsorted and
+    /// may repeat an id.
+    fn graph(spec: &[(bool, Vec<usize>)]) -> TaskGraph {
+        let tasks = (spec.iter().enumerate())
+            .map(|(id, (compute, raw))| Task {
+                id,
+                kind: if *compute {
+                    TaskKind::Compute {
+                        kind: ComputeKind::Ntt,
+                        ops: 1,
+                    }
+                } else {
+                    TaskKind::Memory {
+                        direction: MemoryDirection::Load,
+                        bytes: 1,
+                    }
+                },
+                dependencies: if id == 0 {
+                    vec![]
+                } else {
+                    raw.iter().map(|d| d % id).collect()
+                },
+                label: format!("t{id}").into(),
+                stage: "P1".into(),
+                channel: None,
+            })
+            .collect();
+        TaskGraph::from_tasks(tasks).expect("every dependency points backward")
+    }
+
+    proptest! {
+        /// On one channel the reduced table keeps, for each task, exactly its
+        /// latest dependency in the other queue.
+        #[test]
+        fn the_reduced_table_keeps_the_latest_cross_queue_edge_per_task(
+            spec in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec(any::<usize>(), 0..24)),
+                1..64,
+            )
+        ) {
+            let graph = graph(&spec);
+            let engine = RpuEngine::new(RpuConfig::ciflow_baseline());
+            let plan = engine.plan(&graph);
+            prop_assert!(plan.folds());
+            let costs = costs(&engine, graph.tasks(), &plan);
+            let reduced = reduced(&costs, plan.dependents_table());
+            let mut kept = vec![None; costs.len()];
+            for d in 0..costs.len() {
+                for &c in reduced.of(d) {
+                    let c = c as usize;
+                    prop_assert!(kept[c].replace(d).is_none(), "task {} keeps two edges", c);
+                    prop_assert_ne!(costs[d].queue(), costs[c].queue());
+                }
+            }
+            for (c, task) in graph.tasks().iter().enumerate() {
+                let latest = (task.dependencies.iter().copied())
+                    .filter(|&d| costs[d].queue() != costs[c].queue())
+                    .max();
+                prop_assert_eq!(kept[c], latest, "task {}", c);
+            }
+        }
+    }
 }

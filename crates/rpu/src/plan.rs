@@ -143,13 +143,62 @@ impl BufferKeys {
     }
 }
 
+/// A dependents table in compressed sparse row form: the tasks a task's
+/// finish is pushed to, in program order, for every task of one graph.
+#[derive(Debug, Clone)]
+pub(crate) struct DependentsTable {
+    offsets: Vec<u32>,
+    dependents: Vec<u32>,
+}
+
+impl DependentsTable {
+    /// The table of `n` tasks in which task `at` depends on each task of
+    /// `dependencies(at)`, and whether every dependency points backward. A
+    /// dependency out of range has no entry (and does not point backward).
+    pub(crate) fn from_dependencies<'a>(
+        n: usize,
+        dependencies: impl Fn(usize) -> &'a [TaskId],
+    ) -> (Self, bool) {
+        let mut offsets = vec![0u32; n + 1];
+        let mut backward = true;
+        for at in 0..n {
+            for &d in dependencies(at) {
+                backward &= d < at;
+                if d < n {
+                    offsets[d + 1] += 1;
+                }
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut dependents = vec![0u32; offsets[n] as usize];
+        let mut cursor = offsets.clone();
+        for at in 0..n {
+            for &d in dependencies(at).iter().filter(|&&d| d < n) {
+                dependents[cursor[d] as usize] = at as u32;
+                cursor[d] += 1;
+            }
+        }
+        let table = Self {
+            offsets,
+            dependents,
+        };
+        (table, backward)
+    }
+
+    /// The tasks that depend on `task`, in program order.
+    pub(crate) fn of(&self, task: TaskId) -> &[u32] {
+        &self.dependents[self.offsets[task] as usize..self.offsets[task + 1] as usize]
+    }
+}
+
 /// The channel-independent half of a plan.
 #[derive(Debug)]
 struct PlanCore {
     compute_queue: Vec<u32>,
     dependency_count: Vec<u32>,
-    dependent_offsets: Vec<u32>,
-    dependents: Vec<u32>,
+    dependents: DependentsTable,
     /// Every dependency points backward (so also into the graph).
     in_program_order: bool,
     total_ops: u64,
@@ -165,27 +214,8 @@ impl PlanCore {
         // An out-of-range dependency still counts — its task never becomes
         // ready, which the engine reports as a deadlock — but has no
         // dependents entry to index out of bounds with.
-        let mut dependent_offsets = vec![0u32; n + 1];
-        let mut in_program_order = true;
-        for (at, task) in tasks.iter().enumerate() {
-            for &d in &task.dependencies {
-                in_program_order &= d < at;
-                if d < n {
-                    dependent_offsets[d + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            dependent_offsets[i + 1] += dependent_offsets[i];
-        }
-        let mut dependents = vec![0u32; dependent_offsets[n] as usize];
-        let mut cursor = dependent_offsets.clone();
-        for (at, task) in (0u32..).zip(tasks) {
-            for &d in task.dependencies.iter().filter(|&&d| d < n) {
-                dependents[cursor[d] as usize] = at;
-                cursor[d] += 1;
-            }
-        }
+        let (dependents, in_program_order) =
+            DependentsTable::from_dependencies(n, |at| &tasks[at].dependencies);
         Self {
             compute_queue: (0u32..)
                 .zip(tasks)
@@ -194,7 +224,6 @@ impl PlanCore {
                 .collect(),
             dependency_count: tasks.iter().map(|t| t.dependencies.len() as u32).collect(),
             in_program_order,
-            dependent_offsets,
             dependents,
             total_ops: graph.total_ops(),
             total_bytes: graph.total_bytes(),
@@ -332,8 +361,12 @@ impl ExecPlan {
 
     /// The tasks that depend on `task`, in program order.
     pub(crate) fn dependents(&self, task: TaskId) -> &[u32] {
-        let offsets = &self.core.dependent_offsets;
-        &self.core.dependents[offsets[task] as usize..offsets[task + 1] as usize]
+        self.core.dependents.of(task)
+    }
+
+    /// Every task's dependents, as one table.
+    pub(crate) fn dependents_table(&self) -> &DependentsTable {
+        &self.core.dependents
     }
 
     /// Whether the program-order fold is this plan's exact timeline: one

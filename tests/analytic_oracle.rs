@@ -82,7 +82,7 @@ fn first_divergence(
         .with_channel_map(engine.channel_map().clone())
         .execute(graph)
         .expect("oracle graphs do not deadlock");
-    let Some(replayed) = timeline.sampled_times(bandwidth_gbps) else {
+    let Some(replayed) = timeline.sampled_times(graph, bandwidth_gbps) else {
         return format!("no fold at {bandwidth_gbps} GB/s (engine path)");
     };
     let mut by_task = vec![None; graph.len()];

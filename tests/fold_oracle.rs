@@ -15,14 +15,21 @@
 //! - a forward dependency that deadlocks, and a dangling one;
 //! - NaN and zero MODOPS and bandwidth, whose non-finite times only the
 //!   loop reports (with the first task to issue one).
+//!
+//! A second property stresses the reduced dependents table the timeline
+//! folds through, which keeps one edge per task (its latest dependency in
+//! the other queue): wide fan-in mostly on the task's own queue, unsorted
+//! lists with repeats, and tasks of zero size whose finish equals their
+//! queue's free time exactly. `evaluate`, `evaluate_many` and
+//! `sampled_times` must all match the engine bit for bit there.
 
-use common::random_valid_tasks;
+use common::{assert_stats_bit_identical, random_valid_tasks};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rpu::{
     ComputeKind, EngineError, EvkPolicy, ExecutionStats, MemoryDirection, RpuConfig, RpuEngine,
-    Task, TaskGraph,
+    Task, TaskGraph, TaskKind,
 };
 
 #[path = "common/mod.rs"]
@@ -137,6 +144,109 @@ fn check(tasks: Vec<Task>, context: &str) {
                 assert_same(&Ok(timeline.evaluate(bw)), &looped, context);
             }
         }
+    }
+}
+
+/// A valid graph of `n` tasks that stresses the reduced fold: each task
+/// draws up to 24 dependencies, four in five from its own queue, kept
+/// unsorted and with repeats, and about one task in three has zero ops or
+/// bytes.
+fn wide_fan_in_tasks(rng: &mut StdRng, n: usize) -> Vec<Task> {
+    let mut tasks: Vec<Task> = Vec::with_capacity(n);
+    for id in 0..n {
+        let compute = rng.gen_bool(0.5);
+        let (own, other): (Vec<usize>, Vec<usize>) =
+            (0..id).partition(|&j| tasks[j].is_compute() == compute);
+        let fan_in = if id == 0 { 0 } else { rng.gen_range(0..=24) };
+        let dependencies = (0..fan_in)
+            .map(|_| {
+                let pool = if other.is_empty() || (!own.is_empty() && rng.gen_bool(0.8)) {
+                    &own
+                } else {
+                    &other
+                };
+                pool[rng.gen_range(0..pool.len())]
+            })
+            .collect();
+        let size = if rng.gen_bool(0.3) {
+            0
+        } else {
+            rng.gen_range(1u64..10_000)
+        };
+        tasks.push(Task {
+            id,
+            kind: if compute {
+                TaskKind::Compute {
+                    kind: ComputeKind::Ntt,
+                    ops: size,
+                }
+            } else {
+                TaskKind::Memory {
+                    direction: MemoryDirection::Load,
+                    bytes: size,
+                }
+            },
+            dependencies,
+            label: format!("t{id}").into(),
+            stage: "P1".into(),
+            channel: None,
+        });
+    }
+    tasks
+}
+
+/// Holds a folding timeline to the engine's traced run at every point of a
+/// 19-point ladder (two whole eight-lane chunks and a remainder of three):
+/// `evaluate_many`, `evaluate` and every task's `sampled_times` span.
+fn check_reduced_fold(tasks: Vec<Task>, context: &str) {
+    let graph = TaskGraph::from_tasks(tasks).expect("every dependency points backward");
+    let timeline = RpuEngine::new(one_channel(64.0, 1.0))
+        .analyze(&graph, 4.0, 64.0)
+        .expect("a valid one-channel graph runs");
+    assert_eq!(
+        timeline.segments().len(),
+        1,
+        "{context}: the timeline folds"
+    );
+    let ladder: Vec<f64> = (0..19).map(|i| 4.0 * 1.17f64.powi(i)).collect();
+    let laned = timeline.evaluate_many(&ladder);
+    assert_eq!(laned.len(), ladder.len());
+    for (&bw, laned) in ladder.iter().zip(&laned) {
+        let run = RpuEngine::new(one_channel(bw, 1.0))
+            .execute(&graph)
+            .expect("a valid one-channel graph runs");
+        assert_same(&Ok(laned.clone()), &Ok(run.stats.clone()), context);
+        assert_stats_bit_identical(laned, &run.stats);
+        assert_stats_bit_identical(&timeline.evaluate(bw), &run.stats);
+        let spans = timeline
+            .sampled_times(&graph, bw)
+            .expect("the timeline folds");
+        assert_eq!(spans.len(), graph.len(), "{context}");
+        let mut engine_spans = vec![None; graph.len()];
+        for record in run.trace.records() {
+            engine_spans[record.task] = Some((record.start_seconds, record.end_seconds));
+        }
+        for span in &spans {
+            let (start, end) = engine_spans[span.task].expect("the engine ran every task");
+            assert_eq!(
+                (span.start_seconds.to_bits(), span.end_seconds.to_bits()),
+                (start.to_bits(), end.to_bits()),
+                "{context}: task {} at {bw} GB/s",
+                span.task
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fold through the reduced dependents table agrees with the event
+    /// loop where most edges stay in one queue and many finishes tie.
+    #[test]
+    fn the_reduced_fold_matches_the_event_loop_under_wide_fan_in(seed in 0u64..1024, n in 1usize..96) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        check_reduced_fold(wide_fan_in_tasks(&mut rng, n), &format!("seed {seed}, {n} tasks"));
     }
 }
 
