@@ -468,6 +468,14 @@ fn forwarding_eligible(
 /// `RotationBatch { count: 0 }`), propagates the strategy's build error, and
 /// reports [`CiflowError::Graph`] if stitching produces an inconsistent
 /// graph (a fusion-layer bug).
+///
+/// # Invariant
+///
+/// The per-kernel schedules' DRAM traffic, summed over the kernels, is
+/// exactly the stitched graph's traffic plus
+/// [`forwarded_bytes`](WorkloadSchedule::forwarded_bytes): stitching
+/// removes only the chained stores and input loads that forwarding splices
+/// out, and counts each one's bytes in its boundary's entry.
 pub fn build_workload(
     workload: &Workload,
     strategy: &dyn ScheduleStrategy,
@@ -601,8 +609,8 @@ pub fn build_workload(
     // Accumulated per boundary, never derived by one big subtraction: with
     // heterogeneous templates the per-kernel traffic varies, and
     // `kernels * template_bytes − actual` would underflow. The invariant
-    // still holds and is checked: the per-kernel template traffic minus the
-    // stitched traffic is exactly the forwarded total.
+    // (see the function's docs) is asserted here in debug builds only; the
+    // `workload_pipelines` suite holds it on every preset in release too.
     let forwarded_bytes: u64 = boundary_forwarded_bytes.iter().sum();
     let mut template_traffic = 0u64;
     let mut peak_on_chip_bytes = 0u64;

@@ -24,15 +24,13 @@
 //! bandwidth: the affine view of the same fold anchored at the top of the
 //! analyzed range.
 //!
-//! Evaluations push finishes along one edge per task: its latest dependency
-//! in the other queue (`fold::reduced`, built once per timeline). A
-//! dependency in the task's own queue finishes no later than that queue's
-//! free time, because finishes never decrease along an in-order queue when
-//! no duration is negative; an earlier dependency in the other queue
-//! finishes no later than the latest one. `max` is exact, so dropping those
-//! edges changes no value (a negative MODOPS rate keeps every edge). The
-//! affine view keeps the full table, as the bound's passes and knee probe
-//! do: its clock breaks value ties by which predecessor wins.
+//! Evaluations read one edge per task: each task pulls its ready time from
+//! its latest dependency in the other queue (`fold::kept`, built once per
+//! timeline, says why no other edge can set a start) and writes its own
+//! finish. A negative MODOPS rate breaks that rule, and then evaluations
+//! fold through the plan's full dependents table. The affine view keeps the
+//! full table, as the bound's passes and knee probe do: its clock breaks
+//! value ties by which predecessor wins.
 //!
 //! ## Otherwise: the engine per point
 //!
@@ -60,7 +58,7 @@
 use crate::config::{assert_valid_bandwidth, validate_bandwidth};
 use crate::engine::{EngineError, RpuEngine};
 use crate::fold::{self, fold, Clock, Cost, Seconds, Sym};
-use crate::plan::{DependentsTable, ExecPlan};
+use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::TaskGraph;
 use crate::trace::{EngineQueue, TaskRecord};
@@ -231,9 +229,10 @@ enum Timing {
         segment: Segment,
         /// Each task's cost, as the fold reads it.
         costs: Vec<Cost>,
-        /// The plan's dependents [`fold::reduced`] to the edges that can
-        /// set a start.
-        dependents: DependentsTable,
+        /// Each task's [`fold::kept`] dependency, the one edge that can set
+        /// its start; `None` where a compute duration is negative, and
+        /// evaluations fold through the plan's full dependents table.
+        kept: Option<Vec<u32>>,
     },
     /// The event engine runs every point.
     Engine { engine: RpuEngine, graph: TaskGraph },
@@ -286,11 +285,15 @@ impl ParametricTimeline {
     pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
         assert_valid_bandwidth(bandwidth_gbps);
         match &self.timing {
-            Timing::Fold {
-                costs, dependents, ..
-            } => {
-                let ready = &mut vec![[0.0]; costs.len()];
-                let [stats] = fold::stats(costs, &self.plan, dependents, &[bandwidth_gbps], ready);
+            Timing::Fold { costs, kept, .. } => {
+                let finish = &mut vec![[0.0]; costs.len() + 1];
+                let [stats] = fold::stats(
+                    costs,
+                    &self.plan,
+                    kept.as_deref(),
+                    &[bandwidth_gbps],
+                    finish,
+                );
                 stats
             }
             Timing::Engine { engine, graph } => self.run_engine(engine, graph, bandwidth_gbps),
@@ -314,10 +317,8 @@ impl ParametricTimeline {
             .iter()
             .copied()
             .for_each(assert_valid_bandwidth);
-        let (costs, dependents) = match &self.timing {
-            Timing::Fold {
-                costs, dependents, ..
-            } => (costs, dependents),
+        let (costs, kept) = match &self.timing {
+            Timing::Fold { costs, kept, .. } => (costs, kept.as_deref()),
             Timing::Engine { engine, graph } => {
                 return bandwidths_gbps
                     .iter()
@@ -325,17 +326,17 @@ impl ParametricTimeline {
                     .collect();
             }
         };
-        let n = costs.len();
+        let n = costs.len() + 1;
         let mut lanes = vec![[0.0; LANES]; n];
         let mut out = Vec::with_capacity(bandwidths_gbps.len());
         let mut chunks = bandwidths_gbps.chunks_exact(LANES);
         for chunk in &mut chunks {
             let bws: &[f64; LANES] = chunk.try_into().expect("chunk has LANES entries");
-            out.extend(fold::stats(costs, &self.plan, dependents, bws, &mut lanes));
+            out.extend(fold::stats(costs, &self.plan, kept, bws, &mut lanes));
         }
         let mut scratch = vec![[0.0]; n];
         for &b in chunks.remainder() {
-            let [stats] = fold::stats(costs, &self.plan, dependents, &[b], &mut scratch);
+            let [stats] = fold::stats(costs, &self.plan, kept, &[b], &mut scratch);
             out.push(stats);
         }
         out
@@ -353,10 +354,7 @@ impl ParametricTimeline {
     #[must_use]
     pub fn sampled_times(&self, graph: &TaskGraph, bandwidth_gbps: f64) -> Option<SampledTimes> {
         validate_bandwidth(bandwidth_gbps).ok()?;
-        let Timing::Fold {
-            costs, dependents, ..
-        } = &self.timing
-        else {
+        let Timing::Fold { costs, kept, .. } = &self.timing else {
             return None;
         };
         let tasks = graph.tasks();
@@ -365,14 +363,13 @@ impl ParametricTimeline {
         }
         let mut records = Vec::with_capacity(tasks.len());
         let clock = &mut Seconds::gbps(&[bandwidth_gbps]);
-        let ready = &mut vec![[0.0]; tasks.len()];
-        fold(
+        let finish = &mut vec![[0.0]; tasks.len() + 1];
+        fold::pull(
             clock,
             costs,
             &self.plan,
-            dependents,
-            true,
-            ready,
+            kept.as_deref(),
+            finish,
             |t, cost, [start], [end], _| {
                 records.push(TaskRecord {
                     task: t,
@@ -469,11 +466,11 @@ impl RpuEngine {
         let folded = plan.folds().then(|| {
             let costs = fold::costs(self, graph.tasks(), &plan);
             let segment = derive_segment(&costs, &plan, lo_gbps, hi_gbps)?;
-            let dependents = fold::reduced(&costs, plan.dependents_table());
+            let kept = fold::kept(&costs, &plan);
             Some(Timing::Fold {
                 segment,
                 costs,
-                dependents,
+                kept,
             })
         });
         let timing = match folded.flatten() {
@@ -514,15 +511,9 @@ fn derive_segment(costs: &[Cost], plan: &ExecPlan, lo_gbps: f64, hi_gbps: f64) -
     };
     let ready = &mut vec![Affine::ZERO; costs.len()];
     let mut finite = true;
-    let makespan = fold(
-        &mut clock,
-        costs,
-        plan,
-        plan.dependents_table(),
-        true,
-        ready,
-        |_, _, _, end, _| finite &= end.v.is_finite(),
-    );
+    let makespan = fold(&mut clock, costs, plan, true, ready, |_, _, _, end, _| {
+        finite &= end.v.is_finite();
+    });
     if !finite {
         return None;
     }
@@ -722,6 +713,13 @@ mod tests {
                     record.task
                 );
             }
+        }
+        // Nine points: one whole eight-lane chunk through the full table,
+        // and a remainder of one.
+        let ladder = [1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0];
+        for (stats, &bw) in timeline.evaluate_many(&ladder).iter().zip(&ladder) {
+            assert_bit_identical(&engine, &g, &timeline, bw);
+            assert_eq!(*stats, timeline.evaluate(bw), "at {bw} GB/s");
         }
     }
 

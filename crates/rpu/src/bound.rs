@@ -360,7 +360,6 @@ impl<'a> Placed<'a> {
             clock,
             &self.costs,
             self.plan,
-            self.plan.dependents_table(),
             queues,
             ready,
             |t, cost, start, end, d| {
@@ -583,15 +582,7 @@ fn derive_knee(
         let clock = &mut Probe {
             inv: 1.0 / (knee * (1.0 + 1e-9)),
         };
-        let Sym { c, m, .. } = fold(
-            clock,
-            costs,
-            plan,
-            plan.dependents_table(),
-            queues,
-            ready,
-            |_, _, _, _, _| {},
-        );
+        let Sym { c, m, .. } = fold(clock, costs, plan, queues, ready, |_, _, _, _, _| {});
         if m <= 0.0 {
             break;
         }

@@ -14,7 +14,7 @@
 //! [`fold`] is that walk, generic over its [`Clock`]. [`Seconds`] carries `L`
 //! bandwidths at once, each lane doing a single run's arithmetic; the
 //! analytic timeline's and the bound's knee-probe clocks carry each time's
-//! affine form in inverse bandwidth ([`Sym`]). The fold serves:
+//! affine form in inverse bandwidth ([`Sym`]). The walk serves:
 //!
 //! - the analytic timeline's evaluations, through [`stats`], and its affine
 //!   view;
@@ -22,20 +22,20 @@
 //!   probe, at any channel count. There each channel keeps its own free
 //!   time, which is the augmented graph's queue-predecessor edge.
 //!
-//! The fold pushes each finish through a dependents table it is given. The
-//! analytic timeline's evaluations pass a table [`reduced`] once per
-//! timeline to one edge per task, its latest dependency in the other queue:
-//! on in-order queues with no negative duration no other edge can set a
-//! start, and `max` is exact, so no bit moves. The affine view, the bound's
-//! passes and the knee probe pass the plan's full table: their clocks break
-//! value ties by which predecessor wins, which dropped edges could change.
+//! [`fold`] pushes each finish through the plan's dependents table. The
+//! analytic timeline's evaluations instead [`pull`] each start from one
+//! edge per task, found once per timeline ([`kept`]): the task's latest
+//! dependency in the other queue, the only one that can set its start. The
+//! affine view, the bound's passes and the knee probe fold through the full
+//! table: their clocks break value ties by which predecessor wins, which
+//! reading one edge could change.
 //!
 //! The engine itself always runs its event loop ([`crate::engine`]), the
 //! reference for several channels, graphs with a forward or dangling
 //! dependency, and runs whose times come out non-finite.
 
 use crate::engine::RpuEngine;
-use crate::plan::{DependentsTable, ExecPlan};
+use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::{Task, TaskId, TaskKind};
 
@@ -129,8 +129,9 @@ impl<const L: usize> Clock for Seconds<L> {
     const ZERO: [f64; L] = [0.0; L];
 
     /// `f64::max` lane by lane, written as the one comparison a vector max
-    /// instruction makes: the fold only ever passes a running maximum as
-    /// `a`, which starts at zero and so is never NaN, and then both forms
+    /// instruction makes: the walks only ever pass as `a` a running maximum,
+    /// which starts at zero, or a finish of a timeline that folds, whose
+    /// durations are never NaN; `a` is never NaN, and then both forms
     /// agree.
     fn later(&mut self, a: [f64; L], b: [f64; L]) -> [f64; L] {
         std::array::from_fn(|l| if b[l] > a[l] { b[l] } else { a[l] })
@@ -150,10 +151,9 @@ impl<const L: usize> Clock for Seconds<L> {
 
 /// Walks `plan`'s tasks in program order and returns the makespan. Each task
 /// starts at the later of its ready time and, with `queues`, its queue's
-/// free time; its finish raises its dependents' ready times through
-/// `dependents`: the plan's own table, or [`reduced`] from it. `retired`
-/// sees each task's cost, start, finish and duration. `ready` (one entry
-/// per task) is scratch.
+/// free time; its finish raises its dependents' ready times through the
+/// plan's dependents table. `retired` sees each task's cost, start, finish
+/// and duration. `ready` (one entry per task) is scratch.
 ///
 /// A dependency that points forward never reaches its dependent, whose
 /// walk is already done: on such a graph the fold is not the engine's
@@ -162,7 +162,6 @@ pub(crate) fn fold<C: Clock>(
     clock: &mut C,
     costs: &[Cost],
     plan: &ExecPlan,
-    dependents: &DependentsTable,
     queues: bool,
     ready: &mut [C::Time],
     mut retired: impl FnMut(TaskId, Cost, C::Time, C::Time, C::Time),
@@ -179,7 +178,7 @@ pub(crate) fn fold<C: Clock>(
         };
         let duration = clock.duration(cost);
         let end = C::after(start, duration);
-        for &c in dependents.of(task) {
+        for &c in plan.dependents(task) {
             ready[c as usize] = clock.later(ready[c as usize], end);
         }
         makespan = clock.later(makespan, end);
@@ -189,27 +188,91 @@ pub(crate) fn fold<C: Clock>(
     makespan
 }
 
+/// Each task's one dependency that can set its start in a one-channel
+/// [`fold`] of `costs`, plus one: its latest (highest-id) dependency in the
+/// other queue, or `0` for none. `None` when some compute duration is
+/// negative, where the rule does not hold.
+///
+/// The rule: a task starts at `max(ready, free)`, `free` its queue's last
+/// finish. Along an in-order queue finishes never decrease when no duration
+/// is negative: each start is at or after the previous finish, and adding a
+/// duration `>= 0` in `f64` cannot lower it. So a dependency in the task's
+/// own queue finishes no later than `free`, and an earlier dependency in
+/// the other queue no later than the latest one; `max` is exact, so the
+/// kept dependency's finish alone gives every start bit for bit.
+pub(crate) fn kept(costs: &[Cost], plan: &ExecPlan) -> Option<Vec<u32>> {
+    if costs
+        .iter()
+        .any(|&cost| matches!(cost, Cost::Compute(d) if d < 0.0))
+    {
+        return None;
+    }
+    let mut kept = vec![0; costs.len()];
+    for (d, cost) in costs.iter().enumerate() {
+        for &c in plan.dependents(d) {
+            if costs[c as usize].queue() != cost.queue() {
+                kept[c as usize] = d as u32 + 1;
+            }
+        }
+    }
+    Some(kept)
+}
+
+/// [`fold`] with queues on a one-channel plan, pulling each start from the
+/// task's [`kept`] dependency: a task reads `finish[kept]` (`finish[0]` is
+/// time zero, task `t`'s finish is `finish[t + 1]`), starts at
+/// `max(ready, free)` with the fold's operand order and writes its own
+/// finish, so no entry needs resetting between walks. `finish` holds one
+/// entry per task plus one. Without `kept` (a negative duration), folds
+/// through the plan's full table instead. Either way every value is the
+/// fold's, bit for bit.
+pub(crate) fn pull<C: Clock>(
+    clock: &mut C,
+    costs: &[Cost],
+    plan: &ExecPlan,
+    kept: Option<&[u32]>,
+    finish: &mut [C::Time],
+    mut retired: impl FnMut(TaskId, Cost, C::Time, C::Time, C::Time),
+) -> C::Time {
+    let Some(kept) = kept else {
+        return fold(clock, costs, plan, true, finish, retired);
+    };
+    finish[0] = C::ZERO;
+    let mut free = [C::ZERO; 2];
+    let mut makespan = C::ZERO;
+    for (task, (&cost, &dependency)) in costs.iter().zip(kept).enumerate() {
+        let queue = cost.queue();
+        let start = clock.later(finish[dependency as usize], free[queue]);
+        let duration = clock.duration(cost);
+        let end = C::after(start, duration);
+        finish[task + 1] = end;
+        makespan = clock.later(makespan, end);
+        free[queue] = end;
+        retired(task, cost, start, end, duration);
+    }
+    makespan
+}
+
 /// The execution statistics of a one-channel plan at `L` bandwidths: the
-/// fold's makespan, and each queue's busy time summed as `end - start` in
-/// program order, which is the engine's issue order there. Bit-identical to
-/// the event engine wherever every time is finite (see [`ExecPlan::folds`]),
-/// through the plan's own dependents table or one [`reduced`] from it. A
-/// plan on several channels has more queues than this sums, and panics.
+/// [`pull`] walk's makespan, and each queue's busy time summed as
+/// `end - start` in program order, which is the engine's issue order there.
+/// Bit-identical to the event engine wherever every time is finite (see
+/// [`ExecPlan::folds`]). A plan on several channels has more queues than
+/// this sums, and panics.
 pub(crate) fn stats<const L: usize>(
     costs: &[Cost],
     plan: &ExecPlan,
-    dependents: &DependentsTable,
+    kept: Option<&[u32]>,
     bandwidths_gbps: &[f64; L],
-    ready: &mut [[f64; L]],
+    finish: &mut [[f64; L]],
 ) -> [ExecutionStats; L] {
     let mut busy = [[0.0f64; L]; 2];
-    let makespan = fold(
+    let makespan = pull(
         &mut Seconds::gbps(bandwidths_gbps),
         costs,
         plan,
-        dependents,
-        true,
-        ready,
+        kept,
+        finish,
         |_, cost, start, end, _| {
             let busy = &mut busy[cost.queue()];
             for l in 0..L {
@@ -225,41 +288,6 @@ pub(crate) fn stats<const L: usize>(
         memory_channel_busy_seconds: vec![busy[1][l]],
         ..template.clone()
     })
-}
-
-/// The edges of `full` (a one-channel plan's dependents table) that can set
-/// a start in a queue [`fold`] of `costs`: for each task, only its latest
-/// (highest-id) dependency in the other queue. At most one edge per task.
-///
-/// The fold over the result computes every value of the fold over `full`,
-/// bit for bit. A task starts at `max(ready, free)`, `free` its queue's
-/// last finish. Along an in-order queue finishes never decrease when no
-/// duration is negative: each start is at or after the previous finish, and
-/// adding a duration `>= 0` in `f64` cannot lower it. So a dependency in the
-/// task's own queue finishes no later than `free`, and an earlier
-/// dependency in the other queue no later than the latest one; `max` is
-/// exact, so dropping both changes no value. A negative compute duration (a
-/// negative MODOPS rate) breaks the premise, and then every edge is kept.
-///
-/// Only a fold whose `max` is symmetric may drop edges: the affine clock
-/// and the bound's knee probe break value ties by which predecessor wins,
-/// so they keep the full table.
-pub(crate) fn reduced(costs: &[Cost], full: &DependentsTable) -> DependentsTable {
-    if costs
-        .iter()
-        .any(|&cost| matches!(cost, Cost::Compute(d) if d < 0.0))
-    {
-        return full.clone();
-    }
-    let mut latest = vec![None; costs.len()];
-    for (d, cost) in costs.iter().enumerate() {
-        for &c in full.of(d) {
-            if costs[c as usize].queue() != cost.queue() {
-                latest[c as usize] = Some(d);
-            }
-        }
-    }
-    DependentsTable::from_dependencies(costs.len(), |c| latest[c].as_slice()).0
 }
 
 #[cfg(test)]
@@ -301,10 +329,10 @@ mod tests {
     }
 
     proptest! {
-        /// On one channel the reduced table keeps, for each task, exactly its
-        /// latest dependency in the other queue.
+        /// On one channel each task keeps exactly its latest dependency in
+        /// the other queue, or none.
         #[test]
-        fn the_reduced_table_keeps_the_latest_cross_queue_edge_per_task(
+        fn each_task_keeps_its_latest_cross_queue_dependency(
             spec in proptest::collection::vec(
                 (any::<bool>(), proptest::collection::vec(any::<usize>(), 0..24)),
                 1..64,
@@ -315,20 +343,13 @@ mod tests {
             let plan = engine.plan(&graph);
             prop_assert!(plan.folds());
             let costs = costs(&engine, graph.tasks(), &plan);
-            let reduced = reduced(&costs, plan.dependents_table());
-            let mut kept = vec![None; costs.len()];
-            for d in 0..costs.len() {
-                for &c in reduced.of(d) {
-                    let c = c as usize;
-                    prop_assert!(kept[c].replace(d).is_none(), "task {} keeps two edges", c);
-                    prop_assert_ne!(costs[d].queue(), costs[c].queue());
-                }
-            }
+            let kept = kept(&costs, &plan).expect("no duration is negative");
+            prop_assert_eq!(kept.len(), costs.len());
             for (c, task) in graph.tasks().iter().enumerate() {
                 let latest = (task.dependencies.iter().copied())
                     .filter(|&d| costs[d].queue() != costs[c].queue())
                     .max();
-                prop_assert_eq!(kept[c], latest, "task {}", c);
+                prop_assert_eq!(kept[c], latest.map_or(0, |d| d as u32 + 1), "task {}", c);
             }
         }
     }

@@ -145,8 +145,8 @@ impl BufferKeys {
 
 /// A dependents table in compressed sparse row form: the tasks a task's
 /// finish is pushed to, in program order, for every task of one graph.
-#[derive(Debug, Clone)]
-pub(crate) struct DependentsTable {
+#[derive(Debug)]
+struct DependentsTable {
     offsets: Vec<u32>,
     dependents: Vec<u32>,
 }
@@ -155,7 +155,7 @@ impl DependentsTable {
     /// The table of `n` tasks in which task `at` depends on each task of
     /// `dependencies(at)`, and whether every dependency points backward. A
     /// dependency out of range has no entry (and does not point backward).
-    pub(crate) fn from_dependencies<'a>(
+    fn from_dependencies<'a>(
         n: usize,
         dependencies: impl Fn(usize) -> &'a [TaskId],
     ) -> (Self, bool) {
@@ -188,7 +188,7 @@ impl DependentsTable {
     }
 
     /// The tasks that depend on `task`, in program order.
-    pub(crate) fn of(&self, task: TaskId) -> &[u32] {
+    fn of(&self, task: TaskId) -> &[u32] {
         &self.dependents[self.offsets[task] as usize..self.offsets[task + 1] as usize]
     }
 }
@@ -362,11 +362,6 @@ impl ExecPlan {
     /// The tasks that depend on `task`, in program order.
     pub(crate) fn dependents(&self, task: TaskId) -> &[u32] {
         self.core.dependents.of(task)
-    }
-
-    /// Every task's dependents, as one table.
-    pub(crate) fn dependents_table(&self) -> &DependentsTable {
-        &self.core.dependents
     }
 
     /// Whether the program-order fold is this plan's exact timeline: one

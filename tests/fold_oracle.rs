@@ -16,11 +16,13 @@
 //! - NaN and zero MODOPS and bandwidth, whose non-finite times only the
 //!   loop reports (with the first task to issue one).
 //!
-//! A second property stresses the reduced dependents table the timeline
-//! folds through, which keeps one edge per task (its latest dependency in
-//! the other queue): wide fan-in mostly on the task's own queue, unsorted
-//! lists with repeats, and tasks of zero size whose finish equals their
-//! queue's free time exactly. `evaluate`, `evaluate_many` and
+//! A second property stresses the pull walk the timeline evaluates with,
+//! which reads one edge per task (its latest dependency in the other queue):
+//! wide fan-in mostly on the task's own queue, so many tasks have no
+//! dependency in the other queue, unsorted lists with repeats, and tasks of
+//! zero size whose finish equals their queue's free time exactly.
+//! `evaluate`, `evaluate_many` over ladders of every length around the
+//! eight-lane chunk (and an unsorted one with repeats), `execute_stats` and
 //! `sampled_times` must all match the engine bit for bit there.
 
 use common::{assert_stats_bit_identical, random_valid_tasks};
@@ -147,7 +149,7 @@ fn check(tasks: Vec<Task>, context: &str) {
     }
 }
 
-/// A valid graph of `n` tasks that stresses the reduced fold: each task
+/// A valid graph of `n` tasks that stresses the pull walk: each task
 /// draws up to 24 dependencies, four in five from its own queue, kept
 /// unsorted and with repeats, and about one task in three has zero ops or
 /// bytes.
@@ -195,10 +197,17 @@ fn wide_fan_in_tasks(rng: &mut StdRng, n: usize) -> Vec<Task> {
     tasks
 }
 
-/// Holds a folding timeline to the engine's traced run at every point of a
-/// 19-point ladder (two whole eight-lane chunks and a remainder of three):
-/// `evaluate_many`, `evaluate` and every task's `sampled_times` span.
-fn check_reduced_fold(tasks: Vec<Task>, context: &str) {
+/// The ladder lengths the pull walk is held at: one point, and one under,
+/// at and over one and two whole eight-lane chunks.
+const LADDER_LENGTHS: [usize; 7] = [1, 7, 8, 9, 15, 16, 17];
+
+/// Holds a folding timeline to the engine at 17 bandwidths, inside and
+/// above the analyzed range: at each, the statistics-only run, the traced
+/// run and per-point `evaluate` agree bit for bit, and every task's
+/// `sampled_times` span is the traced run's. Then `evaluate_many` over the
+/// first 1, 7, 8, 9, 15, 16 and 17 of them, and over an unsorted ladder with
+/// repeats, returns each point's statistics bit for bit.
+fn check_pull_walk(tasks: Vec<Task>, context: &str) {
     let graph = TaskGraph::from_tasks(tasks).expect("every dependency points backward");
     let timeline = RpuEngine::new(one_channel(64.0, 1.0))
         .analyze(&graph, 4.0, 64.0)
@@ -208,15 +217,16 @@ fn check_reduced_fold(tasks: Vec<Task>, context: &str) {
         1,
         "{context}: the timeline folds"
     );
-    let ladder: Vec<f64> = (0..19).map(|i| 4.0 * 1.17f64.powi(i)).collect();
-    let laned = timeline.evaluate_many(&ladder);
-    assert_eq!(laned.len(), ladder.len());
-    for (&bw, laned) in ladder.iter().zip(&laned) {
-        let run = RpuEngine::new(one_channel(bw, 1.0))
+    let base: Vec<f64> = (0..17).map(|i| 4.0 * 1.3f64.powi(i)).collect();
+    let mut reference = Vec::with_capacity(base.len());
+    for &bw in &base {
+        let engine = RpuEngine::new(one_channel(bw, 1.0));
+        let run = engine
             .execute(&graph)
             .expect("a valid one-channel graph runs");
-        assert_same(&Ok(laned.clone()), &Ok(run.stats.clone()), context);
-        assert_stats_bit_identical(laned, &run.stats);
+        let stats = engine.execute_stats(&graph).expect("the traced run ran");
+        assert_same(&Ok(stats.clone()), &Ok(run.stats.clone()), context);
+        assert_stats_bit_identical(&stats, &run.stats);
         assert_stats_bit_identical(&timeline.evaluate(bw), &run.stats);
         let spans = timeline
             .sampled_times(&graph, bw)
@@ -235,18 +245,38 @@ fn check_reduced_fold(tasks: Vec<Task>, context: &str) {
                 span.task
             );
         }
+        reference.push(stats);
+    }
+    let unsorted = [9, 3, 16, 3, 0, 12, 9, 9, 5, 16, 1, 0, 7];
+    let ladders =
+        (LADDER_LENGTHS.iter().map(|&n| (0..n).collect::<Vec<_>>())).chain([unsorted.to_vec()]);
+    for points in ladders {
+        let ladder: Vec<f64> = points.iter().map(|&i| base[i]).collect();
+        let laned = timeline.evaluate_many(&ladder);
+        assert_eq!(laned.len(), ladder.len(), "{context}");
+        for (&i, laned) in points.iter().zip(&laned) {
+            let context = format!(
+                "{context}: {} GB/s in a {}-point ladder",
+                base[i],
+                ladder.len()
+            );
+            assert_same(&Ok(laned.clone()), &Ok(reference[i].clone()), &context);
+            assert_stats_bit_identical(laned, &reference[i]);
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fold through the reduced dependents table agrees with the event
-    /// loop where most edges stay in one queue and many finishes tie.
+    /// The pull walk through each task's one kept dependency agrees with
+    /// the event loop where most edges stay in one queue, many tasks have
+    /// no dependency in the other queue and many finishes tie, at every
+    /// ladder length around the eight-lane chunk.
     #[test]
-    fn the_reduced_fold_matches_the_event_loop_under_wide_fan_in(seed in 0u64..1024, n in 1usize..96) {
+    fn the_pull_walk_matches_the_event_loop_on_every_ladder_shape(seed in 0u64..1024, n in 1usize..96) {
         let mut rng = StdRng::seed_from_u64(seed);
-        check_reduced_fold(wide_fan_in_tasks(&mut rng, n), &format!("seed {seed}, {n} tasks"));
+        check_pull_walk(wide_fan_in_tasks(&mut rng, n), &format!("seed {seed}, {n} tasks"));
     }
 }
 

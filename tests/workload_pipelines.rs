@@ -189,3 +189,57 @@ fn custom_strategies_pipeline_through_the_conservative_barrier() {
     assert_eq!(&*k1_load.label, "k1:opaque read");
     assert_eq!(k1_load.dependencies, vec![2]);
 }
+
+/// `build_workload`'s forwarding accounting, an invariant its own check
+/// asserts only in debug builds: the kernels' own schedules move exactly the
+/// stitched graph's DRAM traffic plus the forwarded bytes, and the forwarded
+/// total is the sum of the per-boundary entries. Held on every preset
+/// pipeline, dataflow, pipeline mode and evk policy; CI also runs it in
+/// release.
+#[test]
+fn forwarding_accounting_holds_on_every_preset_pipeline() {
+    use ciflow::schedule::{build_schedule, ScheduleConfig};
+    for benchmark in HksBenchmark::all() {
+        let presets = [
+            Workload::rotation_batch(benchmark, 3),
+            Workload::mul_rot_block(benchmark, 2),
+            Workload::bootstrap_key_switch(benchmark),
+            Workload::rescaling_chain(benchmark, 4),
+        ];
+        for evk_policy in [EvkPolicy::OnChip, EvkPolicy::Streamed] {
+            let config = ScheduleConfig {
+                evk_policy,
+                ..ScheduleConfig::default()
+            };
+            for workload in &presets {
+                for dataflow in Dataflow::all() {
+                    let template_traffic: u64 = (workload.kernel_benchmarks().into_iter())
+                        .map(|b| build_schedule(dataflow, &HksShape::new(b), &config).dram_bytes())
+                        .sum();
+                    for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
+                        let ws = build_workload(workload, &dataflow, &config, mode).unwrap();
+                        let context = format!("{} {dataflow} {mode} {evk_policy}", workload.name);
+                        assert_eq!(
+                            template_traffic,
+                            ws.schedule.dram_bytes() + ws.forwarded_bytes,
+                            "{context}"
+                        );
+                        assert_eq!(
+                            ws.forwarded_bytes,
+                            ws.boundary_forwarded_bytes.iter().sum::<u64>(),
+                            "{context}"
+                        );
+                        assert_eq!(
+                            ws.boundary_forwarded_bytes.len(),
+                            ws.kernels - 1,
+                            "{context}"
+                        );
+                        if mode == PipelineMode::BackToBack {
+                            assert_eq!(ws.forwarded_bytes, 0, "{context}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
