@@ -136,8 +136,9 @@ struct CachedPlan {
     evk_traffic: OnceLock<(u64, u64)>,
     /// Parametric timelines derived from the schedule
     /// ([`Session::run_analytic`]), keyed by the non-bandwidth knobs —
-    /// deriving one costs an engine run and an affine fold, so jobs sharing
-    /// a schedule share the piecewise description too.
+    /// deriving one costs a walk of the plan at the top of the range (or an
+    /// engine run there, where the walk does not time the plan), so jobs
+    /// sharing a schedule share it too.
     timelines: Mutex<HashMap<TimelineKey, Arc<ParametricTimeline>>>,
 }
 

@@ -240,12 +240,13 @@ impl std::fmt::Display for ServeReport {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice (`q` in 0..=100).
+/// Nearest-rank percentile over an ascending-sorted slice (`q` in 0..=100);
+/// `0.0` for an empty slice, as a run that completes no request reports.
 pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let n = sorted.len();
-    let rank = ((q / 100.0) * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[(((q / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1],
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +265,7 @@ mod tests {
         // Small samples clamp to the observed extremes.
         assert_eq!(percentile(&[1.0, 2.0], 1.0), 1.0);
         assert_eq!(percentile(&[1.0, 2.0], 99.0), 2.0);
+        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]

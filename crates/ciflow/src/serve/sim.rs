@@ -892,23 +892,15 @@ pub(crate) fn finish(
     let mut sorted_ms: Vec<f64> = records.iter().map(RequestRecord::latency_ms).collect();
     sorted_ms.sort_by(f64::total_cmp);
     // A faulted run can complete zero requests; its latency summary is all
-    // zeros rather than a panic.
-    let latency = if sorted_ms.is_empty() {
-        LatencySummary {
-            mean_ms: 0.0,
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            max_ms: 0.0,
-        }
-    } else {
-        LatencySummary {
-            mean_ms: sorted_ms.iter().sum::<f64>() / completed.max(1) as f64,
-            p50_ms: percentile(&sorted_ms, 50.0),
-            p95_ms: percentile(&sorted_ms, 95.0),
-            p99_ms: percentile(&sorted_ms, 99.0),
-            max_ms: *sorted_ms.last().expect("at least one request completed"),
-        }
+    // zeros rather than a panic. The mean sums from `+0.0`: `f64`'s `Sum`
+    // starts at `-0.0`, which would render as `-0` for no request. A latency
+    // is never `-0.0`, so over some requests both sums agree bit for bit.
+    let latency = LatencySummary {
+        mean_ms: sorted_ms.iter().fold(0.0, |sum, ms| sum + ms) / completed.max(1) as f64,
+        p50_ms: percentile(&sorted_ms, 50.0),
+        p95_ms: percentile(&sorted_ms, 95.0),
+        p99_ms: percentile(&sorted_ms, 99.0),
+        max_ms: sorted_ms.last().copied().unwrap_or(0.0),
     };
     let queue = QueueSummary {
         max_depth,

@@ -20,29 +20,25 @@
 //! each queue's busy time summed in the engine's order. That fold is the
 //! timeline [`RpuEngine::execute_stats`] computes on such a plan, so every
 //! evaluation is bit-identical to the engine, with no tolerance and no event
-//! loop per point. The timeline keeps one [`Segment`], valid at every
-//! bandwidth: the affine view of the same fold anchored at the top of the
-//! analyzed range.
+//! loop per point. Such a timeline holds one [`Segment`] marker.
 //!
 //! Evaluations read one edge per task: each task pulls its ready time from
 //! its latest dependency in the other queue (`fold::kept`, built once per
 //! timeline, says why no other edge can set a start) and writes its own
-//! finish. A negative MODOPS rate breaks that rule, and then evaluations
-//! fold through the plan's full dependents table. The affine view keeps the
-//! full table, as the bound's passes and knee probe do: its clock breaks
-//! value ties by which predecessor wins.
+//! finish.
 //!
 //! ## Otherwise: the engine per point
 //!
 //! With several channels the data path goes to the oldest
 //! *dependency-ready* channel head each time it frees, so which transfer
 //! wins depends on bandwidth; a graph with a forward dependency has no
-//! program-order walk. Such a timeline keeps no segment: every evaluation
-//! runs the event engine on the cached [`ExecPlan`] (exact, not
+//! program-order walk, and a negative compute duration (a negative MODOPS
+//! rate) breaks the one-edge rule. Such a timeline holds no segment: every
+//! evaluation runs the event engine on the cached [`ExecPlan`] (exact, not
 //! closed-form), and one engine run at the top of the range decides
-//! deadlock and non-finite times for every bandwidth. A plan the fold times
-//! cannot deadlock, and the affine fold at the top of the range computes
-//! the engine's values there, so the engine runs only if one of them is not
+//! deadlock and non-finite times for every bandwidth. A plan the walk times
+//! cannot deadlock, and one walk at the top of the range computes the
+//! engine's values there, so the engine runs only if one of them is not
 //! finite, to report its own error.
 //!
 //! ## Lanes
@@ -57,13 +53,12 @@
 
 use crate::config::{assert_valid_bandwidth, validate_bandwidth};
 use crate::engine::{EngineError, RpuEngine};
-use crate::fold::{self, fold, Clock, Cost, Seconds, Sym};
+use crate::fold::{self, Cost, Seconds};
 use crate::plan::ExecPlan;
 use crate::stats::ExecutionStats;
 use crate::task::TaskGraph;
 use crate::trace::{EngineQueue, TaskRecord};
-use std::cmp::Ordering;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Ladder evaluation batch width: [`ParametricTimeline::evaluate_many`]
@@ -71,128 +66,16 @@ use std::sync::Arc;
 /// dependency lookup across lanes.
 const LANES: usize = 8;
 
-/// A time that is affine in inverse bandwidth:
-/// `seconds(bandwidth) = constant + per_inverse_gbps / bandwidth_gbps`.
-///
-/// Affine forms are the timeline's *analytic view* — they are exact in real
-/// arithmetic within [`Segment::affine_range_gbps`] but evaluate with
-/// ordinary floating-point error. Bit-exact numbers always come from
-/// [`ParametricTimeline::evaluate`], which folds the engine's own
-/// arithmetic instead of collapsing it into two coefficients.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AffineTime {
-    /// Bandwidth-independent part in seconds (compute durations and
-    /// compute-bound slack end up here).
-    pub constant: f64,
-    /// Coefficient of `1 / bandwidth_gbps` in seconds·GB/s — for a single
-    /// memory task this is `bytes / 1e9`.
-    pub per_inverse_gbps: f64,
-}
-
-impl AffineTime {
-    /// Evaluates the affine form at a bandwidth in GB/s.
-    #[must_use]
-    pub fn at(&self, bandwidth_gbps: f64) -> f64 {
-        self.constant + self.per_inverse_gbps / bandwidth_gbps
-    }
-}
-
-/// The affine clock of the fold, anchored at one bandwidth: each time's
-/// value there (the engine's floating-point value, which decides every max)
-/// and its affine form, which [`Segment::runtime_affine`] reports, plus the
-/// nearest ready-time crossover below the anchor.
-struct Affine {
-    /// `1 / anchor bandwidth`: where the affine forms are anchored.
-    x0: f64,
-    /// The anchor bandwidth in bytes per second.
-    dbps: f64,
-    /// The nearest ready-time crossover at or above `x0` (see
-    /// [`Affine::later`]).
-    crossover_x: f64,
-}
-
-impl Clock for Affine {
-    type Time = Sym;
-    const ZERO: Sym = Sym::ZERO;
-
-    /// The max by the engine's concrete value; on an exact value tie the
-    /// steeper affine branch wins, so the view stays the max just below the
-    /// anchor bandwidth. Where the loser's affine form crosses the winner's
-    /// is a ready-time crossover; the nearest one below the anchor
-    /// bandwidth is kept.
-    fn later(&mut self, a: Sym, b: Sym) -> Sym {
-        let (w, l) = match a.v.partial_cmp(&b.v) {
-            Some(Ordering::Greater) => (a, b),
-            Some(Ordering::Less) => (b, a),
-            _ if a.m >= b.m => (a, b),
-            _ => (b, a),
-        };
-        // The (loser - winner) difference is ≤ 0 at the anchor; it can only
-        // cross zero where dc + dm·x = 0.
-        let (dc, dm) = (l.c - w.c, l.m - w.m);
-        let xs = -dc / dm;
-        if dm != 0.0 && xs.is_finite() && xs >= self.x0 {
-            self.crossover_x = self.crossover_x.min(xs);
-        }
-        Sym {
-            v: a.v.max(b.v),
-            c: w.c,
-            m: w.m,
-        }
-    }
-
-    fn duration(&self, cost: Cost) -> Sym {
-        match cost {
-            Cost::Compute(d) => Sym { v: d, c: d, m: 0.0 },
-            Cost::Memory { bytes, .. } => Sym {
-                v: bytes / self.dbps,
-                c: 0.0,
-                m: bytes / 1e9,
-            },
-        }
-    }
-
-    fn after(start: Sym, duration: Sym) -> Sym {
-        start.plus(duration)
-    }
-}
-
-/// The affine view of a one-channel timeline, whose fold is valid at every
-/// bandwidth. Every event time is piecewise-linear in inverse bandwidth,
-/// kinking only at ready-time crossovers; the makespan's affine form
-/// ([`Segment::runtime_affine`]) holds from the top of the analyzed range
-/// down to at least [`Segment::affine_range_gbps`]'s lower end.
+/// The marker of a timeline the program-order walk times at every
+/// bandwidth (one channel, every dependency backward, no negative
+/// duration): [`ParametricTimeline::segments`] holds one. Kept only for
+/// `simbench`, which still reports the segment count and
+/// [`Segment::grant_checks`].
 #[derive(Debug, Clone)]
-pub struct Segment {
-    affine_lo_gbps: f64,
-    affine_hi_gbps: f64,
-    runtime: AffineTime,
-}
+pub struct Segment;
 
 impl Segment {
-    /// A bandwidth interval (GB/s) inside the analyzed range where the
-    /// makespan's affine form is exact (in real arithmetic): from the top of
-    /// the range, where the fold is anchored, down to the nearest
-    /// *ready-time crossover* of any task — a bandwidth where a different
-    /// dependency (or queue backpressure) becomes the one some task waits
-    /// on. Most crossovers do not touch the makespan, so this is a
-    /// sub-range of the makespan's affine piece, usually a small one, not
-    /// the piece itself. A crossover changes the affine coefficients, never
-    /// the bit-exact evaluation.
-    #[must_use]
-    pub fn affine_range_gbps(&self) -> (f64, f64) {
-        (self.affine_lo_gbps, self.affine_hi_gbps)
-    }
-
-    /// The makespan as an affine function of inverse bandwidth, exact within
-    /// [`Segment::affine_range_gbps`].
-    #[must_use]
-    pub fn runtime_affine(&self) -> AffineTime {
-        self.runtime
-    }
-
-    /// Always `0`: a one-channel fold checks nothing per point. Kept only
-    /// for `simbench`, which still reports the count.
+    /// Always `0`: a one-channel walk checks nothing per point.
     #[must_use]
     pub fn grant_checks(&self) -> usize {
         0
@@ -222,17 +105,14 @@ pub struct ParametricTimeline {
 /// How a timeline times a point.
 #[derive(Debug)]
 enum Timing {
-    /// The program-order fold times the plan (one channel, every dependency
-    /// backward).
+    /// The program-order walk times the plan (one channel, every
+    /// dependency backward, no negative duration).
     Fold {
-        /// The affine view.
-        segment: Segment,
-        /// Each task's cost, as the fold reads it.
+        /// Each task's cost, as the walk reads it.
         costs: Vec<Cost>,
         /// Each task's [`fold::kept`] dependency, the one edge that can set
-        /// its start; `None` where a compute duration is negative, and
-        /// evaluations fold through the plan's full dependents table.
-        kept: Option<Vec<u32>>,
+        /// its start.
+        kept: Vec<u32>,
     },
     /// The event engine runs every point.
     Engine { engine: RpuEngine, graph: TaskGraph },
@@ -252,13 +132,13 @@ impl ParametricTimeline {
         &self.plan
     }
 
-    /// The timeline's affine view as a slice: one segment where the
-    /// program-order fold times the plan (one channel, every dependency
-    /// backward), none otherwise.
+    /// One [`Segment`] where the program-order walk times the plan (one
+    /// channel, every dependency backward, no negative duration), none
+    /// otherwise.
     #[must_use]
     pub fn segments(&self) -> &[Segment] {
         match &self.timing {
-            Timing::Fold { segment, .. } => std::slice::from_ref(segment),
+            Timing::Fold { .. } => &[Segment],
             Timing::Engine { .. } => &[],
         }
     }
@@ -268,7 +148,7 @@ impl ParametricTimeline {
     /// only.
     #[must_use]
     pub fn fallback_evaluations(&self) -> usize {
-        self.engine_runs.load(AtomicOrdering::Relaxed)
+        self.engine_runs.load(Ordering::Relaxed)
     }
 
     /// Evaluates the execution statistics at one bandwidth, bit-identical to
@@ -285,15 +165,9 @@ impl ParametricTimeline {
     pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
         assert_valid_bandwidth(bandwidth_gbps);
         match &self.timing {
-            Timing::Fold { costs, kept, .. } => {
+            Timing::Fold { costs, kept } => {
                 let finish = &mut vec![[0.0]; costs.len() + 1];
-                let [stats] = fold::stats(
-                    costs,
-                    &self.plan,
-                    kept.as_deref(),
-                    &[bandwidth_gbps],
-                    finish,
-                );
+                let [stats] = fold::stats(costs, &self.plan, kept, &[bandwidth_gbps], finish);
                 stats
             }
             Timing::Engine { engine, graph } => self.run_engine(engine, graph, bandwidth_gbps),
@@ -318,7 +192,7 @@ impl ParametricTimeline {
             .copied()
             .for_each(assert_valid_bandwidth);
         let (costs, kept) = match &self.timing {
-            Timing::Fold { costs, kept, .. } => (costs, kept.as_deref()),
+            Timing::Fold { costs, kept } => (costs, kept),
             Timing::Engine { engine, graph } => {
                 return bandwidths_gbps
                     .iter()
@@ -354,7 +228,7 @@ impl ParametricTimeline {
     #[must_use]
     pub fn sampled_times(&self, graph: &TaskGraph, bandwidth_gbps: f64) -> Option<SampledTimes> {
         validate_bandwidth(bandwidth_gbps).ok()?;
-        let Timing::Fold { costs, kept, .. } = &self.timing else {
+        let Timing::Fold { costs, kept } = &self.timing else {
             return None;
         };
         let tasks = graph.tasks();
@@ -362,28 +236,21 @@ impl ParametricTimeline {
             return None;
         }
         let mut records = Vec::with_capacity(tasks.len());
-        let clock = &mut Seconds::gbps(&[bandwidth_gbps]);
+        let clock = &Seconds::gbps(&[bandwidth_gbps]);
         let finish = &mut vec![[0.0]; tasks.len() + 1];
-        fold::pull(
-            clock,
-            costs,
-            &self.plan,
-            kept.as_deref(),
-            finish,
-            |t, cost, [start], [end], _| {
-                records.push(TaskRecord {
-                    task: t,
-                    queue: match cost {
-                        Cost::Compute(_) => EngineQueue::Compute,
-                        Cost::Memory { channel, .. } => EngineQueue::Memory(channel as usize),
-                    },
-                    start_seconds: start,
-                    end_seconds: end,
-                    label: Arc::clone(&tasks[t].label),
-                    stage: Arc::clone(&tasks[t].stage),
-                });
-            },
-        );
+        fold::pull(clock, costs, kept, finish, |t, cost, [start], [end], _| {
+            records.push(TaskRecord {
+                task: t,
+                queue: match cost {
+                    Cost::Compute(_) => EngineQueue::Compute,
+                    Cost::Memory { channel, .. } => EngineQueue::Memory(channel as usize),
+                },
+                start_seconds: start,
+                end_seconds: end,
+                label: Arc::clone(&tasks[t].label),
+                stage: Arc::clone(&tasks[t].stage),
+            });
+        });
         Some(records)
     }
 
@@ -394,7 +261,7 @@ impl ParametricTimeline {
         graph: &TaskGraph,
         bandwidth_gbps: f64,
     ) -> ExecutionStats {
-        self.engine_runs.fetch_add(1, AtomicOrdering::Relaxed);
+        self.engine_runs.fetch_add(1, Ordering::Relaxed);
         engine
             .at(bandwidth_gbps)
             .execute_stats_plan(graph, &self.plan)
@@ -436,11 +303,11 @@ impl RpuEngine {
     /// `hi_gbps`, and every evaluation of the returned timeline, executes
     /// this one plan.
     ///
-    /// A plan the fold times derives its segment with the affine fold at
-    /// `hi_gbps`, whose values are the engine's there. The engine runs at
-    /// `hi_gbps` only when the plan does not fold or some finish of that
-    /// fold is not finite, so every error is the engine's own. A timeline
-    /// that folds keeps no copy of `graph`.
+    /// A plan the walk times is walked once at `hi_gbps`, where its values
+    /// are the engine's. The engine runs at `hi_gbps` only when the plan
+    /// does not fold, has a negative compute duration, or some finish of
+    /// that walk is not finite, so every error is the engine's own. A
+    /// timeline that folds keeps no copy of `graph`.
     ///
     /// # Errors
     ///
@@ -465,13 +332,16 @@ impl RpuEngine {
         self.check_plan(graph, &plan)?;
         let folded = plan.folds().then(|| {
             let costs = fold::costs(self, graph.tasks(), &plan);
-            let segment = derive_segment(&costs, &plan, lo_gbps, hi_gbps)?;
-            let kept = fold::kept(&costs, &plan);
-            Some(Timing::Fold {
-                segment,
-                costs,
-                kept,
-            })
+            let kept = fold::kept(&costs, &plan)?;
+            let finish = &mut vec![[0.0]; costs.len() + 1];
+            let clock = &Seconds::gbps(&[hi_gbps]);
+            fold::pull(clock, &costs, &kept, finish, |_, _, _, _, _| {});
+            // Every start is zero or a max of earlier finishes, so a walk's
+            // first non-finite time is a finish, whatever later maxes drop.
+            finish
+                .iter()
+                .all(|[t]| t.is_finite())
+                .then_some(Timing::Fold { costs, kept })
         });
         let timing = match folded.flatten() {
             Some(timing) => timing,
@@ -497,43 +367,6 @@ impl RpuEngine {
     fn at(&self, bandwidth_gbps: f64) -> RpuEngine {
         RpuEngine::new(self.config().clone().with_bandwidth(bandwidth_gbps))
     }
-}
-
-/// The affine view of a plan the fold times, anchored at `hi_gbps`: the
-/// affine fold over the plan's full dependents table, whose tie rule the
-/// crossover search depends on. `None` when some finish at `hi_gbps` is not
-/// finite, which only the engine reports.
-fn derive_segment(costs: &[Cost], plan: &ExecPlan, lo_gbps: f64, hi_gbps: f64) -> Option<Segment> {
-    let mut clock = Affine {
-        x0: 1.0 / hi_gbps,
-        dbps: hi_gbps * 1e9,
-        crossover_x: f64::INFINITY,
-    };
-    let ready = &mut vec![Affine::ZERO; costs.len()];
-    let mut finite = true;
-    let makespan = fold(&mut clock, costs, plan, true, ready, |_, _, _, end, _| {
-        finite &= end.v.is_finite();
-    });
-    if !finite {
-        return None;
-    }
-    // x = 1/bw reverses the order: the nearest crossover below the anchor
-    // bandwidth bounds the affine range from below, clipped to the analyzed
-    // range and kept at or below the anchor whatever the conversion
-    // rounding did.
-    let affine_lo = if clock.crossover_x.is_infinite() {
-        lo_gbps
-    } else {
-        (1.0 / clock.crossover_x).max(lo_gbps).min(hi_gbps)
-    };
-    Some(Segment {
-        affine_lo_gbps: affine_lo,
-        affine_hi_gbps: hi_gbps,
-        runtime: AffineTime {
-            constant: makespan.c,
-            per_inverse_gbps: makespan.m,
-        },
-    })
 }
 
 #[cfg(test)]
@@ -640,24 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn affine_view_matches_replay_inside_its_range() {
-        let engine = RpuEngine::new(unit_config());
-        let g = race_graph();
-        let timeline = engine.analyze(&g, 0.5, 16.0).unwrap();
-        for segment in timeline.segments() {
-            let (lo, hi) = segment.affine_range_gbps();
-            let bw = (lo + hi) / 2.0;
-            let stats = timeline.evaluate(bw);
-            let affine = segment.runtime_affine().at(bw);
-            assert!(
-                (affine - stats.runtime_seconds).abs() <= 1e-9 * stats.runtime_seconds.max(1e-12),
-                "affine runtime {affine} vs evaluation {} at {bw}",
-                stats.runtime_seconds
-            );
-        }
-    }
-
-    #[test]
     fn empty_graph_has_one_trivial_segment() {
         let engine = RpuEngine::new(unit_config());
         let timeline = engine.analyze(&TaskGraph::new(), 1.0, 100.0).unwrap();
@@ -689,7 +504,8 @@ mod tests {
     fn a_negative_modops_rate_stays_exact() {
         // A negative compute duration lets an own-queue dependency finish
         // after its queue frees: t2 waits for t0 (done at 1 s), while t1
-        // before it runs backward from 1 s to 0 s.
+        // before it runs backward from 1 s to 0 s. That breaks the one-edge
+        // rule, so every point runs the engine.
         let mut g = TaskGraph::new();
         let m = g.push_memory(Load, 1_000_000_000, vec![], "m", "P1");
         let t0 = g.push_compute(ComputeKind::Ntt, 0, vec![m], "t0", "P1");
@@ -697,29 +513,35 @@ mod tests {
         g.push_compute(ComputeKind::Ntt, 1, vec![t0], "t2", "P1");
         let engine = RpuEngine::new(unit_config().with_modops(-1.0));
         let timeline = engine.analyze(&g, 1.0, 4.0).unwrap();
-        assert_eq!(timeline.segments().len(), 1);
-        for bw in [1.0, 2.0, 4.0] {
+        assert!(timeline.segments().is_empty());
+        let points = [1.0, 2.0, 4.0];
+        for bw in points {
             assert_bit_identical(&engine, &g, &timeline, bw);
-            let traced = RpuEngine::new(engine.config().clone().with_bandwidth(bw))
-                .execute(&g)
-                .unwrap();
-            let spans = timeline.sampled_times(&g, bw).unwrap();
-            for record in traced.trace.records() {
-                let span = &spans[record.task];
-                assert_eq!(
-                    (span.start_seconds.to_bits(), span.end_seconds.to_bits()),
-                    (record.start_seconds.to_bits(), record.end_seconds.to_bits()),
-                    "task {} at {bw} GB/s",
-                    record.task
-                );
-            }
+            assert!(timeline.sampled_times(&g, bw).is_none());
         }
-        // Nine points: one whole eight-lane chunk through the full table,
-        // and a remainder of one.
-        let ladder = [1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0];
-        for (stats, &bw) in timeline.evaluate_many(&ladder).iter().zip(&ladder) {
-            assert_bit_identical(&engine, &g, &timeline, bw);
-            assert_eq!(*stats, timeline.evaluate(bw), "at {bw} GB/s");
+        assert_eq!(timeline.fallback_evaluations(), points.len());
+    }
+
+    #[test]
+    fn analyzing_a_degenerate_modops_rate_reports_the_engines_own_error() {
+        // NaN and zero MODOPS on one channel: the walk at the range's top
+        // finds a finish that is not finite, and the engine's run there
+        // reports the error, task and time included.
+        for modops in [f64::NAN, 0.0] {
+            let engine = RpuEngine::new(unit_config().with_modops(modops));
+            let analyzed = engine.analyze(&race_graph(), 1.0, 64.0).unwrap_err();
+            let expected = RpuEngine::new(engine.config().clone().with_bandwidth(64.0))
+                .execute_stats(&race_graph())
+                .unwrap_err();
+            // A NaN time equals nothing, itself included: compare its bits.
+            let bits = |err: &EngineError| match err {
+                EngineError::NonFiniteTime { task, seconds } => (*task, seconds.to_bits()),
+                other => panic!("MODOPS {modops}: {other}"),
+            };
+            assert_eq!(bits(&analyzed), bits(&expected), "MODOPS {modops}");
+            if modops == 0.0 {
+                assert_eq!(analyzed, expected);
+            }
         }
     }
 

@@ -355,7 +355,7 @@ impl<'a> Placed<'a> {
     ) -> Lanes<L> {
         let mut memory = [0.0; L];
         let mut channels = vec![[0.0; L]; self.plan.channels()];
-        let clock = &mut Seconds::gbps(bandwidths_gbps);
+        let clock = &Seconds::gbps(bandwidths_gbps);
         let path = fold(
             clock,
             &self.costs,
@@ -512,7 +512,7 @@ impl Clock for Probe {
     type Time = Sym;
     const ZERO: Sym = Sym::ZERO;
 
-    fn later(&mut self, a: Sym, b: Sym) -> Sym {
+    fn later(&self, a: Sym, b: Sym) -> Sym {
         if b.v > a.v {
             b
         } else {
@@ -579,7 +579,7 @@ fn derive_knee(
         // The path bound's affine piece active just above the candidate, so
         // the piece that is active *above* the crossover wins any tie at the
         // crossover itself.
-        let clock = &mut Probe {
+        let clock = &Probe {
             inv: 1.0 / (knee * (1.0 + 1e-9)),
         };
         let Sym { c, m, .. } = fold(clock, costs, plan, queues, ready, |_, _, _, _, _| {});

@@ -13,22 +13,21 @@
 //!
 //! [`fold`] is that walk, generic over its [`Clock`]. [`Seconds`] carries `L`
 //! bandwidths at once, each lane doing a single run's arithmetic; the
-//! analytic timeline's and the bound's knee-probe clocks carry each time's
-//! affine form in inverse bandwidth ([`Sym`]). The walk serves:
+//! bound's knee-probe clock carries each time's affine form in inverse
+//! bandwidth ([`Sym`]). The walk serves:
 //!
-//! - the analytic timeline's evaluations, through [`stats`], and its affine
-//!   view;
+//! - the analytic timeline's evaluations, through [`stats`], and its
+//!   finiteness check at the top of the analyzed range;
 //! - the static bound's dependency and queue-augmented passes and its knee
 //!   probe, at any channel count. There each channel keeps its own free
 //!   time, which is the augmented graph's queue-predecessor edge.
 //!
 //! [`fold`] pushes each finish through the plan's dependents table. The
-//! analytic timeline's evaluations instead [`pull`] each start from one
-//! edge per task, found once per timeline ([`kept`]): the task's latest
-//! dependency in the other queue, the only one that can set its start. The
-//! affine view, the bound's passes and the knee probe fold through the full
-//! table: their clocks break value ties by which predecessor wins, which
-//! reading one edge could change.
+//! analytic timeline instead [`pull`]s each start from one edge per task,
+//! found once per timeline ([`kept`]): the task's latest dependency in the
+//! other queue, the only one that can set its start. The bound's passes and
+//! knee probe fold through the full table: the probe's clock breaks value
+//! ties by which predecessor wins, which reading one edge could change.
 //!
 //! The engine itself always runs its event loop ([`crate::engine`]), the
 //! reference for several channels, graphs with a forward or dangling
@@ -78,7 +77,7 @@ pub(crate) trait Clock {
     /// Time zero.
     const ZERO: Self::Time;
     /// The later of two times.
-    fn later(&mut self, a: Self::Time, b: Self::Time) -> Self::Time;
+    fn later(&self, a: Self::Time, b: Self::Time) -> Self::Time;
     /// How long a task of `cost` runs.
     fn duration(&self, cost: Cost) -> Self::Time;
     /// `start + duration`.
@@ -132,8 +131,10 @@ impl<const L: usize> Clock for Seconds<L> {
     /// instruction makes: the walks only ever pass as `a` a running maximum,
     /// which starts at zero, or a finish of a timeline that folds, whose
     /// durations are never NaN; `a` is never NaN, and then both forms
-    /// agree.
-    fn later(&mut self, a: [f64; L], b: [f64; L]) -> [f64; L] {
+    /// agree. The walk that checks a new timeline's finishes may read a NaN
+    /// `a`, but it only asks whether some finish is not finite, and the
+    /// first such finish is.
+    fn later(&self, a: [f64; L], b: [f64; L]) -> [f64; L] {
         std::array::from_fn(|l| if b[l] > a[l] { b[l] } else { a[l] })
     }
 
@@ -159,7 +160,7 @@ impl<const L: usize> Clock for Seconds<L> {
 /// walk is already done: on such a graph the fold is not the engine's
 /// timeline ([`ExecPlan::folds`] says when it is).
 pub(crate) fn fold<C: Clock>(
-    clock: &mut C,
+    clock: &C,
     costs: &[Cost],
     plan: &ExecPlan,
     queues: bool,
@@ -223,20 +224,14 @@ pub(crate) fn kept(costs: &[Cost], plan: &ExecPlan) -> Option<Vec<u32>> {
 /// time zero, task `t`'s finish is `finish[t + 1]`), starts at
 /// `max(ready, free)` with the fold's operand order and writes its own
 /// finish, so no entry needs resetting between walks. `finish` holds one
-/// entry per task plus one. Without `kept` (a negative duration), folds
-/// through the plan's full table instead. Either way every value is the
-/// fold's, bit for bit.
+/// entry per task plus one. Every value is the fold's, bit for bit.
 pub(crate) fn pull<C: Clock>(
-    clock: &mut C,
+    clock: &C,
     costs: &[Cost],
-    plan: &ExecPlan,
-    kept: Option<&[u32]>,
+    kept: &[u32],
     finish: &mut [C::Time],
     mut retired: impl FnMut(TaskId, Cost, C::Time, C::Time, C::Time),
 ) -> C::Time {
-    let Some(kept) = kept else {
-        return fold(clock, costs, plan, true, finish, retired);
-    };
     finish[0] = C::ZERO;
     let mut free = [C::ZERO; 2];
     let mut makespan = C::ZERO;
@@ -262,24 +257,18 @@ pub(crate) fn pull<C: Clock>(
 pub(crate) fn stats<const L: usize>(
     costs: &[Cost],
     plan: &ExecPlan,
-    kept: Option<&[u32]>,
+    kept: &[u32],
     bandwidths_gbps: &[f64; L],
     finish: &mut [[f64; L]],
 ) -> [ExecutionStats; L] {
     let mut busy = [[0.0f64; L]; 2];
-    let makespan = pull(
-        &mut Seconds::gbps(bandwidths_gbps),
-        costs,
-        plan,
-        kept,
-        finish,
-        |_, cost, start, end, _| {
-            let busy = &mut busy[cost.queue()];
-            for l in 0..L {
-                busy[l] += end[l] - start[l];
-            }
-        },
-    );
+    let clock = &Seconds::gbps(bandwidths_gbps);
+    let makespan = pull(clock, costs, kept, finish, |_, cost, start, end, _| {
+        let busy = &mut busy[cost.queue()];
+        for l in 0..L {
+            busy[l] += end[l] - start[l];
+        }
+    });
     let template = plan.unstarted_stats();
     std::array::from_fn(|l| ExecutionStats {
         runtime_seconds: makespan[l],

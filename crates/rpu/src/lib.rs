@@ -65,7 +65,7 @@ pub mod task;
 pub mod trace;
 pub mod verify;
 
-pub use analytic::{AffineTime, ParametricTimeline, Segment};
+pub use analytic::{ParametricTimeline, Segment};
 pub use bound::{BindingResource, BoundAnalysis, CriticalEdge, CriticalStep, RooflineKnee};
 pub use channel::ChannelMap;
 pub use config::{EvkPolicy, RpuConfig, MIB};

@@ -6,10 +6,11 @@
 //! where it is most likely to break:
 //!
 //! 1. Random structurally-valid task graphs (the `lint_oracle` generator)
-//!    across 1/2/4/8 memory channels, sampled at the range ends, at every
-//!    ready-time crossover the one-channel fold reports (the edges of
-//!    `Segment::affine_range_gbps`) and one ulp either side of it, and at
-//!    random interior points of the analyzed range.
+//!    across 1/2/4/8 memory channels, sampled at the range ends, at random
+//!    interior points of the analyzed range, and at the one-channel static
+//!    bound's effective knee and one ulp either side of it, in range or
+//!    not. On one channel the bound is the runtime, so the knee is a kink
+//!    of the runtime curve.
 //! 2. Real strategy schedules — every dataflow, both evk policies — through
 //!    the same sampling grid.
 //!
@@ -20,8 +21,6 @@
 //! 3. Forced grants: on one memory channel every bus grant is forced, so a
 //!    timeline is a single segment, and the static bound equals the
 //!    evaluated runtime bit for bit.
-//! 4. The affine view: on the same one-channel schedules the makespan's
-//!    affine form matches the evaluated runtime at both ends of its range.
 //!
 //! On divergence the failure message pins down the *first differing event*:
 //! the folded per-task spans ([`ParametricTimeline::sampled_times`]) are
@@ -43,19 +42,14 @@ mod common;
 const LO_GBPS: f64 = 8.0;
 const HI_GBPS: f64 = 1024.0;
 
-/// The sampling grid for one timeline: range ends, every ready-time
-/// crossover (the affine-range edges) and one ulp either side of it, and
-/// deterministic interior points.
-fn sample_points(timeline: &ParametricTimeline, seed: u64) -> Vec<f64> {
+/// The sampling grid for one graph: range ends, deterministic interior
+/// points, and the one-channel static bound's effective knee (a kink of the
+/// one-channel runtime curve, which the bound equals) and one ulp either
+/// side of it. The knee of these graphs usually lies above the analyzed
+/// range; a timeline evaluates exactly at any bandwidth, so it is sampled
+/// wherever it is.
+fn sample_points(engine: &RpuEngine, graph: &TaskGraph, seed: u64) -> Vec<f64> {
     let mut points = vec![LO_GBPS, HI_GBPS];
-    for segment in timeline.segments() {
-        // The ready-time crossover nearest the anchor, where the runtime
-        // curve kinks.
-        let (lo, hi) = segment.affine_range_gbps();
-        for edge in [lo, hi] {
-            points.extend([edge.next_down(), edge, edge.next_up()]);
-        }
-    }
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..16 {
         // Log-uniform interior points so the low-bandwidth decade is not
@@ -64,6 +58,10 @@ fn sample_points(timeline: &ParametricTimeline, seed: u64) -> Vec<f64> {
         points.push(LO_GBPS * (HI_GBPS / LO_GBPS).powf(t));
     }
     points.retain(|b| (LO_GBPS..=HI_GBPS).contains(b));
+    let one_channel = RpuEngine::new(engine.config().clone().with_memory_channels(1));
+    if let Some(knee) = one_channel.bounds(graph).knee.effective_knee_gbps() {
+        points.extend([knee.next_down(), knee, knee.next_up()]);
+    }
     points
 }
 
@@ -122,7 +120,7 @@ fn assert_oracle_agreement(engine: &RpuEngine, graph: &TaskGraph, seed: u64, con
     let timeline = engine
         .analyze(graph, LO_GBPS, HI_GBPS)
         .expect("oracle graphs do not deadlock");
-    let points = sample_points(&timeline, seed);
+    let points = sample_points(engine, graph, seed);
     let ladder = timeline.evaluate_many(&points);
     for (&bandwidth, laned) in points.iter().zip(&ladder) {
         let expected = RpuEngine::new(engine.config().clone().with_bandwidth(bandwidth))
@@ -194,9 +192,8 @@ fn strategy_schedules_evaluate_bit_identically() {
 #[test]
 fn a_real_schedule_is_one_segment_on_one_channel_and_none_on_four() {
     // Sanity on the shape of the answer itself: a streamed OC schedule over
-    // the full range keeps one segment on the paper's one-channel RPU,
-    // whose affine range lies inside the analyzed range, and none on four
-    // channels, where every point runs the engine.
+    // the full range keeps one segment on the paper's one-channel RPU, and
+    // none on four channels, where every point runs the engine.
     let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
     let schedule = build_schedule(
         Dataflow::OutputCentric,
@@ -209,15 +206,7 @@ fn a_real_schedule_is_one_segment_on_one_channel_and_none_on_four() {
             .analyze(&schedule.graph, LO_GBPS, HI_GBPS)
             .expect("schedule does not deadlock")
     };
-    let one = analyze(1);
-    let [segment] = one.segments() else {
-        panic!("one channel: {} segments", one.segments().len());
-    };
-    let (lo, hi) = segment.affine_range_gbps();
-    assert!(
-        LO_GBPS <= lo && lo <= hi && hi == HI_GBPS,
-        "affine range [{lo}, {hi}]"
-    );
+    assert_eq!(analyze(1).segments().len(), 1, "one channel");
     let four = analyze(4);
     assert!(four.segments().is_empty());
     let _ = four.evaluate(64.0);
@@ -288,34 +277,4 @@ fn for_each_one_channel_schedule(mut check: impl FnMut(&RpuEngine, &TaskGraph, &
 #[test]
 fn forced_grant_bound_is_tight_on_one_channel() {
     for_each_one_channel_schedule(assert_one_channel_bound_is_tight);
-}
-
-/// The makespan's affine form matches the evaluated runtime within 1e-12
-/// relative at both ends of `Segment::affine_range_gbps`, on every
-/// one-channel schedule and over two analyzed ranges. The runtime is convex
-/// in inverse bandwidth and the affine form is one of the terms of its max,
-/// so agreement at both ends certifies the whole range.
-#[test]
-fn affine_view_matches_the_runtime_at_both_ends_of_its_range() {
-    for_each_one_channel_schedule(|engine, graph, context| {
-        for (lo, hi) in [(LO_GBPS, HI_GBPS), (1.0, 64.0)] {
-            let timeline = engine
-                .analyze(graph, lo, hi)
-                .expect("schedules do not deadlock");
-            let [segment] = timeline.segments() else {
-                panic!("{context}: one segment on one channel");
-            };
-            let (affine_lo, affine_hi) = segment.affine_range_gbps();
-            assert!(lo <= affine_lo && affine_lo <= affine_hi && affine_hi == hi);
-            for bw in [affine_lo, affine_hi] {
-                let runtime = timeline.evaluate(bw).runtime_seconds;
-                let affine = segment.runtime_affine().at(bw);
-                assert!(
-                    (affine - runtime).abs() <= 1e-12 * runtime,
-                    "{context} over [{lo}, {hi}]: affine {affine} s vs runtime {runtime} s \
-                     at {bw} GB/s"
-                );
-            }
-        }
-    });
 }

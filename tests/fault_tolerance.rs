@@ -376,6 +376,50 @@ fn deadlines_shedding_and_degradation_handle_overload_gracefully() {
     assert!(degraded.serve.classes[1].served > 0);
 }
 
+/// A run that completes no request: its one device is down for the whole
+/// arrival window and every queued request outlives a 1 ns deadline. Its
+/// latency summary is all zeros, every arrival is accounted for, and both
+/// JSON renderings carry the zeros (and match the `format!` reference).
+#[test]
+fn a_run_that_completes_no_request_reports_zero_latencies() {
+    let session = Session::new();
+    let config = ServeConfig::new(
+        1,
+        light_mix(),
+        ArrivalProcess::OpenLoop {
+            rate_rps: 300.0,
+            requests: 8,
+        },
+    );
+    let outage = CrashEvent {
+        device: 0,
+        at_seconds: 0.0,
+        down_seconds: 1.0,
+    };
+    let plan = FaultPlan::none()
+        .with_crashes(CrashPlan::Scripted(vec![outage]))
+        .with_deadline(1e-9);
+    let report = try_fault_serve_in(&session, &config, &plan, "OC").unwrap();
+    assert_eq!(report.serve.completed, 0);
+    assert_eq!((report.offered, report.timed_out), (8, 8));
+    assert!(report.conserves_arrivals());
+    let zero = LatencySummary {
+        mean_ms: 0.0,
+        p50_ms: 0.0,
+        p95_ms: 0.0,
+        p99_ms: 0.0,
+        max_ms: 0.0,
+    };
+    assert_eq!(report.serve.latency, zero);
+    assert!(report.serve.latency.mean_ms.is_sign_positive());
+    let latency = "\"latency\":{\"mean_ms\":0,\"p50_ms\":0,\"p95_ms\":0,\"p99_ms\":0,\"max_ms\":0}";
+    let serve_json = report.serve.to_json();
+    assert!(serve_json.contains(latency), "{serve_json}");
+    assert!(serve_json.ends_with("\"records\":[]}"), "{serve_json}");
+    assert_eq!(serve_json, reference::serve_json(&report.serve));
+    assert_eq!(report.to_json(), reference::resilience_json(&report));
+}
+
 /// The fault sweep grids intensity × cluster size deterministically, keeps
 /// conservation at every point, and its zero-intensity column reproduces
 /// the fault-free bound.

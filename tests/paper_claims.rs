@@ -2,15 +2,14 @@
 //! numbers): the abstract's headline results and the per-section takeaways,
 //! plus the consistency of the typed paper tables in `ciflow_bench::paper`.
 
-use ciflow::api::Session;
+use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::hks_shape::HksShape;
 use ciflow::sweep::BASELINE_BANDWIDTH_GBPS;
 use ciflow_bench::figures::{
     ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime,
-    min_memory_without_spills, runtime_with, streaming_equivalence_row, table2_rows, table4_rows,
-    table5_rows,
+    streaming_equivalence_row, table2_rows, table4_rows, table5_rows,
 };
 use ciflow_bench::paper;
 use rpu::{EvkPolicy, RpuConfig};
@@ -173,17 +172,6 @@ fn arithmetic_intensity_gains_are_in_the_paper_band() {
 }
 
 #[test]
-fn dc_sits_between_mp_and_oc_in_memory_requirements() {
-    // §IV-B: DC requires 62% less on-chip memory than MP for BTS3; OC far
-    // less still. Require the ordering and that DC saves at least 30%.
-    let mp = min_memory_without_spills(HksBenchmark::BTS3, Dataflow::MaxParallel);
-    let dc = min_memory_without_spills(HksBenchmark::BTS3, Dataflow::DigitCentric);
-    let oc = min_memory_without_spills(HksBenchmark::BTS3, Dataflow::OutputCentric);
-    assert!(oc < dc && dc < mp);
-    assert!((dc as f64) < 0.7 * mp as f64, "DC {} vs MP {}", dc, mp);
-}
-
-#[test]
 fn saturation_point_analysis_matches_the_papers_ordering() {
     // §VI-C / Table V: to match ARK's saturation performance at 2x MODOPS,
     // OC needs the least bandwidth, then DC, then MP; and the saturation
@@ -218,8 +206,13 @@ fn figure4_low_bandwidth_gap_and_high_bandwidth_convergence() {
     // shrinks towards parity at very high bandwidth, for every benchmark.
     let session = Session::new();
     for bench in HksBenchmark::all() {
-        let runtime =
-            |d: Dataflow, bw: f64| runtime_with(&session, bench, d, bw, EvkPolicy::OnChip, 1.0);
+        let runtime = |d: Dataflow, bw: f64| {
+            let rpu = RpuConfig::ciflow_with_policy(EvkPolicy::OnChip).with_bandwidth(bw);
+            session
+                .run_job(&Job::new(bench, d).with_rpu(rpu))
+                .expect("built-in dataflow runs are infallible")
+                .runtime_ms()
+        };
         let gap_low = runtime(Dataflow::MaxParallel, 8.0) / runtime(Dataflow::OutputCentric, 8.0);
         let gap_high =
             runtime(Dataflow::MaxParallel, 1024.0) / runtime(Dataflow::OutputCentric, 1024.0);
