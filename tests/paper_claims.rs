@@ -6,6 +6,7 @@ use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::hks_shape::HksShape;
+use ciflow::schedule::{build_schedule, ScheduleConfig};
 use ciflow::sweep::BASELINE_BANDWIDTH_GBPS;
 use ciflow_bench::figures::{
     ark_saturation_point, baseline_runtime_ms, min_bandwidth_for_runtime,
@@ -169,6 +170,40 @@ fn arithmetic_intensity_gains_are_in_the_paper_band() {
             vs_dc
         );
     }
+}
+
+/// Smallest data-memory capacity, to one tower, at which `dataflow`'s
+/// schedule for `benchmark` spills nothing (evks on chip, so the figure
+/// counts data buffers only).
+fn min_data_memory_without_spills(benchmark: HksBenchmark, dataflow: Dataflow) -> u64 {
+    let shape = HksShape::new(benchmark);
+    let spills = |capacity: u64| {
+        let config = ScheduleConfig::with_data_memory(capacity, EvkPolicy::OnChip);
+        build_schedule(dataflow, &shape, &config).spill_bytes
+    };
+    let tower = benchmark.tower_bytes().max(1);
+    let (mut lo, mut hi) = (tower, benchmark.temp_data_bytes() + 4 * tower);
+    assert_eq!(spills(hi), 0, "{}: spills with all temp data on chip", benchmark.name);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if spills(mid) == 0 {
+            hi = mid;
+        } else {
+            lo = mid + tower;
+        }
+    }
+    hi
+}
+
+#[test]
+fn dc_sits_between_mp_and_oc_in_memory_requirements() {
+    // §IV-B: DC requires 62% less on-chip memory than MP for BTS3; OC far
+    // less still. Require the ordering and that DC saves at least 30%.
+    let mp = min_data_memory_without_spills(HksBenchmark::BTS3, Dataflow::MaxParallel);
+    let dc = min_data_memory_without_spills(HksBenchmark::BTS3, Dataflow::DigitCentric);
+    let oc = min_data_memory_without_spills(HksBenchmark::BTS3, Dataflow::OutputCentric);
+    assert!(oc < dc && dc < mp, "OC {oc} DC {dc} MP {mp}");
+    assert!((dc as f64) < 0.7 * mp as f64, "DC {} vs MP {}", dc, mp);
 }
 
 #[test]
