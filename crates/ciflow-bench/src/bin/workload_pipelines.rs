@@ -25,22 +25,19 @@
 use ciflow::api::{Job, JobOutput, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{
-    try_analytic_sweep_in, try_channel_sweep, try_heterogeneous_sweep_in, BANDWIDTH_LADDER,
-    CHANNEL_LADDER,
-};
+use ciflow::sweep::{BANDWIDTH_LADDER, CHANNEL_LADDER};
 use ciflow::workload::{PipelineMode, Workload};
 use ciflow_bench::report::markdown_table;
 use rpu::{EvkPolicy, RpuConfig};
 
 /// Every one-channel number the tables print is double-checked against the
 /// closed-form timeline (`rpu::analytic`) before rendering: the analytic
-/// sweep must reproduce the event engine's milliseconds **bit for bit**.
+/// ladder must reproduce the event engine's milliseconds **bit for bit**.
 fn assert_analytic_agrees(label: &str, bandwidth: f64, engine_ms: f64, analytic_ms: f64) {
     assert_eq!(
         engine_ms.to_bits(),
         analytic_ms.to_bits(),
-        "{label}: analytic sweep diverges from the engine at {bandwidth} GB/s \
+        "{label}: analytic ladder diverges from the engine at {bandwidth} GB/s \
          (engine {engine_ms} ms, analytic {analytic_ms} ms)"
     );
 }
@@ -53,15 +50,18 @@ const RESCALE_LEVELS: usize = 6;
 /// Bandwidths reported in the channel-count sweep: DDR4 through HBM2-class.
 const CHANNEL_SWEEP_BANDWIDTHS: [f64; 4] = [12.8, 25.6, 64.0, 128.0];
 
+/// The pipeline modes every table compares, in the order of its columns.
+const MODES: [PipelineMode; 2] = [PipelineMode::BackToBack, PipelineMode::Fused];
+
 /// Runs `workload` under every (strategy, bandwidth, mode) combination of
 /// the Figure-4 ladder through the event engine, one job per point, as a
 /// single parallel batch, and returns the outputs in submission order
 /// (strategy-major, then bandwidth, then back-to-back before fused).
-fn run_ladder(workload: &Workload, evk_policy: EvkPolicy) -> Vec<JobOutput> {
+fn engine_ladder(workload: &Workload, evk_policy: EvkPolicy) -> Vec<JobOutput> {
     let mut session = Session::new();
     for dataflow in Dataflow::all() {
         for &bandwidth in &BANDWIDTH_LADDER {
-            for mode in [PipelineMode::BackToBack, PipelineMode::Fused] {
+            for mode in MODES {
                 session =
                     session.push(Job::workload(workload.clone(), dataflow, mode).with_rpu(
                         RpuConfig::ciflow_with_policy(evk_policy).with_bandwidth(bandwidth),
@@ -75,56 +75,68 @@ fn run_ladder(workload: &Workload, evk_policy: EvkPolicy) -> Vec<JobOutput> {
         .expect("built-in pipelines are infallible")
 }
 
+/// The `(back-to-back, fused)` engine outputs of the `d`-th strategy of an
+/// [`engine_ladder`] batch, one pair per Figure-4 bandwidth, each checked
+/// bit for bit against one `Session::run_ladder` per pipeline mode.
+fn checked_pairs<'a>(
+    session: &Session,
+    workload: &Workload,
+    (d, dataflow): (usize, Dataflow),
+    evk_policy: EvkPolicy,
+    outputs: &'a [JobOutput],
+    label: &str,
+) -> Vec<[&'a JobOutput; 2]> {
+    let ladders = MODES.map(|mode| {
+        let job = Job::workload(workload.clone(), dataflow, mode)
+            .with_rpu(RpuConfig::ciflow_with_policy(evk_policy));
+        session
+            .run_ladder(&job, &BANDWIDTH_LADDER)
+            .expect("built-in pipelines are infallible")
+            .1
+    });
+    let strategy = &outputs[d * BANDWIDTH_LADDER.len() * 2..][..BANDWIDTH_LADDER.len() * 2];
+    (strategy.chunks_exact(2).zip(BANDWIDTH_LADDER).enumerate())
+        .map(|(b, (pair, bandwidth))| {
+            for (output, ladder) in pair.iter().zip(&ladders) {
+                let analytic_ms = ladder[b].runtime_ms();
+                assert_analytic_agrees(label, bandwidth, output.runtime_ms(), analytic_ms);
+            }
+            [&pair[0], &pair[1]]
+        })
+        .collect()
+}
+
 fn render(benchmark: HksBenchmark, evk_policy: EvkPolicy) {
     let workload = Workload::rotation_batch(benchmark, ROTATIONS);
-    let outputs = run_ladder(&workload, evk_policy);
+    let outputs = engine_ladder(&workload, evk_policy);
     let analytic_session = Session::new();
     for (d, dataflow) in Dataflow::all().into_iter().enumerate() {
-        let [unfused_series, fused_series] =
-            [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
-                try_analytic_sweep_in(
-                    &analytic_session,
-                    &workload,
-                    dataflow,
-                    &BANDWIDTH_LADDER,
-                    evk_policy,
-                    1.0,
-                    mode,
-                )
-                .expect("built-in pipelines are infallible")
-            });
+        let label = format!("{} {dataflow} ({evk_policy})", benchmark.name);
+        let pairs = checked_pairs(
+            &analytic_session,
+            &workload,
+            (d, dataflow),
+            evk_policy,
+            &outputs,
+            &label,
+        );
         ciflow_bench::section(&format!(
             "Workload pipeline: {} x{ROTATIONS} rotations, {dataflow} ({evk_policy})",
             benchmark.name
         ));
-        let mut rows = Vec::new();
-        for (b, &bandwidth) in BANDWIDTH_LADDER.iter().enumerate() {
-            let base = d * BANDWIDTH_LADDER.len() * 2 + b * 2;
-            let unfused = &outputs[base];
-            let fused = &outputs[base + 1];
-            let label = format!("{} {dataflow} ({evk_policy})", benchmark.name);
-            assert_analytic_agrees(
-                &label,
-                bandwidth,
-                unfused.runtime_ms(),
-                unfused_series.series.points[b].runtime_ms,
-            );
-            assert_analytic_agrees(
-                &label,
-                bandwidth,
-                fused.runtime_ms(),
-                fused_series.series.points[b].runtime_ms,
-            );
-            rows.push(vec![
-                format!("{bandwidth}"),
-                format!("{:.2}", unfused.runtime_ms()),
-                format!("{:.2}", fused.runtime_ms()),
-                format!("{:.2}x", unfused.runtime_ms() / fused.runtime_ms()),
-                format!("{:.1}%", 100.0 * unfused.stats.compute_idle_fraction()),
-                format!("{:.1}%", 100.0 * fused.stats.compute_idle_fraction()),
-                format!("{:.2}", fused.runtime_ms_per_kernel()),
-            ]);
-        }
+        let rows: Vec<Vec<String>> = (pairs.iter().zip(BANDWIDTH_LADDER))
+            .map(|([unfused, fused], bandwidth)| {
+                vec![
+                    format!("{bandwidth}"),
+                    format!("{:.2}", unfused.runtime_ms()),
+                    format!("{:.2}", fused.runtime_ms()),
+                    format!("{:.2}x", unfused.runtime_ms() / fused.runtime_ms()),
+                    format!("{:.1}%", 100.0 * unfused.stats.compute_idle_fraction()),
+                    format!("{:.1}%", 100.0 * fused.stats.compute_idle_fraction()),
+                    format!("{:.2}", fused.runtime_ms_per_kernel()),
+                ]
+            })
+            .collect();
         print!(
             "{}",
             markdown_table(
@@ -156,45 +168,33 @@ fn render_rescaling_chain(benchmark: HksBenchmark, evk_policy: EvkPolicy) {
         .iter()
         .map(|b| b.q_towers.to_string())
         .collect();
-    let outputs = run_ladder(&chain, evk_policy);
+    let outputs = engine_ladder(&chain, evk_policy);
     let session = Session::new();
     for (d, dataflow) in Dataflow::all().into_iter().enumerate() {
-        let sweep =
-            try_heterogeneous_sweep_in(&session, &chain, dataflow, &BANDWIDTH_LADDER, evk_policy)
-                .expect("built-in pipelines are infallible");
-        for (b, point) in sweep.points.iter().enumerate() {
-            let base = d * BANDWIDTH_LADDER.len() * 2 + b * 2;
-            let label = format!("rescaling chain {} {dataflow}", benchmark.name);
-            assert_analytic_agrees(
-                &label,
-                point.bandwidth_gbps,
-                outputs[base + 1].runtime_ms(),
-                point.fused_ms,
-            );
-            assert_analytic_agrees(
-                &label,
-                point.bandwidth_gbps,
-                outputs[base].runtime_ms(),
-                point.back_to_back_ms,
-            );
-        }
+        let label = format!("rescaling chain {} {dataflow}", benchmark.name);
+        let pairs = checked_pairs(
+            &session,
+            &chain,
+            (d, dataflow),
+            evk_policy,
+            &outputs,
+            &label,
+        );
         ciflow_bench::section(&format!(
             "Rescaling chain: {} ℓ={} , {dataflow} ({evk_policy})",
             benchmark.name,
             ladder.join("->")
         ));
-        let rows: Vec<Vec<String>> = sweep
-            .points
-            .iter()
-            .map(|p| {
+        let rows: Vec<Vec<String>> = (pairs.iter().zip(BANDWIDTH_LADDER))
+            .map(|([b2b, fused], bandwidth)| {
                 vec![
-                    format!("{}", p.bandwidth_gbps),
-                    format!("{:.2}", p.back_to_back_ms),
-                    format!("{:.2}", p.fused_ms),
-                    format!("{:.2}x", p.back_to_back_ms / p.fused_ms),
-                    format!("{:.1}%", 100.0 * p.back_to_back_idle),
-                    format!("{:.1}%", 100.0 * p.fused_idle),
-                    format!("{:.0}", p.forwarded_bytes as f64 / rpu::MIB as f64),
+                    format!("{bandwidth}"),
+                    format!("{:.2}", b2b.runtime_ms()),
+                    format!("{:.2}", fused.runtime_ms()),
+                    format!("{:.2}x", b2b.runtime_ms() / fused.runtime_ms()),
+                    format!("{:.1}%", 100.0 * b2b.stats.compute_idle_fraction()),
+                    format!("{:.1}%", 100.0 * fused.stats.compute_idle_fraction()),
+                    format!("{:.0}", fused.forwarded_bytes as f64 / rpu::MIB as f64),
                 ]
             })
             .collect();
@@ -227,6 +227,7 @@ fn render_channel_sweep(benchmark: HksBenchmark) {
         benchmark.name
     ));
     let workload = Workload::rotation_batch(benchmark, ROTATIONS);
+    let job = Job::workload(workload, Dataflow::OutputCentric, PipelineMode::Fused);
     let first = CHANNEL_LADDER.first().expect("ladder is non-empty");
     let last = CHANNEL_LADDER.last().expect("ladder is non-empty");
     let mut headers = vec![
@@ -239,49 +240,44 @@ fn render_channel_sweep(benchmark: HksBenchmark) {
     let mut rows = Vec::new();
     let session = Session::new();
     for &bandwidth in &CHANNEL_SWEEP_BANDWIDTHS {
-        let points = try_channel_sweep(
-            &session,
-            &workload,
-            Dataflow::OutputCentric,
-            bandwidth,
-            EvkPolicy::Streamed,
-            &CHANNEL_LADDER,
-            PipelineMode::Fused,
-        )
-        .expect("built-in pipelines are infallible");
+        // One engine job per channel count; the schedule is built once and
+        // every channel count's plan stays in the session's cache.
+        let rpu = RpuConfig::ciflow_streaming().with_bandwidth(bandwidth);
+        let outputs: Vec<JobOutput> = CHANNEL_LADDER
+            .iter()
+            .map(|&channels| {
+                let rpu = rpu.clone().with_memory_channels(channels);
+                session
+                    .run_job(&job.clone().with_rpu(rpu))
+                    .expect("built-in pipelines are infallible")
+            })
+            .collect();
         // The one-channel point is cross-checked against the closed form;
         // a multi-channel timeline evaluates through the engine itself, so
         // there is nothing to cross-check. One timeline serves the whole
         // one-channel column (the session cache keys on channels and range).
-        for point in points.iter().filter(|p| p.channels == 1) {
-            let job = Job::workload(
-                workload.clone(),
-                Dataflow::OutputCentric,
-                PipelineMode::Fused,
-            )
-            .with_rpu(
-                RpuConfig::ciflow_with_policy(EvkPolicy::Streamed)
-                    .with_bandwidth(bandwidth)
-                    .with_modops(1.0),
-            );
+        for output in outputs.iter().filter(|o| o.rpu.memory_channel_count() == 1) {
             let analytic = session
-                .run_analytic(&job, 8.0, 1024.0)
+                .run_analytic(&job.clone().with_rpu(rpu.clone()), 8.0, 1024.0)
                 .expect("built-in pipelines are infallible");
             assert_analytic_agrees(
                 &format!("channel sweep {} x1ch", benchmark.name),
                 bandwidth,
-                point.runtime_ms,
+                output.runtime_ms(),
                 analytic.timeline.evaluate(bandwidth).runtime_ms(),
             );
         }
         let mut row = vec![format!("{bandwidth}")];
-        row.push(format!("{:.2}", points[0].runtime_ms));
+        row.push(format!("{:.2}", outputs[0].runtime_ms()));
         row.push(format!(
             "{:.2}",
-            points.last().expect("ladder is non-empty").runtime_ms
+            outputs.last().expect("ladder is non-empty").runtime_ms()
         ));
-        for point in &points {
-            row.push(format!("{:.1}%", 100.0 * point.compute_idle));
+        for output in &outputs {
+            row.push(format!(
+                "{:.1}%",
+                100.0 * output.stats.compute_idle_fraction()
+            ));
         }
         rows.push(row);
     }

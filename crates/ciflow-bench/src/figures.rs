@@ -16,9 +16,7 @@ use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::hks_shape::HksShape;
 use ciflow::schedule::{build_schedule, ScheduleConfig};
-use ciflow::sweep::{
-    try_bandwidth_sweep_in, SweepSeries, BANDWIDTH_LADDER, BASELINE_BANDWIDTH_GBPS,
-};
+use ciflow::sweep::{SweepSeries, BANDWIDTH_LADDER, BASELINE_BANDWIDTH_GBPS};
 use rpu::{EvkPolicy, RpuConfig};
 
 /// One row of the Table II analogue: DRAM traffic and arithmetic intensity of
@@ -109,7 +107,8 @@ pub fn table3_rows() -> Vec<ParameterRow> {
         .collect()
 }
 
-/// Runs a runtime-vs-bandwidth sweep of one built-in dataflow.
+/// Runs a runtime-vs-bandwidth sweep of one built-in dataflow on the
+/// paper's RPU for `evk_policy` and `modops`: one [`Session::run_ladder`].
 ///
 /// # Panics
 ///
@@ -122,8 +121,11 @@ pub fn bandwidth_sweep(
     evk_policy: EvkPolicy,
     modops: f64,
 ) -> SweepSeries {
-    try_bandwidth_sweep_in(session, benchmark, dataflow, bandwidths, evk_policy, modops)
-        .expect("built-in dataflow sweeps are infallible")
+    let rpu = RpuConfig::ciflow_with_policy(evk_policy).with_modops(modops);
+    let (output, stats) = session
+        .run_ladder(&Job::new(benchmark, dataflow).with_rpu(rpu), bandwidths)
+        .expect("built-in dataflow sweeps are infallible");
+    SweepSeries::from_ladder(&output, bandwidths, &stats)
 }
 
 /// Runtime (ms) of one built-in dataflow with an explicit MODOPS multiplier.

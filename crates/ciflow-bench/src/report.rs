@@ -278,7 +278,7 @@ mod tests {
     use crate::figures::{table2_rows, table3_rows};
     use ciflow::api::Session;
     use ciflow::benchmark::HksBenchmark;
-    use ciflow::sweep::{try_bandwidth_sweep_in, SweepPoint};
+    use ciflow::sweep::SweepPoint;
     use rpu::EvkPolicy;
 
     #[test]
@@ -324,15 +324,14 @@ mod tests {
 
     #[test]
     fn sweep_csv_has_header_and_rows() {
-        let s = try_bandwidth_sweep_in(
+        let s = crate::figures::bandwidth_sweep(
             &Session::new(),
             HksBenchmark::ARK,
             Dataflow::OutputCentric,
             &[8.0, 16.0],
             EvkPolicy::OnChip,
             1.0,
-        )
-        .unwrap();
+        );
         let csv = render_sweep_csv(std::slice::from_ref(&s));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -923,22 +923,30 @@ impl Session {
     /// Evaluates `job` at every bandwidth of a ladder: one
     /// [`Session::run_analytic`] over the ladder's `[min, max]`, then every
     /// point read off the timeline, in ladder order — bit-identical to one
-    /// [`Session::run_job`] per point. The job's RPU is taken as the caller
-    /// set it (its own bandwidth is only the timeline's anchor). This is the
-    /// one place the crate derives and evaluates timelines: every bandwidth
-    /// ladder of the sweeps and every degraded service time of the serving
-    /// layer comes from here.
+    /// [`Session::run_job`] per point. The ladder may be unsorted and hold
+    /// duplicates; equal bandwidths give bit-identical points. The job's RPU
+    /// is taken as the caller set it (evk policy, MODOPS, channels); its own
+    /// bandwidth is replaced by each ladder point. This is the one place the
+    /// crate derives and evaluates timelines: every runtime-vs-bandwidth
+    /// curve (Figures 4–9, Tables IV–V) and every degraded service time of
+    /// the serving layer comes from here.
     ///
     /// # Errors
     ///
-    /// As [`Session::run_analytic`], and [`CiflowError::InvalidConfig`] for
-    /// a ladder entry that is not finite and positive (the message of
-    /// [`RpuConfig::validate`]) or an empty ladder, which has no range.
-    pub(crate) fn run_ladder(
+    /// [`CiflowError::InvalidConfig`] `"bandwidth ladder is empty"` for an
+    /// empty ladder, and for a ladder entry that is not finite and positive
+    /// the message of [`RpuConfig::validate`]; otherwise as
+    /// [`Session::run_analytic`].
+    pub fn run_ladder(
         &self,
         job: &Job,
         bandwidths: &[f64],
     ) -> Result<(AnalyticOutput, Vec<ExecutionStats>), CiflowError> {
+        if bandwidths.is_empty() {
+            return Err(CiflowError::InvalidConfig {
+                message: "bandwidth ladder is empty".to_string(),
+            });
+        }
         for &bandwidth in bandwidths {
             rpu::config::validate_bandwidth(bandwidth)
                 .map_err(|message| CiflowError::InvalidConfig { message })?;
@@ -1183,6 +1191,20 @@ mod tests {
         assert_eq!(output.stats, expected.stats);
         assert!(Arc::ptr_eq(&output.schedule, &expected.schedule));
         assert!(session.bounds_job(&job).is_ok());
+    }
+
+    #[test]
+    fn an_empty_ladder_is_rejected_before_anything_else() {
+        // Emptiness is checked first: the job's unknown strategy and its
+        // invalid RPU are never looked at.
+        let job = Job::new(HksBenchmark::ARK, "zig-zag")
+            .with_rpu(RpuConfig::ciflow_baseline().with_modops(f64::NAN));
+        match Session::new().run_ladder(&job, &[]) {
+            Err(CiflowError::InvalidConfig { message }) => {
+                assert_eq!(message, "bandwidth ladder is empty");
+            }
+            other => panic!("an empty ladder must be rejected, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,31 +1,28 @@
-//! Parameter sweeps: the drivers behind Figures 4–9 and Tables IV–V.
+//! Parameter sweeps: the ladders behind Figures 4–9 and Tables IV–V.
 //!
-//! Every sweep has one entry point, which takes the [`Session`] it runs in
-//! (pass `&Session::new()` for the built-in strategies) and reuses its
-//! registry and caches: a [`StrategySpec`] names a strategy in that
-//! session's registry (register a custom one first), and a repeated sweep
-//! rebuilds nothing. Failures are typed [`CiflowError`]s. The paper-figure
-//! quantities built on these sweeps (Tables IV–V, Figures 7–9) live in the
-//! `ciflow-bench` crate's `figures` module.
-//!
-//! The bandwidth, analytic, heterogeneous and serving sweeps evaluate their
-//! ladder on one [`Session::run_analytic`] timeline over its range,
-//! bit-identical to an engine run per point (see `docs/ANALYTIC.md`), and
-//! share its rules:
+//! A runtime-vs-bandwidth curve is one [`Session::run_ladder`] call: build
+//! the [`Job`] with the [`RpuConfig`] it runs on (evk policy, MODOPS,
+//! channels) and pass the ladder; [`SweepSeries::from_ladder`] reads the
+//! series off the result. Every ladder is evaluated on one
+//! [`Session::run_analytic`] timeline over its range, bit-identical to an
+//! engine run per point (see `docs/ANALYTIC.md`), and shares its rules:
 //!
 //! * A ladder may be unsorted and hold duplicates; points come back in the
 //!   order given, and equal bandwidths give bit-identical rows.
 //! * An empty ladder fails with [`CiflowError::InvalidConfig`]
-//!   `"<sweep>: bandwidth ladder is empty"`, and an entry that is not finite
-//!   and positive with `"DRAM bandwidth {v} GB/s is not finite and
-//!   positive"`.
-//! * A strategy that panics fails the sweep (and the channel and fault
-//!   sweeps) with [`CiflowError::StrategyPanicked`] instead of unwinding
-//!   into the caller — the [`Session`]'s one panic rule, which every sweep
-//!   inherits from the session entry points it runs on.
+//!   `"bandwidth ladder is empty"`, and an entry that is not finite and
+//!   positive with `"DRAM bandwidth {v} GB/s is not finite and positive"`.
+//! * A strategy that panics fails the run with
+//!   [`CiflowError::StrategyPanicked`] instead of unwinding into the caller
+//!   — the [`Session`]'s one panic rule, which every sweep inherits from the
+//!   session entry points it runs on.
+//!
+//! The serving and fault sweeps here take the [`Session`] they run in (pass
+//! `&Session::new()` for the built-in strategies) and reuse its registry and
+//! caches. The paper-figure quantities built on these ladders (Tables IV–V,
+//! Figures 7–9) live in the `ciflow-bench` crate's `figures` module.
 
 use crate::api::{AnalyticOutput, Job, Session, StrategySpec};
-use crate::benchmark::HksBenchmark;
 use crate::error::CiflowError;
 use crate::serve::{
     resilience_with_service_times, DispatchPolicy, FaultPlan, ServeConfig, ServiceTable,
@@ -75,110 +72,37 @@ pub struct SweepSeries {
     pub points: Vec<SweepPoint>,
 }
 
-/// The RPU configuration of one sweep sample.
-fn sweep_rpu(evk_policy: EvkPolicy, bandwidth_gbps: f64, modops: f64) -> RpuConfig {
-    RpuConfig::ciflow_with_policy(evk_policy)
-        .with_bandwidth(bandwidth_gbps)
-        .with_modops(modops)
-}
-
-/// Rejects a bandwidth that is not finite and positive, with the message
-/// every sweep and [`RpuConfig::validate`] share.
-fn check_bandwidth(bandwidth_gbps: f64) -> Result<(), CiflowError> {
-    rpu::config::validate_bandwidth(bandwidth_gbps)
-        .map_err(|message| CiflowError::InvalidConfig { message })
-}
-
-/// The lowest bandwidth of a ladder (the RPU anchor of its timeline);
-/// `context` names the sweep in the empty-ladder error. Every entry is
-/// checked by [`Session::run_ladder`].
-fn ladder_floor(bandwidths: &[f64], context: &str) -> Result<f64, CiflowError> {
-    bandwidths
-        .iter()
-        .copied()
-        .reduce(f64::min)
-        .ok_or_else(|| CiflowError::InvalidConfig {
-            message: format!("{context}: bandwidth ladder is empty"),
-        })
-}
-
-/// One bandwidth ladder evaluated on one timeline.
-struct Ladder {
-    /// The runtime-vs-bandwidth series, in ladder order.
-    series: SweepSeries,
-    /// The analytic run the series was read from.
-    output: AnalyticOutput,
-    /// The execution statistics at every ladder point, in ladder order.
-    stats: Vec<ExecutionStats>,
-}
-
-/// The one path every bandwidth-ladder sweep takes: checks the ladder, runs
-/// `job` on the paper's RPU for `evk_policy` and `modops` through
-/// [`Session::run_ladder`], and reads the series off its points.
-fn sweep_ladder(
-    session: &Session,
-    job: Job,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-    context: &str,
-) -> Result<Ladder, CiflowError> {
-    let lo = ladder_floor(bandwidths, context)?;
-    let job = job.with_rpu(sweep_rpu(evk_policy, lo, modops));
-    let (output, stats) = session.run_ladder(&job, bandwidths)?;
-    let points = bandwidths
-        .iter()
-        .zip(&stats)
-        .map(|(&bw, stats)| SweepPoint {
-            bandwidth_gbps: bw,
-            runtime_ms: stats.runtime_ms(),
-        })
-        .collect();
-    Ok(Ladder {
-        series: SweepSeries {
+impl SweepSeries {
+    /// The series of one [`Session::run_ladder`] run over `bandwidths`:
+    /// `stats` is the run's per-point statistics, and the benchmark,
+    /// strategy, evk policy and MODOPS multiplier are read off its `output`.
+    #[must_use]
+    pub fn from_ladder(
+        output: &AnalyticOutput,
+        bandwidths: &[f64],
+        stats: &[ExecutionStats],
+    ) -> Self {
+        SweepSeries {
             benchmark: output.benchmark.name,
             dataflow: output.strategy.clone(),
-            evk_streamed: evk_policy == EvkPolicy::Streamed,
-            modops,
-            points,
-        },
-        output,
-        stats,
-    })
-}
-
-/// Runs a runtime-vs-bandwidth sweep (one Figure 4/5/6 curve) of one
-/// benchmark on the paper's RPU for `evk_policy`, under the module's
-/// bandwidth-ladder rules.
-///
-/// # Errors
-///
-/// Returns [`CiflowError::InvalidConfig`] for an empty or degenerate ladder
-/// or MODOPS multiplier, [`CiflowError::StrategyPanicked`] for a panicking
-/// strategy, or the run's error (unknown strategy, schedule failure, engine
-/// rejection).
-pub fn try_bandwidth_sweep_in(
-    session: &Session,
-    benchmark: HksBenchmark,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-    modops: f64,
-) -> Result<SweepSeries, CiflowError> {
-    let job = Job::new(benchmark, strategy);
-    let ladder = sweep_ladder(
-        session,
-        job,
-        bandwidths,
-        evk_policy,
-        modops,
-        "bandwidth sweep",
-    )?;
-    Ok(ladder.series)
+            evk_streamed: output.rpu.evk_policy == EvkPolicy::Streamed,
+            modops: output.rpu.modops_multiplier,
+            points: bandwidths
+                .iter()
+                .zip(stats)
+                .map(|(&bandwidth_gbps, stats)| SweepPoint {
+                    bandwidth_gbps,
+                    runtime_ms: stats.runtime_ms(),
+                })
+                .collect(),
+        }
+    }
 }
 
 /// A workload pipeline's bandwidth sweep annotated with the static bound
-/// under its runtime curve.
+/// under its runtime curve: the result of [`try_analytic_sweep_in`], kept
+/// with it only for the `simbench` harness until the next change to the
+/// benchmark moves `simbench` to [`Session::run_ladder`].
 #[derive(Debug, Clone, Serialize)]
 pub struct AnalyticSweep {
     /// The evaluated series: one runtime point per ladder entry, in ladder
@@ -203,15 +127,22 @@ pub struct AnalyticSweep {
 }
 
 /// Runs a runtime-vs-bandwidth sweep of a multi-kernel [`Workload`] pipeline
-/// (fused or back-to-back) on the paper's RPU for `evk_policy`, under the
-/// module's bandwidth-ladder rules, and adds the static bound at every
-/// ladder point and the bound's roofline knee. Repeating a sweep (or
-/// sweeping another ladder inside the same bandwidth range) on one session
-/// reuses its cached timeline outright.
+/// (fused or back-to-back) on the paper's RPU for `evk_policy` and `modops`:
+/// one [`Session::run_ladder`] call, read into a [`SweepSeries`], plus the
+/// static bound at every ladder point and the bound's roofline knee.
+/// Repeating a sweep (or sweeping another ladder inside the same bandwidth
+/// range) on one session reuses its cached timeline outright.
+///
+/// Kept only for the `simbench` harness, which calls it; the next change to
+/// the benchmark moves `simbench` to [`Session::run_ladder`] and deletes
+/// this function and [`AnalyticSweep`].
 ///
 /// # Errors
 ///
-/// As [`try_bandwidth_sweep_in`].
+/// As [`Session::run_ladder`]: [`CiflowError::InvalidConfig`] for an empty
+/// or degenerate ladder or MODOPS multiplier,
+/// [`CiflowError::StrategyPanicked`] for a panicking strategy, or the run's
+/// error (unknown strategy, schedule failure, engine rejection).
 #[allow(clippy::too_many_arguments)]
 pub fn try_analytic_sweep_in(
     session: &Session,
@@ -222,10 +153,10 @@ pub fn try_analytic_sweep_in(
     modops: f64,
     mode: PipelineMode,
 ) -> Result<AnalyticSweep, CiflowError> {
-    let job = Job::workload(workload.clone(), strategy, mode);
-    let context = "analytic bandwidth sweep";
-    let Ladder { series, output, .. } =
-        sweep_ladder(session, job, bandwidths, evk_policy, modops, context)?;
+    let rpu = RpuConfig::ciflow_with_policy(evk_policy).with_modops(modops);
+    let job = Job::workload(workload.clone(), strategy, mode).with_rpu(rpu);
+    let (output, stats) = session.run_ladder(&job, bandwidths)?;
+    let series = SweepSeries::from_ladder(&output, bandwidths, &stats);
     // The static bound under the runtime curve. The sweep RPU has one
     // memory channel, where every bus grant is forced and the queue-order
     // bound replays the engine's own arithmetic, so the bound *is* the
@@ -240,166 +171,6 @@ pub fn try_analytic_sweep_in(
         bound_ms,
         knee_gbps,
     })
-}
-
-/// One point of a heterogeneous-pipeline sweep: the same (typically
-/// rescaling) chain at one bandwidth, fused vs back-to-back.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct HeterogeneousSweepPoint {
-    /// Off-chip bandwidth in GB/s.
-    pub bandwidth_gbps: f64,
-    /// Fused pipeline runtime in milliseconds.
-    pub fused_ms: f64,
-    /// Back-to-back baseline runtime in milliseconds.
-    pub back_to_back_ms: f64,
-    /// Compute-idle fraction of the fused run.
-    pub fused_idle: f64,
-    /// Compute-idle fraction of the back-to-back run.
-    pub back_to_back_idle: f64,
-    /// DRAM bytes the fused pipeline eliminated by on-chip forwarding
-    /// (always `back_to_back` traffic minus `fused` traffic).
-    pub forwarded_bytes: u64,
-}
-
-/// A fused-vs-back-to-back sweep of one heterogeneous workload across a
-/// bandwidth ladder, plus the per-kernel tower ladder the chain runs at.
-#[derive(Debug, Clone, Serialize)]
-pub struct HeterogeneousSweep {
-    /// The workload's name.
-    pub workload: String,
-    /// Strategy short name.
-    pub dataflow: String,
-    /// Live tower count ℓ of each kernel invocation, in execution order —
-    /// the descending ladder of a rescaling chain.
-    pub kernel_towers: Vec<usize>,
-    /// The sampled points, in the bandwidth order given.
-    pub points: Vec<HeterogeneousSweepPoint>,
-}
-
-/// Runs a heterogeneous [`Workload`] pipeline (per-step parameter points,
-/// e.g. [`Workload::rescaling_chain`]) across a bandwidth ladder, fused and
-/// back-to-back, on the paper's RPU for `evk_policy`: one timeline per
-/// pipeline mode, under the module's bandwidth-ladder rules.
-///
-/// # Errors
-///
-/// As [`try_bandwidth_sweep_in`], including [`CiflowError::InvalidConfig`]
-/// for a workload with no kernel invocations.
-pub fn try_heterogeneous_sweep_in(
-    session: &Session,
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidths: &[f64],
-    evk_policy: EvkPolicy,
-) -> Result<HeterogeneousSweep, CiflowError> {
-    let spec: StrategySpec = strategy.into();
-    let run = |mode| {
-        let job = Job::workload(workload.clone(), spec.clone(), mode);
-        sweep_ladder(
-            session,
-            job,
-            bandwidths,
-            evk_policy,
-            1.0,
-            "heterogeneous sweep",
-        )
-    };
-    let b2b = run(PipelineMode::BackToBack)?;
-    let fused = run(PipelineMode::Fused)?;
-    let points = bandwidths
-        .iter()
-        .zip(b2b.stats.iter().zip(&fused.stats))
-        .map(|(&bw, (b2b_stats, fused_stats))| HeterogeneousSweepPoint {
-            bandwidth_gbps: bw,
-            fused_ms: fused_stats.runtime_ms(),
-            back_to_back_ms: b2b_stats.runtime_ms(),
-            fused_idle: fused_stats.compute_idle_fraction(),
-            back_to_back_idle: b2b_stats.compute_idle_fraction(),
-            forwarded_bytes: fused.output.forwarded_bytes,
-        })
-        .collect();
-    Ok(HeterogeneousSweep {
-        workload: workload.name.clone(),
-        dataflow: b2b.series.dataflow,
-        kernel_towers: b2b
-            .output
-            .kernel_benchmarks
-            .iter()
-            .map(|b| b.q_towers)
-            .collect(),
-        points,
-    })
-}
-
-/// One point of a memory-channel-count sweep: the same workload pipeline on
-/// the same aggregate bandwidth, split over a growing number of in-order
-/// pseudo-channels.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ChannelSweepPoint {
-    /// Number of memory channels the aggregate bandwidth was split over.
-    pub channels: usize,
-    /// Pipeline runtime in milliseconds.
-    pub runtime_ms: f64,
-    /// Compute-idle fraction of the run.
-    pub compute_idle: f64,
-    /// Channel load imbalance (busiest channel / mean; 1.0 = perfectly
-    /// balanced).
-    pub memory_imbalance: f64,
-}
-
-/// Runs a [`Workload`] pipeline across a ladder of memory-channel counts at
-/// one fixed aggregate bandwidth. The aggregate bandwidth never changes —
-/// each point only re-partitions it over more in-order pseudo-channels — so
-/// any runtime/idle improvement is pure head-of-line-blocking relief from
-/// channel-aware data placement.
-///
-/// Each channel count is one engine job on `session`: strategy names resolve
-/// through its registry, the schedule is built once, and every channel
-/// count's execution plan stays in the session's cache. A strategy that
-/// panics fails the sweep with [`CiflowError::StrategyPanicked`].
-///
-/// Degenerate inputs (pinned by the regression tests): a non-finite or
-/// non-positive `bandwidth_gbps` is rejected with
-/// [`CiflowError::InvalidConfig`], and so is an empty `channel_counts`
-/// ladder (`"channel sweep: channel ladder is empty"`); duplicate or
-/// unsorted channel counts are evaluated pointwise in the order given
-/// (duplicates produce bit-identical rows); a channel count of `0` is
-/// clamped to one channel by
-/// [`RpuConfig::with_memory_channels`].
-///
-/// # Errors
-///
-/// Returns the first failing point's [`CiflowError`].
-pub fn try_channel_sweep(
-    session: &Session,
-    workload: &Workload,
-    strategy: impl Into<StrategySpec>,
-    bandwidth_gbps: f64,
-    evk_policy: EvkPolicy,
-    channel_counts: &[usize],
-    mode: PipelineMode,
-) -> Result<Vec<ChannelSweepPoint>, CiflowError> {
-    check_bandwidth(bandwidth_gbps)?;
-    if channel_counts.is_empty() {
-        return Err(CiflowError::InvalidConfig {
-            message: "channel sweep: channel ladder is empty".to_string(),
-        });
-    }
-    let spec: StrategySpec = strategy.into();
-    channel_counts
-        .iter()
-        .map(|&channels| {
-            let rpu = sweep_rpu(evk_policy, bandwidth_gbps, 1.0).with_memory_channels(channels);
-            let job = Job::workload(workload.clone(), spec.clone(), mode).with_rpu(rpu);
-            let output = session.run_job(&job)?;
-            Ok(ChannelSweepPoint {
-                channels,
-                runtime_ms: output.runtime_ms(),
-                compute_idle: output.stats.compute_idle_fraction(),
-                memory_imbalance: output.stats.memory_channel_imbalance(),
-            })
-        })
-        .collect()
 }
 
 /// One point of a serving sweep: one cluster size at one per-device
@@ -454,8 +225,7 @@ pub struct ServeSweep {
 /// is bit-reproducible and two calls with equal inputs compare equal.
 ///
 /// Service times are measured *symbolically*: each request class runs once
-/// as one [`ParametricTimeline`](rpu::ParametricTimeline) ladder over
-/// `bandwidths`, giving one service-time row per bandwidth that every
+/// as one [`Session::run_ladder`] over `bandwidths`, giving one service-time row per bandwidth that every
 /// cluster size replays — bit-identical to measuring each point through the
 /// engine, and the measurement cost is per class instead of per class ×
 /// point. Each point is the serve report of
@@ -464,8 +234,8 @@ pub struct ServeSweep {
 ///
 /// # Errors
 ///
-/// Returns [`CiflowError::InvalidConfig`] for an empty size or bandwidth
-/// ladder or a non-finite/non-positive bandwidth,
+/// Returns [`CiflowError::InvalidConfig`] for an empty size ladder, for an
+/// empty or degenerate bandwidth ladder (as [`Session::run_ladder`]),
 /// [`CiflowError::StrategyPanicked`] for a panicking strategy, or the first
 /// failing point's error.
 pub fn try_serve_sweep_in(
@@ -481,7 +251,6 @@ pub fn try_serve_sweep_in(
             message: "serving sweep has an empty cluster-size ladder".to_string(),
         });
     }
-    ladder_floor(bandwidths, "serving sweep")?;
     // Surface structural configuration errors before measuring anything,
     // exactly as the per-point path would at its first grid point.
     let mut probe = base.clone();
@@ -684,11 +453,17 @@ pub fn try_fault_sweep_in(
 mod tests {
     use super::*;
     use crate::api::JobOutput;
+    use crate::benchmark::HksBenchmark;
     use crate::dataflow::Dataflow;
     use crate::serve::{ArrivalProcess, RequestClass};
 
+    /// The paper's RPU for `evk_policy` at `bandwidth_gbps`.
+    fn paper_rpu(evk_policy: EvkPolicy, bandwidth_gbps: f64) -> RpuConfig {
+        RpuConfig::ciflow_with_policy(evk_policy).with_bandwidth(bandwidth_gbps)
+    }
+
     /// The engine reference of a ladder: one [`Session::run_job`] per point,
-    /// on the RPU the sweeps use.
+    /// on the paper's RPU.
     fn engine_ladder(
         session: &Session,
         job: &Job,
@@ -698,10 +473,25 @@ mod tests {
         ladder
             .iter()
             .map(|&bw| {
-                let job = job.clone().with_rpu(sweep_rpu(evk_policy, bw, 1.0));
+                let job = job.clone().with_rpu(paper_rpu(evk_policy, bw));
                 session.run_job(&job).unwrap()
             })
             .collect()
+    }
+
+    /// One [`Session::run_ladder`] of `workload` in `mode` on the paper's
+    /// RPU for `evk_policy`.
+    fn workload_ladder(
+        session: &Session,
+        workload: &Workload,
+        strategy: impl Into<StrategySpec>,
+        ladder: &[f64],
+        evk_policy: EvkPolicy,
+        mode: PipelineMode,
+    ) -> Result<(AnalyticOutput, Vec<ExecutionStats>), CiflowError> {
+        let job = Job::workload(workload.clone(), strategy, mode)
+            .with_rpu(RpuConfig::ciflow_with_policy(evk_policy));
+        session.run_ladder(&job, ladder)
     }
 
     #[test]
@@ -759,6 +549,8 @@ mod tests {
             )
             .unwrap();
             assert_eq!(analytic.series.dataflow, engine[0].strategy);
+            assert!(analytic.series.evk_streamed);
+            assert_eq!(analytic.series.modops, 1.0);
             assert_eq!(analytic.series.points.len(), engine.len());
             for ((a, e), &bw) in analytic.series.points.iter().zip(&engine).zip(&ladder) {
                 assert_eq!(a.bandwidth_gbps, bw);
@@ -794,37 +586,33 @@ mod tests {
         let session = Session::new();
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
         let ladder = [8.0, 16.0, 64.0];
+        let oc = Dataflow::OutputCentric;
+        let on_chip = EvkPolicy::OnChip;
         let [b2b, fused] = [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
-            let job = Job::workload(chain.clone(), Dataflow::OutputCentric, mode);
-            engine_ladder(&session, &job, &ladder, EvkPolicy::OnChip)
+            let job = Job::workload(chain.clone(), oc, mode);
+            engine_ladder(&session, &job, &ladder, on_chip)
         });
-        let analytic = try_heterogeneous_sweep_in(
-            &session,
-            &chain,
-            Dataflow::OutputCentric,
-            &ladder,
-            EvkPolicy::OnChip,
-        )
-        .unwrap();
-        assert_eq!(analytic.dataflow, b2b[0].strategy);
-        let towers: Vec<usize> = b2b[0]
-            .kernel_benchmarks
-            .iter()
-            .map(|b| b.q_towers)
-            .collect();
-        assert_eq!(analytic.kernel_towers, towers);
-        assert_eq!(analytic.points.len(), ladder.len());
-        for (i, a) in analytic.points.iter().enumerate() {
+        let [(b2b_run, b2b_stats), (fused_run, fused_stats)] =
+            [PipelineMode::BackToBack, PipelineMode::Fused]
+                .map(|mode| workload_ladder(&session, &chain, oc, &ladder, on_chip, mode).unwrap());
+        assert_eq!(b2b_run.strategy, b2b[0].strategy);
+        assert_eq!(b2b_run.kernel_benchmarks, b2b[0].kernel_benchmarks);
+        assert_eq!(b2b_stats.len(), ladder.len());
+        assert_eq!(fused_stats.len(), ladder.len());
+        for i in 0..ladder.len() {
             let (b, f) = (&b2b[i].stats, &fused[i].stats);
-            assert_eq!(a.bandwidth_gbps, ladder[i]);
-            assert_eq!(a.fused_ms.to_bits(), f.runtime_ms().to_bits());
-            assert_eq!(a.back_to_back_ms.to_bits(), b.runtime_ms().to_bits());
-            assert_eq!(a.fused_idle.to_bits(), f.compute_idle_fraction().to_bits());
+            let (b_ladder, f_ladder) = (&b2b_stats[i], &fused_stats[i]);
+            assert_eq!(f_ladder.runtime_ms().to_bits(), f.runtime_ms().to_bits());
+            assert_eq!(b_ladder.runtime_ms().to_bits(), b.runtime_ms().to_bits());
             assert_eq!(
-                a.back_to_back_idle.to_bits(),
+                f_ladder.compute_idle_fraction().to_bits(),
+                f.compute_idle_fraction().to_bits()
+            );
+            assert_eq!(
+                b_ladder.compute_idle_fraction().to_bits(),
                 b.compute_idle_fraction().to_bits()
             );
-            assert_eq!(a.forwarded_bytes, fused[i].forwarded_bytes);
+            assert_eq!(fused_run.forwarded_bytes, fused[i].forwarded_bytes);
         }
     }
 
@@ -874,7 +662,7 @@ mod tests {
         let oc = Dataflow::OutputCentric;
         let (on_chip, fused) = (EvkPolicy::OnChip, PipelineMode::Fused);
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
-        let chain = Workload::rescaling_chain(HksBenchmark::ARK, 2);
+        let job = Job::new(HksBenchmark::ARK, oc).with_rpu(RpuConfig::ciflow_baseline());
         let serve = ServeConfig::new(
             2,
             RequestClass::standard_mix(HksBenchmark::ARK),
@@ -886,38 +674,21 @@ mod tests {
         for bad in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
             // A valid point ahead of the bad one: every entry is checked.
             let ladder = [64.0, bad];
+            // A channel-count point is one engine job at the bad bandwidth.
+            let channels = Job::workload(workload.clone(), oc, fused)
+                .with_rpu(paper_rpu(on_chip, bad).with_memory_channels(4));
             let results = [
-                (
-                    "bandwidth",
-                    try_bandwidth_sweep_in(&session, HksBenchmark::ARK, oc, &ladder, on_chip, 1.0)
-                        .map(drop),
-                ),
+                ("run_ladder", session.run_ladder(&job, &ladder).map(drop)),
                 (
                     "analytic",
                     try_analytic_sweep_in(&session, &workload, oc, &ladder, on_chip, 1.0, fused)
                         .map(drop),
                 ),
                 (
-                    "heterogeneous",
-                    try_heterogeneous_sweep_in(&session, &chain, oc, &ladder, on_chip).map(drop),
-                ),
-                (
                     "serve",
                     try_serve_sweep_in(&session, &serve, oc, &[2], &ladder).map(drop),
                 ),
-                (
-                    "channel",
-                    try_channel_sweep(
-                        &session,
-                        &workload,
-                        oc,
-                        bad,
-                        on_chip,
-                        &CHANNEL_LADDER,
-                        fused,
-                    )
-                    .map(drop),
-                ),
+                ("channel", session.run_job(&channels).map(drop)),
             ];
             let expected = format!("DRAM bandwidth {bad} GB/s is not finite and positive");
             for (sweep, result) in results {
@@ -937,7 +708,7 @@ mod tests {
         let oc = Dataflow::OutputCentric;
         let (on_chip, fused) = (EvkPolicy::OnChip, PipelineMode::Fused);
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
-        let chain = Workload::rescaling_chain(HksBenchmark::ARK, 2);
+        let job = Job::new(HksBenchmark::ARK, oc).with_rpu(RpuConfig::ciflow_baseline());
         let serve = ServeConfig::new(
             2,
             RequestClass::standard_mix(HksBenchmark::ARK),
@@ -947,18 +718,10 @@ mod tests {
             },
         );
         let results = [
-            (
-                "bandwidth sweep",
-                try_bandwidth_sweep_in(&session, HksBenchmark::ARK, oc, &[], on_chip, 1.0)
-                    .map(drop),
-            ),
+            ("run_ladder", session.run_ladder(&job, &[]).map(drop)),
             (
                 "analytic bandwidth sweep",
                 try_analytic_sweep_in(&session, &workload, oc, &[], on_chip, 1.0, fused).map(drop),
-            ),
-            (
-                "heterogeneous sweep",
-                try_heterogeneous_sweep_in(&session, &chain, oc, &[], on_chip).map(drop),
             ),
             (
                 "serving sweep",
@@ -968,7 +731,7 @@ mod tests {
         for (context, result) in results {
             match result {
                 Err(CiflowError::InvalidConfig { message }) => {
-                    assert_eq!(message, format!("{context}: bandwidth ladder is empty"));
+                    assert_eq!(message, "bandwidth ladder is empty", "{context}");
                 }
                 other => panic!("{context} must reject an empty ladder, got {other:?}"),
             }
@@ -976,73 +739,31 @@ mod tests {
     }
 
     #[test]
-    fn channel_sweep_rejects_invalid_bandwidths() {
-        let session = Session::new();
-        let workload = Workload::rotation_batch(HksBenchmark::ARK, 2);
-        for bad in [0.0, -64.0, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(
-                    try_channel_sweep(
-                        &session,
-                        &workload,
-                        Dataflow::OutputCentric,
-                        bad,
-                        EvkPolicy::OnChip,
-                        &CHANNEL_LADDER,
-                        PipelineMode::Fused,
-                    ),
-                    Err(CiflowError::InvalidConfig { .. })
-                ),
-                "bandwidth {bad} must be rejected"
-            );
-        }
-        // An empty channel ladder is rejected like every other empty ladder.
-        match try_channel_sweep(
-            &session,
-            &workload,
-            Dataflow::OutputCentric,
-            64.0,
-            EvkPolicy::OnChip,
-            &[],
-            PipelineMode::Fused,
-        ) {
-            Err(CiflowError::InvalidConfig { message }) => {
-                assert_eq!(message, "channel sweep: channel ladder is empty");
-            }
-            other => panic!("an empty channel ladder must be rejected, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn heterogeneous_sweep_reports_the_ladder_and_forwarding() {
         let session = Session::new();
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
-        let sweep = try_heterogeneous_sweep_in(
-            &session,
-            &chain,
-            Dataflow::OutputCentric,
-            &[8.0, 16.0],
-            EvkPolicy::OnChip,
-        )
-        .unwrap();
-        assert_eq!(sweep.kernel_towers, vec![24, 23, 22]);
-        assert_eq!(sweep.dataflow, "OC");
-        assert_eq!(sweep.points.len(), 2);
-        for point in &sweep.points {
-            assert!(point.fused_ms <= point.back_to_back_ms * 1.0001);
-            assert!(point.forwarded_bytes > 0, "ARK chains fit on-chip");
+        let ladder = [8.0, 16.0];
+        let oc = Dataflow::OutputCentric;
+        let on_chip = EvkPolicy::OnChip;
+        let [(b2b_run, b2b), (fused_run, fused)] = [PipelineMode::BackToBack, PipelineMode::Fused]
+            .map(|mode| workload_ladder(&session, &chain, oc, &ladder, on_chip, mode).unwrap());
+        let towers: Vec<usize> = b2b_run
+            .kernel_benchmarks
+            .iter()
+            .map(|b| b.q_towers)
+            .collect();
+        assert_eq!(towers, vec![24, 23, 22]);
+        assert_eq!(b2b_run.strategy, "OC");
+        assert_eq!(fused.len(), 2);
+        for (f, b) in fused.iter().zip(&b2b) {
+            assert!(f.runtime_ms() <= b.runtime_ms() * 1.0001);
         }
+        assert!(fused_run.forwarded_bytes > 0, "ARK chains fit on-chip");
         // An empty workload surfaces the typed error instead of a panic.
         let empty = Workload::new("empty", HksBenchmark::ARK);
         assert!(matches!(
-            try_heterogeneous_sweep_in(
-                &session,
-                &empty,
-                Dataflow::OutputCentric,
-                &[8.0],
-                EvkPolicy::OnChip
-            ),
-            Err(crate::error::CiflowError::InvalidConfig { .. })
+            workload_ladder(&session, &empty, oc, &[8.0], on_chip, PipelineMode::Fused),
+            Err(CiflowError::InvalidConfig { .. })
         ));
     }
 
@@ -1066,16 +787,10 @@ mod tests {
 
     #[test]
     fn try_sweep_reports_unknown_strategies() {
-        let result = try_bandwidth_sweep_in(
-            &Session::new(),
-            HksBenchmark::ARK,
-            "not-a-strategy",
-            &[8.0, 16.0],
-            EvkPolicy::OnChip,
-            1.0,
-        );
+        let job = Job::new(HksBenchmark::ARK, "not-a-strategy")
+            .with_rpu(RpuConfig::ciflow_with_policy(EvkPolicy::OnChip));
         assert!(matches!(
-            result,
+            Session::new().run_ladder(&job, &[8.0, 16.0]),
             Err(crate::error::CiflowError::UnknownStrategy { .. })
         ));
     }

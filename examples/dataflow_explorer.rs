@@ -2,8 +2,8 @@
 //! compare every *registered* scheduling strategy, reproducing one panel of
 //! the paper's Figure 4 from the command line. Strategies are resolved
 //! through the session's [`StrategyRegistry`](ciflow::api::StrategyRegistry)
-//! via [`try_bandwidth_sweep_in`], so a custom strategy registered on the
-//! session below shows up in the output automatically.
+//! and each curve is one [`Session::run_ladder`] call, so a custom strategy
+//! registered on the session below shows up in the output automatically.
 //!
 //! Run with, e.g.:
 //! `cargo run -p ciflow-bench --release --example dataflow_explorer -- ARK`
@@ -12,7 +12,7 @@
 use ciflow::api::{Job, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{try_bandwidth_sweep_in, BASELINE_BANDWIDTH_GBPS};
+use ciflow::sweep::{SweepSeries, BASELINE_BANDWIDTH_GBPS};
 use ciflow_bench::report::{render_sweep_ascii, render_sweep_csv};
 use rpu::{EvkPolicy, RpuConfig};
 
@@ -54,8 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .registry()
         .short_names()
         .into_iter()
-        .map(|name| try_bandwidth_sweep_in(&session, benchmark, name, &bandwidths, evk_policy, 1.0))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|name| {
+            let job = Job::new(benchmark, name).with_rpu(RpuConfig::ciflow_with_policy(evk_policy));
+            let (output, stats) = session.run_ladder(&job, &bandwidths)?;
+            Ok(SweepSeries::from_ladder(&output, &bandwidths, &stats))
+        })
+        .collect::<Result<Vec<_>, ciflow::CiflowError>>()?;
     print!("{}", render_sweep_csv(&series));
     println!();
     print!("{}", render_sweep_ascii(&series, 66, 14));

@@ -9,10 +9,9 @@
 
 use ciflow::api::{Job, Session};
 use ciflow::schedule::ScheduleConfig;
-use ciflow::sweep::try_heterogeneous_sweep_in;
 use ciflow::workload::{build_workload, PipelineMode, Workload};
 use ciflow::{Dataflow, HksBenchmark};
-use rpu::{EvkPolicy, RpuConfig};
+use rpu::RpuConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A degree-6 polynomial evaluation on ARK: six multiply-relinearize-
@@ -83,24 +82,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The sweep: fused-vs-unfused across bandwidths for the whole chain.
-    let sweep = try_heterogeneous_sweep_in(
-        &session,
-        &chain,
-        Dataflow::OutputCentric,
-        &[8.0, 12.8, 25.6, 64.0],
-        EvkPolicy::Streamed,
-    )?;
+    // The sweep: fused-vs-unfused across bandwidths for the whole chain,
+    // one closed-form ladder per pipeline mode.
+    let bandwidths = [8.0, 12.8, 25.6, 64.0];
+    let [unfused, fused] = [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
+        let job = Job::workload(chain.clone(), Dataflow::OutputCentric, mode)
+            .with_rpu(RpuConfig::ciflow_streaming());
+        session
+            .run_ladder(&job, &bandwidths)
+            .map(|(_, stats)| stats)
+    });
     println!("\nOC, evks streamed, fused vs back-to-back:");
-    for point in &sweep.points {
+    for ((bandwidth, unfused), fused) in bandwidths.iter().zip(unfused?).zip(fused?) {
         println!(
             "  {:6.1} GB/s: {:7.2} ms unfused, {:7.2} ms fused ({:.2}x), idle {:4.1}% -> {:4.1}%",
-            point.bandwidth_gbps,
-            point.back_to_back_ms,
-            point.fused_ms,
-            point.back_to_back_ms / point.fused_ms,
-            100.0 * point.back_to_back_idle,
-            100.0 * point.fused_idle,
+            bandwidth,
+            unfused.runtime_ms(),
+            fused.runtime_ms(),
+            unfused.runtime_ms() / fused.runtime_ms(),
+            100.0 * unfused.compute_idle_fraction(),
+            100.0 * fused.compute_idle_fraction(),
         );
     }
     println!("\n(chaining is re-derived at every boundary: only surviving towers forward,");

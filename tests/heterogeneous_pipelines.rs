@@ -14,7 +14,7 @@ use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::error::CiflowError;
 use ciflow::schedule::ScheduleConfig;
-use ciflow::sweep::{try_heterogeneous_sweep_in, BANDWIDTH_LADDER, CHANNEL_LADDER};
+use ciflow::sweep::{BANDWIDTH_LADDER, CHANNEL_LADDER};
 use ciflow::workload::{build_workload, KernelStep, PipelineMode, Workload};
 use common::{baseline_at, streaming_at};
 use proptest::prelude::*;
@@ -141,24 +141,30 @@ fn empty_workloads_error_through_the_session_path() {
 
 #[test]
 fn heterogeneous_sweep_reports_monotone_runtimes_and_fused_dominance() {
-    let sweep = try_heterogeneous_sweep_in(
-        &Session::new(),
-        &acceptance_chain(),
-        Dataflow::OutputCentric,
-        &[8.0, 16.0, 32.0],
-        EvkPolicy::OnChip,
-    )
-    .unwrap();
-    assert_eq!(sweep.kernel_towers, vec![24, 23, 22, 21, 20]);
-    assert_eq!(sweep.points.len(), 3);
-    for w in sweep.points.windows(2) {
-        assert!(w[1].fused_ms <= w[0].fused_ms * 1.0001);
-        assert!(w[1].back_to_back_ms <= w[0].back_to_back_ms * 1.0001);
+    // One closed-form ladder per pipeline mode.
+    let session = Session::new();
+    let [(b2b_run, b2b), (fused_run, fused)] =
+        [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
+            let job = Job::workload(acceptance_chain(), Dataflow::OutputCentric, mode)
+                .with_rpu(baseline_at(8.0));
+            session.run_ladder(&job, &[8.0, 16.0, 32.0]).unwrap()
+        });
+    let towers: Vec<usize> = b2b_run
+        .kernel_benchmarks
+        .iter()
+        .map(|b| b.q_towers)
+        .collect();
+    assert_eq!(towers, vec![24, 23, 22, 21, 20]);
+    assert_eq!(fused.len(), 3);
+    for (ladder, label) in [(&fused, "fused"), (&b2b, "back-to-back")] {
+        for w in ladder.windows(2) {
+            assert!(w[1].runtime_ms() <= w[0].runtime_ms() * 1.0001, "{label}");
+        }
     }
-    for point in &sweep.points {
-        assert!(point.fused_ms <= point.back_to_back_ms * 1.0001);
-        assert!(point.forwarded_bytes > 0);
+    for (f, b) in fused.iter().zip(&b2b) {
+        assert!(f.runtime_ms() <= b.runtime_ms() * 1.0001);
     }
+    assert!(fused_run.forwarded_bytes > 0);
 }
 
 #[test]

@@ -6,10 +6,10 @@
 //! oracle holds every compiled plan's queues to `ChannelMap::channel_for`,
 //! the reference placement.
 
-use ciflow::api::{Job, Session};
+use ciflow::api::{Job, JobOutput, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
-use ciflow::sweep::{try_channel_sweep, CHANNEL_LADDER};
+use ciflow::sweep::CHANNEL_LADDER;
 use ciflow::workload::{PipelineMode, Workload};
 use common::streaming_at;
 use rpu::EvkPolicy;
@@ -21,6 +21,37 @@ mod common;
 /// memory-channel sweep section.
 const SWEEP_BANDWIDTHS: [f64; 4] = [12.8, 25.6, 64.0, 128.0];
 
+/// The channel sweep the binary prints: the OC 8-rotation pipeline of
+/// `benchmark` with streamed evks at one aggregate bandwidth, one engine job
+/// per count of [`CHANNEL_LADDER`].
+fn channel_sweep(
+    session: &Session,
+    benchmark: HksBenchmark,
+    bandwidth: f64,
+    mode: PipelineMode,
+) -> Vec<JobOutput> {
+    let job = Job::workload(
+        Workload::rotation_batch(benchmark, 8),
+        Dataflow::OutputCentric,
+        mode,
+    );
+    CHANNEL_LADDER
+        .iter()
+        .map(|&channels| {
+            let rpu = streaming_at(bandwidth).with_memory_channels(channels);
+            session.run_job(&job.clone().with_rpu(rpu)).unwrap()
+        })
+        .collect()
+}
+
+fn idle(output: &JobOutput) -> f64 {
+    output.stats.compute_idle_fraction()
+}
+
+fn channels(output: &JobOutput) -> usize {
+    output.rpu.memory_channel_count()
+}
+
 #[test]
 fn channel_sweep_idle_fraction_is_monotonically_non_increasing() {
     let session = Session::new();
@@ -30,55 +61,37 @@ fn channel_sweep_idle_fraction_is_monotonically_non_increasing() {
     // it visibly decreases it.
     for benchmark in [HksBenchmark::ARK, HksBenchmark::DPRIVE] {
         for &bandwidth in &SWEEP_BANDWIDTHS {
-            let points = try_channel_sweep(
-                &session,
-                &Workload::rotation_batch(benchmark, 8),
-                Dataflow::OutputCentric,
-                bandwidth,
-                EvkPolicy::Streamed,
-                &CHANNEL_LADDER,
-                PipelineMode::Fused,
-            )
-            .unwrap();
+            let points = channel_sweep(&session, benchmark, bandwidth, PipelineMode::Fused);
             assert_eq!(points.len(), CHANNEL_LADDER.len());
             for w in points.windows(2) {
                 assert!(
-                    w[1].compute_idle <= w[0].compute_idle,
+                    idle(&w[1]) <= idle(&w[0]),
                     "{} @ {bandwidth} GB/s: idle rose from {:.4} ({} ch) to {:.4} ({} ch)",
                     benchmark.name,
-                    w[0].compute_idle,
-                    w[0].channels,
-                    w[1].compute_idle,
-                    w[1].channels
+                    idle(&w[0]),
+                    channels(&w[0]),
+                    idle(&w[1]),
+                    channels(&w[1])
                 );
                 assert!(
-                    w[1].runtime_ms <= w[0].runtime_ms,
+                    w[1].runtime_ms() <= w[0].runtime_ms(),
                     "{} @ {bandwidth} GB/s: runtime rose from {:.3} ms ({} ch) to {:.3} ms ({} ch)",
                     benchmark.name,
-                    w[0].runtime_ms,
-                    w[0].channels,
-                    w[1].runtime_ms,
-                    w[1].channels
+                    w[0].runtime_ms(),
+                    channels(&w[0]),
+                    w[1].runtime_ms(),
+                    channels(&w[1])
                 );
             }
         }
         // At 128 GB/s the head-of-line bypass is worth several idle points.
-        let points = try_channel_sweep(
-            &session,
-            &Workload::rotation_batch(benchmark, 8),
-            Dataflow::OutputCentric,
-            128.0,
-            EvkPolicy::Streamed,
-            &CHANNEL_LADDER,
-            PipelineMode::Fused,
-        )
-        .unwrap();
+        let points = channel_sweep(&session, benchmark, 128.0, PipelineMode::Fused);
         assert!(
-            points.last().unwrap().compute_idle < points[0].compute_idle - 0.05,
+            idle(points.last().unwrap()) < idle(&points[0]) - 0.05,
             "{}: idle {:.4} (1 ch) vs {:.4} (8 ch)",
             benchmark.name,
-            points[0].compute_idle,
-            points.last().unwrap().compute_idle
+            idle(&points[0]),
+            idle(points.last().unwrap())
         );
     }
 }
@@ -176,22 +189,13 @@ fn channel_count_never_hurts_the_printed_pipeline_scenarios() {
     // stores and next-kernel evk loads are serialized by the barrier, so
     // bypass opportunities are rarer but never harmful in these scenarios.
     for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-        let points = try_channel_sweep(
-            &session,
-            &Workload::rotation_batch(HksBenchmark::ARK, 8),
-            Dataflow::OutputCentric,
-            64.0,
-            EvkPolicy::Streamed,
-            &CHANNEL_LADDER,
-            mode,
-        )
-        .unwrap();
+        let points = channel_sweep(&session, HksBenchmark::ARK, 64.0, mode);
         for w in points.windows(2) {
             assert!(
-                w[1].runtime_ms <= w[0].runtime_ms + 1e-9,
+                w[1].runtime_ms() <= w[0].runtime_ms() + 1e-9,
                 "{mode}: runtime rose from {:.3} to {:.3} ms",
-                w[0].runtime_ms,
-                w[1].runtime_ms
+                w[0].runtime_ms(),
+                w[1].runtime_ms()
             );
         }
     }

@@ -183,7 +183,12 @@ fn min_data_memory_without_spills(benchmark: HksBenchmark, dataflow: Dataflow) -
     };
     let tower = benchmark.tower_bytes().max(1);
     let (mut lo, mut hi) = (tower, benchmark.temp_data_bytes() + 4 * tower);
-    assert_eq!(spills(hi), 0, "{}: spills with all temp data on chip", benchmark.name);
+    assert_eq!(
+        spills(hi),
+        0,
+        "{}: spills with all temp data on chip",
+        benchmark.name
+    );
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if spills(mid) == 0 {

@@ -318,20 +318,19 @@ fn deadlocking_strategy_fails_its_own_jobs_without_poisoning_siblings() {
     assert_eq!(outcome.failures().count(), 1);
 }
 
+/// The paper's RPU for `evk_policy`; a ladder replaces its bandwidth.
+fn paper_rpu(evk_policy: EvkPolicy) -> RpuConfig {
+    RpuConfig::ciflow_with_policy(evk_policy)
+}
+
 #[test]
 fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
     // An empty ladder is a typed error, like every other degenerate ladder.
-    let result = ciflow::sweep::try_bandwidth_sweep_in(
-        &Session::new(),
-        HksBenchmark::ARK,
-        Dataflow::OutputCentric,
-        &[],
-        EvkPolicy::OnChip,
-        1.0,
-    );
-    match result {
+    let job =
+        Job::new(HksBenchmark::ARK, Dataflow::OutputCentric).with_rpu(paper_rpu(EvkPolicy::OnChip));
+    match Session::new().run_ladder(&job, &[]) {
         Err(CiflowError::InvalidConfig { message }) => {
-            assert_eq!(message, "bandwidth sweep: bandwidth ladder is empty");
+            assert_eq!(message, "bandwidth ladder is empty");
         }
         other => panic!("an empty ladder must be rejected, got {other:?}"),
     }
@@ -341,45 +340,35 @@ fn empty_bandwidth_sweep_returns_a_well_formed_empty_series() {
 fn sweeps_accept_custom_strategies() {
     // Registered strategies sweep *by name* through the owning session.
     let session = Session::new().register(Arc::new(NoReuse)).unwrap();
-    let by_name = ciflow::sweep::try_bandwidth_sweep_in(
-        &session,
-        HksBenchmark::DPRIVE,
-        "NR",
-        &[8.0, 64.0, 1024.0],
-        EvkPolicy::Streamed,
-        1.0,
-    )
-    .expect("registered strategies sweep by name");
-    assert_eq!(by_name.dataflow, "NR");
-    assert_eq!(by_name.points.len(), 3);
-    assert!(by_name.points[2].runtime_ms < by_name.points[0].runtime_ms);
+    let job = Job::new(HksBenchmark::DPRIVE, "NR").with_rpu(paper_rpu(EvkPolicy::Streamed));
+    let (output, stats) = session
+        .run_ladder(&job, &[8.0, 64.0, 1024.0])
+        .expect("registered strategies sweep by name");
+    assert_eq!(output.strategy, "NR");
+    assert_eq!(stats.len(), 3);
+    assert!(stats[2].runtime_ms() < stats[0].runtime_ms());
     // ...but not through a session that lacks the registration.
     assert!(matches!(
-        ciflow::sweep::try_bandwidth_sweep_in(
-            &Session::new(),
-            HksBenchmark::DPRIVE,
-            "NR",
-            &[8.0],
-            EvkPolicy::Streamed,
-            1.0
-        ),
+        Session::new().run_ladder(&job, &[8.0]),
         Err(CiflowError::UnknownStrategy { .. })
     ));
-    // The channel sweep runs on the caller's session too, so the registered
-    // strategy channel-sweeps by name.
-    let points = ciflow::sweep::try_channel_sweep(
-        &session,
-        &Workload::rotation_batch(HksBenchmark::DPRIVE, 2),
+    // A channel-count point runs on the caller's session too, so the
+    // registered strategy runs by name on every channel count.
+    let workload = Job::workload(
+        Workload::rotation_batch(HksBenchmark::DPRIVE, 2),
         "NR",
-        64.0,
-        EvkPolicy::Streamed,
-        &[1, 2],
         PipelineMode::Fused,
-    )
-    .expect("registered strategies channel-sweep by name");
-    assert_eq!(points.len(), 2);
-    assert_eq!(points[0].channels, 1);
-    assert!(points.iter().all(|p| p.runtime_ms > 0.0));
+    );
+    for channels in [1, 2] {
+        let rpu = paper_rpu(EvkPolicy::Streamed)
+            .with_bandwidth(64.0)
+            .with_memory_channels(channels);
+        let output = session
+            .run_job(&workload.clone().with_rpu(rpu))
+            .expect("registered strategies run by name on every channel count");
+        assert_eq!(output.rpu.memory_channel_count(), channels);
+        assert!(output.runtime_ms() > 0.0);
+    }
 }
 
 /// The session's panic rule, checked at every entry point a panicking
@@ -435,16 +424,10 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
             .map(drop),
         ),
         (
-            "bandwidth sweep",
-            ciflow::sweep::try_bandwidth_sweep_in(
-                &session,
-                HksBenchmark::ARK,
-                panicking(),
-                &[8.0, 64.0],
-                streamed,
-                1.0,
-            )
-            .map(drop),
+            "run_ladder",
+            session
+                .run_ladder(&job.clone().with_rpu(paper_rpu(streamed)), &[8.0, 64.0])
+                .map(drop),
         ),
         (
             "analytic sweep",
@@ -460,28 +443,26 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
             .map(drop),
         ),
         (
-            "heterogeneous sweep",
-            ciflow::sweep::try_heterogeneous_sweep_in(
-                &session,
-                &chain,
-                panicking(),
-                &[8.0, 64.0],
-                streamed,
-            )
-            .map(drop),
+            "heterogeneous ladder",
+            session
+                .run_ladder(
+                    &Job::workload(chain, panicking(), PipelineMode::BackToBack)
+                        .with_rpu(paper_rpu(streamed)),
+                    &[8.0, 64.0],
+                )
+                .map(drop),
         ),
         (
-            "channel sweep",
-            ciflow::sweep::try_channel_sweep(
-                &session,
-                &workload,
-                panicking(),
-                64.0,
-                streamed,
-                &[1, 2],
-                fused,
-            )
-            .map(drop),
+            "channel point",
+            session
+                .run_job(
+                    &Job::workload(workload.clone(), panicking(), fused).with_rpu(
+                        paper_rpu(EvkPolicy::Streamed)
+                            .with_bandwidth(64.0)
+                            .with_memory_channels(2),
+                    ),
+                )
+                .map(drop),
         ),
     ];
     for (entry, result) in results {
