@@ -1208,6 +1208,36 @@ mod tests {
     }
 
     #[test]
+    fn a_subnormal_ladder_bandwidth_fails_like_the_engine_run_there() {
+        // 5e-324 GB/s passes the bandwidth check, but every transfer then
+        // takes `inf` seconds: the ladder reports the engine's own error
+        // at that point, on one channel and on four, and never an `inf`
+        // runtime or a panic.
+        let session = Session::new();
+        for channels in [1, 4] {
+            let rpu = RpuConfig::ciflow_baseline().with_memory_channels(channels);
+            let job = Job::new(HksBenchmark::ARK, Dataflow::OutputCentric).with_rpu(rpu.clone());
+            let expected = session
+                .run_job(&job.clone().with_rpu(rpu.with_bandwidth(5e-324)))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    expected,
+                    CiflowError::Engine(rpu::EngineError::NonFiniteTime { .. })
+                ),
+                "{expected}"
+            );
+            for ladder in [&[5e-324, 64.0][..], &[64.0, 5e-324, 8.0]] {
+                assert_eq!(
+                    session.run_ladder(&job, ladder).unwrap_err(),
+                    expected,
+                    "{channels} channels, ladder {ladder:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn streaming_policy_flows_into_schedule_config() {
         let job = Job::new(HksBenchmark::ARK, "OC");
         let output = Session::new()

@@ -35,11 +35,15 @@
 //! program-order walk, and a negative compute duration (a negative MODOPS
 //! rate) breaks the one-edge rule. Such a timeline holds no segment: every
 //! evaluation runs the event engine on the cached [`ExecPlan`] (exact, not
-//! closed-form), and one engine run at the top of the range decides
-//! deadlock and non-finite times for every bandwidth. A plan the walk times
-//! cannot deadlock, and one walk at the top of the range computes the
-//! engine's values there, so the engine runs only if one of them is not
-//! finite, to report its own error.
+//! closed-form), and one engine run at the bottom of the range decides
+//! deadlock and non-finite times for every bandwidth in it. A plan the walk
+//! times cannot deadlock, and one walk at the bottom of the range computes
+//! the engine's values there, so the engine runs only if one of them is not
+//! finite, to report its own error. The bottom is the point that decides:
+//! every duration only shrinks as the bandwidth grows, so times that are
+//! finite at the lowest bandwidth stay finite across the range, while a
+//! bandwidth so small (a subnormal GB/s) that a transfer takes `inf`
+//! seconds fails the derivation with the engine's error there.
 //!
 //! ## Lanes
 //!
@@ -265,7 +269,7 @@ impl ParametricTimeline {
         engine
             .at(bandwidth_gbps)
             .execute_stats_plan(graph, &self.plan)
-            .expect("deadlock is timing-independent and the run at the range's top succeeded")
+            .expect("deadlock is timing-independent and the run at the range's bottom succeeded")
     }
 }
 
@@ -281,9 +285,11 @@ impl RpuEngine {
     /// Returns [`EngineError::Deadlock`] exactly when
     /// [`RpuEngine::execute_stats`] would: the deadlock condition is a
     /// property of the schedule and queue placement, independent of timing,
-    /// so one engine run at `hi_gbps` decides it for every bandwidth, and a
+    /// so one engine run at `lo_gbps` decides it for every bandwidth, and a
     /// plan the fold times cannot deadlock at all.
-    /// [`EngineError::NonFiniteTime`] reports a degenerate MODOPS rate.
+    /// [`EngineError::NonFiniteTime`] reports a degenerate MODOPS rate, or a
+    /// `lo_gbps` so small that a transfer takes `inf` seconds, exactly as the
+    /// engine run at `lo_gbps` reports it.
     ///
     /// # Panics
     ///
@@ -300,14 +306,16 @@ impl RpuEngine {
     }
 
     /// [`RpuEngine::analyze`] on a prebuilt plan of `graph`: the run at
-    /// `hi_gbps`, and every evaluation of the returned timeline, executes
+    /// `lo_gbps`, and every evaluation of the returned timeline, executes
     /// this one plan.
     ///
-    /// A plan the walk times is walked once at `hi_gbps`, where its values
-    /// are the engine's. The engine runs at `hi_gbps` only when the plan
-    /// does not fold, has a negative compute duration, or some finish of
-    /// that walk is not finite, so every error is the engine's own. A
-    /// timeline that folds keeps no copy of `graph`.
+    /// A plan the walk times is walked once at `lo_gbps`, where its values
+    /// are the engine's and every duration is at its longest, so a walk
+    /// whose finishes are all finite proves every point of the range
+    /// finite. The engine runs at `lo_gbps` only when the plan does not
+    /// fold, has a negative compute duration, or some finish of that walk is
+    /// not finite, so every error is the engine's own. A timeline that folds
+    /// keeps no copy of `graph`.
     ///
     /// # Errors
     ///
@@ -334,7 +342,7 @@ impl RpuEngine {
             let costs = fold::costs(self, graph.tasks(), &plan);
             let kept = fold::kept(&costs, &plan)?;
             let finish = &mut vec![[0.0]; costs.len() + 1];
-            let clock = &Seconds::gbps(&[hi_gbps]);
+            let clock = &Seconds::gbps(&[lo_gbps]);
             fold::pull(clock, &costs, &kept, finish, |_, _, _, _, _| {});
             // Every start is zero or a max of earlier finishes, so a walk's
             // first non-finite time is a finish, whatever later maxes drop.
@@ -346,7 +354,7 @@ impl RpuEngine {
         let timing = match folded.flatten() {
             Some(timing) => timing,
             None => {
-                self.at(hi_gbps).execute_stats_plan(graph, &plan)?;
+                self.at(lo_gbps).execute_stats_plan(graph, &plan)?;
                 Timing::Engine {
                     engine: self.clone(),
                     graph: graph.clone(),
@@ -524,13 +532,13 @@ mod tests {
 
     #[test]
     fn analyzing_a_degenerate_modops_rate_reports_the_engines_own_error() {
-        // NaN and zero MODOPS on one channel: the walk at the range's top
+        // NaN and zero MODOPS on one channel: the walk at the range's bottom
         // finds a finish that is not finite, and the engine's run there
         // reports the error, task and time included.
         for modops in [f64::NAN, 0.0] {
             let engine = RpuEngine::new(unit_config().with_modops(modops));
             let analyzed = engine.analyze(&race_graph(), 1.0, 64.0).unwrap_err();
-            let expected = RpuEngine::new(engine.config().clone().with_bandwidth(64.0))
+            let expected = RpuEngine::new(engine.config().clone().with_bandwidth(1.0))
                 .execute_stats(&race_graph())
                 .unwrap_err();
             // A NaN time equals nothing, itself included: compare its bits.
@@ -604,10 +612,28 @@ mod tests {
     }
 
     #[test]
-    fn a_degenerate_modops_rate_is_an_error_when_analyzing() {
-        let engine = RpuEngine::new(unit_config().with_modops(f64::NAN));
-        let err = engine.analyze(&race_graph(), 1.0, 64.0).unwrap_err();
-        assert!(matches!(err, EngineError::NonFiniteTime { .. }), "{err}");
+    fn a_subnormal_bottom_of_the_range_reports_the_engines_own_error() {
+        // At 5e-324 GB/s every transfer takes `inf` seconds; at 64 GB/s none
+        // does. Deriving over the range fails with the engine's own error at
+        // its bottom, on one channel (the walk) and on two (the engine), so
+        // no evaluation inside the range can meet an infinite time.
+        let lo = 5e-324;
+        let (two_channels, race) = two_channel_race();
+        for (engine, g) in [
+            (RpuEngine::new(unit_config()), race_graph()),
+            (two_channels, race),
+        ] {
+            let analyzed = engine.analyze(&g, lo, 64.0).unwrap_err();
+            let expected = RpuEngine::new(engine.config().clone().with_bandwidth(lo))
+                .with_channel_map(engine.channel_map().clone())
+                .execute_stats(&g)
+                .unwrap_err();
+            assert!(
+                matches!(expected, EngineError::NonFiniteTime { seconds, .. } if seconds.is_infinite()),
+                "{expected}"
+            );
+            assert_eq!(analyzed, expected);
+        }
     }
 
     #[test]

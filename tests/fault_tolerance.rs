@@ -301,6 +301,54 @@ fn degradation_windows_apply_timeline_exact_service_times() {
     assert!(report.serve.makespan_seconds > 0.0);
 }
 
+/// A degradation factor small enough that the window's bandwidth is
+/// subnormal passes validation (any factor in `(0, 1]` does), but every
+/// transfer then takes `inf` seconds: the run fails with the engine's own
+/// error at that bandwidth instead of serving with an infinite service time.
+#[test]
+fn a_subnormal_degradation_window_fails_with_the_engines_error() {
+    let session = Session::new();
+    let config = ServeConfig::new(
+        2,
+        vec![RequestClass::single(HksBenchmark::ARK, 1.0)],
+        ArrivalProcess::ClosedLoop {
+            concurrency: 2,
+            requests: 4,
+        },
+    );
+    let window = |device, bandwidth_factor| DegradeWindow {
+        device,
+        start_seconds: 0.0,
+        duration_seconds: 1e9,
+        bandwidth_factor,
+    };
+    let factor = 1e-320;
+    // A second, ordinary window makes the degraded ladder span a range.
+    let plan = FaultPlan::none()
+        .with_degradation(window(0, 0.5))
+        .with_degradation(window(1, factor));
+    let bandwidth = config.cluster.rpu.dram_bandwidth_gbps;
+    let rpu = config
+        .cluster
+        .rpu
+        .clone()
+        .with_bandwidth(bandwidth * factor);
+    let expected = session
+        .run_job(&ciflow::Job::new(HksBenchmark::ARK, "OC").with_rpu(rpu))
+        .unwrap_err();
+    assert!(
+        matches!(
+            expected,
+            CiflowError::Engine(rpu::EngineError::NonFiniteTime { .. })
+        ),
+        "{expected}"
+    );
+    assert_eq!(
+        try_fault_serve_in(&session, &config, &plan, "OC").unwrap_err(),
+        expected
+    );
+}
+
 /// Deadlines time out requests that cannot start in time; admission
 /// policies shed or downgrade instead of collapsing. Conservation holds
 /// through all of it.
