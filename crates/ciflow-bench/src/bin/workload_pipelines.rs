@@ -22,25 +22,13 @@
 //! single queue, and the fused compute-idle fraction falls monotonically as
 //! channels grow.
 
-use ciflow::api::{Job, JobOutput, Session};
+use ciflow::api::{AnalyticOutput, Job, JobOutput, Session};
 use ciflow::benchmark::HksBenchmark;
 use ciflow::dataflow::Dataflow;
 use ciflow::sweep::{BANDWIDTH_LADDER, CHANNEL_LADDER};
 use ciflow::workload::{PipelineMode, Workload};
 use ciflow_bench::report::markdown_table;
-use rpu::{EvkPolicy, RpuConfig};
-
-/// Every one-channel number the tables print is double-checked against the
-/// closed-form timeline (`rpu::analytic`) before rendering: the analytic
-/// ladder must reproduce the event engine's milliseconds **bit for bit**.
-fn assert_analytic_agrees(label: &str, bandwidth: f64, engine_ms: f64, analytic_ms: f64) {
-    assert_eq!(
-        engine_ms.to_bits(),
-        analytic_ms.to_bits(),
-        "{label}: analytic ladder diverges from the engine at {bandwidth} GB/s \
-         (engine {engine_ms} ms, analytic {analytic_ms} ms)"
-    );
-}
+use rpu::{EvkPolicy, ExecutionStats, RpuConfig};
 
 const ROTATIONS: usize = 8;
 
@@ -53,87 +41,44 @@ const CHANNEL_SWEEP_BANDWIDTHS: [f64; 4] = [12.8, 25.6, 64.0, 128.0];
 /// The pipeline modes every table compares, in the order of its columns.
 const MODES: [PipelineMode; 2] = [PipelineMode::BackToBack, PipelineMode::Fused];
 
-/// Runs `workload` under every (strategy, bandwidth, mode) combination of
-/// the Figure-4 ladder through the event engine, one job per point, as a
-/// single parallel batch, and returns the outputs in submission order
-/// (strategy-major, then bandwidth, then back-to-back before fused).
-fn engine_ladder(workload: &Workload, evk_policy: EvkPolicy) -> Vec<JobOutput> {
-    let mut session = Session::new();
-    for dataflow in Dataflow::all() {
-        for &bandwidth in &BANDWIDTH_LADDER {
-            for mode in MODES {
-                session =
-                    session.push(Job::workload(workload.clone(), dataflow, mode).with_rpu(
-                        RpuConfig::ciflow_with_policy(evk_policy).with_bandwidth(bandwidth),
-                    ));
-            }
-        }
-    }
-    session
-        .run()
-        .into_outputs()
-        .expect("built-in pipelines are infallible")
-}
-
-/// The `(back-to-back, fused)` engine outputs of the `d`-th strategy of an
-/// [`engine_ladder`] batch, one pair per Figure-4 bandwidth, each checked
-/// bit for bit against one `Session::run_ladder` per pipeline mode.
-fn checked_pairs<'a>(
+/// The `[back-to-back, fused]` runs of `workload` under `dataflow` across
+/// the Figure-4 ladder: one `Session::run_ladder` per pipeline mode, each
+/// point bit-identical to an engine run at that bandwidth.
+fn mode_ladders(
     session: &Session,
     workload: &Workload,
-    (d, dataflow): (usize, Dataflow),
+    dataflow: Dataflow,
     evk_policy: EvkPolicy,
-    outputs: &'a [JobOutput],
-    label: &str,
-) -> Vec<[&'a JobOutput; 2]> {
-    let ladders = MODES.map(|mode| {
+) -> [(AnalyticOutput, Vec<ExecutionStats>); 2] {
+    MODES.map(|mode| {
         let job = Job::workload(workload.clone(), dataflow, mode)
             .with_rpu(RpuConfig::ciflow_with_policy(evk_policy));
         session
             .run_ladder(&job, &BANDWIDTH_LADDER)
             .expect("built-in pipelines are infallible")
-            .1
-    });
-    let strategy = &outputs[d * BANDWIDTH_LADDER.len() * 2..][..BANDWIDTH_LADDER.len() * 2];
-    (strategy.chunks_exact(2).zip(BANDWIDTH_LADDER).enumerate())
-        .map(|(b, (pair, bandwidth))| {
-            for (output, ladder) in pair.iter().zip(&ladders) {
-                let analytic_ms = ladder[b].runtime_ms();
-                assert_analytic_agrees(label, bandwidth, output.runtime_ms(), analytic_ms);
-            }
-            [&pair[0], &pair[1]]
-        })
-        .collect()
+    })
 }
 
 fn render(benchmark: HksBenchmark, evk_policy: EvkPolicy) {
     let workload = Workload::rotation_batch(benchmark, ROTATIONS);
-    let outputs = engine_ladder(&workload, evk_policy);
-    let analytic_session = Session::new();
-    for (d, dataflow) in Dataflow::all().into_iter().enumerate() {
-        let label = format!("{} {dataflow} ({evk_policy})", benchmark.name);
-        let pairs = checked_pairs(
-            &analytic_session,
-            &workload,
-            (d, dataflow),
-            evk_policy,
-            &outputs,
-            &label,
-        );
+    let session = Session::new();
+    for dataflow in Dataflow::all() {
+        let [(_, unfused), (fused_output, fused)] =
+            mode_ladders(&session, &workload, dataflow, evk_policy);
         ciflow_bench::section(&format!(
             "Workload pipeline: {} x{ROTATIONS} rotations, {dataflow} ({evk_policy})",
             benchmark.name
         ));
-        let rows: Vec<Vec<String>> = (pairs.iter().zip(BANDWIDTH_LADDER))
-            .map(|([unfused, fused], bandwidth)| {
+        let rows: Vec<Vec<String>> = (unfused.iter().zip(&fused).zip(BANDWIDTH_LADDER))
+            .map(|((unfused, fused), bandwidth)| {
                 vec![
                     format!("{bandwidth}"),
                     format!("{:.2}", unfused.runtime_ms()),
                     format!("{:.2}", fused.runtime_ms()),
                     format!("{:.2}x", unfused.runtime_ms() / fused.runtime_ms()),
-                    format!("{:.1}%", 100.0 * unfused.stats.compute_idle_fraction()),
-                    format!("{:.1}%", 100.0 * fused.stats.compute_idle_fraction()),
-                    format!("{:.2}", fused.runtime_ms_per_kernel()),
+                    format!("{:.1}%", 100.0 * unfused.compute_idle_fraction()),
+                    format!("{:.1}%", 100.0 * fused.compute_idle_fraction()),
+                    format!("{:.2}", fused.runtime_ms() / fused_output.kernels as f64),
                 ]
             })
             .collect();
@@ -168,33 +113,26 @@ fn render_rescaling_chain(benchmark: HksBenchmark, evk_policy: EvkPolicy) {
         .iter()
         .map(|b| b.q_towers.to_string())
         .collect();
-    let outputs = engine_ladder(&chain, evk_policy);
     let session = Session::new();
-    for (d, dataflow) in Dataflow::all().into_iter().enumerate() {
-        let label = format!("rescaling chain {} {dataflow}", benchmark.name);
-        let pairs = checked_pairs(
-            &session,
-            &chain,
-            (d, dataflow),
-            evk_policy,
-            &outputs,
-            &label,
-        );
+    for dataflow in Dataflow::all() {
+        let [(_, b2b), (fused_output, fused)] =
+            mode_ladders(&session, &chain, dataflow, evk_policy);
+        let forwarded_mib = fused_output.forwarded_bytes as f64 / rpu::MIB as f64;
         ciflow_bench::section(&format!(
             "Rescaling chain: {} ℓ={} , {dataflow} ({evk_policy})",
             benchmark.name,
             ladder.join("->")
         ));
-        let rows: Vec<Vec<String>> = (pairs.iter().zip(BANDWIDTH_LADDER))
-            .map(|([b2b, fused], bandwidth)| {
+        let rows: Vec<Vec<String>> = (b2b.iter().zip(&fused).zip(BANDWIDTH_LADDER))
+            .map(|((b2b, fused), bandwidth)| {
                 vec![
                     format!("{bandwidth}"),
                     format!("{:.2}", b2b.runtime_ms()),
                     format!("{:.2}", fused.runtime_ms()),
                     format!("{:.2}x", b2b.runtime_ms() / fused.runtime_ms()),
-                    format!("{:.1}%", 100.0 * b2b.stats.compute_idle_fraction()),
-                    format!("{:.1}%", 100.0 * fused.stats.compute_idle_fraction()),
-                    format!("{:.0}", fused.forwarded_bytes as f64 / rpu::MIB as f64),
+                    format!("{:.1}%", 100.0 * b2b.compute_idle_fraction()),
+                    format!("{:.1}%", 100.0 * fused.compute_idle_fraction()),
+                    format!("{forwarded_mib:.0}"),
                 ]
             })
             .collect();
@@ -252,21 +190,6 @@ fn render_channel_sweep(benchmark: HksBenchmark) {
                     .expect("built-in pipelines are infallible")
             })
             .collect();
-        // The one-channel point is cross-checked against the closed form;
-        // a multi-channel timeline evaluates through the engine itself, so
-        // there is nothing to cross-check. One timeline serves the whole
-        // one-channel column (the session cache keys on channels and range).
-        for output in outputs.iter().filter(|o| o.rpu.memory_channel_count() == 1) {
-            let analytic = session
-                .run_analytic(&job.clone().with_rpu(rpu.clone()), 8.0, 1024.0)
-                .expect("built-in pipelines are infallible");
-            assert_analytic_agrees(
-                &format!("channel sweep {} x1ch", benchmark.name),
-                bandwidth,
-                output.runtime_ms(),
-                analytic.timeline.evaluate(bandwidth).runtime_ms(),
-            );
-        }
         let mut row = vec![format!("{bandwidth}")];
         row.push(format!("{:.2}", outputs[0].runtime_ms()));
         row.push(format!(

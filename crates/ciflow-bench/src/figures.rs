@@ -169,9 +169,10 @@ const SEARCH_CEILING_GBPS: f64 = 1024.0;
 
 /// Finds the minimum bandwidth (by bisection, within `[lo, 1024]` GB/s) at
 /// which the configuration achieves `target_ms` or better. Returns 1024 if
-/// even the upper bound cannot reach the target. Every probe reads one
-/// parametric timeline over that range, bit-identical to an engine run at
-/// that bandwidth.
+/// even the upper bound cannot reach the target. The search is one
+/// `[lo, 1024]` ladder: its two points are the end probes, and every
+/// bisection probe reads the ladder's timeline, bit-identical to an engine
+/// run at that bandwidth.
 ///
 /// # Panics
 ///
@@ -189,16 +190,16 @@ pub fn min_bandwidth_for_runtime(
         .with_bandwidth(lo)
         .with_modops(modops);
     let job = Job::new(benchmark, dataflow).with_rpu(rpu);
-    let output = session
-        .run_analytic(&job, lo, SEARCH_CEILING_GBPS)
+    let (output, ends) = session
+        .run_ladder(&job, &[lo, SEARCH_CEILING_GBPS])
         .expect("built-in dataflow runs are infallible");
     let probe = |bw: f64| output.timeline.evaluate(bw).runtime_ms();
     let mut lo = lo;
     let mut hi = SEARCH_CEILING_GBPS;
-    if probe(hi) > target_ms {
+    if ends[1].runtime_ms() > target_ms {
         return hi;
     }
-    if probe(lo) <= target_ms {
+    if ends[0].runtime_ms() <= target_ms {
         return lo;
     }
     for _ in 0..40 {

@@ -16,9 +16,8 @@
 //!   the built-ins and open to registration.
 //! * [`Session`] — owns an [`RpuConfig`](rpu::RpuConfig) and a registry,
 //!   accepts one-or-many [`Job`]s, and executes them as a batch: in parallel
-//!   across all cores (with the default `parallel` feature), each job
-//!   reporting its own `Result` — a panicking strategy fails its job, not
-//!   the batch.
+//!   across all cores, each job reporting its own `Result` — a panicking
+//!   strategy fails its job, not the batch.
 //!
 //! ```
 //! use ciflow::api::Session;

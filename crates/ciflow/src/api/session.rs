@@ -135,10 +135,10 @@ struct CachedPlan {
     /// is split by, scanned on the first multi-channel plan.
     evk_traffic: OnceLock<(u64, u64)>,
     /// Parametric timelines derived from the schedule
-    /// ([`Session::run_analytic`]), keyed by the non-bandwidth knobs —
-    /// deriving one costs a walk of the plan at the top of the range (or an
-    /// engine run there, where the walk does not time the plan), so jobs
-    /// sharing a schedule share it too.
+    /// ([`Session::run_ladder`]), keyed by the non-bandwidth knobs and the
+    /// ladder's range — deriving one costs a walk of the plan at the bottom
+    /// of the range (or an engine run there, where the walk does not time
+    /// the plan), so jobs sharing a schedule share it too.
     timelines: Mutex<HashMap<TimelineKey, Arc<ParametricTimeline>>>,
 }
 
@@ -301,10 +301,10 @@ pub struct AnalyticOutput {
     pub strategy: String,
     /// The RPU configuration the timeline was derived from. Its
     /// `dram_bandwidth_gbps` is not a restriction: evaluation is bit-exact
-    /// at any bandwidth, in the timeline's
+    /// at any bandwidth from the bottom of the timeline's
     /// [`bandwidth_range_gbps`](ParametricTimeline::bandwidth_range_gbps)
-    /// or outside it — a replay on one memory channel, an engine run per
-    /// point on several.
+    /// up — a replay on one memory channel, an engine run per point on
+    /// several.
     pub rpu: RpuConfig,
     /// The schedule the timeline describes, shared with the session cache.
     pub schedule: Arc<Schedule>,
@@ -315,7 +315,7 @@ pub struct AnalyticOutput {
     /// DRAM traffic eliminated by on-chip forwarding, in bytes.
     pub forwarded_bytes: u64,
     /// The parametric timeline; shared with the session's plan cache, so
-    /// repeated analytic runs of an identically-keyed job are lookups.
+    /// repeated ladders of an identically-keyed job are lookups.
     pub timeline: Arc<ParametricTimeline>,
 }
 
@@ -396,14 +396,6 @@ pub struct VerifyResult {
     pub outcome: Result<crate::lint::LintReport, CiflowError>,
 }
 
-impl VerifyResult {
-    /// True when the schedule was built and linted with no Error-severity
-    /// findings (warnings and notes are allowed).
-    pub fn is_ok(&self) -> bool {
-        matches!(&self.outcome, Ok(report) if !report.has_errors())
-    }
-}
-
 /// The per-job results of one [`Session::run`] batch, in submission order.
 #[derive(Debug, Default)]
 pub struct BatchOutcome {
@@ -427,11 +419,6 @@ impl BatchOutcome {
         self.results.iter().all(|r| r.outcome.is_ok())
     }
 
-    /// The successful outputs, in submission order.
-    pub fn successes(&self) -> impl Iterator<Item = &JobOutput> {
-        self.results.iter().filter_map(|r| r.outcome.as_ref().ok())
-    }
-
     /// The failed jobs as `(label, error)` pairs, in submission order.
     pub fn failures(&self) -> impl Iterator<Item = (&str, &CiflowError)> {
         self.results
@@ -450,8 +437,7 @@ impl BatchOutcome {
 }
 
 /// A builder-style batch runner: configure an RPU and a strategy registry,
-/// queue jobs, and execute them all — in parallel across cores when the
-/// default `parallel` feature is enabled.
+/// queue jobs, and execute them all in parallel across cores.
 ///
 /// ## Schedule caching
 ///
@@ -474,7 +460,7 @@ impl BatchOutcome {
 /// ## Panic boundary
 ///
 /// One rule: a panic inside any single-job entry point —
-/// [`Session::run_job`], [`Session::run_analytic`], [`Session::verify_job`]
+/// [`Session::run_job`], [`Session::run_ladder`], [`Session::verify_job`]
 /// or [`Session::bounds_job`] — is caught there and returned as
 /// [`CiflowError::StrategyPanicked`] for that job. The boundary wraps the
 /// whole entry point, so it holds for a panicking strategy and for an engine
@@ -586,10 +572,10 @@ impl Session {
     /// Executes every queued job and returns per-job results in submission
     /// order.
     ///
-    /// With the default `parallel` feature the jobs fan out across all cores
-    /// through a shared work queue; job isolation is preserved either way —
-    /// a failing (or even panicking) strategy produces an `Err` entry for its
-    /// job and leaves the rest of the batch untouched.
+    /// The jobs fan out across all cores through a shared work queue; each
+    /// job stays isolated — a failing (or even panicking) strategy produces
+    /// an `Err` entry for its job and leaves the rest of the batch
+    /// untouched.
     pub fn run(&self) -> BatchOutcome {
         self.warm_schedule_cache();
         let indexed: Vec<&Job> = self.jobs.iter().collect();
@@ -874,69 +860,31 @@ impl Session {
         })
     }
 
-    /// Runs a job *symbolically* over a bandwidth range instead of at one
-    /// bandwidth: builds (or fetches) the same cached schedule plan
-    /// [`Session::run_job`] would use, derives its [`ParametricTimeline`]
-    /// once, and returns it for evaluation at any bandwidth (closed-form on
-    /// one memory channel) — bit-identical to running the job with
-    /// that bandwidth swapped in (see `docs/ANALYTIC.md`). Timelines are
-    /// cached with the plan, so repeated analytic runs of an
-    /// identically-keyed job cost one lookup.
+    /// Evaluates `job` at every bandwidth of a ladder, bit-identical to one
+    /// [`Session::run_job`] per point: builds (or fetches) the same cached
+    /// schedule plan `run_job` would use, derives its [`ParametricTimeline`]
+    /// once over the ladder's `[min, max]` (see `docs/ANALYTIC.md`), and
+    /// reads every point off it, in ladder order. The ladder may be unsorted
+    /// and hold duplicates; equal bandwidths give bit-identical points. The
+    /// job's RPU is taken as the caller set it (evk policy, MODOPS,
+    /// channels); its own bandwidth is replaced by each ladder point.
+    /// Timelines are cached with the plan, so repeated ladders over the same
+    /// range of an identically-keyed job cost one lookup.
     ///
-    /// # Errors
-    ///
-    /// Returns [`CiflowError::InvalidConfig`] for an invalid range
-    /// (non-finite, non-positive, or `lo > hi`) or configuration, and
-    /// otherwise the same strategy-resolution, schedule-construction, engine
-    /// and panic errors as [`Session::run_job`].
-    pub fn run_analytic(
-        &self,
-        job: &Job,
-        lo_gbps: f64,
-        hi_gbps: f64,
-    ) -> Result<AnalyticOutput, CiflowError> {
-        if !(lo_gbps.is_finite() && hi_gbps.is_finite() && lo_gbps > 0.0 && lo_gbps <= hi_gbps) {
-            return Err(CiflowError::InvalidConfig {
-                message: format!(
-                    "analytic bandwidth range [{lo_gbps}, {hi_gbps}] GB/s must be finite, \
-                     positive and ordered"
-                ),
-            });
-        }
-        Self::isolated(job, || {
-            let rpu = self.job_rpu(job)?.clone();
-            let plan = self.plan_for(job)?;
-            let timeline = plan.timeline(&rpu, lo_gbps, hi_gbps)?;
-            Ok(AnalyticOutput {
-                benchmark: job.effective_benchmark(),
-                strategy: plan.schedule.strategy.clone(),
-                rpu,
-                schedule: Arc::clone(&plan.schedule),
-                kernels: plan.kernels,
-                kernel_benchmarks: plan.kernel_benchmarks.clone(),
-                forwarded_bytes: plan.forwarded_bytes,
-                timeline,
-            })
-        })
-    }
-
-    /// Evaluates `job` at every bandwidth of a ladder: one
-    /// [`Session::run_analytic`] over the ladder's `[min, max]`, then every
-    /// point read off the timeline, in ladder order — bit-identical to one
-    /// [`Session::run_job`] per point. The ladder may be unsorted and hold
-    /// duplicates; equal bandwidths give bit-identical points. The job's RPU
-    /// is taken as the caller set it (evk policy, MODOPS, channels); its own
-    /// bandwidth is replaced by each ladder point. This is the one place the
-    /// crate derives and evaluates timelines: every runtime-vs-bandwidth
-    /// curve (Figures 4–9, Tables IV–V) and every degraded service time of
-    /// the serving layer comes from here.
+    /// This is the crate's one public way to a timeline: every
+    /// runtime-vs-bandwidth curve (Figures 4–9, Tables IV–V) and every
+    /// degraded service time of the serving layer comes from here. The
+    /// returned timeline evaluates any bandwidth from the ladder's minimum
+    /// up.
     ///
     /// # Errors
     ///
     /// [`CiflowError::InvalidConfig`] `"bandwidth ladder is empty"` for an
-    /// empty ladder, and for a ladder entry that is not finite and positive
-    /// the message of [`RpuConfig::validate`]; otherwise as
-    /// [`Session::run_analytic`].
+    /// empty ladder, for a ladder entry that is not finite and positive the
+    /// message of [`RpuConfig::validate`], and for an invalid configuration
+    /// as [`Session::verify_job`]; otherwise the same strategy-resolution,
+    /// schedule-construction, engine and panic errors as
+    /// [`Session::run_job`].
     pub fn run_ladder(
         &self,
         job: &Job,
@@ -953,9 +901,23 @@ impl Session {
         }
         let lo = bandwidths.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = bandwidths.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let output = self.run_analytic(job, lo, hi)?;
-        let stats = output.timeline.evaluate_many(bandwidths);
-        Ok((output, stats))
+        Self::isolated(job, || {
+            let rpu = self.job_rpu(job)?.clone();
+            let plan = self.plan_for(job)?;
+            let timeline = plan.timeline(&rpu, lo, hi)?;
+            let stats = timeline.evaluate_many(bandwidths);
+            let output = AnalyticOutput {
+                benchmark: job.effective_benchmark(),
+                strategy: plan.schedule.strategy.clone(),
+                rpu,
+                schedule: Arc::clone(&plan.schedule),
+                kernels: plan.kernels,
+                kernel_benchmarks: plan.kernel_benchmarks.clone(),
+                forwarded_bytes: plan.forwarded_bytes,
+                timeline,
+            };
+            Ok((output, stats))
+        })
     }
 
     fn job_label(&self, job: &Job) -> String {
@@ -1024,10 +986,12 @@ mod tests {
             .job(HksBenchmark::ARK, "zig-zag");
         let results = session.verify();
         assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok(), "{:?}", results[0].outcome);
-        assert!(results[1].is_ok(), "{:?}", results[1].outcome);
+        // Built and linted with no Error-severity finding.
+        let clean = |r: &VerifyResult| matches!(&r.outcome, Ok(report) if !report.has_errors());
+        assert!(clean(&results[0]), "{:?}", results[0].outcome);
+        assert!(clean(&results[1]), "{:?}", results[1].outcome);
         // Unresolvable strategies fail their entry, like in `run`.
-        assert!(!results[2].is_ok());
+        assert!(!clean(&results[2]));
         assert!(matches!(
             results[2].outcome,
             Err(CiflowError::UnknownStrategy { .. })
@@ -1063,7 +1027,7 @@ mod tests {
         assert_eq!(outcome.results[0].strategy, "MP");
         assert_eq!(outcome.results[2].strategy, "OC");
         assert_eq!(outcome.results[0].benchmark, HksBenchmark::BTS1);
-        for output in outcome.successes() {
+        for output in outcome.into_outputs().unwrap() {
             assert!(output.runtime_ms() > 0.0);
         }
     }
@@ -1081,7 +1045,10 @@ mod tests {
             Err(CiflowError::UnknownStrategy { .. })
         ));
         assert!(!outcome.all_ok());
-        assert_eq!(outcome.successes().count(), 1);
+        assert_eq!(
+            outcome.results.iter().filter(|r| r.outcome.is_ok()).count(),
+            1
+        );
         assert_eq!(outcome.failures().count(), 1);
     }
 
@@ -1096,7 +1063,9 @@ mod tests {
                     .with_label("slow-memory"),
             )
             .run();
-        let outputs: Vec<&JobOutput> = outcome.successes().collect();
+        let outputs: Vec<&JobOutput> = (outcome.results.iter())
+            .map(|r| r.outcome.as_ref().unwrap())
+            .collect();
         assert_eq!(outputs.len(), 2);
         assert!(outputs[1].runtime_ms() > outputs[0].runtime_ms());
         // Each output reports the configuration it actually executed on.
@@ -1152,7 +1121,9 @@ mod tests {
             "failures: {:?}",
             outcome.failures().count()
         );
-        let outputs: Vec<&JobOutput> = outcome.successes().collect();
+        let outputs: Vec<&JobOutput> = (outcome.results.iter())
+            .map(|r| r.outcome.as_ref().unwrap())
+            .collect();
         assert_eq!(outputs[0].kernels, 1);
         assert_eq!(outputs[1].kernels, 4);
         assert_eq!(outputs[2].kernels, 4);

@@ -1,11 +1,9 @@
 //! The workspace-unifying error type for the CiFlow library paths.
 //!
 //! Every fallible operation in the public API — strategy lookup, schedule
-//! construction, RPU execution, and the functional CKKS validation paths —
-//! reports through [`CiflowError`], which wraps the per-crate error types
-//! ([`rpu::EngineError`], [`rpu::TaskGraphError`], [`hemath::HemathError`],
-//! [`ckks::CkksError`]) so a batch driver can hold per-job results without
-//! ever unwinding. Every sweep returns a `Result` too (see
+//! construction and RPU execution — reports through [`CiflowError`], which
+//! wraps the `rpu` error types ([`rpu::EngineError`], [`rpu::TaskGraphError`])
+//! so a batch driver can hold per-job results without ever unwinding. Every sweep returns a `Result` too (see
 //! [`crate::sweep`]); only the paper-figure helpers of the `ciflow-bench`
 //! crate, which run fixed built-in configurations, panic on failure.
 
@@ -50,10 +48,6 @@ pub enum CiflowError {
     Engine(EngineError),
     /// A task graph was structurally invalid.
     Graph(TaskGraphError),
-    /// The RNS/NTT arithmetic substrate failed.
-    Math(hemath::HemathError),
-    /// The CKKS functional reference failed.
-    Ckks(ckks::CkksError),
 }
 
 impl std::fmt::Display for CiflowError {
@@ -81,8 +75,6 @@ impl std::fmt::Display for CiflowError {
             }
             CiflowError::Engine(e) => write!(f, "engine error: {e}"),
             CiflowError::Graph(e) => write!(f, "task graph error: {e}"),
-            CiflowError::Math(e) => write!(f, "arithmetic error: {e}"),
-            CiflowError::Ckks(e) => write!(f, "ckks error: {e}"),
         }
     }
 }
@@ -92,8 +84,6 @@ impl std::error::Error for CiflowError {
         match self {
             CiflowError::Engine(e) => Some(e),
             CiflowError::Graph(e) => Some(e),
-            CiflowError::Math(e) => Some(e),
-            CiflowError::Ckks(e) => Some(e),
             _ => None,
         }
     }
@@ -108,30 +98,6 @@ impl From<EngineError> for CiflowError {
 impl From<TaskGraphError> for CiflowError {
     fn from(e: TaskGraphError) -> Self {
         CiflowError::Graph(e)
-    }
-}
-
-impl From<hemath::HemathError> for CiflowError {
-    fn from(e: hemath::HemathError) -> Self {
-        CiflowError::Math(e)
-    }
-}
-
-impl From<ckks::CkksError> for CiflowError {
-    fn from(e: ckks::CkksError) -> Self {
-        CiflowError::Ckks(e)
-    }
-}
-
-impl From<ckks::ops::OpsError> for CiflowError {
-    fn from(e: ckks::ops::OpsError) -> Self {
-        CiflowError::Ckks(e.into())
-    }
-}
-
-impl From<hemath::poly::RnsError> for CiflowError {
-    fn from(e: hemath::poly::RnsError) -> Self {
-        CiflowError::Math(e.into())
     }
 }
 
@@ -161,9 +127,5 @@ mod tests {
         // static lint code so dynamic and static diagnoses align.
         assert!(text.contains("deadlock"), "{text}");
         assert!(text.contains("load y") && text.contains("D001"), "{text}");
-
-        let math: CiflowError =
-            hemath::HemathError::from(hemath::poly::RnsError::BasisMismatch).into();
-        assert!(matches!(math, CiflowError::Math(_)));
     }
 }

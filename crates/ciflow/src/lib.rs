@@ -17,8 +17,8 @@
 //!   `(benchmark, strategy)` jobs in parallel across all cores with per-job
 //!   [`Result`]s.
 //! * [`error`] — the [`CiflowError`] hierarchy threaded through every
-//!   library path (wrapping `hemath`, `ckks` and `rpu` failures), so heavy
-//!   batch traffic never panics.
+//!   library path (wrapping `rpu` failures), so heavy batch traffic never
+//!   panics.
 //! * [`benchmark`] — the five parameter points of the paper's Table III
 //!   (BTS1-3, ARK, DPRIVE).
 //! * [`hks_shape`] — the per-stage geometry and operation counts of one HKS.
@@ -51,9 +51,10 @@
 //!   cluster of simulated RPUs under pluggable dispatch policies, reporting
 //!   throughput, utilization, queue depths and latency percentiles on a
 //!   deterministic virtual clock (see `docs/SERVING.md`).
-//! * [`functional`] — bit-exact validation that the Output-Centric
-//!   decomposition computes the same function as the reference CKKS key
-//!   switch.
+//!
+//! That the dataflows only reorder HKS work is checked outside the library:
+//! `tests/hks_correctness.rs` computes the key switch in Output-Centric order
+//! and compares it bit for bit with the `ckks` crate's reference.
 //!
 //! ## Quick example
 //!
@@ -120,7 +121,6 @@ pub mod api;
 pub mod benchmark;
 pub mod dataflow;
 pub mod error;
-pub mod functional;
 pub mod hks_shape;
 pub mod json;
 pub mod lint;

@@ -1,24 +1,14 @@
 //! Internal fan-out helper shared by [`api::Session`](crate::api::Session)
 //! batches and the sweep drivers.
 
-/// Maps `f` over `items` using every core (order-preserving) when the
-/// `parallel` feature is enabled, sequentially otherwise.
-#[cfg(feature = "parallel")]
+use rayon::prelude::*;
+
+/// Maps `f` over `items` using every core, preserving order.
 pub(crate) fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    use rayon::prelude::*;
     items.into_par_iter().map(f).collect()
-}
-
-/// Sequential fallback used when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    F: Fn(T) -> R,
-{
-    items.into_iter().map(f).collect()
 }

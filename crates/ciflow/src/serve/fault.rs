@@ -27,8 +27,8 @@
 //!   completed, timed-out, or shed:
 //!   `offered == serve.completed + timed_out + shed`.
 //!
-//! Degraded bandwidth windows re-derive service times through the
-//! parametric timelines of [`Session::run_analytic`], so a degraded point
+//! Degraded bandwidth windows re-derive service times through one
+//! [`Session::run_ladder`] per class, so a degraded point
 //! is bit-identical to re-measuring the class through the engine at the
 //! reduced bandwidth. See `docs/SERVING.md` for the normative fault model.
 

@@ -3,9 +3,8 @@
 //! A runtime-vs-bandwidth curve is one [`Session::run_ladder`] call: build
 //! the [`Job`] with the [`RpuConfig`] it runs on (evk policy, MODOPS,
 //! channels) and pass the ladder; [`SweepSeries::from_ladder`] reads the
-//! series off the result. Every ladder is evaluated on one
-//! [`Session::run_analytic`] timeline over its range, bit-identical to an
-//! engine run per point (see `docs/ANALYTIC.md`), and shares its rules:
+//! series off the result. Every ladder is evaluated on one parametric
+//! timeline over its range, bit-identical to an engine run per point (see `docs/ANALYTIC.md`), and shares its rules:
 //!
 //! * A ladder may be unsorted and hold duplicates; points come back in the
 //!   order given, and equal bandwidths give bit-identical rows.
@@ -535,13 +534,16 @@ mod tests {
         let workload = Workload::rotation_batch(HksBenchmark::ARK, 4);
         // Unsorted with a duplicate: evaluated pointwise, in order.
         let ladder = [64.0, 8.0, 16.0, 8.0, 128.0];
-        for mode in [PipelineMode::Fused, PipelineMode::BackToBack] {
-            let job = Job::workload(workload.clone(), Dataflow::OutputCentric, mode);
+        let runs = Dataflow::all()
+            .into_iter()
+            .flat_map(|d| [PipelineMode::Fused, PipelineMode::BackToBack].map(|mode| (d, mode)));
+        for (dataflow, mode) in runs {
+            let job = Job::workload(workload.clone(), dataflow, mode);
             let engine = engine_ladder(&session, &job, &ladder, EvkPolicy::Streamed);
             let analytic = try_analytic_sweep_in(
                 &session,
                 &workload,
-                Dataflow::OutputCentric,
+                dataflow,
                 &ladder,
                 EvkPolicy::Streamed,
                 1.0,
@@ -557,7 +559,7 @@ mod tests {
                 assert_eq!(
                     a.runtime_ms.to_bits(),
                     e.runtime_ms().to_bits(),
-                    "at {} GB/s ({mode:?})",
+                    "at {} GB/s ({dataflow} {mode:?})",
                     a.bandwidth_gbps
                 );
             }
@@ -572,7 +574,7 @@ mod tests {
             for (bound, point) in analytic.bound_ms.iter().zip(&analytic.series.points) {
                 assert!(
                     *bound <= point.runtime_ms,
-                    "bound {bound} ms > runtime {} ms at {} GB/s ({mode:?})",
+                    "bound {bound} ms > runtime {} ms at {} GB/s ({dataflow} {mode:?})",
                     point.runtime_ms,
                     point.bandwidth_gbps
                 );
@@ -586,33 +588,35 @@ mod tests {
         let session = Session::new();
         let chain = Workload::rescaling_chain(HksBenchmark::ARK, 3);
         let ladder = [8.0, 16.0, 64.0];
-        let oc = Dataflow::OutputCentric;
         let on_chip = EvkPolicy::OnChip;
-        let [b2b, fused] = [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
-            let job = Job::workload(chain.clone(), oc, mode);
-            engine_ladder(&session, &job, &ladder, on_chip)
-        });
-        let [(b2b_run, b2b_stats), (fused_run, fused_stats)] =
-            [PipelineMode::BackToBack, PipelineMode::Fused]
-                .map(|mode| workload_ladder(&session, &chain, oc, &ladder, on_chip, mode).unwrap());
-        assert_eq!(b2b_run.strategy, b2b[0].strategy);
-        assert_eq!(b2b_run.kernel_benchmarks, b2b[0].kernel_benchmarks);
-        assert_eq!(b2b_stats.len(), ladder.len());
-        assert_eq!(fused_stats.len(), ladder.len());
-        for i in 0..ladder.len() {
-            let (b, f) = (&b2b[i].stats, &fused[i].stats);
-            let (b_ladder, f_ladder) = (&b2b_stats[i], &fused_stats[i]);
-            assert_eq!(f_ladder.runtime_ms().to_bits(), f.runtime_ms().to_bits());
-            assert_eq!(b_ladder.runtime_ms().to_bits(), b.runtime_ms().to_bits());
-            assert_eq!(
-                f_ladder.compute_idle_fraction().to_bits(),
-                f.compute_idle_fraction().to_bits()
-            );
-            assert_eq!(
-                b_ladder.compute_idle_fraction().to_bits(),
-                b.compute_idle_fraction().to_bits()
-            );
-            assert_eq!(fused_run.forwarded_bytes, fused[i].forwarded_bytes);
+        for dataflow in Dataflow::all() {
+            let [b2b, fused] = [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
+                let job = Job::workload(chain.clone(), dataflow, mode);
+                engine_ladder(&session, &job, &ladder, on_chip)
+            });
+            let [(b2b_run, b2b_stats), (fused_run, fused_stats)] =
+                [PipelineMode::BackToBack, PipelineMode::Fused].map(|mode| {
+                    workload_ladder(&session, &chain, dataflow, &ladder, on_chip, mode).unwrap()
+                });
+            assert_eq!(b2b_run.strategy, b2b[0].strategy);
+            assert_eq!(b2b_run.kernel_benchmarks, b2b[0].kernel_benchmarks);
+            assert_eq!(b2b_stats.len(), ladder.len());
+            assert_eq!(fused_stats.len(), ladder.len());
+            for i in 0..ladder.len() {
+                let (b, f) = (&b2b[i].stats, &fused[i].stats);
+                let (b_ladder, f_ladder) = (&b2b_stats[i], &fused_stats[i]);
+                assert_eq!(f_ladder.runtime_ms().to_bits(), f.runtime_ms().to_bits());
+                assert_eq!(b_ladder.runtime_ms().to_bits(), b.runtime_ms().to_bits());
+                assert_eq!(
+                    f_ladder.compute_idle_fraction().to_bits(),
+                    f.compute_idle_fraction().to_bits()
+                );
+                assert_eq!(
+                    b_ladder.compute_idle_fraction().to_bits(),
+                    b.compute_idle_fraction().to_bits()
+                );
+                assert_eq!(fused_run.forwarded_bytes, fused[i].forwarded_bytes);
+            }
         }
     }
 

@@ -61,15 +61,13 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
-    /// Magnitude of the difference to another complex number.
+    /// Magnitude of the difference to another complex number: the error
+    /// metric of a decoding.
+    ///
+    /// ```
+    /// use ckks::Complex;
+    /// assert_eq!(Complex::new(3.0, 4.0).distance(Complex::default()), 5.0);
+    /// ```
     pub fn distance(self, other: Complex) -> f64 {
         let d = self.sub(other);
         (d.re * d.re + d.im * d.im).sqrt()

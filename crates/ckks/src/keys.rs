@@ -140,6 +140,40 @@ impl EvaluationKey {
 }
 
 /// Generates secret, public, and evaluation keys for a context.
+///
+/// ```
+/// use ckks::keys::{EvaluationKeyKind, KeyGenerator};
+/// use ckks::params::CkksParametersBuilder;
+/// use ckks::CkksContext;
+/// use rand::SeedableRng;
+///
+/// let params = CkksParametersBuilder::new()
+///     .ring_degree(1 << 6)
+///     .q_tower_bits(vec![40, 40])
+///     .p_tower_bits(vec![45])
+///     .dnum(2)
+///     .scale_bits(30)
+///     .build()
+///     .unwrap();
+/// let keygen = KeyGenerator::new(CkksContext::new(params).unwrap());
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let sk = keygen.secret_key(&mut rng);
+/// // The keys `ops::multiply` and `ops::rotate` switch with.
+/// let rlk = keygen.relinearization_key(&mut rng, &sk);
+/// let rotations = keygen.rotation_keys(&mut rng, &sk, &[1, 2]);
+/// assert_eq!(rlk.kind(), EvaluationKeyKind::Relinearization);
+/// assert_eq!(rotations[&2].kind(), EvaluationKeyKind::Rotation(2));
+/// // The generic key switching from another secret to `sk`, one digit per
+/// // `dnum`.
+/// let other = keygen.secret_key(&mut rng);
+/// let ksk = keygen.key_switching_key(
+///     &mut rng,
+///     &sk,
+///     &other.evaluation_form_qp(),
+///     EvaluationKeyKind::Relinearization,
+/// );
+/// assert_eq!(ksk.digit_count(), 2);
+/// ```
 #[derive(Debug)]
 pub struct KeyGenerator {
     ctx: Arc<CkksContext>,

@@ -50,9 +50,6 @@ pub struct BasisConverter {
     q_hat_inv_shoup: Vec<u64>,
     /// `(Q/q_i) mod p_j`, indexed `[i][j]`.
     q_hat_mod_target: Vec<Vec<u64>>,
-    /// `Q mod p_j` for each target tower (used by exact conversion checks and
-    /// by ModDown's correction term).
-    q_mod_target: Vec<u64>,
 }
 
 impl BasisConverter {
@@ -103,23 +100,12 @@ impl BasisConverter {
             }
             q_hat_mod_target.push(row);
         }
-        let q_mod_target = target
-            .moduli()
-            .iter()
-            .map(|pj| {
-                source
-                    .moduli()
-                    .iter()
-                    .fold(1u64, |acc, qk| pj.mul(acc, pj.reduce(qk.value())))
-            })
-            .collect();
         Self {
             source,
             target,
             q_hat_inv,
             q_hat_inv_shoup,
             q_hat_mod_target,
-            q_mod_target,
         }
     }
 
@@ -131,11 +117,6 @@ impl BasisConverter {
     /// The target basis.
     pub fn target(&self) -> &Arc<RnsBasis> {
         &self.target
-    }
-
-    /// `Q mod p_j` for each target tower.
-    pub fn source_product_mod_target(&self) -> &[u64] {
-        &self.q_mod_target
     }
 
     /// Fast (approximate) basis conversion of raw coefficient-domain towers.
@@ -222,8 +203,9 @@ impl BasisConverter {
 /// algorithm: given residues `a_i` modulo pairwise-coprime `q_i`, returns the
 /// residue of the unique `a < Q` modulo `target`.
 ///
-/// Used in tests to bound the approximate converter's overshoot and by the
-/// decoder for exact reconstruction.
+/// A declared oracle: the basis-conversion tests (this module's and
+/// `crates/hemath/tests/properties.rs`) bound the approximate converter's
+/// overshoot against it.
 pub fn exact_crt_residue(residues: &[u64], moduli: &[Modulus], target: &Modulus) -> u64 {
     assert_eq!(residues.len(), moduli.len());
     let ell = moduli.len();
@@ -258,6 +240,13 @@ mod tests {
     use super::*;
     use crate::primes::generate_ntt_primes;
     use rand::{Rng, SeedableRng};
+
+    /// `Q mod p`, where `Q` is the product of `moduli`.
+    fn product_mod(moduli: &[Modulus], p: &Modulus) -> u64 {
+        moduli
+            .iter()
+            .fold(1u64, |acc, q| p.mul(acc, p.reduce(q.value())))
+    }
 
     fn make_bases(n: usize, ell: usize, k: usize) -> (Arc<RnsBasis>, Arc<RnsBasis>) {
         let qs = generate_ntt_primes(40, n, ell, &[]).unwrap();
@@ -314,7 +303,7 @@ mod tests {
             .collect();
         let fast = conv.convert_towers(&towers);
         for (j, pj) in target.moduli().iter().enumerate() {
-            let q_mod_p = conv.source_product_mod_target()[j];
+            let q_mod_p = product_mod(source.moduli(), pj);
             for c in 0..n {
                 let residues: Vec<u64> = (0..ell).map(|i| towers[i][c]).collect();
                 let exact = exact_crt_residue(&residues, source.moduli(), pj);
@@ -352,7 +341,7 @@ mod tests {
             .collect();
         let out = conv.convert_towers(&towers);
         for (j, pj) in target.moduli().iter().enumerate() {
-            let q_mod_p = conv.source_product_mod_target()[j];
+            let q_mod_p = product_mod(source.moduli(), pj);
             for &got in &out[j] {
                 let ok = (0..source.tower_count() as u64)
                     .any(|e| pj.add(value, pj.mul(pj.reduce(e), q_mod_p)) == got);

@@ -35,7 +35,9 @@ impl UBig {
         }
     }
 
-    /// Builds a big integer from a `u128`.
+    /// Builds a big integer from a `u128`. With [`UBig::to_u128`] a declared
+    /// oracle bridge: `crates/hemath/tests/properties.rs` diffs `UBig`
+    /// arithmetic against native `u128` arithmetic through the pair.
     pub fn from_u128(v: u128) -> Self {
         let lo = v as u64;
         let hi = (v >> 64) as u64;
@@ -59,7 +61,8 @@ impl UBig {
         }
     }
 
-    /// Converts to `u128`, returning `None` on overflow.
+    /// Converts to `u128`, returning `None` on overflow (the other half of
+    /// the [`UBig::from_u128`] oracle bridge).
     pub fn to_u128(&self) -> Option<u128> {
         match self.limbs.len() {
             0 => Some(0),
@@ -173,6 +176,12 @@ impl UBig {
     }
 
     /// Remainder modulo a `u64` divisor.
+    ///
+    /// ```
+    /// use hemath::bigint::UBig;
+    /// let big = UBig::from_u64(u64::MAX).mul(&UBig::from_u64(10));
+    /// assert_eq!(big.rem_u64(7), ((u64::MAX as u128 * 10) % 7) as u64);
+    /// ```
     ///
     /// # Panics
     ///

@@ -118,6 +118,13 @@ impl Modulus {
     ///
     /// Exact for any `a < q^2`, and in fact for any `a < 2^124` given the
     /// 62-bit modulus bound.
+    ///
+    /// ```
+    /// use hemath::modulus::Modulus;
+    /// let q = Modulus::new(65537).unwrap();
+    /// let a = 65536u128 * 65535;
+    /// assert_eq!(u128::from(q.reduce_u128(a)), a % 65537);
+    /// ```
     #[inline]
     pub fn reduce_u128(&self, a: u128) -> u64 {
         // Estimate the quotient using the precomputed floor(2^128/q):

@@ -218,27 +218,9 @@ impl NttTable {
     }
 }
 
-/// Multiplies two polynomials in `Z_q[X]/(X^N+1)` via the NTT, as a reference
-/// for correctness tests.
-///
-/// # Panics
-///
-/// Panics if the operands' lengths differ from the table's ring degree.
-pub fn negacyclic_multiply(table: &NttTable, a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut fa = a.to_vec();
-    let mut fb = b.to_vec();
-    table.forward(&mut fa);
-    table.forward(&mut fb);
-    let q = table.modulus();
-    for (x, y) in fa.iter_mut().zip(fb.iter()) {
-        *x = q.mul(*x, *y);
-    }
-    table.inverse(&mut fa);
-    fa
-}
-
-/// Schoolbook negacyclic multiplication, `O(N^2)`, used only to validate the
-/// NTT-based path in tests.
+/// Schoolbook negacyclic multiplication, `O(N^2)`. A declared oracle: the
+/// NTT tests (this module's and `crates/hemath/tests/properties.rs`) diff
+/// NTT-based products against it.
 pub fn negacyclic_multiply_schoolbook(modulus: &Modulus, a: &[u64], b: &[u64]) -> Vec<u64> {
     let n = a.len();
     assert_eq!(n, b.len());
@@ -262,6 +244,20 @@ mod tests {
     use super::*;
     use crate::primes::generate_ntt_primes;
     use rand::{Rng, SeedableRng};
+
+    /// Multiplies two polynomials in `Z_q[X]/(X^N+1)` through the NTT.
+    fn negacyclic_multiply(table: &NttTable, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut fa = a.to_vec();
+        let mut fb = b.to_vec();
+        table.forward(&mut fa);
+        table.forward(&mut fb);
+        let q = table.modulus();
+        for (x, y) in fa.iter_mut().zip(fb.iter()) {
+            *x = q.mul(*x, *y);
+        }
+        table.inverse(&mut fa);
+        fa
+    }
 
     fn table(n: usize, bits: u32) -> NttTable {
         let q = generate_ntt_primes(bits, n, 1, &[]).unwrap()[0];

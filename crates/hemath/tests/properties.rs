@@ -4,7 +4,7 @@
 use hemath::basis::{exact_crt_residue, BasisConverter};
 use hemath::bigint::UBig;
 use hemath::modulus::Modulus;
-use hemath::ntt::{negacyclic_multiply, negacyclic_multiply_schoolbook, NttTable};
+use hemath::ntt::{negacyclic_multiply_schoolbook, NttTable};
 use hemath::poly::{Representation, RnsBasis, RnsPolynomial};
 use hemath::primes::{generate_ntt_primes, is_prime};
 use proptest::prelude::*;
@@ -84,6 +84,21 @@ proptest! {
     fn primality_of_products_is_rejected(a in 2u64..1_000_000, b in 2u64..1_000_000) {
         prop_assert!(!is_prime(a.saturating_mul(b)));
     }
+}
+
+/// Multiplies two polynomials in `Z_q[X]/(X^N+1)` through the NTT: both
+/// operands forward, pointwise products, one inverse.
+fn negacyclic_multiply(table: &NttTable, a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut fa = a.to_vec();
+    let mut fb = b.to_vec();
+    table.forward(&mut fa);
+    table.forward(&mut fb);
+    let q = table.modulus();
+    for (x, y) in fa.iter_mut().zip(fb.iter()) {
+        *x = q.mul(*x, *y);
+    }
+    table.inverse(&mut fa);
+    fa
 }
 
 /// Strategies for ring-level properties (fixed small degree for speed).
@@ -189,7 +204,10 @@ proptest! {
             .collect();
         let converted = converter.convert_towers(&towers);
         for (j, pj) in target.moduli().iter().enumerate() {
-            let q_mod_p = converter.source_product_mod_target()[j];
+            let q_mod_p = source
+                .moduli()
+                .iter()
+                .fold(1u64, |acc, q| pj.mul(acc, pj.reduce(q.value())));
             for c in 0..n {
                 let residues: Vec<u64> = (0..source.tower_count()).map(|i| towers[i][c]).collect();
                 let exact = exact_crt_residue(&residues, source.moduli(), pj);

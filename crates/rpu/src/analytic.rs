@@ -45,6 +45,12 @@
 //! bandwidth so small (a subnormal GB/s) that a transfer takes `inf`
 //! seconds fails the derivation with the engine's error there.
 //!
+//! A timeline's domain is therefore `[lo_gbps, ∞)`, above the analyzed
+//! range included: below the bottom nothing was proved finite, so
+//! [`ParametricTimeline::evaluate`] and
+//! [`ParametricTimeline::evaluate_many`] panic there naming the value and
+//! the range, and [`ParametricTimeline::sampled_times`] returns `None`.
+//!
 //! ## Lanes
 //!
 //! The fold is generic over how many bandwidths one walk carries: a ladder
@@ -158,16 +164,21 @@ impl ParametricTimeline {
     /// Evaluates the execution statistics at one bandwidth, bit-identical to
     /// `RpuEngine::execute_stats` on the same graph with the bandwidth
     /// swapped in: the fold on one channel, the event engine otherwise.
-    /// Bandwidths outside the analyzed range are legal.
+    ///
+    /// The domain is `[lo_gbps, ∞)`: every bandwidth from the bottom of the
+    /// analyzed range up, above its top included. The derivation proved
+    /// every time finite at `lo_gbps`, and durations only shrink as the
+    /// bandwidth grows; below it a transfer may take `inf` seconds.
     ///
     /// # Panics
     ///
     /// Panics if the bandwidth is not finite and positive (the rule of
-    /// [`RpuConfig::validate`](crate::RpuConfig::validate)); the message
-    /// names the value.
+    /// [`RpuConfig::validate`](crate::RpuConfig::validate)), or if it lies
+    /// below the analyzed range; the message names the value (and the
+    /// range).
     #[must_use]
     pub fn evaluate(&self, bandwidth_gbps: f64) -> ExecutionStats {
-        assert_valid_bandwidth(bandwidth_gbps);
+        self.assert_in_domain(bandwidth_gbps);
         match &self.timing {
             Timing::Fold { costs, kept } => {
                 let finish = &mut vec![[0.0]; costs.len() + 1];
@@ -191,10 +202,9 @@ impl ParametricTimeline {
     /// (checked before anything is evaluated).
     #[must_use]
     pub fn evaluate_many(&self, bandwidths_gbps: &[f64]) -> Vec<ExecutionStats> {
-        bandwidths_gbps
-            .iter()
-            .copied()
-            .for_each(assert_valid_bandwidth);
+        for &bandwidth_gbps in bandwidths_gbps {
+            self.assert_in_domain(bandwidth_gbps);
+        }
         let (costs, kept) = match &self.timing {
             Timing::Fold { costs, kept } => (costs, kept),
             Timing::Engine { engine, graph } => {
@@ -226,12 +236,17 @@ impl ParametricTimeline {
     /// this bandwidth; per-task times still agree bit for bit (match
     /// records by task id). Returns `None` on a timeline without a segment,
     /// which folds nothing, for a `graph` with another task count, and for
-    /// a bandwidth that is not finite and positive (the engine's trace is
-    /// the reference either way). Kept as an oracle surface: the
-    /// integration suites diff it against the engine's trace.
+    /// a bandwidth that is not finite and positive or lies below the
+    /// analyzed range (outside the domain of
+    /// [`evaluate`](ParametricTimeline::evaluate); the engine's trace is the
+    /// reference either way). A declared oracle surface:
+    /// `tests/analytic_oracle.rs` and `tests/fold_oracle.rs` diff it
+    /// against the engine's trace.
     #[must_use]
     pub fn sampled_times(&self, graph: &TaskGraph, bandwidth_gbps: f64) -> Option<SampledTimes> {
-        validate_bandwidth(bandwidth_gbps).ok()?;
+        if validate_bandwidth(bandwidth_gbps).is_err() || bandwidth_gbps < self.lo_gbps {
+            return None;
+        }
         let Timing::Fold { costs, kept } = &self.timing else {
             return None;
         };
@@ -258,7 +273,21 @@ impl ParametricTimeline {
         Some(records)
     }
 
-    /// One validated bandwidth through the event engine on the cached plan.
+    /// Panics unless `bandwidth_gbps` is finite, positive and at least the
+    /// bottom of the analyzed range, naming the value.
+    fn assert_in_domain(&self, bandwidth_gbps: f64) {
+        assert_valid_bandwidth(bandwidth_gbps);
+        assert!(
+            bandwidth_gbps >= self.lo_gbps,
+            "bandwidth {bandwidth_gbps} GB/s lies below the analyzed range [{}, {}] GB/s, \
+             outside the timeline's domain",
+            self.lo_gbps,
+            self.hi_gbps
+        );
+    }
+
+    /// One bandwidth of the domain through the event engine on the cached
+    /// plan.
     fn run_engine(
         &self,
         engine: &RpuEngine,
@@ -645,21 +674,22 @@ mod tests {
     #[test]
     fn out_of_range_points_fall_back_to_the_engine_and_stay_exact() {
         let (engine, g) = two_channel_race();
-        let timeline = engine.analyze(&g, 4.0, 16.0).unwrap();
-        // 1 GB/s is below the analyzed range and on the other side of the
+        let timeline = engine.analyze(&g, 0.5, 1.0).unwrap();
+        // 4 GB/s is above the analyzed range and on the other side of the
         // 2 GB/s grant-order flip; a two-channel timeline runs the engine.
-        assert_bit_identical(&engine, &g, &timeline, 1.0);
+        assert_bit_identical(&engine, &g, &timeline, 4.0);
         assert_eq!(timeline.fallback_evaluations(), 1);
     }
 
     #[test]
     fn forced_grants_leave_a_one_channel_race_one_segment() {
         // The one-channel twin of the race: with a single memory queue every
-        // data-path grant is forced, so the program-order fold covers the
-        // range, and even a point below it evaluates exactly.
+        // data-path grant is forced, so the program-order fold derived below
+        // the 2 GB/s flip evaluates exactly on both sides of it, above the
+        // analyzed range too.
         let engine = RpuEngine::new(unit_config());
         let g = race_graph();
-        let timeline = engine.analyze(&g, 4.0, 16.0).unwrap();
+        let timeline = engine.analyze(&g, 0.75, 1.5).unwrap();
         assert_eq!(timeline.segments().len(), 1);
         for bw in [1.0, 2.0, 4.0, 16.0, 64.0] {
             assert_bit_identical(&engine, &g, &timeline, bw);
@@ -673,28 +703,50 @@ mod tests {
 
     #[test]
     fn invalid_bandwidths_panic_naming_the_value() {
-        let engine = RpuEngine::new(unit_config());
-        let timeline = engine.analyze(&race_graph(), 1.0, 16.0).unwrap();
-        for bw in [f64::NAN, 0.0, -5.0, f64::INFINITY] {
-            let calls: [(&str, &dyn Fn()); 2] = [
-                ("evaluate", &|| {
-                    let _ = timeline.evaluate(bw);
-                }),
-                ("evaluate_many", &|| {
-                    let _ = timeline.evaluate_many(&[4.0, bw]);
-                }),
-            ];
-            for (name, call) in calls {
-                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
-                    .expect_err(&format!("{name}({bw}) must panic"));
-                let message = panic.downcast_ref::<String>().map_or("", String::as_str);
-                assert!(
-                    message.contains(&format!("bandwidth {bw} GB/s")),
-                    "{name}({bw}): {message:?}"
-                );
+        // Below the analyzed range is outside the domain too: at 5e-324
+        // GB/s a transfer takes `inf` seconds, which the derivation over
+        // [1, 16] never checked. On one channel (the fold) and on two (the
+        // engine) both entry points panic before evaluating anything.
+        let (two_channels, race) = two_channel_race();
+        for (engine, g) in [
+            (RpuEngine::new(unit_config()), race_graph()),
+            (two_channels, race),
+        ] {
+            let timeline = engine.analyze(&g, 1.0, 16.0).unwrap();
+            for bw in [
+                f64::NAN,
+                0.0,
+                -5.0,
+                f64::INFINITY,
+                5e-324,
+                1.0_f64.next_down(),
+            ] {
+                let calls: [(&str, &dyn Fn()); 2] = [
+                    ("evaluate", &|| {
+                        let _ = timeline.evaluate(bw);
+                    }),
+                    ("evaluate_many", &|| {
+                        let _ = timeline.evaluate_many(&[4.0, bw]);
+                    }),
+                ];
+                for (name, call) in calls {
+                    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                        .expect_err(&format!("{name}({bw}) must panic"));
+                    let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+                    assert!(
+                        message.contains(&format!("bandwidth {bw} GB/s")),
+                        "{name}({bw}): {message:?}"
+                    );
+                    if validate_bandwidth(bw).is_ok() {
+                        assert!(
+                            message.contains("[1, 16] GB/s"),
+                            "{name}({bw}): {message:?}"
+                        );
+                    }
+                }
+                assert!(timeline.sampled_times(&g, bw).is_none());
             }
-            assert!(timeline.sampled_times(&race_graph(), bw).is_none());
+            assert_eq!(timeline.fallback_evaluations(), 0);
         }
-        assert_eq!(timeline.fallback_evaluations(), 0);
     }
 }

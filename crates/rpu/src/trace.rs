@@ -80,7 +80,7 @@ impl ExecutionTrace {
 
     /// Start and end times of each distinct stage, in first-appearance order:
     /// `(stage, first_start, last_end)`.
-    pub fn stage_spans(&self) -> Vec<(String, f64, f64)> {
+    pub(crate) fn stage_spans(&self) -> Vec<(String, f64, f64)> {
         let mut order: Vec<Label> = Vec::new();
         let mut spans: std::collections::HashMap<Label, (f64, f64)> =
             std::collections::HashMap::new();

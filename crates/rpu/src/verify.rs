@@ -340,9 +340,9 @@ pub fn lint_deadlock(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
 }
 
 /// Runs both graph-level passes: [`lint_structural`], then — when the graph
-/// is structurally analyzable — [`lint_deadlock`] on `engine`'s plan. Kept
-/// as an oracle surface: the integration suites check its deadlock verdict
-/// against the engine's.
+/// is structurally analyzable — [`lint_deadlock`] on `engine`'s plan. A
+/// declared oracle surface: `tests/lint_oracle.rs` checks its deadlock
+/// verdict against the engine's.
 pub fn lint_graph(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
     let mut diagnostics = lint_structural(graph);
     diagnostics.extend(lint_deadlock(graph, &engine.plan(graph)));

@@ -46,8 +46,8 @@ const HI_GBPS: f64 = 1024.0;
 /// points, and the one-channel static bound's effective knee (a kink of the
 /// one-channel runtime curve, which the bound equals) and one ulp either
 /// side of it. The knee of these graphs usually lies above the analyzed
-/// range; a timeline evaluates exactly at any bandwidth, so it is sampled
-/// wherever it is.
+/// range; a timeline evaluates exactly at any bandwidth from the bottom of
+/// its range up (its domain), so a knee there is sampled wherever it is.
 fn sample_points(engine: &RpuEngine, graph: &TaskGraph, seed: u64) -> Vec<f64> {
     let mut points = vec![LO_GBPS, HI_GBPS];
     let mut rng = StdRng::seed_from_u64(seed);
@@ -60,7 +60,8 @@ fn sample_points(engine: &RpuEngine, graph: &TaskGraph, seed: u64) -> Vec<f64> {
     points.retain(|b| (LO_GBPS..=HI_GBPS).contains(b));
     let one_channel = RpuEngine::new(engine.config().clone().with_memory_channels(1));
     if let Some(knee) = one_channel.bounds(graph).knee.effective_knee_gbps() {
-        points.extend([knee.next_down(), knee, knee.next_up()]);
+        let knees = [knee.next_down(), knee, knee.next_up()];
+        points.extend(knees.into_iter().filter(|&b| b >= LO_GBPS));
     }
     points
 }

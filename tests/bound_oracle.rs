@@ -337,12 +337,9 @@ fn bound_sits_under_the_runtime_at_multichannel_breakpoints() {
     for dataflow in Dataflow::all() {
         let job =
             Job::workload(workload.clone(), dataflow, PipelineMode::Fused).with_rpu(rpu.clone());
-        let output = session
-            .run_analytic(&job, 8.0, 1024.0)
-            .expect("preset analyzes");
+        let (output, runtimes) = session.run_ladder(&job, &ladder).expect("preset analyzes");
         let engine = RpuEngine::new(rpu.clone()).with_channel_map(output.schedule.channel_map(2));
         let bounds = rpu::bound::bound_curve(&engine, &output.schedule.graph, &ladder);
-        let runtimes = output.timeline.evaluate_many(&ladder);
         for ((&bw, &bound), stats) in ladder.iter().zip(&bounds).zip(&runtimes) {
             let runtime = stats.runtime_seconds;
             assert!(

@@ -282,12 +282,10 @@ fn degradation_windows_apply_timeline_exact_service_times() {
     let report = try_fault_serve_in(&session, &config, &plan, "OC").unwrap();
 
     let job = ciflow::Job::new(HksBenchmark::ARK, "OC").with_rpu(config.cluster.rpu.clone());
-    let expected = session
-        .run_analytic(&job, bandwidth * factor, bandwidth)
-        .unwrap()
-        .timeline
-        .evaluate(bandwidth * factor)
-        .runtime_seconds;
+    let (_, stats) = session
+        .run_ladder(&job, &[bandwidth * factor, bandwidth])
+        .unwrap();
+    let expected = stats[0].runtime_seconds;
     assert_eq!(report.serve.completed, 4);
     for record in &report.serve.records {
         assert_eq!(

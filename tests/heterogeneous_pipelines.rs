@@ -44,7 +44,7 @@ fn rescaling_chain_runs_under_every_builtin_strategy_in_both_modes() {
         "failures: {:?}",
         outcome.failures().collect::<Vec<_>>()
     );
-    let outputs: Vec<_> = outcome.successes().collect();
+    let outputs = outcome.into_outputs().expect("every job succeeded");
     for output in &outputs {
         // Per-kernel shapes are reported back: the descending-ℓ ladder.
         assert_eq!(output.kernels, 5);

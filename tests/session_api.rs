@@ -231,7 +231,10 @@ fn batch_of_twenty_jobs_executes_in_parallel_with_per_job_results() {
 
     let outcome = session.run();
     assert_eq!(outcome.len(), 20);
-    assert_eq!(outcome.successes().count(), 15);
+    assert_eq!(
+        outcome.results.iter().filter(|r| r.outcome.is_ok()).count(),
+        15
+    );
     assert_eq!(outcome.failures().count(), 5);
     assert!(!outcome.all_ok());
 
@@ -314,7 +317,10 @@ fn deadlocking_strategy_fails_its_own_jobs_without_poisoning_siblings() {
         matches!(error, CiflowError::Graph(_)),
         "expected the invalid schedule to surface as a typed graph error, got {error}"
     );
-    assert_eq!(outcome.successes().count(), 2);
+    assert_eq!(
+        outcome.results.iter().filter(|r| r.outcome.is_ok()).count(),
+        2
+    );
     assert_eq!(outcome.failures().count(), 1);
 }
 
@@ -392,10 +398,6 @@ fn sweeps_turn_a_strategy_panic_into_a_typed_error() {
     );
     let results = [
         ("run_job", session.run_job(&job).map(drop)),
-        (
-            "run_analytic",
-            session.run_analytic(&job, 8.0, 64.0).map(drop),
-        ),
         ("verify_job", session.verify_job(&job).map(drop)),
         ("bounds_job", session.bounds_job(&job).map(drop)),
         (
@@ -494,8 +496,8 @@ fn degenerate_rates_are_rejected_at_every_session_entry_point() {
                 ("verify_job", session.verify_job(&job).map(|_| ())),
                 ("bounds_job", session.bounds_job(&job).map(|_| ())),
                 (
-                    "run_analytic",
-                    session.run_analytic(&job, 8.0, 64.0).map(|_| ()),
+                    "run_ladder",
+                    session.run_ladder(&job, &[8.0, 64.0]).map(|_| ()),
                 ),
             ];
             for (entry, outcome) in outcomes {

@@ -79,12 +79,12 @@ fn pipelines_run_under_every_builtin_strategy_in_one_batch() {
         outcome.failures().count()
     );
     let shape = HksShape::new(HksBenchmark::ARK);
-    for output in outcome.successes() {
+    let outputs = outcome.into_outputs().expect("every job succeeded");
+    for output in &outputs {
         assert_eq!(output.kernels, kernels);
         assert_eq!(output.stats.total_ops, kernels as u64 * shape.total_ops());
     }
     // Within each strategy, fused never loses to back-to-back.
-    let outputs: Vec<_> = outcome.successes().collect();
     for pair in outputs.chunks(2) {
         assert!(pair[0].runtime_ms() <= pair[1].runtime_ms() * 1.0001);
     }
