@@ -6,12 +6,12 @@ use crate::benchmark::HksBenchmark;
 use crate::dataflow::Dataflow;
 use crate::error::CiflowError;
 use crate::hks_shape::HksShape;
-use crate::schedule::{evk_split_map, Schedule, ScheduleConfig};
+use crate::schedule::{Schedule, ScheduleConfig};
 use crate::workload::{build_workload, PipelineMode, Workload};
 use rpu::analytic::ParametricTimeline;
 use rpu::{
-    BoundAnalysis, EvkPolicy, ExecPlan, ExecutionStats, ExecutionTrace, RpuConfig, RpuEngine,
-    TraceMode,
+    BoundAnalysis, ChannelMap, EvkPolicy, ExecPlan, ExecutionStats, ExecutionTrace, RpuConfig,
+    RpuEngine, TraceMode,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,7 +151,7 @@ impl CachedPlan {
             return Arc::clone(plan);
         }
         let graph = &self.schedule.graph;
-        let map = evk_split_map(channels, || {
+        let map = ChannelMap::evk_split(channels, || {
             *self.evk_traffic.get_or_init(|| self.schedule.evk_traffic())
         });
         let plan = Arc::new(match plans.values().next() {

@@ -4,7 +4,8 @@
 //! *dynamically*: a malformed task graph surfaced as an
 //! [`EngineError::Deadlock`](rpu::EngineError) mid-run, a forwarding splice
 //! that dropped a needed store only showed up as wrong traffic totals, and a
-//! channel pin rule that matched nothing failed silently. This module proves
+//! placement that piled every transfer onto one channel only showed up as a
+//! slow run. This module proves
 //! the same properties *without executing*, emitting structured
 //! [`Diagnostic`]s a caller can gate on — the discipline ordering-sensitive
 //! memory systems apply to their consistency invariants.
@@ -27,9 +28,8 @@
 //!    `B004`/`B005`).
 //! 4. **capacity** ([mod@capacity]) — peak on-chip residency vs the target's
 //!    data memory (`C001`/`C002`).
-//! 5. **placement/accounting** ([mod@placement]) — unreachable or dead pin
-//!    rules, pathological channel imbalance, and spill-traffic
-//!    reconciliation (`P001`–`P003`, `A001`/`A002`).
+//! 5. **placement/accounting** ([mod@placement]) — pathological channel
+//!    imbalance and spill-traffic reconciliation (`P003`, `A001`/`A002`).
 //! 6. **performance** ([mod@perf]) — static roofline analysis over
 //!    [`rpu::bound`]: queue-order-dominated critical paths, late
 //!    prefetches, structural utilization ceilings and bandwidth
@@ -86,11 +86,6 @@ pub mod codes {
     pub const CAPACITY_EXCEEDED: &str = "C001";
     /// Peak on-chip residency is within 5% of the target's data memory.
     pub const NEAR_CAPACITY: &str = "C002";
-    /// A pin rule can never match: an earlier rule's pattern is a substring
-    /// of its pattern (rules win in insertion order).
-    pub const SHADOWED_PIN_RULE: &str = "P001";
-    /// A pin rule matches none of the schedule's buffers.
-    pub const DEAD_PIN_RULE: &str = "P002";
     /// The placement concentrates traffic on few channels.
     pub const CHANNEL_IMBALANCE: &str = "P003";
     /// Labeled spill/park traffic exceeds the schedule's reported

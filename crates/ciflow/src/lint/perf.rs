@@ -11,8 +11,9 @@
 //!   busiest channel) by more than 1.75×, and memory-channel queue-order
 //!   edges sit on the binding path — the placement serializes transfers
 //!   the dataflow never ordered and the hardware never required.
-//!   Re-pinning the blamed channel's buffers (see
-//!   [`rpu::ChannelMap::with_pin`]) can recover the gap. A schedule whose
+//!   Moving the blamed channel's transfers with per-task channel hints
+//!   ([`rpu::Task::channel`]), or more channels, can recover
+//!   the gap. A schedule whose
 //!   queue bound merely matches its data-path occupancy is bandwidth-bound,
 //!   not placement-bound, and is not flagged.
 //! * **`R002` late prefetch** (Note): a load whose dependencies allow it
@@ -121,8 +122,8 @@ pub fn lint(graph: &TaskGraph, bounds: impl FnOnce() -> Arc<BoundAnalysis>) -> V
                         "queue-order edges dominate the critical path: the in-order queues \
                          bound the makespan at {:.3} ms vs {:.3} ms from the largest \
                          placement-independent bound ({:.0}% of path edges are queue order; \
-                         channel {worst} contributes {count}) — re-pinning channel \
-                         {worst}'s buffers may recover the gap",
+                         channel {worst} contributes {count}) — channel hints moving channel \
+                         {worst}'s transfers, or more channels, may recover the gap",
                         b.queue_bound_seconds * 1e3,
                         unavoidable * 1e3,
                         100.0 * b.queue_edge_fraction(),

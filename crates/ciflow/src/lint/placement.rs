@@ -1,18 +1,10 @@
-//! Placement and accounting pass (`P001`–`P003`, `A001`/`A002`).
+//! Placement and accounting pass (`P003`, `A001`/`A002`).
 //!
-//! Checks the channel placement the schedule will actually run under —
-//! resolved pin rules plus the hash fallback — against the schedule's real
+//! Checks the channel placement the schedule will actually run under — the
+//! plan's queues, channel hints included — against the schedule's real
 //! memory traffic, and reconciles the builder's spill accounting against the
 //! labeled spill/park tasks:
 //!
-//! * **`P001` shadowed pin rule** (Error): rules win in insertion order and
-//!   match by substring, so a rule whose pattern *contains* an earlier rule's
-//!   pattern can never fire — every label it would match is already claimed.
-//!   [`ChannelMap::with_pin`](rpu::ChannelMap::with_pin) debug-asserts this
-//!   at construction; the lint proves it for maps built in release mode or
-//!   deserialized.
-//! * **`P002` dead pin rule** (Warning): a reachable rule that matches none
-//!   of this schedule's buffers — usually a typo in the pattern.
 //! * **`P003` channel imbalance** (Warning): the placement concentrates
 //!   traffic so heavily that one channel carries more than 4× its fair
 //!   share (once there are at least 4 memory tasks per channel),
@@ -37,50 +29,14 @@ const IMBALANCE_RATIO: f64 = 4.0;
 /// Minimum memory tasks per channel before `P003` is meaningful.
 const IMBALANCE_MIN_TASKS_PER_CHANNEL: usize = 4;
 
-/// Indices of rules that can never match because an earlier rule's pattern is
-/// a substring of theirs. Pure so the lint is testable without constructing
-/// an (asserted-against) shadowed [`rpu::ChannelMap`].
-fn shadowed_rules(patterns: &[&str]) -> Vec<(usize, usize)> {
-    let mut shadowed = Vec::new();
-    for (later, pattern) in patterns.iter().enumerate() {
-        if let Some(earlier) = patterns[..later]
-            .iter()
-            .position(|prior| pattern.contains(prior))
-        {
-            shadowed.push((later, earlier));
-        }
-    }
-    shadowed
-}
-
 /// Runs the placement/accounting pass for `schedule` under the channel map
 /// and channel count compiled into `plan` (the schedule graph's plan).
 pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
-    let map = plan.channel_map();
-    let rules: Vec<(&str, &[usize])> = map.rules().collect();
-    let patterns: Vec<&str> = rules.iter().map(|(p, _)| *p).collect();
-
-    // P001: statically unreachable rules.
-    for (later, earlier) in shadowed_rules(&patterns) {
-        diagnostics.push(
-            Diagnostic::error(
-                codes::SHADOWED_PIN_RULE,
-                format!(
-                    "pin rule #{later} (pattern {:?}) can never match: rule #{earlier} \
-                     (pattern {:?}) precedes it and matches a superset of its labels \
-                     (rules win in insertion order)",
-                    patterns[later], patterns[earlier],
-                ),
-            )
-            .with_label(patterns[later].into()),
-        );
-    }
 
     // P003's per-channel byte totals come straight off the plan's queues;
-    // one walk over the plan's memory keys feeds P002 (per-rule match counts
-    // under first-match semantics, matched once per distinct buffer) and
-    // A001/A002 (labeled spill/park traffic).
+    // one walk over the plan's memory keys feeds A001/A002 (labeled
+    // spill/park traffic).
     let graph = &schedule.graph;
     let tasks = graph.tasks();
     let channels = plan.channels();
@@ -90,40 +46,12 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
         .map(|queue| queue.iter().map(|&t| tasks[t as usize].bytes()).sum())
         .collect();
     let keys = plan.buffer_keys(graph);
-    let buffer_rule: Vec<Option<usize>> = (0..keys.buffer_count() as u32)
-        .map(|b| map.rule_for(keys.name(graph, b)))
-        .collect();
-    let mut rule_matches = vec![0usize; patterns.len()];
     let memory_tasks = keys.memory_task_count();
-    let mut labeled_spill_bytes = 0u64;
-    for (_, task, key) in keys.memory_tasks(graph) {
-        if let Some(hit) = buffer_rule[key.buffer as usize] {
-            rule_matches[hit] += 1;
-        }
-        if key.verb.is_some_and(Verb::is_spill) {
-            labeled_spill_bytes += task.bytes();
-        }
-    }
-
-    // P002: reachable rules that matched nothing (vacuous without traffic).
-    if memory_tasks > 0 {
-        let shadowed: Vec<usize> = shadowed_rules(&patterns).iter().map(|&(j, _)| j).collect();
-        for (at, matches) in rule_matches.iter().enumerate() {
-            if *matches == 0 && !shadowed.contains(&at) {
-                diagnostics.push(
-                    Diagnostic::warning(
-                        codes::DEAD_PIN_RULE,
-                        format!(
-                            "pin rule #{at} (pattern {:?}) matches none of the schedule's \
-                             {memory_tasks} memory-task buffers",
-                            patterns[at],
-                        ),
-                    )
-                    .with_label(patterns[at].into()),
-                );
-            }
-        }
-    }
+    let labeled_spill_bytes: u64 = keys
+        .memory_tasks(graph)
+        .filter(|(_, _, key)| key.verb.is_some_and(Verb::is_spill))
+        .map(|(_, task, _)| task.bytes())
+        .sum();
 
     // P003: one channel hoards the traffic.
     let total_bytes: u64 = channel_bytes.iter().sum();
@@ -197,45 +125,19 @@ mod tests {
     }
 
     #[test]
-    fn shadowing_detection_is_order_sensitive() {
-        // "evk" after the catch-all can never match; before it, it can.
-        assert_eq!(shadowed_rules(&["", "evk"]), vec![(1, 0)]);
-        assert!(shadowed_rules(&["evk", ""]).is_empty());
-        assert_eq!(shadowed_rules(&["in", "in["]), vec![(1, 0)]);
-    }
-
-    #[test]
-    fn dead_rule_is_flagged_and_live_rules_are_not() {
-        let mut g = TaskGraph::new();
-        for t in 0..4 {
-            g.push_memory(
-                MemoryDirection::Load,
-                100,
-                vec![],
-                format!("load in[{t}]"),
-                "P1",
-            );
-        }
-        let engine = engine_with(ChannelMap::hashed(2).with_pin("zzz-typo", [0]));
-        let diagnostics = lint_under(&schedule(g, 0), &engine);
-        assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
-        assert_eq!(diagnostics[0].code, codes::DEAD_PIN_RULE);
-        assert!(diagnostics[0].message.contains("zzz-typo"));
-    }
-
-    #[test]
     fn pinning_everything_to_one_of_many_channels_is_imbalanced() {
         let mut g = TaskGraph::new();
         for t in 0..64 {
-            g.push_memory(
+            g.push_memory_on(
                 MemoryDirection::Load,
                 1000,
                 vec![],
                 format!("load in[{t}]"),
                 "P1",
+                Some(0),
             );
         }
-        let engine = engine_with(ChannelMap::hashed(8).with_pin("", [0]));
+        let engine = engine_with(ChannelMap::hashed(8));
         let diagnostics = lint_under(&schedule(g, 0), &engine);
         assert!(
             diagnostics

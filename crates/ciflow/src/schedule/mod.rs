@@ -90,7 +90,7 @@ impl Schedule {
     /// turned into a concrete [`ChannelMap`](rpu::ChannelMap) for
     /// `num_channels` memory pseudo-channels.
     ///
-    /// Evk towers are pinned to their own contiguous channel group, sized
+    /// Evk towers hash over their own contiguous channel group, sized
     /// proportionally to the share of DRAM traffic they move (at least one
     /// channel, never all of them), and every other buffer — input limbs,
     /// outputs, spills — is hashed over the remaining channels. The shares
@@ -102,7 +102,8 @@ impl Schedule {
     /// that cross-kernel evk prefetch in a fused pipeline never queues
     /// behind the current kernel's limb traffic. With one channel (or no
     /// evk traffic to segregate) it degenerates to the plain label hash, so
-    /// `N = 1` engines behave exactly like the historical single queue.
+    /// `N = 1` engines behave exactly like the historical single queue. The
+    /// split is [`ChannelMap::evk_split`](rpu::ChannelMap::evk_split).
     ///
     /// ```
     /// use ciflow::{build_schedule, Dataflow, HksBenchmark, HksShape, ScheduleConfig};
@@ -115,50 +116,24 @@ impl Schedule {
     /// assert_ne!(map.channel_for("load evk[d0][t1]"), map.channel_for("load in[1]"));
     /// ```
     pub fn channel_map(&self, num_channels: usize) -> rpu::ChannelMap {
-        evk_split_map(num_channels, || self.evk_traffic())
+        rpu::ChannelMap::evk_split(num_channels, || self.evk_traffic())
     }
 
     /// The `(evk, total)` memory-traffic bytes [`Schedule::channel_map`]
-    /// splits the channels by. The `"evk"` test is a byte-window scan: on
-    /// labels this short it runs in about half the time `str::contains`
-    /// takes here (0.55 vs 1.18 ms over the 30 preset schedules, x86-64).
+    /// splits the channels by, with [`rpu::channel::is_evk`] the evk test.
     pub(crate) fn evk_traffic(&self) -> (u64, u64) {
         let mut evk_bytes = 0u64;
         let mut total_bytes = 0u64;
         for task in self.graph.tasks() {
             if task.is_memory() {
                 total_bytes += task.bytes();
-                if task.label.as_bytes().windows(3).any(|w| w == b"evk") {
+                if rpu::channel::is_evk(&task.label) {
                     evk_bytes += task.bytes();
                 }
             }
         }
         (evk_bytes, total_bytes)
     }
-}
-
-/// The [`Schedule::channel_map`] placement for `num_channels` channels of a
-/// schedule whose memory traffic is `traffic()` `(evk, total)` bytes — the
-/// one constructor behind it and the session's per-channel-count plans.
-/// One channel needs no traffic split, so `traffic` is not called.
-pub(crate) fn evk_split_map(
-    num_channels: usize,
-    traffic: impl FnOnce() -> (u64, u64),
-) -> rpu::ChannelMap {
-    let n = num_channels.max(1);
-    if n == 1 {
-        return rpu::ChannelMap::hashed(1);
-    }
-    let (evk_bytes, total_bytes) = traffic();
-    if evk_bytes == 0 || evk_bytes == total_bytes {
-        return rpu::ChannelMap::hashed(n);
-    }
-    let share = evk_bytes as f64 / total_bytes as f64;
-    let evk_channels = ((n as f64 * share).round() as usize).clamp(1, n - 1);
-    let split = n - evk_channels;
-    rpu::ChannelMap::hashed(n)
-        .with_pin("evk", split..n)
-        .with_pin("", 0..split)
 }
 
 /// Generates the schedule for a built-in dataflow with its generator (what

@@ -68,8 +68,8 @@
 //! [`knee_plan`]), and
 //! [`dependency_knee`](BoundAnalysis::dependency_knee) over the
 //! placement-independent bound (no queue edges) — their disagreement
-//! separates a ceiling this placement imposes (fixable by re-pinning or
-//! more channels) from one the schedule's structure imposes (the
+//! separates a ceiling this placement imposes (fixable by per-task channel
+//! hints or more channels) from one the schedule's structure imposes (the
 //! utilization ceiling `ciflow`'s `R003` lint reports).
 //!
 //! Model details and the soundness argument live in `docs/BOUNDS.md`.

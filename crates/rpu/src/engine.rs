@@ -205,8 +205,8 @@ impl RpuEngine {
         }
     }
 
-    /// Replaces the buffer-to-channel mapping (e.g. to pin evk towers and
-    /// spill buffers to disjoint channel groups). Channels the map names
+    /// Replaces the buffer-to-channel mapping (e.g. with a schedule's evk
+    /// split, [`ChannelMap::evk_split`]). Channels the map names
     /// beyond the configuration's channel count wrap around modulo the
     /// count, so a map built for a different channel count still executes.
     pub fn with_channel_map(mut self, channel_map: ChannelMap) -> Self {

@@ -22,7 +22,8 @@
 //!   engine's timeline on one memory channel, the engine itself on several
 //!   (`docs/ANALYTIC.md`).
 //! * [`channel::ChannelMap`] — deterministic buffer-to-channel placement for
-//!   the multi-channel memory model (label hash plus overridable pin rules).
+//!   the multi-channel memory model (label hash, with evk towers split onto
+//!   their own channel group).
 //! * [`plan::ExecPlan`] — a graph compiled once per channel placement: the
 //!   queues and dependency structure every executor and analyzer shares.
 //! * [`verify`] — static verification of task graphs against the queue

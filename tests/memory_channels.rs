@@ -316,12 +316,9 @@ fn placement_oracle_covers_hints_prefixes_and_custom_labels() {
 
     let maps = [
         ChannelMap::hashed(4),
-        ChannelMap::hashed(4)
-            .with_pin("evk", 2..4)
-            .with_pin("", 0..2),
-        ChannelMap::hashed(8)
-            .with_pin("in[", [6])
-            .with_pin("acc", 0..3),
+        ChannelMap::evk_split(2, || (1, 2)),
+        ChannelMap::evk_split(4, || (1, 2)),
+        ChannelMap::evk_split(8, || (1, 8)),
     ];
     let mut single = None;
     for channels in [1, 2, 4, 8] {
