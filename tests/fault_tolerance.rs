@@ -422,6 +422,127 @@ fn deadlines_shedding_and_degradation_handle_overload_gracefully() {
     assert!(degraded.serve.classes[1].served > 0);
 }
 
+/// The resilience JSON of three seeded 2,000-request runs, pinned by an
+/// FNV-1a digest of its bytes. Between them the runs reach every path that
+/// reads per-request state — deadline expiry before start (closed and open
+/// loop), deadline-aware shedding, downgrades above a queue depth, scripted
+/// crashes with failover, and capped retries that run out — so a change to
+/// how that state is stored must leave every record and counter in place.
+#[test]
+fn resilience_json_is_pinned_on_deadline_admission_crash_and_retry_paths() {
+    let session = Session::new();
+    let mix = light_mix();
+    let probe = ServeConfig::new(
+        1,
+        mix.clone(),
+        ArrivalProcess::ClosedLoop {
+            concurrency: 1,
+            requests: 1,
+        },
+    );
+    let service = try_serve_in(&session, &probe, "OC").unwrap().classes;
+    // The mix's mean service time: every rate, deadline and outage below is
+    // a multiple of it.
+    let tick = mix
+        .iter()
+        .zip(&service)
+        .map(|(class, usage)| class.weight * usage.service_ms * 1e-3)
+        .sum::<f64>()
+        / mix.iter().map(|class| class.weight).sum::<f64>();
+    let open = |devices: usize, load: f64| {
+        ServeConfig::new(
+            devices,
+            light_mix(),
+            ArrivalProcess::OpenLoop {
+                rate_rps: load * devices as f64 / tick,
+                requests: 2_000,
+            },
+        )
+    };
+    let crashes = CrashPlan::Scripted(vec![
+        CrashEvent {
+            device: 0,
+            at_seconds: 100.0 * tick,
+            down_seconds: 40.0 * tick,
+        },
+        CrashEvent {
+            device: 1,
+            at_seconds: 300.0 * tick,
+            down_seconds: 60.0 * tick,
+        },
+    ]);
+    let runs = [
+        (
+            ServeConfig::new(
+                2,
+                light_mix(),
+                ArrivalProcess::ClosedLoop {
+                    concurrency: 12,
+                    requests: 2_000,
+                },
+            )
+            .with_seed(11),
+            FaultPlan::none().with_deadline(3.0 * tick),
+        ),
+        (
+            open(3, 1.3)
+                .with_policy(DispatchPolicy::ClassAffinity)
+                .with_seed(12),
+            FaultPlan::none()
+                .with_deadline(4.0 * tick)
+                .with_admission(AdmissionPolicy::DeadlineAware)
+                .with_crashes(crashes.clone()),
+        ),
+        (
+            open(3, 1.1)
+                .with_policy(DispatchPolicy::LeastLoaded)
+                .with_seed(13),
+            FaultPlan::none()
+                .with_deadline(20.0 * tick)
+                .with_admission(AdmissionPolicy::DegradeAboveDepth {
+                    degrade_depth: 4,
+                    fallback_class: 1,
+                    shed_depth: Some(24),
+                })
+                .with_crashes(crashes)
+                .with_transient_failure_rate(0.2)
+                .with_retry(RetryPolicy::capped_exponential(3, 0.5 * tick, 0.75 * tick)),
+        ),
+    ];
+    let mut digests = Vec::new();
+    for (config, plan) in &runs {
+        let report = try_fault_serve_in(&session, config, plan, "OC").unwrap();
+        assert!(report.conserves_arrivals());
+        assert!(report.timed_out > 0, "{report}");
+        let json = report.to_json();
+        let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        });
+        digests.push((report, json.len(), digest));
+    }
+    let [closed, deadline_aware, degrade] = &digests[..] else {
+        unreachable!("three runs")
+    };
+    // Each run reaches the paths it is here for.
+    assert!(closed.0.late > 0 && closed.0.retries == 0, "{}", closed.0);
+    assert!(deadline_aware.0.shed > 0 && deadline_aware.0.crash_losses > 0);
+    let degrade_run = &degrade.0;
+    assert!(degrade_run.degraded > 0 && degrade_run.shed > 0);
+    assert!(degrade_run.crash_losses > 0 && degrade_run.retries > 0);
+    assert_eq!(
+        digests
+            .iter()
+            .map(|(_, bytes, digest)| (*bytes, *digest))
+            .collect::<Vec<_>>(),
+        [
+            (161_866, 0x63d2_bc2e_5bb9_5135),
+            (203_099, 0xeafb_862f_5b26_2ea8),
+            (102_461, 0x7f8e_0f1e_4f5c_5a6e),
+        ],
+        "(bytes, FNV-1a) of each run's resilience JSON"
+    );
+}
+
 /// A run that completes no request: its one device is down for the whole
 /// arrival window and every queued request outlives a 1 ns deadline. Its
 /// latency summary is all zeros, every arrival is accounted for, and both
