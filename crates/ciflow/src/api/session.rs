@@ -419,13 +419,6 @@ impl BatchOutcome {
         self.results.iter().all(|r| r.outcome.is_ok())
     }
 
-    /// The failed jobs as `(label, error)` pairs, in submission order.
-    pub fn failures(&self) -> impl Iterator<Item = (&str, &CiflowError)> {
-        self.results
-            .iter()
-            .filter_map(|r| r.outcome.as_ref().err().map(|e| (r.label.as_str(), e)))
-    }
-
     /// Unwraps every job into its output.
     ///
     /// # Errors
@@ -1021,7 +1014,11 @@ mod tests {
         assert!(
             outcome.all_ok(),
             "failures: {:?}",
-            outcome.failures().count()
+            outcome
+                .results
+                .iter()
+                .filter(|r| r.outcome.is_err())
+                .count()
         );
         // Submission order is preserved.
         assert_eq!(outcome.results[0].strategy, "MP");
@@ -1049,7 +1046,14 @@ mod tests {
             outcome.results.iter().filter(|r| r.outcome.is_ok()).count(),
             1
         );
-        assert_eq!(outcome.failures().count(), 1);
+        assert_eq!(
+            outcome
+                .results
+                .iter()
+                .filter(|r| r.outcome.is_err())
+                .count(),
+            1
+        );
     }
 
     #[test]
@@ -1119,7 +1123,11 @@ mod tests {
         assert!(
             outcome.all_ok(),
             "failures: {:?}",
-            outcome.failures().count()
+            outcome
+                .results
+                .iter()
+                .filter(|r| r.outcome.is_err())
+                .count()
         );
         let outputs: Vec<&JobOutput> = (outcome.results.iter())
             .map(|r| r.outcome.as_ref().unwrap())

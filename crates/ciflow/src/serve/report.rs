@@ -202,11 +202,9 @@ impl ServeReport {
             json::write_uint(out, r.class);
             out.push_str(",\"device\":");
             json::write_uint(out, r.device);
-            let _ = write!(
-                out,
-                ",\"arrival_seconds\":{},\"wait_seconds\":",
-                r.arrival_seconds
-            );
+            out.push_str(",\"arrival_seconds\":");
+            json::write_f64(out, r.arrival_seconds);
+            out.push_str(",\"wait_seconds\":");
             wait.write(out, r.wait_seconds);
             out.push_str(",\"service_seconds\":");
             let slot = r.class % service.len();

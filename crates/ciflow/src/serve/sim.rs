@@ -143,15 +143,16 @@ struct Pending {
     arrival: f64,
 }
 
-/// Per-request bookkeeping beyond the public [`RequestRecord`].
+/// Per-request bookkeeping beyond the public [`RequestRecord`] (which
+/// holds the arrival; the deadline is recomputed from it as
+/// `arrival + deadline`, the same bits every time).
 struct ReqState {
-    arrival: f64,
     /// Dispatch attempts consumed so far.
-    attempts: usize,
+    attempts: u32,
     /// Whether admission downgraded the request to the fallback class.
     downgraded: bool,
-    /// Absolute deadline (arrival + plan deadline), when timeouts are on.
-    deadline: Option<f64>,
+    /// Where the request stands: queued or running, completed, or given up.
+    outcome: Outcome,
 }
 
 /// Final disposition of an accepted request.
@@ -335,7 +336,11 @@ pub(crate) fn simulate_resilient(
     let mut retries: BinaryHeap<std::cmp::Reverse<RetryEntry>> = BinaryHeap::new();
     let mut records: Vec<RequestRecord> = Vec::with_capacity(config.arrival.requests());
     let mut states: Vec<ReqState> = Vec::with_capacity(config.arrival.requests());
-    let mut outcomes: Vec<Outcome> = Vec::with_capacity(config.arrival.requests());
+    // The absolute deadline of a request, when timeouts are on.
+    let deadline_of = |record: &RequestRecord| {
+        plan.deadline_seconds
+            .map(|deadline| record.arrival_seconds + deadline)
+    };
 
     let mut clock = 0.0f64;
     let mut queue_area = 0.0f64;
@@ -411,15 +416,8 @@ pub(crate) fn simulate_resilient(
             // nothing else is scheduled): the queued requests give up. A
             // closed loop may issue replacements at this same instant, so
             // keep looping rather than breaking.
-            let stranded: Vec<Pending> = queue.drain(..).collect();
-            for pending in stranded {
-                give_up(
-                    pending.id,
-                    clock,
-                    &mut outcomes,
-                    &mut counters,
-                    &mut arrivals,
-                );
+            for pending in queue.drain(..) {
+                give_up(&mut states[pending.id], clock, &mut counters, &mut arrivals);
             }
             continue;
         };
@@ -435,21 +433,21 @@ pub(crate) fn simulate_resilient(
                 if done.failed {
                     counters.transient_failures += 1;
                     counters.wasted_seconds += done.service;
-                    let state = &states[done.id];
-                    if state.attempts < plan.retry.max_attempts {
-                        let backoff = plan.retry.backoff_seconds(state.attempts);
+                    let state = &mut states[done.id];
+                    if (state.attempts as usize) < plan.retry.max_attempts {
+                        let backoff = plan.retry.backoff_seconds(state.attempts as usize);
                         retries.push(std::cmp::Reverse(RetryEntry {
                             time: clock + backoff,
                             id: done.id,
                         }));
                     } else {
-                        give_up(done.id, clock, &mut outcomes, &mut counters, &mut arrivals);
+                        give_up(state, clock, &mut counters, &mut arrivals);
                     }
                 } else {
                     device.served += 1;
-                    outcomes[done.id] = Outcome::Completed;
-                    let state = &states[done.id];
-                    let late = state.deadline.is_some_and(|d| clock > d);
+                    let state = &mut states[done.id];
+                    state.outcome = Outcome::Completed;
+                    let late = deadline_of(&records[done.id]).is_some_and(|d| clock > d);
                     if state.downgraded {
                         counters.degraded += 1;
                     }
@@ -487,18 +485,18 @@ pub(crate) fn simulate_resilient(
                             counters.wasted_seconds += clock - in_flight.dispatched_at;
                             counters.crash_losses += 1;
                             let id = in_flight.id;
-                            if states[id].attempts < plan.retry.max_attempts {
+                            if (states[id].attempts as usize) < plan.retry.max_attempts {
                                 insert_by_arrival(
                                     &mut queue,
                                     Pending {
                                         id,
                                         class: records[id].class,
-                                        arrival: states[id].arrival,
+                                        arrival: records[id].arrival_seconds,
                                     },
                                 );
                                 max_depth = max_depth.max(queue.len());
                             } else {
-                                give_up(id, clock, &mut outcomes, &mut counters, &mut arrivals);
+                                give_up(&mut states[id], clock, &mut counters, &mut arrivals);
                             }
                         }
                     }
@@ -517,7 +515,7 @@ pub(crate) fn simulate_resilient(
                     Pending {
                         id: entry.id,
                         class: records[entry.id].class,
-                        arrival: states[entry.id].arrival,
+                        arrival: records[entry.id].arrival_seconds,
                     },
                 );
                 max_depth = max_depth.max(queue.len());
@@ -553,12 +551,10 @@ pub(crate) fn simulate_resilient(
                             service_seconds: 0.0,
                         });
                         states.push(ReqState {
-                            arrival,
                             attempts: 0,
                             downgraded,
-                            deadline: plan.deadline_seconds.map(|d| arrival + d),
+                            outcome: Outcome::Pending,
                         });
-                        outcomes.push(Outcome::Pending);
                         queue.push_back(Pending {
                             id,
                             class: admitted,
@@ -572,26 +568,16 @@ pub(crate) fn simulate_resilient(
 
         // Timeouts apply to *starting*: a queued request whose deadline has
         // passed gives up before it can be dispatched. Once dispatched, an
-        // attempt always runs to completion (it may finish late).
+        // attempt always runs to completion (it may finish late). One pass
+        // gives up every expired request, in queue order.
         if plan.deadline_seconds.is_some() {
-            let mut position = 0;
-            while position < queue.len() {
-                let expired = states[queue[position].id]
-                    .deadline
-                    .is_some_and(|d| clock >= d);
+            queue.retain(|pending| {
+                let expired = deadline_of(&records[pending.id]).is_some_and(|d| clock >= d);
                 if expired {
-                    let pending = queue.remove(position).expect("position is in range");
-                    give_up(
-                        pending.id,
-                        clock,
-                        &mut outcomes,
-                        &mut counters,
-                        &mut arrivals,
-                    );
-                } else {
-                    position += 1;
+                    give_up(&mut states[pending.id], clock, &mut counters, &mut arrivals);
                 }
-            }
+                !expired
+            });
         }
 
         // Match idle up devices with queued requests until one side is
@@ -650,12 +636,7 @@ pub(crate) fn simulate_resilient(
 
     // The outcome keeps completed requests only (all of them, in the
     // fault-free case), in issue order.
-    let mut kept = Vec::with_capacity(records.len());
-    for record in records {
-        if outcomes[record.id] == Outcome::Completed {
-            kept.push(record);
-        }
-    }
+    records.retain(|record| states[record.id].outcome == Outcome::Completed);
 
     (
         SimOutcome {
@@ -663,7 +644,7 @@ pub(crate) fn simulate_resilient(
             queue_area,
             max_depth,
             devices,
-            records: kept,
+            records,
         },
         counters,
     )
@@ -672,13 +653,12 @@ pub(crate) fn simulate_resilient(
 /// Marks an accepted request as given up (deadline expired before start,
 /// retry budget exhausted, or stranded with every device down).
 fn give_up(
-    id: usize,
+    state: &mut ReqState,
     clock: f64,
-    outcomes: &mut [Outcome],
     counters: &mut FaultCounters,
     arrivals: &mut ArrivalStream,
 ) {
-    outcomes[id] = Outcome::TimedOut;
+    state.outcome = Outcome::TimedOut;
     counters.timed_out += 1;
     // The client observes the failure; a closed loop moves on.
     arrivals.on_completion(clock);

@@ -220,7 +220,12 @@ impl CkksEncoder {
     /// # Panics
     ///
     /// Panics if the message is longer than the slot count.
-    pub fn encode(&self, message: &[Complex], scale: f64, basis: Arc<RnsBasis>) -> Plaintext {
+    pub(crate) fn encode(
+        &self,
+        message: &[Complex],
+        scale: f64,
+        basis: Arc<RnsBasis>,
+    ) -> Plaintext {
         assert!(
             message.len() <= self.slots,
             "message length {} exceeds slot count {}",

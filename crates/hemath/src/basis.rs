@@ -19,7 +19,7 @@
 //! exact (Garner) conversion is also provided for verification.
 
 use crate::modulus::Modulus;
-use crate::poly::{Representation, RnsBasis, RnsPolynomial};
+use crate::poly::RnsBasis;
 use std::sync::Arc;
 
 /// Precomputed tables for converting residues from a source RNS basis to a
@@ -163,31 +163,6 @@ impl BasisConverter {
         out
     }
 
-    /// Fast basis conversion of an [`RnsPolynomial`] in the coefficient
-    /// domain, returning a polynomial over the target basis (also in the
-    /// coefficient domain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomial is not over the source basis or not in the
-    /// coefficient domain (basis conversion is only meaningful there).
-    pub fn convert(&self, poly: &RnsPolynomial) -> RnsPolynomial {
-        assert!(
-            poly.basis().same_basis(&self.source),
-            "polynomial is not over the converter's source basis"
-        );
-        assert_eq!(
-            poly.representation(),
-            Representation::Coefficient,
-            "basis conversion requires the coefficient domain"
-        );
-        let towers: Vec<Vec<u64>> = (0..poly.tower_count())
-            .map(|i| poly.tower(i).to_vec())
-            .collect();
-        let out = self.convert_towers(&towers);
-        RnsPolynomial::from_towers(self.target.clone(), out, Representation::Coefficient)
-    }
-
     /// Number of modular multiplications one conversion performs:
     /// `N·ℓ` for the scaling pass plus `N·ℓ·k` for the accumulation.
     ///
@@ -238,8 +213,36 @@ pub fn exact_crt_residue(residues: &[u64], moduli: &[Modulus], target: &Modulus)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly::{Representation, RnsPolynomial};
     use crate::primes::generate_ntt_primes;
     use rand::{Rng, SeedableRng};
+
+    impl BasisConverter {
+        /// Fast basis conversion of an [`RnsPolynomial`] in the coefficient
+        /// domain, returning a polynomial over the target basis (also in the
+        /// coefficient domain).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the polynomial is not over the source basis or not in
+        /// the coefficient domain (basis conversion is only meaningful there).
+        fn convert(&self, poly: &RnsPolynomial) -> RnsPolynomial {
+            assert!(
+                poly.basis().same_basis(&self.source),
+                "polynomial is not over the converter's source basis"
+            );
+            assert_eq!(
+                poly.representation(),
+                Representation::Coefficient,
+                "basis conversion requires the coefficient domain"
+            );
+            let towers: Vec<Vec<u64>> = (0..poly.tower_count())
+                .map(|i| poly.tower(i).to_vec())
+                .collect();
+            let out = self.convert_towers(&towers);
+            RnsPolynomial::from_towers(self.target.clone(), out, Representation::Coefficient)
+        }
+    }
 
     /// `Q mod p`, where `Q` is the product of `moduli`.
     fn product_mod(moduli: &[Modulus], p: &Modulus) -> u64 {

@@ -887,7 +887,7 @@ impl SplitMix {
     /// A float from the edge cases that stress shortest round-trip
     /// rendering, or an arbitrary finite bit pattern.
     fn float(&mut self) -> f64 {
-        const EDGES: [f64; 12] = [
+        const EDGES: [f64; 15] = [
             0.0,
             -0.0,
             5e-324,
@@ -900,6 +900,11 @@ impl SplitMix {
             1.0,
             123_456.789,
             3.0e-3,
+            // Exact ties between two shortest candidates, which `{}` rounds
+            // up: 2^-25, -201562347225087.63 and 15545036178931.063.
+            f64::from_bits(0x3e60_0000_0000_0000),
+            f64::from_bits(0xc2e6_ea3c_8367_fff4),
+            f64::from_bits(0x42ac_46b8_b80b_e620),
         ];
         if self.below(3) == 0 {
             let value = f64::from_bits(self.next());

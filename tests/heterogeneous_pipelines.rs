@@ -42,7 +42,11 @@ fn rescaling_chain_runs_under_every_builtin_strategy_in_both_modes() {
     assert!(
         outcome.all_ok(),
         "failures: {:?}",
-        outcome.failures().collect::<Vec<_>>()
+        outcome
+            .results
+            .iter()
+            .filter_map(|r| r.outcome.as_ref().err())
+            .collect::<Vec<_>>()
     );
     let outputs = outcome.into_outputs().expect("every job succeeded");
     for output in &outputs {

@@ -76,7 +76,11 @@ fn pipelines_run_under_every_builtin_strategy_in_one_batch() {
     assert!(
         outcome.all_ok(),
         "failures: {:?}",
-        outcome.failures().count()
+        outcome
+            .results
+            .iter()
+            .filter(|r| r.outcome.is_err())
+            .count()
     );
     let shape = HksShape::new(HksBenchmark::ARK);
     let outputs = outcome.into_outputs().expect("every job succeeded");
