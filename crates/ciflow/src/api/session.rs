@@ -129,7 +129,7 @@ struct CachedPlan {
     /// Execution plans compiled from the schedule, keyed by channel count,
     /// so jobs sharing a schedule compile it once per channel count. The
     /// plans share one channel-independent half, and with it the schedule's
-    /// parsed memory labels.
+    /// interned buffer names.
     plans: Mutex<HashMap<usize, Arc<ExecPlan>>>,
     /// The schedule's `(evk, total)` memory traffic every multi-channel map
     /// is split by, scanned on the first multi-channel plan.

@@ -1,10 +1,10 @@
 //! Buffer-lifetime hazard pass (`B001`–`B003`).
 //!
-//! Reconstructs, per canonical buffer, the program-order sequence of memory
-//! events touching it — reading the plan's [`BufferKeys`], the labels
-//! parsed once in the vocabulary ([`rpu::channel::split_label`]) the
-//! schedule builders emit and the channel placement keys on — and checks
-//! each buffer's lifetime:
+//! Reconstructs, per buffer, the program-order sequence of memory events
+//! touching it — reading the plan's [`BufferKeys`], each memory task's
+//! buffer interned once by name (the key channel placement hashes) and its
+//! [`Verb`] — and checks each buffer's lifetime. Every memory task carries a
+//! verb, so every strategy's buffers are checked, built-in or custom:
 //!
 //! * **`B001` load-before-store** (Error): a buffer that the schedule itself
 //!   materializes (it has a `spill`/`park` write) is loaded *before* the
@@ -22,9 +22,8 @@
 //!   here by design: this lint is the static signal for the ROADMAP's
 //!   cross-kernel evk cache.
 
-use rpu::channel::Verb;
 use rpu::verify::Diagnostic;
-use rpu::{BufferKeys, ExecPlan, TaskGraph, TaskId};
+use rpu::{BufferKeys, ExecPlan, Label, LabelText, TaskGraph, TaskId, Verb};
 
 use super::codes;
 
@@ -44,7 +43,7 @@ fn starts_in_dram(buffer: &str) -> bool {
     buffer.starts_with("in[") || buffer.starts_with("evk[")
 }
 
-/// Runs the buffer-lifetime pass over a task graph, reading the labels out
+/// Runs the buffer-lifetime pass over a task graph, reading the buffers out
 /// of `plan` (compiled from `graph`).
 pub fn lint(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
     let keys = plan.buffer_keys(graph);
@@ -80,7 +79,7 @@ pub fn lint(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
                         ),
                     )
                     .with_tasks([*load, write])
-                    .with_label(format!("load {buffer}").into()),
+                    .with_label(shown(Verb::Load, buffer)),
                 );
             }
         }
@@ -99,7 +98,7 @@ pub fn lint(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
                             ),
                         )
                         .with_tasks([*task])
-                        .with_label(format!("spill {buffer}").into()),
+                        .with_label(shown(Verb::Spill, buffer)),
                     );
                     break; // one report per buffer
                 }
@@ -133,25 +132,33 @@ pub fn lint(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_tasks([first, second])
-                .with_label(format!("load {buffer}").into()),
+                .with_label(shown(Verb::Load, buffer)),
             );
         }
     }
     diagnostics
 }
 
+/// A diagnostic's label: `verb` applied to `buffer`, as a task shows it.
+fn shown(verb: Verb, buffer: &str) -> Label {
+    let text = LabelText {
+        kernel: None,
+        verb: Some(verb),
+        label: buffer,
+    };
+    text.to_string().into()
+}
+
 /// Each buffer's program-ordered events, grouped CSR-style: buffer `b`'s
-/// are `events[start[b]..start[b + 1]]`. Tasks without the canonical verb
-/// vocabulary are skipped: custom strategies are free to label however they
-/// like, and such buffers are not analyzable.
+/// are `events[start[b]..start[b + 1]]`.
 fn group_events(graph: &TaskGraph, keys: &BufferKeys) -> (Vec<usize>, Vec<Event>) {
     let keyed = || {
-        keys.memory_tasks(graph).filter_map(|(_, task, key)| {
-            let event = match key.verb? {
+        keys.memory_tasks(graph).map(|(_, task, key)| {
+            let event = match key.verb {
                 Verb::Load => Event::Load(task.id),
                 verb => Event::Write(task.id, verb.is_spill()),
             };
-            Some((key.buffer as usize, event))
+            (key.buffer as usize, event)
         })
     };
     let mut start = vec![0usize; keys.buffer_count() + 1];
@@ -173,30 +180,31 @@ fn group_events(graph: &TaskGraph, keys: &BufferKeys) -> (Vec<usize>, Vec<Event>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu::{ChannelMap, MemoryDirection, TaskGraph};
+    use rpu::{ChannelMap, TaskGraph};
 
     fn lint(graph: &TaskGraph) -> Vec<Diagnostic> {
         super::lint(graph, &ExecPlan::new(graph, &ChannelMap::hashed(1), 1))
     }
 
-    fn load(g: &mut TaskGraph, label: &str) -> TaskId {
-        g.push_memory(MemoryDirection::Load, 100, vec![], label, "P1")
+    fn load(g: &mut TaskGraph, buffer: &str) -> TaskId {
+        g.push_memory(Verb::Load, 100, vec![], buffer, "P1")
     }
 
-    fn store(g: &mut TaskGraph, label: &str, deps: Vec<TaskId>) -> TaskId {
-        g.push_memory(MemoryDirection::Store, 100, deps, label, "P1")
+    fn write(g: &mut TaskGraph, verb: Verb, buffer: &str, deps: Vec<TaskId>) -> TaskId {
+        g.push_memory(verb, 100, deps, buffer, "P1")
     }
 
     #[test]
     fn load_before_spill_of_an_intermediate_is_an_error() {
         let mut g = TaskGraph::new();
-        let bad = load(&mut g, "load acc0[1]");
-        let write = store(&mut g, "spill acc0[1]", vec![]);
-        load(&mut g, "load acc0[1]"); // reload, so the spill is not also dead
+        let bad = load(&mut g, "acc0[1]");
+        let spill = write(&mut g, Verb::Spill, "acc0[1]", vec![]);
+        load(&mut g, "acc0[1]"); // reload, so the spill is not also dead
         let diagnostics = lint(&g);
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].code, codes::LOAD_BEFORE_STORE);
-        assert_eq!(diagnostics[0].tasks, vec![bad, write]);
+        assert_eq!(diagnostics[0].tasks, vec![bad, spill]);
+        assert_eq!(diagnostics[0].label.as_deref(), Some("load acc0[1]"));
     }
 
     #[test]
@@ -204,28 +212,33 @@ mod tests {
         // `in[1]` starts in DRAM: load -> park -> load is the legitimate
         // capacity-pressure pattern, not a hazard.
         let mut g = TaskGraph::new();
-        let first = load(&mut g, "load in[1]");
-        store(&mut g, "park in[1]", vec![first]);
-        load(&mut g, "load in[1]");
+        let first = load(&mut g, "in[1]");
+        write(&mut g, Verb::Park, "in[1]", vec![first]);
+        load(&mut g, "in[1]");
         assert!(lint(&g).is_empty());
     }
 
     #[test]
     fn spill_never_reloaded_is_a_dead_store_warning() {
         let mut g = TaskGraph::new();
-        store(&mut g, "spill acc1[3]", vec![]);
+        write(&mut g, Verb::Spill, "acc1[3]", vec![]);
         let diagnostics = lint(&g);
         assert_eq!(diagnostics.len(), 1);
         assert_eq!(diagnostics[0].code, codes::DEAD_STORE);
+        assert_eq!(diagnostics[0].label.as_deref(), Some("spill acc1[3]"));
         assert_eq!(diagnostics[0].severity, rpu::Severity::Warning);
     }
 
     #[test]
     fn repeated_loads_without_a_write_are_flagged_once_with_a_count() {
+        // One streamed evk tower, loaded by each of three kernels.
+        let mut kernel = TaskGraph::new();
+        load(&mut kernel, "evk[d0][t1]");
         let mut g = TaskGraph::new();
-        load(&mut g, "k0:load evk[d0][t1]");
-        load(&mut g, "k1:load evk[d0][t1]");
-        load(&mut g, "k2:load evk[d0][t1]");
+        for k in 0..3 {
+            g.append_offset(&kernel, Some(k), |_| rpu::AppendAction::keep())
+                .unwrap();
+        }
         let diagnostics = lint(&g);
         assert_eq!(diagnostics.len(), 1);
         assert_eq!(diagnostics[0].code, codes::REDUNDANT_LOAD);
@@ -237,25 +250,47 @@ mod tests {
         // spill -> load -> park -> load: every load follows a write, every
         // write is reloaded, and the intervening park clears B003.
         let mut g = TaskGraph::new();
-        store(&mut g, "spill acc0[0]", vec![]);
-        let reload = load(&mut g, "load acc0[0]");
-        store(&mut g, "park acc0[0]", vec![reload]);
-        load(&mut g, "load acc0[0]");
+        write(&mut g, Verb::Spill, "acc0[0]", vec![]);
+        let reload = load(&mut g, "acc0[0]");
+        write(&mut g, Verb::Park, "acc0[0]", vec![reload]);
+        load(&mut g, "acc0[0]");
         assert!(lint(&g).is_empty());
     }
 
     #[test]
     fn final_output_stores_are_not_dead_stores() {
         let mut g = TaskGraph::new();
-        store(&mut g, "store out1[0]", vec![]);
+        write(&mut g, Verb::Store, "out1[0]", vec![]);
         assert!(lint(&g).is_empty());
     }
 
     #[test]
     fn unrecognized_labels_are_ignored() {
+        // Custom buffer names are buffers like any other; one load and one
+        // final store of distinct buffers carry no hazard.
         let mut g = TaskGraph::new();
         load(&mut g, "reload working set (ModUp-P1)");
-        store(&mut g, "writeback working set (ModUp-P1)", vec![]);
+        write(
+            &mut g,
+            Verb::Store,
+            "writeback working set (ModUp-P1)",
+            vec![],
+        );
         assert!(lint(&g).is_empty());
+    }
+
+    #[test]
+    fn a_kernel_like_prefix_is_part_of_the_buffer_name() {
+        // `k7:x` is its own buffer, not kernel 7's copy of `x`: its spill is
+        // never reloaded, while `x`'s is.
+        let mut g = TaskGraph::new();
+        let dead = write(&mut g, Verb::Spill, "k7:x", vec![]);
+        write(&mut g, Verb::Spill, "x", vec![]);
+        load(&mut g, "x");
+        let diagnostics = lint(&g);
+        assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
+        assert_eq!(diagnostics[0].code, codes::DEAD_STORE);
+        assert_eq!(diagnostics[0].tasks, vec![dead]);
+        assert_eq!(diagnostics[0].label.as_deref(), Some("spill k7:x"));
     }
 }

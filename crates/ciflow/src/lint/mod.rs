@@ -22,10 +22,10 @@
 //!    proves the queues cannot cross-block for this channel count and
 //!    placement, subsuming the runtime deadlock check (`D001`).
 //! 3. **buffer hazards** ([mod@buffer]) — per-buffer lifetime analysis over
-//!    the canonical labels: loads of spilled buffers before any write,
-//!    spills never reloaded, redundant back-to-back loads (`B001`–`B003`);
-//!    plus the kernel-boundary forwarding check ([mod@pipeline],
-//!    `B004`/`B005`).
+//!    each memory task's buffer and verb: loads of spilled buffers before
+//!    any write, spills never reloaded, redundant back-to-back loads
+//!    (`B001`–`B003`); plus the kernel-boundary forwarding check
+//!    ([mod@pipeline], `B004`/`B005`).
 //! 4. **capacity** ([mod@capacity]) — peak on-chip residency vs the target's
 //!    data memory (`C001`/`C002`).
 //! 5. **placement/accounting** ([mod@placement]) — pathological channel

@@ -48,7 +48,7 @@
 
 use rpu::bound::{BoundAnalysis, CriticalEdge, RooflineKnee};
 use rpu::verify::Diagnostic;
-use rpu::{MemoryDirection, TaskGraph, TaskKind};
+use rpu::{TaskGraph, Verb};
 use std::sync::Arc;
 
 use super::codes;
@@ -140,14 +140,7 @@ pub fn lint(graph: &TaskGraph, bounds: impl FnOnce() -> Arc<BoundAnalysis>) -> V
         let min_slack = PREFETCH_SLACK_FRACTION * b.dependency_bound_seconds;
         for step in &b.queue_critical_path {
             let task = &tasks[step.task];
-            let is_load = matches!(
-                task.kind,
-                TaskKind::Memory {
-                    direction: MemoryDirection::Load,
-                    ..
-                }
-            );
-            if is_load
+            if task.verb() == Some(Verb::Load)
                 && matches!(step.edge, CriticalEdge::QueueOrder { .. })
                 && b.slack[task.id] >= min_slack
             {
@@ -159,14 +152,14 @@ pub fn lint(graph: &TaskGraph, bounds: impl FnOnce() -> Arc<BoundAnalysis>) -> V
                              in-order queue position holds it until {:.3} ms and puts it on \
                              the binding path — hoist it earlier in program order to \
                              prefetch",
-                            task.label,
+                            task.display_label(),
                             b.earliest_start[task.id] * 1e3,
                             b.slack[task.id] * 1e3,
                             b.queue_earliest_start[task.id] * 1e3,
                         ),
                     )
                     .with_tasks(vec![task.id])
-                    .with_label(task.label.clone()),
+                    .with_label(task.display_label()),
                 );
             }
         }
@@ -253,8 +246,8 @@ mod tests {
         // a, ca, b, cb would overlap load b with ca and cost only 3 s — the
         // intrinsic interleave the ratio gate deliberately tolerates.)
         let mut g = TaskGraph::new();
-        let a = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load a", "P1");
-        let b = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load b", "P1");
+        let a = g.push_memory(Verb::Load, 1_000_000_000, vec![], "a", "P1");
+        let b = g.push_memory(Verb::Load, 1_000_000_000, vec![], "b", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![b], "cb", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![a], "ca", "P1");
         let diagnostics = lint_on(&g, &engine(1.0));
@@ -266,9 +259,9 @@ mod tests {
         // In program order the queues cost 3 s against the same 2 s: a 1.5x
         // ratio, below the 1.75x gate.
         let mut g = TaskGraph::new();
-        let a = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load a", "P1");
+        let a = g.push_memory(Verb::Load, 1_000_000_000, vec![], "a", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![a], "ca", "P1");
-        let b = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load b", "P1");
+        let b = g.push_memory(Verb::Load, 1_000_000_000, vec![], "b", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![b], "cb", "P1");
         let diagnostics = lint_on(&g, &engine(1.0));
         assert!(
@@ -286,13 +279,7 @@ mod tests {
         // bandwidth-bound, not placement-bound.
         let mut g = TaskGraph::new();
         for t in 0..8 {
-            g.push_memory(
-                MemoryDirection::Load,
-                1_000_000_000,
-                vec![],
-                format!("load in[{t}]"),
-                "P1",
-            );
+            g.push_memory(Verb::Load, 1_000_000_000, vec![], format!("in[{t}]"), "P1");
         }
         let diagnostics = lint_on(&g, &engine(1.0));
         assert!(
@@ -308,11 +295,11 @@ mod tests {
     /// order, so the in-order queue makes it the binding constraint.
     fn late_load_join(late_bytes: u64) -> (TaskGraph, usize) {
         let mut g = TaskGraph::new();
-        let l1 = g.push_memory(MemoryDirection::Load, 4_000_000_000, vec![], "load a", "P1");
+        let l1 = g.push_memory(Verb::Load, 4_000_000_000, vec![], "a", "P1");
         let c1 = g.push_compute(ComputeKind::Ntt, 4_000_000_000, vec![l1], "ca", "P1");
-        let l2 = g.push_memory(MemoryDirection::Load, 4_000_000_000, vec![], "load b", "P1");
+        let l2 = g.push_memory(Verb::Load, 4_000_000_000, vec![], "b", "P1");
         let c2 = g.push_compute(ComputeKind::Ntt, 4_000_000_000, vec![l2], "cb", "P1");
-        let late = g.push_memory(MemoryDirection::Load, late_bytes, vec![], "load late", "P1");
+        let late = g.push_memory(Verb::Load, late_bytes, vec![], "late", "P1");
         g.push_compute(
             ComputeKind::PointwiseAdd,
             1_000,
@@ -354,10 +341,10 @@ mod tests {
         let mut prev = None;
         for stage in 0..2 {
             let load = g.push_memory(
-                MemoryDirection::Load,
+                Verb::Load,
                 1_000_000_000,
                 prev.map(|p| vec![p]).unwrap_or_default(),
-                format!("load {stage}"),
+                format!("{stage}"),
                 "P1",
             );
             let c = g.push_compute(
@@ -367,13 +354,7 @@ mod tests {
                 format!("c {stage}"),
                 "P1",
             );
-            prev = Some(g.push_memory(
-                MemoryDirection::Store,
-                250_000_000,
-                vec![c],
-                format!("store {stage}"),
-                "P1",
-            ));
+            prev = Some(g.push_memory(Verb::Store, 250_000_000, vec![c], format!("{stage}"), "P1"));
         }
         let diagnostics = lint_on(&g, &engine(1.0));
         assert!(
@@ -394,7 +375,7 @@ mod tests {
     /// tail).
     fn decoupled_pipeline(head_bytes: u64) -> TaskGraph {
         let mut g = TaskGraph::new();
-        let head = g.push_memory(MemoryDirection::Load, head_bytes, vec![], "load head", "P1");
+        let head = g.push_memory(Verb::Load, head_bytes, vec![], "head", "P1");
         let mut prev = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![head], "c0", "P1");
         for stage in 1..4 {
             prev = g.push_compute(
@@ -405,13 +386,7 @@ mod tests {
                 "P1",
             );
         }
-        let stream = g.push_memory(
-            MemoryDirection::Load,
-            4_000_000_000,
-            vec![],
-            "load stream",
-            "P1",
-        );
+        let stream = g.push_memory(Verb::Load, 4_000_000_000, vec![], "stream", "P1");
         g.push_compute(
             ComputeKind::PointwiseAdd,
             1_000,
@@ -444,7 +419,7 @@ mod tests {
         // the schedule is provably bandwidth-insensitive; at 1 GB/s not.
         let mut g = TaskGraph::new();
         let c = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
-        let l = g.push_memory(MemoryDirection::Load, 2_000_000_000, vec![], "load x", "P1");
+        let l = g.push_memory(Verb::Load, 2_000_000_000, vec![], "x", "P1");
         g.push_compute(ComputeKind::PointwiseAdd, 0, vec![c, l], "join", "P1");
         let above = lint_on(&g, &engine(64.0));
         let knee_note = above

@@ -2,7 +2,9 @@
 //!
 //! A stitched multi-kernel pipeline chains kernel `i`'s output limbs
 //! (`k{i}:store out1[t]`) into kernel `i+1`'s input limbs
-//! (`k{i+1}:load in[t]`). The fused stitcher forwards chained towers
+//! (`k{i+1}:load in[t]`). The pass reads each memory task's
+//! [`kernel`](rpu::Task::kernel), verb and buffer through the chained-tower
+//! reader workload fusion uses. The fused stitcher forwards chained towers
 //! on-chip by splicing out *both* halves of the round trip; the back-to-back
 //! stitcher keeps *both*. Either way the boundary must stay consistent: a
 //! chained tower whose DRAM load survived but whose producing store was
@@ -16,20 +18,21 @@
 //!   producer stores a chained tower the consumer never loads. Correct
 //!   data-wise (DRAM keeps it), but the writeback is dead traffic across
 //!   this boundary. Only a Warning because a custom consumer strategy may
-//!   load its inputs under non-canonical labels.
+//!   load its inputs under other buffer names.
 //!
 //! Towers `t ≥ min(ℓ_p, ℓ_c)` are exempt: rescaling between kernels
 //! legitimately drops top towers (producer stores them for the caller, the
 //! consumer never wants them).
 
 use rpu::verify::Diagnostic;
-use rpu::TaskGraph;
+use rpu::{LabelText, TaskGraph, Verb};
 use std::collections::BTreeSet;
 
 use super::codes;
 use crate::benchmark::HksBenchmark;
 use crate::hks_shape::HksShape;
-use crate::workload::{kernel_label, tower_index};
+use crate::schedule::Buf;
+use crate::workload::{chained_tower, ChainedTower};
 
 /// Runs the boundary pass over a stitched pipeline graph. `kernel_benchmarks`
 /// is the per-kernel parameter ladder ([`crate::workload::WorkloadSchedule`]'s
@@ -40,17 +43,31 @@ pub fn lint(graph: &TaskGraph, kernel_benchmarks: &[HksBenchmark]) -> Vec<Diagno
     let kernels = kernel_benchmarks.len();
     let mut stored = vec![BTreeSet::new(); kernels];
     let mut loaded = vec![BTreeSet::new(); kernels];
-    for task in graph.tasks().iter().filter(|t| t.is_memory()) {
-        let Some((kernel, local)) = kernel_label(&task.label).filter(|&(k, _)| k < kernels) else {
+    for task in graph.tasks() {
+        let Some(kernel) = task.kernel.map(|k| k as usize).filter(|&k| k < kernels) else {
             continue;
         };
-        if let Some(tower) = tower_index(local, "store out1[") {
-            stored[kernel].insert(tower);
-        } else if let Some(tower) = tower_index(local, "load in[") {
-            loaded[kernel].insert(tower);
+        match chained_tower(task) {
+            Some(ChainedTower::Output(tower)) => {
+                stored[kernel].insert(tower);
+            }
+            Some(ChainedTower::Input(tower)) => {
+                loaded[kernel].insert(tower);
+            }
+            None => {}
         }
     }
 
+    // A boundary transfer as the task shows it (`k0:store out1[3]`).
+    let text = |kernel: usize, verb, buf: Buf| {
+        let label = buf.to_string();
+        LabelText {
+            kernel: Some(kernel as u32),
+            verb: Some(verb),
+            label: &label,
+        }
+        .to_string()
+    };
     let mut diagnostics = Vec::new();
     for (producer, pair) in kernel_benchmarks.windows(2).enumerate() {
         let consumer = producer + 1;
@@ -63,8 +80,8 @@ pub fn lint(graph: &TaskGraph, kernel_benchmarks: &[HksBenchmark]) -> Vec<Diagno
             if tower >= chained {
                 break;
             }
-            let store = format!("k{producer}:store out1[{tower}]");
-            let load = format!("k{consumer}:load in[{tower}]");
+            let store = text(producer, Verb::Store, Buf::Out(1, tower));
+            let load = text(consumer, Verb::Load, Buf::In(tower));
             diagnostics.push(if loaded[consumer].contains(&tower) {
                 Diagnostic::error(
                     codes::HALF_FORWARDED_BOUNDARY,
@@ -94,19 +111,31 @@ pub fn lint(graph: &TaskGraph, kernel_benchmarks: &[HksBenchmark]) -> Vec<Diagno
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu::{MemoryDirection, TaskGraph};
+    use rpu::{AppendAction, TaskGraph, Verb};
 
     fn two_kernels() -> [HksBenchmark; 2] {
         let b = HksBenchmark::all()[0];
         [b, b]
     }
 
-    fn graph_with(labels: &[&str]) -> TaskGraph {
+    /// A pipeline graph of one-task kernels: `(kernel, verb, buffer)` each.
+    fn graph_with(transfers: &[(u32, Verb, String)]) -> TaskGraph {
         let mut g = TaskGraph::new();
-        for label in labels {
-            g.push_memory(MemoryDirection::Load, 100, vec![], *label, "P1");
+        for (kernel, verb, buffer) in transfers {
+            let mut one = TaskGraph::new();
+            one.push_memory(*verb, 100, vec![], buffer.as_str(), "P1");
+            g.append_offset(&one, Some(*kernel), |_| AppendAction::keep())
+                .unwrap();
         }
         g
+    }
+
+    fn store(kernel: u32, tower: usize) -> (u32, Verb, String) {
+        (kernel, Verb::Store, format!("out1[{tower}]"))
+    }
+
+    fn load(kernel: u32, tower: usize) -> (u32, Verb, String) {
+        (kernel, Verb::Load, format!("in[{tower}]"))
     }
 
     #[test]
@@ -116,30 +145,27 @@ mod tests {
         assert!(lint(&graph_with(&[]), &kernels).is_empty());
         // Back-to-back: both halves present for every chained tower.
         let ell = HksShape::new(kernels[0]).ell();
-        let mut labels = Vec::new();
-        for t in 0..ell {
-            labels.push(format!("k0:store out1[{t}]"));
-            labels.push(format!("k1:load in[{t}]"));
-        }
-        let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-        assert!(lint(&graph_with(&refs), &kernels).is_empty());
+        let transfers: Vec<_> = (0..ell).flat_map(|t| [store(0, t), load(1, t)]).collect();
+        assert!(lint(&graph_with(&transfers), &kernels).is_empty());
     }
 
     #[test]
     fn surviving_load_without_its_store_is_an_error() {
         let kernels = two_kernels();
-        let diagnostics = lint(&graph_with(&["k1:load in[0]"]), &kernels);
+        let diagnostics = lint(&graph_with(&[load(1, 0)]), &kernels);
         assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
         assert_eq!(diagnostics[0].code, codes::HALF_FORWARDED_BOUNDARY);
+        assert_eq!(diagnostics[0].label.as_deref(), Some("k1:load in[0]"));
         assert_eq!(diagnostics[0].severity, rpu::Severity::Error);
     }
 
     #[test]
     fn store_without_a_consumer_load_is_a_warning() {
         let kernels = two_kernels();
-        let diagnostics = lint(&graph_with(&["k0:store out1[2]"]), &kernels);
+        let diagnostics = lint(&graph_with(&[store(0, 2)]), &kernels);
         assert_eq!(diagnostics.len(), 1);
         assert_eq!(diagnostics[0].code, codes::UNCONSUMED_BOUNDARY_STORE);
+        assert_eq!(diagnostics[0].label.as_deref(), Some("k0:store out1[2]"));
         assert_eq!(diagnostics[0].severity, rpu::Severity::Warning);
     }
 
@@ -149,7 +175,6 @@ mod tests {
         let ell = HksShape::new(kernels[0]).ell();
         // A store above min(ell_p, ell_c) is the caller's output, not a
         // boundary tower.
-        let label = format!("k0:store out1[{ell}]");
-        assert!(lint(&graph_with(&[label.as_str()]), &kernels).is_empty());
+        assert!(lint(&graph_with(&[store(0, ell)]), &kernels).is_empty());
     }
 }

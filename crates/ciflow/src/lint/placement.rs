@@ -3,7 +3,7 @@
 //! Checks the channel placement the schedule will actually run under — the
 //! plan's queues, channel hints included — against the schedule's real
 //! memory traffic, and reconciles the builder's spill accounting against the
-//! labeled spill/park tasks:
+//! spill/park tasks:
 //!
 //! * **`P003` channel imbalance** (Warning): the placement concentrates
 //!   traffic so heavily that one channel carries more than 4× its fair
@@ -11,13 +11,14 @@
 //!   forfeiting the head-of-line bypass benefit multiple channels exist to
 //!   provide.
 //! * **`A001`/`A002` spill reconciliation**: the builder's
-//!   [`Schedule::spill_bytes`] vs the sum of `spill`/`park`-labeled store
-//!   traffic. Labeled traffic *exceeding* the report is an Error (`A001` —
-//!   the accounting undercounts DRAM traffic the engine will charge);
-//!   a report exceeding the labels is only a Warning (`A002` — custom
-//!   strategies may account spills without using the canonical verbs).
+//!   [`Schedule::spill_bytes`] vs the bytes of the memory tasks whose verb
+//!   is [`Verb::Spill`](rpu::Verb::Spill) or
+//!   [`Verb::Park`](rpu::Verb::Park). Spill traffic *exceeding* the
+//!   report is an Error (`A001` — the accounting undercounts DRAM traffic
+//!   the engine will charge); a report exceeding it is only a Warning
+//!   (`A002` — a custom strategy may count as spills transfers it gives
+//!   the `Load` or `Store` verb).
 
-use rpu::channel::Verb;
 use rpu::verify::Diagnostic;
 use rpu::ExecPlan;
 
@@ -35,8 +36,8 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
 
     // P003's per-channel byte totals come straight off the plan's queues;
-    // one walk over the plan's memory keys feeds A001/A002 (labeled
-    // spill/park traffic).
+    // one walk over the plan's memory keys feeds A001/A002 (spill/park
+    // traffic).
     let graph = &schedule.graph;
     let tasks = graph.tasks();
     let channels = plan.channels();
@@ -47,9 +48,9 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
         .collect();
     let keys = plan.buffer_keys(graph);
     let memory_tasks = keys.memory_task_count();
-    let labeled_spill_bytes: u64 = keys
+    let spill_task_bytes: u64 = keys
         .memory_tasks(graph)
-        .filter(|(_, _, key)| key.verb.is_some_and(Verb::is_spill))
+        .filter(|(_, _, key)| key.verb.is_spill())
         .map(|(_, task, _)| task.bytes())
         .sum();
 
@@ -78,20 +79,20 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
 
     // A001/A002: reconcile the builder's spill accounting.
     let reported = schedule.spill_bytes;
-    if labeled_spill_bytes > reported {
+    if spill_task_bytes > reported {
         diagnostics.push(Diagnostic::error(
             codes::SPILL_UNDERREPORTED,
             format!(
-                "spill/park tasks move {labeled_spill_bytes} B but the schedule reports \
+                "spill/park tasks move {spill_task_bytes} B but the schedule reports \
                  spill_bytes = {reported}: the accounting undercounts DRAM traffic the \
                  engine will charge"
             ),
         ));
-    } else if reported > labeled_spill_bytes {
+    } else if reported > spill_task_bytes {
         diagnostics.push(Diagnostic::warning(
             codes::SPILL_OVERREPORTED,
             format!(
-                "schedule reports spill_bytes = {reported} but only {labeled_spill_bytes} B \
+                "schedule reports spill_bytes = {reported} but only {spill_task_bytes} B \
                  of spill/park-labeled traffic exists (coarse or custom accounting?)"
             ),
         ));
@@ -103,7 +104,7 @@ pub fn lint(schedule: &Schedule, plan: &ExecPlan) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu::{ChannelMap, MemoryDirection, RpuConfig, RpuEngine, TaskGraph};
+    use rpu::{ChannelMap, RpuConfig, RpuEngine, TaskGraph, Verb};
 
     fn schedule(graph: TaskGraph, spill_bytes: u64) -> Schedule {
         Schedule {
@@ -128,14 +129,7 @@ mod tests {
     fn pinning_everything_to_one_of_many_channels_is_imbalanced() {
         let mut g = TaskGraph::new();
         for t in 0..64 {
-            g.push_memory_on(
-                MemoryDirection::Load,
-                1000,
-                vec![],
-                format!("load in[{t}]"),
-                "P1",
-                Some(0),
-            );
+            g.push_memory_on(Verb::Load, 1000, vec![], format!("in[{t}]"), "P1", Some(0));
         }
         let engine = engine_with(ChannelMap::hashed(8));
         let diagnostics = lint_under(&schedule(g, 0), &engine);
@@ -151,13 +145,7 @@ mod tests {
     fn hashed_placement_of_many_buffers_is_balanced() {
         let mut g = TaskGraph::new();
         for t in 0..64 {
-            g.push_memory(
-                MemoryDirection::Load,
-                1000,
-                vec![],
-                format!("load in[{t}]"),
-                "P1",
-            );
+            g.push_memory(Verb::Load, 1000, vec![], format!("in[{t}]"), "P1");
         }
         let engine = engine_with(ChannelMap::hashed(4));
         assert!(lint_under(&schedule(g, 0), &engine).is_empty());
@@ -166,10 +154,10 @@ mod tests {
     #[test]
     fn spill_accounting_reconciles_both_directions() {
         let mut g = TaskGraph::new();
-        g.push_memory(MemoryDirection::Store, 150, vec![], "spill acc0[0]", "P1");
-        g.push_memory(MemoryDirection::Store, 50, vec![], "park in[3]", "P1");
-        g.push_memory(MemoryDirection::Load, 150, vec![], "load acc0[0]", "P1");
-        g.push_memory(MemoryDirection::Load, 50, vec![], "load in[3]", "P1");
+        g.push_memory(Verb::Spill, 150, vec![], "acc0[0]", "P1");
+        g.push_memory(Verb::Park, 50, vec![], "in[3]", "P1");
+        g.push_memory(Verb::Load, 150, vec![], "acc0[0]", "P1");
+        g.push_memory(Verb::Load, 50, vec![], "in[3]", "P1");
         let engine = engine_with(ChannelMap::hashed(1));
 
         // Exact accounting: clean.

@@ -18,7 +18,7 @@ use output_centric::build_output_centric;
 
 use crate::dataflow::Dataflow;
 use crate::hks_shape::{HksShape, HksStage};
-use rpu::{ComputeKind, EvkPolicy, Label, MemoryDirection, TaskGraph, TaskId};
+use rpu::{ComputeKind, EvkPolicy, Label, TaskGraph, TaskId, Verb};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -86,8 +86,8 @@ impl Schedule {
     }
 
     /// Derives the channel-aware buffer placement for this schedule: the
-    /// channel hints the generators encode in their canonical buffer labels,
-    /// turned into a concrete [`ChannelMap`](rpu::ChannelMap) for
+    /// channel hints the generators encode in their buffer names, turned
+    /// into a concrete [`ChannelMap`](rpu::ChannelMap) for
     /// `num_channels` memory pseudo-channels.
     ///
     /// Evk towers hash over their own contiguous channel group, sized
@@ -101,7 +101,7 @@ impl Schedule {
     /// the channels load-balanced under both evk policies while guaranteeing
     /// that cross-kernel evk prefetch in a fused pipeline never queues
     /// behind the current kernel's limb traffic. With one channel (or no
-    /// evk traffic to segregate) it degenerates to the plain label hash, so
+    /// evk traffic to segregate) it degenerates to the plain name hash, so
     /// `N = 1` engines behave exactly like the historical single queue. The
     /// split is [`ChannelMap::evk_split`](rpu::ChannelMap::evk_split).
     ///
@@ -113,7 +113,7 @@ impl Schedule {
     /// let schedule = build_schedule(Dataflow::OutputCentric, &HksShape::new(HksBenchmark::ARK), &config);
     /// let map = schedule.channel_map(4);
     /// // Evk towers and input limbs land on disjoint channels.
-    /// assert_ne!(map.channel_for("load evk[d0][t1]"), map.channel_for("load in[1]"));
+    /// assert_ne!(map.channel_for("evk[d0][t1]"), map.channel_for("in[1]"));
     /// ```
     pub fn channel_map(&self, num_channels: usize) -> rpu::ChannelMap {
         rpu::ChannelMap::evk_split(num_channels, || self.evk_traffic())
@@ -148,10 +148,10 @@ pub fn build_schedule(dataflow: Dataflow, shape: &HksShape, config: &ScheduleCon
     }
 }
 
-/// A buffer the generators track, keyed by its role and indices. Its
-/// [`Display`](fmt::Display) form is the buffer's canonical name — the text
-/// memory-task labels carry (`load in[3]`, `spill acc0[7]`) and that channel
-/// placement and workload fusion parse back.
+/// A buffer the generators move, keyed by its role and indices. Its
+/// [`Display`](fmt::Display) form is the buffer's name, the label of every
+/// memory task that moves it (`in[3]`, `acc0[7]`): the key channel
+/// placement hashes and the lints group by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Buf {
     /// Input tower `t`, in the evaluation domain.
@@ -174,6 +174,10 @@ pub(crate) enum Buf {
     MdConv(usize, usize),
     /// ModDown NTT output of polynomial `p`, tower `t`.
     MdNtt(usize, usize),
+    /// Final output polynomial `p`, tower `t`.
+    Out(usize, usize),
+    /// The evk tower pair of digit `j`, extended tower `t`.
+    Evk(usize, usize),
 }
 
 impl fmt::Display for Buf {
@@ -189,6 +193,8 @@ impl fmt::Display for Buf {
             Buf::MdIntt(p, i) => write!(f, "mdintt{p}[{i}]"),
             Buf::MdConv(p, t) => write!(f, "mdconv{p}[{t}]"),
             Buf::MdNtt(p, t) => write!(f, "mdntt{p}[{t}]"),
+            Buf::Out(p, t) => write!(f, "out{p}[{t}]"),
+            Buf::Evk(j, t) => write!(f, "evk[d{j}][t{t}]"),
         }
     }
 }
@@ -269,7 +275,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// input polynomial towers).
     pub(crate) fn declare_dram_input(&mut self, buf: Buf, bytes: u64) {
         let previous = self.buffers.insert(buf, (Residence::InDram(None), bytes));
-        debug_assert!(
+        assert!(
             !matches!(previous, Some((Residence::OnChip(_), _))),
             "{buf} re-declared in DRAM while resident"
         );
@@ -293,13 +299,7 @@ impl<'a> ScheduleBuilder<'a> {
             Residence::OnChip(task) => task,
             Residence::InDram(source) => {
                 let deps = source.map(|t| vec![t]).unwrap_or_default();
-                let load = self.push_memory(
-                    MemoryDirection::Load,
-                    bytes,
-                    deps,
-                    format_args!("load {buf}"),
-                    stage,
-                );
+                let load = self.push_memory(Verb::Load, buf, bytes, deps, stage);
                 // Streamed through when it does not fit: it then remains in
                 // DRAM for any later use.
                 if self.try_allocate(bytes) {
@@ -329,7 +329,7 @@ impl<'a> ScheduleBuilder<'a> {
     pub(crate) fn produce(&mut self, buf: Buf, bytes: u64, task: TaskId, stage: HksStage) {
         let resident = match self.buffers.get(&buf) {
             Some(&(Residence::OnChip(_), held)) => {
-                debug_assert_eq!(held, bytes, "{buf} re-produced at a different size");
+                assert_eq!(held, bytes, "{buf} re-produced at a different size");
                 true
             }
             _ => self.try_allocate(bytes),
@@ -337,13 +337,7 @@ impl<'a> ScheduleBuilder<'a> {
         let residence = if resident {
             Residence::OnChip(task)
         } else {
-            let store = self.push_memory(
-                MemoryDirection::Store,
-                bytes,
-                vec![task],
-                format_args!("spill {buf}"),
-                stage,
-            );
+            let store = self.push_memory(Verb::Spill, buf, bytes, vec![task], stage);
             self.spill_bytes += bytes;
             Residence::InDram(Some(store))
         };
@@ -364,13 +358,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// No-op if the buffer is already in DRAM or unknown.
     pub(crate) fn park(&mut self, buf: Buf, stage: HksStage) {
         if let Some(&(Residence::OnChip(task), bytes)) = self.buffers.get(&buf) {
-            let store = self.push_memory(
-                MemoryDirection::Store,
-                bytes,
-                vec![task],
-                format_args!("park {buf}"),
-                stage,
-            );
+            let store = self.push_memory(Verb::Park, buf, bytes, vec![task], stage);
             self.spill_bytes += bytes;
             self.used -= bytes;
             self.buffers
@@ -383,21 +371,17 @@ impl<'a> ScheduleBuilder<'a> {
         matches!(self.buffers.get(&buf), Some((Residence::OnChip(_), _)))
     }
 
-    /// Emits the final store of an output buffer to DRAM.
+    /// Emits the final store of tower `tower` of output polynomial `poly`
+    /// to DRAM.
     pub(crate) fn store_output(
         &mut self,
-        name: fmt::Arguments<'_>,
+        poly: usize,
+        tower: usize,
         bytes: u64,
         dep: TaskId,
         stage: HksStage,
     ) -> TaskId {
-        self.push_memory(
-            MemoryDirection::Store,
-            bytes,
-            vec![dep],
-            format_args!("store {name}"),
-            stage,
-        )
+        self.push_memory(Verb::Store, Buf::Out(poly, tower), bytes, vec![dep], stage)
     }
 
     /// Returns the dependencies required to have the evk towers for digit
@@ -414,14 +398,7 @@ impl<'a> ScheduleBuilder<'a> {
             EvkPolicy::OnChip => Vec::new(),
             EvkPolicy::Streamed => {
                 let bytes = self.shape.evk_tower_pair_bytes();
-                let load = self.push_memory(
-                    MemoryDirection::Load,
-                    bytes,
-                    vec![],
-                    format_args!("load evk[d{digit}][t{tower}]"),
-                    stage,
-                );
-                vec![load]
+                vec![self.push_memory(Verb::Load, Buf::Evk(digit, tower), bytes, vec![], stage)]
             }
         }
     }
@@ -447,16 +424,18 @@ impl<'a> ScheduleBuilder<'a> {
         true
     }
 
+    /// Emits a memory task applying `verb` to `buf`, labelled by the
+    /// buffer's name.
     fn push_memory(
         &mut self,
-        direction: MemoryDirection,
+        verb: Verb,
+        buf: Buf,
         bytes: u64,
         deps: Vec<TaskId>,
-        label: fmt::Arguments<'_>,
         stage: HksStage,
     ) -> TaskId {
-        let (label, stage) = self.intern(label, stage);
-        self.graph.push_memory(direction, bytes, deps, label, stage)
+        let (label, stage) = self.intern(format_args!("{buf}"), stage);
+        self.graph.push_memory(verb, bytes, deps, label, stage)
     }
 
     /// Renders `label` into the scratch string and interns it (one
@@ -637,12 +616,7 @@ pub(crate) fn emit_moddown_stagewise(b: &mut ScheduleBuilder<'_>) {
             );
             b.release(Buf::Acc(poly, t));
             b.release(Buf::MdNtt(poly, t));
-            b.store_output(
-                format_args!("out{poly}[{t}]"),
-                tower,
-                combine,
-                HksStage::ModDownCombine,
-            );
+            b.store_output(poly, t, tower, combine, HksStage::ModDownCombine);
         }
         // Release this polynomial's ModDown scratch.
         for i in 0..k {
@@ -656,8 +630,12 @@ mod tests {
     use super::*;
     use crate::benchmark::HksBenchmark;
 
-    fn labels(schedule: &Schedule) -> Vec<&str> {
-        schedule.graph.tasks().iter().map(|t| &*t.label).collect()
+    fn labels(schedule: &Schedule) -> Vec<String> {
+        let tasks = schedule.graph.tasks();
+        tasks
+            .iter()
+            .map(|t| t.display_label().to_string())
+            .collect()
     }
 
     #[test]
@@ -698,7 +676,7 @@ mod tests {
         }
         b.produce(Buf::Part(0, 0), 100, reload, s);
         assert!(b.is_resident(Buf::Part(0, 0)));
-        b.store_output(format_args!("out1[{}]", 0), 40, reload, s);
+        b.store_output(1, 0, 40, reload, s);
 
         let schedule = b.finish("T");
         assert_eq!(
@@ -716,8 +694,8 @@ mod tests {
 
     #[test]
     fn buffer_names_keep_the_label_vocabulary() {
-        use crate::workload::{kernel_label, tower_index};
-        use rpu::channel::split_label;
+        use crate::workload::{chained_tower, ChainedTower};
+        use rpu::AppendAction;
         let bufs = [
             Buf::In(3),
             Buf::Intt(3),
@@ -741,7 +719,7 @@ mod tests {
             b.produce(buf, 8, load, stage);
         }
         let evk = b.acquire_evk(0, 1, stage)[0];
-        b.store_output(format_args!("out1[{}]", 6), 8, evk, stage);
+        b.store_output(1, 6, 8, evk, stage);
         let schedule = b.finish("T");
         let labels = labels(&schedule);
         assert_eq!(
@@ -753,25 +731,32 @@ mod tests {
              spill mdntt1[6] load evk[d0][t1] store out1[6]"
         );
 
-        // What channel placement and workload fusion parse back out of them.
+        // The fields behind the text, which placement, the lints and
+        // workload fusion read: each task's verb and buffer name.
         let map = schedule.channel_map(4);
-        let evk_channel = map.channel_for("load evk[d0][t1]");
-        for (pair, buf) in labels.chunks(2).zip(bufs) {
+        let evk_channel = map.channel_for("evk[d0][t1]");
+        let tasks = schedule.graph.tasks();
+        for (pair, buf) in tasks.chunks(2).zip(bufs) {
             let name = buf.to_string();
-            for (label, verb) in pair.iter().zip(["load", "spill"]) {
-                assert_eq!(split_label(label), (Some(verb), name.as_str()));
-                assert_eq!(
-                    split_label(&format!("k2:{label}")),
-                    (Some(verb), name.as_str())
-                );
-                assert_eq!(kernel_label(&format!("k12:{label}")), Some((12, *label)));
-                assert_eq!(kernel_label(label), None, "{label}");
-                assert_ne!(map.channel_for(label), evk_channel, "{label}");
-                let tower = (*label == "load in[3]").then_some(3);
-                assert_eq!(tower_index(label, "load in["), tower, "{label}");
+            for (task, verb) in pair.iter().zip([Verb::Load, Verb::Spill]) {
+                assert_eq!((task.verb(), &*task.label), (Some(verb), name.as_str()));
+                assert_ne!(map.channel_for(&task.label), evk_channel, "{name}");
+                let input = (buf == Buf::In(3) && verb == Verb::Load).then_some(3);
+                assert_eq!(chained_tower(task), input.map(ChainedTower::Input));
             }
         }
-        assert_eq!(tower_index(labels[21], "store out1["), Some(6));
+        assert_eq!(&*tasks[20].label, "evk[d0][t1]");
+        assert_eq!(chained_tower(&tasks[21]), Some(ChainedTower::Output(6)));
+
+        // A stitched pipeline's kernel shows as a prefix; the labels are
+        // shared with the kernel's own graph.
+        let mut stitched = TaskGraph::new();
+        stitched
+            .append_offset(&schedule.graph, Some(12), |_| AppendAction::keep())
+            .unwrap();
+        for (task, label) in stitched.tasks().iter().zip(&labels) {
+            assert_eq!(*task.display_label(), format!("k12:{label}"));
+        }
     }
 
     #[test]
@@ -872,16 +857,17 @@ mod tests {
         // the other, and both groups are non-empty.
         let evk_channels: std::collections::BTreeSet<usize> = (0..shape.dnum())
             .flat_map(|d| (0..4).map(move |t| (d, t)))
-            .map(|(d, t)| map.channel_for(&format!("load evk[d{d}][t{t}]")))
+            .map(|(d, t)| map.channel_for(&format!("evk[d{d}][t{t}]")))
             .collect();
         let data_channels: std::collections::BTreeSet<usize> = (0..shape.ell())
-            .map(|t| map.channel_for(&format!("load in[{t}]")))
+            .map(|t| map.channel_for(&format!("in[{t}]")))
             .collect();
         assert!(evk_channels.is_disjoint(&data_channels));
         assert!(!evk_channels.is_empty() && !data_channels.is_empty());
-        // Spill/limb/output traffic shares the data group — fused kernel
-        // prefixes do not change placement.
-        assert!(data_channels.contains(&map.channel_for("k3:load in[0]")));
+        // Spill and output traffic stays off the evk group.
+        for buffer in ["acc0[0]", "out1[0]"] {
+            assert!(!evk_channels.contains(&map.channel_for(buffer)), "{buffer}");
+        }
 
         // One channel, or no evk traffic to segregate: plain hashing.
         assert_eq!(streamed.channel_map(1), rpu::ChannelMap::hashed(1));

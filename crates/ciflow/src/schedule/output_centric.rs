@@ -332,12 +332,7 @@ pub(super) fn build_output_centric(shape: &HksShape, config: &ScheduleConfig) ->
                 HksStage::ModDownCombine,
             );
             b.release(Buf::Acc(poly, t));
-            b.store_output(
-                format_args!("out{poly}[{t}]"),
-                tower,
-                combine,
-                HksStage::ModDownCombine,
-            );
+            b.store_output(poly, t, tower, combine, HksStage::ModDownCombine);
         }
         for i in 0..k {
             b.release(Buf::MdIntt(poly, i));

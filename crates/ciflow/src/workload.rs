@@ -36,18 +36,18 @@
 //!   kernel's input load) is elided entirely: the value is forwarded
 //!   on-chip.
 //!
-//! Fusion keys on the canonical buffer labels every
-//! [`ScheduleBuilder`](crate::schedule)-based strategy emits (`load in[t]`,
-//! `store out1[t]`). A custom strategy that does not use those labels still
-//! runs correctly — its kernels are chained through a conservative barrier —
-//! it just forgoes the overlap.
+//! Fusion keys on the chained polynomial's transfers every
+//! [`ScheduleBuilder`](crate::schedule)-based strategy emits: loads of the
+//! buffers `in[t]` and stores of `out1[t]`. A custom strategy that does not
+//! name its buffers that way still runs correctly — its kernels are chained
+//! through a conservative barrier — it just forgoes the overlap.
 
 use crate::api::ScheduleStrategy;
 use crate::benchmark::HksBenchmark;
 use crate::error::CiflowError;
 use crate::hks_shape::HksShape;
 use crate::schedule::{Schedule, ScheduleConfig};
-use rpu::{AppendAction, Task, TaskGraph, TaskId};
+use rpu::{AppendAction, Task, TaskGraph, TaskId, Verb};
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -296,8 +296,8 @@ impl std::fmt::Display for Workload {
 /// metadata.
 ///
 /// The stitched [`schedule`](Self::schedule) carries the channel hints of
-/// its per-kernel templates: task labels keep their canonical buffer names
-/// (with a `k<i>:` kernel prefix), so
+/// its per-kernel templates: task labels keep their buffer names, and each
+/// task records its kernel in [`Task::kernel`], so
 /// [`Schedule::channel_map`] places evk prefetch
 /// and limb writebacks on disjoint memory channels for any channel count —
 /// derived from the union of every step's traffic, since heterogeneous steps
@@ -358,18 +358,17 @@ impl KernelTemplate {
         let shape = HksShape::new(benchmark);
         let schedule = strategy.build(&shape, config)?;
         let terminals = schedule.graph.terminal_tasks();
-        let forward_stores = schedule
-            .graph
-            .tasks()
-            .iter()
-            .filter_map(|t| forwarded_store_tower(t).map(|tower| (tower, t.id)))
-            .collect();
-        let input_loads = schedule
-            .graph
-            .tasks()
-            .iter()
-            .filter(|t| is_input_load(t))
-            .count();
+        let mut forward_stores = HashMap::new();
+        let mut input_loads = 0;
+        for task in schedule.graph.tasks() {
+            match chained_tower(task) {
+                Some(ChainedTower::Output(tower)) => {
+                    forward_stores.insert(tower, task.id);
+                }
+                Some(ChainedTower::Input(_)) => input_loads += 1,
+                None => {}
+            }
+        }
         Ok(Self {
             shape,
             schedule,
@@ -379,45 +378,45 @@ impl KernelTemplate {
         })
     }
 
-    /// Buffer-granular stitching needs the canonical input-load labels; a
+    /// Buffer-granular stitching needs loads of the `in[t]` input towers; a
     /// strategy without them chains through a conservative barrier instead.
     fn has_canonical_inputs(&self) -> bool {
         self.input_loads > 0
     }
 }
 
-/// Parses the tower index out of a canonical buffer label such as
-/// `store out1[12]` or `load in[3]`, given its prefix.
-pub(crate) fn tower_index(label: &str, prefix: &str) -> Option<usize> {
-    label.strip_prefix(prefix)?.strip_suffix(']')?.parse().ok()
+/// A transfer of the polynomial a kernel chains on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChainedTower {
+    /// A load of input tower `in[t]`.
+    Input(usize),
+    /// A store of output tower `out1[t]`, the next kernel's input tower `t`.
+    Output(usize),
 }
 
-/// Splits a stitched pipeline label `k{i}:{label}` (the prefix
-/// [`build_workload`] writes) into kernel `i` and the kernel's own label.
-pub(crate) fn kernel_label(label: &str) -> Option<(usize, &str)> {
-    let (kernel, local) = label.strip_prefix('k')?.split_once(':')?;
-    Some((kernel.parse().ok()?, local))
-}
-
-/// True for the loads of the kernel's chained input polynomial.
-fn is_input_load(task: &Task) -> bool {
-    task.is_memory() && tower_index(&task.label, "load in[").is_some()
-}
-
-/// The tower a `store out1[t]` task writes, if this is one.
-fn forwarded_store_tower(task: &Task) -> Option<usize> {
-    if task.is_memory() {
-        tower_index(&task.label, "store out1[")
-    } else {
-        None
+/// The chained tower `task` moves, if it moves one: the one reader of the
+/// `in[t]` loads and `out1[t]` stores that workload fusion and the boundary
+/// lint share. The tower index is read out of the buffer name.
+pub(crate) fn chained_tower(task: &Task) -> Option<ChainedTower> {
+    let tower = |class: &str| -> Option<usize> {
+        task.label
+            .strip_prefix(class)?
+            .strip_suffix(']')?
+            .parse()
+            .ok()
+    };
+    match task.verb()? {
+        Verb::Load => tower("in[").map(ChainedTower::Input),
+        Verb::Store => tower("out1[").map(ChainedTower::Output),
+        Verb::Spill | Verb::Park => None,
     }
 }
 
 /// Decides whether the chained polynomial can be forwarded on-chip across
 /// the boundary from `producer` to `consumer`.
 ///
-/// On-chip forwarding requires the producer's canonical per-tower output
-/// stores, the consumer's canonical input loads, and a chained polynomial no
+/// On-chip forwarding requires the producer's per-tower `out1[t]` stores,
+/// the consumer's `in[t]` loads, and a chained polynomial no
 /// larger than half the data memory. Forwarding is capacity-neutral relative
 /// to the per-kernel residency the tracker already accounts for: the
 /// producing kernel pins each surviving `out1[t]` tower in the slots freed by
@@ -517,11 +516,7 @@ pub fn build_workload(
     let mut boundary_forwarded_bytes = vec![0u64; kernels.saturating_sub(1)];
     for i in 0..kernels {
         let tpl = template_of(i);
-        let prefix = if kernels == 1 {
-            String::new()
-        } else {
-            format!("k{i}:")
-        };
+        let kernel = (kernels > 1).then_some(i as u32);
         let inbound_forwarding = i > 0 && forwarding_at[i - 1];
         let outbound_forwarding = i + 1 < kernels && forwarding_at[i];
         // The towers that survive into the next kernel's (possibly smaller)
@@ -537,7 +532,8 @@ pub fn build_workload(
         let mut inbound_elided = 0u64;
         let mut outbound_elided = 0u64;
         let appended = graph
-            .append_offset(&tpl.schedule.graph, &prefix, |task| {
+            .append_offset(&tpl.schedule.graph, kernel, |task| {
+                let chained = chained_tower(task);
                 if let Some(boundary) = &prev {
                     if mode == PipelineMode::BackToBack || !canonical {
                         if task.dependencies.is_empty() {
@@ -545,13 +541,14 @@ pub fn build_workload(
                                 extra_deps: boundary.terminals.clone(),
                             };
                         }
-                    } else if is_input_load(task) {
+                    } else if let Some(ChainedTower::Input(tower)) = chained {
                         // The chained input: forwarded on-chip, or loaded
                         // after the producing kernel's store, or (for
-                        // non-canonical producers) chained on its terminals.
-                        let tower = tower_index(&task.label, "load in[");
-                        let producers = tower
-                            .and_then(|t| boundary.forward.get(&t))
+                        // producers without `out1[t]` stores) chained on its
+                        // terminals.
+                        let producers = boundary
+                            .forward
+                            .get(&tower)
                             .unwrap_or(&boundary.terminals)
                             .clone();
                         return if inbound_forwarding {
@@ -566,7 +563,7 @@ pub fn build_workload(
                         };
                     }
                 }
-                if let Some(t) = forwarded_store_tower(task) {
+                if let Some(ChainedTower::Output(t)) = chained {
                     if t < surviving {
                         // The chained polynomial never round-trips through
                         // DRAM: elide its store, consumers chain on its

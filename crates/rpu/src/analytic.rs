@@ -266,7 +266,7 @@ impl ParametricTimeline {
                 },
                 start_seconds: start,
                 end_seconds: end,
-                label: Arc::clone(&tasks[t].label),
+                label: tasks[t].display_label(),
                 stage: Arc::clone(&tasks[t].stage),
             });
         });
@@ -410,8 +410,8 @@ impl RpuEngine {
 mod tests {
     use super::*;
     use crate::config::RpuConfig;
-    use crate::task::{ComputeKind, MemoryDirection, TaskGraph};
-    use MemoryDirection::{Load, Store};
+    use crate::task::{ComputeKind, TaskGraph, Verb};
+    use Verb::{Load, Store};
 
     /// 1 Gop/s compute, bandwidth in GB/s — round numbers for hand checks.
     fn unit_config() -> RpuConfig {
@@ -435,8 +435,8 @@ mod tests {
         // observable in the busy accounting.
         let mut g = TaskGraph::new();
         let c = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
-        let m = g.push_memory(MemoryDirection::Load, 2_000_000_000, vec![], "m", "P1");
-        g.push_memory(MemoryDirection::Store, 500_000_000, vec![c], "out", "P5");
+        let m = g.push_memory(Verb::Load, 2_000_000_000, vec![], "m", "P1");
+        g.push_memory(Verb::Store, 500_000_000, vec![c], "out", "P5");
         g.push_compute(ComputeKind::Intt, 300_000_000, vec![m], "c2", "P2");
         g
     }
@@ -526,7 +526,7 @@ mod tests {
         // alone, so the graph evaluates exactly anyway.
         let mut g = TaskGraph::new();
         let z = g.push_compute(ComputeKind::Ntt, 0, vec![], "zero", "P1");
-        let m = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "m", "P1");
+        let m = g.push_memory(Verb::Load, 1_000_000_000, vec![], "m", "P1");
         g.push_compute(ComputeKind::Intt, 500_000_000, vec![z, m], "c", "P2");
         let engine = RpuEngine::new(unit_config());
         let timeline = engine.analyze(&g, 1.0, 64.0).unwrap();
@@ -609,28 +609,31 @@ mod tests {
                 label: "c".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
             Task {
                 id: 1,
                 kind: TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: 10,
                 },
                 dependencies: vec![0],
                 label: "m1".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
             Task {
                 id: 2,
                 kind: TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: 10,
                 },
                 dependencies: vec![],
                 label: "m2".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
         ];
         let g = TaskGraph::from_tasks_unchecked(tasks);

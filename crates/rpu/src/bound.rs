@@ -779,7 +779,7 @@ impl RpuEngine {
 mod tests {
     use super::*;
     use crate::config::RpuConfig;
-    use crate::task::{ComputeKind, MemoryDirection};
+    use crate::task::{ComputeKind, Verb};
 
     /// 1 Gop/s compute, parameterized bandwidth, one channel — durations are
     /// simple ratios, exact in f64 for the values used here.
@@ -804,13 +804,7 @@ mod tests {
         let mut prev: Option<TaskId> = None;
         for i in 0..stages {
             let deps = |p: &Option<TaskId>| p.map(|t| vec![t]).unwrap_or_default();
-            let load = g.push_memory(
-                MemoryDirection::Load,
-                1_000_000_000,
-                deps(&prev),
-                format!("load {i}"),
-                "P1",
-            );
+            let load = g.push_memory(Verb::Load, 1_000_000_000, deps(&prev), format!("{i}"), "P1");
             let c = g.push_compute(
                 ComputeKind::Ntt,
                 500_000_000,
@@ -818,13 +812,7 @@ mod tests {
                 format!("c {i}"),
                 "P1",
             );
-            let store = g.push_memory(
-                MemoryDirection::Store,
-                250_000_000,
-                vec![c],
-                format!("store {i}"),
-                "P1",
-            );
+            let store = g.push_memory(Verb::Store, 250_000_000, vec![c], format!("{i}"), "P1");
             prev = Some(store);
         }
         g
@@ -837,15 +825,7 @@ mod tests {
         // exactly, across channel counts, from one shared plan.
         let mut fan = TaskGraph::new();
         let loads: Vec<TaskId> = (0..8)
-            .map(|i| {
-                fan.push_memory(
-                    MemoryDirection::Load,
-                    700_000_000 + i,
-                    vec![],
-                    format!("l{i}"),
-                    "P1",
-                )
-            })
+            .map(|i| fan.push_memory(Verb::Load, 700_000_000 + i, vec![], format!("l{i}"), "P1"))
             .collect();
         fan.push_compute(ComputeKind::Ntt, 2_000_000_000, loads, "join", "P1");
         // Nine points: one 8-lane chunk and a one-lane remainder.
@@ -908,13 +888,7 @@ mod tests {
     fn independent_loads_on_one_channel_are_bit_exact_via_queue_order() {
         let mut g = TaskGraph::new();
         for i in 0..6 {
-            g.push_memory(
-                MemoryDirection::Load,
-                1_000 + i,
-                vec![],
-                format!("l{i}"),
-                "P1",
-            );
+            g.push_memory(Verb::Load, 1_000 + i, vec![], format!("l{i}"), "P1");
         }
         let engine = RpuEngine::new(unit_config(1.0));
         let b = engine.bounds(&g);
@@ -933,8 +907,8 @@ mod tests {
         // than the dependency graph requires, so runtime >= bound, and the
         // queue-augmented bound is tighter than the dependency bound.
         let mut g = TaskGraph::new();
-        let a = g.push_memory(MemoryDirection::Load, 4_000_000_000, vec![], "a", "P1");
-        let b = g.push_memory(MemoryDirection::Load, 4_000_000_000, vec![], "b", "P1");
+        let a = g.push_memory(Verb::Load, 4_000_000_000, vec![], "a", "P1");
+        let b = g.push_memory(Verb::Load, 4_000_000_000, vec![], "b", "P1");
         let ca = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![a], "ca", "P1");
         let cb = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![b], "cb", "P1");
         g.push_compute(ComputeKind::PointwiseAdd, 1, vec![ca, cb], "join", "P1");
@@ -973,7 +947,7 @@ mod tests {
         // walking back through earlier tasks only.
         let mut g = TaskGraph::new();
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
-        g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![0], "l", "P1");
+        g.push_memory(Verb::Load, 1_000_000_000, vec![0], "l", "P1");
         for extra in [1, 9] {
             let mut tasks = g.tasks().to_vec();
             tasks[0].dependencies.push(extra);
@@ -992,8 +966,8 @@ mod tests {
         // join lists the later one first: the walk blames the lower id, as
         // the fold breaks its ties.
         let mut g = TaskGraph::new();
-        let earlier = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "a", "P1");
-        let later = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "b", "P1");
+        let earlier = g.push_memory(Verb::Load, 1_000_000_000, vec![], "a", "P1");
+        let later = g.push_memory(Verb::Load, 1_000_000_000, vec![], "b", "P1");
         let join = g.push_compute(
             ComputeKind::PointwiseAdd,
             1_000_000_000,
@@ -1010,8 +984,8 @@ mod tests {
     fn slack_and_critical_path_on_a_fork() {
         // One 3 s branch, one 1 s branch, joined by a 1 s compute.
         let mut g = TaskGraph::new();
-        let slow = g.push_memory(MemoryDirection::Load, 3_000_000_000, vec![], "slow", "P1");
-        let fast = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "fast", "P1");
+        let slow = g.push_memory(Verb::Load, 3_000_000_000, vec![], "slow", "P1");
+        let fast = g.push_memory(Verb::Load, 1_000_000_000, vec![], "fast", "P1");
         let join = g.push_compute(
             ComputeKind::PointwiseAdd,
             1_000_000_000,
@@ -1040,7 +1014,7 @@ mod tests {
         // where 2/bw = 1 -> 2 GB/s.
         let mut g = TaskGraph::new();
         let c = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
-        let l = g.push_memory(MemoryDirection::Load, 2_000_000_000, vec![], "l", "P1");
+        let l = g.push_memory(Verb::Load, 2_000_000_000, vec![], "l", "P1");
         g.push_compute(ComputeKind::PointwiseAdd, 0, vec![c, l], "join", "P1");
         let engine = RpuEngine::new(unit_config(64.0));
         let b = engine.bounds(&g);
@@ -1066,7 +1040,7 @@ mod tests {
         );
         // Pure memory: never flattens.
         let mut memory_only = TaskGraph::new();
-        memory_only.push_memory(MemoryDirection::Load, 100, vec![], "l", "P1");
+        memory_only.push_memory(Verb::Load, 100, vec![], "l", "P1");
         assert_eq!(
             engine.bounds(&memory_only).knee,
             RooflineKnee::MemoryBoundEverywhere
@@ -1114,7 +1088,7 @@ mod tests {
         // floor exactly, below it the memory side holds it higher.
         let mut g = TaskGraph::new();
         let c = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c", "P1");
-        let l = g.push_memory(MemoryDirection::Load, 2_000_000_000, vec![], "l", "P1");
+        let l = g.push_memory(Verb::Load, 2_000_000_000, vec![], "l", "P1");
         g.push_compute(ComputeKind::PointwiseAdd, 0, vec![c, l], "join", "P1");
         let floor = RpuEngine::new(unit_config(1.0))
             .bounds(&g)

@@ -70,8 +70,8 @@ use std::sync::Arc;
 
 /// How much per-task detail an execution records.
 ///
-/// Statistics-only execution avoids one [`TaskRecord`] allocation (plus two
-/// label reference-count bumps) per task, which matters when a sweep executes
+/// Statistics-only execution avoids one [`TaskRecord`] allocation (plus its
+/// display label and a stage reference-count bump) per task, which matters when a sweep executes
 /// thousands of identical graphs only to read aggregate numbers off each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TraceMode {
@@ -99,8 +99,8 @@ pub enum EngineError {
         /// The blocked `(channel, head task)` pairs of the non-empty memory
         /// queues.
         memory_heads: Vec<(usize, TaskId)>,
-        /// The labels of every blocked queue head (compute first, then the
-        /// memory heads in channel order) — what the stuck transfers and
+        /// The display labels ([`Task::display_label`]) of every blocked
+        /// queue head (compute first, then the memory heads in channel order) — what the stuck transfers and
         /// kernels actually *are*, not just their ids.
         head_labels: Vec<(TaskId, Label)>,
         /// The shortest wait-for cycle found among the blocked heads: each
@@ -194,7 +194,7 @@ pub struct RpuEngine {
 
 impl RpuEngine {
     /// Creates an engine for a configuration. Memory tasks are placed on the
-    /// configuration's channels by hashing their buffer labels
+    /// configuration's channels by hashing their buffer names
     /// ([`ChannelMap::hashed`]); override the placement with
     /// [`RpuEngine::with_channel_map`].
     pub fn new(config: RpuConfig) -> Self {
@@ -423,7 +423,7 @@ impl RpuEngine {
                             queue,
                             start_seconds: start,
                             end_seconds: end,
-                            label: Arc::clone(&tasks[head].label),
+                            label: tasks[head].display_label(),
                             stage: Arc::clone(&tasks[head].stage),
                         });
                     }
@@ -474,7 +474,7 @@ pub(crate) fn deadlock_error(
         .collect();
     let head_labels: Vec<(TaskId, Label)> = heads
         .iter()
-        .map(|&t| (t, Arc::clone(&tasks[t].label)))
+        .map(|&t| (t, tasks[t].display_label()))
         .collect();
 
     // Done set and queue-head index. Nothing is in flight, so precisely the
@@ -539,7 +539,7 @@ pub(crate) fn deadlock_error(
         head_labels,
         wait_chain: wait_chain
             .into_iter()
-            .map(|t| (t, Arc::clone(&tasks[t].label)))
+            .map(|t| (t, tasks[t].display_label()))
             .collect(),
     }
 }
@@ -548,7 +548,7 @@ pub(crate) fn deadlock_error(
 mod tests {
     use super::*;
     use crate::config::RpuConfig;
-    use crate::task::{ComputeKind, MemoryDirection, TaskGraph};
+    use crate::task::{ComputeKind, TaskGraph, Verb};
 
     /// A configuration with round numbers: 1 Gop/s compute, 1 GB/s memory.
     fn unit_config() -> RpuConfig {
@@ -571,7 +571,7 @@ mod tests {
         // 1e9 ops (1 s) and 1e9 bytes (1 s) with no dependency: runtime 1 s.
         let mut g = TaskGraph::new();
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "ntt", "P1");
-        g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load", "P1");
+        g.push_memory(Verb::Load, 1_000_000_000, vec![], "load", "P1");
         let result = RpuEngine::new(unit_config()).execute(&g).unwrap();
         assert!((result.stats.runtime_seconds - 1.0).abs() < 1e-9);
         assert!((result.stats.compute_busy_seconds - 1.0).abs() < 1e-9);
@@ -584,7 +584,7 @@ mod tests {
         // Load (1 s) then compute (1 s) depending on it: runtime 2 s, compute
         // idle 50%.
         let mut g = TaskGraph::new();
-        let load = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load", "P1");
+        let load = g.push_memory(Verb::Load, 1_000_000_000, vec![], "load", "P1");
         g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![load], "ntt", "P1");
         let result = RpuEngine::new(unit_config()).execute(&g).unwrap();
         assert!((result.stats.runtime_seconds - 2.0).abs() < 1e-9);
@@ -597,14 +597,8 @@ mod tests {
         // first (in-order queue), so memory time is 2 s even though only the
         // first is needed by the compute task.
         let mut g = TaskGraph::new();
-        let load1 = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "load1", "P1");
-        g.push_memory(
-            MemoryDirection::Store,
-            1_000_000_000,
-            vec![],
-            "store2",
-            "P1",
-        );
+        let load1 = g.push_memory(Verb::Load, 1_000_000_000, vec![], "load1", "P1");
+        g.push_memory(Verb::Store, 1_000_000_000, vec![], "store2", "P1");
         g.push_compute(ComputeKind::Ntt, 500_000_000, vec![load1], "ntt", "P1");
         let result = RpuEngine::new(unit_config()).execute(&g).unwrap();
         // Memory channel: 0-1 load, 1-2 store. Compute: 1-1.5.
@@ -622,22 +616,8 @@ mod tests {
         let build = |s_channel: Option<usize>, l_channel: Option<usize>| {
             let mut g = TaskGraph::new();
             let c0 = g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![], "c0", "P1");
-            g.push_memory_on(
-                MemoryDirection::Store,
-                1_000_000_000,
-                vec![c0],
-                "store s",
-                "P1",
-                s_channel,
-            );
-            let l = g.push_memory_on(
-                MemoryDirection::Load,
-                1_000_000_000,
-                vec![],
-                "load l",
-                "P1",
-                l_channel,
-            );
+            g.push_memory_on(Verb::Store, 1_000_000_000, vec![c0], "s", "P1", s_channel);
+            let l = g.push_memory_on(Verb::Load, 1_000_000_000, vec![], "l", "P1", l_channel);
             g.push_compute(ComputeKind::Ntt, 1_000_000_000, vec![l], "c1", "P1");
             g
         };
@@ -666,8 +646,8 @@ mod tests {
         // Two identical labels with different hints land on different
         // channels; without hints the identical labels share one channel.
         let mut g = TaskGraph::new();
-        g.push_memory_on(MemoryDirection::Load, 10, vec![], "same", "P1", Some(0));
-        g.push_memory_on(MemoryDirection::Load, 10, vec![], "same", "P1", Some(3));
+        g.push_memory_on(Verb::Load, 10, vec![], "same", "P1", Some(0));
+        g.push_memory_on(Verb::Load, 10, vec![], "same", "P1", Some(3));
         let engine = RpuEngine::new(unit_config().with_memory_channels(4));
         let result = engine.execute(&g).unwrap();
         let channels: Vec<usize> = result
@@ -679,7 +659,7 @@ mod tests {
         assert_eq!(channels, vec![0, 3]);
         // Hints wrap modulo the configured channel count.
         let mut g2 = TaskGraph::new();
-        g2.push_memory_on(MemoryDirection::Load, 10, vec![], "x", "P1", Some(7));
+        g2.push_memory_on(Verb::Load, 10, vec![], "x", "P1", Some(7));
         let r2 = RpuEngine::new(unit_config().with_memory_channels(2))
             .execute(&g2)
             .unwrap();
@@ -689,7 +669,7 @@ mod tests {
     #[test]
     fn doubling_bandwidth_halves_memory_bound_runtime() {
         let mut g = TaskGraph::new();
-        let load = g.push_memory(MemoryDirection::Load, 2_000_000_000, vec![], "load", "P1");
+        let load = g.push_memory(Verb::Load, 2_000_000_000, vec![], "load", "P1");
         g.push_compute(ComputeKind::Ntt, 100_000_000, vec![load], "ntt", "P1");
         let slow = RpuEngine::new(unit_config()).execute(&g).unwrap();
         let fast = RpuEngine::new(unit_config().with_bandwidth(2.0))
@@ -714,9 +694,9 @@ mod tests {
     #[test]
     fn trace_records_every_task() {
         let mut g = TaskGraph::new();
-        let a = g.push_memory(MemoryDirection::Load, 10, vec![], "load", "P1");
+        let a = g.push_memory(Verb::Load, 10, vec![], "load", "P1");
         let b = g.push_compute(ComputeKind::Intt, 10, vec![a], "intt", "P1");
-        g.push_memory(MemoryDirection::Store, 10, vec![b], "store", "P5");
+        g.push_memory(Verb::Store, 10, vec![b], "store", "P5");
         let result = RpuEngine::new(unit_config()).execute(&g).unwrap();
         assert_eq!(result.trace.records().len(), 3);
         let spans = result.trace.stage_spans();
@@ -747,28 +727,31 @@ mod tests {
                 label: "c".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
             Task {
                 id: 1,
                 kind: TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: 10,
                 },
                 dependencies: vec![0],
                 label: "m1".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
             Task {
                 id: 2,
                 kind: TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: 10,
                 },
                 dependencies: vec![],
                 label: "m2".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
         ];
         // The validating constructor rejects the forward dependency outright…
@@ -819,7 +802,7 @@ mod tests {
         // loop without the progress guarantee spins on it forever; a zero
         // rate makes it infinite. Both must surface as errors.
         let mut g = TaskGraph::new();
-        let load = g.push_memory(MemoryDirection::Load, 1000, vec![], "load", "P1");
+        let load = g.push_memory(Verb::Load, 1000, vec![], "load", "P1");
         g.push_compute(ComputeKind::Ntt, 1000, vec![load], "ntt", "P1");
         for config in [
             unit_config().with_bandwidth(f64::NAN),
@@ -856,16 +839,9 @@ mod tests {
         // even when other channels are free.
         let mut g = TaskGraph::new();
         let c = g.push_compute(ComputeKind::Ntt, 10, vec![], "c", "P1");
-        let m1 = g.push_memory_on(MemoryDirection::Load, 10, vec![c], "m1", "P1", Some(0));
+        let m1 = g.push_memory_on(Verb::Load, 10, vec![c], "m1", "P1", Some(0));
         let blocked = g.push_compute(ComputeKind::Ntt, 10, vec![m1], "c2", "P1");
-        g.push_memory_on(
-            MemoryDirection::Load,
-            10,
-            vec![blocked],
-            "m2",
-            "P1",
-            Some(0),
-        );
+        g.push_memory_on(Verb::Load, 10, vec![blocked], "m2", "P1", Some(0));
         let result = RpuEngine::new(unit_config().with_memory_channels(2))
             .execute(&g)
             .unwrap();

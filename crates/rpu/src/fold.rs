@@ -283,7 +283,7 @@ pub(crate) fn stats<const L: usize>(
 mod tests {
     use super::*;
     use crate::config::RpuConfig;
-    use crate::task::{ComputeKind, MemoryDirection, TaskGraph};
+    use crate::task::{ComputeKind, TaskGraph, Verb};
     use proptest::prelude::*;
 
     /// A valid graph from `(is_compute, raw dependencies)` per task: each
@@ -300,7 +300,7 @@ mod tests {
                     }
                 } else {
                     TaskKind::Memory {
-                        direction: MemoryDirection::Load,
+                        verb: Verb::Load,
                         bytes: 1,
                     }
                 },
@@ -312,6 +312,7 @@ mod tests {
                 label: format!("t{id}").into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             })
             .collect();
         TaskGraph::from_tasks(tasks).expect("every dependency points backward")

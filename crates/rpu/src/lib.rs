@@ -22,8 +22,8 @@
 //!   engine's timeline on one memory channel, the engine itself on several
 //!   (`docs/ANALYTIC.md`).
 //! * [`channel::ChannelMap`] — deterministic buffer-to-channel placement for
-//!   the multi-channel memory model (label hash, with evk towers split onto
-//!   their own channel group).
+//!   the multi-channel memory model (buffer-name hash, with evk towers split
+//!   onto their own channel group).
 //! * [`plan::ExecPlan`] — a graph compiled once per channel placement: the
 //!   queues and dependency structure every executor and analyzer shares.
 //! * [`verify`] — static verification of task graphs against the queue
@@ -40,10 +40,10 @@
 //! ```
 //! use rpu::config::RpuConfig;
 //! use rpu::engine::RpuEngine;
-//! use rpu::task::{ComputeKind, MemoryDirection, TaskGraph};
+//! use rpu::task::{ComputeKind, TaskGraph, Verb};
 //!
 //! let mut graph = TaskGraph::new();
-//! let load = graph.push_memory(MemoryDirection::Load, 1 << 20, vec![], "load tower", "ModUp-P1");
+//! let load = graph.push_memory(Verb::Load, 1 << 20, vec![], "tower", "ModUp-P1");
 //! graph.push_compute(ComputeKind::Intt, 1_000_000, vec![load], "intt tower", "ModUp-P1");
 //!
 //! let engine = RpuEngine::new(RpuConfig::ciflow_baseline());
@@ -74,8 +74,8 @@ pub use engine::{EngineError, RpuEngine, RunResult, TraceMode};
 pub use plan::{BufferKeys, ExecPlan, MemoryKey};
 pub use stats::ExecutionStats;
 pub use task::{
-    AppendAction, AppendedGraph, ComputeKind, Label, MemoryDirection, Task, TaskGraph,
-    TaskGraphError, TaskId, TaskKind,
+    AppendAction, AppendedGraph, ComputeKind, Label, LabelText, Task, TaskGraph, TaskGraphError,
+    TaskId, TaskKind, Verb,
 };
 pub use trace::{EngineQueue, ExecutionTrace, TaskRecord};
 pub use verify::{Diagnostic, Severity};
@@ -93,10 +93,10 @@ mod integration {
         let mut prev = None;
         for i in 0..8 {
             let load = g.push_memory(
-                MemoryDirection::Load,
+                Verb::Load,
                 64 << 20,
                 prev.map(|p| vec![p]).unwrap_or_default(),
-                format!("load {i}"),
+                format!("{i}"),
                 "P1",
             );
             let c = g.push_compute(

@@ -15,47 +15,44 @@
 //! named by their position in the graph (their id in any graph
 //! [`TaskGraph::from_tasks`] accepts), stored as `u32`.
 //!
-//! That half also owns the graph's [`BufferKeys`]: every memory label parsed
-//! once ([`split_label`]) into a verb and a dense buffer id, built on first
-//! use and shared by every rechanneled plan. Placement over several
-//! channels and the `ciflow::lint` buffer and placement passes read it
-//! instead of parsing labels; a one-channel plan that is never linted
-//! never builds it.
+//! That half also owns the graph's [`BufferKeys`]: every memory task's
+//! buffer name interned once into a dense buffer id, built on first use and
+//! shared by every rechanneled plan. Placement over several channels and the
+//! `ciflow::lint` buffer and placement passes read it, with each task's
+//! [`Verb`] read off its kind; a one-channel plan that is never linted never
+//! builds it.
 
-use crate::channel::{fnv1a, split_label, ChannelMap, Verb};
+use crate::channel::{fnv1a, ChannelMap};
 use crate::engine::RpuEngine;
 use crate::stats::ExecutionStats;
-use crate::task::{Task, TaskGraph, TaskId};
+use crate::task::{Task, TaskGraph, TaskId, Verb};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
-/// One memory task's parsed label.
+/// One memory task's key: its buffer and its verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryKey {
-    /// Dense id of the canonical buffer the label names.
+    /// Dense id of the buffer the task names.
     pub buffer: u32,
-    /// The label's operation verb; `None` for labels outside the builders'
-    /// vocabulary.
-    pub verb: Option<Verb>,
+    /// What the task does with the buffer.
+    pub verb: Verb,
 }
 
-/// The memory labels of one graph, parsed once: each memory task's verb and
-/// buffer id, and each distinct buffer's canonical name (by position in the
-/// first label naming it) and FNV-1a hash.
+/// The buffers of one graph, interned once: each memory task's buffer id,
+/// and each distinct buffer's first task (whose label is its name) and
+/// FNV-1a hash.
 #[derive(Debug)]
 pub struct BufferKeys {
-    /// Per memory task, in program order: its buffer id and its verb.
+    /// Per memory task, in program order: its buffer id.
     buffers: Vec<u32>,
-    verbs: Vec<Option<Verb>>,
-    /// Per buffer: the first task naming it and the byte offset of the
-    /// canonical name (always a suffix) in that task's label.
-    names: Vec<(u32, u32)>,
+    /// Per buffer: the first task naming it.
+    names: Vec<u32>,
     hashes: Vec<u64>,
 }
 
-/// A canonical buffer name keyed by its precomputed FNV-1a hash, so
-/// interning hashes each label once.
+/// A buffer name keyed by its precomputed FNV-1a hash, so interning hashes
+/// each name once.
 #[derive(PartialEq, Eq)]
 struct Hashed<'a>(u64, &'a str);
 
@@ -84,45 +81,42 @@ impl Hasher for PassThrough {
 }
 
 impl BufferKeys {
-    /// Parses the labels of `graph`'s `memory_tasks` memory tasks. The
-    /// table lives as long as the plan core, so it is sized exactly.
-    fn parse(graph: &TaskGraph, memory_tasks: usize) -> Self {
+    /// Interns the buffer names of `graph`'s `memory_tasks` memory tasks.
+    /// The table lives as long as the plan core, so it is sized exactly.
+    fn new(graph: &TaskGraph, memory_tasks: usize) -> Self {
         let mut ids: HashMap<Hashed, u32, BuildHasherDefault<PassThrough>> = HashMap::default();
         let mut keys = Self {
             buffers: Vec::with_capacity(memory_tasks),
-            verbs: Vec::with_capacity(memory_tasks),
             names: Vec::new(),
             hashes: Vec::new(),
         };
         for (at, task) in (0u32..).zip(graph.tasks()).filter(|(_, t)| t.is_memory()) {
-            let (verb, name) = split_label(&task.label);
+            let name: &str = &task.label;
             let hash = fnv1a(name.as_bytes());
             let fresh = keys.names.len() as u32;
             let buffer = *ids.entry(Hashed(hash, name)).or_insert_with(|| {
-                let offset = (task.label.len() - name.len()) as u32;
-                keys.names.push((at, offset));
+                keys.names.push(at);
                 keys.hashes.push(hash);
                 fresh
             });
             keys.buffers.push(buffer);
-            keys.verbs.push(verb.map(Verb::named));
         }
         keys.names.shrink_to_fit();
         keys.hashes.shrink_to_fit();
         keys
     }
 
-    /// Every memory task of `graph` (the graph the keys were parsed from)
-    /// in program order: its position, the task and its key.
+    /// Every memory task of `graph` (the graph the keys were built from) in
+    /// program order: its position, the task and its key.
     pub fn memory_tasks<'g>(
         &'g self,
         graph: &'g TaskGraph,
     ) -> impl Iterator<Item = (u32, &'g Task, MemoryKey)> + 'g {
         (0u32..)
             .zip(graph.tasks())
-            .filter(|(_, task)| task.is_memory())
-            .zip(self.buffers.iter().zip(&self.verbs))
-            .map(|((at, task), (&buffer, &verb))| (at, task, MemoryKey { buffer, verb }))
+            .filter_map(|(at, task)| Some((at, task, task.verb()?)))
+            .zip(&self.buffers)
+            .map(|((at, task, verb), &buffer)| (at, task, MemoryKey { buffer, verb }))
     }
 
     /// Number of memory tasks.
@@ -135,11 +129,10 @@ impl BufferKeys {
         self.names.len()
     }
 
-    /// The canonical name of `buffer`, read out of `graph` (the graph the
-    /// keys were parsed from).
+    /// The name of `buffer`, read out of `graph` (the graph the keys were
+    /// built from).
     pub fn name<'g>(&self, graph: &'g TaskGraph, buffer: u32) -> &'g str {
-        let (task, offset) = self.names[buffer as usize];
-        &graph.tasks()[task as usize].label[offset as usize..]
+        &graph.tasks()[self.names[buffer as usize] as usize].label
     }
 }
 
@@ -235,10 +228,10 @@ impl PlanCore {
         self.dependency_count.len() - self.compute_queue.len()
     }
 
-    /// The graph's parsed memory labels, built on first use.
+    /// The graph's interned buffers, built on first use.
     fn keys(&self, graph: &TaskGraph) -> &BufferKeys {
         self.keys
-            .get_or_init(|| BufferKeys::parse(graph, self.memory_task_count()))
+            .get_or_init(|| BufferKeys::new(graph, self.memory_task_count()))
     }
 }
 
@@ -255,7 +248,7 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Compiles `graph` under `channel_map` for `channels` memory channels
     /// (at least one). A memory task runs on its channel hint, else on
-    /// `channel_map.channel_for(label)`, either reduced modulo `channels`;
+    /// `channel_map.channel_for(buffer)`, either reduced modulo `channels`;
     /// [`ChannelMap::channel_for`] stays the reference the placement agrees
     /// with for every task.
     pub fn new(graph: &TaskGraph, channel_map: &ChannelMap, channels: usize) -> Self {
@@ -313,8 +306,8 @@ impl ExecPlan {
         }
     }
 
-    /// The memory labels of `graph` — the graph the plan was compiled from —
-    /// parsed once per plan core. See the [module docs](self).
+    /// The buffers of `graph` — the graph the plan was compiled from —
+    /// interned once per plan core. See the [module docs](self).
     pub fn buffer_keys(&self, graph: &TaskGraph) -> &BufferKeys {
         assert_eq!(
             graph.len(),
@@ -414,15 +407,15 @@ impl RpuEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{ComputeKind, MemoryDirection};
+    use crate::task::ComputeKind;
 
     #[test]
     fn queues_keep_program_order_and_hints_wrap() {
         let mut g = TaskGraph::new();
-        let a = g.push_memory_on(MemoryDirection::Load, 1, vec![], "a", "P1", Some(1));
+        let a = g.push_memory_on(Verb::Load, 1, vec![], "a", "P1", Some(1));
         let c = g.push_compute(ComputeKind::Ntt, 1, vec![a], "c", "P1");
-        g.push_memory_on(MemoryDirection::Store, 1, vec![c], "b", "P1", Some(3));
-        g.push_memory_on(MemoryDirection::Load, 1, vec![a], "d", "P1", Some(0));
+        g.push_memory_on(Verb::Store, 1, vec![c], "b", "P1", Some(3));
+        g.push_memory_on(Verb::Load, 1, vec![a], "d", "P1", Some(0));
         let plan = ExecPlan::new(&g, &ChannelMap::hashed(2), 2);
         assert_eq!(plan.compute_queue(), &[1]);
         assert_eq!(plan.memory_queues(), &[vec![3], vec![0, 2]]);
@@ -439,23 +432,26 @@ mod tests {
     #[test]
     fn buffer_keys_intern_canonical_names_once_per_core() {
         let mut g = TaskGraph::new();
-        g.push_memory(MemoryDirection::Store, 1, vec![], "k2:spill acc0[1]", "P1");
+        g.push_memory(Verb::Spill, 1, vec![], "acc0[1]", "P1");
         g.push_compute(ComputeKind::Ntt, 1, vec![], "c", "P1");
-        g.push_memory(MemoryDirection::Load, 1, vec![], "load acc0[1]", "P1");
-        g.push_memory(MemoryDirection::Load, 1, vec![], "kx:load in[0]", "P1");
+        g.push_memory(Verb::Load, 1, vec![], "acc0[1]", "P1");
+        g.push_memory(Verb::Load, 1, vec![], "k2:acc0[1]", "P1");
         let plan = ExecPlan::new(&g, &ChannelMap::hashed(1), 1);
-        assert!(plan.core.keys.get().is_none(), "one channel parses nothing");
+        assert!(
+            plan.core.keys.get().is_none(),
+            "one channel interns nothing"
+        );
         let keys = plan.buffer_keys(&g);
-        let parsed: Vec<(u32, &str, Option<Verb>)> = keys
+        let interned: Vec<(u32, &str, Verb)> = keys
             .memory_tasks(&g)
             .map(|(at, _, key)| (at, keys.name(&g, key.buffer), key.verb))
             .collect();
         assert_eq!(
-            parsed,
+            interned,
             [
-                (0, "acc0[1]", Some(Verb::Spill)),
-                (2, "acc0[1]", Some(Verb::Load)),
-                (3, "kx:load in[0]", None),
+                (0, "acc0[1]", Verb::Spill),
+                (2, "acc0[1]", Verb::Load),
+                (3, "k2:acc0[1]", Verb::Load),
             ]
         );
         assert_eq!((keys.memory_task_count(), keys.buffer_count()), (3, 2));

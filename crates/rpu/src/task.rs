@@ -20,8 +20,8 @@ pub type TaskId = usize;
 /// traced, or cloned out of a schedule cache. Interning them as `Arc<str>`
 /// turns each of those copies into a reference-count bump instead of a heap
 /// allocation; stage names in particular are shared by hundreds of tasks.
-/// `Label` dereferences to `&str`, so all string inspection (channel-map
-/// hashing, forwarding's per-tower label matching) is unchanged.
+/// `Label` dereferences to `&str`, so a buffer name hashes and compares as
+/// a string.
 pub type Label = Arc<str>;
 
 /// The compute kernel a compute task runs.
@@ -58,13 +58,38 @@ impl std::fmt::Display for ComputeKind {
     }
 }
 
-/// Direction of a memory task.
+/// What a memory task does with the buffer it names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemoryDirection {
-    /// DRAM → on-chip.
+pub enum Verb {
+    /// DRAM to on-chip.
     Load,
-    /// On-chip → DRAM.
+    /// A final write to DRAM.
     Store,
+    /// A freshly produced buffer written to DRAM because it does not fit
+    /// on-chip.
+    Spill,
+    /// A resident buffer evicted to DRAM with its value kept.
+    Park,
+}
+
+impl Verb {
+    /// True for the spill-family writes (`Spill`/`Park`), the ones that
+    /// promise a later reload.
+    pub fn is_spill(self) -> bool {
+        matches!(self, Self::Spill | Self::Park)
+    }
+}
+
+/// The verb as a displayed label spells it: the one place the words live.
+impl std::fmt::Display for Verb {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Self::Load => "load",
+            Self::Store => "store",
+            Self::Spill => "spill",
+            Self::Park => "park",
+        })
+    }
 }
 
 /// What a task does and how much it costs.
@@ -79,8 +104,9 @@ pub enum TaskKind {
     },
     /// A DRAM transfer.
     Memory {
-        /// Load or store.
-        direction: MemoryDirection,
+        /// What the transfer does with its buffer: `Load` moves it
+        /// on-chip, every other verb writes it to DRAM.
+        verb: Verb,
         /// Bytes moved over the off-chip interface.
         bytes: u64,
     },
@@ -97,21 +123,25 @@ pub struct Task {
     /// without duplicates in every graph the [`TaskGraph`] builders make
     /// (`push_*` and `append_offset`; `from_tasks` keeps lists as given).
     pub dependencies: Vec<TaskId>,
-    /// Human-readable label (buffer or kernel name), used in traces. For
-    /// memory tasks this is also the *placement key*: the engine's
+    /// A memory task's buffer name (`acc0[7]`), or a compute task's name
+    /// (`ntt d0 ext1`). A buffer name is the *placement key*: the engine's
     /// [`ChannelMap`](crate::channel::ChannelMap) hashes it to pick the
     /// task's memory channel unless [`channel`](Self::channel) overrides it.
-    /// Interned (see [`Label`]) so graph splicing and tracing clone a
-    /// reference count, not a heap string.
+    /// Verb and kernel are fields of their own; [`Task::display_label`]
+    /// joins them for display. Interned (see [`Label`]) so graph splicing
+    /// and tracing clone a reference count, not a heap string.
     pub label: Label,
     /// HKS stage name (e.g. "ModUp-P2") used to group the timing diagrams.
     /// Interned like [`label`](Self::label).
     pub stage: Label,
     /// Explicit memory-channel hint. `None` (the default for every
     /// [`TaskGraph::push_memory`] task) defers placement to the engine's
-    /// label-driven channel map; `Some(c)` pins the transfer to channel
+    /// buffer-keyed channel map; `Some(c)` pins the transfer to channel
     /// `c % num_memory_channels`. Ignored for compute tasks.
     pub channel: Option<usize>,
+    /// The kernel of a stitched pipeline the task belongs to, set by
+    /// [`TaskGraph::append_offset`]; `None` outside a pipeline.
+    pub kernel: Option<u32>,
 }
 
 impl Task {
@@ -123,6 +153,14 @@ impl Task {
     /// True if this is a memory task.
     pub fn is_memory(&self) -> bool {
         matches!(self.kind, TaskKind::Memory { .. })
+    }
+
+    /// The verb of a memory task (`None` for compute tasks).
+    pub fn verb(&self) -> Option<Verb> {
+        match self.kind {
+            TaskKind::Memory { verb, .. } => Some(verb),
+            TaskKind::Compute { .. } => None,
+        }
     }
 
     /// Modular operations of a compute task (0 for memory tasks).
@@ -139,6 +177,50 @@ impl Task {
             TaskKind::Memory { bytes, .. } => bytes,
             TaskKind::Compute { .. } => 0,
         }
+    }
+
+    /// The task's [`LabelText`], interned: the label itself (a reference
+    /// count) when there is nothing to add, a compute task outside a
+    /// pipeline.
+    pub fn display_label(&self) -> Label {
+        let text = LabelText {
+            kernel: self.kernel,
+            verb: self.verb(),
+            label: &self.label,
+        };
+        if text.kernel.is_none() && text.verb.is_none() {
+            Arc::clone(&self.label)
+        } else {
+            Label::from(text.to_string())
+        }
+    }
+}
+
+/// The text a task is shown by: `k{kernel}:` for a task of a stitched
+/// pipeline's kernel, then a memory task's verb and a space, then the label
+/// (`k2:spill acc0[7]`, `load in[3]`, `ntt d0 ext1`). The one renderer
+/// behind traces, diagnostics, deadlock messages and reports. Nothing parses
+/// it back, and no plan compile, placement, statistics-only engine run or
+/// graph splice builds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelText<'a> {
+    /// The task's kernel in a stitched pipeline.
+    pub kernel: Option<u32>,
+    /// A memory task's verb; `None` for a compute task.
+    pub verb: Option<Verb>,
+    /// A memory task's buffer name, or a compute task's name.
+    pub label: &'a str,
+}
+
+impl std::fmt::Display for LabelText<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(kernel) = self.kernel {
+            write!(f, "k{kernel}:")?;
+        }
+        if let Some(verb) = self.verb {
+            write!(f, "{verb} ")?;
+        }
+        f.write_str(self.label)
     }
 }
 
@@ -321,18 +403,18 @@ impl TaskGraph {
         )
     }
 
-    /// Appends a memory task (no channel hint — the engine places it by
-    /// label) and returns its id. Dependencies as for
-    /// [`TaskGraph::push_compute`].
+    /// Appends a memory task that applies `verb` to the buffer named
+    /// `buffer` (no channel hint — the engine places it by buffer name) and
+    /// returns its id. Dependencies as for [`TaskGraph::push_compute`].
     pub fn push_memory(
         &mut self,
-        direction: MemoryDirection,
+        verb: Verb,
         bytes: u64,
         dependencies: Vec<TaskId>,
-        label: impl Into<Label>,
+        buffer: impl Into<Label>,
         stage: impl Into<Label>,
     ) -> TaskId {
-        self.push_memory_on(direction, bytes, dependencies, label, stage, None)
+        self.push_memory_on(verb, bytes, dependencies, buffer, stage, None)
     }
 
     /// Appends a memory task with an explicit channel hint and returns its
@@ -341,17 +423,17 @@ impl TaskGraph {
     /// Dependencies as for [`TaskGraph::push_compute`].
     pub fn push_memory_on(
         &mut self,
-        direction: MemoryDirection,
+        verb: Verb,
         bytes: u64,
         dependencies: Vec<TaskId>,
-        label: impl Into<Label>,
+        buffer: impl Into<Label>,
         stage: impl Into<Label>,
         channel: Option<usize>,
     ) -> TaskId {
         self.push(
-            TaskKind::Memory { direction, bytes },
+            TaskKind::Memory { verb, bytes },
             dependencies,
-            label,
+            buffer,
             stage,
             channel,
         )
@@ -383,6 +465,7 @@ impl TaskGraph {
             label: label.into(),
             stage: stage.into(),
             channel,
+            kernel: None,
         });
         id
     }
@@ -412,10 +495,10 @@ impl TaskGraph {
         let mut loaded = 0;
         let mut stored = 0;
         for t in &self.tasks {
-            if let TaskKind::Memory { direction, bytes } = t.kind {
-                match direction {
-                    MemoryDirection::Load => loaded += bytes,
-                    MemoryDirection::Store => stored += bytes,
+            if let TaskKind::Memory { verb, bytes } = t.kind {
+                match verb {
+                    Verb::Load => loaded += bytes,
+                    Verb::Store | Verb::Spill | Verb::Park => stored += bytes,
                 }
             }
         }
@@ -445,8 +528,9 @@ impl TaskGraph {
     /// [`AppendAction::Keep`] appends it (with optional extra dependencies on
     /// tasks already in `self`), [`AppendAction::Splice`] drops it and makes
     /// its consumers inherit its remapped dependencies plus the splice's
-    /// `extra_deps`. `label_prefix` is prepended to every appended task's
-    /// label (pass `""` to keep labels unchanged).
+    /// `extra_deps`. `Some(kernel)` marks every appended task as that kernel
+    /// of a stitched pipeline; `None` keeps each task's own
+    /// [`kernel`](Task::kernel). Labels are shared, never copied.
     ///
     /// This is the graph-fusion primitive behind multi-kernel workload
     /// pipelines: per-kernel graphs are appended one after another, with
@@ -462,7 +546,7 @@ impl TaskGraph {
     pub fn append_offset<F>(
         &mut self,
         other: &TaskGraph,
-        label_prefix: &str,
+        kernel: Option<u32>,
         mut action: F,
     ) -> Result<AppendedGraph, TaskGraphError>
     where
@@ -470,9 +554,6 @@ impl TaskGraph {
     {
         let offset = self.tasks.len();
         let mut mapping: Vec<AppendMapping> = Vec::with_capacity(other.tasks.len());
-        // Prefixed labels are assembled here, then interned: one allocation
-        // per label.
-        let mut label = String::from(label_prefix);
         for task in &other.tasks {
             let act = action(task);
             for &dep in act.extra_deps() {
@@ -504,15 +585,10 @@ impl TaskGraph {
                         id,
                         kind: task.kind,
                         dependencies: deps,
-                        label: if label_prefix.is_empty() {
-                            Arc::clone(&task.label)
-                        } else {
-                            label.truncate(label_prefix.len());
-                            label.push_str(&task.label);
-                            Label::from(label.as_str())
-                        },
+                        label: Arc::clone(&task.label),
                         stage: Arc::clone(&task.stage),
                         channel: task.channel,
+                        kernel: kernel.or(task.kernel),
                     });
                     mapping.push(AppendMapping::Task(id));
                 }
@@ -544,15 +620,9 @@ mod tests {
 
     fn sample_graph() -> TaskGraph {
         let mut g = TaskGraph::new();
-        let load = g.push_memory(MemoryDirection::Load, 1024, vec![], "load x", "ModUp-P1");
+        let load = g.push_memory(Verb::Load, 1024, vec![], "x", "ModUp-P1");
         let intt = g.push_compute(ComputeKind::Intt, 5120, vec![load], "intt x", "ModUp-P1");
-        let store = g.push_memory(
-            MemoryDirection::Store,
-            1024,
-            vec![intt],
-            "store x",
-            "ModUp-P1",
-        );
+        let store = g.push_memory(Verb::Store, 1024, vec![intt], "x", "ModUp-P1");
         let _ = g.push_compute(
             ComputeKind::PointwiseAdd,
             100,
@@ -606,6 +676,7 @@ mod tests {
             label: "x".into(),
             stage: "s".into(),
             channel: None,
+            kernel: None,
         };
         assert!(matches!(
             TaskGraph::from_tasks(vec![t]),
@@ -621,6 +692,7 @@ mod tests {
             label: "x".into(),
             stage: "s".into(),
             channel: None,
+            kernel: None,
         };
         assert!(matches!(
             TaskGraph::from_tasks(vec![t0]),
@@ -648,14 +720,19 @@ mod tests {
         let mut g = sample_graph();
         let sub = sample_graph();
         let appended = g
-            .append_offset(&sub, "k2:", |_| AppendAction::keep())
+            .append_offset(&sub, Some(2), |_| AppendAction::keep())
             .unwrap();
         assert_eq!(g.len(), 8);
         assert_eq!(appended.resolve(0), &[4]);
         assert_eq!(appended.resolve(3), &[7]);
-        // Dependencies point at the remapped ids, labels carry the prefix.
+        // Dependencies point at the remapped ids, the tasks carry the
+        // kernel, and the labels are shared with the appended graph.
         assert_eq!(g.tasks()[5].dependencies, vec![4]);
-        assert_eq!(&*g.tasks()[5].label, "k2:intt x");
+        assert_eq!(g.tasks()[5].kernel, Some(2));
+        assert!(Arc::ptr_eq(&g.tasks()[5].label, &sub.tasks()[1].label));
+        assert_eq!(&*g.tasks()[5].display_label(), "k2:intt x");
+        assert_eq!(&*g.tasks()[6].display_label(), "k2:store x");
+        assert_eq!(&*g.tasks()[2].display_label(), "store x");
         // Totals double, validation still passes.
         assert_eq!(g.total_ops(), 2 * sample_graph().total_ops());
         assert!(TaskGraph::from_tasks(g.tasks().to_vec()).is_ok());
@@ -667,7 +744,7 @@ mod tests {
         let barrier = g.terminal_tasks();
         let sub = sample_graph();
         let appended = g
-            .append_offset(&sub, "", |t| {
+            .append_offset(&sub, None, |t| {
                 if t.dependencies.is_empty() {
                     AppendAction::Keep {
                         extra_deps: barrier.clone(),
@@ -690,8 +767,8 @@ mod tests {
         // Drop the sub-graph's initial load; its consumer (the INTT) inherits
         // a dependency on the first graph's sink instead.
         let appended = g
-            .append_offset(&sub, "", |t| {
-                if &*t.label == "load x" {
+            .append_offset(&sub, None, |t| {
+                if t.verb() == Some(Verb::Load) {
                     AppendAction::Splice {
                         extra_deps: vec![3],
                     }
@@ -714,7 +791,7 @@ mod tests {
     fn append_offset_rejects_dangling_extra_deps() {
         let mut g = sample_graph();
         let sub = sample_graph();
-        let result = g.append_offset(&sub, "", |_| AppendAction::Keep {
+        let result = g.append_offset(&sub, None, |_| AppendAction::Keep {
             extra_deps: vec![99],
         });
         assert!(matches!(
@@ -729,8 +806,8 @@ mod tests {
         // the engine's remaining-dep counters or the verifier's in-degrees;
         // the surviving edges are stored in id order.
         let mut g = TaskGraph::new();
-        let a = g.push_memory(MemoryDirection::Load, 8, vec![], "load a", "P1");
-        let b = g.push_memory(MemoryDirection::Load, 8, vec![], "load b", "P1");
+        let a = g.push_memory(Verb::Load, 8, vec![], "a", "P1");
+        let b = g.push_memory(Verb::Load, 8, vec![], "b", "P1");
         let c = g.push_compute(ComputeKind::Ntt, 8, vec![b, a, b, a, a], "ntt", "P1");
         assert_eq!(g.tasks()[c].dependencies, vec![a, b]);
         let d = g.push_compute(ComputeKind::Ntt, 8, vec![c], "ntt2", "P1");
@@ -745,24 +822,26 @@ mod tests {
             Task {
                 id: 0,
                 kind: TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: 1,
                 },
                 dependencies: vec![1],
-                label: "load a".into(),
+                label: "a".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
             Task {
                 id: 1,
                 kind: TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: 1,
                 },
                 dependencies: vec![],
-                label: "load b".into(),
+                label: "b".into(),
                 stage: "P1".into(),
                 channel: None,
+                kernel: None,
             },
         ];
         assert!(TaskGraph::from_tasks(tasks.clone()).is_err());

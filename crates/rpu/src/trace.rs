@@ -43,7 +43,8 @@ pub struct TaskRecord {
     pub start_seconds: f64,
     /// End time in seconds from kernel start.
     pub end_seconds: f64,
-    /// Label shared with the task (interned; see [`Label`]).
+    /// The task's display text ([`Task::display_label`](crate::Task::display_label)):
+    /// the task's own label, shared, for a compute task outside a pipeline.
     pub label: Label,
     /// Stage name shared with the task (e.g. "ModUp-P2").
     pub stage: Label,

@@ -176,7 +176,7 @@ pub fn lint_structural(graph: &TaskGraph) -> Vec<Diagnostic> {
                     format!("task at position {index} carries id {}", task.id),
                 )
                 .with_tasks([index])
-                .with_label(task.label.clone()),
+                .with_label(task.display_label()),
             );
         }
         for (slot, &dep) in task.dependencies.iter().enumerate() {
@@ -190,7 +190,7 @@ pub fn lint_structural(graph: &TaskGraph) -> Vec<Diagnostic> {
                         ),
                     )
                     .with_tasks([index])
-                    .with_label(task.label.clone()),
+                    .with_label(task.display_label()),
                 );
                 continue;
             }
@@ -201,7 +201,7 @@ pub fn lint_structural(graph: &TaskGraph) -> Vec<Diagnostic> {
                         format!("task {index} depends on itself and can never become ready"),
                     )
                     .with_tasks([index])
-                    .with_label(task.label.clone()),
+                    .with_label(task.display_label()),
                 );
                 continue;
             }
@@ -215,7 +215,7 @@ pub fn lint_structural(graph: &TaskGraph) -> Vec<Diagnostic> {
                         ),
                     )
                     .with_tasks([dep, index])
-                    .with_label(task.label.clone()),
+                    .with_label(task.display_label()),
                 );
             }
             if dep > index {
@@ -229,7 +229,7 @@ pub fn lint_structural(graph: &TaskGraph) -> Vec<Diagnostic> {
                         ),
                     )
                     .with_tasks([index, dep])
-                    .with_label(task.label.clone()),
+                    .with_label(task.display_label()),
                 );
             }
         }
@@ -323,7 +323,7 @@ pub fn lint_deadlock(graph: &TaskGraph, plan: &ExecPlan) -> Vec<Diagnostic> {
 
     let chain = cycle
         .iter()
-        .map(|&t| format!("{t}(`{}`)", tasks[t].label))
+        .map(|&t| format!("{t}(`{}`)", tasks[t].display_label()))
         .collect::<Vec<_>>()
         .join(" -> ");
     vec![Diagnostic::error(
@@ -353,7 +353,7 @@ pub fn lint_graph(graph: &TaskGraph, engine: &RpuEngine) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use crate::config::RpuConfig;
-    use crate::task::{ComputeKind, MemoryDirection, Task, TaskGraph, TaskKind};
+    use crate::task::{ComputeKind, Task, TaskGraph, TaskKind, Verb};
 
     fn unit_engine(channels: usize) -> RpuEngine {
         RpuEngine::new(
@@ -367,13 +367,14 @@ mod tests {
         Task {
             id,
             kind: TaskKind::Memory {
-                direction: MemoryDirection::Load,
+                verb: Verb::Load,
                 bytes: 10,
             },
             dependencies,
             label: label.into(),
             stage: "P1".into(),
             channel: None,
+            kernel: None,
         }
     }
 
@@ -388,15 +389,16 @@ mod tests {
             label: label.into(),
             stage: "P1".into(),
             channel: None,
+            kernel: None,
         }
     }
 
     #[test]
     fn valid_graphs_lint_clean() {
         let mut g = TaskGraph::new();
-        let load = g.push_memory(MemoryDirection::Load, 10, vec![], "load in[0]", "P1");
+        let load = g.push_memory(Verb::Load, 10, vec![], "in[0]", "P1");
         let c = g.push_compute(ComputeKind::Ntt, 10, vec![load], "ntt", "P1");
-        g.push_memory(MemoryDirection::Store, 10, vec![c], "store out1[0]", "P1");
+        g.push_memory(Verb::Store, 10, vec![c], "out1[0]", "P1");
         for channels in [1, 2, 4, 8] {
             assert!(lint_graph(&g, &unit_engine(channels)).is_empty());
         }

@@ -12,8 +12,7 @@
 
 use proptest::prelude::*;
 use rpu::{
-    ComputeKind, EngineQueue, MemoryDirection, RpuConfig, RpuEngine, Task, TaskGraph, TaskId,
-    TaskKind,
+    ComputeKind, EngineQueue, RpuConfig, RpuEngine, Task, TaskGraph, TaskId, TaskKind, Verb,
 };
 
 /// The seed repository's single-queue engine: one in-order compute queue and
@@ -109,22 +108,10 @@ fn graph_from(entries: &[(u8, u64, u64, u64)]) -> TaskGraph {
             // 50% memory traffic, alternating direction, varied buffer names
             // so the hashed placement spreads them over channels.
             0 => {
-                graph.push_memory(
-                    MemoryDirection::Load,
-                    cost,
-                    deps,
-                    format!("load buf[{i}]"),
-                    "P1",
-                );
+                graph.push_memory(Verb::Load, cost, deps, format!("buf[{i}]"), "P1");
             }
             1 => {
-                graph.push_memory(
-                    MemoryDirection::Store,
-                    cost,
-                    deps,
-                    format!("store buf[{i}]"),
-                    "P2",
-                );
+                graph.push_memory(Verb::Store, cost, deps, format!("buf[{i}]"), "P2");
             }
             2 => {
                 graph.push_compute(ComputeKind::Ntt, cost, deps, format!("ntt {i}"), "P3");

@@ -16,7 +16,7 @@ use ciflow::benchmark::HksBenchmark;
 use ciflow::error::CiflowError;
 use ciflow::hks_shape::HksShape;
 use ciflow::schedule::{Schedule, ScheduleConfig};
-use rpu::{ComputeKind, EvkPolicy, MemoryDirection, RpuConfig, TaskGraph};
+use rpu::{ComputeKind, EvkPolicy, RpuConfig, TaskGraph, Verb};
 use std::sync::Arc;
 
 /// The ideal-fusion lower bound: input + evk in, every op once, output out.
@@ -36,22 +36,19 @@ impl ScheduleStrategy for RooflineOracle {
     }
 
     fn build(&self, shape: &HksShape, config: &ScheduleConfig) -> Result<Schedule, CiflowError> {
+        // Each memory task names its verb and the buffer it moves. The
+        // buffer name is what channel placement hashes and the lints group
+        // by: "evk" lands on the evk channel group under a split.
         let mut graph = TaskGraph::new();
         let mut deps = vec![graph.push_memory(
-            MemoryDirection::Load,
+            Verb::Load,
             shape.input_bytes(),
             vec![],
-            "load input towers",
+            "input towers",
             "ModUp-P1",
         )];
         if config.evk_policy == EvkPolicy::Streamed {
-            deps.push(graph.push_memory(
-                MemoryDirection::Load,
-                shape.evk_bytes(),
-                vec![],
-                "load evk",
-                "ModUp-P4",
-            ));
+            deps.push(graph.push_memory(Verb::Load, shape.evk_bytes(), vec![], "evk", "ModUp-P4"));
         }
         let compute = graph.push_compute(
             ComputeKind::Ntt,
@@ -61,10 +58,10 @@ impl ScheduleStrategy for RooflineOracle {
             "ModUp-P4",
         );
         graph.push_memory(
-            MemoryDirection::Store,
+            Verb::Store,
             shape.output_bytes(),
             vec![compute],
-            "store output towers",
+            "output towers",
             "ModDown-P4",
         );
         Ok(Schedule {

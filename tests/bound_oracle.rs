@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpu::bound::RooflineKnee;
-use rpu::{ComputeKind, EvkPolicy, MemoryDirection, RpuConfig, RpuEngine, TaskGraph, TaskId};
+use rpu::{ComputeKind, EvkPolicy, RpuConfig, RpuEngine, TaskGraph, TaskId, Verb};
 
 #[path = "common/mod.rs"]
 mod common;
@@ -57,13 +57,7 @@ fn contention_free_chain(stages: usize) -> TaskGraph {
     let mut prev: Option<TaskId> = None;
     for i in 0..stages {
         let deps = prev.map(|p| vec![p]).into_iter().flatten().collect();
-        let load = g.push_memory(
-            MemoryDirection::Load,
-            1_000_000 + i as u64,
-            deps,
-            format!("load {i}"),
-            "P1",
-        );
+        let load = g.push_memory(Verb::Load, 1_000_000 + i as u64, deps, format!("{i}"), "P1");
         let c = g.push_compute(
             ComputeKind::Ntt,
             2_000_000 + i as u64,
@@ -72,10 +66,10 @@ fn contention_free_chain(stages: usize) -> TaskGraph {
             "P1",
         );
         prev = Some(g.push_memory(
-            MemoryDirection::Store,
+            Verb::Store,
             500_000 + i as u64,
             vec![c],
-            format!("store {i}"),
+            format!("{i}"),
             "P1",
         ));
     }
@@ -88,8 +82,8 @@ fn a_hand_computed_fork_agrees_with_oracle_and_analyzer() {
     // compute (1 s). By hand: makespan 4 s, fast has 2 s of slack, the
     // critical path is slow -> join.
     let mut g = TaskGraph::new();
-    let slow = g.push_memory(MemoryDirection::Load, 3_000_000_000, vec![], "slow", "P1");
-    let fast = g.push_memory(MemoryDirection::Load, 1_000_000_000, vec![], "fast", "P1");
+    let slow = g.push_memory(Verb::Load, 3_000_000_000, vec![], "slow", "P1");
+    let fast = g.push_memory(Verb::Load, 1_000_000_000, vec![], "fast", "P1");
     let join = g.push_compute(
         ComputeKind::PointwiseAdd,
         1_000_000_000,

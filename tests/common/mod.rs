@@ -11,7 +11,7 @@
 use ciflow::schedule::ScheduleConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rpu::{ComputeKind, EvkPolicy, ExecutionStats, MemoryDirection, RpuConfig, Task, TaskKind};
+use rpu::{ComputeKind, EvkPolicy, ExecutionStats, RpuConfig, Task, TaskKind, Verb};
 
 /// The `ciflow_streaming` device preset at an explicit bandwidth — the most
 /// common RPU configuration across the suites.
@@ -157,10 +157,10 @@ pub fn random_valid_tasks(rng: &mut StdRng, n: usize) -> Vec<Task> {
                 }
             } else {
                 TaskKind::Memory {
-                    direction: if rng.gen_bool(0.5) {
-                        MemoryDirection::Load
+                    verb: if rng.gen_bool(0.5) {
+                        Verb::Load
                     } else {
-                        MemoryDirection::Store
+                        Verb::Store
                     },
                     bytes: rng.gen_range(1u64..10_000),
                 }
@@ -176,6 +176,7 @@ pub fn random_valid_tasks(rng: &mut StdRng, n: usize) -> Vec<Task> {
                 } else {
                     None
                 },
+                kernel: None,
             }
         })
         .collect()

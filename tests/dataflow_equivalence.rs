@@ -143,7 +143,7 @@ impl Fnv1a {
     }
 
     fn schedule(&mut self, schedule: &ciflow::Schedule) -> usize {
-        use rpu::{ComputeKind, MemoryDirection, TaskKind};
+        use rpu::{ComputeKind, TaskKind, Verb};
         self.str(&schedule.strategy);
         self.u64(schedule.peak_on_chip_bytes);
         self.u64(schedule.spill_bytes);
@@ -165,10 +165,12 @@ impl Fnv1a {
                     self.bytes(&[0, code]);
                     self.u64(ops);
                 }
-                TaskKind::Memory { direction, bytes } => {
-                    let code = match direction {
-                        MemoryDirection::Load => 0u8,
-                        MemoryDirection::Store => 1,
+                TaskKind::Memory { verb, bytes } => {
+                    // The load/store code the hash has always carried; the
+                    // write verbs show in the label.
+                    let code = match verb {
+                        Verb::Load => 0u8,
+                        Verb::Store | Verb::Spill | Verb::Park => 1,
                     };
                     self.bytes(&[1, code]);
                     self.u64(bytes);
@@ -185,7 +187,7 @@ impl Fnv1a {
             for &dep in &task.dependencies {
                 self.u64(dep as u64);
             }
-            self.str(&task.label);
+            self.str(&task.display_label());
             self.str(&task.stage);
             match task.channel {
                 None => self.bytes(&[0]),

@@ -30,8 +30,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpu::{
-    ComputeKind, EngineError, EvkPolicy, ExecutionStats, MemoryDirection, RpuConfig, RpuEngine,
-    Task, TaskGraph, TaskKind,
+    ComputeKind, EngineError, EvkPolicy, ExecutionStats, RpuConfig, RpuEngine, Task, TaskGraph,
+    TaskKind, Verb,
 };
 
 #[path = "common/mod.rs"]
@@ -184,7 +184,7 @@ fn wide_fan_in_tasks(rng: &mut StdRng, n: usize) -> Vec<Task> {
                 }
             } else {
                 TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: size,
                 }
             },
@@ -192,6 +192,7 @@ fn wide_fan_in_tasks(rng: &mut StdRng, n: usize) -> Vec<Task> {
             label: format!("t{id}").into(),
             stage: "P1".into(),
             channel: None,
+            kernel: None,
         });
     }
     tasks
@@ -318,7 +319,7 @@ fn a_forward_dependency_pushed_in_a_release_build_runs_through_the_event_loop() 
     let pushed = std::panic::catch_unwind(|| {
         let mut graph = TaskGraph::new();
         graph.push_compute(ComputeKind::Ntt, 1000, vec![1], "compute", "P1");
-        graph.push_memory(MemoryDirection::Load, 8000, vec![], "load", "P1");
+        graph.push_memory(Verb::Load, 8000, vec![], "load", "P1");
         graph
     });
     assert_eq!(

@@ -143,10 +143,11 @@ fn dep_reversed_schedules_stay_in_agreement() {
 
 #[test]
 fn elided_boundary_store_is_a_lint_error_the_engine_cannot_see() {
-    // Relabel one producer-side boundary store of a back-to-back pipeline,
-    // simulating a stitcher bug that dropped the store while the consumer
-    // still loads the tower from DRAM. The engine executes happily (timing
-    // is oblivious to data), so only the static boundary pass can catch it.
+    // Rename the buffer of one producer-side boundary store of a
+    // back-to-back pipeline, simulating a stitcher bug that dropped the
+    // store while the consumer still loads the tower from DRAM. The engine
+    // executes happily (timing is oblivious to data), so only the static
+    // boundary pass can catch it.
     let config = ScheduleConfig::with_data_memory(32 * rpu::MIB, EvkPolicy::Streamed);
     let mut pipeline = build_workload(
         &Workload::rotation_batch(HksBenchmark::ARK, 2),
@@ -163,7 +164,7 @@ fn elided_boundary_store_is_a_lint_error_the_engine_cannot_see() {
     let mut tasks = pipeline.schedule.graph.tasks().to_vec();
     let victim = tasks
         .iter()
-        .position(|t| &*t.label == "k0:store out1[0]")
+        .position(|t| &*t.display_label() == "k0:store out1[0]")
         .expect("back-to-back pipelines materialize every boundary store");
     tasks[victim].label = "elided writeback".into();
     pipeline.schedule.graph = TaskGraph::from_tasks_unchecked(tasks);

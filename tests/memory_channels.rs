@@ -202,8 +202,9 @@ fn channel_count_never_hurts_the_printed_pipeline_scenarios() {
 }
 
 /// Every memory task of `graph` sits in exactly one queue of `plan`: the
-/// channel hint, else `map.channel_for(label)`, reduced modulo the plan's
-/// channel count — the public reference placement.
+/// channel hint, else `map.channel_for(buffer)` of the buffer the task's
+/// label names, reduced modulo the plan's channel count — the public
+/// reference placement.
 fn assert_placement_matches_the_reference(
     name: &str,
     graph: &rpu::TaskGraph,
@@ -273,7 +274,7 @@ fn placement_oracle_agrees_with_channel_for_on_every_preset() {
     for (name, schedule) in &schedules {
         let graph = &schedule.graph;
         // A fresh compile per channel count, and rechannels of one core (the
-        // session's path), whose parsed labels are shared.
+        // session's path), whose interned buffers are shared.
         let single = ExecPlan::new(graph, &schedule.channel_map(1), 1);
         for channels in [1, 2, 4, 8] {
             let map = schedule.channel_map(channels);
@@ -288,30 +289,41 @@ fn placement_oracle_agrees_with_channel_for_on_every_preset() {
 #[test]
 fn placement_oracle_covers_hints_prefixes_and_custom_labels() {
     use ciflow::lint::buffer;
-    use rpu::{ChannelMap, ExecPlan, MemoryDirection, TaskGraph};
+    use rpu::{AppendAction, ChannelMap, ExecPlan, TaskGraph, Verb};
 
+    // Each transfer is appended as its own one-task graph, so it can carry
+    // a kernel of a stitched pipeline.
     let mut g = TaskGraph::new();
-    let memory = |g: &mut TaskGraph, direction, label: &str, hint| {
-        g.push_memory_on(direction, 64, vec![], label, "P1", hint);
+    let memory = |g: &mut TaskGraph, kernel, verb, buffer: &str, hint| {
+        let mut one = TaskGraph::new();
+        one.push_memory_on(verb, 64, vec![], buffer, "P1", hint);
+        g.append_offset(&one, kernel, |_| AppendAction::keep())
+            .unwrap();
     };
-    use MemoryDirection::{Load, Store};
-    memory(&mut g, Load, "load acc0[10]", None); // loaded before its spill
-    memory(&mut g, Store, "spill acc0[10]", None);
-    memory(&mut g, Load, "k12:load acc0[10]", Some(5));
-    memory(&mut g, Load, "k12:load evk[d0][t1]", None);
-    memory(&mut g, Load, "k3:load evk[d0][t1]", Some(2));
-    memory(&mut g, Load, "load evk[d0][t1]", None); // two redundant reloads
-    memory(&mut g, Load, "kx:load in[0]", None); // not a kernel prefix
-    memory(&mut g, Load, "load in[0]", Some(7));
-    memory(&mut g, Store, "k1:park in[0]", None);
-    memory(&mut g, Load, "k1:load in[0]", None);
-    memory(&mut g, Store, "spill acc0[2]", None); // never reloaded
-    memory(&mut g, Store, "park Z[0]", Some(1)); // never reloaded, sorts first
-    memory(&mut g, Load, "reload working set (ModUp-P1)", None);
-    memory(&mut g, Store, "writeback working set (ModUp-P1)", Some(3));
-    memory(&mut g, Load, "k:load in[0]", None); // empty kernel digits
-    memory(&mut g, Store, "store out1[0]", None);
-    memory(&mut g, Load, "loadin[0]", None); // no verb separator
+    use Verb::{Load, Park, Spill, Store};
+    memory(&mut g, None, Load, "acc0[10]", None); // loaded before its spill
+    memory(&mut g, None, Spill, "acc0[10]", None);
+    memory(&mut g, Some(12), Load, "acc0[10]", Some(5));
+    memory(&mut g, Some(12), Load, "evk[d0][t1]", None);
+    memory(&mut g, Some(3), Load, "evk[d0][t1]", Some(2));
+    memory(&mut g, None, Load, "evk[d0][t1]", None); // two redundant reloads
+    memory(&mut g, None, Load, "kx:in[0]", None); // its own buffer
+    memory(&mut g, None, Load, "in[0]", Some(7));
+    memory(&mut g, Some(1), Park, "in[0]", None);
+    memory(&mut g, Some(1), Load, "in[0]", None);
+    memory(&mut g, None, Spill, "acc0[2]", None); // never reloaded
+    memory(&mut g, None, Park, "Z[0]", Some(1)); // never reloaded, sorts first
+    memory(&mut g, None, Load, "reload working set (ModUp-P1)", None);
+    memory(
+        &mut g,
+        None,
+        Store,
+        "writeback working set (ModUp-P1)",
+        Some(3),
+    );
+    memory(&mut g, None, Load, "k:in[0]", None); // its own buffer
+    memory(&mut g, None, Store, "out1[0]", None);
+    memory(&mut g, None, Load, "loadin[0]", None); // its own buffer
     g.push_compute(rpu::ComputeKind::Ntt, 10, vec![0], "ntt", "P1");
 
     let maps = [
@@ -331,8 +343,8 @@ fn placement_oracle_covers_hints_prefixes_and_custom_labels() {
         }
     }
 
-    // The buffer pass reports in canonical-name (byte) order, with the
-    // tasks, labels and messages the string-keyed pass gave.
+    // The buffer pass reports in buffer-name (byte) order, with the tasks,
+    // labels and messages the string-keyed pass gave.
     let plan = single.expect("plans were compiled");
     let found: Vec<(&str, Vec<usize>, String, String)> = buffer::lint(&g, &plan)
         .into_iter()
@@ -370,4 +382,32 @@ fn placement_oracle_covers_hints_prefixes_and_custom_labels() {
     ]
     .map(|(code, tasks, label, message)| (code, tasks, label.to_string(), message.to_string()));
     assert_eq!(found, expected);
+}
+
+#[test]
+fn custom_buffer_names_keep_kernel_like_prefixes() {
+    // A custom strategy's buffer `k7:x` is its own buffer, not kernel 7's
+    // copy of `x`: it is interned, placed and linted apart from `x`.
+    use ciflow::lint::buffer;
+    use rpu::{ChannelMap, ExecPlan, TaskGraph, Verb};
+
+    let mut g = TaskGraph::new();
+    let spill = g.push_memory(Verb::Spill, 64, vec![], "k7:x", "P1");
+    g.push_memory(Verb::Spill, 64, vec![], "x", "P1");
+    g.push_memory(Verb::Load, 64, vec![], "x", "P1");
+    let map = ChannelMap::hashed(1 << 16);
+    let plan = ExecPlan::new(&g, &map, 1 << 16);
+    let keys = plan.buffer_keys(&g);
+    let names: Vec<&str> = (0..keys.buffer_count() as u32)
+        .map(|b| keys.name(&g, b))
+        .collect();
+    assert_eq!(names, ["k7:x", "x"]);
+    assert_ne!(map.channel_for("k7:x"), map.channel_for("x"));
+    assert_placement_matches_the_reference("k7:x", &g, &map, &plan);
+    let diagnostics = buffer::lint(&g, &plan);
+    assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
+    assert_eq!(
+        (diagnostics[0].code, &diagnostics[0].tasks),
+        ("B002", &vec![spill])
+    );
 }

@@ -13,7 +13,7 @@ use ciflow::serve::{
     try_fault_serve_in, try_serve_in, ArrivalProcess, FaultPlan, RequestClass, ServeConfig,
 };
 use ciflow::workload::{PipelineMode, Workload};
-use rpu::{ComputeKind, EvkPolicy, MemoryDirection, RpuConfig, TaskGraph};
+use rpu::{ComputeKind, EvkPolicy, RpuConfig, TaskGraph, Verb};
 use std::sync::Arc;
 
 /// A deliberately naive out-of-crate strategy: stream everything, reuse
@@ -50,7 +50,7 @@ impl ScheduleStrategy for NoReuse {
         let round_trip = shape.input_bytes() + shape.output_bytes() + shape.evk_bytes();
         for (stage, ops) in stage_ops {
             let load = graph.push_memory(
-                MemoryDirection::Load,
+                Verb::Load,
                 round_trip,
                 previous.map(|p| vec![p]).unwrap_or_default(),
                 format!("reload working set ({stage})"),
@@ -58,7 +58,7 @@ impl ScheduleStrategy for NoReuse {
             );
             let compute = graph.push_compute(ComputeKind::Ntt, ops, vec![load], "stage", stage);
             let store = graph.push_memory(
-                MemoryDirection::Store,
+                Verb::Store,
                 round_trip,
                 vec![compute],
                 format!("writeback working set ({stage})"),
@@ -104,17 +104,19 @@ impl ScheduleStrategy for Deadlocking {
                 label: "stuck compute".into(),
                 stage: "ModUp-P1".into(),
                 channel: None,
+                kernel: None,
             },
             rpu::Task {
                 id: 1,
                 kind: rpu::TaskKind::Memory {
-                    direction: MemoryDirection::Load,
+                    verb: Verb::Load,
                     bytes: 1,
                 },
                 dependencies: vec![0],
                 label: "stuck load".into(),
                 stage: "ModUp-P1".into(),
                 channel: None,
+                kernel: None,
             },
         ];
         let graph = TaskGraph::from_tasks(tasks)?;
@@ -193,6 +195,87 @@ fn custom_strategy_round_trips_through_registry_and_session() {
             builtin.runtime_ms()
         );
     }
+}
+
+/// A custom strategy that spills a scratch buffer and never reloads it,
+/// with its spill bytes accounted honestly.
+struct DeadSpill;
+
+impl ScheduleStrategy for DeadSpill {
+    fn name(&self) -> &str {
+        "dead-spill"
+    }
+
+    fn short_name(&self) -> &str {
+        "DS"
+    }
+
+    fn build(&self, shape: &HksShape, _config: &ScheduleConfig) -> Result<Schedule, CiflowError> {
+        let mut graph = TaskGraph::new();
+        let load = graph.push_memory(Verb::Load, shape.input_bytes(), vec![], "in", "ModUp-P1");
+        let compute = graph.push_compute(
+            ComputeKind::Ntt,
+            shape.total_ops(),
+            vec![load],
+            "kernel",
+            "ModUp-P4",
+        );
+        let scratch = shape.tower_bytes();
+        graph.push_memory(Verb::Spill, scratch, vec![compute], "scratch", "ModUp-P4");
+        graph.push_memory(
+            Verb::Store,
+            shape.output_bytes(),
+            vec![compute],
+            "out",
+            "ModDown-P4",
+        );
+        Ok(Schedule {
+            strategy: self.short_name().to_string(),
+            graph,
+            peak_on_chip_bytes: 0,
+            spill_bytes: scratch,
+        })
+    }
+}
+
+#[test]
+fn registered_custom_strategy_that_never_reloads_a_spill_gets_b002() {
+    // Custom strategies take the same typed path as the built-ins: the
+    // buffer pass sees the spill's verb and flags the dead writeback.
+    let session = Session::new().register(Arc::new(DeadSpill)).unwrap();
+    let report = session
+        .verify_job(&Job::new(HksBenchmark::ARK, "DS"))
+        .unwrap();
+    let dead: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == ciflow::lint::codes::DEAD_STORE)
+        .collect();
+    assert_eq!(dead.len(), 1, "{report}");
+    assert_eq!(dead[0].severity, rpu::Severity::Warning);
+    assert_eq!(dead[0].tasks, vec![2]);
+    assert_eq!(dead[0].label.as_deref(), Some("spill scratch"));
+    assert!(!report.has_errors(), "{report}");
+}
+
+#[test]
+fn test_strategies_keep_their_single_kernel_lint_outcomes() {
+    // No-reuse accounts its round trips as spills it moves as plain loads
+    // and stores (A002) and is serialized end to end (R003); no buffer
+    // code fires on it. The deadlocking strategy never builds a schedule.
+    let session = Session::new()
+        .register(Arc::new(NoReuse))
+        .unwrap()
+        .register(Arc::new(Deadlocking))
+        .unwrap();
+    let report = session
+        .verify_job(&Job::new(HksBenchmark::ARK, "NR"))
+        .unwrap();
+    let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["A002", "R003"], "{report}");
+    assert!(session
+        .verify_job(&Job::new(HksBenchmark::ARK, "DL"))
+        .is_err());
 }
 
 #[test]

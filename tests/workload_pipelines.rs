@@ -124,12 +124,12 @@ fn workload_sweep_runs_the_figure4_ladder() {
 
 #[test]
 fn custom_strategies_pipeline_through_the_conservative_barrier() {
-    // A strategy that does not emit the canonical buffer labels still chains
-    // correctly: fusion degrades to a barrier instead of misfusing.
+    // A strategy that does not name its buffers `in[t]`/`out1[t]` still
+    // chains correctly: fusion degrades to a barrier instead of misfusing.
     use ciflow::api::ScheduleStrategy;
     use ciflow::error::CiflowError;
     use ciflow::schedule::{Schedule, ScheduleConfig};
-    use rpu::{ComputeKind, MemoryDirection, TaskGraph};
+    use rpu::{ComputeKind, TaskGraph, Verb};
 
     struct Opaque;
     impl ScheduleStrategy for Opaque {
@@ -146,7 +146,7 @@ fn custom_strategies_pipeline_through_the_conservative_barrier() {
         ) -> Result<Schedule, CiflowError> {
             let mut graph = TaskGraph::new();
             let load = graph.push_memory(
-                MemoryDirection::Load,
+                Verb::Load,
                 shape.input_bytes(),
                 vec![],
                 "opaque read",
@@ -160,7 +160,7 @@ fn custom_strategies_pipeline_through_the_conservative_barrier() {
                 "ModUp-P4",
             );
             graph.push_memory(
-                MemoryDirection::Store,
+                Verb::Store,
                 shape.output_bytes(),
                 vec![compute],
                 "opaque write",
@@ -183,14 +183,15 @@ fn custom_strategies_pipeline_through_the_conservative_barrier() {
     )
     .unwrap();
     assert_eq!(ws.kernels, 3);
-    assert_eq!(ws.forwarded_bytes, 0, "nothing to forward without labels");
+    assert_eq!(ws.forwarded_bytes, 0, "nothing to forward without `in[t]`");
     // 3 kernels x 3 tasks, all kept, and the graph executes.
     assert_eq!(ws.schedule.graph.len(), 9);
     let engine = rpu::RpuEngine::new(RpuConfig::ciflow_baseline());
     engine.execute(&ws.schedule.graph).unwrap();
     // The second kernel's load waits for the first kernel's sink.
     let k1_load = &ws.schedule.graph.tasks()[3];
-    assert_eq!(&*k1_load.label, "k1:opaque read");
+    assert_eq!((k1_load.kernel, &*k1_load.label), (Some(1), "opaque read"));
+    assert_eq!(&*k1_load.display_label(), "k1:load opaque read");
     assert_eq!(k1_load.dependencies, vec![2]);
 }
 
